@@ -19,7 +19,6 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--out-dir", default="reports")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     out_dir = pathlib.Path(args.out_dir)
@@ -28,8 +27,7 @@ def main() -> int:
     for config_path in sorted(CONFIG_DIR.glob("*.json")):
         suite = json.loads(config_path.read_text())["suite"]
         report_path = out_dir / f"{config_path.stem}.report.json"
-        argv = ["run", "--config", str(config_path), "--out", str(report_path),
-                "--jobs", str(args.jobs)]
+        argv = ["run", "--config", str(config_path), "--out", str(report_path)]
         if args.seed is not None:
             argv += ["--seed", str(args.seed)]
         print(f"== {suite} ==", flush=True)

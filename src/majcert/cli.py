@@ -1,11 +1,12 @@
 """Command-line experiment runner.
 
-``majcert run --config cfg.json [--seed N] [--out path] [--jobs N]``
+``majcert run --config cfg.json [--seed N] [--out path]``
 executes one suite deterministically and writes a canonical JSON report;
 the exit status is nonzero iff any record failed verification.
 
 ``majcert verify --report report.json`` re-checks every verdict from the
-serialized artifacts inside the report.
+serialized artifacts inside the report, with the same per-suite check
+that ``run`` used to set it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         seed = args.seed
     started = time.monotonic()
-    report = run_suite(config, seed_override=seed, jobs=args.jobs)
+    report = run_suite(config, seed_override=seed)
     elapsed = time.monotonic() - started
     out = args.out or output_path or "-"
     write_report(out, report)
@@ -59,7 +60,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--out", default=None)
-    run_p.add_argument("--jobs", type=int, default=1)
     run_p.set_defaults(func=_cmd_run)
 
     verify_p = sub.add_parser("verify", help="re-check all verdicts in a report")

@@ -59,6 +59,10 @@ def _require_same_domain(a, b) -> None:
 
 #: truth-table arrays keyed by (n, bits); entries are immutable
 _VALUES_CACHE: dict = {}
+#: bytes of table arrays and key integers the cache may hold before it is
+#: cleared (one n = 20 entry holds about 1.1 MiB)
+VALUES_CACHE_MAX_BYTES = 64 << 20
+_values_cache_bytes = 0
 
 
 @dataclass(frozen=True)
@@ -98,6 +102,7 @@ class BooleanFunction:
         return (self.bits >> self.domain.check_input(x)) & 1
 
     def values(self) -> np.ndarray:
+        global _values_cache_bytes
         key = (self.domain.n, self.bits)
         cached = _VALUES_CACHE.get(key)
         if cached is None:
@@ -106,9 +111,12 @@ class BooleanFunction:
             cached = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
                                    bitorder="little")[:size]
             cached.flags.writeable = False
-            if len(_VALUES_CACHE) > 100_000:
+            entry_bytes = cached.nbytes + len(raw)
+            if _values_cache_bytes + entry_bytes > VALUES_CACHE_MAX_BYTES:
                 _VALUES_CACHE.clear()
+                _values_cache_bytes = 0
             _VALUES_CACHE[key] = cached
+            _values_cache_bytes += entry_bytes
         return cached
 
     def xor(self, other: "BooleanFunction") -> "BooleanFunction":

@@ -42,22 +42,16 @@ def _hex_width(n: int) -> int:
 
 
 def boolean_to_hex(f: BooleanFunction) -> str:
-    size = f.domain.size
-    value = 0
-    for x in range(size):
-        value |= ((f.bits >> x) & 1) << (size - 1 - x)
-    return format(value, "0{}x".format(_hex_width(f.domain.n)))
+    # bit x of f.bits is f(x); reversing the binary string puts f(0) first
+    msb_first = format(f.bits, "0{}b".format(f.domain.size))[::-1]
+    return format(int(msb_first, 2), "0{}x".format(_hex_width(f.domain.n)))
 
 
 def boolean_from_hex(domain: InputDomain, text: str) -> BooleanFunction:
     value = int(text, 16)
-    size = domain.size
-    if value >= (1 << size):
+    if value >= (1 << domain.size):
         raise RejectedInputError("hex table wider than the domain")
-    bits = 0
-    for x in range(size):
-        bits |= ((value >> (size - 1 - x)) & 1) << x
-    return BooleanFunction(domain, bits)
+    return BooleanFunction(domain, int(format(value, "0{}b".format(domain.size))[::-1], 2))
 
 
 def write_truth_tables(path, S: ConceptClass) -> None:
@@ -222,10 +216,6 @@ def canonical_json(obj) -> str:
     return _canonical(obj) + "\n"
 
 
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 # ---------------------------------------------------------------------------
 # Artifact serialization (decompositions and protocols)
 # ---------------------------------------------------------------------------
@@ -311,14 +301,25 @@ def state_from_json(qubits: int, data: list) -> DensityMatrix:
     return DensityMatrix(qubits, flat.reshape(dim, dim))
 
 
-def protocol_to_json(P, seed: int) -> dict:
-    distinct = []
-    index = {}
-    for s in P.honest_advice:
+def states_to_json(states) -> tuple:
+    """(distinct state tables, one table ref per state), first-occurrence order."""
+    tables, refs, index = [], [], {}
+    for s in states:
         k = s.key()
         if k not in index:
-            index[k] = len(distinct)
-            distinct.append(s)
+            index[k] = len(tables)
+            tables.append(state_to_json(s))
+        refs.append(index[k])
+    return tables, refs
+
+
+def states_from_json(qubits: int, tables: list, refs: list) -> tuple:
+    distinct = [state_from_json(qubits, t) for t in tables]
+    return tuple(distinct[int(i)] for i in refs)
+
+
+def protocol_to_json(P, seed: int) -> dict:
+    tables, refs = states_to_json(P.honest_advice)
     return {
         "kind": "advice-protocol",
         "n": P.domain.n,
@@ -330,8 +331,8 @@ def protocol_to_json(P, seed: int) -> dict:
         "points": [[format_hex_input(x) for x in sorted(X)] for X in P.points],
         "targets": [[[format_hex_input(z), f"{r.numerator}/{r.denominator}"]
                      for z, r in slot] for slot in P.targets],
-        "state_tables": [state_to_json(s) for s in distinct],
-        "advice_refs": [index[s.key()] for s in P.honest_advice],
+        "state_tables": tables,
+        "advice_refs": refs,
         "decomposition": real_decomposition_to_json(P.decomposition, P.compiled_class, seed),
         "verified": True,
         "seed": seed,
@@ -344,19 +345,12 @@ def protocol_from_json(data: dict):
     circuit = circuit_from_text(data["circuit"])
     language = boolean_from_hex(domain, data["language"])
     qubits = int(data["advice_qubits"])
-    distinct = [state_from_json(qubits, s) for s in data["state_tables"]]
-    honest = tuple(distinct[int(i)] for i in data["advice_refs"])
+    honest = states_from_json(qubits, data["state_tables"], data["advice_refs"])
     points = tuple(frozenset(int(p, 16) for p in slot) for slot in data["points"])
-    targets = tuple(tuple((int(z, 16), parse_fraction(r)) for z, r in slot)
+    targets = tuple(tuple((int(z, 16), Fraction(r)) for z, r in slot)
                     for slot in data["targets"])
     S, dec = real_decomposition_from_json(data["decomposition"])
-    # compiled states beyond the honest ones are not serialized; reuse
-    # honest states for the slots they back and fall back to None markers
-    state_of = {}
-    for s, f_idx in zip(honest, data["decomposition"]["funcs"]):
-        state_of.setdefault(int(f_idx), s)
-    compiled_states = tuple(state_of.get(i) for i in range(len(S)))
     return AdviceProtocol(circuit=circuit, domain=domain, advice_qubits=qubits,
                           points=points, targets=targets, alpha=float(data["alpha"]),
                           honest_advice=honest, language=language, decomposition=dec,
-                          compiled_class=S, compiled_states=compiled_states)
+                          compiled_class=S)

@@ -18,7 +18,7 @@ asserted.  Reports carry that distinction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -33,12 +33,6 @@ from .qsim import (Circuit, DensityMatrix, measurement_operator,
                    state_to_params)
 from .rng import substream
 from .winnow import fat_shattering_dim
-
-
-def circuit_domain(circuit: Circuit) -> InputDomain:
-    """Input domain implied by the highest input bit any gate reads."""
-    bits = [g.when_bit for g in circuit.gates if g.when_bit is not None]
-    return InputDomain(max(bits) + 1 if bits else 1)
 
 
 def induced_function(circuit: Circuit, domain: InputDomain,
@@ -94,7 +88,6 @@ class AdviceProtocol:
     language: BooleanFunction
     decomposition: RealDecomposition
     compiled_class: PConceptClass
-    compiled_states: tuple
 
     @property
     def m(self) -> int:
@@ -231,8 +224,7 @@ def compile_advice(circuit: Circuit, rho_n: DensityMatrix, language: BooleanFunc
                               points=decomposition.points,
                               targets=tuple(targets), alpha=alpha,
                               honest_advice=tuple(honest), language=language,
-                              decomposition=decomposition, compiled_class=S,
-                              compiled_states=states)
+                              decomposition=decomposition, compiled_class=S)
     protocol.validate()
     return protocol
 
@@ -240,13 +232,7 @@ def compile_advice(circuit: Circuit, rho_n: DensityMatrix, language: BooleanFunc
 def with_inflated_alpha(P: AdviceProtocol, factor: float) -> AdviceProtocol:
     """A deliberately broken variant accepting deviations factor times
     larger; used to show the adversary search has teeth."""
-    return AdviceProtocol(circuit=P.circuit, domain=P.domain,
-                          advice_qubits=P.advice_qubits, points=P.points,
-                          targets=P.targets, alpha=P.alpha * factor,
-                          honest_advice=P.honest_advice, language=P.language,
-                          decomposition=P.decomposition,
-                          compiled_class=P.compiled_class,
-                          compiled_states=P.compiled_states)
+    return replace(P, alpha=P.alpha * factor)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
 
 from . import __version__
 from .formats import canonical_json
@@ -53,12 +51,3 @@ def write_report(path, report: dict) -> None:
     else:
         with open(path, "w") as fh:
             fh.write(text)
-
-
-def run_indexed(tasks: Sequence[Callable[[], dict]], jobs: int = 1) -> list:
-    """Run instance thunks, possibly concurrently; results keep task order."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(t) for t in tasks]
-        return [f.result() for f in futures]

@@ -74,17 +74,6 @@ def test_cli_game_suite_reports_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_cli_jobs_do_not_change_bytes(tmp_path):
-    cfg = write_config(tmp_path, "cfg.json",
-                       {"schema": 1, "suite": "dims",
-                        "parameters": {"instances": 6, "pconcept_instances": 2},
-                        "seed": 2})
-    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    assert main(["run", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["run", "--config", cfg, "--out", str(out2), "--jobs", "4"]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_cli_seed_override_changes_output(tmp_path):
     cfg = write_config(tmp_path, "cfg.json",
                        {"schema": 1, "suite": "l2counter",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from majcert import concepts
 from majcert.concepts import (BooleanFunction, Certificate, ConceptClass,
                               Distribution, InputDomain, PConceptClass,
                               RealCertificate, RealFunction, distance,
@@ -384,3 +385,11 @@ def test_distribution_validation():
     D = Distribution.from_weights(domain, np.array([2.0, 1.0, 1.0, 0.0]))
     assert D.weights[0] == pytest.approx(0.5)
     assert D.support() == (0, 1, 2)
+
+
+def test_values_cache_stays_within_its_byte_bound():
+    domain = InputDomain(20)
+    for y in range(200):
+        assert BooleanFunction.point(domain, y).values()[y] == 1
+    held = sum(a.nbytes for a in concepts._VALUES_CACHE.values())
+    assert held <= concepts._values_cache_bytes <= concepts.VALUES_CACHE_MAX_BYTES

@@ -159,3 +159,35 @@ def test_state_json_roundtrip():
     state = random_mixed_state(2, substream(6, 0))
     back = state_from_json(2, state_to_json(state))
     assert np.allclose(back.entries, state.entries, atol=0)
+
+
+def msb_first_hex(f: BooleanFunction) -> str:
+    """The README's truth-table text: f(0) f(1) ... f(2^n - 1) as one
+    binary numeral, most significant first, in ceil(2^n / 4) hex digits."""
+    size = f.domain.size
+    digits = "".join("1" if (f.bits >> x) & 1 else "0" for x in range(size))
+    return format(int(digits, 2), "0{}x".format(max(1, (size + 3) // 4)))
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_boolean_hex_matches_msb_first_reference(n):
+    domain = InputDomain(n)
+    if n <= 14:
+        rng = np.random.default_rng(n)
+        funcs = [BooleanFunction(domain, int.from_bytes(rng.bytes((domain.size + 7) // 8),
+                                                        "little") % (1 << domain.size))
+                 for _ in range(3)]
+    else:
+        funcs = [BooleanFunction.point(domain, y) for y in (0, domain.size // 3,
+                                                            domain.size - 1)]
+    for f in funcs:
+        text = boolean_to_hex(f)
+        assert text == msb_first_hex(f)
+        assert boolean_from_hex(domain, text).bits == f.bits
+
+
+def test_boolean_hex_rejects_text_wider_than_the_domain():
+    with pytest.raises(RejectedInputError):
+        boolean_from_hex(InputDomain(1), "f")
+    with pytest.raises(RejectedInputError):
+        boolean_from_hex(InputDomain(3), "1ff")

@@ -155,8 +155,7 @@ def tiny_two_register_protocol():
     return AdviceProtocol(circuit=circuit, domain=domain, advice_qubits=1,
                           points=dec.points, targets=targets, alpha=alpha,
                           honest_advice=(up, up), language=language,
-                          decomposition=dec, compiled_class=cls,
-                          compiled_states=(up, DensityMatrix.computational(1, 0)))
+                          decomposition=dec, compiled_class=cls)
 
 
 def test_machines_depend_only_on_reduced_states():

@@ -1,0 +1,122 @@
+"""Suite checks: `run` and `verify` agree on every verdict, and each check
+rejects a tampered record that its stored claims alone would pass."""
+
+import copy
+import functools
+import json
+
+import pytest
+
+from majcert.formats import canonical_json
+from majcert.suites import REGISTRY, run_suite, verify_report
+
+#: small parameters for every suite, a few seconds each
+SMALL = {
+    "majcert": ({"n": 6, "kind": "point-functions", "point_count": 48, "instances": 1}, 1),
+    "majcert-robust": ({"n": 3, "point_count": 6, "instances": 1, "robust": True}, 8),
+    "realmajcert": ({"n": 2, "class_size": 12, "instances": 1}, 1),
+    "winnow": ({"instances": 3}, 5),
+    "l1winnow": ({"instances": 3}, 5),
+    "l2counter": ({"instances": 6}, 9),
+    "dims": ({"instances": 6, "pconcept_instances": 2}, 2),
+    "occam": ({"instances": 2, "trials": 20}, 1),
+    "quantum-protocol": ({"adversary_restarts": 30, "random_states": 25}, 3),
+    "equivalence": ({"instances": 2}, 12),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def report_text(name: str) -> str:
+    params, seed = SMALL[name]
+    suite = "majcert" if name == "majcert-robust" else name
+    return canonical_json(run_suite({"schema": 1, "suite": suite, "parameters": params,
+                                     "seed": seed}))
+
+
+def parsed(name: str) -> dict:
+    return json.loads(report_text(name))
+
+
+def test_small_parameters_cover_every_suite():
+    assert set(REGISTRY) <= set(SMALL)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_run_verdicts_equal_verify_verdicts(name):
+    report = parsed(name)
+    written = [(r["index"], r["verified"]) for r in report["records"]]
+    assert verify_report(report) == written
+    assert all(ok for _, ok in written)
+
+
+def triple_every_slot(report):
+    dec = report["records"][0]["outputs"]["decomposition"]
+    assert dec["m"] == 121
+    dec["m"] = 3 * dec["m"]
+    dec["certs"] = dec["certs"] * 3
+    dec["funcs"] = dec["funcs"] * 3
+    return 0
+
+
+def flip_untrusted_claim(report):
+    report["records"][0]["outputs"]["untrusted_flip_fails"] = False
+    return 0
+
+
+def zero_soundness_bound(report):
+    report["records"][1]["outputs"]["conditional_soundness_bound"] = 0.0
+    return 1
+
+
+def zero_attack_error(report):
+    report["records"][3]["outputs"]["best_error"] = 0.0
+    return 3
+
+
+def honest_attack_registers(report):
+    honest = report["records"][0]["outputs"]["protocol"]
+    out = report["records"][3]["outputs"]
+    out["register_tables"] = honest["state_tables"]
+    out["register_refs"] = honest["advice_refs"]
+    return 3
+
+
+def certain_amplification(report):
+    for entry in report["records"][4]["outputs"]["amplification"]:
+        entry["acceptance"] = 1.0
+    return 4
+
+
+def increasing_dims(report):
+    report["records"][5]["outputs"]["dims"] = [0, 1, 2]
+    return 5
+
+
+@pytest.mark.parametrize("name, tamper", [
+    ("majcert", triple_every_slot),
+    ("majcert-robust", flip_untrusted_claim),
+    ("quantum-protocol", zero_soundness_bound),
+    ("quantum-protocol", zero_attack_error),
+    ("quantum-protocol", honest_attack_registers),
+    ("quantum-protocol", certain_amplification),
+    ("quantum-protocol", increasing_dims),
+])
+def test_verify_rejects_tampered_record(name, tamper):
+    report = parsed(name)
+    assert all(ok for _, ok in verify_report(report))
+    bad = copy.deepcopy(report)
+    index = tamper(bad)
+    assert dict(verify_report(bad)) == {r["index"]: r["index"] != index
+                                        for r in report["records"]}
+
+
+def test_verify_counts_a_raising_check_as_failed():
+    report = parsed("winnow")
+    del report["records"][1]["outputs"]["tables"]
+    assert [ok for _, ok in verify_report(report)] == [True, False, True]
+
+
+def test_undecodable_protocol_fails_every_quantum_record():
+    report = parsed("quantum-protocol")
+    report["records"][0]["outputs"]["protocol"]["advice_qubits"] = 0
+    assert not any(ok for _, ok in verify_report(report))
