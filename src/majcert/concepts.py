@@ -5,16 +5,19 @@ Everything is a total function on the n-bit cube stored as an explicit
 table, so every postcondition in the rest of the package can be checked
 exactly.  Inputs are integers in [0, 2^n); "lexicographic order"
 on bit strings coincides with numeric order.  Boolean tables are exact
-(bit-packed into a Python int, bit x = f(x)); real tables are float64
-vectors, and invariant checks elsewhere compare reals with absolute
-tolerance 1e-9 unless stated exact.
+(bit-packed into a Python int, bit x = f(x)), and so are Boolean
+certificates (a mask of pinned inputs and their values); real tables
+are float64 vectors, and invariant checks elsewhere compare reals with
+absolute tolerance 1e-9 unless stated exact.
 
-All values are immutable after construction, hence safe to share across
+All values are immutable after construction (a class builds its
+read-only value matrix once, on first use), hence safe to share across
 threads; every operation here is pure.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -53,16 +56,8 @@ class InputDomain:
 
 
 def _require_same_domain(a, b) -> None:
-    if a.domain != b.domain:
+    if a.domain is not b.domain and a.domain != b.domain:
         raise DomainMismatchError(f"domain mismatch: n={a.domain.n} vs n={b.domain.n}")
-
-
-#: truth-table arrays keyed by (n, bits); entries are immutable
-_VALUES_CACHE: dict = {}
-#: bytes of table arrays and key integers the cache may hold before it is
-#: cleared (one n = 20 entry holds about 1.1 MiB)
-VALUES_CACHE_MAX_BYTES = 64 << 20
-_values_cache_bytes = 0
 
 
 @dataclass(frozen=True)
@@ -102,22 +97,10 @@ class BooleanFunction:
         return (self.bits >> self.domain.check_input(x)) & 1
 
     def values(self) -> np.ndarray:
-        global _values_cache_bytes
-        key = (self.domain.n, self.bits)
-        cached = _VALUES_CACHE.get(key)
-        if cached is None:
-            size = self.domain.size
-            raw = self.bits.to_bytes((size + 7) // 8, "little")
-            cached = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                                   bitorder="little")[:size]
-            cached.flags.writeable = False
-            entry_bytes = cached.nbytes + len(raw)
-            if _values_cache_bytes + entry_bytes > VALUES_CACHE_MAX_BYTES:
-                _VALUES_CACHE.clear()
-                _values_cache_bytes = 0
-            _VALUES_CACHE[key] = cached
-            _values_cache_bytes += entry_bytes
-        return cached
+        """The truth table as a 0/1 uint8 vector of length 2^n."""
+        size = self.domain.size
+        raw = self.bits.to_bytes((size + 7) // 8, "little")
+        return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:size]
 
     def xor(self, other: "BooleanFunction") -> "BooleanFunction":
         _require_same_domain(self, other)
@@ -170,61 +153,70 @@ class RealFunction:
 class Certificate:
     """A partial Boolean function: finitely many pinned input/output pairs.
 
-    ``assignments`` is kept as a sorted tuple of (input, bit) pairs; the
-    size |C| is the number of pinned inputs.
+    Packed like a truth table: bit x of ``mask`` is set when input x is
+    pinned, and bit x of ``value`` is then its pinned output (``value``
+    has no bits outside ``mask``).  The size |C| is the number of pinned
+    inputs.
     """
 
     domain: InputDomain
-    assignments: tuple
+    mask: int
+    value: int
 
     def __post_init__(self):
-        raw = self.assignments.items() if isinstance(self.assignments, Mapping) else self.assignments
-        pairs = tuple(sorted((int(x), int(b)) for x, b in raw))
-        seen = set()
-        for x, b in pairs:
-            self.domain.check_input(x)
-            if b not in (0, 1):
-                raise RejectedInputError(f"certificate value {b!r} is not a bit")
-            if x in seen:
-                raise RejectedInputError(f"duplicate certificate point {x}")
-            seen.add(x)
-        object.__setattr__(self, "assignments", pairs)
+        if not (0 <= self.mask < (1 << self.domain.size)) or self.value & ~self.mask:
+            raise RejectedInputError("certificate value outside its pinned inputs")
 
     @classmethod
     def empty(cls, domain: InputDomain) -> "Certificate":
-        return cls(domain, ())
+        return cls(domain, 0, 0)
 
     @classmethod
-    def of(cls, domain: InputDomain, mapping: Mapping[int, int]) -> "Certificate":
-        return cls(domain, tuple(mapping.items()))
+    def of(cls, domain: InputDomain, pairs) -> "Certificate":
+        """From a mapping or an iterable of (input, bit) pairs; a repeated
+        input, an input outside the domain or a non-bit is rejected."""
+        mask = value = 0
+        for x, b in (pairs.items() if isinstance(pairs, Mapping) else pairs):
+            x, b = domain.check_input(int(x)), int(b)
+            if b not in (0, 1):
+                raise RejectedInputError(f"certificate value {b!r} is not a bit")
+            if (mask >> x) & 1:
+                raise RejectedInputError(f"duplicate certificate point {x}")
+            mask |= 1 << x
+            value |= b << x
+        return cls(domain, mask, value)
 
     @property
     def size(self) -> int:
-        return len(self.assignments)
+        return self.mask.bit_count()
 
-    def as_dict(self) -> dict:
-        return dict(self.assignments)
+    @property
+    def assignments(self) -> tuple:
+        """The pinned (input, bit) pairs in increasing input order."""
+        pairs = []
+        rest = self.mask
+        while rest:
+            x = (rest & -rest).bit_length() - 1
+            pairs.append((x, (self.value >> x) & 1))
+            rest &= rest - 1
+        return tuple(pairs)
 
     def consistent(self, f: BooleanFunction) -> bool:
         _require_same_domain(self, f)
-        return all(f(x) == b for x, b in self.assignments)
+        return not (f.bits ^ self.value) & self.mask
 
     def extended(self, x: int, b: int) -> "Certificate":
-        d = self.as_dict()
-        if x in d and d[x] != b:
+        self.domain.check_input(x)
+        if b not in (0, 1):
+            raise RejectedInputError(f"certificate value {b!r} is not a bit")
+        if (self.mask >> x) & 1 and (self.value >> x) & 1 != b:
             raise RejectedInputError(f"conflicting assignment at {x}")
-        d[x] = b
-        return Certificate.of(self.domain, d)
-
-    def subsumes(self, other: "Certificate") -> bool:
-        """True iff every assignment of ``other`` appears in self."""
-        mine = self.as_dict()
-        return all(mine.get(x) == b for x, b in other.assignments)
+        return Certificate(self.domain, self.mask | (1 << x), self.value | (b << x))
 
     def xor_shifted(self, f_star: BooleanFunction) -> "Certificate":
         """The certificate matched by g xor f_star whenever self matches g."""
         _require_same_domain(self, f_star)
-        return Certificate.of(self.domain, {x: b ^ f_star(x) for x, b in self.assignments})
+        return Certificate(self.domain, self.mask, self.value ^ (f_star.bits & self.mask))
 
 
 @dataclass(frozen=True)
@@ -255,106 +247,96 @@ class RealCertificate:
         return all(abs(f(x) - v) <= self.tolerance for x, v in self.targets)
 
 
-class ConceptClass:
-    """An ordered, duplicate-free, finite set of Boolean functions.
+class _FunctionClass:
+    """An ordered, duplicate-free, finite set of functions on one domain.
 
-    Deduplication preserves first-occurrence order so seeded runs are
-    reproducible.  A plain ConceptClass is non-empty; the possibly-empty
-    views produced by :func:`restrict_class` are constructed with
-    ``allow_empty=True``.
+    Members are identified by ``_key``.  Deduplication preserves
+    first-occurrence order so seeded runs are reproducible, and fills a
+    key -> index dict, so membership and ``index_of`` take O(1).  A plain
+    class is non-empty; the possibly-empty views produced by
+    :func:`restrict_class` are constructed with ``allow_empty=True``.
+    The |S| x 2^n value matrix is built on first use and kept read-only.
     """
 
-    __slots__ = ("domain", "members")
+    __slots__ = ("domain", "members", "_index", "_matrix")
 
-    def __init__(self, domain: InputDomain, members: Iterable[BooleanFunction],
-                 allow_empty: bool = False):
-        seen = set()
+    def __init__(self, domain: InputDomain, members: Iterable, allow_empty: bool = False):
+        index: dict = {}
         ordered = []
         for f in members:
-            if f.domain != domain:
+            if f.domain is not domain and f.domain != domain:
                 raise DomainMismatchError("member domain differs from class domain")
-            if f.bits not in seen:
-                seen.add(f.bits)
+            k = self._key(f)
+            if k not in index:
+                index[k] = len(ordered)
                 ordered.append(f)
         if not ordered and not allow_empty:
-            raise RejectedInputError("concept class must be non-empty")
+            raise RejectedInputError("a class must be non-empty")
         self.domain = domain
         self.members = tuple(ordered)
+        self._index = index
+        self._matrix = None
 
     def __len__(self) -> int:
         return len(self.members)
 
-    def __iter__(self) -> Iterator[BooleanFunction]:
+    def __iter__(self) -> Iterator:
         return iter(self.members)
 
-    def __getitem__(self, i: int) -> BooleanFunction:
+    def __getitem__(self, i: int):
         return self.members[i]
 
-    def __contains__(self, f: BooleanFunction) -> bool:
-        return any(g.bits == f.bits for g in self.members)
+    def __contains__(self, f) -> bool:
+        return self._key(f) in self._index
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, ConceptClass) and self.domain == other.domain
-                and tuple(g.bits for g in self.members) == tuple(g.bits for g in other.members))
+        return (type(other) is type(self) and self.domain == other.domain
+                and tuple(self._index) == tuple(other._index))
 
-    def index_of(self, f: BooleanFunction) -> int:
-        for i, g in enumerate(self.members):
-            if g.bits == f.bits:
-                return i
-        raise RejectedInputError("function is not a member of the class")
-
-    def value_matrix(self) -> np.ndarray:
-        """|S| x 2^n 0/1 matrix of member tables."""
-        return np.stack([f.values() for f in self.members])
-
-
-class PConceptClass:
-    """An ordered, duplicate-free, finite set of real-valued functions."""
-
-    __slots__ = ("domain", "members")
-
-    def __init__(self, domain: InputDomain, members: Iterable[RealFunction],
-                 allow_empty: bool = False):
-        seen = set()
-        ordered = []
-        for f in members:
-            if f.domain != domain:
-                raise DomainMismatchError("member domain differs from class domain")
-            k = f.key()
-            if k not in seen:
-                seen.add(k)
-                ordered.append(f)
-        if not ordered and not allow_empty:
-            raise RejectedInputError("p-concept class must be non-empty")
-        self.domain = domain
-        self.members = tuple(ordered)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[RealFunction]:
-        return iter(self.members)
-
-    def __getitem__(self, i: int) -> RealFunction:
-        return self.members[i]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, PConceptClass) and self.domain == other.domain
-                and tuple(g.key() for g in self.members) == tuple(g.key() for g in other.members))
-
-    def index_of(self, f: RealFunction) -> int:
-        k = f.key()
-        for i, g in enumerate(self.members):
-            if g.key() == k:
-                return i
-        raise RejectedInputError("function is not a member of the class")
-
-    def __contains__(self, f: RealFunction) -> bool:
-        k = f.key()
-        return any(g.key() == k for g in self.members)
+    def index_of(self, f) -> int:
+        i = self._index.get(self._key(f))
+        if i is None:
+            raise RejectedInputError("function is not a member of the class")
+        return i
 
     def value_matrix(self) -> np.ndarray:
-        """|S| x 2^n float matrix of member tables."""
+        """|S| x 2^n matrix of member tables, row i for member i."""
+        if self._matrix is None:
+            matrix = self._stack()
+            matrix.flags.writeable = False
+            self._matrix = matrix
+        return self._matrix
+
+
+class ConceptClass(_FunctionClass):
+    """A class of Boolean functions, keyed by their bits; its value
+    matrix is 0/1 uint8."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key(f: BooleanFunction) -> int:
+        return f.bits
+
+    def _stack(self) -> np.ndarray:
+        size = self.domain.size
+        width = (size + 7) // 8
+        raw = b"".join(f.bits.to_bytes(width, "little") for f in self.members)
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(self.members), width)
+        return np.unpackbits(rows, axis=1, bitorder="little")[:, :size]
+
+
+class PConceptClass(_FunctionClass):
+    """A class of real-valued functions, keyed by their exact table
+    bytes; its value matrix is float64."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key(f: RealFunction) -> bytes:
+        return f.key()
+
+    def _stack(self) -> np.ndarray:
         return np.stack([f.table for f in self.members])
 
 
@@ -403,11 +385,6 @@ class Distribution:
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.choice(self.domain.size, size=count, p=self.weights)
-
-    def prob_one(self, f: BooleanFunction) -> float:
-        """Pr_{x~D}[f(x) = 1]."""
-        _require_same_domain(self, f)
-        return float(self.weights @ f.values())
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +450,9 @@ def distance_expected(f: RealFunction, g: RealFunction, D: Distribution) -> floa
 def restrict_class(S: ConceptClass, C: Certificate) -> ConceptClass:
     """S[C]: the members of S consistent with C, as a possibly-empty view."""
     _require_same_domain(S, C)
-    return ConceptClass(S.domain, (f for f in S if C.consistent(f)), allow_empty=True)
+    mask, value = C.mask, C.value
+    return ConceptClass(S.domain, (f for f in S.members if not (f.bits ^ value) & mask),
+                        allow_empty=True)
 
 
 def is_isolated(S: ConceptClass, C: Certificate, f: BooleanFunction) -> bool:
@@ -492,6 +471,21 @@ def xor_shift(S: ConceptClass, f_star: BooleanFunction) -> ConceptClass:
     return ConceptClass(S.domain, (g.xor(f_star) for g in S))
 
 
+def pointwise_counts(fs: Sequence[BooleanFunction]) -> np.ndarray:
+    """Per-input count of the functions that are 1 there, as int64;
+    each distinct table is unpacked once."""
+    if not fs:
+        raise RejectedInputError("counts of an empty list")
+    domain = fs[0].domain
+    for f in fs[1:]:
+        _require_same_domain(fs[0], f)
+    repeats = Counter(f.bits for f in fs)
+    counts = np.zeros(domain.size, dtype=np.int64)
+    for bits, count in repeats.items():
+        counts += count * BooleanFunction(domain, bits).values().astype(np.int64)
+    return counts
+
+
 def pointwise_majority(fs: Sequence[BooleanFunction]) -> BooleanFunction:
     """Per-input majority vote of an odd number of Boolean functions."""
     m = len(fs)
@@ -499,15 +493,9 @@ def pointwise_majority(fs: Sequence[BooleanFunction]) -> BooleanFunction:
         raise RejectedInputError("majority of an empty list")
     if m % 2 == 0:
         raise RejectedInputError("majority requires an odd count (ties undefined)")
-    domain = fs[0].domain
-    for f in fs[1:]:
-        _require_same_domain(fs[0], f)
-    counts = np.zeros(domain.size, dtype=np.int64)
-    for f in fs:
-        counts += f.values()
-    maj = (2 * counts > m).astype(np.uint8)
+    maj = (2 * pointwise_counts(fs) > m).astype(np.uint8)
     out = int.from_bytes(np.packbits(maj, bitorder="little").tobytes(), "little")
-    return BooleanFunction(domain, out)
+    return BooleanFunction(fs[0].domain, out)
 
 
 def pointwise_average(fs: Sequence[RealFunction]) -> RealFunction:

@@ -20,7 +20,8 @@ import numpy as np
 
 from .concepts import (BooleanFunction, ConceptClass, Distribution,
                        PConceptClass, RealFunction, dist_inf,
-                       distance_expected, is_isolated, pointwise_majority)
+                       distance_expected, is_isolated, pointwise_counts,
+                       pointwise_majority)
 from .errors import (RejectedInputError, RetriesExhausted, VerificationDefect)
 from .games import AliceStrategy, double_oracle_solve, solve_zero_sum
 from .rng import substream
@@ -94,10 +95,7 @@ class RobustDecomposition:
         return math.floor(self.m / 3)
 
     def slot_sums(self) -> np.ndarray:
-        total = np.zeros(self.target.domain.size, dtype=np.int64)
-        for f in self.funcs:
-            total += f.values()
-        return total
+        return pointwise_counts(self.funcs)
 
     def validate(self, S: ConceptClass) -> None:
         for cert, f in zip(self.certs, self.funcs):
@@ -164,9 +162,7 @@ def robust_majority_certificates(S: ConceptClass, f_star: BooleanFunction,
     star = f_star.values()
 
     def check(funcs) -> bool:
-        sums = np.zeros(S.domain.size, dtype=np.int64)
-        for f in funcs:
-            sums += f.values()
+        sums = pointwise_counts(funcs)
         m_cur = len(funcs)
         hi = math.ceil(2 * m_cur / 3)
         lo = math.floor(m_cur / 3)
@@ -199,7 +195,7 @@ def untrusted_oracle_evaluate(D: RobustDecomposition, claims: Sequence[BooleanFu
     for cert, claim in zip(D.certs, claims):
         if not cert.consistent(claim):
             return FAIL
-    total = sum(claim(x) for claim in claims)
+    total = sum((claim.bits >> x) & 1 for claim in claims)
     return 1 if 2 * total >= D.m else 0
 
 
@@ -297,50 +293,48 @@ class RealDecomposition:
                                max(self.alpha, 1e-300))
 
 
-def slot_envelope(S: PConceptClass, f_i: RealFunction, X_i: frozenset,
-                  alpha: float) -> Optional[tuple]:
-    """Pointwise (min, max) over the admissible slot set
-    {g in S : sup-dist(f_i, g) <= alpha on X_i}; None when empty."""
-    V = S.value_matrix()
-    xs = sorted(X_i)
-    if xs:
-        mask = np.max(np.abs(V[:, xs] - f_i.table[xs][None, :]), axis=1) <= alpha
-    else:
-        mask = np.ones(len(S), dtype=bool)
-    if not mask.any():
-        return None
-    sub = V[mask]
-    return sub.min(axis=0), sub.max(axis=0)
+def extremal_deviation(V: np.ndarray, target: np.ndarray, groups: Iterable,
+                       tol: float) -> Optional[np.ndarray]:
+    """Pointwise worst deviation from ``target`` of the mean over all
+    slots when each slot may hold any admissible class member.
+
+    ``V`` is the class value matrix and ``groups`` holds one
+    (count, points, values) triple per distinct slot: the slot occurs
+    count times, and a member is admissible when it is within ``tol`` of
+    ``values`` at ``points``.  Slot choices decouple, so the extreme means
+    are the count-weighted means of the per-slot pointwise extremes.
+    None when some slot admits no member.
+    """
+    lo_sum = np.zeros(V.shape[1])
+    hi_sum = np.zeros(V.shape[1])
+    m = 0
+    for count, points, values in groups:
+        mask = np.all(np.abs(V[:, points] - values) <= tol, axis=1)
+        if not mask.any():
+            return None
+        sub = V[mask]
+        lo_sum += count * sub.min(axis=0)
+        hi_sum += count * sub.max(axis=0)
+        m += count
+    lo = lo_sum / m
+    hi = hi_sum / m
+    return np.maximum(np.abs(target - hi), np.abs(target - lo))
 
 
 def verify_real_decomposition(S: PConceptClass, D: RealDecomposition) -> bool:
-    """Exact check of the decomposition guarantee over finite S.
-
-    Slot choices decouple, so the extreme averages are the means of the
-    per-slot pointwise extremes; the guarantee holds iff both extreme
-    averages stay within eps of the target everywhere, and fails too if
-    any slot admits no member at all.
-    """
-    groups: Counter = Counter()
-    keyed = {}
+    """Exact check of the decomposition guarantee over finite S: both
+    extreme averages of the admissible slot members stay within eps of
+    the target everywhere, and every slot admits some member."""
+    groups: dict = {}
     for f_i, X_i in zip(D.funcs, D.points):
         key = (f_i.key(), X_i)
-        groups[key] += 1
-        keyed[key] = (f_i, X_i)
-    size = D.target.domain.size
-    lo_sum = np.zeros(size)
-    hi_sum = np.zeros(size)
-    for key, count in groups.items():
-        f_i, X_i = keyed[key]
-        env = slot_envelope(S, f_i, X_i, D.alpha)
-        if env is None:
-            return False
-        lo_sum += count * env[0]
-        hi_sum += count * env[1]
-    lo = lo_sum / D.m
-    hi = hi_sum / D.m
-    dev = np.maximum(np.abs(D.target.table - hi), np.abs(D.target.table - lo))
-    return bool(np.all(dev <= D.eps))
+        if key in groups:
+            groups[key][0] += 1
+        else:
+            xs = sorted(X_i)
+            groups[key] = [1, xs, f_i.table[xs]]
+    dev = extremal_deviation(S.value_matrix(), D.target.table, groups.values(), D.alpha)
+    return dev is not None and bool(np.all(dev <= D.eps))
 
 
 @dataclass(frozen=True)

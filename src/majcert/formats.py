@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .concepts import (BooleanFunction, Certificate, ConceptClass,
+from .concepts import (REAL_ATOL, BooleanFunction, Certificate, ConceptClass,
                        InputDomain, PConceptClass, RealFunction)
 from .errors import RejectedInputError
 from .qsim import Circuit, DensityMatrix, Gate
@@ -225,9 +225,17 @@ def certificate_to_json(cert: Certificate) -> dict:
             "bits": [b for _, b in cert.assignments]}
 
 
+def _slot_points(data: dict, field: str) -> list:
+    """A serialized slot's points, paired with its ``field`` list
+    entry by entry; mismatched lengths are rejected."""
+    points, entries = data["points"], data[field]
+    if len(points) != len(entries):
+        raise RejectedInputError(f"{len(points)} points but {len(entries)} {field}")
+    return [(int(p, 16), v) for p, v in zip(points, entries)]
+
+
 def certificate_from_json(domain: InputDomain, data: dict) -> Certificate:
-    return Certificate.of(domain, {int(p, 16): int(b)
-                                   for p, b in zip(data["points"], data["bits"])})
+    return Certificate.of(domain, _slot_points(data, "bits"))
 
 
 def boolean_decomposition_to_json(dec, S: ConceptClass, seed: int, kind: str) -> dict:
@@ -283,8 +291,20 @@ def real_decomposition_from_json(data: dict):
                for t in data["class_tables"]]
     S = PConceptClass(domain, members)
     funcs = tuple(S[int(i)] for i in data["funcs"])
-    points = tuple(frozenset(int(p, 16) for p in c["points"]) for c in data["certs"])
-    dec = RealDecomposition(target=S[int(data["target"])], funcs=funcs, points=points,
+    if len(funcs) != len(data["certs"]):
+        raise RejectedInputError("one certificate per slot function required")
+    # stored values are rounded to 12 significant digits; tables lie in
+    # [0, 1], so REAL_ATOL bounds the rounding absolutely
+    points = []
+    for f, cert in zip(funcs, data["certs"]):
+        pairs = _slot_points(cert, "values")
+        X = frozenset(domain.check_input(x) for x, _ in pairs)
+        if len(X) != len(pairs):
+            raise RejectedInputError("repeated point in a real certificate")
+        if any(abs(float(v) - f.table[x]) > REAL_ATOL for x, v in pairs):
+            raise RejectedInputError("stored certificate value differs from its slot function")
+        points.append(X)
+    dec = RealDecomposition(target=S[int(data["target"])], funcs=funcs, points=tuple(points),
                             alpha=float(data["alpha"]), m=int(data["m"]),
                             eps=float(data["eps"]))
     return S, dec

@@ -8,8 +8,8 @@ converge to the exact game value.
 
 LP solving goes through scipy's HiGHS backend, which is deterministic
 for fixed inputs; reported game values are always recomputed exactly
-from the returned support and weights by a naive scan, never read off
-the solver.
+from the returned support and weights, reading each support member's
+table from the class value matrix, never read off the solver.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .concepts import (BooleanFunction, Certificate, ConceptClass,
-                       Distribution)
+                       Distribution, is_isolated)
 from .errors import (EnumerationBudgetExceeded, RejectedInputError,
                      VerificationDefect)
 from .winnow import isolate_member, weak_certify
@@ -101,25 +101,21 @@ class AliceStrategy:
         if len(self.support) != len(w):
             raise RejectedInputError("support/weight length mismatch")
 
-    def agreement_value(self, x: int) -> float:
-        """Weighted probability of agreeing with the target at x."""
-        return float(sum(wt for (c, f), wt in zip(self.support, self.weights)
-                         if f(x) == self.f_star(x)))
-
-    def recompute_value(self) -> float:
-        return min(self.agreement_value(x) for x in self.f_star.domain.inputs())
-
     def validate(self, S: ConceptClass) -> None:
+        """Every support pair isolates its member in S, the weights form a
+        distribution, and the stored game value matches the worst case
+        over inputs recomputed from the support members' tables in S."""
         if np.any(self.weights < -1e-12):
             raise VerificationDefect("negative strategy weight")
         if abs(float(self.weights.sum()) - 1.0) > 1e-9:
             raise VerificationDefect("strategy weights do not sum to 1")
-        from .concepts import is_isolated
         for cert, f in self.support:
             if not is_isolated(S, cert, f):
                 raise VerificationDefect("support pair is not isolated")
-        if abs(self.recompute_value() - self.game_value) > 1e-9:
-            raise VerificationDefect("stored game value disagrees with naive scan")
+        rows = [S.index_of(f) for _, f in self.support]
+        value = float((self.weights @ _agreements(S, self.f_star)[rows]).min())
+        if abs(value - self.game_value) > 1e-9:
+            raise VerificationDefect("stored game value disagrees with its recomputation")
 
     def sample_pairs(self, rng: np.random.Generator, m: int) -> list:
         w = self.weights / self.weights.sum()
@@ -127,9 +123,9 @@ class AliceStrategy:
         return [self.support[int(i)] for i in idx]
 
 
-def _payoff_rows(pairs, f_star: BooleanFunction) -> np.ndarray:
-    star = f_star.values()
-    return np.stack([(f.values() == star).astype(np.float64) for _, f in pairs])
+def _agreements(S: ConceptClass, f_star: BooleanFunction) -> np.ndarray:
+    """|S| x 2^n float matrix: 1 where the member agrees with f_star."""
+    return (S.value_matrix() == f_star.values()).astype(np.float64)
 
 
 def solve_game_full_lp(S: ConceptClass, f_star: BooleanFunction, k: int,
@@ -150,41 +146,41 @@ def solve_game_full_lp(S: ConceptClass, f_star: BooleanFunction, k: int,
     pairs = list(_isolating_certificates(S, k, budget))
     if not pairs:
         raise RejectedInputError(f"no certificate of size <= {k} isolates any member")
-    P = _payoff_rows(pairs, f_star)
+    P = _agreements(S, f_star)[[row for _, row in pairs]]
     _, w, _ = solve_zero_sum(P)
     exact_value = float((w @ P).min())
-    strategy = AliceStrategy(f_star=f_star, support=tuple(pairs), weights=w,
-                             game_value=exact_value)
+    strategy = AliceStrategy(f_star=f_star, support=tuple((c, S[row]) for c, row in pairs),
+                             weights=w, game_value=exact_value)
     strategy.validate(S)
     return strategy
 
 
 def _isolating_certificates(S: ConceptClass, k: int, budget: int = None):
-    """Yield every (certificate, isolated member) pair with |C| <= k.
+    """Yield every (certificate, isolated member index) pair with |C| <= k.
 
-    Enumeration is per input subset: bucketing members by their value
-    pattern on the subset finds exactly the patterns matched by a single
-    member, and each such pattern is one isolating certificate.
+    Enumeration is per input subset: the members' tables masked to the
+    subset are the certificate values they match, and each value matched
+    by a single member is one isolating certificate.  Values come in
+    increasing order.
     """
     domain = S.domain
-    V = S.value_matrix().astype(np.int64)
     count = 0
     for s in range(k + 1):
-        weights = (1 << np.arange(s)).astype(np.int64)
         for points in itertools.combinations(domain.inputs(), s):
-            codes = V[:, list(points)] @ weights if s else np.zeros(len(S), dtype=np.int64)
-            values, counts = np.unique(codes, return_counts=True)
-            for value, cnt in zip(values, counts):
-                if cnt != 1:
+            mask = sum(1 << x for x in points)
+            matched: dict = {}
+            for row, f in enumerate(S.members):
+                value = f.bits & mask
+                matched[value] = -1 if value in matched else row
+            for value in sorted(matched):
+                row = matched[value]
+                if row < 0:
                     continue
-                row = int(np.nonzero(codes == value)[0][0])
-                cert = Certificate.of(domain, {x: (int(value) >> j) & 1
-                                               for j, x in enumerate(points)})
                 count += 1
                 if budget is not None and count > budget:
                     raise EnumerationBudgetExceeded(budget, count,
                                                     "isolating certificates")
-                yield cert, S[row]
+                yield Certificate(domain, mask, value), row
 
 
 def first_k_reaching(S: ConceptClass, f_star: BooleanFunction, target: float = 0.9,
@@ -219,8 +215,8 @@ def k_isolatable_members(S: ConceptClass, k: int) -> set:
     depend only on the isolated member).
     """
     found: set = set()
-    for _, member in _isolating_certificates(S, k):
-        found.add(S.index_of(member))
+    for _, row in _isolating_certificates(S, k):
+        found.add(row)
         if len(found) == len(S):
             break
     return found
@@ -246,18 +242,16 @@ def double_oracle_solve(S: ConceptClass, f_star: BooleanFunction,
     S.index_of(f_star)
     domain = S.domain
     rows: list = []
-    row_members: set = set()
+    row_index: list = []
     cap = 10 * len(S) + 10
-    star = f_star.values()
-    member_matrix = S.value_matrix()
-    agreements = (member_matrix == star[None, :]).astype(np.float64)
+    agreements = _agreements(S, f_star)
 
     D = Distribution.uniform(domain)
     w = np.ones(0)
     worst = -1.0
     for _ in range(cap):
         if rows:
-            P = _payoff_rows(rows, f_star)
+            P = agreements[row_index]
             _, w, d = solve_zero_sum(P)
             worst = float((w @ P).min())
             if value_trace is not None:
@@ -267,20 +261,20 @@ def double_oracle_solve(S: ConceptClass, f_star: BooleanFunction,
             D = Distribution.from_weights(domain, d)
 
         cert_result = weak_certify(S, f_star, D)
-        if cert_result.f.bits not in row_members:
+        i = S.index_of(cert_result.f)
+        if i not in row_index:
             rows.append((cert_result.C, cert_result.f))
-            row_members.add(cert_result.f.bits)
+            row_index.append(i)
             continue
 
         # exact best-response fallback (only reachable with target > 0.9)
-        payoffs = agreements @ D.weights
-        best_member = S[int(np.argmax(payoffs))]
-        if best_member.bits in row_members:
+        best = int(np.argmax(agreements @ D.weights))
+        if best in row_index:
             # Bob's mix caps every known row, so the restricted value is
             # already the full game value: converged below target.
             break
-        rows.append((isolate_member(S, best_member), best_member))
-        row_members.add(best_member.bits)
+        rows.append((isolate_member(S, S[best]), S[best]))
+        row_index.append(best)
     else:
         raise VerificationDefect("double oracle failed to terminate within its iteration cap")
 

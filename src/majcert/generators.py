@@ -9,12 +9,6 @@ import numpy as np
 from .concepts import (BooleanFunction, ConceptClass, InputDomain,
                        PConceptClass, RealFunction)
 from .errors import RejectedInputError
-from .qsim import Circuit, random_mixed_state
-from .rng import substream
-from .winnow import l2_counterexample
-
-CLASS_KINDS = ("random-boolean", "point-functions", "random-pconcept",
-               "constants-grid", "l2-family", "quantum-induced")
 
 
 def random_boolean_class(n: int, size: int, rng: np.random.Generator) -> ConceptClass:
@@ -67,38 +61,3 @@ def constants_grid_class(n: int, count: int = 11) -> PConceptClass:
         raise RejectedInputError("need at least one level")
     levels = [i / (count - 1) for i in range(count)] if count > 1 else [0.0]
     return PConceptClass(domain, [RealFunction.constant(domain, c) for c in levels])
-
-
-def quantum_induced_class(circuit: Circuit, domain: InputDomain, p: int,
-                          samples: int, rng: np.random.Generator) -> PConceptClass:
-    from .protocol import induced_pconcept
-    states = [random_mixed_state(p, rng) for _ in range(samples)]
-    return induced_pconcept(circuit, domain, states)
-
-
-def generate_class(kind: str, params: dict, seed: int = 0):
-    """Dispatch for the CLI: deterministic given (kind, params, seed)."""
-    if kind not in CLASS_KINDS:
-        raise RejectedInputError(f"unknown class kind {kind!r}")
-    rng = substream(seed, 30)
-    if kind == "random-boolean":
-        return random_boolean_class(int(params["n"]), int(params["size"]), rng)
-    if kind == "point-functions":
-        count = params.get("point_count")
-        return point_function_class(int(params["n"]),
-                                    None if count is None else int(count),
-                                    rng if params.get("randomize", False) else None)
-    if kind == "random-pconcept":
-        return random_pconcept_class(int(params["n"]), int(params["size"]), rng)
-    if kind == "constants-grid":
-        return constants_grid_class(int(params["n"]), int(params.get("count", 11)))
-    if kind == "l2-family":
-        family = l2_counterexample(int(params["n"]))
-        if family.n <= 3 and not params.get("sample_size"):
-            return family.enumerate_class()
-        return family.sample_class(int(params.get("sample_size", 20)), rng)
-    domain = InputDomain(int(params["n"]))
-    from .formats import circuit_from_text
-    circuit = circuit_from_text(params["circuit"])
-    return quantum_induced_class(circuit, domain, int(params["p"]),
-                                 int(params.get("samples", 100)), rng)

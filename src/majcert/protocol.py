@@ -26,7 +26,8 @@ import numpy as np
 
 from .concepts import (BooleanFunction, InputDomain, PConceptClass,
                        RealFunction)
-from .decompose import RealDecomposition, real_majority_certificates
+from .decompose import (RealDecomposition, extremal_deviation,
+                        real_majority_certificates)
 from .errors import RejectedInputError, VerificationDefect
 from .qsim import (Circuit, DensityMatrix, measurement_operator,
                    params_to_state, random_mixed_state, reduced_state,
@@ -92,9 +93,6 @@ class AdviceProtocol:
     @property
     def m(self) -> int:
         return len(self.honest_advice)
-
-    def target_map(self, i: int) -> dict:
-        return dict(self.targets[i])
 
     def validate(self) -> None:
         if not (len(self.points) == len(self.targets) == self.m):
@@ -410,34 +408,25 @@ def conditional_soundness_bound(P: AdviceProtocol) -> float:
     """Exact worst machine-B error over all assignments of compiled-class
     members to registers that machine A would accept.
 
-    Slot choices decouple, so the bound is computed from per-slot
-    extremes of the members satisfying that slot's r-constraints at
-    threshold 5*alpha (the same extremal-envelope technique that
-    verifies real decompositions).  An accepted assignment always
+    Slot choices decouple, so the bound is the extremal deviation of the
+    members satisfying each slot's r-constraints at threshold 5*alpha,
+    the routine that also verifies real decompositions; slots are grouped
+    by their targets as integer triples.  An accepted assignment always
     exists (the honest one), so the value is finite.
     """
-    V = P.compiled_class.value_matrix()
-    size = P.domain.size
     groups: dict = {}
-    for i in range(P.m):
-        key = (P.targets[i],)
-        groups.setdefault(key, {"count": 0, "targets": P.targets[i]})
-        groups[key]["count"] += 1
-    lo_sum = np.zeros(size)
-    hi_sum = np.zeros(size)
-    for info in groups.values():
-        mask = np.ones(len(P.compiled_class), dtype=bool)
-        for z, r in info["targets"]:
-            mask &= np.abs(V[:, z] - float(r)) <= 5.0 * P.alpha
-        if not mask.any():
-            raise VerificationDefect("a slot admits no compiled-class member")
-        sub = V[mask]
-        lo_sum += info["count"] * sub.min(axis=0)
-        hi_sum += info["count"] * sub.max(axis=0)
-    lo = lo_sum / P.m
-    hi = hi_sum / P.m
+    for slot in P.targets:
+        key = tuple((z, r.numerator, r.denominator) for z, r in slot)
+        if key in groups:
+            groups[key][0] += 1
+        else:
+            groups[key] = [1, [z for z, _ in slot], np.array([float(r) for _, r in slot])]
     lang = np.array([float(P.language(x)) for x in P.domain.inputs()])
-    return float(np.max(np.maximum(np.abs(lang - hi), np.abs(lang - lo))))
+    dev = extremal_deviation(P.compiled_class.value_matrix(), lang, groups.values(),
+                             5.0 * P.alpha)
+    if dev is None:
+        raise VerificationDefect("a slot admits no compiled-class member")
+    return float(np.max(dev))
 
 
 def bloch_affine_map(circuit: Circuit, domain: InputDomain) -> tuple:
@@ -520,15 +509,15 @@ def bloch_extremal_states(circuit: Circuit, domain: InputDomain,
     return states
 
 
-def fat_dim_quantum_check(p: int, gamma: float, samples: int, circuit: Circuit,
-                          domain: InputDomain, seed: int = 0) -> dict:
-    """Measure the fat-shattering dimension of a sampled induced class
-    and report it next to the p/gamma^2 learnability bound."""
+def fat_dim_quantum_check(p: int, gammas: Sequence[float], samples: int,
+                          circuit: Circuit, domain: InputDomain, seed: int = 0) -> list:
+    """Measure the fat-shattering dimension of one sampled induced class
+    at each gamma, and report each next to the p/gamma^2 learnability
+    bound."""
     if p > 2:
         raise RejectedInputError("quantum dimension check capped at 2 advice qubits")
     rng = substream(seed, 21)
     states = [random_mixed_state(p, rng) for _ in range(samples)]
     cls = induced_pconcept(circuit, domain, states)
-    measured = fat_shattering_dim(cls, gamma)
-    return {"measured": measured, "bound": p / (gamma * gamma),
-            "class_size": len(cls)}
+    return [{"measured": fat_shattering_dim(cls, gamma), "bound": p / (gamma * gamma),
+             "class_size": len(cls)} for gamma in gammas]

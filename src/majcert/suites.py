@@ -23,7 +23,7 @@ import numpy as np
 
 from .concepts import (REAL_ATOL, BooleanFunction, ConceptClass, Distribution,
                        InputDomain, PConceptClass, RealFunction, dist_inf,
-                       dist_one, dist_two, is_isolated)
+                       dist_one, dist_two)
 from .decompose import (find_valid_sample_size, majority_certificates,
                         occam_check, real_majority_certificates,
                         robust_majority_certificates, schedule_start,
@@ -37,7 +37,7 @@ from .formats import (boolean_decomposition_from_json,
                       protocol_to_json, real_decomposition_from_json,
                       real_decomposition_to_json, safe_winnow_trace_lines,
                       l1_winnow_trace_lines, states_from_json, states_to_json)
-from .games import (double_oracle_solve, k_isolatable_members,
+from .games import (AliceStrategy, double_oracle_solve, k_isolatable_members,
                     solve_game_full_lp)
 from .generators import (point_function_class, random_boolean_class,
                          random_pconcept_class)
@@ -150,9 +150,10 @@ def _robust_claims(dec) -> dict:
     claims reproduces the target everywhere yet fails once one claim
     breaks its certificate."""
     domain = dec.target.domain
-    honest_ok = all(untrusted_oracle_evaluate(dec, list(dec.funcs), x) == dec.target(x)
+    honest = list(dec.funcs)
+    honest_ok = all(untrusted_oracle_evaluate(dec, honest, x) == dec.target(x)
                     for x in domain.inputs())
-    flipped = list(dec.funcs)
+    flipped = list(honest)
     z0, _ = dec.certs[0].assignments[0]
     flipped[0] = BooleanFunction(domain, flipped[0].bits ^ (1 << z0))
     return {"margin_histogram": {str(k): v for k, v in dec.margin_histogram().items()},
@@ -506,29 +507,19 @@ def _equivalence_instance(params: dict, seed: int, index: int) -> dict:
 
 
 def _check_equivalence(record: dict, context: dict) -> bool:
-    """Per strategy: weights >= 0 summing to 1 on isolating rows, and the
-    stored game value recomputed; the two values agree within 1e-6."""
+    """Each side decodes into a game strategy that validates against the
+    class: weights >= 0 summing to 1 on isolating rows, and the stored
+    game value recomputed.  The two values agree within 1e-6."""
     out = record["outputs"]
     domain = InputDomain(int(out["n"]))
     S = _boolean_class(domain, out["class"])
-    star = boolean_from_hex(domain, out["target"]).values()
-    values = []
+    f_star = boolean_from_hex(domain, out["target"])
     for side in ("full", "oracle"):
-        support = out[f"{side}_support"]
-        weights = np.array(out[f"{side}_weights"], dtype=np.float64)
-        funcs = [boolean_from_hex(domain, fhex) for _, fhex in support]
-        if (len(funcs) != len(weights) or np.any(weights < -1e-12)
-                or abs(float(weights.sum()) - 1.0) > 1e-9):
-            return False
-        if not all(is_isolated(S, certificate_from_json(domain, cjson), f)
-                   for (cjson, _), f in zip(support, funcs)):
-            return False
-        agree = np.array([f.values() == star for f in funcs], dtype=np.float64)
-        value = float((weights @ agree).min())
-        if abs(value - out[f"{side}_value"]) > 1e-9:
-            return False
-        values.append(value)
-    return abs(values[0] - values[1]) <= 1e-6
+        support = tuple((certificate_from_json(domain, cjson), boolean_from_hex(domain, fhex))
+                        for cjson, fhex in out[f"{side}_support"])
+        AliceStrategy(f_star=f_star, support=support, weights=out[f"{side}_weights"],
+                      game_value=out[f"{side}_value"]).validate(S)
+    return abs(out["full_value"] - out["oracle_value"]) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +591,8 @@ def _build_quantum_protocol(params: dict, seed: int) -> list:
     register_tables, register_refs = states_to_json(attack.registers or ())
     amplification = _amplification(params)
     Ks = [entry["K"] for entry in amplification["amplification"]]
-    fat_args = (params["fat_samples"],) + standard_protocol_instance()[:2]
-    fat = fat_dim_quantum_check(1, 0.25, *fat_args, seed=seed)
+    fat, *dims = fat_dim_quantum_check(1, [0.25] + _FAT_GAMMAS, params["fat_samples"],
+                                       *standard_protocol_instance()[:2], seed=seed)
     return [
         _record(0, circuit, {"protocol": proto_json,
                              "honest_deviation": verifier_A(P, honest),
@@ -628,8 +619,7 @@ def _build_quantum_protocol(params: dict, seed: int) -> list:
         _record(4, {"q": str(Fraction(params["amplify_q"])), "Ks": Ks}, amplification,
                 {"ks": Ks}),
         _record(5, circuit, {"fat_quarter": fat, "gammas": _FAT_GAMMAS,
-                             "dims": [fat_dim_quantum_check(1, g, *fat_args, seed=seed)
-                                      ["measured"] for g in _FAT_GAMMAS]},
+                             "dims": [d["measured"] for d in dims]},
                 {"measured": fat["measured"], "bound": fat["bound"]}),
     ]
 
@@ -694,8 +684,9 @@ def _check_amplification(out: dict, context: dict) -> bool:
 def _check_fat_dims(out: dict, context: dict) -> bool:
     """Record 5: the dimension at gamma = 1/4 is within p/gamma^2 (p = 1)
     and the dimensions do not increase along 0.2, 1/4, 0.3, 0.4.
-    Re-measuring them would cost about twice what verifying all other
-    real-valued and quantum reports does, so the stored values are read."""
+    Re-measuring them on one induced class would cost about as much as
+    verifying all other real-valued and quantum reports, so the stored
+    values are read."""
     fat, dims = out["fat_quarter"], out["dims"]
     return (out["gammas"] == _FAT_GAMMAS and len(dims) == 3
             and _matches(fat["bound"], 1.0 / 0.25 ** 2) and fat["measured"] <= fat["bound"]

@@ -21,8 +21,7 @@ import numpy as np
 
 from .concepts import (BooleanFunction, Certificate, ConceptClass,
                        Distribution, InputDomain, PConceptClass, RealFunction,
-                       dist_inf, dist_one, distance_expected, is_isolated,
-                       xor_shift)
+                       dist_inf, dist_one, is_isolated)
 from .errors import (DimensionCapExceeded, RejectedInputError,
                      VerificationDefect)
 
@@ -57,8 +56,8 @@ def binary_search_winnow(S: ConceptClass) -> tuple:
     ceil(log2 |S|) assignments are added.  Returns (f, C) with S[C] = {f}.
     """
     C = Certificate.empty(S.domain)
-    survivors = list(S)
-    V = np.stack([f.values() for f in survivors]) if len(survivors) > 1 else None
+    survivors = np.arange(len(S))
+    V = S.value_matrix()
     while len(survivors) > 1:
         sums = V.sum(axis=0, dtype=np.int64)
         splits = np.nonzero((sums > 0) & (sums < len(survivors)))[0]
@@ -68,9 +67,9 @@ def binary_search_winnow(S: ConceptClass) -> tuple:
         bit = 0 if 2 * zero_count <= len(survivors) else 1
         C = C.extended(split_x, bit)
         keep = V[:, split_x] == bit
-        survivors = [f for f, k in zip(survivors, keep) if k]
+        survivors = survivors[keep]
         V = V[keep]
-    return survivors[0], C
+    return S[int(survivors[0])], C
 
 
 @dataclass(frozen=True)
@@ -103,14 +102,11 @@ def weak_certify(S: ConceptClass, f_star: BooleanFunction, D: Distribution) -> W
     same bound.  Stage 2 isolates one survivor by binary search, adding
     at most ceil(log2 |S|) more pins.
     """
-    idx = S.index_of(f_star)
-    shifted = xor_shift(S, f_star)
-    zero = shifted[idx]
-    assert zero.bits == 0
-
-    V = shifted.value_matrix().astype(np.int64)
+    S.index_of(f_star)
+    # tables of the XOR-shifted class, in which the target is the zero function
+    V = (S.value_matrix() ^ f_star.values()).astype(np.int64)
     weights = V @ D.weights
-    survivor_mask = np.ones(len(shifted), dtype=bool)
+    survivor_mask = np.ones(len(S), dtype=bool)
     heavy_weight = weights > 0.1
     pinned = np.zeros(S.domain.size, dtype=bool)
     C_sh = Certificate.empty(S.domain)
@@ -131,9 +127,8 @@ def weak_certify(S: ConceptClass, f_star: BooleanFunction, D: Distribution) -> W
         steps += 1
         if steps > t_bound:
             raise VerificationDefect("stage-1 greedy exceeded its log_{10/9} bound")
-    survivors = [i for i in range(len(shifted)) if survivor_mask[i]]
-
-    surviving_class = ConceptClass(S.domain, (shifted[i] for i in survivors))
+    surviving_class = ConceptClass(S.domain, (S[int(i)].xor(f_star)
+                                              for i in np.nonzero(survivor_mask)[0]))
     f_sh, C2 = binary_search_winnow(surviving_class)
     merged = C_sh
     for x, b in C2.assignments:
@@ -141,7 +136,7 @@ def weak_certify(S: ConceptClass, f_star: BooleanFunction, D: Distribution) -> W
 
     C = merged.xor_shifted(f_star)
     f = f_sh.xor(f_star)
-    error = distance_expected(f.to_real(), f_star.to_real(), D)
+    error = float(D.weights @ (f.values() != f_star.values()))
     result = WeakCertifyResult(f=f, C=C, error_mass=error)
     result.validate(S)
     if C.size > t_bound + ceil_log(len(S), 2):
@@ -158,15 +153,16 @@ def isolate_member(S: ConceptClass, f: BooleanFunction) -> Certificate:
     """
     S.index_of(f)
     C = Certificate.empty(S.domain)
-    survivors = [g for g in S]
-    while len(survivors) > 1:
-        for x in S.domain.inputs():
-            if any(g(x) != f(x) for g in survivors):
-                C = C.extended(x, f(x))
-                survivors = [g for g in survivors if g(x) == f(x)]
-                break
-        else:
-            raise VerificationDefect("distinct survivors agree everywhere")
+    # each survivor's disagreements with f, as a bit mask over inputs
+    survivors = [g.bits ^ f.bits for g in S if g.bits != f.bits]
+    while survivors:
+        disagree = 0
+        for diff in survivors:
+            disagree |= diff
+        low = disagree & -disagree
+        x = low.bit_length() - 1
+        C = C.extended(x, (f.bits >> x) & 1)
+        survivors = [diff for diff in survivors if not diff & low]
     return C
 
 
@@ -390,9 +386,6 @@ class SafeWinnowResult:
     Z: frozenset
     trace: tuple
 
-    def z_count(self) -> int:
-        return len(self.Z)
-
 
 def safe_winnow(S: PConceptClass, f_star: RealFunction, Y: Iterable[int], eps: float,
                 cover: CoverResult) -> SafeWinnowResult:
@@ -494,9 +487,6 @@ class L1WinnowResult:
     f: RealFunction
     X: frozenset
     progress_log: tuple  # M values, starting with the initial |cover|
-
-    def steps(self) -> tuple:
-        return self.progress_log
 
 
 def l1_winnow(S: PConceptClass, eps: float, cover: CoverResult,

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from majcert import concepts
 from majcert.concepts import (BooleanFunction, Certificate, ConceptClass,
                               Distribution, InputDomain, PConceptClass,
                               RealCertificate, RealFunction, distance,
@@ -387,9 +386,73 @@ def test_distribution_validation():
     assert D.support() == (0, 1, 2)
 
 
-def test_values_cache_stays_within_its_byte_bound():
-    domain = InputDomain(20)
-    for y in range(200):
-        assert BooleanFunction.point(domain, y).values()[y] == 1
-    held = sum(a.nbytes for a in concepts._VALUES_CACHE.values())
-    assert held <= concepts._values_cache_bytes <= concepts.VALUES_CACHE_MAX_BYTES
+# ---------------------------------------------------------------------------
+# packed certificates and classes
+# ---------------------------------------------------------------------------
+
+@given(boolean_class(), st.data())
+def test_certificate_consistency_matches_per_input_definition(S, data):
+    domain = S.domain
+    pins = data.draw(st.dictionaries(st.integers(0, domain.size - 1), st.integers(0, 1),
+                                     max_size=domain.size))
+    cert = Certificate.of(domain, pins)
+    assert cert.size == len(pins)
+    assert cert.assignments == tuple(sorted(pins.items()))
+    for f in S:
+        assert cert.consistent(f) == all(f(x) == b for x, b in pins.items())
+
+
+def test_certificate_of_rejects_bad_pairs():
+    domain = InputDomain(2)
+    assert Certificate.of(domain, [(2, 1), (0, 0)]).assignments == ((0, 0), (2, 1))
+    for pairs in ([(1, 0), (1, 1)], [(1, 1), (1, 1)], [(4, 0)], [(-1, 0)], [(0, 2)]):
+        with pytest.raises(RejectedInputError):
+            Certificate.of(domain, pairs)
+
+
+@given(boolean_class(), st.data())
+def test_certificate_xor_shift_round_trips(S, data):
+    domain = S.domain
+    cert = Certificate.of(domain, data.draw(
+        st.dictionaries(st.integers(0, domain.size - 1), st.integers(0, 1), max_size=4)))
+    f_star = S[0]
+    shifted = cert.xor_shifted(f_star)
+    assert shifted.xor_shifted(f_star) == cert
+    assert shifted.mask == cert.mask
+    for g in S:
+        assert shifted.consistent(g.xor(f_star)) == cert.consistent(g)
+
+
+def test_value_matrix_is_built_once_and_read_only():
+    S = point_class(3)
+    V = S.value_matrix()
+    assert V is S.value_matrix()
+    assert not V.flags.writeable
+    assert np.array_equal(V, np.stack([f.values() for f in S]))
+    with pytest.raises(ValueError):
+        V[0, 0] = 1
+    domain = InputDomain(1)
+    P = PConceptClass(domain, [RealFunction.constant(domain, c) for c in (0.2, 0.7)])
+    W = P.value_matrix()
+    assert W is P.value_matrix() and not W.flags.writeable
+    assert W.tolist() == [[0.2, 0.2], [0.7, 0.7]]
+
+
+def test_index_of_and_membership():
+    S = point_class(2)
+    for i, f in enumerate(S):
+        assert f in S and S.index_of(BooleanFunction(S.domain, f.bits)) == i
+    outside = BooleanFunction.from_values(S.domain, [1, 1, 0, 0])
+    assert outside not in S
+    with pytest.raises(RejectedInputError):
+        S.index_of(outside)
+    domain = InputDomain(1)
+    members = [real_fn(domain, [0.1, 0.9]), real_fn(domain, [0.5, 0.5])]
+    P = PConceptClass(domain, members + [real_fn(domain, [0.1, 0.9])])
+    assert [P.index_of(real_fn(domain, f.table)) for f in members] == [0, 1]
+    assert real_fn(domain, [0.5, 0.5]) in P
+    assert real_fn(domain, [0.5, 0.25]) not in P
+    with pytest.raises(RejectedInputError):
+        P.index_of(real_fn(domain, [0.5, 0.25]))
+    assert P == PConceptClass(domain, members)
+    assert P != PConceptClass(domain, members[::-1])

@@ -165,8 +165,10 @@ def msb_first_hex(f: BooleanFunction) -> str:
     """The README's truth-table text: f(0) f(1) ... f(2^n - 1) as one
     binary numeral, most significant first, in ceil(2^n / 4) hex digits."""
     size = f.domain.size
-    digits = "".join("1" if (f.bits >> x) & 1 else "0" for x in range(size))
-    return format(int(digits, 2), "0{}x".format(max(1, (size + 3) // 4)))
+    raw = f.bits.to_bytes((size + 7) // 8, "little")
+    # byte i holds inputs 8i .. 8i + 7, least significant bit first
+    digits = "".join("1" if (byte >> j) & 1 else "0" for byte in raw for j in range(8))
+    return format(int(digits[:size], 2), "0{}x".format(max(1, (size + 3) // 4)))
 
 
 @pytest.mark.parametrize("n", range(1, 21))

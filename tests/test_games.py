@@ -1,5 +1,7 @@
 """Game solvers: exact LP oracle, double oracle, strategy invariants."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -124,6 +126,27 @@ def test_strategy_sampling_is_deterministic():
     b = strategy.sample_pairs(substream(5, 0), 9)
     assert [(c.assignments, f.bits) for c, f in a] == \
         [(c.assignments, f.bits) for c, f in b]
+
+
+@given(st.integers(0, 40), st.integers(0, 3))
+def test_isolating_certificates_match_naive_enumeration(salt, k):
+    # reference: every pattern on every subset of size <= k, in the
+    # enumeration's order, kept when it leaves exactly one member
+    from majcert.concepts import restrict_class
+    from majcert.games import _isolating_certificates
+    rng = substream(salt, 2)
+    S = random_boolean_class(2, int(rng.integers(1, 9)), rng)
+    expected = []
+    for s in range(k + 1):
+        for points in itertools.combinations(S.domain.inputs(), s):
+            patterns = sorted(itertools.product((0, 1), repeat=s),
+                              key=lambda bits: sum(b << x for b, x in zip(bits, points)))
+            for bits in patterns:
+                cert = Certificate.of(S.domain, zip(points, bits))
+                survivors = restrict_class(S, cert)
+                if len(survivors) == 1:
+                    expected.append((cert, S.index_of(survivors[0])))
+    assert list(_isolating_certificates(S, k)) == expected
 
 
 def test_k_isolatable_members_point_class():

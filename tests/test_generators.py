@@ -1,73 +1,69 @@
-"""Class generators and the dispatcher behind the CLI."""
+"""Class generators: point functions, random Boolean and p-concept
+classes, constant grids, the L2 family and quantum-induced classes."""
 
-import pytest
-
-from majcert.errors import RejectedInputError
-from majcert.formats import circuit_to_text
-from majcert.generators import CLASS_KINDS, generate_class
-from majcert.qsim import Circuit, Gate
+from majcert.concepts import InputDomain
+from majcert.generators import (constants_grid_class, point_function_class,
+                                random_boolean_class, random_pconcept_class)
+from majcert.protocol import induced_pconcept
+from majcert.qsim import Circuit, Gate, random_mixed_state
+from majcert.rng import substream
 from majcert.winnow import l2_counterexample
 
 
 def test_point_functions_n3_has_nine_members():
-    cls = generate_class("point-functions", {"n": 3}, seed=0)
+    cls = point_function_class(3)
     assert len(cls) == 9
     assert cls[0].bits == 0
 
 
 def test_point_function_subset_count():
-    cls = generate_class("point-functions", {"n": 4, "point_count": 5}, seed=0)
+    cls = point_function_class(4, 5)
     assert len(cls) == 6
+    seeded = point_function_class(4, 5, substream(0, 30))
+    assert len(seeded) == 6 and seeded[0].bits == 0
 
 
 def test_random_boolean_distinct_tables():
-    cls = generate_class("random-boolean", {"n": 3, "size": 8}, seed=1)
+    cls = random_boolean_class(3, 8, substream(1, 30))
     assert len(cls) == 8
     assert len({f.bits for f in cls}) == 8
 
 
 def test_random_pconcept_shapes():
-    cls = generate_class("random-pconcept", {"n": 2, "size": 6}, seed=2)
+    cls = random_pconcept_class(2, 6, substream(2, 30))
     assert len(cls) == 6
     assert all(0.0 <= v <= 1.0 for f in cls for v in f.table)
 
 
 def test_constants_grid_levels():
-    cls = generate_class("constants-grid", {"n": 2, "count": 11}, seed=0)
+    cls = constants_grid_class(2, 11)
     assert len(cls) == 11
     assert cls[0].table[0] == 0.0 and cls[10].table[0] == 1.0
 
 
 def test_l2_family_enumerated_count_matches_oracle():
-    cls = generate_class("l2-family", {"n": 2}, seed=0)
+    cls = l2_counterexample(2).enumerate_class()
     assert len(cls) == 19
-    sampled = generate_class("l2-family", {"n": 4, "sample_size": 7}, seed=0)
+    sampled = l2_counterexample(4).sample_class(7, substream(0, 30))
     assert len(sampled) <= 7
-    family = l2_counterexample(4)
     for f in sampled:
         assert abs(sum(f.table) - 4.0) < 1e-9  # numerators sum to n^2
 
 
 def test_quantum_induced_kind():
     circuit = Circuit(qubits=1, gates=(Gate("H", 0, when_bit=0),), accept_qubit=0)
-    cls = generate_class("quantum-induced",
-                         {"n": 1, "p": 1, "samples": 12,
-                          "circuit": circuit_to_text(circuit)}, seed=3)
+    rng = substream(3, 30)
+    cls = induced_pconcept(circuit, InputDomain(1),
+                           [random_mixed_state(1, rng) for _ in range(12)])
     assert 1 <= len(cls) <= 12
     assert cls.domain.n == 1
 
 
-def test_unknown_kind_rejected():
-    with pytest.raises(RejectedInputError):
-        generate_class("fancy-class", {"n": 2}, seed=0)
-    assert "fancy-class" not in CLASS_KINDS
-
-
 def test_generation_is_deterministic():
-    a = generate_class("random-boolean", {"n": 3, "size": 6}, seed=9)
-    b = generate_class("random-boolean", {"n": 3, "size": 6}, seed=9)
+    a = random_boolean_class(3, 6, substream(9, 30))
+    b = random_boolean_class(3, 6, substream(9, 30))
     assert [f.bits for f in a] == [f.bits for f in b]
-    c = generate_class("random-boolean", {"n": 3, "size": 6}, seed=10)
+    c = random_boolean_class(3, 6, substream(10, 30))
     assert [f.bits for f in a] != [f.bits for f in c]
 
 

@@ -349,17 +349,18 @@ def test_fat_quantum_constant_class():
     # circuit ignores the advice: the induced functions are all the
     # constant 1 up to float dust (dedup is table-exact)
     circuit = Circuit(qubits=2, gates=(Gate("X", 1),), accept_qubit=1)
-    report = fat_dim_quantum_check(1, 0.25, 20, circuit, InputDomain(2), seed=0)
+    [report] = fat_dim_quantum_check(1, [0.25], 20, circuit, InputDomain(2), seed=0)
     assert report["measured"] in (0, 1)
     assert report["class_size"] <= 3
 
 
 def test_fat_quantum_standard_circuit():
     circuit, domain, _, _ = standard_instance()
-    report = fat_dim_quantum_check(1, 0.25, 80, circuit, domain, seed=1)
+    report, *rest = fat_dim_quantum_check(1, [0.25, 0.2, 0.3, 0.4], 80, circuit, domain,
+                                          seed=1)
     assert report["measured"] <= report["bound"]
-    dims = [fat_dim_quantum_check(1, g, 80, circuit, domain, seed=1)["measured"]
-            for g in (0.2, 0.3, 0.4)]
+    assert all(r["class_size"] == report["class_size"] for r in rest)
+    dims = [r["measured"] for r in rest]
     assert all(dims[i] >= dims[i + 1] for i in range(len(dims) - 1))
 
 

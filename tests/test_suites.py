@@ -58,6 +58,38 @@ def triple_every_slot(report):
     return 0
 
 
+def extra_certificate_bit(report):
+    cert = report["records"][0]["outputs"]["decomposition"]["certs"][0]
+    cert["bits"].append(cert["bits"][-1])
+    return 0
+
+
+def repeated_certificate_point(report):
+    cert = report["records"][0]["outputs"]["decomposition"]["certs"][0]
+    cert["points"].append(cert["points"][-1])
+    cert["bits"].append(cert["bits"][-1])
+    return 0
+
+
+def flatten_slot_values(report):
+    cert = report["records"][0]["outputs"]["decomposition"]["certs"][0]
+    cert["values"] = [0.5] * len(cert["values"])
+    return 0
+
+
+def extra_slot_value(report):
+    cert = report["records"][0]["outputs"]["decomposition"]["certs"][0]
+    cert["values"].append(cert["values"][-1])
+    return 0
+
+
+def repeated_slot_point(report):
+    cert = report["records"][0]["outputs"]["decomposition"]["certs"][0]
+    cert["points"].append(cert["points"][-1])
+    cert["values"].append(cert["values"][-1])
+    return 0
+
+
 def flip_untrusted_claim(report):
     report["records"][0]["outputs"]["untrusted_flip_fails"] = False
     return 0
@@ -94,6 +126,11 @@ def increasing_dims(report):
 
 @pytest.mark.parametrize("name, tamper", [
     ("majcert", triple_every_slot),
+    ("majcert", extra_certificate_bit),
+    ("majcert", repeated_certificate_point),
+    ("realmajcert", flatten_slot_values),
+    ("realmajcert", extra_slot_value),
+    ("realmajcert", repeated_slot_point),
     ("majcert-robust", flip_untrusted_claim),
     ("quantum-protocol", zero_soundness_bound),
     ("quantum-protocol", zero_attack_error),
