@@ -203,15 +203,27 @@ def untrusted_oracle_evaluate(D: RobustDecomposition, claims: Sequence[BooleanFu
 # Occam / sample-size machinery shared by the real decomposition
 # ---------------------------------------------------------------------------
 
+def _far_members(S: PConceptClass, f: RealFunction, D: Distribution, eps: float) -> np.ndarray:
+    """Members more than 11*eps from f in D-weighted L1; no sample enters."""
+    return np.array([distance_expected(h, f, D) > 11.0 * eps for h in S], dtype=bool)
+
+
+def _occam_holds(V: np.ndarray, far: np.ndarray, f: RealFunction, eps: float,
+                 X: Iterable[int]) -> bool:
+    """No far member (mask ``far`` over the rows of V) is within eps of f
+    in sup-norm on X; with X empty every member is that close."""
+    xs = sorted({f.domain.check_input(x) for x in X})
+    if not xs:
+        return not far.any()
+    close = np.abs(V[:, xs] - f.table[xs]).max(axis=1) <= eps
+    return not (far & close).any()
+
+
 def occam_implication_holds(S: PConceptClass, f: RealFunction, D: Distribution,
                             eps: float, X: Iterable[int]) -> bool:
     """Exhaustive test: every h in S with sup-dist <= eps from f on X is
     within 11*eps of f in D-weighted L1."""
-    Xs = set(X)
-    for h in S:
-        if dist_inf(h, f, Xs) <= eps and distance_expected(h, f, D) > 11.0 * eps:
-            return False
-    return True
+    return _occam_holds(S.value_matrix(), _far_members(S, f, D, eps), f, eps, X)
 
 
 def occam_check(S: PConceptClass, f: RealFunction, D: Distribution, eps: float,
@@ -220,11 +232,12 @@ def occam_check(S: PConceptClass, f: RealFunction, D: Distribution, eps: float,
     implication above holds over all of S."""
     if f not in S:
         raise RejectedInputError("hypothesis target must belong to the class")
+    V, far = S.value_matrix(), _far_members(S, f, D, eps)
     passed = 0
     for t in range(trials):
         rng = substream(seed, 5, t)
         X = set(int(x) for x in D.sample(rng, m)) if m > 0 else set()
-        if occam_implication_holds(S, f, D, eps, X):
+        if _occam_holds(V, far, f, eps, X):
             passed += 1
     return passed / trials if trials else 0.0
 
@@ -248,12 +261,13 @@ def find_valid_sample_size(S: PConceptClass, f_star: RealFunction, D: Distributi
         if fat is None:
             fat = fat_shattering_dim(S, beta)
         start = schedule_start(fat, beta)
+    V, far = S.value_matrix(), _far_members(S, f_star, D, beta)
     M = start
     for doubling in range(max_doublings):
         for r in range(8):
             rng = substream(seed, 6, *stream, doubling, r)
             Y = frozenset(int(x) for x in D.sample(rng, M))
-            if occam_implication_holds(S, f_star, D, beta, Y):
+            if _occam_holds(V, far, f_star, beta, Y):
                 return M, Y
         M *= 2
     raise RetriesExhausted("stage-1 sample validation",

@@ -578,6 +578,13 @@ def _amplification(params: dict) -> dict:
 _FAT_GAMMAS = [0.2, 0.3, 0.4]
 
 
+def _fat_dims(params: dict, seed: int) -> list:
+    """Record 5's measurements at gamma = 1/4 and at _FAT_GAMMAS, all on
+    one class induced by sampled 1-qubit advice states."""
+    return fat_dim_quantum_check(1, [0.25] + _FAT_GAMMAS, params["fat_samples"],
+                                 *standard_protocol_instance()[:2], seed=seed)
+
+
 def _build_quantum_protocol(params: dict, seed: int) -> list:
     P = build_standard_protocol(params["eps"], params["random_states"], seed)
     honest = list(P.honest_advice)
@@ -591,8 +598,7 @@ def _build_quantum_protocol(params: dict, seed: int) -> list:
     register_tables, register_refs = states_to_json(attack.registers or ())
     amplification = _amplification(params)
     Ks = [entry["K"] for entry in amplification["amplification"]]
-    fat, *dims = fat_dim_quantum_check(1, [0.25] + _FAT_GAMMAS, params["fat_samples"],
-                                       *standard_protocol_instance()[:2], seed=seed)
+    fat, *dims = _fat_dims(params, seed)
     return [
         _record(0, circuit, {"protocol": proto_json,
                              "honest_deviation": verifier_A(P, honest),
@@ -682,15 +688,15 @@ def _check_amplification(out: dict, context: dict) -> bool:
 
 
 def _check_fat_dims(out: dict, context: dict) -> bool:
-    """Record 5: the dimension at gamma = 1/4 is within p/gamma^2 (p = 1)
-    and the dimensions do not increase along 0.2, 1/4, 0.3, 0.4.
-    Re-measuring them on one induced class would cost about as much as
-    verifying all other real-valued and quantum reports, so the stored
-    values are read."""
-    fat, dims = out["fat_quarter"], out["dims"]
-    return (out["gammas"] == _FAT_GAMMAS and len(dims) == 3
-            and _matches(fat["bound"], 1.0 / 0.25 ** 2) and fat["measured"] <= fat["bound"]
-            and _non_increasing([dims[0], fat["measured"], dims[1], dims[2]]))
+    """Record 5: the fat-shattering dimensions, re-measured on the class
+    induced by the report's seed, match the stored ones; the one at
+    gamma = 1/4 is within p/gamma^2 (p = 1), and they do not increase
+    along 0.2, 1/4, 0.3, 0.4."""
+    fat, *dims = _fat_dims(context["params"], context["seed"])
+    measured = [d["measured"] for d in dims]
+    return (out["gammas"] == _FAT_GAMMAS and fat["measured"] <= fat["bound"]
+            and _non_increasing([measured[0], fat["measured"], *measured[1:]])
+            and _claims_hold(out, {"fat_quarter": fat, "dims": measured}))
 
 
 _QUANTUM_CHECKS = (_check_honest_advice, _check_soundness_bound, _check_intact_search,

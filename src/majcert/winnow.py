@@ -14,6 +14,7 @@ The iterative procedures here make two engineering commitments:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -214,12 +215,38 @@ def epsilon_cover(S: PConceptClass, eps: float) -> CoverResult:
 # Dimensions
 # ---------------------------------------------------------------------------
 
-def _shattered_sets_of_size(V: np.ndarray, candidates: list, size: int) -> list:
-    """Filter candidate input tuples to those shattered by the 0/1 matrix V."""
-    if not candidates:
-        return []
-    if V.shape[0] < (1 << size):
-        return []
+def _levelwise_dim(n_inputs: int, class_size: int, shattered_of, cap: int) -> int:
+    """Size of the largest input set that ``shattered_of`` accepts.
+
+    ``shattered_of(candidates)`` returns, in order, the shattered ones
+    among sorted input tuples of one size.  Shattered sets are closed
+    under subsets, so a size-s candidate is tested only when all of its
+    size-(s-1) subsets shattered (apriori pruning), and a set of size s
+    needs 2^s members with distinct sign patterns, so a class of fewer
+    members stops the search.  Raises DimensionCapExceeded if sets of
+    size ``cap`` still shatter.
+    """
+    level = [()]  # the empty set is trivially shattered
+    dim = 0
+    while True:
+        size = dim + 1
+        if class_size < (1 << size):
+            return dim
+        known = set(level)
+        cand = [A + (x,) for A in level for x in range(A[-1] + 1 if A else 0, n_inputs)
+                if all(A[:i] + A[i + 1:] + (x,) in known for i in range(len(A)))]
+        level = shattered_of(cand) if cand else []
+        if not level:
+            return dim
+        dim = size
+        if dim >= cap:
+            raise DimensionCapExceeded(cap)
+
+
+def _shattered_sets_of_size(V: np.ndarray, candidates: list) -> list:
+    """Filter candidate input tuples of one size to those shattered by
+    the 0/1 matrix V."""
+    size = len(candidates[0])
     weights = (1 << np.arange(size)).astype(np.int64)
     cand = np.asarray(candidates, dtype=np.intp)  # (n_cand, size)
     codes = V.astype(np.int64)[:, cand]           # (|S|, n_cand, size)
@@ -231,34 +258,11 @@ def _shattered_sets_of_size(V: np.ndarray, candidates: list, size: int) -> list:
 
 
 def vc_dim(S: ConceptClass, cap: int = DIMENSION_CAP) -> int:
-    """Exact VC dimension by level-wise brute force.
-
-    Shattered sets are closed under subsets, so candidates of size s+1
-    are built only from shattered sets of size s (apriori pruning).
-    Raises DimensionCapExceeded if sets of size ``cap`` still shatter.
-    """
+    """Exact VC dimension by level-wise brute force (see _levelwise_dim).
+    Raises DimensionCapExceeded if sets of size ``cap`` still shatter."""
     V = S.value_matrix()
-    n_inputs = S.domain.size
-    shattered = [()]  # the empty set is trivially shattered
-    dim = 0
-    while True:
-        size = dim + 1
-        cand = []
-        seen = set()
-        for A in shattered:
-            start = A[-1] + 1 if A else 0
-            for x in range(start, n_inputs):
-                B = A + (x,)
-                if B not in seen:
-                    seen.add(B)
-                    cand.append(list(B))
-        good = _shattered_sets_of_size(V, cand, size)
-        if not good:
-            return dim
-        dim = size
-        if dim >= cap:
-            raise DimensionCapExceeded(cap)
-        shattered = [tuple(A) for A in good]
+    return _levelwise_dim(S.domain.size, len(S),
+                          lambda cand: _shattered_sets_of_size(V, cand), cap)
 
 
 def _margin_pairs(values: np.ndarray, gamma: float) -> list:
@@ -270,22 +274,21 @@ def _margin_pairs(values: np.ndarray, gamma: float) -> list:
     v_a + gamma where v_a is the largest member value at most r - gamma,
     so levels anchored at member values form a sufficient witness grid
     for finite classes.  Among anchors sharing a high set only the one
-    with the largest low set is kept.
+    with the largest low set is kept.  Both sets are read off prefix
+    masks of the members sorted by value.
     """
-    m = len(values)
     vals = [float(v) for v in values]
-    order = sorted(range(m), key=lambda i: vals[i])
-    anchors = sorted(set(vals))
+    order = sorted(range(len(vals)), key=lambda i: vals[i])
+    sorted_vals = [vals[i] for i in order]
+    prefix = [0]  # prefix[k]: the k members of smallest value
+    for i in order:
+        prefix.append(prefix[-1] | (1 << i))
+    full = prefix[-1]
     raw = []
-    for va in anchors:
-        low = 0
-        high = 0
-        for i in order:
-            if vals[i] <= va:
-                low |= 1 << i
-            if vals[i] >= va + 2.0 * gamma:
-                high |= 1 << i
-        if low and high:
+    for va in sorted(set(vals)):
+        low = prefix[bisect_right(sorted_vals, va)]
+        high = full ^ prefix[bisect_left(sorted_vals, va + 2.0 * gamma)]
+        if high:  # low holds va's own member
             raw.append((low, high))
     pairs = []
     for j, (low, high) in enumerate(raw):
@@ -296,73 +299,57 @@ def _margin_pairs(values: np.ndarray, gamma: float) -> list:
     return pairs
 
 
-def _fat_shatters(V: np.ndarray, A: list, gamma: float, pair_cache: dict) -> bool:
-    """Is the input set A gamma-shattered by the class with value matrix V?"""
-    options = []
-    for x in A:
-        if x not in pair_cache:
-            pair_cache[x] = _margin_pairs(V[:, x], gamma)
-        pairs = pair_cache[x]
-        if not pairs:
-            return False
-        options.append(pairs)
+def _fat_shatters(splits: list, A: tuple, members: int) -> bool:
+    """Is the input set A gamma-shattered, given each input's witness
+    splits (from _margin_pairs) over a class of ``members`` members?"""
 
-    full = (1 << V.shape[0]) - 1
-
-    def descend(depth: int, intersections: list) -> bool:
+    def descend(depth: int, cells: list) -> bool:
         if depth == len(A):
             return True
-        for low, high in options[depth]:
+        # each cell after this split must still hold one member per sign
+        # pattern of the inputs after it
+        need = 1 << (len(A) - depth - 1)
+        for low, high in splits[A[depth]]:
             nxt = []
-            ok = True
-            for mask in intersections:
+            for mask in cells:
                 a = mask & low
                 b = mask & high
-                if not a or not b:
-                    ok = False
+                if a.bit_count() < need or b.bit_count() < need:
                     break
                 nxt.append(a)
                 nxt.append(b)
-            if ok and descend(depth + 1, nxt):
-                return True
+            else:
+                if descend(depth + 1, nxt):
+                    return True
         return False
 
-    return descend(0, [full])
+    return descend(0, [(1 << members) - 1])
 
 
 def fat_shattering_dim(S: PConceptClass, gamma: float, cap: int = DIMENSION_CAP) -> int:
-    """Exact gamma-fat-shattering dimension by level-wise brute force.
+    """Exact gamma-fat-shattering dimension by level-wise search.
 
-    Witness levels are searched over the midpoint grid described in
-    _margin_pairs, which is sufficient for finite classes.  Same cap
-    discipline as vc_dim.
+    A is gamma-shattered when one witness split per input (from the
+    grid of _margin_pairs) cuts S into 2^|A| non-empty cells, one per
+    sign pattern.  Two cuts shrink the search without changing its answer:
+
+    * Apriori (_levelwise_dim): A's witnesses serve every subset of A,
+      so a candidate whose one-smaller subsets do not all shatter cannot
+      shatter, nor can A when |S| < 2^|A|.
+    * Cell sizes: low and high sets are disjoint (gamma > 0), so the
+      final cells are disjoint and each cell left after splitting k
+      inputs of A needs 2^(|A|-k) members.  Later splits only shrink
+      cells, so a witness choice leaving a smaller cell is abandoned.
+
+    Same cap discipline as vc_dim.
     """
     if not gamma > 0:
         raise RejectedInputError("gamma must be positive")
     V = S.value_matrix()
-    n_inputs = S.domain.size
-    pair_cache: dict = {}
-    shattered = [()]
-    dim = 0
-    while True:
-        size = dim + 1
-        seen = set()
-        good = []
-        for A in shattered:
-            start = A[-1] + 1 if A else 0
-            for x in range(start, n_inputs):
-                B = A + (x,)
-                if B in seen:
-                    continue
-                seen.add(B)
-                if _fat_shatters(V, list(B), gamma, pair_cache):
-                    good.append(B)
-        if not good:
-            return dim
-        dim = size
-        if dim >= cap:
-            raise DimensionCapExceeded(cap)
-        shattered = good
+    splits = [_margin_pairs(V[:, x], gamma) for x in S.domain.inputs()]
+    return _levelwise_dim(S.domain.size, len(S),
+                          lambda cand: [A for A in cand if _fat_shatters(splits, A, len(S))],
+                          cap)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 
 from majcert.concepts import (BooleanFunction, Certificate, ConceptClass,
                               Distribution, InputDomain, PConceptClass,
-                              RealFunction, pointwise_majority)
+                              RealFunction, dist_inf, distance_expected,
+                              pointwise_majority)
 from majcert.decompose import (FAIL, MajorityDecomposition, RealDecomposition,
                                RobustDecomposition, find_valid_sample_size,
                                majority_certificates, occam_check,
@@ -346,6 +347,50 @@ def test_occam_implication_checker():
     D = Distribution.point_mass(domain, 0)
     assert not occam_implication_holds(S, f, D, 0.02, {1})
     assert occam_implication_holds(S, f, D, 0.02, {0})
+
+
+def naive_occam_holds(S, f, D, eps, X):
+    """The implication member by member: no h in S is eps-close to f in
+    sup-norm on X yet more than 11*eps from f in D-weighted L1."""
+    return all(not (dist_inf(h, f, X) <= eps and distance_expected(h, f, D) > 11.0 * eps)
+               for h in S)
+
+
+def planted_occam_instance():
+    """A random class whose first member f is 0 at input 5, plus a member
+    equal to f except that it is 1 there.  D weights input 5 by 0.12, so
+    at eps = 0.01 a sample that misses input 5 fails the implication."""
+    S = random_pconcept_class(3, 25, substream(82, 0))
+    low, high = S[0].table.copy(), S[0].table.copy()
+    low[5], high[5] = 0.0, 1.0
+    weights = np.full(8, 0.88 / 7)
+    weights[5] = 0.12
+    members = [RealFunction(S.domain, low), *list(S)[1:], RealFunction(S.domain, high)]
+    return PConceptClass(S.domain, members), Distribution.from_weights(S.domain, weights)
+
+
+def test_occam_check_matches_per_member_definition():
+    S, D = planted_occam_instance()
+    for eps, m in ((0.01, 1), (0.01, 4), (0.02, 1), (0.03, 2)):
+        expected = sum(naive_occam_holds(S, S[0], D, eps,
+                                         {int(x) for x in D.sample(substream(9, 5, t), m)})
+                       for t in range(40))
+        assert occam_check(S, S[0], D, eps=eps, m=m, trials=40, seed=9) == expected / 40
+        assert 0 < expected < 40
+
+
+def test_find_valid_sample_size_matches_per_member_definition():
+    S, D = planted_occam_instance()
+    sizes = []
+    for seed in range(6):
+        M, Y = find_valid_sample_size(S, S[0], D, beta=0.01, seed=seed, start=1)
+        draws = [(1 << doubling, frozenset(int(x) for x in D.sample(
+                      substream(seed, 6, doubling, r), 1 << doubling)))
+                 for doubling in range(6) for r in range(8)]
+        expected = next(d for d in draws if naive_occam_holds(S, S[0], D, 0.01, d[1]))
+        assert (M, Y) == expected
+        sizes.append(M)
+    assert max(sizes) > 1  # some seed needed a doubling
 
 
 def test_schedule_and_sample_size():

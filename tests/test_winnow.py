@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from majcert.concepts import (BooleanFunction, ConceptClass, Distribution,
                               InputDomain, PConceptClass, RealFunction,
@@ -14,9 +14,9 @@ from majcert.errors import DimensionCapExceeded, RejectedInputError
 from majcert.generators import (constants_grid_class, point_function_class,
                                 random_boolean_class, random_pconcept_class)
 from majcert.rng import substream
-from majcert.winnow import (binary_search_winnow, ceil_log, epsilon_cover,
-                            fat_shattering_dim, isolate_member, l1_winnow,
-                            l2_counterexample, safe_winnow, vc_dim,
+from majcert.winnow import (_margin_pairs, binary_search_winnow, ceil_log,
+                            epsilon_cover, fat_shattering_dim, isolate_member,
+                            l1_winnow, l2_counterexample, safe_winnow, vc_dim,
                             weak_certify)
 
 
@@ -251,6 +251,79 @@ def test_fat_rejects_nonpositive_gamma():
     S = constants_grid_class(2, 3)
     with pytest.raises(RejectedInputError):
         fat_shattering_dim(S, 0.0)
+
+
+def test_fat_cap_signal():
+    domain = InputDomain(2)
+    S = PConceptClass(domain, [BooleanFunction(domain, b).to_real() for b in range(16)])
+    assert fat_shattering_dim(S, 0.25) == 4
+    with pytest.raises(DimensionCapExceeded):
+        fat_shattering_dim(S, 0.25, cap=3)
+
+
+def reference_fat_dim(S, gamma):
+    """Brute force: for every input subset A and every choice of one
+    witness level per input, anchored at a member value v (low: f(x) <= v,
+    high: f(x) >= v + 2 gamma), A is shattered when all 2^|A| sign
+    patterns occur among the members."""
+    V = S.value_matrix()
+    dim = 0
+    for d in range(1, S.domain.size + 1):
+        shattered = False
+        for A in itertools.combinations(range(S.domain.size), d):
+            cols = V[:, list(A)]                                    # (m, d)
+            levels = np.array(list(itertools.product(*(sorted(set(V[:, x]))
+                                                       for x in A))))  # (K, d)
+            low = cols[None, :, :] <= levels[:, None, :]
+            high = cols[None, :, :] >= levels[:, None, :] + 2.0 * gamma
+            placed = (low | high).all(axis=2)                       # (K, m)
+            pattern = (high * (1 << np.arange(d))).sum(axis=2)     # (K, m)
+            present = np.zeros((len(levels), (1 << d) + 1), dtype=bool)
+            present[np.arange(len(levels))[:, None], np.where(placed, pattern, 1 << d)] = True
+            if present[:, :1 << d].all(axis=1).any():
+                shattered = True
+                break
+        if not shattered:
+            return dim
+        dim = d
+    return dim
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 10 ** 6), st.booleans())
+def test_fat_matches_brute_force_reference(salt, on_grid):
+    rng = substream(salt, 7)
+    n = int(rng.integers(1, 4))
+    size = int(rng.integers(1, 13))
+    domain = InputDomain(n)
+    if on_grid:  # values on a coarse grid, so ties and exact margins occur
+        tables = rng.integers(0, 11, size=(size, domain.size)) / 10.0
+    else:
+        tables = rng.uniform(0.0, 1.0, size=(size, domain.size))
+    S = PConceptClass(domain, [RealFunction(domain, t) for t in tables])
+    for gamma in (0.005, 0.05, 0.15, 0.3):
+        assert fat_shattering_dim(S, gamma) == reference_fat_dim(S, gamma)
+
+
+def reference_margin_pairs(values, gamma):
+    """Per-anchor scan over all members, then the last pair of each run
+    of equal high sets."""
+    vals = [float(v) for v in values]
+    raw = []
+    for va in sorted(set(vals)):
+        low = sum(1 << i for i, v in enumerate(vals) if v <= va)
+        high = sum(1 << i for i, v in enumerate(vals) if v >= va + 2.0 * gamma)
+        if low and high:
+            raw.append((low, high))
+    return [pair for j, pair in enumerate(raw)
+            if j + 1 == len(raw) or raw[j + 1][1] != pair[1]]
+
+
+@given(st.lists(st.integers(0, 8), min_size=1, max_size=20),
+       st.sampled_from([0.01, 0.0625, 0.125, 0.2, 0.25, 0.5]))
+def test_margin_pairs_match_per_anchor_scan(numerators, gamma):
+    values = np.array(numerators, dtype=np.float64) / 8.0  # dyadic, so ties are exact
+    assert _margin_pairs(values, gamma) == reference_margin_pairs(values, gamma)
 
 
 # ---------------------------------------------------------------------------
