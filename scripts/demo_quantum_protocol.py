@@ -10,7 +10,6 @@ Usage: python scripts/demo_quantum_protocol.py [--restarts 300] [--seed 7]
 """
 
 import argparse
-from collections import Counter
 
 from majcert.protocol import (adversary_search, conditional_soundness_bound,
                               machine_b_error, verifier_A, with_inflated_alpha)
@@ -28,11 +27,10 @@ def main() -> None:
                                 seed=args.seed)
     print(f"compiled protocol: m={P.m} registers of {P.advice_qubits} qubit(s), "
           f"alpha={P.alpha:.3e}, class size {len(P.compiled_class)}")
-    slots = Counter(tuple(sorted(X)) for X in P.points)
-    for X, count in sorted(slots.items()):
-        print(f"  slot constraint set {list(X)} used by {count} registers")
+    for count, (_, targets) in P.slots.groups():
+        print(f"  slot constraint set {[z for z, _ in targets]} used by {count} registers")
 
-    honest = list(P.honest_advice)
+    honest = P.honest_registers()
     print(f"honest verifier deviation: {verifier_A(P, honest):.3e} "
           f"(threshold 5*alpha = {5 * P.alpha:.3e})")
     print(f"honest machine-B error:   {machine_b_error(P, honest):.4f} (<= 0.3)")

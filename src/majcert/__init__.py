@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .concepts import (BooleanFunction, Certificate, ConceptClass,
                        Distribution, InputDomain, PConceptClass,
-                       RealCertificate, RealFunction, distance,
+                       RealCertificate, RealFunction, Slots, distance,
                        distance_expected, is_isolated, pointwise_average,
                        pointwise_majority, restrict_class, xor_shift)
 from .decompose import (FAIL, MajorityDecomposition, RealDecomposition,

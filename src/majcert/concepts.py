@@ -17,9 +17,8 @@ threads; every operation here is pure.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -471,31 +470,86 @@ def xor_shift(S: ConceptClass, f_star: BooleanFunction) -> ConceptClass:
     return ConceptClass(S.domain, (g.xor(f_star) for g in S))
 
 
-def pointwise_counts(fs: Sequence[BooleanFunction]) -> np.ndarray:
-    """Per-input count of the functions that are 1 there, as int64;
-    each distinct table is unpacked once."""
-    if not fs:
+@dataclass(frozen=True, eq=False)
+class Slots:
+    """m slots as a multiset: ``distinct`` holds each different slot once,
+    in first-occurrence order, and ``refs`` one index into it per
+    position, so m = len(refs) and a slot's count is how often its index
+    occurs.  Iterating yields the slots position by position.
+    """
+
+    distinct: tuple
+    refs: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "distinct", tuple(self.distinct))
+        object.__setattr__(self, "refs", tuple(int(r) for r in self.refs))
+        top = -1
+        for r in self.refs:
+            if not 0 <= r <= top + 1:
+                raise RejectedInputError("slot refs must number the distinct slots "
+                                         "in first-occurrence order")
+            top = max(top, r)
+        if top + 1 != len(self.distinct):
+            raise RejectedInputError(f"{len(self.distinct)} distinct slots, "
+                                     f"{top + 1} referenced")
+
+    @classmethod
+    def group(cls, items: Iterable, key: Callable = lambda s: s) -> "Slots":
+        """The slots ``items`` in order; items with equal keys are one
+        distinct slot, represented by its first occurrence."""
+        index: dict = {}
+        distinct, refs = [], []
+        for item in items:
+            refs.append(index.setdefault(key(item), len(distinct)))
+            if refs[-1] == len(distinct):
+                distinct.append(item)
+        return cls(tuple(distinct), tuple(refs))
+
+    def __len__(self) -> int:
+        return len(self.refs)
+
+    def __iter__(self) -> Iterator:
+        return map(self.distinct.__getitem__, self.refs)
+
+    def counts(self) -> np.ndarray:
+        """The count of each distinct slot, aligned with ``distinct``."""
+        return np.bincount(np.asarray(self.refs, dtype=np.intp),
+                           minlength=len(self.distinct))
+
+    def groups(self) -> Iterator:
+        """(count, slot) per distinct slot."""
+        return zip(self.counts().tolist(), self.distinct)
+
+    def map(self, fn: Callable) -> "Slots":
+        """``fn`` applied once per distinct slot, positions unchanged."""
+        return Slots(tuple(fn(s) for s in self.distinct), self.refs)
+
+
+def pointwise_counts(fs: Slots) -> np.ndarray:
+    """Per-input count of the slot functions that are 1 there, as int64;
+    each distinct function is unpacked once."""
+    if not len(fs):
         raise RejectedInputError("counts of an empty list")
-    domain = fs[0].domain
-    for f in fs[1:]:
-        _require_same_domain(fs[0], f)
-    repeats = Counter(f.bits for f in fs)
-    counts = np.zeros(domain.size, dtype=np.int64)
-    for bits, count in repeats.items():
-        counts += count * BooleanFunction(domain, bits).values().astype(np.int64)
+    counts = np.zeros(fs.distinct[0].domain.size, dtype=np.int64)
+    for count, f in fs.groups():
+        _require_same_domain(fs.distinct[0], f)
+        counts += count * f.values().astype(np.int64)
     return counts
 
 
-def pointwise_majority(fs: Sequence[BooleanFunction]) -> BooleanFunction:
-    """Per-input majority vote of an odd number of Boolean functions."""
-    m = len(fs)
+def pointwise_majority(fs) -> BooleanFunction:
+    """Per-input majority vote of an odd number of Boolean functions,
+    given as a sequence or as Slots."""
+    slots = fs if isinstance(fs, Slots) else Slots.group(fs)
+    m = len(slots)
     if m < 1:
         raise RejectedInputError("majority of an empty list")
     if m % 2 == 0:
         raise RejectedInputError("majority requires an odd count (ties undefined)")
-    maj = (2 * pointwise_counts(fs) > m).astype(np.uint8)
+    maj = (2 * pointwise_counts(slots) > m).astype(np.uint8)
     out = int.from_bytes(np.packbits(maj, bitorder="little").tobytes(), "little")
-    return BooleanFunction(fs[0].domain, out)
+    return BooleanFunction(slots.distinct[0].domain, out)
 
 
 def pointwise_average(fs: Sequence[RealFunction]) -> RealFunction:

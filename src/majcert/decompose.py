@@ -1,6 +1,13 @@
 """Majority-certificates decompositions: Boolean, robust, and real-valued,
 plus the untrusted-oracle evaluator and the sample-complexity check.
 
+A decomposition's m slots are i.i.d. draws from the game's optimal mix,
+so they repeat heavily; each decomposition stores them as ``Slots``:
+the distinct slots once, with one ref per position.  Per-slot checks run
+once per distinct slot and sums weight by count, while untrusted
+per-position input (the untrusted oracle's claims) is matched to slots
+through the refs.
+
 Construction is Monte Carlo against an optimal game strategy, but every
 returned decomposition has had its defining property verified
 exhaustively over the whole domain; a decomposition object in hand is
@@ -12,18 +19,18 @@ rest on the exact checks rather than on the constants.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .concepts import (BooleanFunction, ConceptClass, Distribution,
-                       PConceptClass, RealFunction, dist_inf,
+                       PConceptClass, RealFunction, Slots, dist_inf,
                        distance_expected, is_isolated, pointwise_counts,
                        pointwise_majority)
 from .errors import (RejectedInputError, RetriesExhausted, VerificationDefect)
-from .games import AliceStrategy, double_oracle_solve, solve_zero_sum
+from .games import double_oracle_solve, solve_zero_sum
 from .rng import substream
 from .winnow import epsilon_cover, fat_shattering_dim, safe_winnow
 
@@ -41,50 +48,49 @@ def smallest_odd_at_least(x: float) -> int:
 
 @dataclass(frozen=True)
 class MajorityDecomposition:
-    """m certificates pinning down m members whose pointwise majority is
-    exactly the target."""
+    """m (certificate, member) slots, stored as distinct slots with
+    per-position refs, each certificate isolating its member, whose
+    pointwise majority is exactly the target."""
 
     target: BooleanFunction
-    certs: tuple
-    funcs: tuple
-    m: int
+    slots: Slots
 
     def __post_init__(self):
-        if self.m != len(self.certs) or self.m != len(self.funcs):
-            raise RejectedInputError("m must match the support length")
         if self.m % 2 == 0:
             raise RejectedInputError("m must be odd")
 
+    @property
+    def m(self) -> int:
+        return len(self.slots)
+
+    def slot_sums(self) -> np.ndarray:
+        return pointwise_counts(self.slots.map(itemgetter(1)))
+
     def majority(self) -> BooleanFunction:
-        return pointwise_majority(list(self.funcs))
+        return pointwise_majority(self.slots.map(itemgetter(1)))
+
+    def target_defect(self) -> Optional[str]:
+        """Why the slot members do not combine to the target, or None."""
+        if self.majority().bits != self.target.bits:
+            return "pointwise majority differs from target"
+        return None
 
     def validate(self, S: ConceptClass) -> None:
-        for cert, f in zip(self.certs, self.funcs):
+        for cert, f in self.slots.distinct:
             if not is_isolated(S, cert, f):
                 raise VerificationDefect("decomposition slot is not isolated")
-        if self.majority().bits != self.target.bits:
-            raise VerificationDefect("pointwise majority differs from target")
+        defect = self.target_defect()
+        if defect:
+            raise VerificationDefect(defect)
 
     def max_certificate_size(self) -> int:
-        return max(c.size for c in self.certs)
+        return max(c.size for c, _ in self.slots.distinct)
 
 
-@dataclass(frozen=True)
-class RobustDecomposition:
+class RobustDecomposition(MajorityDecomposition):
     """Majority decomposition with approximate-majority margins: slot sums
     reach at least ceil(2m/3) on target-1 inputs and at most floor(m/3)
     on target-0 inputs."""
-
-    target: BooleanFunction
-    certs: tuple
-    funcs: tuple
-    m: int
-
-    def __post_init__(self):
-        if self.m != len(self.certs) or self.m != len(self.funcs):
-            raise RejectedInputError("m must match the support length")
-        if self.m % 2 == 0:
-            raise RejectedInputError("m must be odd")
 
     @property
     def upper_threshold(self) -> int:
@@ -94,37 +100,32 @@ class RobustDecomposition:
     def lower_threshold(self) -> int:
         return math.floor(self.m / 3)
 
-    def slot_sums(self) -> np.ndarray:
-        return pointwise_counts(self.funcs)
-
-    def validate(self, S: ConceptClass) -> None:
-        for cert, f in zip(self.certs, self.funcs):
-            if not is_isolated(S, cert, f):
-                raise VerificationDefect("decomposition slot is not isolated")
+    def target_defect(self) -> Optional[str]:
         sums = self.slot_sums()
-        star = self.target.values()
-        for x in self.target.domain.inputs():
-            if star[x] == 1 and sums[x] < self.upper_threshold:
-                raise VerificationDefect(f"margin failure at input {x}: sum {sums[x]}")
-            if star[x] == 0 and sums[x] > self.lower_threshold:
-                raise VerificationDefect(f"margin failure at input {x}: sum {sums[x]}")
+        bad = np.flatnonzero(np.where(self.target.values() == 1, sums < self.upper_threshold,
+                                      sums > self.lower_threshold))
+        return f"margin failure at input {bad[0]}: sum {sums[bad[0]]}" if len(bad) else None
 
     def margin_histogram(self) -> dict:
-        sums = self.slot_sums()
-        hist: Counter = Counter(int(s) for s in sums)
-        return dict(sorted(hist.items()))
+        sums, counts = np.unique(self.slot_sums(), return_counts=True)
+        return dict(zip(sums.tolist(), counts.tolist()))
 
 
-def _sample_verified(S: ConceptClass, f_star: BooleanFunction, strategy: AliceStrategy,
-                     m: int, seed: int, attempts: int, stream: int, check) -> Optional[tuple]:
-    for attempt in range(attempts):
-        rng = substream(seed, stream, attempt)
-        pairs = strategy.sample_pairs(rng, m)
-        certs = tuple(c for c, _ in pairs)
-        funcs = tuple(f for _, f in pairs)
-        if check(funcs):
-            return certs, funcs
-    return None
+def _sampled_decomposition(cls, S: ConceptClass, f_star: BooleanFunction, seed: int,
+                           width: int, stream: int):
+    """The first of 64 draws of m = smallest odd >= width * n slots (then
+    64 at 2m) whose slots combine to the target, as a ``cls``."""
+    strategy = double_oracle_solve(S, f_star)
+    m = 1 if len(S) == 1 else smallest_odd_at_least(width * S.domain.n)
+    for doubling, m_try in enumerate((m, smallest_odd_at_least(2 * m))):
+        for attempt in range(64):
+            pairs = strategy.sample_pairs(substream(seed, stream + doubling, attempt), m_try)
+            decomposition = cls(target=f_star, slots=Slots.group(pairs))
+            if decomposition.target_defect() is None:
+                decomposition.validate(S)
+                return decomposition
+    raise RetriesExhausted(f"{cls.__name__} sampling",
+                           "no verified draw in 64 attempts at m and 2m")
 
 
 def majority_certificates(S: ConceptClass, f_star: BooleanFunction,
@@ -132,67 +133,32 @@ def majority_certificates(S: ConceptClass, f_star: BooleanFunction,
     """Draw m = smallest odd >= 20n slots i.i.d. from the 0.9-optimal game
     strategy and keep the first draw whose majority reproduces the target
     exactly on all 2^n inputs (64 attempts, then one m-doubling)."""
-    strategy = double_oracle_solve(S, f_star)
-    n = S.domain.n
-    m = 1 if len(S) == 1 else smallest_odd_at_least(20 * n)
-
-    star_bits = f_star.bits
-
-    def check(funcs) -> bool:
-        return pointwise_majority(list(funcs)).bits == star_bits
-
-    for stream, m_try in enumerate((m, smallest_odd_at_least(2 * m))):
-        got = _sample_verified(S, f_star, strategy, m_try, seed, 64, stream, check)
-        if got is not None:
-            decomposition = MajorityDecomposition(target=f_star, certs=got[0],
-                                                  funcs=got[1], m=m_try)
-            decomposition.validate(S)
-            return decomposition
-    raise RetriesExhausted("majority sampling",
-                           "no verified majority in 64 attempts at m and 2m")
+    return _sampled_decomposition(MajorityDecomposition, S, f_star, seed, 20, 0)
 
 
 def robust_majority_certificates(S: ConceptClass, f_star: BooleanFunction,
                                  seed: int = 0) -> RobustDecomposition:
     """As majority_certificates with m = smallest odd >= 60n and the
     2m/3 - m/3 margins verified exhaustively."""
-    strategy = double_oracle_solve(S, f_star)
-    n = S.domain.n
-    m = 1 if len(S) == 1 else smallest_odd_at_least(60 * n)
-    star = f_star.values()
-
-    def check(funcs) -> bool:
-        sums = pointwise_counts(funcs)
-        m_cur = len(funcs)
-        hi = math.ceil(2 * m_cur / 3)
-        lo = math.floor(m_cur / 3)
-        return bool(np.all(np.where(star == 1, sums >= hi, sums <= lo)))
-
-    for stream, m_try in enumerate((m, smallest_odd_at_least(2 * m))):
-        got = _sample_verified(S, f_star, strategy, m_try, seed, 64, stream + 2, check)
-        if got is not None:
-            decomposition = RobustDecomposition(target=f_star, certs=got[0],
-                                                funcs=got[1], m=m_try)
-            decomposition.validate(S)
-            return decomposition
-    raise RetriesExhausted("robust majority sampling",
-                           "no verified margins in 64 attempts at m and 2m")
+    return _sampled_decomposition(RobustDecomposition, S, f_star, seed, 60, 2)
 
 
 def untrusted_oracle_evaluate(D: RobustDecomposition, claims: Sequence[BooleanFunction],
                               x: int):
-    """Evaluate the target at x from untrusted per-slot claims.
+    """Evaluate the target at x from untrusted per-position claims.
 
-    Any claim inconsistent with its certificate yields FAIL; otherwise
-    the answer is the (approximate-)majority bit of the claims at x.
-    When every claim actually belongs to the decomposition's class,
-    consistency forces each claim to equal its slot function, so the
-    output is never the wrong bit.
+    Claim i is checked against the certificate of position i's slot, so
+    two copies of one slot may be answered differently.  Any claim
+    inconsistent with its certificate yields FAIL; otherwise the answer
+    is the (approximate-)majority bit of the claims at x.  When every
+    claim actually belongs to the decomposition's class, consistency
+    forces each claim to equal its slot function, so the output is never
+    the wrong bit.
     """
     if len(claims) != D.m:
         raise RejectedInputError(f"expected {D.m} claims, got {len(claims)}")
     D.target.domain.check_input(x)
-    for cert, claim in zip(D.certs, claims):
+    for (cert, _), claim in zip(D.slots, claims):
         if not cert.consistent(claim):
             return FAIL
     total = sum((claim.bits >> x) & 1 for claim in claims)
@@ -280,31 +246,23 @@ def find_valid_sample_size(S: PConceptClass, f_star: RealFunction, D: Distributi
 
 @dataclass(frozen=True)
 class RealDecomposition:
-    """m (function, constraint-set) slots whose slot-wise admissible
-    averages stay within eps of the target in sup-norm."""
+    """m (function, constraint-set) slots, stored as distinct slots with
+    per-position refs, whose slot-wise admissible averages stay within
+    eps of the target in sup-norm."""
 
     target: RealFunction
-    funcs: tuple
-    points: tuple  # of frozenset, one per slot
+    slots: Slots  # distinct (RealFunction, frozenset of inputs) pairs
     alpha: float
-    m: int
     eps: float
     realized_t: float = 1.0
 
     def __post_init__(self):
-        if self.m != len(self.funcs) or self.m != len(self.points):
-            raise RejectedInputError("m must match the slot count")
         if self.alpha < 0 or self.eps < 0:
             raise RejectedInputError("alpha and eps must be non-negative")
-        object.__setattr__(self, "points", tuple(frozenset(p) for p in self.points))
 
-    def slot_certificate(self, i: int):
-        """Slot i as a real certificate: match f_i on X_i within alpha."""
-        from .concepts import RealCertificate
-        f_i, X_i = self.funcs[i], self.points[i]
-        return RealCertificate(self.target.domain, X_i,
-                               tuple((x, f_i(x)) for x in sorted(X_i)),
-                               max(self.alpha, 1e-300))
+    @property
+    def m(self) -> int:
+        return len(self.slots)
 
 
 def extremal_deviation(V: np.ndarray, target: np.ndarray, groups: Iterable,
@@ -339,15 +297,8 @@ def verify_real_decomposition(S: PConceptClass, D: RealDecomposition) -> bool:
     """Exact check of the decomposition guarantee over finite S: both
     extreme averages of the admissible slot members stay within eps of
     the target everywhere, and every slot admits some member."""
-    groups: dict = {}
-    for f_i, X_i in zip(D.funcs, D.points):
-        key = (f_i.key(), X_i)
-        if key in groups:
-            groups[key][0] += 1
-        else:
-            xs = sorted(X_i)
-            groups[key] = [1, xs, f_i.table[xs]]
-    dev = extremal_deviation(S.value_matrix(), D.target.table, groups.values(), D.alpha)
+    groups = [(count, sorted(X), f.table[sorted(X)]) for count, (f, X) in D.slots.groups()]
+    dev = extremal_deviation(S.value_matrix(), D.target.table, groups, D.alpha)
     return dev is not None and bool(np.all(dev <= D.eps))
 
 
@@ -429,9 +380,9 @@ def real_majority_certificates(S: PConceptClass, f_star: RealFunction, eps: floa
         slot = RealSlotStrategy(f=f_star, X=frozenset(), alpha=0.4 * beta, t=1.0,
                                 sample_size=0,
                                 penalties=np.zeros(S.domain.size))
-        decomposition = RealDecomposition(target=f_star, funcs=(f_star,),
-                                          points=(frozenset(),), alpha=slot.alpha,
-                                          m=1, eps=eps, realized_t=1.0)
+        decomposition = RealDecomposition(target=f_star,
+                                          slots=Slots(((f_star, frozenset()),), (0,)),
+                                          alpha=slot.alpha, eps=eps, realized_t=1.0)
         if not verify_real_decomposition(S, decomposition):
             raise VerificationDefect("singleton decomposition failed verification")
         return decomposition
@@ -469,12 +420,10 @@ def real_majority_certificates(S: PConceptClass, f_star: RealFunction, eps: floa
     weights = w / w.sum()
     for attempt in range(64):
         rng = substream(seed, 8, attempt)
-        idx = rng.choice(len(slots), size=m, p=weights)
-        funcs = tuple(slots[int(i)].f for i in idx)
-        points = tuple(slots[int(i)].X for i in idx)
-        decomposition = RealDecomposition(target=f_star, funcs=funcs, points=points,
-                                          alpha=alpha, m=m, eps=eps,
-                                          realized_t=realized_t)
+        drawn = Slots.group(rng.choice(len(slots), size=m, p=weights).tolist())
+        decomposition = RealDecomposition(target=f_star,
+                                          slots=drawn.map(lambda i: (slots[i].f, slots[i].X)),
+                                          alpha=alpha, eps=eps, realized_t=realized_t)
         if verify_real_decomposition(S, decomposition):
             return decomposition
     raise RetriesExhausted("real decomposition sampling",

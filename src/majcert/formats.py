@@ -1,23 +1,21 @@
-"""File formats and canonical serialization.
+"""Text encodings and canonical serialization.
 
-Truth tables: a header line ``n=<int>`` followed by one function per
-line, the 2^n table bits packed MSB-first (the bit for input 0 is the
-most significant) and hex-encoded with fixed width.
+Boolean truth tables: the 2^n table bits packed MSB-first (the bit for
+input 0 is the most significant) and hex-encoded with fixed width.
 
-Real tables: CSV, one row per function, 2^n decimal values; values are
-written with shortest-roundtrip precision so tables survive a write/read
-cycle bit-exactly.
-
-Circuits: header ``qubits=<int> accept=<int>``, then one gate per line:
-``NAME target [control] [xN]`` where ``control`` is the CNOT control
-qubit and an ``xN`` token conditions the gate on classical input bit N.
+Circuits (as embedded in protocols): ``qubits=<int> accept=<int>``, then
+one gate per line: ``NAME target [control] [xN]`` where ``control`` is
+the CNOT control qubit and an ``xN`` token conditions the gate on
+classical input bit N.
 
 Winnowing traces: line-oriented ``step=<t> action=<split|replace|add>
 input=<hex> ...`` records.
 
 Reports and artifacts: canonical JSON with sorted keys and floats fixed
 to 12 significant digits, so byte-identical configuration yields
-byte-identical files.
+byte-identical files.  Decompositions and protocols keep their slots as
+``Slots`` in memory and serialize them position by position; decoding
+decodes each distinct serialized slot once.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .concepts import (REAL_ATOL, BooleanFunction, Certificate, ConceptClass,
-                       InputDomain, PConceptClass, RealFunction)
+                       InputDomain, PConceptClass, RealFunction, Slots)
 from .errors import RejectedInputError
 from .qsim import Circuit, DensityMatrix, Gate
 
@@ -54,50 +52,9 @@ def boolean_from_hex(domain: InputDomain, text: str) -> BooleanFunction:
     return BooleanFunction(domain, int(format(value, "0{}b".format(domain.size))[::-1], 2))
 
 
-def write_truth_tables(path, S: ConceptClass) -> None:
-    lines = [f"n={S.domain.n}"] + [boolean_to_hex(f) for f in S]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_truth_tables(path) -> ConceptClass:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("n="):
-        raise RejectedInputError("missing n=<int> header")
-    domain = InputDomain(int(lines[0][2:]))
-    return ConceptClass(domain, [boolean_from_hex(domain, ln) for ln in lines[1:]])
-
-
-# ---------------------------------------------------------------------------
-# Real tables
-# ---------------------------------------------------------------------------
-
-def write_real_tables(path, S: PConceptClass) -> None:
-    with open(path, "w") as fh:
-        for f in S:
-            fh.write(",".join(repr(float(v)) for v in f.table) + "\n")
-
-
-def read_real_tables(path, domain: InputDomain) -> PConceptClass:
-    members = []
-    with open(path) as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln:
-                continue
-            members.append(RealFunction(domain, np.array([float(v) for v in ln.split(",")])))
-    return PConceptClass(domain, members)
-
-
 # ---------------------------------------------------------------------------
 # Circuits
 # ---------------------------------------------------------------------------
-
-def write_circuit(path, circuit: Circuit) -> None:
-    with open(path, "w") as fh:
-        fh.write(circuit_to_text(circuit))
-
 
 def circuit_to_text(circuit: Circuit) -> str:
     lines = [f"qubits={circuit.qubits} accept={circuit.accept_qubit}"]
@@ -135,11 +92,6 @@ def circuit_from_text(text: str) -> Circuit:
                 control = int(tok)
         gates.append(Gate(name=name, target=target, control=control, when_bit=when))
     return Circuit(qubits=qubits, gates=tuple(gates), accept_qubit=accept)
-
-
-def read_circuit(path) -> Circuit:
-    with open(path) as fh:
-        return circuit_from_text(fh.read())
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +190,24 @@ def certificate_from_json(domain: InputDomain, data: dict) -> Certificate:
     return Certificate.of(domain, _slot_points(data, "bits"))
 
 
+def _slots_from_json(data: dict, fields: tuple, decode) -> Slots:
+    """The slots serialized position by position in the lists ``fields``
+    of ``data``, which must each hold the stored m entries; equal rows
+    are decoded once, by ``decode``."""
+    lists = [data[f] for f in fields]
+    if any(len(entries) != int(data["m"]) for entries in lists):
+        raise RejectedInputError(f"stored m = {data['m']} differs from the slot count")
+    rows = Slots.group(zip(*lists), key=lambda row: json.dumps(row, sort_keys=True))
+    return rows.map(decode)
+
+
+def _entry(seq, i):
+    """seq[i] for a serialized index i, which must lie in range."""
+    if not 0 <= int(i) < len(seq):
+        raise RejectedInputError(f"index {i} outside 0..{len(seq) - 1}")
+    return seq[int(i)]
+
+
 def boolean_decomposition_to_json(dec, S: ConceptClass, seed: int, kind: str) -> dict:
     return {
         "kind": kind,
@@ -245,8 +215,8 @@ def boolean_decomposition_to_json(dec, S: ConceptClass, seed: int, kind: str) ->
         "class": [boolean_to_hex(f) for f in S],
         "target": boolean_to_hex(dec.target),
         "m": dec.m,
-        "certs": [certificate_to_json(c) for c in dec.certs],
-        "funcs": [boolean_to_hex(f) for f in dec.funcs],
+        "certs": list(dec.slots.map(lambda slot: certificate_to_json(slot[0]))),
+        "funcs": list(dec.slots.map(lambda slot: boolean_to_hex(slot[1]))),
         "verified": True,
         "seed": seed,
     }
@@ -257,28 +227,26 @@ def boolean_decomposition_from_json(data: dict):
     domain = InputDomain(int(data["n"]))
     S = ConceptClass(domain, [boolean_from_hex(domain, h) for h in data["class"]])
     target = boolean_from_hex(domain, data["target"])
-    certs = tuple(certificate_from_json(domain, c) for c in data["certs"])
-    funcs = tuple(boolean_from_hex(domain, h) for h in data["funcs"])
+    slots = _slots_from_json(data, ("certs", "funcs"), lambda row: (
+        certificate_from_json(domain, row[0]), boolean_from_hex(domain, row[1])))
     cls = RobustDecomposition if data["kind"] == "robust" else MajorityDecomposition
-    dec = cls(target=target, certs=certs, funcs=funcs, m=int(data["m"]))
-    return S, dec
+    return S, cls(target=target, slots=slots)
 
 
 def real_decomposition_to_json(dec, S: PConceptClass, seed: int) -> dict:
     tables = [[float(v) for v in f.table] for f in S]
-    index = {f.key(): i for i, f in enumerate(S)}
     return {
         "kind": "real",
         "n": S.domain.n,
         "class_tables": tables,
-        "target": index[dec.target.key()],
+        "target": S.index_of(dec.target),
         "m": dec.m,
         "alpha": dec.alpha,
         "eps": dec.eps,
-        "certs": [{"points": [format_hex_input(x) for x in sorted(X)],
-                   "values": [float(f(x)) for x in sorted(X)]}
-                  for f, X in zip(dec.funcs, dec.points)],
-        "funcs": [index[f.key()] for f in dec.funcs],
+        "certs": list(dec.slots.map(lambda slot: {
+            "points": [format_hex_input(x) for x in sorted(slot[1])],
+            "values": [float(slot[0](x)) for x in sorted(slot[1])]})),
+        "funcs": list(dec.slots.map(lambda slot: S.index_of(slot[0]))),
         "verified": True,
         "seed": seed,
     }
@@ -287,27 +255,26 @@ def real_decomposition_to_json(dec, S: PConceptClass, seed: int) -> dict:
 def real_decomposition_from_json(data: dict):
     from .decompose import RealDecomposition
     domain = InputDomain(int(data["n"]))
+    # indices refer to the stored list; members equal after the 12-digit
+    # rounding are one member of S
     members = [RealFunction(domain, np.array(t, dtype=np.float64))
                for t in data["class_tables"]]
     S = PConceptClass(domain, members)
-    funcs = tuple(S[int(i)] for i in data["funcs"])
-    if len(funcs) != len(data["certs"]):
-        raise RejectedInputError("one certificate per slot function required")
-    # stored values are rounded to 12 significant digits; tables lie in
-    # [0, 1], so REAL_ATOL bounds the rounding absolutely
-    points = []
-    for f, cert in zip(funcs, data["certs"]):
-        pairs = _slot_points(cert, "values")
+
+    def decode(row) -> tuple:
+        f, pairs = _entry(members, row[0]), _slot_points(row[1], "values")
         X = frozenset(domain.check_input(x) for x, _ in pairs)
         if len(X) != len(pairs):
             raise RejectedInputError("repeated point in a real certificate")
+        # stored values are rounded to 12 significant digits; tables lie
+        # in [0, 1], so REAL_ATOL bounds the rounding absolutely
         if any(abs(float(v) - f.table[x]) > REAL_ATOL for x, v in pairs):
             raise RejectedInputError("stored certificate value differs from its slot function")
-        points.append(X)
-    dec = RealDecomposition(target=S[int(data["target"])], funcs=funcs, points=tuple(points),
-                            alpha=float(data["alpha"]), m=int(data["m"]),
-                            eps=float(data["eps"]))
-    return S, dec
+        return f, X
+
+    slots = _slots_from_json(data, ("funcs", "certs"), decode)
+    return S, RealDecomposition(target=_entry(members, data["target"]), slots=slots,
+                                alpha=float(data["alpha"]), eps=float(data["eps"]))
 
 
 def state_to_json(state: DensityMatrix) -> list:
@@ -323,23 +290,16 @@ def state_from_json(qubits: int, data: list) -> DensityMatrix:
 
 def states_to_json(states) -> tuple:
     """(distinct state tables, one table ref per state), first-occurrence order."""
-    tables, refs, index = [], [], {}
-    for s in states:
-        k = s.key()
-        if k not in index:
-            index[k] = len(tables)
-            tables.append(state_to_json(s))
-        refs.append(index[k])
-    return tables, refs
+    slots = Slots.group(states, key=DensityMatrix.key)
+    return [state_to_json(s) for s in slots.distinct], list(slots.refs)
 
 
-def states_from_json(qubits: int, tables: list, refs: list) -> tuple:
-    distinct = [state_from_json(qubits, t) for t in tables]
-    return tuple(distinct[int(i)] for i in refs)
+def states_from_json(qubits: int, tables: list, refs: list) -> Slots:
+    return Slots([state_from_json(qubits, t) for t in tables], refs)
 
 
 def protocol_to_json(P, seed: int) -> dict:
-    tables, refs = states_to_json(P.honest_advice)
+    tables, refs = states_to_json(state for state, _ in P.slots)
     return {
         "kind": "advice-protocol",
         "n": P.domain.n,
@@ -348,9 +308,9 @@ def protocol_to_json(P, seed: int) -> dict:
         "language": boolean_to_hex(P.language),
         "alpha": P.alpha,
         "m": P.m,
-        "points": [[format_hex_input(x) for x in sorted(X)] for X in P.points],
-        "targets": [[[format_hex_input(z), f"{r.numerator}/{r.denominator}"]
-                     for z, r in slot] for slot in P.targets],
+        "points": list(P.slots.map(lambda slot: [format_hex_input(z) for z, _ in slot[1]])),
+        "targets": list(P.slots.map(lambda slot: [
+            [format_hex_input(z), f"{r.numerator}/{r.denominator}"] for z, r in slot[1]])),
         "state_tables": tables,
         "advice_refs": refs,
         "decomposition": real_decomposition_to_json(P.decomposition, P.compiled_class, seed),
@@ -360,17 +320,24 @@ def protocol_to_json(P, seed: int) -> dict:
 
 
 def protocol_from_json(data: dict):
+    """A protocol from its serialized form; a stored m that differs from
+    the slot count, or slot points other than the inputs of the slot's
+    targets, is rejected."""
     from .protocol import AdviceProtocol
     domain = InputDomain(int(data["n"]))
-    circuit = circuit_from_text(data["circuit"])
-    language = boolean_from_hex(domain, data["language"])
     qubits = int(data["advice_qubits"])
-    honest = states_from_json(qubits, data["state_tables"], data["advice_refs"])
-    points = tuple(frozenset(int(p, 16) for p in slot) for slot in data["points"])
-    targets = tuple(tuple((int(z, 16), Fraction(r)) for z, r in slot)
-                    for slot in data["targets"])
+    states = [state_from_json(qubits, t) for t in data["state_tables"]]
+
+    def decode(row) -> tuple:
+        ref, points, targets = row
+        targets = tuple((domain.check_input(int(z, 16)), Fraction(r)) for z, r in targets)
+        if [int(p, 16) for p in points] != [z for z, _ in targets]:
+            raise RejectedInputError("slot points differ from the inputs of its targets")
+        return _entry(states, ref), targets
+
+    slots = _slots_from_json(data, ("advice_refs", "points", "targets"), decode)
     S, dec = real_decomposition_from_json(data["decomposition"])
-    return AdviceProtocol(circuit=circuit, domain=domain, advice_qubits=qubits,
-                          points=points, targets=targets, alpha=float(data["alpha"]),
-                          honest_advice=honest, language=language, decomposition=dec,
-                          compiled_class=S)
+    return AdviceProtocol(circuit=circuit_from_text(data["circuit"]), domain=domain,
+                          advice_qubits=qubits, slots=slots, alpha=float(data["alpha"]),
+                          language=boolean_from_hex(domain, data["language"]),
+                          decomposition=dec, compiled_class=S)

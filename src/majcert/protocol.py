@@ -4,10 +4,14 @@ protocols, and the machines that consume them.
 The compiled object pairs trusted classical data (per-slot constraint
 sets X_i, dyadic target probabilities r_{i,z}, and a tolerance alpha)
 with untrusted quantum advice (m registers, honestly a tensor product of
-per-slot states).  Machine A checks the registers against the classical
-constraints; machine B answers inputs by running the verification
-circuit on a uniformly random register; both depend on the supplied
-registers only through their reduced states.
+per-slot states).  The m slots are stored once per distinct slot with
+one ref per position, shared with the decomposition, so per-slot work
+runs once per distinct slot; the m supplied registers stay per
+position, each matched to its slot through the refs.  Machine A checks
+the registers against the classical constraints; machine B answers
+inputs by running the verification circuit on a uniformly random
+register; both depend on the supplied registers only through their
+reduced states.
 
 Soundness scope: the decomposition guarantee is proven (exactly) over
 the finite compiled class of advice states; soundness over the full
@@ -25,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .concepts import (BooleanFunction, InputDomain, PConceptClass,
-                       RealFunction)
+                       RealFunction, Slots)
 from .decompose import (RealDecomposition, extremal_deviation,
                         real_majority_certificates)
 from .errors import RejectedInputError, VerificationDefect
@@ -73,36 +77,38 @@ def induced_pconcept(circuit: Circuit, domain: InputDomain,
 class AdviceProtocol:
     """A compiled (classical advice, honest quantum advice) pair.
 
-    classical part: slot constraint sets ``points``, dyadic rationals
-    ``targets[i][z]`` approximating the honest acceptance probabilities,
-    and ``alpha`` (machine A accepts at deviation <= 5*alpha).
-    quantum part: ``honest_advice``, one state per slot.
+    ``slots`` holds the m slots as distinct slots with per-position refs
+    (a compiled protocol shares the decomposition's refs): each distinct
+    slot is an honest state and its targets, a tuple of (z, r) pairs with
+    dyadic rationals r approximating the honest acceptance probabilities
+    on the slot's constraint set, which is exactly the inputs z.
+    Machine A accepts at deviation <= 5*alpha.
     """
 
     circuit: Circuit
     domain: InputDomain
     advice_qubits: int
-    points: tuple  # per-slot frozenset of inputs
-    targets: tuple  # per-slot tuple of (z, Fraction) pairs
+    slots: Slots  # distinct (DensityMatrix, targets) pairs
     alpha: float
-    honest_advice: tuple  # per-slot DensityMatrix
     language: BooleanFunction
     decomposition: RealDecomposition
     compiled_class: PConceptClass
 
     @property
     def m(self) -> int:
-        return len(self.honest_advice)
+        return len(self.slots)
+
+    def honest_registers(self) -> list:
+        """The honest advice, one register per position."""
+        return [state for state, _ in self.slots]
 
     def validate(self) -> None:
-        if not (len(self.points) == len(self.targets) == self.m):
-            raise VerificationDefect("slot arity mismatch")
-        for i in range(self.m):
-            f_i = induced_function(self.circuit, self.domain, self.honest_advice[i])
-            for z, r in self.targets[i]:
-                if abs(float(r) - f_i(z)) > self.alpha + 1e-12:
+        for j, (state, targets) in enumerate(self.slots.distinct):
+            f_j = induced_function(self.circuit, self.domain, state)
+            for z, r in targets:
+                if abs(float(r) - f_j(z)) > self.alpha + 1e-12:
                     raise VerificationDefect(
-                        f"stored rational at slot {i}, input {z} misses alpha")
+                        f"stored rational at slot {j}, input {z} misses alpha")
 
 
 def _resolve_registers(P: AdviceProtocol, sigma) -> list:
@@ -140,14 +146,14 @@ def _slot_probability_cache(P: AdviceProtocol, registers: list) -> dict:
 
 def verifier_A(P: AdviceProtocol, sigma) -> float:
     """Worst deviation |Pr[Q(z, sigma[i]) accepts] - r_{i,z}| over all
-    slots i and constrained inputs z; the protocol accepts when this is
-    at most 5*alpha."""
+    positions i and constrained inputs z of position i's slot; the
+    protocol accepts when this is at most 5*alpha."""
     registers = _resolve_registers(P, sigma)
     cache = _slot_probability_cache(P, registers)
     worst = 0.0
-    for i, reg in enumerate(registers):
+    for reg, (_, targets) in zip(registers, P.slots):
         probs = cache[reg.key()]
-        for z, r in P.targets[i]:
+        for z, r in targets:
             worst = max(worst, abs(probs[z] - float(r)))
     return worst
 
@@ -210,18 +216,11 @@ def compile_advice(circuit: Circuit, rho_n: DensityMatrix, language: BooleanFunc
     alpha = decomposition.alpha / 6.0
 
     state_of = {f.key(): s for f, s in zip(S.members, states)}
-    honest = []
-    targets = []
-    for f_i, X_i in zip(decomposition.funcs, decomposition.points):
-        honest.append(state_of[f_i.key()])
-        targets.append(tuple((z, dyadic_approximation(f_i(z), alpha))
-                             for z in sorted(X_i)))
-
-    protocol = AdviceProtocol(circuit=circuit, domain=domain,
-                              advice_qubits=rho_n.qubits,
-                              points=decomposition.points,
-                              targets=tuple(targets), alpha=alpha,
-                              honest_advice=tuple(honest), language=language,
+    slots = decomposition.slots.map(lambda slot: (
+        state_of[slot[0].key()],
+        tuple((z, dyadic_approximation(slot[0](z), alpha)) for z in sorted(slot[1]))))
+    protocol = AdviceProtocol(circuit=circuit, domain=domain, advice_qubits=rho_n.qubits,
+                              slots=slots, alpha=alpha, language=language,
                               decomposition=decomposition, compiled_class=S)
     protocol.validate()
     return protocol
@@ -304,7 +303,7 @@ class AdversarySearchResult:
     best_error: float
     best_deviation: float
     violation_found: bool
-    registers: Optional[tuple]  # per-slot states of the best feasible candidate
+    registers: Optional[Slots]  # best feasible registers, one per distinct slot
 
 
 def adversary_search(P: AdviceProtocol, budget: int = 1000, seed: int = 0,
@@ -324,17 +323,8 @@ def adversary_search(P: AdviceProtocol, budget: int = 1000, seed: int = 0,
            for x in P.domain.inputs()}
     lang = np.array([float(P.language(x)) for x in P.domain.inputs()])
 
-    groups: dict = {}
-    order = []
-    for i in range(P.m):
-        key = (P.honest_advice[i].key(), P.points[i], P.targets[i])
-        if key not in groups:
-            groups[key] = {"count": 0, "targets": P.targets[i],
-                           "honest": P.honest_advice[i]}
-            order.append(key)
-        groups[key]["count"] += 1
-    blocks = [groups[k] for k in order]
-    weights = np.array([b["count"] / P.m for b in blocks])
+    blocks = P.slots.distinct
+    weights = P.slots.counts() / P.m
 
     op_stack = np.stack([ops[x] for x in P.domain.inputs()])
 
@@ -346,8 +336,8 @@ def adversary_search(P: AdviceProtocol, budget: int = 1000, seed: int = 0,
         b_vec = weights @ vals
         err = float(np.max(np.abs(b_vec - lang)))
         dev = 0.0
-        for blk, v in zip(blocks, vals):
-            for z, r in blk["targets"]:
+        for (_, targets), v in zip(blocks, vals):
+            for z, r in targets:
                 dev = max(dev, abs(float(v[z]) - float(r)))
         return err, dev
 
@@ -362,7 +352,7 @@ def adversary_search(P: AdviceProtocol, budget: int = 1000, seed: int = 0,
     for restart in range(budget):
         rng = substream(seed, 20, restart)
         if restart == 0:
-            params = [state_to_params(b["honest"]) for b in blocks]
+            params = [state_to_params(honest) for honest, _ in blocks]
         else:
             params = [rng.normal(size=dim) for _ in blocks]
         states = [params_to_state(p, P.advice_qubits) for p in params]
@@ -390,14 +380,7 @@ def adversary_search(P: AdviceProtocol, budget: int = 1000, seed: int = 0,
             if best_error > 1.0 / 3.0:
                 break
 
-    registers = None
-    if best_states is not None:
-        expanded = []
-        index_of = {k: j for j, k in enumerate(order)}
-        for i in range(P.m):
-            key = (P.honest_advice[i].key(), P.points[i], P.targets[i])
-            expanded.append(best_states[index_of[key]])
-        registers = tuple(expanded)
+    registers = None if best_states is None else Slots(best_states, P.slots.refs)
     return AdversarySearchResult(best_error=max(best_error, 0.0),
                                  best_deviation=best_dev,
                                  violation_found=best_error > 1.0 / 3.0,
@@ -410,20 +393,14 @@ def conditional_soundness_bound(P: AdviceProtocol) -> float:
 
     Slot choices decouple, so the bound is the extremal deviation of the
     members satisfying each slot's r-constraints at threshold 5*alpha,
-    the routine that also verifies real decompositions; slots are grouped
-    by their targets as integer triples.  An accepted assignment always
-    exists (the honest one), so the value is finite.
+    the routine that also verifies real decompositions, read once per
+    distinct slot.  An accepted assignment always exists (the honest
+    one), so the value is finite.
     """
-    groups: dict = {}
-    for slot in P.targets:
-        key = tuple((z, r.numerator, r.denominator) for z, r in slot)
-        if key in groups:
-            groups[key][0] += 1
-        else:
-            groups[key] = [1, [z for z, _ in slot], np.array([float(r) for _, r in slot])]
+    groups = [(count, [z for z, _ in targets], np.array([float(r) for _, r in targets]))
+              for count, (_, targets) in P.slots.groups()]
     lang = np.array([float(P.language(x)) for x in P.domain.inputs()])
-    dev = extremal_deviation(P.compiled_class.value_matrix(), lang, groups.values(),
-                             5.0 * P.alpha)
+    dev = extremal_deviation(P.compiled_class.value_matrix(), lang, groups, 5.0 * P.alpha)
     if dev is None:
         raise VerificationDefect("a slot admits no compiled-class member")
     return float(np.max(dev))

@@ -150,15 +150,20 @@ def _robust_claims(dec) -> dict:
     claims reproduces the target everywhere yet fails once one claim
     breaks its certificate."""
     domain = dec.target.domain
-    honest = list(dec.funcs)
+    honest = [f for _, f in dec.slots]
     honest_ok = all(untrusted_oracle_evaluate(dec, honest, x) == dec.target(x)
                     for x in domain.inputs())
     flipped = list(honest)
-    z0, _ = dec.certs[0].assignments[0]
+    z0, _ = dec.slots.distinct[0][0].assignments[0]
     flipped[0] = BooleanFunction(domain, flipped[0].bits ^ (1 << z0))
     return {"margin_histogram": {str(k): v for k, v in dec.margin_histogram().items()},
             "untrusted_honest_ok": honest_ok,
             "untrusted_flip_fails": untrusted_oracle_evaluate(dec, flipped, 0) == FAIL}
+
+
+def _majcert_measures(S: ConceptClass, dec) -> dict:
+    return {"class_size": len(S), "m": dec.m, "max_cert_size": dec.max_certificate_size(),
+            "cert_size_bound": ceil_log(len(S), 10, 9) + ceil_log(len(S), 2)}
 
 
 def _majcert_instance(params: dict, seed: int, index: int) -> dict:
@@ -182,23 +187,22 @@ def _majcert_instance(params: dict, seed: int, index: int) -> dict:
         outputs.update(_robust_claims(dec))
     return _record(index, {"class": [boolean_to_hex(f) for f in S],
                            "target": boolean_to_hex(f_star)}, outputs,
-                   {"class_size": len(S), "m": dec.m,
-                    "max_cert_size": max((c.size for c in dec.certs), default=0),
-                    "cert_size_bound": ceil_log(len(S), 10, 9) + ceil_log(len(S), 2)})
+                   _majcert_measures(S, dec))
 
 
 def _check_majcert(record: dict, context: dict) -> bool:
     """Isolated slots with the target as majority (robust: margins), size
-    and width bounds, and for robust runs the recomputed claims."""
+    and width bounds, the stored measures, and for robust runs the
+    recomputed claims."""
     out = record["outputs"]
     robust = context["params"]["robust"]
     S, dec = boolean_decomposition_from_json(out["decomposition"])
     dec.validate(S)
-    size_bound = ceil_log(len(S), 10, 9) + ceil_log(len(S), 2)
+    measures = _majcert_measures(S, dec)
     m_bound = 1 if len(S) == 1 else smallest_odd_at_least((60 if robust else 20) * S.domain.n)
     ok = (out["decomposition"]["kind"] == ("robust" if robust else "majority")
-          and max((c.size for c in dec.certs), default=0) <= size_bound
-          and dec.m <= m_bound)
+          and measures["max_cert_size"] <= measures["cert_size_bound"]
+          and dec.m <= m_bound and _claims_hold(record["measures"], measures))
     if not robust:
         return ok
     claims = _robust_claims(dec)
@@ -223,8 +227,11 @@ def _realmajcert_instance(params: dict, seed: int, index: int) -> dict:
 
 
 def _check_realmajcert(record: dict, context: dict) -> bool:
-    return verify_real_decomposition(
-        *real_decomposition_from_json(record["outputs"]["decomposition"]))
+    """The decomposition verifies, and its m and alpha are the stored
+    measures (realized_t and the schedule flag are not serialized)."""
+    S, dec = real_decomposition_from_json(record["outputs"]["decomposition"])
+    return (verify_real_decomposition(S, dec)
+            and _claims_hold(record["measures"], {"m": dec.m, "alpha": dec.alpha}))
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +594,7 @@ def _fat_dims(params: dict, seed: int) -> list:
 
 def _build_quantum_protocol(params: dict, seed: int) -> list:
     P = build_standard_protocol(params["eps"], params["random_states"], seed)
-    honest = list(P.honest_advice)
+    honest = P.honest_registers()
     proto_json = protocol_to_json(P, seed)
     circuit = proto_json["circuit"]
     bound = conditional_soundness_bound(P)
@@ -635,19 +642,26 @@ def _quantum_context(records: list) -> dict:
     return {"protocol": protocol_from_json(raw), "protocol_json": raw}
 
 
-def _check_honest_advice(out: dict, context: dict) -> bool:
+def _check_honest_advice(record: dict, context: dict) -> bool:
     """Record 0: honest advice passes machine A within alpha, machine B
-    errs by at most 0.3."""
+    errs by at most 0.3, and m, alpha and the class size are the stored
+    measures; the class size is that of the serialized class, since
+    members that differ only beyond the 12 stored digits decode as one."""
     P = context["protocol"]
-    honest = list(P.honest_advice)
+    honest = P.honest_registers()
     dev, berr = verifier_A(P, honest), machine_b_error(P, honest)
+    class_size = len(context["protocol_json"]["decomposition"]["class_tables"])
     return (dev <= P.alpha and berr <= 0.3
-            and _claims_hold(out, {"honest_deviation": dev, "honest_b_error": berr}))
+            and _claims_hold(record["outputs"], {"honest_deviation": dev,
+                                                 "honest_b_error": berr})
+            and _claims_hold(record["measures"], {"m": P.m, "alpha": P.alpha,
+                                                  "class_size": class_size}))
 
 
-def _check_soundness_bound(out: dict, context: dict) -> bool:
+def _check_soundness_bound(record: dict, context: dict) -> bool:
     """Record 1: the protocol's decomposition verifies and its exact
     soundness bound over the compiled class is at most 0.3."""
+    out = record["outputs"]
     P = context["protocol"]
     ok = verify_real_decomposition(P.compiled_class, P.decomposition)
     bound = conditional_soundness_bound(P)
@@ -657,16 +671,18 @@ def _check_soundness_bound(out: dict, context: dict) -> bool:
                                    "decomposition_verified": ok}))
 
 
-def _check_intact_search(out: dict, context: dict) -> bool:
+def _check_intact_search(record: dict, context: dict) -> bool:
     """Record 2: the search against the intact protocol found nothing,
     which leaves no witness to recompute, so the stored outcome is read."""
+    out = record["outputs"]
     return not out["violation_found"] and out["best_error"] <= 1.0 / 3.0
 
 
-def _check_broken_protocol(out: dict, context: dict) -> bool:
+def _check_broken_protocol(record: dict, context: dict) -> bool:
     """Record 3: the stored registers pass machine A of the alpha-inflated
     protocol (deviation <= 5 alpha', with 1e-9 slack for the 12 digits
     the tables keep) while machine B errs by more than 1/3."""
+    out = record["outputs"]
     P = context["protocol"]
     factor = _inflation_factor(P)
     broken = with_inflated_alpha(P, factor)
@@ -678,20 +694,21 @@ def _check_broken_protocol(out: dict, context: dict) -> bool:
                                    "best_deviation": dev, "violation_found": True}))
 
 
-def _check_amplification(out: dict, context: dict) -> bool:
+def _check_amplification(record: dict, context: dict) -> bool:
     """Record 4: recomputed acceptances match, clear their Chernoff
     floors, and one register matches the hand value."""
     derived = _amplification(context["params"])
     return (all(e["acceptance"] >= e["chernoff_floor"] for e in derived["amplification"])
             and abs(derived["single_register"] - derived["single_register_hand"]) <= 1e-12
-            and _claims_hold(out, derived))
+            and _claims_hold(record["outputs"], derived))
 
 
-def _check_fat_dims(out: dict, context: dict) -> bool:
+def _check_fat_dims(record: dict, context: dict) -> bool:
     """Record 5: the fat-shattering dimensions, re-measured on the class
     induced by the report's seed, match the stored ones; the one at
     gamma = 1/4 is within p/gamma^2 (p = 1), and they do not increase
     along 0.2, 1/4, 0.3, 0.4."""
+    out = record["outputs"]
     fat, *dims = _fat_dims(context["params"], context["seed"])
     measured = [d["measured"] for d in dims]
     return (out["gammas"] == _FAT_GAMMAS and fat["measured"] <= fat["bound"]
@@ -704,7 +721,7 @@ _QUANTUM_CHECKS = (_check_honest_advice, _check_soundness_bound, _check_intact_s
 
 
 def _check_quantum(record: dict, context: dict) -> bool:
-    return _QUANTUM_CHECKS[record["index"]](record["outputs"], context)
+    return _QUANTUM_CHECKS[record["index"]](record, context)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def test_criterion_01_point_class_reproduction():
     dec.validate(S)
     maj_ok = dec.majority().bits == 0
     bound = ceil_log(len(S), 10, 9) + ceil_log(len(S), 2)
-    size_ok = all(cert.size <= bound for cert in dec.certs)
+    size_ok = all(cert.size <= bound for cert, _ in dec.slots.distinct)
 
     # hand witness, exact and exhaustive: the majority of three distinct
     # point functions is 1 at x iff two of them equal 1 at x, i.e. iff
@@ -272,7 +272,7 @@ def test_criterion_08_occam_pass_rate():
 def test_criterion_09_quantum_completeness(compiled_protocol_fixture):
     protocol, build_time = compiled_protocol_fixture
     started = time.monotonic()
-    honest = list(protocol.honest_advice)
+    honest = protocol.honest_registers()
     deviation = verifier_A(protocol, honest)
     b_error = machine_b_error(protocol, honest)
     premise = max(abs(protocol.decomposition.target(z) - protocol.language(z))
@@ -326,7 +326,7 @@ def test_criterion_11_qma_plus_amplification():
 
 
 def test_criterion_12_untrusted_oracle_exhaustive():
-    from majcert.concepts import Certificate
+    from majcert.concepts import Certificate, Slots
     from majcert.decompose import RobustDecomposition
     started = time.monotonic()
     domain = InputDomain(2)
@@ -334,7 +334,7 @@ def test_criterion_12_untrusted_oracle_exhaustive():
     funcs = tuple(BooleanFunction.point(domain, y) for y in (0, 1, 2))
     S = ConceptClass(domain, [zero, *funcs])
     certs = tuple(Certificate.of(domain, {y: 1}) for y in (0, 1, 2))
-    dec = RobustDecomposition(target=zero, certs=certs, funcs=funcs, m=3)
+    dec = RobustDecomposition(target=zero, slots=Slots(tuple(zip(certs, funcs)), (0, 1, 2)))
     dec.validate(S)
 
     never_wrong = True

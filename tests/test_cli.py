@@ -1,6 +1,10 @@
 """CLI and suite behavior: determinism, schemas, verification, exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -150,3 +154,17 @@ def test_verify_detects_tampering(tmp_path):
     results = verify_report(report)
     # tampered winnow output should not satisfy the conclusions anymore
     assert not all(ok for _, ok in results)
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("script, args", [
+    ("demo_quantum_protocol.py", ["--restarts", "5", "--random-states", "5"]),
+    ("measure_m_vs_n.py", ["--n-max", "3"]),
+])
+def test_script_runs(script, args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

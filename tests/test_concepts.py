@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from majcert.concepts import (BooleanFunction, Certificate, ConceptClass,
                               Distribution, InputDomain, PConceptClass,
-                              RealCertificate, RealFunction, distance,
+                              RealCertificate, RealFunction, Slots, distance,
                               distance_expected, is_isolated,
                               pointwise_average, pointwise_majority,
                               restrict_class, xor_shift)
@@ -456,3 +456,29 @@ def test_index_of_and_membership():
         P.index_of(real_fn(domain, [0.5, 0.25]))
     assert P == PConceptClass(domain, members)
     assert P != PConceptClass(domain, members[::-1])
+
+
+# ---------------------------------------------------------------------------
+# slot multisets
+# ---------------------------------------------------------------------------
+
+@given(st.lists(st.integers(0, 9), max_size=40), st.integers(1, 4))
+def test_slots_group_expands_counts_and_merges(items, width):
+    slots = Slots.group(items)
+    assert list(slots) == items
+    assert len(slots) == len(items) and int(slots.counts().sum()) == len(items)
+    assert [count for count, _ in slots.groups()] == [items.count(v) for v in slots.distinct]
+    keyed = Slots.group(items, key=lambda v: v // width)
+    for i, a in enumerate(items):
+        for j, b in enumerate(items):
+            assert (keyed.refs[i] == keyed.refs[j]) == (a // width == b // width)
+    assert [v // width for v in keyed] == [v // width for v in items]
+    assert list(keyed.map(lambda v: -v)) == [-v for v in keyed]
+
+
+def test_slots_refs_must_number_distinct_slots_in_order():
+    assert list(Slots(("a", "b"), (0, 1, 0))) == ["a", "b", "a"]
+    for distinct, refs in ((("a", "b"), (1, 0)), (("a",), (0, 1)), (("a", "b"), (0, 0)),
+                           (("a",), (-1,))):
+        with pytest.raises(RejectedInputError):
+            Slots(distinct, refs)

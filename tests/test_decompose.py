@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from majcert.concepts import (BooleanFunction, Certificate, ConceptClass,
                               Distribution, InputDomain, PConceptClass,
-                              RealFunction, dist_inf, distance_expected,
+                              RealFunction, Slots, dist_inf, distance_expected,
                               pointwise_majority)
 from majcert.decompose import (FAIL, MajorityDecomposition, RealDecomposition,
                                RobustDecomposition, find_valid_sample_size,
@@ -47,7 +47,7 @@ def test_majority_singleton_class():
     S = ConceptClass(domain, [f])
     dec = majority_certificates(S, f, seed=0)
     assert dec.m == 1
-    assert dec.certs[0].size == 0
+    assert dec.max_certificate_size() == 0
     dec.validate(S)
 
 
@@ -83,10 +83,10 @@ def test_majority_decomposition_type_invariants():
     domain = InputDomain(2)
     f = BooleanFunction.zero(domain)
     with pytest.raises(RejectedInputError):
-        MajorityDecomposition(target=f, certs=(Certificate.empty(domain),) * 2,
-                              funcs=(f, f), m=2)
-    dec = MajorityDecomposition(target=f, certs=(Certificate.empty(domain),),
-                                funcs=(f,), m=1)
+        MajorityDecomposition(target=f, slots=Slots(((Certificate.empty(domain), f),),
+                                                    (0, 0)))
+    dec = MajorityDecomposition(target=f, slots=Slots(((Certificate.empty(domain), f),),
+                                                      (0,)))
     S = ConceptClass(domain, [f, BooleanFunction.point(domain, 0)])
     with pytest.raises(VerificationDefect):
         dec.validate(S)  # empty certificate does not isolate in a 2-class
@@ -141,16 +141,20 @@ def manual_robust_point_instance(n=2, points=(0, 1, 2)):
     funcs = tuple(BooleanFunction.point(domain, y) for y in points)
     S = ConceptClass(domain, [zero, *funcs])
     certs = tuple(Certificate.of(domain, {y: 1}) for y in points)
-    dec = RobustDecomposition(target=zero, certs=certs, funcs=funcs, m=3)
+    dec = RobustDecomposition(target=zero, slots=Slots(tuple(zip(certs, funcs)), (0, 1, 2)))
     dec.validate(S)
     return S, dec
+
+
+def slot_funcs(dec):
+    return [f for _, f in dec.slots]
 
 
 def test_untrusted_oracle_honest_and_flip():
     S, dec = manual_robust_point_instance()
     for x in S.domain.inputs():
-        assert untrusted_oracle_evaluate(dec, list(dec.funcs), x) == dec.target(x)
-    claims = list(dec.funcs)
+        assert untrusted_oracle_evaluate(dec, slot_funcs(dec), x) == dec.target(x)
+    claims = slot_funcs(dec)
     claims[1] = BooleanFunction.zero(S.domain)  # breaks cert point 1 -> 1
     assert untrusted_oracle_evaluate(dec, claims, 0) == FAIL
 
@@ -166,7 +170,7 @@ def test_untrusted_oracle_exhaustive_adversary():
                 fails += 1
             else:
                 assert out == dec.target(x), "oracle produced the wrong bit"
-        if any(not c.consistent(claim) for c, claim in zip(dec.certs, claims)):
+        if any(not c.consistent(claim) for (c, _), claim in zip(dec.slots, claims)):
             assert untrusted_oracle_evaluate(dec, list(claims), 0) == FAIL
     assert fails > 0  # adversarial tuples do exist
 
@@ -176,19 +180,17 @@ def test_untrusted_oracle_shifted_target():
     S, dec = manual_robust_point_instance()
     h = BooleanFunction.from_values(S.domain, [1, 0, 1, 1])
     shifted_class = ConceptClass(S.domain, [g.xor(h) for g in S])
-    funcs = tuple(f.xor(h) for f in dec.funcs)
-    certs = tuple(c.xor_shifted(h) for c in dec.certs)
-    shifted = RobustDecomposition(target=dec.target.xor(h), certs=certs,
-                                  funcs=funcs, m=3)
+    shifted = RobustDecomposition(target=dec.target.xor(h), slots=dec.slots.map(
+        lambda slot: (slot[0].xor_shifted(h), slot[1].xor(h))))
     shifted.validate(shifted_class)
     for x in S.domain.inputs():
-        assert untrusted_oracle_evaluate(shifted, list(funcs), x) == shifted.target(x)
+        assert untrusted_oracle_evaluate(shifted, slot_funcs(shifted), x) == shifted.target(x)
 
 
 def test_untrusted_oracle_arity_check():
     _, dec = manual_robust_point_instance()
     with pytest.raises(RejectedInputError):
-        untrusted_oracle_evaluate(dec, list(dec.funcs)[:2], 0)
+        untrusted_oracle_evaluate(dec, slot_funcs(dec)[:2], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +201,8 @@ def test_verify_trivial_full_constraints():
     domain = InputDomain(2)
     f = real_fn(domain, [0.2, 0.8, 0.5, 0.1])
     S = PConceptClass(domain, [f, real_fn(domain, [0.9, 0.1, 0.2, 0.6])])
-    dec = RealDecomposition(target=f, funcs=(f,),
-                            points=(frozenset(domain.inputs()),), alpha=0.0,
-                            m=1, eps=0.0)
+    dec = RealDecomposition(target=f, slots=Slots(((f, frozenset(domain.inputs())),), (0,)),
+                            alpha=0.0, eps=0.0)
     assert verify_real_decomposition(S, dec)
 
 
@@ -212,8 +213,8 @@ def test_verify_detects_loose_alpha():
     S = PConceptClass(domain, [f, far])
     # with no constraint points every member is admissible, so the
     # envelope spans both functions and exceeds eps
-    dec = RealDecomposition(target=f, funcs=(f,), points=(frozenset(),),
-                            alpha=1.0, m=1, eps=0.1)
+    dec = RealDecomposition(target=f, slots=Slots(((f, frozenset()),), (0,)),
+                            alpha=1.0, eps=0.1)
     assert not verify_real_decomposition(S, dec)
 
 
@@ -221,9 +222,8 @@ def test_verify_inflated_alpha_on_random_class():
     S = random_pconcept_class(3, 25, substream(41, 0))
     dec = real_majority_certificates(S, S[0], eps=0.25, seed=11)
     assert verify_real_decomposition(S, dec)
-    loose = RealDecomposition(target=dec.target, funcs=dec.funcs,
-                              points=dec.points, alpha=dec.alpha * 100.0 + 0.3,
-                              m=dec.m, eps=dec.eps)
+    loose = RealDecomposition(target=dec.target, slots=dec.slots,
+                              alpha=dec.alpha * 100.0 + 0.3, eps=dec.eps)
     assert not verify_real_decomposition(S, loose)
 
 
@@ -233,21 +233,25 @@ def test_verify_extremal_bound_dominates_sampled_adversaries():
     dec = real_majority_certificates(S, S[0], eps=0.3, seed=17)
     V = S.value_matrix()
     admissible = []
-    for f_i, X_i in zip(dec.funcs, dec.points):
-        xs = sorted(X_i)
+    for f_j, X_j in dec.slots.distinct:
+        xs = sorted(X_j)
         if xs:
-            mask = np.max(np.abs(V[:, xs] - f_i.table[xs][None, :]), axis=1) <= dec.alpha
+            mask = np.max(np.abs(V[:, xs] - f_j.table[xs][None, :]), axis=1) <= dec.alpha
         else:
             mask = np.ones(len(S), dtype=bool)
         admissible.append(np.nonzero(mask)[0])
-    lo = np.mean([V[idx].min(axis=0) for idx in admissible], axis=0)
-    hi = np.mean([V[idx].max(axis=0) for idx in admissible], axis=0)
+    counts = dec.slots.counts()
+    lo = counts @ np.array([V[idx].min(axis=0) for idx in admissible]) / dec.m
+    hi = counts @ np.array([V[idx].max(axis=0) for idx in admissible]) / dec.m
     envelope = np.maximum(np.abs(dec.target.table - hi),
                           np.abs(dec.target.table - lo))
-    for _ in range(10_000):
-        picks = [idx[rng.integers(len(idx))] for idx in admissible]
-        avg = V[picks].mean(axis=0)
-        assert np.all(np.abs(dec.target.table - avg) <= envelope + 1e-12)
+    adversaries = 10_000
+    total = np.zeros((adversaries, S.domain.size))
+    for j in dec.slots.refs:
+        idx = admissible[j]
+        total += V[idx[rng.integers(len(idx), size=adversaries)]]
+    avg = total / dec.m
+    assert np.all(np.abs(dec.target.table - avg) <= envelope + 1e-12)
 
 
 def test_verify_fails_on_empty_slot():
@@ -256,8 +260,8 @@ def test_verify_fails_on_empty_slot():
     g = real_fn(domain, [1.0, 1.0])
     S = PConceptClass(domain, [f, g])
     ghost = real_fn(domain, [0.5, 0.5])
-    dec = RealDecomposition(target=f, funcs=(ghost,), points=(frozenset({0}),),
-                            alpha=0.01, m=1, eps=1.0)
+    dec = RealDecomposition(target=f, slots=Slots(((ghost, frozenset({0})),), (0,)),
+                            alpha=0.01, eps=1.0)
     assert not verify_real_decomposition(S, dec)
 
 

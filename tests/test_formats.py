@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from majcert.concepts import (BooleanFunction, Certificate, InputDomain,
-                              PConceptClass, RealFunction)
+                              PConceptClass, RealFunction, Slots)
 from majcert.decompose import majority_certificates
 from majcert.errors import RejectedInputError
 from majcert.formats import (boolean_decomposition_from_json,
@@ -15,13 +15,11 @@ from majcert.formats import (boolean_decomposition_from_json,
                              boolean_to_hex, canonical_json,
                              certificate_from_json, certificate_to_json,
                              circuit_from_text, circuit_to_text, format_float,
-                             l1_winnow_trace_lines, read_circuit,
-                             read_real_tables, read_truth_tables,
+                             l1_winnow_trace_lines,
                              real_decomposition_from_json,
                              real_decomposition_to_json,
                              safe_winnow_trace_lines, state_from_json,
-                             state_to_json, write_circuit, write_real_tables,
-                             write_truth_tables)
+                             state_to_json)
 from majcert.generators import point_function_class, random_pconcept_class
 from majcert.qsim import Circuit, Gate, random_mixed_state
 from majcert.rng import substream
@@ -38,42 +36,14 @@ def test_boolean_hex_is_msb_first():
     assert boolean_to_hex(g) == "1"
 
 
-def test_truth_table_roundtrip(tmp_path):
-    S = point_function_class(3)
-    path = tmp_path / "tables.txt"
-    write_truth_tables(path, S)
-    text = path.read_text()
-    assert text.startswith("n=3\n")
-    back = read_truth_tables(path)
-    assert back == S
-
-
-def test_truth_table_header_required(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("deadbeef\n")
-    with pytest.raises(RejectedInputError):
-        read_truth_tables(path)
-
-
-def test_real_table_roundtrip(tmp_path):
-    S = random_pconcept_class(3, 5, substream(1, 0))
-    path = tmp_path / "tables.csv"
-    write_real_tables(path, S)
-    back = read_real_tables(path, S.domain)
-    assert back == S  # repr round-trip keeps tables bit-exact
-
-
-def test_circuit_roundtrip(tmp_path):
+def test_circuit_roundtrip():
     circuit = Circuit(qubits=3,
                       gates=(Gate("H", 0), Gate("CNOT", 2, control=0),
                              Gate("X", 1, when_bit=3),
                              Gate("CNOT", 0, control=1, when_bit=0)),
                       accept_qubit=2)
-    path = tmp_path / "circuit.txt"
-    write_circuit(path, circuit)
-    back = read_circuit(path)
-    assert back == circuit
     text = circuit_to_text(circuit)
+    assert circuit_from_text(text) == circuit
     assert text.splitlines()[0] == "qubits=3 accept=2"
 
 
@@ -147,12 +117,31 @@ def test_boolean_decomposition_roundtrip():
 def test_real_decomposition_roundtrip():
     from majcert.decompose import RealDecomposition, verify_real_decomposition
     S = random_pconcept_class(2, 6, substream(5, 0))
-    dec = RealDecomposition(target=S[0], funcs=(S[0],),
-                            points=(frozenset({0, 2}),), alpha=0.01, m=1, eps=0.5)
+    dec = RealDecomposition(target=S[0], slots=Slots(((S[0], frozenset({0, 2})),), (0,)),
+                            alpha=0.01, eps=0.5)
     data = real_decomposition_to_json(dec, S, 7)
     S2, dec2 = real_decomposition_from_json(json.loads(json.dumps(data)))
     assert S2 == S
     assert verify_real_decomposition(S2, dec2) == verify_real_decomposition(S, dec)
+
+
+def test_real_decomposition_indices_refer_to_the_stored_tables():
+    from majcert.decompose import RealDecomposition
+    S = random_pconcept_class(2, 3, substream(5, 0))
+    dec = RealDecomposition(target=S[2], slots=Slots(((S[2], frozenset({1})),), (0,)),
+                            alpha=0.01, eps=1.0)
+    data = json.loads(json.dumps(real_decomposition_to_json(dec, S, 7)))
+    # a repeated table, as 12-digit rounding can make, is one class member
+    # but keeps its own index
+    data["class_tables"].insert(0, data["class_tables"][0])
+    data["target"], data["funcs"] = 3, [3]
+    S2, dec2 = real_decomposition_from_json(data)
+    assert len(S2) == 3
+    assert dec2.target.key() == S[2].key() and dec2.slots.distinct[0][0].key() == S[2].key()
+    for bad in (-1, 4):
+        data["funcs"] = [bad]
+        with pytest.raises(RejectedInputError):
+            real_decomposition_from_json(data)
 
 
 def test_state_json_roundtrip():

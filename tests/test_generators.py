@@ -65,20 +65,3 @@ def test_generation_is_deterministic():
     assert [f.bits for f in a] == [f.bits for f in b]
     c = random_boolean_class(3, 6, substream(10, 30))
     assert [f.bits for f in a] != [f.bits for f in c]
-
-
-def test_slot_certificate_bridge():
-    import numpy as np
-    from majcert.concepts import InputDomain, RealFunction
-    from majcert.decompose import RealDecomposition
-    domain = InputDomain(2)
-    f = RealFunction(domain, np.array([0.2, 0.4, 0.6, 0.8]))
-    dec = RealDecomposition(target=f, funcs=(f,), points=(frozenset({1, 3}),),
-                            alpha=0.05, m=1, eps=0.5)
-    cert = dec.slot_certificate(0)
-    assert cert.points == frozenset({1, 3})
-    assert cert.satisfied_by(f)
-    g = RealFunction(domain, np.array([0.9, 0.44, 0.1, 0.83]))
-    assert cert.satisfied_by(g)  # within 0.05 on both constrained points
-    h = RealFunction(domain, np.array([0.9, 0.9, 0.1, 0.83]))
-    assert not cert.satisfied_by(h)

@@ -101,8 +101,8 @@ def test_compile_trivial_language():
     P = compile_advice(circuit, rho, language, eps=0.1,
                        state_sample=[DensityMatrix.computational(1, 0)], seed=0)
     assert P.m == 1
-    assert verifier_accepts(P, list(P.honest_advice))
-    assert machine_b_error(P, list(P.honest_advice)) == pytest.approx(0.0, abs=1e-9)
+    assert verifier_accepts(P, P.honest_registers())
+    assert machine_b_error(P, P.honest_registers()) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_compile_rejects_premise_violation():
@@ -114,22 +114,22 @@ def test_compile_rejects_premise_violation():
 
 def test_compiled_rationals_within_alpha():
     P = compiled_protocol()
-    for i in range(P.m):
-        f_i = induced_function(P.circuit, P.domain, P.honest_advice[i])
-        for z, r in P.targets[i]:
+    for state, targets in P.slots.distinct:
+        f_i = induced_function(P.circuit, P.domain, state)
+        for z, r in targets:
             assert abs(float(r) - f_i(z)) <= P.alpha
 
 
 def test_honest_completeness():
     P = compiled_protocol()
-    honest = list(P.honest_advice)
+    honest = P.honest_registers()
     assert verifier_A(P, honest) <= P.alpha
     assert machine_b_error(P, honest) <= 0.3
 
 
 def test_machine_b_identical_registers_linearity():
     P = compiled_protocol()
-    reg = P.honest_advice[0]
+    reg = P.honest_registers()[0]
     M = measurement_operator(P.circuit, 1, 1)
     single = float(np.real(np.trace(reg.entries @ M)))
     assert machine_B(P, [reg] * P.m, 1) == pytest.approx(single, abs=1e-12)
@@ -138,6 +138,7 @@ def test_machine_b_identical_registers_linearity():
 def tiny_two_register_protocol():
     """Hand-built m = 2 protocol over a 1-qubit readout circuit, for
     entangled-input checks that need a joint state within the budget."""
+    from majcert.concepts import Slots
     from majcert.decompose import RealDecomposition
     from majcert.protocol import AdviceProtocol, dyadic_approximation
     circuit = Circuit(qubits=1, gates=(), accept_qubit=0)
@@ -147,15 +148,15 @@ def tiny_two_register_protocol():
     f_up = induced_function(circuit, domain, up)
     cls = induced_pconcept(circuit, domain, [up, DensityMatrix.computational(1, 0)])
     alpha = 0.01
-    dec = RealDecomposition(target=f_up, funcs=(f_up, f_up),
-                            points=(frozenset({0}), frozenset({1})),
-                            alpha=6 * alpha, m=2, eps=0.3)
-    targets = tuple(tuple((z, dyadic_approximation(f_up(z), alpha))
-                          for z in sorted(X)) for X in dec.points)
-    return AdviceProtocol(circuit=circuit, domain=domain, advice_qubits=1,
-                          points=dec.points, targets=targets, alpha=alpha,
-                          honest_advice=(up, up), language=language,
-                          decomposition=dec, compiled_class=cls)
+    dec = RealDecomposition(target=f_up,
+                            slots=Slots(((f_up, frozenset({0})), (f_up, frozenset({1}))),
+                                        (0, 1)),
+                            alpha=6 * alpha, eps=0.3)
+    slots = dec.slots.map(lambda slot: (up, tuple((z, dyadic_approximation(f_up(z), alpha))
+                                                  for z in sorted(slot[1]))))
+    return AdviceProtocol(circuit=circuit, domain=domain, advice_qubits=1, slots=slots,
+                          alpha=alpha, language=language, decomposition=dec,
+                          compiled_class=cls)
 
 
 def test_machines_depend_only_on_reduced_states():
@@ -189,7 +190,7 @@ def test_compile_with_work_qubit_circuit():
     sample = bloch_extremal_states(circuit, domain, f_star)
     sample += [random_mixed_state(1, substream(77, i)) for i in range(30)]
     P = compile_advice(circuit, rho, language, eps=0.2, state_sample=sample, seed=5)
-    honest = list(P.honest_advice)
+    honest = P.honest_registers()
     assert verifier_A(P, honest) <= P.alpha
     assert machine_b_error(P, honest) <= 0.2 + 0.1  # eps plus language margin
     assert conditional_soundness_bound(P) <= 0.2 + 0.1
@@ -208,8 +209,8 @@ def test_verifier_on_maximally_mixed_registers():
     deviation = verifier_A(P, mixed)
     # exact by hand: Tr[mixed M_z] = Tr[M_z]/2
     expected = 0.0
-    for i in range(P.m):
-        for z, r in P.targets[i]:
+    for _, targets in P.slots:
+        for z, r in targets:
             M = measurement_operator(P.circuit, z, 1)
             expected = max(expected, abs(float(np.real(np.trace(M))) / 2 - float(r)))
     assert deviation == pytest.approx(expected, abs=1e-12)
@@ -220,7 +221,7 @@ def test_verifier_on_maximally_mixed_registers():
 def test_register_shape_mismatch_rejected():
     P = compiled_protocol()
     with pytest.raises(RejectedInputError):
-        machine_B(P, [P.honest_advice[0]] * (P.m - 1), 0)
+        machine_B(P, P.honest_registers()[1:], 0)
     with pytest.raises(RejectedInputError):
         verifier_A(P, DensityMatrix.maximally_mixed(2))
 

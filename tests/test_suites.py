@@ -90,6 +90,14 @@ def repeated_slot_point(report):
     return 0
 
 
+def inflate_measures(report):
+    measures = report["records"][0]["measures"]
+    for key, value in measures.items():
+        if not isinstance(value, bool):
+            measures[key] = 7 * value + 3
+    return 0
+
+
 def flip_untrusted_claim(report):
     report["records"][0]["outputs"]["untrusted_flip_fails"] = False
     return 0
@@ -113,6 +121,17 @@ def honest_attack_registers(report):
     return 3
 
 
+def protocol_m_mismatch(report):
+    report["records"][0]["outputs"]["protocol"]["m"] = 5
+    return None  # the protocol is undecodable, so every record fails
+
+
+def empty_slot_points(report):
+    protocol = report["records"][0]["outputs"]["protocol"]
+    protocol["points"] = [[] for _ in protocol["points"]]
+    return None
+
+
 def certain_amplification(report):
     for entry in report["records"][4]["outputs"]["amplification"]:
         entry["acceptance"] = 1.0
@@ -131,7 +150,12 @@ def increasing_dims(report):
     ("realmajcert", flatten_slot_values),
     ("realmajcert", extra_slot_value),
     ("realmajcert", repeated_slot_point),
+    ("majcert", inflate_measures),
+    ("realmajcert", inflate_measures),
+    ("quantum-protocol", inflate_measures),
     ("majcert-robust", flip_untrusted_claim),
+    ("quantum-protocol", protocol_m_mismatch),
+    ("quantum-protocol", empty_slot_points),
     ("quantum-protocol", zero_soundness_bound),
     ("quantum-protocol", zero_attack_error),
     ("quantum-protocol", honest_attack_registers),
@@ -143,8 +167,58 @@ def test_verify_rejects_tampered_record(name, tamper):
     assert all(ok for _, ok in verify_report(report))
     bad = copy.deepcopy(report)
     index = tamper(bad)
-    assert dict(verify_report(bad)) == {r["index"]: r["index"] != index
+    assert dict(verify_report(bad)) == {r["index"]: index is not None and r["index"] != index
                                         for r in report["records"]}
+
+
+def later_copy(rows):
+    """The last position whose slot also occurs at an earlier position."""
+    seen, last = set(), None
+    for j, row in enumerate(rows):
+        key = json.dumps(row, sort_keys=True)
+        last = j if key in seen else last
+        seen.add(key)
+    assert last is not None
+    return last
+
+
+def contradicting_bit_on_a_copy(report):
+    dec = report["records"][0]["outputs"]["decomposition"]
+    j = later_copy(list(zip(dec["certs"], dec["funcs"])))
+    cert, size = copy.deepcopy(dec["certs"][j]), 1 << dec["n"]
+    x = min(set(range(size)) - {int(p, 16) for p in cert["points"]})
+    value = (int(dec["funcs"][j], 16) >> (size - 1 - x)) & 1  # MSB-first table
+    cert["points"].append(hex(x))
+    cert["bits"].append(1 - value)
+    dec["certs"][j] = cert
+    return 0
+
+
+def other_function_on_a_copy(report):
+    dec = report["records"][0]["outputs"]["decomposition"]
+    j = later_copy(list(zip(dec["funcs"], dec["certs"])))
+    dec["funcs"][j] = (dec["funcs"][j] + 1) % len(dec["class_tables"])
+    return 0
+
+
+def other_target_on_a_copy(report):
+    protocol = report["records"][0]["outputs"]["protocol"]
+    j = later_copy(list(zip(protocol["advice_refs"], protocol["targets"])))
+    slot = copy.deepcopy(protocol["targets"][j])
+    slot[0][1] = "0/1" if slot[0][1] != "0/1" else "1/1"
+    protocol["targets"][j] = slot
+    return 0
+
+
+@pytest.mark.parametrize("name, tamper", [
+    ("majcert", contradicting_bit_on_a_copy),
+    ("realmajcert", other_function_on_a_copy),
+    ("quantum-protocol", other_target_on_a_copy),
+])
+def test_verify_rejects_tampered_copy_of_a_repeated_slot(name, tamper):
+    bad = copy.deepcopy(parsed(name))
+    index = tamper(bad)
+    assert not dict(verify_report(bad))[index]
 
 
 def test_verify_counts_a_raising_check_as_failed():
