@@ -40,13 +40,25 @@ from .rng import substream
 from .winnow import fat_shattering_dim
 
 
+def _induced_functions(circuit: Circuit, domain: InputDomain,
+                       states: Sequence[DensityMatrix]) -> list:
+    """f_rho(x) = Tr(rho M_x), clipped to [0, 1], for every state; each
+    operator M_x is built once per call and read by every state."""
+    ops: dict = {}
+    out = []
+    for s in states:
+        if s.qubits not in ops:
+            ops[s.qubits] = [measurement_operator(circuit, x, s.qubits)
+                             for x in domain.inputs()]
+        table = np.array([float(np.real(np.trace(s.entries @ M))) for M in ops[s.qubits]])
+        out.append(RealFunction(domain, np.clip(table, 0.0, 1.0)))
+    return out
+
+
 def induced_function(circuit: Circuit, domain: InputDomain,
                      state: DensityMatrix) -> RealFunction:
-    table = np.empty(domain.size)
-    for x in domain.inputs():
-        M = measurement_operator(circuit, x, state.qubits)
-        table[x] = float(np.real(np.trace(state.entries @ M)))
-    return RealFunction(domain, np.clip(table, 0.0, 1.0))
+    [f] = _induced_functions(circuit, domain, [state])
+    return f
 
 
 def induced_with_states(circuit: Circuit, domain: InputDomain,
@@ -56,8 +68,7 @@ def induced_with_states(circuit: Circuit, domain: InputDomain,
     members = []
     kept_states = []
     seen = set()
-    for s in states:
-        f = induced_function(circuit, domain, s)
+    for s, f in zip(states, _induced_functions(circuit, domain, states)):
         k = f.key()
         if k not in seen:
             seen.add(k)
@@ -103,8 +114,9 @@ class AdviceProtocol:
         return [state for state, _ in self.slots]
 
     def validate(self) -> None:
-        for j, (state, targets) in enumerate(self.slots.distinct):
-            f_j = induced_function(self.circuit, self.domain, state)
+        funcs = _induced_functions(self.circuit, self.domain,
+                                   [state for state, _ in self.slots.distinct])
+        for j, ((_, targets), f_j) in enumerate(zip(self.slots.distinct, funcs)):
             for z, r in targets:
                 if abs(float(r) - f_j(z)) > self.alpha + 1e-12:
                     raise VerificationDefect(
@@ -205,7 +217,7 @@ def compile_advice(circuit: Circuit, rho_n: DensityMatrix, language: BooleanFunc
     """
     domain = language.domain
     S, states = induced_with_states(circuit, domain, [rho_n, *state_sample])
-    f_star = induced_function(circuit, domain, rho_n)
+    f_star = S.members[0]  # the first state is never a duplicate
     for z in domain.inputs():
         if abs(f_star(z) - language(z)) > 0.2:
             raise RejectedInputError(
@@ -306,6 +318,32 @@ class AdversarySearchResult:
     registers: Optional[Slots]  # best feasible registers, one per distinct slot
 
 
+#: restarts that ``adversary_search`` walks in lockstep; bounds its
+#: memory at _CHUNK x blocks x 4^p parameters per array
+_CHUNK = 64
+
+
+def _purified_values(params: np.ndarray, op_stack: np.ndarray) -> np.ndarray:
+    """Tr(rho M_x) for every x and every row of purification parameters,
+    read without building rho: with V the purification reshaped to
+    2^p x 2^p (rows on the advice register), rho = V V^dag / ||V||^2, so
+    the value is Re tr(V^dag M_x V) / ||V||^2.  A row of norm below
+    1e-12 reads as |0>, as in ``params_to_state``.  Agrees with
+    ``Tr(params_to_state(row).entries @ M_x)`` up to float rounding."""
+    side = op_stack.shape[-1]
+    half = params.shape[-1] // 2
+    V = (params[..., :half] + 1j * params[..., half:]).reshape(*params.shape[:-1], side, side)
+    norm2 = np.sum(params * params, axis=-1)
+    null = np.sqrt(norm2) < 1e-12
+    if np.any(null):
+        V[null] = 0.0
+        V[null, 0, 0] = 1.0
+        norm2 = np.where(null, 1.0, norm2)
+    V = V[..., None, :, :]
+    quad = np.sum(V.conj() * (op_stack @ V), axis=(-2, -1)).real
+    return quad / norm2[..., None]
+
+
 def adversary_search(P: AdviceProtocol, budget: int = 1000, seed: int = 0,
                      steps_per_restart: int = 40) -> AdversarySearchResult:
     """Best-effort search for advice passing machine A yet misleading
@@ -316,75 +354,92 @@ def adversary_search(P: AdviceProtocol, budget: int = 1000, seed: int = 0,
     through reduced states, and slots with identical constraints admit a
     common optimal register (the objective is linear in each register),
     so the search walks one parameter block per distinct slot.
-    Deterministic given the seed.  Finding nothing is a report, not a
-    proof.
-    """
-    ops = {x: measurement_operator(P.circuit, x, P.advice_qubits)
-           for x in P.domain.inputs()}
-    lang = np.array([float(P.language(x)) for x in P.domain.inputs()])
 
+    Restart r draws from its own substream (seed, 20, r): the initial
+    blocks (r > 0; restart 0 starts from the honest advice), then per
+    step the block to move and its Gaussian step.  Restarts run in
+    lockstep, _CHUNK at a time: each step scores the whole chunk's
+    candidates at once from the purification parameters, re-reading
+    only the moved block, and each restart keeps a candidate that
+    strictly raises its score.  After a chunk its restarts are scanned
+    in order for the best feasible error, and the search stops after
+    the first restart that errs above 1/3.  Candidates are never built
+    as states: the winning parameters go through ``params_to_state``
+    once per block, and the reported error and deviation are re-read
+    exactly from those states.  Deterministic given the seed.  Finding
+    nothing is a report, not a proof.
+    """
+    op_stack = np.stack([measurement_operator(P.circuit, x, P.advice_qubits)
+                         for x in P.domain.inputs()])
+    lang = np.array([float(P.language(x)) for x in P.domain.inputs()])
     blocks = P.slots.distinct
     weights = P.slots.counts() / P.m
-
-    op_stack = np.stack([ops[x] for x in P.domain.inputs()])
-
-    def block_values(state: DensityMatrix) -> np.ndarray:
-        return np.real(np.einsum("xab,ba->x", op_stack, state.entries))
-
-    def evaluate(states: list) -> tuple:
-        vals = np.stack([block_values(s) for s in states])
-        b_vec = weights @ vals
-        err = float(np.max(np.abs(b_vec - lang)))
-        dev = 0.0
-        for (_, targets), v in zip(blocks, vals):
-            for z, r in targets:
-                dev = max(dev, abs(float(v[z]) - float(r)))
-        return err, dev
+    targeted = np.zeros((len(blocks), P.domain.size), dtype=bool)
+    target = np.zeros((len(blocks), P.domain.size))
+    for b, (_, targets) in enumerate(blocks):
+        for z, r in targets:
+            targeted[b, z] = True
+            target[b, z] = float(r)
 
     threshold = 5.0 * P.alpha
     penalty_weight = 10.0
     dim = 2 * (1 << (2 * P.advice_qubits))
 
+    def scores(vals: np.ndarray) -> tuple:
+        """(error, deviation, score) from per-block values (..., blocks, x)."""
+        err = np.max(np.abs(weights @ vals - lang), axis=-1)
+        dev = np.max(np.where(targeted, np.abs(vals - target), 0.0), axis=(-2, -1))
+        return err, dev, err - penalty_weight * np.maximum(0.0, dev - threshold)
+
+    honest = np.stack([state_to_params(state) for state, _ in blocks])
     best_error = -1.0
-    best_dev = 0.0
-    best_states: Optional[list] = None
+    best_params: Optional[np.ndarray] = None
+    for start in range(0, budget, _CHUNK):
+        restarts = range(start, min(budget, start + _CHUNK))
+        rngs = [substream(seed, 20, r) for r in restarts]
+        params = np.stack([honest if r == 0 else
+                           np.stack([rng.normal(size=dim) for _ in blocks])
+                           for r, rng in zip(restarts, rngs)])
+        vals = _purified_values(params, op_stack)
+        err, dev, score = scores(vals)
 
-    for restart in range(budget):
-        rng = substream(seed, 20, restart)
-        if restart == 0:
-            params = [state_to_params(honest) for honest, _ in blocks]
-        else:
-            params = [rng.normal(size=dim) for _ in blocks]
-        states = [params_to_state(p, P.advice_qubits) for p in params]
-        err, dev = evaluate(states)
-        score = err - penalty_weight * max(0.0, dev - threshold)
-
+        rows = np.arange(len(rngs))
+        moved = np.empty(len(rngs), dtype=np.intp)
+        steps = np.empty((len(rngs), dim))
         scale = 0.5
-        for step in range(steps_per_restart):
-            g = int(rng.integers(len(blocks)))
-            proposal = params[g] + rng.normal(scale=scale, size=dim)
-            cand_states = list(states)
-            cand_states[g] = params_to_state(proposal, P.advice_qubits)
-            cand_err, cand_dev = evaluate(cand_states)
-            cand_score = cand_err - penalty_weight * max(0.0, cand_dev - threshold)
-            if cand_score > score:
-                params[g] = proposal
-                states = cand_states
-                err, dev, score = cand_err, cand_dev, cand_score
+        for _ in range(steps_per_restart):
+            for i, rng in enumerate(rngs):
+                moved[i] = rng.integers(len(blocks))
+                steps[i] = rng.normal(scale=scale, size=dim)
+            proposal = params[rows, moved] + steps
+            cand_vals = vals.copy()
+            cand_vals[rows, moved] = _purified_values(proposal, op_stack)
+            cand_err, cand_dev, cand_score = scores(cand_vals)
+            take = cand_score > score
+            params[rows[take], moved[take]] = proposal[take]
+            vals[take] = cand_vals[take]
+            err = np.where(take, cand_err, err)
+            dev = np.where(take, cand_dev, dev)
+            score = np.where(take, cand_score, score)
             scale = max(0.05, scale * 0.93)
 
-        if dev <= threshold and err > best_error:
-            best_error = err
-            best_dev = dev
-            best_states = states
-            if best_error > 1.0 / 3.0:
-                break
+        for i in rows:
+            if dev[i] <= threshold and err[i] > best_error:
+                best_error, best_params = float(err[i]), params[i]
+                if best_error > 1.0 / 3.0:
+                    break
+        if best_error > 1.0 / 3.0:
+            break
 
-    registers = None if best_states is None else Slots(best_states, P.slots.refs)
-    return AdversarySearchResult(best_error=max(best_error, 0.0),
-                                 best_deviation=best_dev,
-                                 violation_found=best_error > 1.0 / 3.0,
-                                 registers=registers)
+    if best_params is None:
+        return AdversarySearchResult(best_error=0.0, best_deviation=0.0,
+                                     violation_found=False, registers=None)
+    states = [params_to_state(p, P.advice_qubits) for p in best_params]
+    vals = np.stack([np.real(np.einsum("xab,ba->x", op_stack, s.entries)) for s in states])
+    err, dev, _ = scores(vals)
+    return AdversarySearchResult(best_error=float(err), best_deviation=float(dev),
+                                 violation_found=float(err) > 1.0 / 3.0,
+                                 registers=Slots(states, P.slots.refs))
 
 
 def conditional_soundness_bound(P: AdviceProtocol) -> float:

@@ -1,6 +1,7 @@
 """Compiled advice protocols: induced classes, machines A and B,
 amplification arithmetic, adversary probing."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from majcert.concepts import BooleanFunction, InputDomain
+from majcert.concepts import BooleanFunction, InputDomain, Slots
 from majcert.decompose import verify_real_decomposition
 from majcert.errors import RejectedInputError
-from majcert.protocol import (adversary_search, bloch_affine_map,
+from majcert.protocol import (_CHUNK, AdversarySearchResult, _purified_values,
+                              adversary_search, bloch_affine_map,
                               bloch_extremal_states, compile_advice,
                               conditional_soundness_bound,
                               fat_dim_quantum_check, induced_function,
@@ -19,7 +21,7 @@ from majcert.protocol import (adversary_search, bloch_affine_map,
                               qma_plus_amplify, verifier_A, verifier_accepts,
                               with_inflated_alpha)
 from majcert.qsim import (Circuit, DensityMatrix, Gate, measurement_operator,
-                          random_mixed_state)
+                          params_to_state, random_mixed_state, state_to_params)
 from majcert.rng import substream
 
 
@@ -340,6 +342,117 @@ def test_adversary_deterministic_given_seed():
     b = adversary_search(P, budget=10, seed=4)
     assert a.best_error == b.best_error
     assert a.best_deviation == b.best_deviation
+
+
+def sequential_search(P, budget, seed, steps_per_restart=40):
+    """The search one restart at a time, every candidate built as a
+    validated state and read by its density-matrix trace: the reference
+    that ``adversary_search`` must reproduce exactly."""
+    op_stack = np.stack([measurement_operator(P.circuit, x, P.advice_qubits)
+                         for x in P.domain.inputs()])
+    lang = np.array([float(P.language(x)) for x in P.domain.inputs()])
+    blocks = P.slots.distinct
+    weights = P.slots.counts() / P.m
+
+    def evaluate(states):
+        vals = np.stack([np.real(np.einsum("xab,ba->x", op_stack, s.entries))
+                         for s in states])
+        err = float(np.max(np.abs(weights @ vals - lang)))
+        dev = 0.0
+        for (_, targets), v in zip(blocks, vals):
+            for z, r in targets:
+                dev = max(dev, abs(float(v[z]) - float(r)))
+        return err, dev
+
+    threshold = 5.0 * P.alpha
+    dim = 2 * (1 << (2 * P.advice_qubits))
+    best_error, best_dev, best_states = -1.0, 0.0, None
+    for restart in range(budget):
+        rng = substream(seed, 20, restart)
+        if restart == 0:
+            params = [state_to_params(honest) for honest, _ in blocks]
+        else:
+            params = [rng.normal(size=dim) for _ in blocks]
+        states = [params_to_state(p, P.advice_qubits) for p in params]
+        err, dev = evaluate(states)
+        score = err - 10.0 * max(0.0, dev - threshold)
+        scale = 0.5
+        for _ in range(steps_per_restart):
+            g = int(rng.integers(len(blocks)))
+            proposal = params[g] + rng.normal(scale=scale, size=dim)
+            cand_states = list(states)
+            cand_states[g] = params_to_state(proposal, P.advice_qubits)
+            cand_err, cand_dev = evaluate(cand_states)
+            cand_score = cand_err - 10.0 * max(0.0, cand_dev - threshold)
+            if cand_score > score:
+                params[g] = proposal
+                states = cand_states
+                err, dev, score = cand_err, cand_dev, cand_score
+            scale = max(0.05, scale * 0.93)
+        if dev <= threshold and err > best_error:
+            best_error, best_dev, best_states = err, dev, states
+            if best_error > 1.0 / 3.0:
+                break
+    registers = None if best_states is None else Slots(best_states, P.slots.refs)
+    return AdversarySearchResult(max(best_error, 0.0), best_dev, best_error > 1.0 / 3.0,
+                                 registers)
+
+
+@functools.lru_cache(maxsize=None)
+def search_protocol(name):
+    if name == "two-block":
+        return tiny_two_register_protocol()
+    P = compiled_protocol()
+    return P if name == "one-block" else with_inflated_alpha(P, 0.45 / (5.0 * P.alpha))
+
+
+@pytest.mark.parametrize("name, budget, seed", [
+    ("one-block", 1, 0),
+    ("one-block", _CHUNK - 1, 0),
+    ("one-block", _CHUNK, 3),
+    ("one-block", 2 * _CHUNK + 5, 4),
+    ("two-block", 5, 1),
+    ("two-block", _CHUNK, 2),
+    ("two-block", _CHUNK + 7, 6),
+    ("inflated", _CHUNK + 10, 2),
+    ("inflated", 3, 5),
+])
+def test_adversary_search_equals_sequential_reference(name, budget, seed):
+    P = search_protocol(name)
+    assert len(P.slots.distinct) == (2 if name == "two-block" else 1)
+    got, want = adversary_search(P, budget, seed), sequential_search(P, budget, seed)
+    assert got.best_error == want.best_error
+    assert got.best_deviation == want.best_deviation
+    assert got.violation_found == want.violation_found
+    assert got.violation_found == (name == "inflated")
+    assert list(got.registers.refs) == list(want.registers.refs)
+    assert all(np.array_equal(a.entries, b.entries)
+               for a, b in zip(got.registers.distinct, want.registers.distinct, strict=True))
+
+
+def two_qubit_advice_circuit():
+    return Circuit(qubits=3,
+                   gates=(Gate("H", 0, when_bit=0), Gate("CNOT", 1, control=0),
+                          Gate("T", 1), Gate("H", 1, when_bit=1),
+                          Gate("CNOT", 2, control=1), Gate("X", 2, when_bit=1)),
+                   accept_qubit=2)
+
+
+@given(st.integers(0, 10_000), st.sampled_from([1, 2]), st.floats(1e-3, 1e3))
+def test_purified_values_equal_density_matrix_trace(salt, p, scale):
+    circuit = (two_qubit_advice_circuit() if p == 2
+               else Circuit(qubits=1, gates=(Gate("H", 0, when_bit=0), Gate("X", 0, when_bit=1)),
+                            accept_qubit=0))
+    domain = InputDomain(2)
+    op_stack = np.stack([measurement_operator(circuit, x, p) for x in domain.inputs()])
+    rng = substream(salt, 52)
+    rows = np.concatenate([scale * rng.normal(size=(3, 2 << (2 * p))),
+                           np.zeros((1, 2 << (2 * p)))])
+    got = _purified_values(rows, op_stack)
+    for row, values in zip(rows, got):
+        rho = params_to_state(row, p)
+        want = [float(np.real(np.trace(rho.entries @ M))) for M in op_stack]
+        assert values == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -90,12 +90,17 @@ def repeated_slot_point(report):
     return 0
 
 
-def inflate_measures(report):
-    measures = report["records"][0]["measures"]
+def times_7_plus_3(value):
+    if isinstance(value, list):
+        return [times_7_plus_3(v) for v in value]
+    return value if isinstance(value, bool) else 7 * value + 3
+
+
+def inflate_measures(report, index=0):
+    measures = report["records"][index]["measures"]
     for key, value in measures.items():
-        if not isinstance(value, bool):
-            measures[key] = 7 * value + 3
-    return 0
+        measures[key] = times_7_plus_3(value)
+    return index
 
 
 def flip_untrusted_claim(report):
@@ -132,6 +137,16 @@ def empty_slot_points(report):
     return None
 
 
+def one_restart(report):
+    report["records"][2]["outputs"]["restarts"] = 1
+    return 2
+
+
+def infeasible_search_deviation(report):
+    report["records"][2]["outputs"]["best_deviation"] = 0.9
+    return 2
+
+
 def certain_amplification(report):
     for entry in report["records"][4]["outputs"]["amplification"]:
         entry["acceptance"] = 1.0
@@ -161,6 +176,11 @@ def increasing_dims(report):
     ("quantum-protocol", honest_attack_registers),
     ("quantum-protocol", certain_amplification),
     ("quantum-protocol", increasing_dims),
+    *[pytest.param("quantum-protocol", functools.partial(inflate_measures, index=index),
+                   id=f"quantum-protocol-inflate_measures-record-{index}")
+      for index in range(1, 6)],
+    ("quantum-protocol", one_restart),
+    ("quantum-protocol", infeasible_search_deviation),
 ])
 def test_verify_rejects_tampered_record(name, tamper):
     report = parsed(name)
