@@ -5,10 +5,9 @@ shattering dimensions, and toy compiled quantum-advice verification."""
 __version__ = "0.1.0"
 
 from .concepts import (BooleanFunction, Certificate, ConceptClass,
-                       Distribution, InputDomain, PConceptClass,
-                       RealCertificate, RealFunction, Slots, distance,
-                       distance_expected, is_isolated, pointwise_average,
-                       pointwise_majority, restrict_class, xor_shift)
+                       Distribution, InputDomain, PConceptClass, RealFunction,
+                       Slots, distance, distance_expected, is_isolated,
+                       pointwise_majority, restrict_class, restricted_gaps)
 from .decompose import (FAIL, MajorityDecomposition, RealDecomposition,
                         RobustDecomposition, majority_certificates, occam_check,
                         real_majority_certificates,

@@ -18,7 +18,7 @@ threads; every operation here is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -104,10 +104,6 @@ class BooleanFunction:
     def xor(self, other: "BooleanFunction") -> "BooleanFunction":
         _require_same_domain(self, other)
         return BooleanFunction(self.domain, self.bits ^ other.bits)
-
-    def hamming(self, other: "BooleanFunction") -> int:
-        _require_same_domain(self, other)
-        return (self.bits ^ other.bits).bit_count()
 
     def to_real(self) -> "RealFunction":
         return RealFunction(self.domain, self.values().astype(np.float64))
@@ -216,34 +212,6 @@ class Certificate:
         """The certificate matched by g xor f_star whenever self matches g."""
         _require_same_domain(self, f_star)
         return Certificate(self.domain, self.mask, self.value ^ (f_star.bits & self.mask))
-
-
-@dataclass(frozen=True)
-class RealCertificate:
-    """Constraints |f(x) - target(x)| <= tolerance on a finite point set."""
-
-    domain: InputDomain
-    points: frozenset
-    targets: tuple
-    tolerance: float
-
-    def __post_init__(self):
-        pts = frozenset(int(x) for x in self.points)
-        tmap = dict(self.targets)
-        if set(tmap) != pts:
-            raise RejectedInputError("targets must be defined exactly on the point set")
-        for x, v in tmap.items():
-            self.domain.check_input(x)
-            if not (0.0 <= float(v) <= 1.0):
-                raise RejectedInputError(f"target {v!r} outside [0,1]")
-        if not self.tolerance > 0:
-            raise RejectedInputError("tolerance must be positive")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "targets", tuple(sorted((x, float(v)) for x, v in tmap.items())))
-
-    def satisfied_by(self, f: RealFunction) -> bool:
-        _require_same_domain(self, f)
-        return all(abs(f(x) - v) <= self.tolerance for x, v in self.targets)
 
 
 class _FunctionClass:
@@ -442,8 +410,33 @@ def distance_expected(f: RealFunction, g: RealFunction, D: Distribution) -> floa
     return float(D.weights @ np.abs(f.table - g.table))
 
 
+def restricted_gaps(V: np.ndarray, points, values, metric: str = "inf") -> np.ndarray:
+    """Every row's restricted distance to ``values`` on ``points``.
+
+    ``V`` is a class value matrix, ``points`` a sorted sequence of inputs
+    (None for all of them) and ``values`` one value per point.  Row i
+    holds max_j |V[i, points[j]] - values[j]| for metric "inf" (0 on an
+    empty point set, as for :func:`distance`) and the sum for "one"; the
+    arithmetic is that of ``dist_inf``/``dist_one`` on each row.  One
+    |S| x |points| slab is allocated.
+    """
+    if points is None:
+        diff = V - values
+    else:
+        # a C-ordered copy, so each row sums in the order dist_one sums
+        # its 1-d slice (V[:, points] would be column-major)
+        diff = V.take(points, axis=1)
+        diff -= values
+    np.abs(diff, out=diff)
+    if metric == "inf":
+        return diff.max(axis=1, initial=0.0)
+    if metric == "one":
+        return diff.sum(axis=1)
+    raise RejectedInputError(f"unknown metric {metric!r}")
+
+
 # ---------------------------------------------------------------------------
-# Restriction, isolation, shifting, combination
+# Restriction, isolation, combination
 # ---------------------------------------------------------------------------
 
 def restrict_class(S: ConceptClass, C: Certificate) -> ConceptClass:
@@ -459,15 +452,6 @@ def is_isolated(S: ConceptClass, C: Certificate, f: BooleanFunction) -> bool:
     S.index_of(f)
     survivors = restrict_class(S, C)
     return len(survivors) == 1 and survivors[0].bits == f.bits
-
-
-def xor_shift(S: ConceptClass, f_star: BooleanFunction) -> ConceptClass:
-    """The class {g xor f_star : g in S}; maps f_star to the zero function.
-
-    An involution: applying it twice gives back S, table-exact.
-    """
-    S.index_of(f_star)
-    return ConceptClass(S.domain, (g.xor(f_star) for g in S))
 
 
 @dataclass(frozen=True, eq=False)
@@ -550,17 +534,3 @@ def pointwise_majority(fs) -> BooleanFunction:
     maj = (2 * pointwise_counts(slots) > m).astype(np.uint8)
     out = int.from_bytes(np.packbits(maj, bitorder="little").tobytes(), "little")
     return BooleanFunction(slots.distinct[0].domain, out)
-
-
-def pointwise_average(fs: Sequence[RealFunction]) -> RealFunction:
-    """Entrywise arithmetic mean of one or more real functions."""
-    if not fs:
-        raise RejectedInputError("average of an empty list")
-    domain = fs[0].domain
-    for f in fs[1:]:
-        _require_same_domain(fs[0], f)
-    acc = np.zeros(domain.size, dtype=np.float64)
-    for f in fs:
-        acc += f.table
-    # mean of [0,1] entries; clip float dust so the result revalidates
-    return RealFunction(domain, np.clip(acc / len(fs), 0.0, 1.0))

@@ -26,9 +26,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .concepts import (BooleanFunction, ConceptClass, Distribution,
-                       PConceptClass, RealFunction, Slots, dist_inf,
-                       distance_expected, is_isolated, pointwise_counts,
-                       pointwise_majority)
+                       PConceptClass, RealFunction, Slots, distance_expected,
+                       is_isolated, pointwise_counts, pointwise_majority,
+                       restricted_gaps)
 from .errors import (RejectedInputError, RetriesExhausted, VerificationDefect)
 from .games import double_oracle_solve, solve_zero_sum
 from .rng import substream
@@ -176,26 +176,17 @@ def _far_members(S: PConceptClass, f: RealFunction, D: Distribution, eps: float)
 
 def _occam_holds(V: np.ndarray, far: np.ndarray, f: RealFunction, eps: float,
                  X: Iterable[int]) -> bool:
-    """No far member (mask ``far`` over the rows of V) is within eps of f
-    in sup-norm on X; with X empty every member is that close."""
-    xs = sorted({f.domain.check_input(x) for x in X})
-    if not xs:
-        return not far.any()
-    close = np.abs(V[:, xs] - f.table[xs]).max(axis=1) <= eps
-    return not (far & close).any()
-
-
-def occam_implication_holds(S: PConceptClass, f: RealFunction, D: Distribution,
-                            eps: float, X: Iterable[int]) -> bool:
-    """Exhaustive test: every h in S with sup-dist <= eps from f on X is
-    within 11*eps of f in D-weighted L1."""
-    return _occam_holds(S.value_matrix(), _far_members(S, f, D, eps), f, eps, X)
+    """Every h in S with sup-dist <= eps from f on X is within 11*eps of
+    f in D-weighted L1: no far member (mask ``far`` over the rows of V) is
+    within eps of f on X.  With X empty every member is that close."""
+    xs = sorted(set(X))
+    return not (far & (restricted_gaps(V, xs, f.table[xs]) <= eps)).any()
 
 
 def occam_check(S: PConceptClass, f: RealFunction, D: Distribution, eps: float,
                 m: int, trials: int, seed: int = 0) -> float:
     """Fraction of i.i.d. m-samples X from D for which the Occam
-    implication above holds over all of S."""
+    implication (see _occam_holds) holds over all of S."""
     if f not in S:
         raise RejectedInputError("hypothesis target must belong to the class")
     V, far = S.value_matrix(), _far_members(S, f, D, eps)
@@ -281,7 +272,7 @@ def extremal_deviation(V: np.ndarray, target: np.ndarray, groups: Iterable,
     hi_sum = np.zeros(V.shape[1])
     m = 0
     for count, points, values in groups:
-        mask = np.all(np.abs(V[:, points] - values) <= tol, axis=1)
+        mask = restricted_gaps(V, points, values) <= tol
         if not mask.any():
             return None
         sub = V[mask]
@@ -335,8 +326,9 @@ def _real_alice_response(S: PConceptClass, f_star: RealFunction, D: Distribution
                                       stream=(stream, escalation), fat=fat,
                                       start=base * (2 ** escalation))
 
-        survivors = [g for g in S if dist_inf(f_star, g, Y) <= beta]
-        S_prime = PConceptClass(S.domain, survivors)
+        ys = sorted(Y)
+        survivors = np.flatnonzero(restricted_gaps(V, ys, star[ys]) <= beta)
+        S_prime = PConceptClass(S.domain, [S[int(i)] for i in survivors])
         cover = epsilon_cover(S_prime, 4.0 * beta)
         t = max(math.log2(len(cover.cover)), 1.0)
         winnowed = safe_winnow(S_prime, f_star, Y, 4.0 * beta, cover)
@@ -345,7 +337,7 @@ def _real_alice_response(S: PConceptClass, f_star: RealFunction, D: Distribution
         f = winnowed.f
 
         xs = sorted(X)
-        admissible = np.max(np.abs(V[:, xs] - f.table[xs][None, :]), axis=1) <= alpha
+        admissible = restricted_gaps(V, xs, f.table[xs]) <= alpha
         pen = np.abs(V[admissible] - star[None, :]).max(axis=0)
         measured = float(D.weights @ pen)
         if measured <= eps / 2.0 + 1e-12:

@@ -113,9 +113,9 @@ def safe_winnow_trace_lines(result) -> list:
     return lines
 
 
-def l1_winnow_trace_lines(result, steps) -> list:
+def l1_winnow_trace_lines(result) -> list:
     lines = []
-    for t, step in enumerate(steps, start=1):
+    for t, step in enumerate(result.trace, start=1):
         lines.append(f"step={t} action=add input={format_hex_input(step.y)} "
                      f"M={format_float(step.progress)}")
         if step.replaced:

@@ -183,30 +183,6 @@ def _isolating_certificates(S: ConceptClass, k: int, budget: int = None):
                 yield Certificate(domain, mask, value), row
 
 
-def first_k_reaching(S: ConceptClass, f_star: BooleanFunction, target: float = 0.9,
-                     k_max: int = None) -> tuple:
-    """Smallest certificate-size bound k at which the k-bounded game value
-    reaches ``target``, with the achieved value at each k along the way.
-
-    When no k up to ``k_max`` (default: the domain size) reaches the
-    target, returns (None, achieved) with the full per-k value list; the
-    achieved values are reported rather than errored.
-    """
-    if k_max is None:
-        k_max = S.domain.size
-    achieved = []
-    for k in range(k_max + 1):
-        try:
-            value = solve_game_full_lp(S, f_star, k).game_value
-        except RejectedInputError:
-            achieved.append(None)
-            continue
-        achieved.append(value)
-        if value >= target - 1e-12:
-            return k, achieved
-    return None, achieved
-
-
 def k_isolatable_members(S: ConceptClass, k: int) -> set:
     """Indices of members isolated by some certificate of size <= k.
 

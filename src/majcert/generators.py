@@ -52,12 +52,3 @@ def random_pconcept_class(n: int, size: int, rng: np.random.Generator) -> PConce
     members = [RealFunction(domain, rng.uniform(0.0, 1.0, size=domain.size))
                for _ in range(size)]
     return PConceptClass(domain, members)
-
-
-def constants_grid_class(n: int, count: int = 11) -> PConceptClass:
-    """Constant functions at count evenly spaced levels in [0, 1]."""
-    domain = InputDomain(n)
-    if count < 1:
-        raise RejectedInputError("need at least one level")
-    levels = [i / (count - 1) for i in range(count)] if count > 1 else [0.0]
-    return PConceptClass(domain, [RealFunction.constant(domain, c) for c in levels])

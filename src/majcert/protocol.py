@@ -170,21 +170,10 @@ def verifier_A(P: AdviceProtocol, sigma) -> float:
     return worst
 
 
-def verifier_accepts(P: AdviceProtocol, sigma) -> bool:
-    return verifier_A(P, sigma) <= 5.0 * P.alpha
-
-
-def machine_B(P: AdviceProtocol, sigma, x: int) -> float:
-    """Acceptance probability of running the circuit on a uniformly
-    random register: the mean over slots of Pr[Q(x, sigma[i]) accepts]."""
-    P.domain.check_input(x)
-    registers = _resolve_registers(P, sigma)
-    cache = _slot_probability_cache(P, registers)
-    return float(np.mean([cache[reg.key()][x] for reg in registers]))
-
-
 def machine_b_error(P: AdviceProtocol, sigma) -> float:
-    """max_x |machine_B - L(x)|."""
+    """Machine B's worst error max_x |B(x) - L(x)|, where B(x), the
+    acceptance probability of running the circuit on a uniformly random
+    register, is the mean over positions i of Pr[Q(x, sigma[i]) accepts]."""
     registers = _resolve_registers(P, sigma)
     cache = _slot_probability_cache(P, registers)
     worst = 0.0

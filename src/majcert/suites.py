@@ -23,7 +23,7 @@ import numpy as np
 
 from .concepts import (REAL_ATOL, BooleanFunction, ConceptClass, Distribution,
                        InputDomain, PConceptClass, RealFunction, dist_inf,
-                       dist_one, dist_two)
+                       dist_two)
 from .decompose import (find_valid_sample_size, majority_certificates,
                         occam_check, real_majority_certificates,
                         robust_majority_certificates, schedule_start,
@@ -45,7 +45,8 @@ from .qsim import Circuit, DensityMatrix, Gate, random_mixed_state
 from .reporting import build_report, digest
 from .rng import substream
 from .winnow import (ceil_log, epsilon_cover, fat_shattering_dim, l1_winnow,
-                     l2_counterexample, safe_winnow, vc_dim)
+                     l1_winnow_defect, l2_counterexample, safe_winnow,
+                     safe_winnow_defect, vc_dim)
 from .protocol import (adversary_search, bloch_extremal_states, compile_advice,
                        conditional_soundness_bound, fat_dim_quantum_check,
                        induced_function, machine_b_error, qma_plus_amplify,
@@ -238,6 +239,11 @@ def _check_realmajcert(record: dict, context: dict) -> bool:
 # winnow suite (safe winnowing)
 # ---------------------------------------------------------------------------
 
+def _winnow_measures(out: dict) -> dict:
+    """The measures a winnow record's outputs determine."""
+    return {"z_size": len(out["Z"]), "cover_size": len(out["cover"])}
+
+
 def _winnow_instance(params: dict, seed: int, index: int) -> dict:
     inst_seed = child_seed(seed, 300, index)
     rng = substream(inst_seed, 0)
@@ -259,28 +265,32 @@ def _winnow_instance(params: dict, seed: int, index: int) -> dict:
                "eps": eps, "cover": [S.index_of(g) for g in cover.cover],
                "trace": safe_winnow_trace_lines(result)}
     return _record(index, outputs["tables"], outputs,
-                   {"z_size": len(result.Z), "cover_size": len(cover.cover),
-                    "fat_eps4": fat, "fitted_cover_constant": fitted_c})
+                   {**_winnow_measures(outputs), "fat_eps4": fat,
+                    "fitted_cover_constant": fitted_c})
 
 
 def _check_winnow(record: dict, context: dict) -> bool:
-    """Safe winnowing's conclusions (i) and (ii), with |Z| <= log2 |cover|."""
+    """Safe winnowing's postcondition (safe_winnow_defect: |Z| <= log2
+    |cover| and conclusions (i) and (ii)), and the stored z_size and
+    cover_size; fat_eps4 and fitted_cover_constant would need the fat
+    dimension of the unrounded tables and stay unchecked."""
     out = record["outputs"]
     S = _pconcept_class(out["tables"])
-    f, f_star = S[out["f"]], S[out["f_star"]]
-    Y, Z = frozenset(out["Y"]), frozenset(out["Z"])
-    eps = out["eps"]
-    k = math.log2(len(out["cover"]))
-    delta = eps / (5.0 * max(k, 1.0))
-    return (len(Z) <= k + 1e-12
-            and all(dist_inf(f, g) <= 3.0 * eps for g in S
-                    if dist_inf(f, g, Y | Z) <= delta)
-            and dist_inf(f, f_star, Y) <= eps / 5.0)
+    return (safe_winnow_defect(S, S[out["f"]], S[out["f_star"]], out["Y"], out["Z"],
+                               out["eps"], len(out["cover"])) is None
+            and _claims_hold(record["measures"], _winnow_measures(out)))
 
 
 # ---------------------------------------------------------------------------
 # l1winnow suite
 # ---------------------------------------------------------------------------
+
+def _l1winnow_measures(out: dict) -> dict:
+    """The measures an l1winnow record's outputs determine."""
+    return {"x_size": len(out["X"]),
+            "x_bound": 40.0 * math.log(max(len(out["cover"]), 1)) / out["eps"],
+            "cover_size": len(out["cover"])}
+
 
 def _l1winnow_instance(params: dict, seed: int, index: int) -> dict:
     inst_seed = child_seed(seed, 400, index)
@@ -288,31 +298,24 @@ def _l1winnow_instance(params: dict, seed: int, index: int) -> dict:
     n, eps = params["n"], params["eps"]
     S = random_pconcept_class(n, params["class_size"], rng)
     cover = epsilon_cover(S, eps)
-    steps: list = []
-    result = l1_winnow(S, eps, cover, trace_out=steps)
+    result = l1_winnow(S, eps, cover)
     outputs = {"tables": _tables(S), "f": S.index_of(result.f), "X": sorted(result.X),
                "eps": eps, "cover": [S.index_of(g) for g in cover.cover],
                "progress_log": [float(v) for v in result.progress_log],
-               "trace": l1_winnow_trace_lines(result, steps)}
-    return _record(index, outputs["tables"], outputs,
-                   {"x_size": len(result.X),
-                    "x_bound": 40.0 * math.log(max(len(cover.cover), 1)) / eps,
-                    "cover_size": len(cover.cover)})
+               "trace": l1_winnow_trace_lines(result)}
+    return _record(index, outputs["tables"], outputs, _l1winnow_measures(outputs))
 
 
 def _check_l1winnow(record: dict, context: dict) -> bool:
-    """Progress shrinks by 1 - eps/20 per step, |X| <= 40 ln|cover| / eps,
-    and members 0.4 eps-close to f in L1 on X are 2 eps-close."""
+    """L1 winnowing's postcondition (l1_winnow_defect: progress shrinks by
+    1 - eps/20 per step, and members 0.4 eps-close to f in L1 on X are
+    2 eps-close), |X| <= 40 ln|cover| / eps, and the stored measures."""
     out = record["outputs"]
     S = _pconcept_class(out["tables"])
-    f = S[out["f"]]
-    X = frozenset(out["X"])
-    eps = out["eps"]
-    log = out["progress_log"]
-    return (all(b < (1.0 - eps / 20.0) * a for a, b in zip(log, log[1:]))
-            and len(X) <= 40.0 * math.log(max(len(out["cover"]), 1)) / eps
-            and all(dist_inf(f, g) <= 2.0 * eps
-                    for g in S if dist_one(f, g, X) <= 0.4 * eps))
+    measures = _l1winnow_measures(out)
+    return (l1_winnow_defect(S, S[out["f"]], out["X"], out["eps"], out["progress_log"]) is None
+            and measures["x_size"] <= measures["x_bound"]
+            and _claims_hold(record["measures"], measures))
 
 
 # ---------------------------------------------------------------------------

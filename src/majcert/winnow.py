@@ -7,8 +7,13 @@ The iterative procedures here make two engineering commitments:
   inputs in increasing (lexicographic) order, so traces are
   bit-reproducible.
 * Verification.  safe_winnow and l1_winnow check their own conclusions
-  exhaustively before returning; a run that fails its check raises
-  VerificationDefect rather than reporting a result.
+  exhaustively before returning, through the postcondition routines
+  (safe_winnow_defect, l1_winnow_defect) that the suite checks share; a
+  run that fails its check raises VerificationDefect rather than
+  reporting a result.
+
+Class-wide distance masks go through concepts.restricted_gaps over the
+class value matrix, and winnowing tracks members as rows of it.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from .concepts import (BooleanFunction, Certificate, ConceptClass,
                        Distribution, InputDomain, PConceptClass, RealFunction,
-                       dist_inf, dist_one, is_isolated)
+                       is_isolated, restricted_gaps)
 from .errors import (DimensionCapExceeded, RejectedInputError,
                      VerificationDefect)
 
@@ -179,12 +184,14 @@ class CoverResult:
     epsilon: float
 
     def validate(self, S: PConceptClass) -> None:
+        V = S.value_matrix()
+        covered = np.zeros(len(S), dtype=bool)
         for g in self.cover:
             if g not in S:
                 raise RejectedInputError("cover member outside the class")
-        for f in S:
-            if not any(dist_inf(f, g) <= self.epsilon for g in self.cover):
-                raise RejectedInputError("cover does not cover the class")
+            covered |= restricted_gaps(V, None, g.table) <= self.epsilon
+        if not covered.all():
+            raise RejectedInputError("cover does not cover the class")
 
     @property
     def k(self) -> float:
@@ -199,7 +206,7 @@ def epsilon_cover(S: PConceptClass, eps: float) -> CoverResult:
         raise RejectedInputError("epsilon must be non-negative")
     V = S.value_matrix()
     # covers[i, j] = member i covers member j
-    covers = (np.abs(V[:, None, :] - V[None, :, :]).max(axis=2) <= eps)
+    covers = np.stack([restricted_gaps(V, None, row) <= eps for row in V])
     uncovered = np.ones(len(S), dtype=bool)
     chosen = []
     while uncovered.any():
@@ -358,11 +365,10 @@ def fat_shattering_dim(S: PConceptClass, gamma: float, cap: int = DIMENSION_CAP)
 
 @dataclass(frozen=True)
 class SafeWinnowStep:
-    """One iteration of safe winnowing: the split input, which side was
-    kept, whether f moved to g, and the surviving cover-intersection size."""
+    """One iteration of safe winnowing: the split input, whether f moved
+    to g, and the surviving cover-intersection size."""
 
     z: int
-    branch: str  # "low" or "high"
     replaced: bool
     cover_survivors: int
 
@@ -374,22 +380,44 @@ class SafeWinnowResult:
     trace: tuple
 
 
+def safe_winnow_defect(S: PConceptClass, f: RealFunction, f_star: RealFunction,
+                       Y: Iterable[int], Z: Iterable[int], eps: float,
+                       cover_size: int) -> Optional[str]:
+    """Why (f, Z) is not a safe-winnowing outcome on (S, f_star, Y, eps)
+    with a cover of ``cover_size`` members, or None.  Checked exhaustively
+    over S x domain, with k = log2 cover_size and delta = eps/(5 max(k, 1)):
+    |Z| <= k; (i) every g in S within delta of f on Y u Z is within 3*eps
+    of f everywhere; (ii) f is within eps/5 of f_star on Y."""
+    k = math.log2(cover_size)
+    if len(Z) > k + 1e-12:
+        return "safe winnow added more points than log2|cover|"
+    V = S.value_matrix()
+    constraint = sorted(set(Y) | set(Z))
+    close = restricted_gaps(V, constraint, f.table[constraint]) <= eps / (5.0 * max(k, 1.0))
+    if (close & (restricted_gaps(V, None, f.table) > 3.0 * eps)).any():
+        return "safe winnow conclusion (i) fails"
+    ys = sorted(Y)
+    if restricted_gaps(f_star.table[None, :], ys, f.table[ys])[0] > eps / 5.0:
+        return "safe winnow conclusion (ii) fails"
+    return None
+
+
 def safe_winnow(S: PConceptClass, f_star: RealFunction, Y: Iterable[int], eps: float,
                 cover: CoverResult) -> SafeWinnowResult:
     """Safely isolate a function of S under sup-norm constraints.
 
-    Iteratively maintains (S_t, f_t, constraint set); whenever some g in
-    S_t agrees with f_t within delta = eps/(5k) on Y and the added points
-    yet differs by more than 3*eps somewhere, the class is split at the
+    Iteratively maintains (S_t, f_t, constraint set), S_t as a mask over
+    the rows of S's value matrix and f_t as a row; whenever some g in S_t
+    agrees with f_t within delta = eps/(5k) on Y and the added points yet
+    differs by more than 3*eps somewhere, the class is split at the
     midpoint value v of the disagreement input and the half with the
     *smaller* cover-intersection is kept (that is what halves the cover
     intersection and caps |Z| at k = log2 |cover|).  Search order: members
     by index, inputs in increasing order.
 
-    Postconditions, verified exhaustively before returning:
-      (i)  every g in S with sup-dist <= delta from f on Y u Z has
-           sup-dist <= 3*eps from f everywhere;
-      (ii) f agrees with f_star within eps/5 on Y.
+    The result must pass :func:`safe_winnow_defect`, the postcondition
+    the winnow suite's check also applies, or VerificationDefect is
+    raised with its reason.
 
     A singleton cover makes k = 0; delta is then eps/5 (k treated as
     max(k, 1)), sound because the loop body never runs with one cover
@@ -397,64 +425,42 @@ def safe_winnow(S: PConceptClass, f_star: RealFunction, Y: Iterable[int], eps: f
     """
     if not eps > 0:
         raise RejectedInputError("eps must be positive")
-    S.index_of(f_star)
+    t = S.index_of(f_star)
     cover.validate(S)
     Y = frozenset(S.domain.check_input(x) for x in Y)
+    delta = eps / (5.0 * max(cover.k, 1.0))
 
-    k = max(cover.k, 1.0)
-    delta = eps / (5.0 * k)
-
-    cover_keys = {g.key() for g in cover.cover}
-    current = list(S)
-    f_t = f_star
+    V = S.value_matrix()
+    in_cover = np.zeros(len(S), dtype=bool)
+    in_cover[[S.index_of(g) for g in cover.cover]] = True
+    current = np.ones(len(S), dtype=bool)
     Z: set = set()
     trace = []
-
-    def cover_count(members) -> int:
-        return sum(1 for g in members if g.key() in cover_keys)
-
-    while cover_count(current) > 1:
-        constraint = Y | Z
-        found = None
-        for g in current:
-            if dist_inf(f_t, g, constraint) > delta:
-                continue
-            for z in S.domain.inputs():
-                if abs(f_t(z) - g(z)) > 3.0 * eps:
-                    found = (g, z)
-                    break
-            if found:
-                break
-        if found is None:
+    while np.count_nonzero(current & in_cover) > 1:
+        constraint = sorted(Y | Z)
+        close = restricted_gaps(V, constraint, V[t, constraint]) <= delta
+        far = restricted_gaps(V, None, V[t]) > 3.0 * eps
+        candidates = np.flatnonzero(current & close & far)
+        if not len(candidates):
             break
-        g, z = found
+        g = int(candidates[0])
+        z = int(np.argmax(np.abs(V[t] - V[g]) > 3.0 * eps))
         Z.add(z)
-        v = 0.5 * (f_t(z) + g(z))
-        low = [h for h in current if h(z) < v]
-        high = [h for h in current if h(z) >= v]
-        if cover_count(low) < cover_count(high):
-            kept, branch = low, "low"
-        else:
-            kept, branch = high, "high"
-        replaced = False
-        if not any(h.key() == f_t.key() for h in kept):
-            f_t = g
-            replaced = True
-        current = kept
-        trace.append(SafeWinnowStep(z=z, branch=branch, replaced=replaced,
-                                    cover_survivors=cover_count(current)))
+        v = 0.5 * (float(V[t, z]) + float(V[g, z]))
+        low = current & (V[:, z] < v)
+        high = current & ~low
+        current = (low if np.count_nonzero(low & in_cover) < np.count_nonzero(high & in_cover)
+                   else high)
+        replaced = not current[t]
+        if replaced:
+            t = g
+        trace.append(SafeWinnowStep(z=z, replaced=replaced,
+                                    cover_survivors=int(np.count_nonzero(current & in_cover))))
 
-    result = SafeWinnowResult(f=f_t, Z=frozenset(Z), trace=tuple(trace))
-
-    # exhaustive postcondition check over S x domain
-    if len(result.Z) > cover.k + 1e-12:
-        raise VerificationDefect("safe winnow added more points than log2|cover|")
-    constraint = Y | result.Z
-    for g in S:
-        if dist_inf(result.f, g, constraint) <= delta and dist_inf(result.f, g) > 3.0 * eps:
-            raise VerificationDefect("safe winnow conclusion (i) fails")
-    if dist_inf(result.f, f_star, Y) > eps / 5.0:
-        raise VerificationDefect("safe winnow conclusion (ii) fails")
+    result = SafeWinnowResult(f=S[t], Z=frozenset(Z), trace=tuple(trace))
+    defect = safe_winnow_defect(S, result.f, f_star, Y, result.Z, eps, len(cover.cover))
+    if defect:
+        raise VerificationDefect(defect)
     return result
 
 
@@ -474,10 +480,26 @@ class L1WinnowResult:
     f: RealFunction
     X: frozenset
     progress_log: tuple  # M values, starting with the initial |cover|
+    trace: tuple  # one L1WinnowStep per adjoined input
 
 
-def l1_winnow(S: PConceptClass, eps: float, cover: CoverResult,
-              trace_out: Optional[list] = None) -> L1WinnowResult:
+def l1_winnow_defect(S: PConceptClass, f: RealFunction, X: Iterable[int], eps: float,
+                     progress_log) -> Optional[str]:
+    """Why (f, X) with this progress log is not an L1-winnowing outcome
+    on (S, eps), or None: each logged step must shrink M by a factor
+    below 1 - eps/20, and every g in S with Delta_1(f,g)[X] <= 0.4 eps
+    must be within 2 eps of f everywhere (checked over S x domain)."""
+    if any(b >= (1.0 - eps / 20.0) * a for a, b in zip(progress_log, progress_log[1:])):
+        return "L1 winnow step failed to shrink the measure"
+    V = S.value_matrix()
+    xs = sorted(X)
+    close = restricted_gaps(V, xs, f.table[xs], "one") <= 0.4 * eps
+    if (close & (restricted_gaps(V, None, f.table) > 2.0 * eps)).any():
+        return "L1 winnow postcondition fails"
+    return None
+
+
+def l1_winnow(S: PConceptClass, eps: float, cover: CoverResult) -> L1WinnowResult:
     """Winnow under L1 constraints via the exponential progress measure.
 
     Weight each cover member h by P_{f,X}(h) = exp(-Delta_1(f,h)[X]) and
@@ -486,61 +508,50 @@ def l1_winnow(S: PConceptClass, eps: float, cover: CoverResult,
     some input y, adjoin y and move to whichever of (f, X u {y}),
     (g, X u {y}) has the smaller measure.  Each step shrinks M by a
     factor below 1 - eps/20, which bounds |X| by O(log|cover| / eps).
+    Such a y alone puts g more than 0.4 eps from f in L1, so it lies
+    outside X and the loop ends.  f is tracked as a row of S's value
+    matrix, members are searched by index, and the result's ``trace``
+    holds one step per adjoined input.
 
-    Postcondition, verified exhaustively: every g in S with
-    Delta_1(f,g)[X] <= 0.4 eps has sup-distance <= 2 eps from f.
+    The result must pass :func:`l1_winnow_defect`, the postcondition the
+    l1winnow suite's check also applies, or VerificationDefect is raised
+    with its reason.
     """
     if not eps > 0:
         raise RejectedInputError("eps must be positive")
     cover.validate(S)
+    V = S.value_matrix()
+    C = cover.cover.value_matrix()
 
-    f = S[0]  # the source construction starts anywhere; lowest index is canonical
+    def measure(row: int, xs: list) -> float:
+        return sum(math.exp(-d) for d in restricted_gaps(C, xs, V[row, xs], "one").tolist())
+
+    f = 0  # the source construction starts anywhere; lowest index is canonical
     X: set = set()
-
-    def measure(candidate: RealFunction, points: set) -> float:
-        return float(sum(math.exp(-dist_one(candidate, h, points)) for h in cover.cover))
-
-    M = measure(f, X)
-    log = [M]
+    log = [measure(f, [])]
     steps = []
-    threshold = 0.4 * eps
     while True:
-        found = None
-        for g in S:
-            if g.key() == f.key():
-                continue
-            if dist_one(f, g, X) > threshold:
-                continue
-            for y in S.domain.inputs():
-                if abs(f(y) - g(y)) > 2.0 * eps:
-                    found = (g, y)
-                    break
-            if found:
-                break
-        if found is None:
+        xs = sorted(X)
+        close = restricted_gaps(V, xs, V[f, xs], "one") <= 0.4 * eps
+        candidates = np.flatnonzero(close & (restricted_gaps(V, None, V[f]) > 2.0 * eps))
+        if not len(candidates):
             break
-        g, y = found
-        Xn = X | {y}
-        M_f = measure(f, Xn)
-        M_g = measure(g, Xn)
-        if M_g < M_f:
-            f, M_new, replaced = g, M_g, True
-        else:
-            M_new, replaced = M_f, False
-        if M_new >= (1.0 - eps / 20.0) * M:
-            raise VerificationDefect("L1 winnow step failed to shrink the measure")
-        X = Xn
-        M = M_new
-        log.append(M)
-        steps.append(L1WinnowStep(y=y, replaced=replaced, progress=M))
+        g = int(candidates[0])
+        y = int(np.argmax(np.abs(V[f] - V[g]) > 2.0 * eps))
+        X.add(y)
+        xs = sorted(X)
+        M_f, M_g = measure(f, xs), measure(g, xs)
+        replaced = M_g < M_f
+        if replaced:
+            f = g
+        log.append(M_g if replaced else M_f)
+        steps.append(L1WinnowStep(y=y, replaced=replaced, progress=log[-1]))
 
-    result = L1WinnowResult(f=f, X=frozenset(X), progress_log=tuple(log))
-    if trace_out is not None:
-        trace_out.extend(steps)
-
-    for g in S:
-        if dist_one(result.f, g, result.X) <= threshold and dist_inf(result.f, g) > 2.0 * eps:
-            raise VerificationDefect("L1 winnow postcondition fails")
+    result = L1WinnowResult(f=S[f], X=frozenset(X), progress_log=tuple(log),
+                            trace=tuple(steps))
+    defect = l1_winnow_defect(S, result.f, result.X, eps, result.progress_log)
+    if defect:
+        raise VerificationDefect(defect)
     return result
 
 

@@ -8,10 +8,10 @@ from hypothesis import given, strategies as st
 
 from majcert.concepts import (BooleanFunction, Certificate, ConceptClass,
                               Distribution, InputDomain, PConceptClass,
-                              RealCertificate, RealFunction, Slots, distance,
+                              RealFunction, Slots, dist_inf, dist_one, distance,
                               distance_expected, is_isolated,
-                              pointwise_average, pointwise_majority,
-                              restrict_class, xor_shift)
+                              pointwise_majority, restrict_class,
+                              restricted_gaps)
 from majcert.errors import DomainMismatchError, RejectedInputError
 
 
@@ -140,6 +140,51 @@ def test_distance_expected_uniform_indicator():
     assert distance_expected(f, g, Distribution.uniform(domain)) == pytest.approx(0.25)
 
 
+@st.composite
+def real_class_with_subset(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    domain = InputDomain(n)
+    size = domain.size
+    tables = draw(st.lists(st.lists(st.floats(0, 1), min_size=size, max_size=size),
+                           min_size=1, max_size=6))
+    S = PConceptClass(domain, [real_fn(domain, t) for t in tables])
+    f = real_fn(domain, draw(st.lists(st.floats(0, 1), min_size=size, max_size=size)))
+    return S, f, sorted(draw(st.sets(st.integers(0, size - 1))))
+
+
+@given(real_class_with_subset())
+def test_restricted_gaps_equal_pairwise_distances(data):
+    # exact equality: the routine must do the pairwise distances' arithmetic
+    S, f, xs = data
+    V = S.value_matrix()
+    for metric, dist in (("inf", dist_inf), ("one", dist_one)):
+        assert restricted_gaps(V, xs, f.table[xs], metric).tolist() == [dist(f, g, xs)
+                                                                        for g in S]
+        assert restricted_gaps(V, None, f.table, metric).tolist() == [dist(f, g) for g in S]
+
+
+def test_restricted_gaps_on_wide_point_sets(rng):
+    # past 128 points numpy sums in blocks; rows must still sum as dist_one does
+    domain = InputDomain(8)
+    S = PConceptClass(domain, [real_fn(domain, rng.uniform(0, 1, domain.size))
+                               for _ in range(5)])
+    f = S[2]
+    for count in (7, 9, 130, 200, 256):
+        xs = sorted(rng.choice(domain.size, size=count, replace=False).tolist())
+        gaps = restricted_gaps(S.value_matrix(), xs, f.table[xs], "one")
+        assert gaps.tolist() == [dist_one(f, g, xs) for g in S]
+
+
+def test_restricted_gaps_empty_point_set_and_metric():
+    domain = InputDomain(2)
+    S = PConceptClass(domain, [real_fn(domain, [0.1, 0.5, 0.9, 0.3]),
+                               RealFunction.constant(domain, 1.0)])
+    for metric in ("inf", "one"):
+        assert restricted_gaps(S.value_matrix(), [], np.zeros(0), metric).tolist() == [0.0, 0.0]
+    with pytest.raises(RejectedInputError):
+        restricted_gaps(S.value_matrix(), [0], np.zeros(1), "two")
+
+
 # ---------------------------------------------------------------------------
 # restriction / isolation
 # ---------------------------------------------------------------------------
@@ -204,8 +249,8 @@ def test_is_isolated_requires_membership():
 
 def test_xor_shift_zero_is_identity():
     S = point_class(2)
-    shifted = xor_shift(S, BooleanFunction.zero(S.domain))
-    assert [f.bits for f in shifted] == [f.bits for f in S]
+    zero = BooleanFunction.zero(S.domain)
+    assert [f.xor(zero).bits for f in S] == [f.bits for f in S]
 
 
 @given(boolean_class())
@@ -214,27 +259,25 @@ def test_xor_shift_involution_and_invariants(S):
     # in the class so f_star stays a member of the shifted class
     S = ConceptClass(S.domain, [BooleanFunction.zero(S.domain), *S.members])
     f_star = S[len(S) // 2]
-    shifted = xor_shift(S, f_star)
+    shifted = ConceptClass(S.domain, (g.xor(f_star) for g in S))
     assert len(shifted) == len(S)
-    back = xor_shift(shifted, f_star)
-    assert [f.bits for f in back] == [f.bits for f in S]
+    assert [f.xor(f_star).bits for f in shifted] == [f.bits for f in S]
     # image of f_star is the zero function
     assert shifted[S.index_of(f_star)].bits == 0
     # pairwise Hamming distances preserved
     for i in range(len(S)):
         for j in range(i + 1, len(S)):
-            assert S[i].hamming(S[j]) == shifted[i].hamming(shifted[j])
+            assert (S[i].xor(S[j]).bits.bit_count()
+                    == shifted[i].xor(shifted[j]).bits.bit_count())
 
 
 def test_xor_shift_entrywise_oracle():
     domain = InputDomain(2)
     f_star = BooleanFunction.from_values(domain, [1, 0, 1, 0])
     g = BooleanFunction.from_values(domain, [1, 1, 0, 0])
-    S = ConceptClass(domain, [f_star, g])
-    shifted = xor_shift(S, f_star)
-    assert [shifted[0](x) for x in domain.inputs()] == [0, 0, 0, 0]
-    assert [shifted[1](x) for x in domain.inputs()] == [(g(x) ^ f_star(x))
-                                                        for x in domain.inputs()]
+    assert [f_star.xor(f_star)(x) for x in domain.inputs()] == [0, 0, 0, 0]
+    assert [g.xor(f_star)(x) for x in domain.inputs()] == [(g(x) ^ f_star(x))
+                                                         for x in domain.inputs()]
 
 
 @given(boolean_class(), st.data())
@@ -244,14 +287,13 @@ def test_xor_shift_preserves_consistency_counts(S, data):
     cert = Certificate.of(domain, data.draw(
         st.dictionaries(st.integers(0, domain.size - 1), st.integers(0, 1), max_size=3)))
     shifted_cert = cert.xor_shifted(f_star)
-    shifted = xor_shift(S, f_star)
     before = sum(1 for f in S if cert.consistent(f))
-    after = sum(1 for f in shifted if shifted_cert.consistent(f))
+    after = sum(1 for f in S if shifted_cert.consistent(f.xor(f_star)))
     assert before == after
 
 
 # ---------------------------------------------------------------------------
-# majority / average
+# majority
 # ---------------------------------------------------------------------------
 
 def test_majority_single_function():
@@ -293,27 +335,6 @@ def test_majority_matches_counting_oracle(n, salt, half):
         assert maj(x) == (1 if 2 * count > m else 0)
 
 
-def test_average_identity_and_symmetry():
-    domain = InputDomain(2)
-    f = real_fn(domain, [0.2, 0.9, 0.4, 0.0])
-    assert np.allclose(pointwise_average([f]).table, f.table)
-    complement = real_fn(domain, 1.0 - f.table)
-    assert np.allclose(pointwise_average([f, complement]).table, 0.5)
-
-
-def test_average_matches_naive_oracle(rng):
-    domain = InputDomain(2)
-    fs = [real_fn(domain, rng.uniform(0, 1, domain.size)) for _ in range(3)]
-    avg = pointwise_average(fs)
-    for x in domain.inputs():
-        assert avg(x) == pytest.approx(sum(f(x) for f in fs) / 3.0, abs=1e-15)
-
-
-def test_average_rejects_empty():
-    with pytest.raises(RejectedInputError):
-        pointwise_average([])
-
-
 # ---------------------------------------------------------------------------
 # type invariants
 # ---------------------------------------------------------------------------
@@ -344,17 +365,6 @@ def test_certificate_validation():
         Certificate.of(domain, {1: 2})
     with pytest.raises(RejectedInputError):
         cert.extended(3, 0)
-
-
-def test_real_certificate_validation():
-    domain = InputDomain(2)
-    cert = RealCertificate(domain, frozenset({1}), ((1, 0.25),), 0.1)
-    f = real_fn(domain, [0.9, 0.3, 0.9, 0.9])
-    assert cert.satisfied_by(f)
-    with pytest.raises(RejectedInputError):
-        RealCertificate(domain, frozenset({1}), ((1, 0.25),), 0.0)
-    with pytest.raises(RejectedInputError):
-        RealCertificate(domain, frozenset({1, 2}), ((1, 0.25),), 0.1)
 
 
 def test_concept_class_dedup_and_order():

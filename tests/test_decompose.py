@@ -13,10 +13,9 @@ from majcert.concepts import (BooleanFunction, Certificate, ConceptClass,
                               RealFunction, Slots, dist_inf, distance_expected,
                               pointwise_majority)
 from majcert.decompose import (FAIL, MajorityDecomposition, RealDecomposition,
-                               RobustDecomposition, find_valid_sample_size,
-                               majority_certificates, occam_check,
-                               occam_implication_holds,
-                               real_majority_certificates,
+                               RobustDecomposition, _far_members, _occam_holds,
+                               find_valid_sample_size, majority_certificates,
+                               occam_check, real_majority_certificates,
                                robust_majority_certificates, schedule_start,
                                smallest_odd_at_least, untrusted_oracle_evaluate,
                                verify_real_decomposition)
@@ -349,8 +348,10 @@ def test_occam_implication_checker():
     far = real_fn(domain, [1.0, 0.5])
     S = PConceptClass(domain, [f, far])
     D = Distribution.point_mass(domain, 0)
-    assert not occam_implication_holds(S, f, D, 0.02, {1})
-    assert occam_implication_holds(S, f, D, 0.02, {0})
+    far = _far_members(S, f, D, 0.02)
+    for X, holds in (({1}, False), ({0}, True), (set(), False)):
+        assert _occam_holds(S.value_matrix(), far, f, 0.02, X) == holds
+        assert naive_occam_holds(S, f, D, 0.02, X) == holds
 
 
 def naive_occam_holds(S, f, D, eps, X):
@@ -402,7 +403,7 @@ def test_schedule_and_sample_size():
     D = Distribution.uniform(S.domain)
     M, Y = find_valid_sample_size(S, S[0], D, beta=0.1, seed=4)
     assert M >= schedule_start(1, 0.1)
-    assert occam_implication_holds(S, S[0], D, 0.1, Y)
+    assert naive_occam_holds(S, S[0], D, 0.1, Y)
 
 
 def test_occam_rate_at_schedule_size():

@@ -71,9 +71,8 @@ def test_trace_line_format():
     for line in lines:
         assert pattern.match(line)
 
-    steps = []
-    l1 = l1_winnow(S, 0.05, epsilon_cover(S, 0.05), trace_out=steps)
-    for line in l1_winnow_trace_lines(l1, steps):
+    l1 = l1_winnow(S, 0.05, epsilon_cover(S, 0.05))
+    for line in l1_winnow_trace_lines(l1):
         assert pattern.match(line)
         assert "M=" in line
 

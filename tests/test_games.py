@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from majcert.concepts import (BooleanFunction, Certificate, ConceptClass,
                               InputDomain)
-from majcert.errors import EnumerationBudgetExceeded, VerificationDefect
+from majcert.errors import (EnumerationBudgetExceeded, RejectedInputError,
+                            VerificationDefect)
 from majcert.games import (AliceStrategy, double_oracle_solve,
                            k_isolatable_members, solve_game_full_lp,
                            solve_zero_sum)
@@ -156,16 +157,14 @@ def test_k_isolatable_members_point_class():
     assert k_isolatable_members(S, 8) == set(range(9))
 
 
-def test_first_k_reaching_point_class():
-    from majcert.games import first_k_reaching
+def test_full_lp_value_by_certificate_size_point_class():
     S = point_function_class(3)
-    k, achieved = first_k_reaching(S, S[0], target=0.9)
     # k=0 isolates nothing; k in [1,7] only isolates point functions, whose
-    # best mix achieves 1 - 1/8 = 0.875; the zero function needs all 8 pins,
-    # at which point the value jumps to 1
-    assert k == 8
-    assert achieved[0] is None
-    assert achieved[1] == pytest.approx(1.0 - 1.0 / 8.0, abs=1e-7)
-    assert achieved[8] == pytest.approx(1.0, abs=1e-7)
-    k_none, curve = first_k_reaching(S, S[0], target=0.9, k_max=3)
-    assert k_none is None and len(curve) == 4
+    # best mix achieves 1 - 1/8 = 0.875 < 0.9; the zero function needs all
+    # 8 pins, at which point the value jumps to 1
+    with pytest.raises(RejectedInputError):
+        solve_game_full_lp(S, S[0], 0)
+    values = [solve_game_full_lp(S, S[0], k).game_value for k in range(1, 9)]
+    assert values[0] == pytest.approx(1.0 - 1.0 / 8.0, abs=1e-7)
+    assert all(v < 0.9 for v in values[:7])
+    assert values[7] == pytest.approx(1.0, abs=1e-7)

@@ -1,9 +1,9 @@
 """Class generators: point functions, random Boolean and p-concept
-classes, constant grids, the L2 family and quantum-induced classes."""
+classes, the L2 family and quantum-induced classes."""
 
 from majcert.concepts import InputDomain
-from majcert.generators import (constants_grid_class, point_function_class,
-                                random_boolean_class, random_pconcept_class)
+from majcert.generators import (point_function_class, random_boolean_class,
+                                random_pconcept_class)
 from majcert.protocol import induced_pconcept
 from majcert.qsim import Circuit, Gate, random_mixed_state
 from majcert.rng import substream
@@ -33,12 +33,6 @@ def test_random_pconcept_shapes():
     cls = random_pconcept_class(2, 6, substream(2, 30))
     assert len(cls) == 6
     assert all(0.0 <= v <= 1.0 for f in cls for v in f.table)
-
-
-def test_constants_grid_levels():
-    cls = constants_grid_class(2, 11)
-    assert len(cls) == 11
-    assert cls[0].table[0] == 0.0 and cls[10].table[0] == 1.0
 
 
 def test_l2_family_enumerated_count_matches_oracle():

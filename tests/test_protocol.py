@@ -17,9 +17,8 @@ from majcert.protocol import (_CHUNK, AdversarySearchResult, _purified_values,
                               bloch_extremal_states, compile_advice,
                               conditional_soundness_bound,
                               fat_dim_quantum_check, induced_function,
-                              induced_pconcept, machine_B, machine_b_error,
-                              qma_plus_amplify, verifier_A, verifier_accepts,
-                              with_inflated_alpha)
+                              induced_pconcept, machine_b_error,
+                              qma_plus_amplify, verifier_A, with_inflated_alpha)
 from majcert.qsim import (Circuit, DensityMatrix, Gate, measurement_operator,
                           params_to_state, random_mixed_state, state_to_params)
 from majcert.rng import substream
@@ -103,7 +102,7 @@ def test_compile_trivial_language():
     P = compile_advice(circuit, rho, language, eps=0.1,
                        state_sample=[DensityMatrix.computational(1, 0)], seed=0)
     assert P.m == 1
-    assert verifier_accepts(P, P.honest_registers())
+    assert verifier_A(P, P.honest_registers()) <= 5.0 * P.alpha
     assert machine_b_error(P, P.honest_registers()) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -132,9 +131,10 @@ def test_honest_completeness():
 def test_machine_b_identical_registers_linearity():
     P = compiled_protocol()
     reg = P.honest_registers()[0]
-    M = measurement_operator(P.circuit, 1, 1)
-    single = float(np.real(np.trace(reg.entries @ M)))
-    assert machine_B(P, [reg] * P.m, 1) == pytest.approx(single, abs=1e-12)
+    single = [float(np.real(np.trace(reg.entries @ measurement_operator(P.circuit, x, 1))))
+              for x in P.domain.inputs()]
+    expected = max(abs(p - P.language(x)) for x, p in enumerate(single))
+    assert machine_b_error(P, [reg] * P.m) == pytest.approx(expected, abs=1e-12)
 
 
 def tiny_two_register_protocol():
@@ -170,9 +170,8 @@ def test_machines_depend_only_on_reduced_states():
                   DensityMatrix(2, 0.5 * (DensityMatrix.computational(2, 0).entries
                                           + DensityMatrix.computational(2, 3).entries))):
         regs = [reduced_state(joint, [0]), reduced_state(joint, [1])]
-        for x in P.domain.inputs():
-            assert machine_B(P, joint, x) == pytest.approx(machine_B(P, regs, x),
-                                                           abs=1e-10)
+        assert machine_b_error(P, joint) == pytest.approx(machine_b_error(P, regs),
+                                                          abs=1e-10)
         assert verifier_A(P, joint) == pytest.approx(verifier_A(P, regs), abs=1e-10)
 
 
@@ -217,13 +216,13 @@ def test_verifier_on_maximally_mixed_registers():
             expected = max(expected, abs(float(np.real(np.trace(M))) / 2 - float(r)))
     assert deviation == pytest.approx(expected, abs=1e-12)
     # the mixed state sits far from the honest targets here, so A rejects
-    assert not verifier_accepts(P, mixed)
+    assert deviation > 5.0 * P.alpha
 
 
 def test_register_shape_mismatch_rejected():
     P = compiled_protocol()
     with pytest.raises(RejectedInputError):
-        machine_B(P, P.honest_registers()[1:], 0)
+        machine_b_error(P, P.honest_registers()[1:])
     with pytest.raises(RejectedInputError):
         verifier_A(P, DensityMatrix.maximally_mixed(2))
 

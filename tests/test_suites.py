@@ -158,6 +158,28 @@ def increasing_dims(report):
     return 5
 
 
+def winnow_f_far_from_target(report):
+    """f moves to the member farthest from f_star on Y: conclusion (ii)."""
+    out = report["records"][0]["outputs"]
+    star = out["tables"][out["f_star"]]
+    out["f"] = max(range(len(out["tables"])),
+                   key=lambda j: max(abs(out["tables"][j][y] - star[y]) for y in out["Y"]))
+    return 0
+
+
+def winnow_z_past_its_bound(report):
+    """Z takes every input outside Y: more than log2 |cover| points."""
+    out = report["records"][0]["outputs"]
+    out["Z"] = [x for x in range(len(out["tables"][0])) if x not in out["Y"]]
+    return 0
+
+
+def l1winnow_stalled_progress(report):
+    log = report["records"][0]["outputs"]["progress_log"]
+    log.append(log[-1])
+    return 0
+
+
 @pytest.mark.parametrize("name, tamper", [
     ("majcert", triple_every_slot),
     ("majcert", extra_certificate_bit),
@@ -176,6 +198,11 @@ def increasing_dims(report):
     ("quantum-protocol", honest_attack_registers),
     ("quantum-protocol", certain_amplification),
     ("quantum-protocol", increasing_dims),
+    ("winnow", winnow_f_far_from_target),
+    ("winnow", winnow_z_past_its_bound),
+    ("winnow", inflate_measures),
+    ("l1winnow", l1winnow_stalled_progress),
+    ("l1winnow", inflate_measures),
     *[pytest.param("quantum-protocol", functools.partial(inflate_measures, index=index),
                    id=f"quantum-protocol-inflate_measures-record-{index}")
       for index in range(1, 6)],

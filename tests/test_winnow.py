@@ -11,17 +11,25 @@ from majcert.concepts import (BooleanFunction, ConceptClass, Distribution,
                               InputDomain, PConceptClass, RealFunction,
                               dist_inf, dist_one, dist_two, is_isolated)
 from majcert.errors import DimensionCapExceeded, RejectedInputError
-from majcert.generators import (constants_grid_class, point_function_class,
-                                random_boolean_class, random_pconcept_class)
+from majcert.generators import (point_function_class, random_boolean_class,
+                                random_pconcept_class)
 from majcert.rng import substream
-from majcert.winnow import (_margin_pairs, binary_search_winnow, ceil_log,
-                            epsilon_cover, fat_shattering_dim, isolate_member,
-                            l1_winnow, l2_counterexample, safe_winnow, vc_dim,
+from majcert.winnow import (L1WinnowStep, SafeWinnowStep, _margin_pairs,
+                            binary_search_winnow, ceil_log, epsilon_cover,
+                            fat_shattering_dim, isolate_member, l1_winnow,
+                            l2_counterexample, safe_winnow, vc_dim,
                             weak_certify)
 
 
 def real_fn(domain, values):
     return RealFunction(domain, np.array(values, dtype=np.float64))
+
+
+def constants_grid(n, count):
+    """Constant functions at ``count`` evenly spaced levels in [0, 1]."""
+    domain = InputDomain(n)
+    return PConceptClass(domain, [RealFunction.constant(domain, i / (count - 1))
+                                  for i in range(count)])
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +170,7 @@ def test_cover_eps_zero_is_whole_class():
 
 
 def test_cover_constants_grid_matches_brute_force():
-    S = constants_grid_class(2, 11)
+    S = constants_grid(2, 11)
     # at radius 0.05 the levels (spacing 0.1) each cover only themselves:
     # the exhaustive oracle gives 11, and greedy matches it
     result = epsilon_cover(S, 0.05)
@@ -248,7 +256,7 @@ def test_fat_antitone_in_gamma(salt):
 
 
 def test_fat_rejects_nonpositive_gamma():
-    S = constants_grid_class(2, 3)
+    S = constants_grid(2, 3)
     with pytest.raises(RejectedInputError):
         fat_shattering_dim(S, 0.0)
 
@@ -269,6 +277,8 @@ def reference_fat_dim(S, gamma):
     V = S.value_matrix()
     dim = 0
     for d in range(1, S.domain.size + 1):
+        if len(V) < (1 << d):  # pigeonhole: 2^d sign patterns need 2^d members
+            return dim
         shattered = False
         for A in itertools.combinations(range(S.domain.size), d):
             cols = V[:, list(A)]                                    # (m, d)
@@ -437,6 +447,100 @@ def test_l1_starts_from_lowest_index():
     result = l1_winnow(S, 0.4, epsilon_cover(S, 0.4))
     # with a huge eps nothing violates, so f stays the first member
     assert result.f.key() == S[0].key()
+
+
+# ---------------------------------------------------------------------------
+# winnowing against member-by-member references
+# ---------------------------------------------------------------------------
+
+def reference_safe_winnow(S, f_star, Y, eps, cover):
+    """Safe winnowing over lists of members, pairwise distances and table
+    keys; returns (f, Z, trace) without the postcondition check."""
+    delta = eps / (5.0 * max(cover.k, 1.0))
+    cover_keys = {g.key() for g in cover.cover}
+    current, f_t, Z, trace = list(S), f_star, set(), []
+
+    def cover_count(members):
+        return sum(1 for g in members if g.key() in cover_keys)
+
+    while cover_count(current) > 1:
+        found = next(((g, z) for g in current if dist_inf(f_t, g, Y | Z) <= delta
+                      for z in S.domain.inputs() if abs(f_t(z) - g(z)) > 3.0 * eps), None)
+        if found is None:
+            break
+        g, z = found
+        Z.add(z)
+        v = 0.5 * (f_t(z) + g(z))
+        low = [h for h in current if h(z) < v]
+        high = [h for h in current if h(z) >= v]
+        current = low if cover_count(low) < cover_count(high) else high
+        replaced = not any(h.key() == f_t.key() for h in current)
+        if replaced:
+            f_t = g
+        trace.append(SafeWinnowStep(z=z, replaced=replaced,
+                                    cover_survivors=cover_count(current)))
+    return f_t, frozenset(Z), tuple(trace)
+
+
+def reference_l1_winnow(S, eps, cover):
+    """L1 winnowing over lists of members and pairwise distances; returns
+    (f, X, progress_log, trace) without the postcondition check."""
+    def measure(candidate, points):
+        return float(sum(math.exp(-dist_one(candidate, h, points)) for h in cover.cover))
+
+    f, X, trace = S[0], set(), []
+    log = [measure(f, X)]
+    while True:
+        found = next(((g, y) for g in S if g.key() != f.key()
+                      and dist_one(f, g, X) <= 0.4 * eps
+                      for y in S.domain.inputs() if abs(f(y) - g(y)) > 2.0 * eps), None)
+        if found is None:
+            break
+        g, y = found
+        X.add(y)
+        M_f, M_g = measure(f, X), measure(g, X)
+        replaced = M_g < M_f
+        if replaced:
+            f = g
+        log.append(M_g if replaced else M_f)
+        trace.append(L1WinnowStep(y=y, replaced=replaced, progress=log[-1]))
+    return f, frozenset(X), tuple(log), tuple(trace)
+
+
+def assert_winnows_match_references(S, f_star, Y, eps):
+    cover = epsilon_cover(S, eps)
+    f, Z, trace = reference_safe_winnow(S, f_star, frozenset(Y), eps, cover)
+    result = safe_winnow(S, f_star, Y, eps, cover)
+    assert (result.f.key(), result.Z, result.trace) == (f.key(), Z, trace)
+    f, X, log, trace = reference_l1_winnow(S, eps, cover)
+    result = l1_winnow(S, eps, cover)
+    assert (result.f.key(), result.X, result.progress_log, result.trace) == (f.key(), X,
+                                                                             log, trace)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 3), st.integers(0, 10 ** 6), st.booleans(),
+       st.sampled_from([0.02, 0.05, 0.08, 0.1, 0.2, 0.5]), st.data())
+def test_winnows_match_member_by_member_references(n, salt, clustered, eps, data):
+    rng = substream(salt, 10)
+    if clustered:
+        S = clustered_pconcept(n, int(rng.integers(1, 4)), int(rng.integers(1, 6)),
+                               float(rng.choice([0.02, 0.1, 0.35])), rng)
+    else:
+        S = random_pconcept_class(n, int(rng.integers(1, 15)), rng)
+    f_star = S[data.draw(st.integers(0, len(S) - 1))]
+    Y = data.draw(st.sets(st.integers(0, S.domain.size - 1), max_size=3))
+    assert_winnows_match_references(S, f_star, Y, eps)
+
+
+def test_winnows_match_references_on_edge_classes():
+    domain = InputDomain(2)
+    singleton = PConceptClass(domain, [RealFunction.constant(domain, 0.3)])
+    assert_winnows_match_references(singleton, singleton[0], set(), 0.1)
+    S = clustered_pconcept(3, 3, 4, 0.35, substream(12, 0))
+    assert_winnows_match_references(S, S[5], set(), 0.08)  # empty Y
+    assert len(epsilon_cover(S, 1.0).cover) == 1
+    assert_winnows_match_references(S, S[5], {1, 6}, 1.0)  # singleton cover
 
 
 # ---------------------------------------------------------------------------
