@@ -18,22 +18,18 @@ import time
 
 from .errors import RejectedInputError
 from .reporting import write_report
-from .suites import run_suite, validate_config, verify_report
+from .suites import run_suite, verify_report
 
 
 def _cmd_run(args) -> int:
     with open(args.config) as fh:
         config = json.load(fh)
-    suite, params, seed, output_path = validate_config(config)
-    if args.seed is not None:
-        seed = args.seed
     started = time.monotonic()
-    report = run_suite(config, seed_override=seed)
+    report = run_suite(config, seed_override=args.seed)
     elapsed = time.monotonic() - started
-    out = args.out or output_path or "-"
-    write_report(out, report)
+    write_report(args.out or config.get("output_path") or "-", report)
     summary = report["summary"]
-    print(f"suite={suite} records={summary['records']} passed={summary['passed']} "
+    print(f"suite={report['suite']} records={summary['records']} passed={summary['passed']} "
           f"failed={summary['failed']} elapsed={elapsed:.2f}s", file=sys.stderr)
     return 0 if summary["failed"] == 0 else 1
 

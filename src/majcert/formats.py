@@ -102,26 +102,22 @@ def format_hex_input(x: int) -> str:
     return format(x, "#x")
 
 
+def _trace_lines(steps, action: str, describe) -> list:
+    """One ``action`` line per step, and a ``replace`` line after it when
+    the step replaced f; ``describe(step)`` gives the line's tail."""
+    return [f"step={t} action={a} {describe(step)}"
+            for t, step in enumerate(steps, start=1)
+            for a in ((action, "replace") if step.replaced else (action,))]
+
+
 def safe_winnow_trace_lines(result) -> list:
-    lines = []
-    for t, step in enumerate(result.trace, start=1):
-        lines.append(f"step={t} action=split input={format_hex_input(step.z)} "
-                     f"|S◇|={step.cover_survivors}")
-        if step.replaced:
-            lines.append(f"step={t} action=replace input={format_hex_input(step.z)} "
-                         f"|S◇|={step.cover_survivors}")
-    return lines
+    return _trace_lines(result.trace, "split", lambda step: (
+        f"input={format_hex_input(step.z)} |S◇|={step.cover_survivors}"))
 
 
 def l1_winnow_trace_lines(result) -> list:
-    lines = []
-    for t, step in enumerate(result.trace, start=1):
-        lines.append(f"step={t} action=add input={format_hex_input(step.y)} "
-                     f"M={format_float(step.progress)}")
-        if step.replaced:
-            lines.append(f"step={t} action=replace input={format_hex_input(step.y)} "
-                         f"M={format_float(step.progress)}")
-    return lines
+    return _trace_lines(result.trace, "add", lambda step: (
+        f"input={format_hex_input(step.y)} M={format_float(step.progress)}"))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +213,6 @@ def boolean_decomposition_to_json(dec, S: ConceptClass, seed: int, kind: str) ->
         "m": dec.m,
         "certs": list(dec.slots.map(lambda slot: certificate_to_json(slot[0]))),
         "funcs": list(dec.slots.map(lambda slot: boolean_to_hex(slot[1]))),
-        "verified": True,
         "seed": seed,
     }
 
@@ -247,7 +242,6 @@ def real_decomposition_to_json(dec, S: PConceptClass, seed: int) -> dict:
             "points": [format_hex_input(x) for x in sorted(slot[1])],
             "values": [float(slot[0](x)) for x in sorted(slot[1])]})),
         "funcs": list(dec.slots.map(lambda slot: S.index_of(slot[0]))),
-        "verified": True,
         "seed": seed,
     }
 
@@ -314,7 +308,6 @@ def protocol_to_json(P, seed: int) -> dict:
         "state_tables": tables,
         "advice_refs": refs,
         "decomposition": real_decomposition_to_json(P.decomposition, P.compiled_class, seed),
-        "verified": True,
         "seed": seed,
     }
 

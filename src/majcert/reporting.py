@@ -10,17 +10,12 @@ verdict offline.
 
 from __future__ import annotations
 
-import hashlib
 import sys
 
 from . import __version__
 from .formats import canonical_json
 
 SCHEMA_VERSION = 1
-
-
-def digest(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
 
 
 def build_report(suite: str, config: dict, seed: int, records: list,

@@ -2,11 +2,14 @@
 per-instance verification verdicts, plus offline re-verification.
 
 ``REGISTRY`` gives each suite a parameter schema (unknown keys
-rejected), a builder that returns records without verdicts, and one
-check that re-derives a record's verdict from its serialized form,
-recomputing what the record claims rather than trusting stored flags or
-numbers.  ``run_suite`` sets every verdict with ``verify_report`` on the
-canonical JSON it writes, so ``run`` and ``verify`` share each check.
+rejected), a builder that returns records of outputs, one check that
+re-derives a record's verdict from its serialized form, recomputing
+what the record claims rather than trusting stored flags or numbers,
+and one ``measures`` function that derives a record's measures from its
+outputs.  ``run_suite`` attaches those measures and sets every verdict
+with ``verify_report`` on the canonical JSON it writes, so ``run`` and
+``verify`` share each check; a record passes only when its check passes
+and its stored measures are exactly the re-derived ones.
 No parameter is downscaled silently: an instance that breaches a
 resource cap records a failed verdict and the run continues.
 """
@@ -42,11 +45,11 @@ from .games import (AliceStrategy, double_oracle_solve, k_isolatable_members,
 from .generators import (point_function_class, random_boolean_class,
                          random_pconcept_class)
 from .qsim import Circuit, DensityMatrix, Gate, random_mixed_state
-from .reporting import build_report, digest
+from .reporting import build_report
 from .rng import substream
-from .winnow import (ceil_log, epsilon_cover, fat_shattering_dim, l1_winnow,
-                     l1_winnow_defect, l2_counterexample, safe_winnow,
-                     safe_winnow_defect, vc_dim)
+from .winnow import (CoverResult, ceil_log, epsilon_cover, fat_shattering_dim,
+                     l1_winnow, l1_winnow_defect, l2_counterexample,
+                     safe_winnow, safe_winnow_defect, vc_dim)
 from .protocol import (adversary_search, bloch_extremal_states, compile_advice,
                        conditional_soundness_bound, fat_dim_quantum_check,
                        induced_function, machine_b_error, qma_plus_amplify,
@@ -82,7 +85,9 @@ def validate_config(config: dict) -> tuple:
         if not isinstance(value, typ) or isinstance(value, bool) and typ is int:
             raise RejectedInputError(f"parameter {name} must be {typ.__name__}")
         params[name] = value
-    seed = int(config.get("seed", 0))
+    seed = config.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise RejectedInputError(f"seed must be a non-negative integer, not {seed!r}")
     return suite, params, seed, config.get("output_path")
 
 
@@ -132,9 +137,8 @@ def _tables(S: PConceptClass) -> list:
     return [list(map(float, f.table)) for f in S]
 
 
-def _record(index: int, inputs, outputs: dict, measures: dict) -> dict:
-    return {"index": index, "inputs_digest": digest(inputs), "outputs": outputs,
-            "measures": measures}
+def _record(index: int, outputs: dict) -> dict:
+    return {"index": index, "outputs": outputs}
 
 
 def _instances(make: Callable) -> Callable:
@@ -162,9 +166,12 @@ def _robust_claims(dec) -> dict:
             "untrusted_flip_fails": untrusted_oracle_evaluate(dec, flipped, 0) == FAIL}
 
 
-def _majcert_measures(S: ConceptClass, dec) -> dict:
-    return {"class_size": len(S), "m": dec.m, "max_cert_size": dec.max_certificate_size(),
-            "cert_size_bound": ceil_log(len(S), 10, 9) + ceil_log(len(S), 2)}
+def _majcert_measures(record: dict) -> dict:
+    dec = record["outputs"]["decomposition"]
+    size = len(dec["class"])
+    return {"class_size": size, "m": dec["m"],
+            "max_cert_size": max(len(cert["points"]) for cert in dec["certs"]),
+            "cert_size_bound": ceil_log(size, 10, 9) + ceil_log(size, 2)}
 
 
 def _majcert_instance(params: dict, seed: int, index: int) -> dict:
@@ -186,24 +193,21 @@ def _majcert_instance(params: dict, seed: int, index: int) -> dict:
     outputs = {"decomposition": boolean_decomposition_to_json(dec, S, inst_seed, kind)}
     if params["robust"]:
         outputs.update(_robust_claims(dec))
-    return _record(index, {"class": [boolean_to_hex(f) for f in S],
-                           "target": boolean_to_hex(f_star)}, outputs,
-                   _majcert_measures(S, dec))
+    return _record(index, outputs)
 
 
 def _check_majcert(record: dict, context: dict) -> bool:
-    """Isolated slots with the target as majority (robust: margins), size
-    and width bounds, the stored measures, and for robust runs the
-    recomputed claims."""
+    """Isolated slots with the target as majority (robust: margins), distinct
+    class members, size and width bounds, and robust runs' recomputed claims."""
     out = record["outputs"]
     robust = context["params"]["robust"]
     S, dec = boolean_decomposition_from_json(out["decomposition"])
     dec.validate(S)
-    measures = _majcert_measures(S, dec)
+    measures = _majcert_measures(record)
     m_bound = 1 if len(S) == 1 else smallest_odd_at_least((60 if robust else 20) * S.domain.n)
     ok = (out["decomposition"]["kind"] == ("robust" if robust else "majority")
-          and measures["max_cert_size"] <= measures["cert_size_bound"]
-          and dec.m <= m_bound and _claims_hold(record["measures"], measures))
+          and len(S) == measures["class_size"]
+          and measures["max_cert_size"] <= measures["cert_size_bound"] and dec.m <= m_bound)
     if not robust:
         return ok
     claims = _robust_claims(dec)
@@ -219,74 +223,72 @@ def _realmajcert_instance(params: dict, seed: int, index: int) -> dict:
     inst_seed = child_seed(seed, 200, index)
     S = random_pconcept_class(params["n"], params["class_size"], substream(inst_seed, 0))
     dec = real_majority_certificates(S, S[0], params["eps"], seed=inst_seed)
-    beta = params["eps"] / 48.0
-    alpha_expected = 0.4 * beta / dec.realized_t
-    return _record(index, {"tables": _tables(S)},
-                   {"decomposition": real_decomposition_to_json(dec, S, inst_seed)},
-                   {"m": dec.m, "alpha": dec.alpha, "realized_t": dec.realized_t,
-                    "alpha_matches_schedule": abs(dec.alpha - alpha_expected) < 1e-15})
+    return _record(index, {"decomposition": real_decomposition_to_json(dec, S, inst_seed)})
+
+
+def _realmajcert_measures(record: dict) -> dict:
+    return {k: record["outputs"]["decomposition"][k] for k in ("m", "alpha")}
 
 
 def _check_realmajcert(record: dict, context: dict) -> bool:
-    """The decomposition verifies, and its m and alpha are the stored
-    measures (realized_t and the schedule flag are not serialized)."""
+    """The decomposition verifies."""
     S, dec = real_decomposition_from_json(record["outputs"]["decomposition"])
-    return (verify_real_decomposition(S, dec)
-            and _claims_hold(record["measures"], {"m": dec.m, "alpha": dec.alpha}))
+    return verify_real_decomposition(S, dec)
 
 
 # ---------------------------------------------------------------------------
 # winnow suite (safe winnowing)
 # ---------------------------------------------------------------------------
 
-def _winnow_measures(out: dict) -> dict:
-    """The measures a winnow record's outputs determine."""
+def _stored_cover(S: PConceptClass, out: dict) -> CoverResult:
+    """The record's cover, which must name distinct members of S forming
+    an eps-cover of S."""
+    members = [S[i] for i in out["cover"] if i >= 0]
+    cover = CoverResult(PConceptClass(S.domain, members), out["eps"])
+    if len(cover.cover) != len(out["cover"]):  # a negative index, or one repeated
+        raise RejectedInputError("cover indices must be distinct members of the class")
+    cover.validate(S)
+    return cover
+
+
+def _winnow_measures(record: dict) -> dict:
+    out = record["outputs"]
     return {"z_size": len(out["Z"]), "cover_size": len(out["cover"])}
 
 
 def _winnow_instance(params: dict, seed: int, index: int) -> dict:
     inst_seed = child_seed(seed, 300, index)
     rng = substream(inst_seed, 0)
-    n, eps = params["n"], params["eps"]
-    S = random_pconcept_class(n, params["class_size"], rng)
+    eps = params["eps"]
+    S = random_pconcept_class(params["n"], params["class_size"], rng)
     f_star = S[int(rng.integers(len(S)))]
     Y = frozenset(int(x) for x in rng.choice(S.domain.size, size=params["y_size"],
                                              replace=False))
     cover = epsilon_cover(S, eps)
     result = safe_winnow(S, f_star, Y, eps, cover)
-    try:
-        fat = fat_shattering_dim(S, eps / 4.0)
-        fitted_c = (math.log(len(cover.cover)) / ((n + math.log(1.0 / eps)) * fat)
-                    if fat > 0 and len(cover.cover) > 1 else 0.0)
-    except DimensionCapExceeded:
-        fat, fitted_c = -1, 0.0
-    outputs = {"tables": _tables(S), "f_star": S.index_of(f_star),
-               "f": S.index_of(result.f), "Y": sorted(Y), "Z": sorted(result.Z),
-               "eps": eps, "cover": [S.index_of(g) for g in cover.cover],
-               "trace": safe_winnow_trace_lines(result)}
-    return _record(index, outputs["tables"], outputs,
-                   {**_winnow_measures(outputs), "fat_eps4": fat,
-                    "fitted_cover_constant": fitted_c})
+    return _record(index, {"tables": _tables(S), "f_star": S.index_of(f_star),
+                           "f": S.index_of(result.f), "Y": sorted(Y), "Z": sorted(result.Z),
+                           "eps": eps, "cover": [S.index_of(g) for g in cover.cover],
+                           "trace": safe_winnow_trace_lines(result)})
 
 
 def _check_winnow(record: dict, context: dict) -> bool:
-    """Safe winnowing's postcondition (safe_winnow_defect: |Z| <= log2
-    |cover| and conclusions (i) and (ii)), and the stored z_size and
-    cover_size; fat_eps4 and fitted_cover_constant would need the fat
-    dimension of the unrounded tables and stay unchecked."""
+    """The stored cover is an eps-cover of the class, and safe winnowing's
+    postcondition holds with it (safe_winnow_defect: |Z| <= log2 |cover|
+    and conclusions (i) and (ii))."""
     out = record["outputs"]
     S = _pconcept_class(out["tables"])
-    return (safe_winnow_defect(S, S[out["f"]], S[out["f_star"]], out["Y"], out["Z"],
-                               out["eps"], len(out["cover"])) is None
-            and _claims_hold(record["measures"], _winnow_measures(out)))
+    cover = _stored_cover(S, out)
+    return safe_winnow_defect(S, S[out["f"]], S[out["f_star"]], out["Y"], out["Z"],
+                              out["eps"], len(cover.cover)) is None
 
 
 # ---------------------------------------------------------------------------
 # l1winnow suite
 # ---------------------------------------------------------------------------
 
-def _l1winnow_measures(out: dict) -> dict:
-    """The measures an l1winnow record's outputs determine."""
+def _l1winnow_measures(record: dict) -> dict:
+    out = record["outputs"]
     return {"x_size": len(out["X"]),
             "x_bound": 40.0 * math.log(max(len(out["cover"]), 1)) / out["eps"],
             "cover_size": len(out["cover"])}
@@ -295,27 +297,31 @@ def _l1winnow_measures(out: dict) -> dict:
 def _l1winnow_instance(params: dict, seed: int, index: int) -> dict:
     inst_seed = child_seed(seed, 400, index)
     rng = substream(inst_seed, 0)
-    n, eps = params["n"], params["eps"]
-    S = random_pconcept_class(n, params["class_size"], rng)
+    eps = params["eps"]
+    S = random_pconcept_class(params["n"], params["class_size"], rng)
     cover = epsilon_cover(S, eps)
     result = l1_winnow(S, eps, cover)
-    outputs = {"tables": _tables(S), "f": S.index_of(result.f), "X": sorted(result.X),
-               "eps": eps, "cover": [S.index_of(g) for g in cover.cover],
-               "progress_log": [float(v) for v in result.progress_log],
-               "trace": l1_winnow_trace_lines(result)}
-    return _record(index, outputs["tables"], outputs, _l1winnow_measures(outputs))
+    return _record(index, {"tables": _tables(S), "f": S.index_of(result.f),
+                           "X": sorted(result.X), "eps": eps,
+                           "cover": [S.index_of(g) for g in cover.cover],
+                           "progress_log": [float(v) for v in result.progress_log],
+                           "trace": l1_winnow_trace_lines(result)})
 
 
 def _check_l1winnow(record: dict, context: dict) -> bool:
-    """L1 winnowing's postcondition (l1_winnow_defect: progress shrinks by
-    1 - eps/20 per step, and members 0.4 eps-close to f in L1 on X are
-    2 eps-close), |X| <= 40 ln|cover| / eps, and the stored measures."""
+    """The stored cover is an eps-cover of the class; the progress log
+    starts at |cover| and ends at M_{f,X} over that cover; L1 winnowing's
+    postcondition holds (l1_winnow_defect: progress shrinks by 1 - eps/20
+    per step, and members 0.4 eps-close to f in L1 on X are 2 eps-close);
+    and |X| <= 40 ln|cover| / eps."""
     out = record["outputs"]
     S = _pconcept_class(out["tables"])
-    measures = _l1winnow_measures(out)
-    return (l1_winnow_defect(S, S[out["f"]], out["X"], out["eps"], out["progress_log"]) is None
-            and measures["x_size"] <= measures["x_bound"]
-            and _claims_hold(record["measures"], measures))
+    cover, measures = _stored_cover(S, out), _l1winnow_measures(record)
+    f, log = S[out["f"]], out["progress_log"]
+    return (log[0] == len(cover.cover)
+            and _matches(log[-1], cover.progress(f.table, sorted(out["X"])))
+            and l1_winnow_defect(S, f, out["X"], out["eps"], log) is None
+            and measures["x_size"] <= measures["x_bound"])
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +331,20 @@ def _check_l1winnow(record: dict, context: dict) -> bool:
 def _l2_instance(family, f: RealFunction, X: frozenset, index: int) -> dict:
     n = family.n
     g = family.corrupt(f, X)
-    outputs = {"n": n,
-               "f_numerators": [int(round(f(x) * n)) for x in family.domain.inputs()],
-               "g_numerators": [int(round(g(x) * n)) for x in family.domain.inputs()],
-               "X": sorted(X), "d2_on_X": dist_two(f, g, X), "d_inf": dist_inf(f, g)}
-    return _record(index, outputs["f_numerators"] + sorted(X), outputs,
-                   {"corrupted_overlap": _l2_overlap(f, g, X)})
+    return _record(index, {
+        "n": n, "f_numerators": [int(round(f(x) * n)) for x in family.domain.inputs()],
+        "g_numerators": [int(round(g(x) * n)) for x in family.domain.inputs()],
+        "X": sorted(X), "d2_on_X": dist_two(f, g, X), "d_inf": dist_inf(f, g)})
 
 
-def _l2_overlap(f: RealFunction, g: RealFunction, X: frozenset) -> int:
-    """Inputs of X where the corruption lowers a positive value of f."""
-    return sum(1 for x in X if f(x) > 0.0 and g(x) < f(x))
+def _l2counter_measures(record: dict) -> dict:
+    """The recounted class size, or the corrupted overlap: inputs of X
+    where the corruption lowers a positive value of f."""
+    out = record["outputs"]
+    if "enumerated_class_size" in out:
+        return {"class_size": out["enumerated_class_size"]}
+    f, g = out["f_numerators"], out["g_numerators"]
+    return {"corrupted_overlap": sum(1 for x in out["X"] if 0 < f[x] and g[x] < f[x])}
 
 
 def _build_l2counter(params: dict, seed: int) -> list:
@@ -359,9 +368,7 @@ def _build_l2counter(params: dict, seed: int) -> list:
                 index += 1
                 break
     if n <= 3:
-        count = len(members)
-        records.append(_record(index, {"n": n}, {"n": n, "enumerated_class_size": count},
-                               {"class_size": count}))
+        records.append(_record(index, {"n": n, "enumerated_class_size": len(members)}))
     return records
 
 
@@ -372,13 +379,11 @@ def _check_l2counter(record: dict, context: dict) -> bool:
     family = l2_counterexample(out["n"])
     if "enumerated_class_size" in out:
         return len(family.enumerate_class()) == out["enumerated_class_size"]
-    n = out["n"]
-    f = family.member(out["f_numerators"])
-    g = family.member(out["g_numerators"])
+    f, g = family.member(out["f_numerators"]), family.member(out["g_numerators"])
     X = frozenset(out["X"])
     d2, dinf = dist_two(f, g, X), dist_inf(f, g)
-    return (dinf == 1.0 and d2 <= 1.0 / math.sqrt(n) + 1e-12
-            and _l2_overlap(f, g, X) <= n
+    return (dinf == 1.0 and d2 <= 1.0 / math.sqrt(family.n) + 1e-12
+            and _l2counter_measures(record)["corrupted_overlap"] <= family.n
             and _claims_hold(out, {"d2_on_X": d2, "d_inf": dinf}))
 
 
@@ -399,7 +404,7 @@ def _dims_boolean_instance(params: dict, seed: int, index: int) -> dict:
             PConceptClass(S.domain, [f.to_real() for f in S]), 0.25)})
     except DimensionCapExceeded as exc:
         outputs.update({"cap_exceeded": exc.cap})
-    return _record(index, outputs["class"], outputs, {"class_size": len(S)})
+    return _record(index, outputs)
 
 
 def _dims_pconcept_instance(params: dict, seed: int, index: int) -> dict:
@@ -412,7 +417,7 @@ def _dims_pconcept_instance(params: dict, seed: int, index: int) -> dict:
         outputs["dims"] = [fat_shattering_dim(S, g) for g in gammas]
     except DimensionCapExceeded as exc:
         outputs["cap_exceeded"] = exc.cap
-    return _record(index, outputs["tables"], outputs, {})
+    return _record(index, outputs)
 
 
 def _build_dims(params: dict, seed: int) -> list:
@@ -422,9 +427,14 @@ def _build_dims(params: dict, seed: int) -> list:
                for i in range(params["pconcept_instances"])])
 
 
+def _dims_measures(record: dict) -> dict:
+    out = record["outputs"]
+    return {"class_size": len(out["class"])} if out["kind"] == "boolean" else {}
+
+
 def _check_dims(record: dict, context: dict) -> bool:
-    """Recomputed dimensions equal the stored ones: VC = fat at 1/4 within
-    log2|S|, or fat dimensions non-increasing along increasing gammas."""
+    """Recomputed dimensions equal the stored ones: distinct members with
+    VC = fat at 1/4 within log2|S|, or fat non-increasing along gammas."""
     out = record["outputs"]
     if "cap_exceeded" in out:
         return False
@@ -433,7 +443,7 @@ def _check_dims(record: dict, context: dict) -> bool:
         v = vc_dim(S)
         fat = fat_shattering_dim(PConceptClass(S.domain, [f.to_real() for f in S]), 0.25)
         return (v == out["vc"] and fat == out["fat_quarter"] and fat == v
-                and v <= math.log2(len(S)) + 1e-12)
+                and len(S) == len(out["class"]) and v <= math.log2(len(S)) + 1e-12)
     S = _pconcept_class(out["tables"])
     gammas = out["gammas"]
     dims = [fat_shattering_dim(S, g) for g in gammas]
@@ -458,14 +468,16 @@ def _occam_instance(params: dict, seed: int, index: int) -> dict:
     # tables and weights also ride as hex floats: the check must rerun
     # the seeded trials bit-exactly, and report floats are rounded to 12
     # significant digits
-    outputs = {"tables": _tables(S), "f": 0,
-               "weights": [float(w) for w in D.weights], "eps": eps,
-               "tables_hex": [[float(v).hex() for v in g.table] for g in S],
-               "weights_hex": [float(w).hex() for w in D.weights],
-               "m": M, "trials": params["trials"], "rate": rate,
-               "seed": inst_seed, "schedule_start": schedule_start(fat, eps)}
-    return _record(index, outputs["tables_hex"], outputs,
-                   {"sample_size": M, "pass_rate": rate, "fat_eps": fat})
+    return _record(index, {"tables": _tables(S), "f": 0,
+                           "weights": [float(w) for w in D.weights], "eps": eps,
+                           "tables_hex": [[float(v).hex() for v in g.table] for g in S],
+                           "weights_hex": [float(w).hex() for w in D.weights],
+                           "m": M, "trials": params["trials"], "rate": rate,
+                           "seed": inst_seed, "schedule_start": schedule_start(fat, eps)})
+
+
+def _occam_measures(record: dict) -> dict:
+    return {"sample_size": record["outputs"]["m"], "pass_rate": record["outputs"]["rate"]}
 
 
 def _check_occam(record: dict, context: dict) -> bool:
@@ -511,9 +523,13 @@ def _equivalence_instance(params: dict, seed: int, index: int) -> dict:
                "full_value": full.game_value, "oracle_value": oracle.game_value}
     outputs["full_support"], outputs["full_weights"] = _strategy_json(full)
     outputs["oracle_support"], outputs["oracle_weights"] = _strategy_json(oracle)
-    return _record(index, outputs["class"], outputs,
-                   {"value_gap": abs(full.game_value - oracle.game_value),
-                    "oracle_support_size": len(oracle.support)})
+    return _record(index, outputs)
+
+
+def _equivalence_measures(record: dict) -> dict:
+    out = record["outputs"]
+    return {"value_gap": abs(out["full_value"] - out["oracle_value"]),
+            "oracle_support_size": len(out["oracle_support"])}
 
 
 def _check_equivalence(record: dict, context: dict) -> bool:
@@ -599,44 +615,31 @@ def _build_quantum_protocol(params: dict, seed: int) -> list:
     P = build_standard_protocol(params["eps"], params["random_states"], seed)
     honest = P.honest_registers()
     proto_json = protocol_to_json(P, seed)
-    circuit = proto_json["circuit"]
-    bound = conditional_soundness_bound(P)
     intact = adversary_search(P, budget=params["adversary_restarts"], seed=seed)
     factor = _inflation_factor(P)
     attack = adversary_search(with_inflated_alpha(P, factor),
                               budget=max(50, params["adversary_restarts"] // 10), seed=seed)
     register_tables, register_refs = states_to_json(attack.registers or ())
-    amplification = _amplification(params)
-    Ks = [entry["K"] for entry in amplification["amplification"]]
     fat, *dims = _fat_dims(params, seed)
     return [
-        _record(0, circuit, {"protocol": proto_json,
-                             "honest_deviation": verifier_A(P, honest),
-                             "honest_b_error": machine_b_error(P, honest)},
-                {"m": P.m, "alpha": P.alpha, "class_size": len(P.compiled_class)}),
-        _record(1, circuit, {"conditional_soundness_bound": bound,
-                             "decomposition_verified": verify_real_decomposition(
-                                 P.compiled_class, P.decomposition),
-                             "decomposition": proto_json["decomposition"],
-                             "scope": "exact over the compiled finite class; the full "
-                                      "state space is probed by search, not proven"},
-                {"bound": bound}),
-        _record(2, circuit, {"best_error": intact.best_error,
-                             "best_deviation": intact.best_deviation,
-                             "violation_found": intact.violation_found,
-                             "restarts": params["adversary_restarts"]},
-                {"best_error": intact.best_error}),
-        _record(3, circuit, {"inflation_factor": factor, "best_error": attack.best_error,
-                             "best_deviation": attack.best_deviation,
-                             "violation_found": attack.violation_found,
-                             "register_tables": register_tables,
-                             "register_refs": register_refs},
-                {"best_error": attack.best_error}),
-        _record(4, {"q": str(Fraction(params["amplify_q"])), "Ks": Ks}, amplification,
-                {"ks": Ks}),
-        _record(5, circuit, {"fat_quarter": fat, "gammas": _FAT_GAMMAS,
-                             "dims": [d["measured"] for d in dims]},
-                {"measured": fat["measured"], "bound": fat["bound"]}),
+        _record(0, {"protocol": proto_json, "honest_deviation": verifier_A(P, honest),
+                    "honest_b_error": machine_b_error(P, honest)}),
+        _record(1, {"conditional_soundness_bound": conditional_soundness_bound(P),
+                    "decomposition_verified": verify_real_decomposition(
+                        P.compiled_class, P.decomposition),
+                    "decomposition": proto_json["decomposition"],
+                    "scope": "exact over the compiled finite class; the full "
+                             "state space is probed by search, not proven"}),
+        _record(2, {"best_error": intact.best_error, "best_deviation": intact.best_deviation,
+                    "violation_found": intact.violation_found,
+                    "restarts": params["adversary_restarts"]}),
+        _record(3, {"inflation_factor": factor, "best_error": attack.best_error,
+                    "best_deviation": attack.best_deviation,
+                    "violation_found": attack.violation_found,
+                    "register_tables": register_tables, "register_refs": register_refs}),
+        _record(4, _amplification(params)),
+        _record(5, {"fat_quarter": fat, "gammas": _FAT_GAMMAS,
+                    "dims": [d["measured"] for d in dims]}),
     ]
 
 
@@ -646,25 +649,19 @@ def _quantum_context(records: list) -> dict:
 
 
 def _check_honest_advice(record: dict, context: dict) -> bool:
-    """Record 0: honest advice passes machine A within alpha, machine B
-    errs by at most 0.3, and m, alpha and the class size are the stored
-    measures; the class size is that of the serialized class, since
-    members that differ only beyond the 12 stored digits decode as one."""
+    """Record 0: honest advice passes machine A within alpha, and machine
+    B errs by at most 0.3."""
     P = context["protocol"]
     honest = P.honest_registers()
     dev, berr = verifier_A(P, honest), machine_b_error(P, honest)
-    class_size = len(context["protocol_json"]["decomposition"]["class_tables"])
     return (dev <= P.alpha and berr <= 0.3
             and _claims_hold(record["outputs"], {"honest_deviation": dev,
-                                                 "honest_b_error": berr})
-            and _claims_hold(record["measures"], {"m": P.m, "alpha": P.alpha,
-                                                  "class_size": class_size}))
+                                                 "honest_b_error": berr}))
 
 
 def _check_soundness_bound(record: dict, context: dict) -> bool:
     """Record 1: the protocol's decomposition verifies and its exact
-    soundness bound over the compiled class is at most 0.3 and is the
-    stored measure."""
+    soundness bound over the compiled class is at most 0.3."""
     out = record["outputs"]
     P = context["protocol"]
     ok = verify_real_decomposition(P.compiled_class, P.decomposition)
@@ -672,16 +669,15 @@ def _check_soundness_bound(record: dict, context: dict) -> bool:
     return (ok and bound <= 0.3
             and out["decomposition"] == context["protocol_json"]["decomposition"]
             and _claims_hold(out, {"conditional_soundness_bound": bound,
-                                   "decomposition_verified": ok})
-            and _claims_hold(record["measures"], {"bound": bound}))
+                                   "decomposition_verified": ok}))
 
 
 def _check_intact_search(record: dict, context: dict) -> bool:
     """Record 2: the search against the intact protocol found nothing.
     That leaves no witness to recompute, so the stored outcome is read:
-    it must claim no violation, a best error of at most 1/3 that is also
-    the stored measure, a best deviation within 5 alpha (with REAL_ATOL
-    for the 12 stored digits), and the configured restart count.
+    it must claim no violation, a best error of at most 1/3, a best
+    deviation within 5 alpha (with REAL_ATOL for the 12 stored digits),
+    and the configured restart count.
     Re-running the seeded search here would make the check exact, but
     on a 2-core machine the search alone takes 0.3-0.6 s against about
     0.4 s of real-quantum benchmark ``verify_s`` for all seven reports,
@@ -689,15 +685,13 @@ def _check_intact_search(record: dict, context: dict) -> bool:
     out = record["outputs"]
     return (not out["violation_found"] and out["best_error"] <= 1.0 / 3.0
             and out["best_deviation"] <= 5.0 * context["protocol"].alpha + REAL_ATOL
-            and out["restarts"] == context["params"]["adversary_restarts"]
-            and _claims_hold(record["measures"], {"best_error": out["best_error"]}))
+            and out["restarts"] == context["params"]["adversary_restarts"])
 
 
 def _check_broken_protocol(record: dict, context: dict) -> bool:
     """Record 3: the stored registers pass machine A of the alpha-inflated
     protocol (deviation <= 5 alpha', with 1e-9 slack for the 12 digits
-    the tables keep) while machine B errs by more than 1/3, and that
-    error is the stored measure."""
+    the tables keep) while machine B errs by more than 1/3."""
     out = record["outputs"]
     P = context["protocol"]
     factor = _inflation_factor(P)
@@ -707,36 +701,29 @@ def _check_broken_protocol(record: dict, context: dict) -> bool:
     err, dev = machine_b_error(broken, registers), verifier_A(broken, registers)
     return (err > 1.0 / 3.0 and dev <= 5.0 * broken.alpha + REAL_ATOL
             and _claims_hold(out, {"inflation_factor": factor, "best_error": err,
-                                   "best_deviation": dev, "violation_found": True})
-            and _claims_hold(record["measures"], {"best_error": err}))
+                                   "best_deviation": dev, "violation_found": True}))
 
 
 def _check_amplification(record: dict, context: dict) -> bool:
     """Record 4: recomputed acceptances match, clear their Chernoff
-    floors, one register matches the hand value, and the register counts
-    K are the stored measure."""
+    floors, and one register matches the hand value."""
     derived = _amplification(context["params"])
     return (all(e["acceptance"] >= e["chernoff_floor"] for e in derived["amplification"])
             and abs(derived["single_register"] - derived["single_register_hand"]) <= 1e-12
-            and _claims_hold(record["outputs"], derived)
-            and _claims_hold(record["measures"],
-                             {"ks": [e["K"] for e in derived["amplification"]]}))
+            and _claims_hold(record["outputs"], derived))
 
 
 def _check_fat_dims(record: dict, context: dict) -> bool:
     """Record 5: the fat-shattering dimensions, re-measured on the class
     induced by the report's seed, match the stored ones; the one at
     gamma = 1/4 is within p/gamma^2 (p = 1), and they do not increase
-    along 0.2, 1/4, 0.3, 0.4; the stored measures are the dimension and
-    bound at 1/4."""
+    along 0.2, 1/4, 0.3, 0.4."""
     out = record["outputs"]
     fat, *dims = _fat_dims(context["params"], context["seed"])
     measured = [d["measured"] for d in dims]
     return (out["gammas"] == _FAT_GAMMAS and fat["measured"] <= fat["bound"]
             and _non_increasing([measured[0], fat["measured"], *measured[1:]])
-            and _claims_hold(out, {"fat_quarter": fat, "dims": measured})
-            and _claims_hold(record["measures"], {"measured": fat["measured"],
-                                                  "bound": fat["bound"]}))
+            and _claims_hold(out, {"fat_quarter": fat, "dims": measured}))
 
 
 _QUANTUM_CHECKS = (_check_honest_advice, _check_soundness_bound, _check_intact_search,
@@ -747,6 +734,22 @@ def _check_quantum(record: dict, context: dict) -> bool:
     return _QUANTUM_CHECKS[record["index"]](record, context)
 
 
+_QUANTUM_MEASURES = (
+    lambda out: {"m": out["protocol"]["m"], "alpha": out["protocol"]["alpha"],
+                 "class_size": len(out["protocol"]["decomposition"]["class_tables"])},
+    lambda out: {"bound": out["conditional_soundness_bound"]},
+    lambda out: {"best_error": out["best_error"]},
+    lambda out: {"best_error": out["best_error"]},
+    lambda out: {"ks": [entry["K"] for entry in out["amplification"]]},
+    lambda out: {"measured": out["fat_quarter"]["measured"],
+                 "bound": out["fat_quarter"]["bound"]},
+)
+
+
+def _quantum_measures(record: dict) -> dict:
+    return _QUANTUM_MEASURES[record["index"]](record["outputs"])
+
+
 # ---------------------------------------------------------------------------
 # registry and dispatch
 # ---------------------------------------------------------------------------
@@ -754,12 +757,14 @@ def _check_quantum(record: dict, context: dict) -> bool:
 @dataclass(frozen=True)
 class Suite:
     """Parameter schema (name -> (type, default)), ``build(params, seed)``
-    returning records without verdicts, and ``check(record, context)``;
+    returning records of outputs, ``check(record, context)``, and
+    ``measures(record)`` deriving a record's measures from its outputs;
     the context holds ``params``, ``seed`` and ``prepare(records)``."""
 
     schema: dict
     build: Callable
     check: Callable
+    measures: Callable
     prepare: Callable = lambda records: {}
     notes: Optional[dict] = None
 
@@ -768,36 +773,38 @@ REGISTRY = {
     "majcert": Suite(
         {"n": (int, 6), "kind": (str, "point-functions"), "instances": (int, 1),
          "class_size": (int, 24), "point_count": (int, 48), "robust": (bool, False)},
-        _instances(_majcert_instance), _check_majcert),
+        _instances(_majcert_instance), _check_majcert, _majcert_measures),
     "realmajcert": Suite(
         {"n": (int, 3), "class_size": (int, 40), "eps": (float, 0.25),
          "instances": (int, 1)},
-        _instances(_realmajcert_instance), _check_realmajcert),
+        _instances(_realmajcert_instance), _check_realmajcert,
+        _realmajcert_measures),
     "winnow": Suite(
         {"n": (int, 3), "class_size": (int, 20), "eps": (float, 0.1),
          "instances": (int, 50), "y_size": (int, 2)},
-        _instances(_winnow_instance), _check_winnow),
+        _instances(_winnow_instance), _check_winnow, _winnow_measures),
     "l1winnow": Suite(
         {"n": (int, 3), "class_size": (int, 30), "eps": (float, 0.1),
          "instances": (int, 50)},
-        _instances(_l1winnow_instance), _check_l1winnow),
+        _instances(_l1winnow_instance), _check_l1winnow, _l1winnow_measures),
     "l2counter": Suite(
         {"n": (int, 2), "instances": (int, 100), "member_samples": (int, 20)},
-        _build_l2counter, _check_l2counter),
+        _build_l2counter, _check_l2counter, _l2counter_measures),
     "dims": Suite(
         {"instances": (int, 100), "n_min": (int, 2), "n_max": (int, 5),
          "size_max": (int, 32), "pconcept_instances": (int, 20),
          "gammas": (list, [0.1, 0.2, 0.3, 0.4])},
-        _build_dims, _check_dims),
+        _build_dims, _check_dims, _dims_measures),
     "occam": Suite(
         {"instances": (int, 10), "n": (int, 3), "class_size": (int, 25),
          "eps": (float, 0.1), "trials": (int, 100)},
-        _instances(_occam_instance), _check_occam),
+        _instances(_occam_instance), _check_occam, _occam_measures),
     "quantum-protocol": Suite(
         {"eps": (float, 0.1), "random_states": (int, 60),
          "adversary_restarts": (int, 1000), "amplify_count": (int, 3),
          "amplify_q": (int, 8), "fat_samples": (int, 300)},
-        _build_quantum_protocol, _check_quantum, prepare=_quantum_context,
+        _build_quantum_protocol, _check_quantum, _quantum_measures,
+        prepare=_quantum_context,
         notes={"soundness_scope":
                "decomposition guarantees are exact over the compiled finite "
                "class; full-state-space soundness is searched empirically, "
@@ -805,40 +812,47 @@ REGISTRY = {
     "equivalence": Suite(
         {"instances": (int, 20), "n": (int, 4), "class_size_max": (int, 16),
          "k": (int, 4)},
-        _instances(_equivalence_instance), _check_equivalence),
+        _instances(_equivalence_instance), _check_equivalence,
+        _equivalence_measures),
 }
 
 
 def run_suite(config: dict, seed_override=None) -> dict:
-    """Build the suite's records, then set each verdict by verifying the
-    canonical JSON of the records, exactly as ``verify_report`` does."""
+    """Build the suite's records and attach their measures, then set each
+    verdict by verifying the canonical JSON of the records, exactly as
+    ``verify_report`` does."""
     suite, params, seed, _ = validate_config(config)
     if seed_override is not None:
-        seed = int(seed_override)
-    records = REGISTRY[suite].build(params, seed)
+        seed = validate_config({**config, "seed": seed_override})[2]
+    entry = REGISTRY[suite]
+    records = entry.build(params, seed)
+    for record in records:
+        record["measures"] = entry.measures(record)
     config_echo = {"schema": 1, "suite": suite, "parameters": params, "seed": seed}
     stored = json.loads(canonical_json({"suite": suite, "config": config_echo,
                                         "records": records}))
     for record, (_, ok) in zip(records, verify_report(stored)):
         record["verified"] = ok
-    return build_report(suite, config_echo, seed, records, REGISTRY[suite].notes)
+    return build_report(suite, config_echo, seed, records, entry.notes)
 
 
 def verify_report(report: dict) -> list:
-    """Re-check every record with its suite's check; returns a list of
-    (index, ok) pairs.  A check that raises, or a context that cannot be
-    decoded, counts as a failed record."""
+    """Re-check every record with its suite's check and compare its stored
+    measures, as a whole, with the ones its outputs determine; returns a
+    list of (index, ok) pairs.  A check that raises, or a context that
+    cannot be decoded, counts as a failed record."""
     suite, params, seed, _ = validate_config(report.get("config"))
     entry, records = REGISTRY[suite], report["records"]
     try:
         context = {"params": params, "seed": seed, **entry.prepare(records)}
     except Exception:
         context = None
-    return [(record["index"], _passes(entry.check, record, context)) for record in records]
+    return [(record["index"], _passes(entry, record, context)) for record in records]
 
 
-def _passes(check: Callable, record: dict, context: Optional[dict]) -> bool:
+def _passes(entry: Suite, record: dict, context: Optional[dict]) -> bool:
     try:
-        return context is not None and bool(check(record, context))
+        return (context is not None and bool(entry.check(record, context))
+                and _matches(record["measures"], entry.measures(record)))
     except Exception:
         return False

@@ -193,6 +193,12 @@ class CoverResult:
         if not covered.all():
             raise RejectedInputError("cover does not cover the class")
 
+    def progress(self, f: np.ndarray, xs: list) -> float:
+        """M_{f,X}: the sum over cover members h of exp(-Delta_1(f,h)[X]),
+        for f's table and X as the sorted list ``xs``."""
+        C = self.cover.value_matrix()
+        return sum(math.exp(-d) for d in restricted_gaps(C, xs, f[xs], "one").tolist())
+
     @property
     def k(self) -> float:
         """log2 |cover|, the halving budget of safe winnowing."""
@@ -521,14 +527,9 @@ def l1_winnow(S: PConceptClass, eps: float, cover: CoverResult) -> L1WinnowResul
         raise RejectedInputError("eps must be positive")
     cover.validate(S)
     V = S.value_matrix()
-    C = cover.cover.value_matrix()
-
-    def measure(row: int, xs: list) -> float:
-        return sum(math.exp(-d) for d in restricted_gaps(C, xs, V[row, xs], "one").tolist())
-
     f = 0  # the source construction starts anywhere; lowest index is canonical
     X: set = set()
-    log = [measure(f, [])]
+    log = [cover.progress(V[f], [])]
     steps = []
     while True:
         xs = sorted(X)
@@ -540,7 +541,7 @@ def l1_winnow(S: PConceptClass, eps: float, cover: CoverResult) -> L1WinnowResul
         y = int(np.argmax(np.abs(V[f] - V[g]) > 2.0 * eps))
         X.add(y)
         xs = sorted(X)
-        M_f, M_g = measure(f, xs), measure(g, xs)
+        M_f, M_g = cover.progress(V[f], xs), cover.progress(V[g], xs)
         replaced = M_g < M_f
         if replaced:
             f = g

@@ -41,6 +41,31 @@ def test_validate_config_rejects_bad_type():
                          "parameters": {"instances": "three"}})
 
 
+@pytest.mark.parametrize("seed", ["abc", -3, 1.5, True, None])
+def test_validate_config_rejects_bad_seed(seed):
+    with pytest.raises(RejectedInputError, match="seed"):
+        validate_config({"schema": 1, "suite": "winnow", "parameters": {}, "seed": seed})
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "2"])
+def test_run_suite_rejects_bad_seed_override(seed):
+    with pytest.raises(RejectedInputError, match="seed"):
+        run_suite({"schema": 1, "suite": "winnow", "parameters": {"instances": 1}},
+                  seed_override=seed)
+
+
+@pytest.mark.parametrize("seed, argv", [
+    ("abc", []), (-3, []), (1.5, []), (True, []), (4, ["--seed", "-1"])])
+def test_cli_bad_seed_exits_with_error(tmp_path, capsys, seed, argv):
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"schema": 1, "suite": "winnow", "parameters": {"instances": 1},
+                        "seed": seed})
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", cfg, "--out", str(out), *argv]) == 2
+    assert not out.exists()
+    assert "error: seed must be a non-negative integer" in capsys.readouterr().err
+
+
 def test_run_and_verify_via_cli(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json",
                        {"schema": 1, "suite": "winnow",
@@ -116,8 +141,8 @@ def test_majcert_suite_end_to_end():
     assert report["summary"]["failed"] == 0
     assert all(ok for _, ok in verify_report(report))
     record = report["records"][0]
-    assert record["outputs"]["decomposition"]["verified"]
-    assert record["measures"]["m"] == 121
+    assert record["verified"]
+    assert record["measures"]["m"] == record["outputs"]["decomposition"]["m"] == 121
 
 
 def test_majcert_suite_robust_variant():

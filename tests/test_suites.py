@@ -58,6 +58,16 @@ def triple_every_slot(report):
     return 0
 
 
+def repeated_class_member(report):
+    """A member listed twice, with the measures re-derived to match."""
+    record = report["records"][0]
+    out = record["outputs"]
+    members = out.get("decomposition", out)["class"]
+    members.append(members[0])
+    record["measures"] = REGISTRY[report["suite"]].measures(record)
+    return 0
+
+
 def extra_certificate_bit(report):
     cert = report["records"][0]["outputs"]["decomposition"]["certs"][0]
     cert["bits"].append(cert["bits"][-1])
@@ -101,6 +111,12 @@ def inflate_measures(report, index=0):
     for key, value in measures.items():
         measures[key] = times_7_plus_3(value)
     return index
+
+
+def readd_fat_eps4(report):
+    """A measure the outputs do not determine: the key set must match."""
+    report["records"][0]["measures"]["fat_eps4"] = 1
+    return 0
 
 
 def flip_untrusted_claim(report):
@@ -174,6 +190,22 @@ def winnow_z_past_its_bound(report):
     return 0
 
 
+def winnow_padded_cover(report):
+    """Z past log2 of the true cover, hidden by repeating the cover's
+    indices 64 times, with the measures matched."""
+    record = report["records"][0]
+    winnow_z_past_its_bound(report)
+    record["outputs"]["cover"] = record["outputs"]["cover"] * 64
+    record["measures"] = REGISTRY["winnow"].measures(record)
+    return 0
+
+
+def l1winnow_invented_progress(report):
+    """A log that shrinks fast enough but is not the cover's measure."""
+    report["records"][0]["outputs"]["progress_log"] = [1.0, 0.5]
+    return 0
+
+
 def l1winnow_stalled_progress(report):
     log = report["records"][0]["outputs"]["progress_log"]
     log.append(log[-1])
@@ -183,6 +215,7 @@ def l1winnow_stalled_progress(report):
 @pytest.mark.parametrize("name, tamper", [
     ("majcert", triple_every_slot),
     ("majcert", extra_certificate_bit),
+    ("majcert", repeated_class_member),
     ("majcert", repeated_certificate_point),
     ("realmajcert", flatten_slot_values),
     ("realmajcert", extra_slot_value),
@@ -201,8 +234,17 @@ def l1winnow_stalled_progress(report):
     ("winnow", winnow_f_far_from_target),
     ("winnow", winnow_z_past_its_bound),
     ("winnow", inflate_measures),
+    ("winnow", readd_fat_eps4),
+    ("winnow", winnow_padded_cover),
     ("l1winnow", l1winnow_stalled_progress),
+    ("l1winnow", l1winnow_invented_progress),
     ("l1winnow", inflate_measures),
+    ("majcert-robust", inflate_measures),
+    ("occam", inflate_measures),
+    ("l2counter", inflate_measures),
+    ("dims", inflate_measures),
+    ("dims", repeated_class_member),
+    ("equivalence", inflate_measures),
     *[pytest.param("quantum-protocol", functools.partial(inflate_measures, index=index),
                    id=f"quantum-protocol-inflate_measures-record-{index}")
       for index in range(1, 6)],
