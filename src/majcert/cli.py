@@ -21,9 +21,16 @@ from .reporting import write_report
 from .suites import run_suite, verify_report
 
 
+def _load_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise RejectedInputError(f"{path} is not JSON: {exc}") from None
+
+
 def _cmd_run(args) -> int:
-    with open(args.config) as fh:
-        config = json.load(fh)
+    config = _load_json(args.config)
     started = time.monotonic()
     report = run_suite(config, seed_override=args.seed)
     elapsed = time.monotonic() - started
@@ -35,9 +42,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.report) as fh:
-        report = json.load(fh)
-    results = verify_report(report)
+    results = verify_report(_load_json(args.report))
     failed = 0
     for index, ok in results:
         print(f"record {index}: {'ok' if ok else 'FAILED'}")

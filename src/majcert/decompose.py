@@ -204,11 +204,15 @@ def schedule_start(fat: int, beta: float) -> int:
     return 4 * max(fat, 1) * math.ceil(math.log(1.0 / beta) ** 2) + 8
 
 
+#: doublings of the sample size before ``find_valid_sample_size`` gives up
+_MAX_DOUBLINGS = 40
+
+
 def find_valid_sample_size(S: PConceptClass, f_star: RealFunction, D: Distribution,
                            beta: float, seed: int, stream: tuple = (),
-                           fat: Optional[int] = None, start: Optional[int] = None,
-                           max_doublings: int = 40) -> tuple:
-    """Run the doubling schedule until a sampled constraint set validates.
+                           fat: Optional[int] = None, start: Optional[int] = None) -> tuple:
+    """Run the doubling schedule, at most _MAX_DOUBLINGS doublings, until
+    a sampled constraint set validates.
 
     Returns (M, Y): the first size at which one of 8 seeded draws Y
     satisfies the exhaustive check that sup-closeness beta on Y forces
@@ -220,7 +224,7 @@ def find_valid_sample_size(S: PConceptClass, f_star: RealFunction, D: Distributi
         start = schedule_start(fat, beta)
     V, far = S.value_matrix(), _far_members(S, f_star, D, beta)
     M = start
-    for doubling in range(max_doublings):
+    for doubling in range(_MAX_DOUBLINGS):
         for r in range(8):
             rng = substream(seed, 6, *stream, doubling, r)
             Y = frozenset(int(x) for x in D.sample(rng, M))
@@ -228,7 +232,7 @@ def find_valid_sample_size(S: PConceptClass, f_star: RealFunction, D: Distributi
                 return M, Y
         M *= 2
     raise RetriesExhausted("stage-1 sample validation",
-                           f"no valid sample up to {max_doublings} doublings")
+                           f"no valid sample up to {_MAX_DOUBLINGS} doublings")
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +306,6 @@ class RealSlotStrategy:
     X: frozenset
     alpha: float
     t: float
-    sample_size: int
     penalties: np.ndarray = field(compare=False)
 
 
@@ -322,7 +325,7 @@ def _real_alice_response(S: PConceptClass, f_star: RealFunction, D: Distribution
     star = f_star.table
     base = schedule_start(fat, beta)
     for escalation in range(12):
-        M, Y = find_valid_sample_size(S, f_star, D, beta, seed,
+        _, Y = find_valid_sample_size(S, f_star, D, beta, seed,
                                       stream=(stream, escalation), fat=fat,
                                       start=base * (2 ** escalation))
 
@@ -341,8 +344,7 @@ def _real_alice_response(S: PConceptClass, f_star: RealFunction, D: Distribution
         pen = np.abs(V[admissible] - star[None, :]).max(axis=0)
         measured = float(D.weights @ pen)
         if measured <= eps / 2.0 + 1e-12:
-            return RealSlotStrategy(f=f, X=X, alpha=alpha, t=t, sample_size=M,
-                                    penalties=pen)
+            return RealSlotStrategy(f=f, X=X, alpha=alpha, t=t, penalties=pen)
     raise RetriesExhausted("alice response",
                            "measured penalty stayed above eps/2 after 12 escalations")
 
@@ -370,7 +372,6 @@ def real_majority_certificates(S: PConceptClass, f_star: RealFunction, eps: floa
 
     if len(S) == 1:
         slot = RealSlotStrategy(f=f_star, X=frozenset(), alpha=0.4 * beta, t=1.0,
-                                sample_size=0,
                                 penalties=np.zeros(S.domain.size))
         decomposition = RealDecomposition(target=f_star,
                                           slots=Slots(((f_star, frozenset()),), (0,)),

@@ -11,7 +11,9 @@ position, each matched to its slot through the refs.  Machine A checks
 the registers against the classical constraints; machine B answers
 inputs by running the verification circuit on a uniformly random
 register; both depend on the supplied registers only through their
-reduced states.
+reduced states.  Tr(rho M_x) is read by ``acceptance_table``; both
+machines are defined once, in ``_machines``, which the public machines,
+``AdviceProtocol.validate`` and the adversary search all call.
 
 Soundness scope: the decomposition guarantee is proven (exactly) over
 the finite compiled class of advice states; soundness over the full
@@ -40,48 +42,42 @@ from .rng import substream
 from .winnow import fat_shattering_dim
 
 
-def _induced_functions(circuit: Circuit, domain: InputDomain,
-                       states: Sequence[DensityMatrix]) -> list:
-    """f_rho(x) = Tr(rho M_x), clipped to [0, 1], for every state; each
-    operator M_x is built once per call and read by every state."""
+def acceptance_table(circuit: Circuit, domain: InputDomain,
+                     states: Sequence[DensityMatrix]) -> np.ndarray:
+    """Tr(rho M_x) for every state (rows) and input x (columns), unclipped;
+    each operator M_x is built once per call and register width."""
     ops: dict = {}
-    out = []
-    for s in states:
+    table = np.empty((len(states), domain.size))
+    for row, s in zip(table, states):
         if s.qubits not in ops:
             ops[s.qubits] = [measurement_operator(circuit, x, s.qubits)
                              for x in domain.inputs()]
-        table = np.array([float(np.real(np.trace(s.entries @ M))) for M in ops[s.qubits]])
-        out.append(RealFunction(domain, np.clip(table, 0.0, 1.0)))
-    return out
-
-
-def induced_function(circuit: Circuit, domain: InputDomain,
-                     state: DensityMatrix) -> RealFunction:
-    [f] = _induced_functions(circuit, domain, [state])
-    return f
+        row[:] = [np.real(np.trace(s.entries @ M)) for M in ops[s.qubits]]
+    return table
 
 
 def induced_with_states(circuit: Circuit, domain: InputDomain,
                         states: Sequence[DensityMatrix]) -> tuple:
-    """(p-concept class, aligned states): one function per state, with
-    exact-duplicate functions dropped (first state kept)."""
-    members = []
-    kept_states = []
-    seen = set()
-    for s, f in zip(states, _induced_functions(circuit, domain, states)):
-        k = f.key()
-        if k not in seen:
-            seen.add(k)
-            members.append(f)
-            kept_states.append(s)
-    return PConceptClass(domain, members), tuple(kept_states)
+    """(p-concept class, aligned states): f_rho(x) = Tr(rho M_x), clipped
+    to [0, 1], per state, with exact-duplicate functions dropped (first
+    state kept)."""
+    first: dict = {}
+    for s, row in zip(states, acceptance_table(circuit, domain, states)):
+        f = RealFunction(domain, np.clip(row, 0.0, 1.0))
+        first.setdefault(f.key(), (f, s))
+    return (PConceptClass(domain, [f for f, _ in first.values()]),
+            tuple(s for _, s in first.values()))
+
+
+def induced_function(circuit: Circuit, domain: InputDomain,
+                     state: DensityMatrix) -> RealFunction:
+    return induced_pconcept(circuit, domain, [state])[0]
 
 
 def induced_pconcept(circuit: Circuit, domain: InputDomain,
                      states: Sequence[DensityMatrix]) -> PConceptClass:
     """The p-concept class induced by the sampled advice states."""
-    cls, _ = induced_with_states(circuit, domain, states)
-    return cls
+    return induced_with_states(circuit, domain, states)[0]
 
 
 @dataclass(frozen=True)
@@ -114,13 +110,9 @@ class AdviceProtocol:
         return [state for state, _ in self.slots]
 
     def validate(self) -> None:
-        funcs = _induced_functions(self.circuit, self.domain,
-                                   [state for state, _ in self.slots.distinct])
-        for j, ((_, targets), f_j) in enumerate(zip(self.slots.distinct, funcs)):
-            for z, r in targets:
-                if abs(float(r) - f_j(z)) > self.alpha + 1e-12:
-                    raise VerificationDefect(
-                        f"stored rational at slot {j}, input {z} misses alpha")
+        """Machine A passes the honest registers at alpha."""
+        if verifier_A(self, self.honest_registers()) > self.alpha + 1e-12:
+            raise VerificationDefect("a stored rational misses alpha")
 
 
 def _resolve_registers(P: AdviceProtocol, sigma) -> list:
@@ -136,51 +128,49 @@ def _resolve_registers(P: AdviceProtocol, sigma) -> list:
     regs = list(sigma)
     if len(regs) != P.m:
         raise RejectedInputError(f"expected {P.m} registers, got {len(regs)}")
-    for r in regs:
-        if r.qubits != P.advice_qubits:
-            raise RejectedInputError("register width mismatch")
+    if any(r.qubits != P.advice_qubits for r in regs):
+        raise RejectedInputError("register width mismatch")
     return regs
 
 
-def _slot_probability_cache(P: AdviceProtocol, registers: list) -> dict:
-    """acceptance probabilities keyed by (state key, input), shared by
-    repeated registers."""
-    ops = {x: measurement_operator(P.circuit, x, P.advice_qubits)
-           for x in P.domain.inputs()}
-    cache: dict = {}
-    for reg in registers:
-        k = reg.key()
-        if k not in cache:
-            cache[k] = {x: float(np.real(np.trace(reg.entries @ ops[x])))
-                        for x in P.domain.inputs()}
-    return cache
+def _machines(P: AdviceProtocol, values: np.ndarray, counts: np.ndarray,
+              slot_of: Sequence[int]) -> tuple:
+    """(machine B error, machine A deviation) of registers in groups:
+    group g holds ``counts[g]`` positions of distinct slot ``slot_of[g]``
+    with acceptance values ``values[..., g, :]`` (leading axes batch).
+    B accepts x with the mean over positions of Tr(rho_i M_x) and errs by
+    max_x |B(x) - L(x)|; A's deviation is the worst |Tr(rho_i M_z) -
+    r_{i,z}| over positions i and their slot's inputs z."""
+    targeted = np.zeros((len(P.slots.distinct), P.domain.size), dtype=bool)
+    target = np.zeros(targeted.shape)
+    for j, (_, targets) in enumerate(P.slots.distinct):
+        for z, r in targets:
+            targeted[j, z], target[j, z] = True, float(r)
+    error = np.max(np.abs((counts / P.m) @ values - P.language.values()), axis=-1)
+    deviation = np.max(np.where(targeted[slot_of], np.abs(values - target[slot_of]), 0.0),
+                       axis=(-2, -1))
+    return error, deviation
+
+
+def _register_machines(P: AdviceProtocol, sigma) -> tuple:
+    """``_machines`` of supplied registers, grouped by (slot, state)."""
+    groups = Slots.group(zip(P.slots.refs, _resolve_registers(P, sigma)),
+                         key=lambda pos: (pos[0], pos[1].key()))
+    values = acceptance_table(P.circuit, P.domain, [reg for _, reg in groups.distinct])
+    error, deviation = _machines(P, values, groups.counts(),
+                                 [ref for ref, _ in groups.distinct])
+    return float(error), float(deviation)
 
 
 def verifier_A(P: AdviceProtocol, sigma) -> float:
-    """Worst deviation |Pr[Q(z, sigma[i]) accepts] - r_{i,z}| over all
-    positions i and constrained inputs z of position i's slot; the
-    protocol accepts when this is at most 5*alpha."""
-    registers = _resolve_registers(P, sigma)
-    cache = _slot_probability_cache(P, registers)
-    worst = 0.0
-    for reg, (_, targets) in zip(registers, P.slots):
-        probs = cache[reg.key()]
-        for z, r in targets:
-            worst = max(worst, abs(probs[z] - float(r)))
-    return worst
+    """Machine A's worst deviation; the protocol accepts when it is at
+    most 5*alpha."""
+    return _register_machines(P, sigma)[1]
 
 
 def machine_b_error(P: AdviceProtocol, sigma) -> float:
-    """Machine B's worst error max_x |B(x) - L(x)|, where B(x), the
-    acceptance probability of running the circuit on a uniformly random
-    register, is the mean over positions i of Pr[Q(x, sigma[i]) accepts]."""
-    registers = _resolve_registers(P, sigma)
-    cache = _slot_probability_cache(P, registers)
-    worst = 0.0
-    for x in P.domain.inputs():
-        b = float(np.mean([cache[reg.key()][x] for reg in registers]))
-        worst = max(worst, abs(b - P.language(x)))
-    return worst
+    """Machine B's worst error max_x |B(x) - L(x)|."""
+    return _register_machines(P, sigma)[0]
 
 
 def dyadic_approximation(value: float, alpha: float) -> Fraction:
@@ -282,10 +272,7 @@ def qma_plus_amplify(circuits: Sequence[tuple], targets: Sequence[Fraction],
         regs = list(sigma)
         if len(regs) != K:
             raise RejectedInputError(f"expected {K} registers, got {len(regs)}")
-        probs = []
-        for reg in regs:
-            M = measurement_operator(circuit, x, reg.qubits)
-            probs.append(float(np.real(np.trace(reg.entries @ M))))
+        probs = acceptance_table(circuit, InputDomain(max(1, x.bit_length())), regs)[:, x]
         dist = _count_distribution_product(probs)
 
     accept = 0.0
@@ -311,6 +298,9 @@ class AdversarySearchResult:
 #: memory at _CHUNK x blocks x 4^p parameters per array
 _CHUNK = 64
 
+#: perturbation steps of each ``adversary_search`` restart
+_STEPS_PER_RESTART = 40
+
 
 def _purified_values(params: np.ndarray, op_stack: np.ndarray) -> np.ndarray:
     """Tr(rho M_x) for every x and every row of purification parameters,
@@ -333,8 +323,8 @@ def _purified_values(params: np.ndarray, op_stack: np.ndarray) -> np.ndarray:
     return quad / norm2[..., None]
 
 
-def adversary_search(P: AdviceProtocol, budget: int = 1000, seed: int = 0,
-                     steps_per_restart: int = 40) -> AdversarySearchResult:
+def adversary_search(P: AdviceProtocol, budget: int = 1000,
+                     seed: int = 0) -> AdversarySearchResult:
     """Best-effort search for advice passing machine A yet misleading
     machine B (error above 1/3 at some input).
 
@@ -347,37 +337,29 @@ def adversary_search(P: AdviceProtocol, budget: int = 1000, seed: int = 0,
     Restart r draws from its own substream (seed, 20, r): the initial
     blocks (r > 0; restart 0 starts from the honest advice), then per
     step the block to move and its Gaussian step.  Restarts run in
-    lockstep, _CHUNK at a time: each step scores the whole chunk's
-    candidates at once from the purification parameters, re-reading
-    only the moved block, and each restart keeps a candidate that
-    strictly raises its score.  After a chunk its restarts are scanned
-    in order for the best feasible error, and the search stops after
-    the first restart that errs above 1/3.  Candidates are never built
-    as states: the winning parameters go through ``params_to_state``
-    once per block, and the reported error and deviation are re-read
-    exactly from those states.  Deterministic given the seed.  Finding
-    nothing is a report, not a proof.
+    lockstep, _CHUNK at a time, for _STEPS_PER_RESTART steps: each step
+    scores the whole chunk's candidates at once by ``_machines`` on
+    values read from the purification parameters, re-reading only the
+    moved block, and each restart keeps a candidate that strictly raises
+    its score.  After a chunk its restarts are scanned in order for the
+    best feasible error, and the search stops after the first restart
+    that errs above 1/3.  Candidates are never built as states: the
+    winning parameters go through ``params_to_state`` once per block,
+    and the reported error and deviation are the machines' own, read
+    from those states by ``acceptance_table``.  Deterministic given the
+    seed.  Finding nothing is a report, not a proof.
     """
     op_stack = np.stack([measurement_operator(P.circuit, x, P.advice_qubits)
                          for x in P.domain.inputs()])
-    lang = np.array([float(P.language(x)) for x in P.domain.inputs()])
     blocks = P.slots.distinct
-    weights = P.slots.counts() / P.m
-    targeted = np.zeros((len(blocks), P.domain.size), dtype=bool)
-    target = np.zeros((len(blocks), P.domain.size))
-    for b, (_, targets) in enumerate(blocks):
-        for z, r in targets:
-            targeted[b, z] = True
-            target[b, z] = float(r)
-
+    counts, slot_of = P.slots.counts(), np.arange(len(blocks))
     threshold = 5.0 * P.alpha
     penalty_weight = 10.0
     dim = 2 * (1 << (2 * P.advice_qubits))
 
     def scores(vals: np.ndarray) -> tuple:
         """(error, deviation, score) from per-block values (..., blocks, x)."""
-        err = np.max(np.abs(weights @ vals - lang), axis=-1)
-        dev = np.max(np.where(targeted, np.abs(vals - target), 0.0), axis=(-2, -1))
+        err, dev = _machines(P, vals, counts, slot_of)
         return err, dev, err - penalty_weight * np.maximum(0.0, dev - threshold)
 
     honest = np.stack([state_to_params(state) for state, _ in blocks])
@@ -396,7 +378,7 @@ def adversary_search(P: AdviceProtocol, budget: int = 1000, seed: int = 0,
         moved = np.empty(len(rngs), dtype=np.intp)
         steps = np.empty((len(rngs), dim))
         scale = 0.5
-        for _ in range(steps_per_restart):
+        for _ in range(_STEPS_PER_RESTART):
             for i, rng in enumerate(rngs):
                 moved[i] = rng.integers(len(blocks))
                 steps[i] = rng.normal(scale=scale, size=dim)
@@ -424,8 +406,7 @@ def adversary_search(P: AdviceProtocol, budget: int = 1000, seed: int = 0,
         return AdversarySearchResult(best_error=0.0, best_deviation=0.0,
                                      violation_found=False, registers=None)
     states = [params_to_state(p, P.advice_qubits) for p in best_params]
-    vals = np.stack([np.real(np.einsum("xab,ba->x", op_stack, s.entries)) for s in states])
-    err, dev, _ = scores(vals)
+    err, dev = _machines(P, acceptance_table(P.circuit, P.domain, states), counts, slot_of)
     return AdversarySearchResult(best_error=float(err), best_deviation=float(dev),
                                  violation_found=float(err) > 1.0 / 3.0,
                                  registers=Slots(states, P.slots.refs))

@@ -29,7 +29,7 @@ from .concepts import (REAL_ATOL, BooleanFunction, ConceptClass, Distribution,
                        dist_two)
 from .decompose import (find_valid_sample_size, majority_certificates,
                         occam_check, real_majority_certificates,
-                        robust_majority_certificates, schedule_start,
+                        robust_majority_certificates,
                         smallest_odd_at_least, untrusted_oracle_evaluate,
                         verify_real_decomposition, FAIL)
 from .errors import DimensionCapExceeded, RejectedInputError
@@ -465,15 +465,11 @@ def _occam_instance(params: dict, seed: int, index: int) -> dict:
     fat = fat_shattering_dim(S, eps)
     M, _ = find_valid_sample_size(S, f, D, eps, inst_seed, fat=fat)
     rate = occam_check(S, f, D, eps, M, params["trials"], seed=inst_seed)
-    # tables and weights also ride as hex floats: the check must rerun
-    # the seeded trials bit-exactly, and report floats are rounded to 12
-    # significant digits
-    return _record(index, {"tables": _tables(S), "f": 0,
-                           "weights": [float(w) for w in D.weights], "eps": eps,
+    return _record(index, {"f": 0, "eps": eps,
                            "tables_hex": [[float(v).hex() for v in g.table] for g in S],
                            "weights_hex": [float(w).hex() for w in D.weights],
                            "m": M, "trials": params["trials"], "rate": rate,
-                           "seed": inst_seed, "schedule_start": schedule_start(fat, eps)})
+                           "seed": inst_seed})
 
 
 def _occam_measures(record: dict) -> dict:
@@ -535,8 +531,12 @@ def _equivalence_measures(record: dict) -> dict:
 def _check_equivalence(record: dict, context: dict) -> bool:
     """Each side decodes into a game strategy that validates against the
     class: weights >= 0 summing to 1 on isolating rows, and the stored
-    game value recomputed.  The two values agree within 1e-6."""
+    game value recomputed.  The full-LP certificates have at most k
+    points, the configured k.  The two values agree within 1e-6."""
     out = record["outputs"]
+    k = context["params"]["k"]
+    if out["k"] != k or any(len(cjson["points"]) > k for cjson, _ in out["full_support"]):
+        return False
     domain = InputDomain(int(out["n"]))
     S = _boolean_class(domain, out["class"])
     f_star = boolean_from_hex(domain, out["target"])
@@ -840,9 +840,15 @@ def verify_report(report: dict) -> list:
     """Re-check every record with its suite's check and compare its stored
     measures, as a whole, with the ones its outputs determine; returns a
     list of (index, ok) pairs.  A check that raises, or a context that
-    cannot be decoded, counts as a failed record."""
+    cannot be decoded, counts as a failed record; a report that is not an
+    object with a list of indexed record objects is rejected."""
+    if not isinstance(report, dict):
+        raise RejectedInputError("a report must be a JSON object")
     suite, params, seed, _ = validate_config(report.get("config"))
-    entry, records = REGISTRY[suite], report["records"]
+    entry, records = REGISTRY[suite], report.get("records")
+    if not (isinstance(records, list)
+            and all(isinstance(r, dict) and "index" in r for r in records)):
+        raise RejectedInputError("report records must be a list of objects with an index")
     try:
         context = {"params": params, "seed": seed, **entry.prepare(records)}
     except Exception:

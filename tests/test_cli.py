@@ -10,6 +10,7 @@ import pytest
 
 from majcert.cli import main
 from majcert.errors import RejectedInputError
+from majcert.formats import canonical_json
 from majcert.suites import run_suite, validate_config, verify_report
 
 
@@ -121,6 +122,40 @@ def test_cli_invalid_suite_exits_with_error(tmp_path, capsys):
     assert code == 2
     assert not out.exists()  # no partial output
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_non_json_config_exits_with_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{not json")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def without_index(report):
+    del report["records"][0]["index"]
+    return report
+
+
+def record_as_list(report):
+    report["records"][0] = [report["records"][0]]
+    return report
+
+
+@pytest.mark.parametrize("malform", [
+    lambda report: "{not json",
+    lambda report: [report],
+    lambda report: {k: v for k, v in report.items() if k != "records"},
+    without_index,
+    record_as_list,
+], ids=["not-json", "list", "no-records", "record-without-index", "record-not-object"])
+def test_cli_malformed_report_exits_with_error(tmp_path, capsys, malform):
+    report = json.loads(canonical_json(run_suite(
+        {"schema": 1, "suite": "l2counter", "parameters": {"instances": 2}, "seed": 9})))
+    payload = malform(report)
+    path = tmp_path / "report.json"
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    assert main(["verify", "--report", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_l2_report_contains_witness_quantities():

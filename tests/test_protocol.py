@@ -13,14 +13,15 @@ from majcert.concepts import BooleanFunction, InputDomain, Slots
 from majcert.decompose import verify_real_decomposition
 from majcert.errors import RejectedInputError
 from majcert.protocol import (_CHUNK, AdversarySearchResult, _purified_values,
-                              adversary_search, bloch_affine_map,
+                              acceptance_table, adversary_search, bloch_affine_map,
                               bloch_extremal_states, compile_advice,
                               conditional_soundness_bound,
                               fat_dim_quantum_check, induced_function,
                               induced_pconcept, machine_b_error,
                               qma_plus_amplify, verifier_A, with_inflated_alpha)
-from majcert.qsim import (Circuit, DensityMatrix, Gate, measurement_operator,
-                          params_to_state, random_mixed_state, state_to_params)
+from majcert.qsim import (Circuit, DensityMatrix, Gate, accept_probability,
+                          measurement_operator, params_to_state, random_mixed_state,
+                          state_to_params)
 from majcert.rng import substream
 
 
@@ -429,6 +430,15 @@ def test_adversary_search_equals_sequential_reference(name, budget, seed):
                for a, b in zip(got.registers.distinct, want.registers.distinct, strict=True))
 
 
+@pytest.mark.parametrize("name", ["one-block", "two-block", "inflated"])
+def test_adversary_search_reports_the_machines_values(name):
+    P = search_protocol(name)
+    result = adversary_search(P, _CHUNK + 3, seed=2)
+    registers = list(result.registers)
+    assert result.best_error == machine_b_error(P, registers)
+    assert result.best_deviation == verifier_A(P, registers)
+
+
 def two_qubit_advice_circuit():
     return Circuit(qubits=3,
                    gates=(Gate("H", 0, when_bit=0), Gate("CNOT", 1, control=0),
@@ -452,6 +462,19 @@ def test_purified_values_equal_density_matrix_trace(salt, p, scale):
         rho = params_to_state(row, p)
         want = [float(np.real(np.trace(rho.entries @ M))) for M in op_stack]
         assert values == pytest.approx(want, abs=1e-12)
+
+
+@given(st.integers(0, 10_000))
+def test_acceptance_table_matches_accept_probability(salt):
+    """1- and 2-qubit advice in one call, on a circuit with work qubits."""
+    circuit, domain = two_qubit_advice_circuit(), InputDomain(2)
+    rng = substream(salt, 53)
+    states = [random_mixed_state(p, rng) for p in (1, 2, 2, 1)]
+    table = acceptance_table(circuit, domain, states)
+    assert table.shape == (len(states), domain.size)
+    for row, state in zip(table, states):
+        want = [accept_probability(circuit, x, state) for x in domain.inputs()]
+        assert row == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,23 @@ def winnow_padded_cover(report):
     return 0
 
 
+def padded_full_certificate(report, raise_k=False):
+    """Record 0's first full-LP certificate padded to k + 1 points with
+    its own member's values, which leaves the game value unchanged; with
+    ``raise_k`` the stored k grows to cover the padding."""
+    out = report["records"][0]["outputs"]
+    cert, fhex = out["full_support"][0]
+    size = 1 << out["n"]
+    free = sorted(set(range(size)) - {int(p, 16) for p in cert["points"]})
+    for x in free[:out["k"] + 1 - len(cert["points"])]:
+        cert["points"].append(hex(x))
+        cert["bits"].append((int(fhex, 16) >> (size - 1 - x)) & 1)  # MSB-first table
+    assert len(cert["points"]) == out["k"] + 1
+    if raise_k:
+        out["k"] += 1
+    return 0
+
+
 def l1winnow_invented_progress(report):
     """A log that shrinks fast enough but is not the cover's measure."""
     report["records"][0]["outputs"]["progress_log"] = [1.0, 0.5]
@@ -245,6 +262,9 @@ def l1winnow_stalled_progress(report):
     ("dims", inflate_measures),
     ("dims", repeated_class_member),
     ("equivalence", inflate_measures),
+    ("equivalence", padded_full_certificate),
+    pytest.param("equivalence", functools.partial(padded_full_certificate, raise_k=True),
+                 id="equivalence-padded_full_certificate-raised-k"),
     *[pytest.param("quantum-protocol", functools.partial(inflate_measures, index=index),
                    id=f"quantum-protocol-inflate_measures-record-{index}")
       for index in range(1, 6)],
