@@ -392,8 +392,8 @@ def real_majority_certificates(S: PConceptClass, f_star: RealFunction, eps: floa
     for iteration in range(cap):
         if slots:
             Pen = np.stack([s.penalties for s in slots])
-            _, w, d = solve_zero_sum(-Pen)
-            worst = float((w @ Pen).max())
+            value, w, d = solve_zero_sum(-Pen)
+            worst = -value
             if worst <= eps / 2.0 + 1e-12:
                 break
             D = Distribution.from_weights(S.domain, d)

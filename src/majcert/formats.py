@@ -8,14 +8,14 @@ one gate per line: ``NAME target [control] [xN]`` where ``control`` is
 the CNOT control qubit and an ``xN`` token conditions the gate on
 classical input bit N.
 
-Winnowing traces: line-oriented ``step=<t> action=<split|replace|add>
-input=<hex> ...`` records.
-
 Reports and artifacts: canonical JSON with sorted keys and floats fixed
 to 12 significant digits, so byte-identical configuration yields
 byte-identical files.  Decompositions and protocols keep their slots as
 ``Slots`` in memory and serialize them position by position; decoding
-decodes each distinct serialized slot once.
+decodes each distinct serialized slot once.  A protocol slot is stored as
+its advice-state ref and its (input, target) pairs; its points are the
+inputs of those pairs.  Serialized artifacts carry no seed: the report's
+config echo holds the run's seed.
 """
 
 from __future__ import annotations
@@ -95,32 +95,6 @@ def circuit_from_text(text: str) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Winnowing traces
-# ---------------------------------------------------------------------------
-
-def format_hex_input(x: int) -> str:
-    return format(x, "#x")
-
-
-def _trace_lines(steps, action: str, describe) -> list:
-    """One ``action`` line per step, and a ``replace`` line after it when
-    the step replaced f; ``describe(step)`` gives the line's tail."""
-    return [f"step={t} action={a} {describe(step)}"
-            for t, step in enumerate(steps, start=1)
-            for a in ((action, "replace") if step.replaced else (action,))]
-
-
-def safe_winnow_trace_lines(result) -> list:
-    return _trace_lines(result.trace, "split", lambda step: (
-        f"input={format_hex_input(step.z)} |S◇|={step.cover_survivors}"))
-
-
-def l1_winnow_trace_lines(result) -> list:
-    return _trace_lines(result.trace, "add", lambda step: (
-        f"input={format_hex_input(step.y)} M={format_float(step.progress)}"))
-
-
-# ---------------------------------------------------------------------------
 # Canonical JSON
 # ---------------------------------------------------------------------------
 
@@ -168,6 +142,10 @@ def canonical_json(obj) -> str:
 # Artifact serialization (decompositions and protocols)
 # ---------------------------------------------------------------------------
 
+def format_hex_input(x: int) -> str:
+    return format(x, "#x")
+
+
 def certificate_to_json(cert: Certificate) -> dict:
     return {"points": [format_hex_input(x) for x, _ in cert.assignments],
             "bits": [b for _, b in cert.assignments]}
@@ -204,7 +182,7 @@ def _entry(seq, i):
     return seq[int(i)]
 
 
-def boolean_decomposition_to_json(dec, S: ConceptClass, seed: int, kind: str) -> dict:
+def boolean_decomposition_to_json(dec, S: ConceptClass, kind: str) -> dict:
     return {
         "kind": kind,
         "n": S.domain.n,
@@ -213,7 +191,6 @@ def boolean_decomposition_to_json(dec, S: ConceptClass, seed: int, kind: str) ->
         "m": dec.m,
         "certs": list(dec.slots.map(lambda slot: certificate_to_json(slot[0]))),
         "funcs": list(dec.slots.map(lambda slot: boolean_to_hex(slot[1]))),
-        "seed": seed,
     }
 
 
@@ -228,7 +205,7 @@ def boolean_decomposition_from_json(data: dict):
     return S, cls(target=target, slots=slots)
 
 
-def real_decomposition_to_json(dec, S: PConceptClass, seed: int) -> dict:
+def real_decomposition_to_json(dec, S: PConceptClass) -> dict:
     tables = [[float(v) for v in f.table] for f in S]
     return {
         "kind": "real",
@@ -242,7 +219,6 @@ def real_decomposition_to_json(dec, S: PConceptClass, seed: int) -> dict:
             "points": [format_hex_input(x) for x in sorted(slot[1])],
             "values": [float(slot[0](x)) for x in sorted(slot[1])]})),
         "funcs": list(dec.slots.map(lambda slot: S.index_of(slot[0]))),
-        "seed": seed,
     }
 
 
@@ -292,7 +268,7 @@ def states_from_json(qubits: int, tables: list, refs: list) -> Slots:
     return Slots([state_from_json(qubits, t) for t in tables], refs)
 
 
-def protocol_to_json(P, seed: int) -> dict:
+def protocol_to_json(P) -> dict:
     tables, refs = states_to_json(state for state, _ in P.slots)
     return {
         "kind": "advice-protocol",
@@ -302,33 +278,28 @@ def protocol_to_json(P, seed: int) -> dict:
         "language": boolean_to_hex(P.language),
         "alpha": P.alpha,
         "m": P.m,
-        "points": list(P.slots.map(lambda slot: [format_hex_input(z) for z, _ in slot[1]])),
         "targets": list(P.slots.map(lambda slot: [
             [format_hex_input(z), f"{r.numerator}/{r.denominator}"] for z, r in slot[1]])),
         "state_tables": tables,
         "advice_refs": refs,
-        "decomposition": real_decomposition_to_json(P.decomposition, P.compiled_class, seed),
-        "seed": seed,
+        "decomposition": real_decomposition_to_json(P.decomposition, P.compiled_class),
     }
 
 
 def protocol_from_json(data: dict):
     """A protocol from its serialized form; a stored m that differs from
-    the slot count, or slot points other than the inputs of the slot's
-    targets, is rejected."""
+    the slot count is rejected."""
     from .protocol import AdviceProtocol
     domain = InputDomain(int(data["n"]))
     qubits = int(data["advice_qubits"])
     states = [state_from_json(qubits, t) for t in data["state_tables"]]
 
     def decode(row) -> tuple:
-        ref, points, targets = row
-        targets = tuple((domain.check_input(int(z, 16)), Fraction(r)) for z, r in targets)
-        if [int(p, 16) for p in points] != [z for z, _ in targets]:
-            raise RejectedInputError("slot points differ from the inputs of its targets")
-        return _entry(states, ref), targets
+        ref, targets = row
+        return _entry(states, ref), tuple((domain.check_input(int(z, 16)), Fraction(r))
+                                          for z, r in targets)
 
-    slots = _slots_from_json(data, ("advice_refs", "points", "targets"), decode)
+    slots = _slots_from_json(data, ("advice_refs", "targets"), decode)
     S, dec = real_decomposition_from_json(data["decomposition"])
     return AdviceProtocol(circuit=circuit_from_text(data["circuit"]), domain=domain,
                           advice_qubits=qubits, slots=slots, alpha=float(data["alpha"]),

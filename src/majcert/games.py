@@ -6,10 +6,13 @@ the target at x.  Alice's payoff depends on her pair only through the
 isolated member, which is what makes column generation over members
 converge to the exact game value.
 
-LP solving goes through scipy's HiGHS backend, which is deterministic
-for fixed inputs; reported game values are always recomputed exactly
-from the returned support and weights, reading each support member's
-table from the class value matrix, never read off the solver.
+Each matrix game is one LP for Alice's mix, solved by scipy's HiGHS
+backend (deterministic for fixed inputs); Bob's mix is read from that
+LP's dual, and the duality gap of the two returned mixes is checked.
+Game values are never read off the solver: ``solve_zero_sum`` returns
+the exact value of the returned mix, and ``AliceStrategy.validate``
+recomputes it from the support members' tables in the class value
+matrix.
 """
 
 from __future__ import annotations
@@ -34,17 +37,21 @@ ENUMERATION_GUARD = 2_000_000
 
 
 def solve_zero_sum(payoff: np.ndarray) -> tuple:
-    """Solve max_w min_x w^T P for the row player of a matrix game.
+    """Solve max_w min_x (w P)_x for the row player of a matrix game.
 
-    Returns (value, row_mix, col_mix); the value is the LP optimum, the
-    mixes are clipped to non-negative and renormalized.
+    One LP for the row player; the column player's mix is read from its
+    dual, the marginals of the constraints (w P)_x >= v.  Both mixes are
+    clipped to non-negative and renormalized.  Returns (value, row_mix,
+    col_mix) where value = min_x (w P)_x is the exact value of the
+    returned row mix, and the duality gap max_i (P d)_i - value of the
+    returned mixes must be at most 1e-6.
     """
     P = np.asarray(payoff, dtype=np.float64)
     rows, cols = P.shape
     if rows == 0 or cols == 0:
         raise RejectedInputError("empty payoff matrix")
 
-    # row player: variables (w, v), maximize v
+    # variables (w, v), maximize v
     c = np.zeros(rows + 1)
     c[-1] = -1.0
     A_ub = np.hstack([-P.T, np.ones((cols, 1))])
@@ -55,27 +62,15 @@ def solve_zero_sum(payoff: np.ndarray) -> tuple:
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0], bounds=bounds,
                   method="highs")
     if not res.success:
-        raise VerificationDefect(f"row LP failed: {res.message}")
+        raise VerificationDefect(f"game LP failed: {res.message}")
     w = np.clip(res.x[:rows], 0.0, None)
     w /= w.sum()
-
-    # column player: variables (d, u), minimize u
-    c2 = np.zeros(cols + 1)
-    c2[-1] = 1.0
-    A_ub2 = np.hstack([P, -np.ones((rows, 1))])
-    b_ub2 = np.zeros(rows)
-    A_eq2 = np.zeros((1, cols + 1))
-    A_eq2[0, :cols] = 1.0
-    res2 = linprog(c2, A_ub=A_ub2, b_ub=b_ub2, A_eq=A_eq2, b_eq=[1.0], bounds=[(0.0, 1.0)] * cols + [(None, None)],
-                   method="highs")
-    if not res2.success:
-        raise VerificationDefect(f"column LP failed: {res2.message}")
-    d = np.clip(res2.x[:cols], 0.0, None)
+    d = np.clip(-res.ineqlin.marginals, 0.0, None)
     d /= d.sum()
 
-    value = float(res.x[-1])
-    if abs(value - float(res2.x[-1])) > 1e-6:
-        raise VerificationDefect("primal/dual game values disagree beyond tolerance")
+    value = float((w @ P).min())
+    if not float((P @ d).max()) - value <= 1e-6:  # NaN mixes fail too
+        raise VerificationDefect("duality gap of the returned mixes exceeds tolerance")
     return value, w, d
 
 
@@ -147,10 +142,9 @@ def solve_game_full_lp(S: ConceptClass, f_star: BooleanFunction, k: int,
     if not pairs:
         raise RejectedInputError(f"no certificate of size <= {k} isolates any member")
     P = _agreements(S, f_star)[[row for _, row in pairs]]
-    _, w, _ = solve_zero_sum(P)
-    exact_value = float((w @ P).min())
+    value, w, _ = solve_zero_sum(P)
     strategy = AliceStrategy(f_star=f_star, support=tuple((c, S[row]) for c, row in pairs),
-                             weights=w, game_value=exact_value)
+                             weights=w, game_value=value)
     strategy.validate(S)
     return strategy
 
@@ -227,9 +221,7 @@ def double_oracle_solve(S: ConceptClass, f_star: BooleanFunction,
     worst = -1.0
     for _ in range(cap):
         if rows:
-            P = agreements[row_index]
-            _, w, d = solve_zero_sum(P)
-            worst = float((w @ P).min())
+            worst, w, d = solve_zero_sum(agreements[row_index])
             if value_trace is not None:
                 value_trace.append(worst)
             if worst >= target_value - 1e-12:

@@ -38,8 +38,8 @@ from .formats import (boolean_decomposition_from_json,
                       boolean_to_hex, canonical_json, certificate_from_json,
                       certificate_to_json, protocol_from_json,
                       protocol_to_json, real_decomposition_from_json,
-                      real_decomposition_to_json, safe_winnow_trace_lines,
-                      l1_winnow_trace_lines, states_from_json, states_to_json)
+                      real_decomposition_to_json, states_from_json,
+                      states_to_json)
 from .games import (AliceStrategy, double_oracle_solve, k_isolatable_members,
                     solve_game_full_lp)
 from .generators import (point_function_class, random_boolean_class,
@@ -190,7 +190,7 @@ def _majcert_instance(params: dict, seed: int, index: int) -> dict:
     kind = "robust" if params["robust"] else "majority"
     maker = robust_majority_certificates if params["robust"] else majority_certificates
     dec = maker(S, f_star, seed=inst_seed)
-    outputs = {"decomposition": boolean_decomposition_to_json(dec, S, inst_seed, kind)}
+    outputs = {"decomposition": boolean_decomposition_to_json(dec, S, kind)}
     if params["robust"]:
         outputs.update(_robust_claims(dec))
     return _record(index, outputs)
@@ -223,7 +223,7 @@ def _realmajcert_instance(params: dict, seed: int, index: int) -> dict:
     inst_seed = child_seed(seed, 200, index)
     S = random_pconcept_class(params["n"], params["class_size"], substream(inst_seed, 0))
     dec = real_majority_certificates(S, S[0], params["eps"], seed=inst_seed)
-    return _record(index, {"decomposition": real_decomposition_to_json(dec, S, inst_seed)})
+    return _record(index, {"decomposition": real_decomposition_to_json(dec, S)})
 
 
 def _realmajcert_measures(record: dict) -> dict:
@@ -268,8 +268,7 @@ def _winnow_instance(params: dict, seed: int, index: int) -> dict:
     result = safe_winnow(S, f_star, Y, eps, cover)
     return _record(index, {"tables": _tables(S), "f_star": S.index_of(f_star),
                            "f": S.index_of(result.f), "Y": sorted(Y), "Z": sorted(result.Z),
-                           "eps": eps, "cover": [S.index_of(g) for g in cover.cover],
-                           "trace": safe_winnow_trace_lines(result)})
+                           "eps": eps, "cover": [S.index_of(g) for g in cover.cover]})
 
 
 def _check_winnow(record: dict, context: dict) -> bool:
@@ -304,8 +303,7 @@ def _l1winnow_instance(params: dict, seed: int, index: int) -> dict:
     return _record(index, {"tables": _tables(S), "f": S.index_of(result.f),
                            "X": sorted(result.X), "eps": eps,
                            "cover": [S.index_of(g) for g in cover.cover],
-                           "progress_log": [float(v) for v in result.progress_log],
-                           "trace": l1_winnow_trace_lines(result)})
+                           "progress_log": [float(v) for v in result.progress_log]})
 
 
 def _check_l1winnow(record: dict, context: dict) -> bool:
@@ -614,7 +612,7 @@ def _fat_dims(params: dict, seed: int) -> list:
 def _build_quantum_protocol(params: dict, seed: int) -> list:
     P = build_standard_protocol(params["eps"], params["random_states"], seed)
     honest = P.honest_registers()
-    proto_json = protocol_to_json(P, seed)
+    proto_json = protocol_to_json(P)
     intact = adversary_search(P, budget=params["adversary_restarts"], seed=seed)
     factor = _inflation_factor(P)
     attack = adversary_search(with_inflated_alpha(P, factor),

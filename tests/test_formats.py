@@ -1,13 +1,11 @@
-"""File formats, trace lines, canonical JSON, artifact round-trips."""
+"""File formats, canonical JSON, artifact round-trips."""
 
 import json
-import re
 
 import numpy as np
 import pytest
 
-from majcert.concepts import (BooleanFunction, Certificate, InputDomain,
-                              PConceptClass, RealFunction, Slots)
+from majcert.concepts import BooleanFunction, Certificate, InputDomain, Slots
 from majcert.decompose import majority_certificates
 from majcert.errors import RejectedInputError
 from majcert.formats import (boolean_decomposition_from_json,
@@ -15,15 +13,12 @@ from majcert.formats import (boolean_decomposition_from_json,
                              boolean_to_hex, canonical_json,
                              certificate_from_json, certificate_to_json,
                              circuit_from_text, circuit_to_text, format_float,
-                             l1_winnow_trace_lines,
                              real_decomposition_from_json,
-                             real_decomposition_to_json,
-                             safe_winnow_trace_lines, state_from_json,
+                             real_decomposition_to_json, state_from_json,
                              state_to_json)
 from majcert.generators import point_function_class, random_pconcept_class
 from majcert.qsim import Circuit, Gate, random_mixed_state
 from majcert.rng import substream
-from majcert.winnow import epsilon_cover, l1_winnow, safe_winnow
 
 
 def test_boolean_hex_is_msb_first():
@@ -52,29 +47,6 @@ def test_circuit_text_errors():
         circuit_from_text("")
     with pytest.raises(RejectedInputError):
         circuit_from_text("cats=3\nH 0\n")
-
-
-def test_trace_line_format():
-    rng = substream(3, 0)
-    domain = InputDomain(2)
-    members = []
-    for base in (0.2, 0.8):
-        for _ in range(5):
-            table = np.array([0.5, base, base, base]) + rng.uniform(-0.01, 0.01, 4)
-            members.append(RealFunction(domain, np.clip(table, 0, 1)))
-    S = PConceptClass(domain, members)
-    cover = epsilon_cover(S, 0.05)
-    result = safe_winnow(S, S[0], {0}, 0.05, cover)
-    lines = safe_winnow_trace_lines(result)
-    assert lines
-    pattern = re.compile(r"^step=\d+ action=(split|replace|add) input=0x[0-9a-f]+")
-    for line in lines:
-        assert pattern.match(line)
-
-    l1 = l1_winnow(S, 0.05, epsilon_cover(S, 0.05))
-    for line in l1_winnow_trace_lines(l1):
-        assert pattern.match(line)
-        assert "M=" in line
 
 
 def test_canonical_json_formatting():
@@ -106,7 +78,7 @@ def test_certificate_json_roundtrip():
 def test_boolean_decomposition_roundtrip():
     S = point_function_class(3)
     dec = majority_certificates(S, S[0], seed=4)
-    data = boolean_decomposition_to_json(dec, S, 4, "majority")
+    data = boolean_decomposition_to_json(dec, S, "majority")
     S2, dec2 = boolean_decomposition_from_json(json.loads(json.dumps(data)))
     assert S2 == S
     dec2.validate(S2)
@@ -118,7 +90,7 @@ def test_real_decomposition_roundtrip():
     S = random_pconcept_class(2, 6, substream(5, 0))
     dec = RealDecomposition(target=S[0], slots=Slots(((S[0], frozenset({0, 2})),), (0,)),
                             alpha=0.01, eps=0.5)
-    data = real_decomposition_to_json(dec, S, 7)
+    data = real_decomposition_to_json(dec, S)
     S2, dec2 = real_decomposition_from_json(json.loads(json.dumps(data)))
     assert S2 == S
     assert verify_real_decomposition(S2, dec2) == verify_real_decomposition(S, dec)
@@ -129,7 +101,7 @@ def test_real_decomposition_indices_refer_to_the_stored_tables():
     S = random_pconcept_class(2, 3, substream(5, 0))
     dec = RealDecomposition(target=S[2], slots=Slots(((S[2], frozenset({1})),), (0,)),
                             alpha=0.01, eps=1.0)
-    data = json.loads(json.dumps(real_decomposition_to_json(dec, S, 7)))
+    data = json.loads(json.dumps(real_decomposition_to_json(dec, S)))
     # a repeated table, as 12-digit rounding can make, is one class member
     # but keeps its own index
     data["class_tables"].insert(0, data["class_tables"][0])

@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linprog
 
 from majcert.concepts import (BooleanFunction, Certificate, ConceptClass,
                               InputDomain)
@@ -28,6 +30,66 @@ def test_solve_zero_sum_dominant_row():
     value, row, _ = solve_zero_sum(np.array([[1.0, 1.0], [0.0, 0.0]]))
     assert value == pytest.approx(1.0, abs=1e-9)
     assert row[0] == pytest.approx(1.0, abs=1e-7)
+
+
+def two_lp_solve(P):
+    """The two-LP solver: (row LP optimum, row mix) after checking the
+    optimum against a separate column LP's."""
+    rows, cols = P.shape
+    row = linprog(np.r_[np.zeros(rows), -1.0], A_ub=np.hstack([-P.T, np.ones((cols, 1))]),
+                  b_ub=np.zeros(cols), A_eq=np.r_[np.ones(rows), 0.0][None, :], b_eq=[1.0],
+                  bounds=[(0.0, 1.0)] * rows + [(None, None)], method="highs")
+    col = linprog(np.r_[np.zeros(cols), 1.0], A_ub=np.hstack([P, -np.ones((rows, 1))]),
+                  b_ub=np.zeros(rows), A_eq=np.r_[np.ones(cols), 0.0][None, :], b_eq=[1.0],
+                  bounds=[(0.0, 1.0)] * cols + [(None, None)], method="highs")
+    assert row.success and col.success
+    assert abs(row.x[-1] - col.x[-1]) <= 1e-6
+    w = np.clip(row.x[:rows], 0.0, None)
+    return float(row.x[-1]), w / w.sum()
+
+
+@st.composite
+def payoff_matrices(draw):
+    """Random payoffs in [0, 1], including degenerate shapes: one row, one
+    column, a duplicated row or column, and constant matrices."""
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    P = draw(arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
+    kind = draw(st.sampled_from(["plain", "dup-row", "dup-col", "constant"]))
+    if kind == "dup-row":
+        P = np.vstack([P, P[-1:]])
+    elif kind == "dup-col":
+        P = np.hstack([P, P[:, -1:]])
+    elif kind == "constant":
+        P = np.full(shape, P[0, 0])
+    return P
+
+
+@given(payoff_matrices())
+def test_solve_zero_sum_mixes_certify_the_value(P):
+    value, w, d = solve_zero_sum(P)
+    for mix, size in ((w, P.shape[0]), (d, P.shape[1])):
+        assert mix.shape == (size,) and np.all(mix >= 0.0)
+        assert abs(mix.sum() - 1.0) <= 1e-12
+    assert value == float((w @ P).min())
+    assert float((P @ d).max()) - value <= 1e-6
+    # the same row LP: its mix's exact value, and the raw optimum up to
+    # HiGHS's feasibility tolerance (entries near 1e-7 move it by ~1e-8)
+    optimum, w_two = two_lp_solve(P)
+    assert value == float((w_two @ P).min())
+    assert abs(value - optimum) <= 1e-6
+
+
+def test_solve_zero_sum_one_lp(monkeypatch):
+    import majcert.games as games
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(games, "linprog", counting)
+    solve_zero_sum(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]))
+    assert len(calls) == 1
 
 
 def test_full_lp_singleton():

@@ -355,7 +355,7 @@ def sequential_search(P, budget, seed, steps_per_restart=40):
     weights = P.slots.counts() / P.m
 
     def evaluate(states):
-        vals = np.stack([np.real(np.einsum("xab,ba->x", op_stack, s.entries))
+        vals = np.array([[np.real(np.trace(s.entries @ M)) for M in op_stack]
                          for s in states])
         err = float(np.max(np.abs(weights @ vals - lang)))
         dev = 0.0
@@ -416,6 +416,7 @@ def search_protocol(name):
     ("two-block", _CHUNK + 7, 6),
     ("inflated", _CHUNK + 10, 2),
     ("inflated", 3, 5),
+    ("inflated", 1, 0),
 ])
 def test_adversary_search_equals_sequential_reference(name, budget, seed):
     P = search_protocol(name)

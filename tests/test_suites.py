@@ -147,12 +147,6 @@ def protocol_m_mismatch(report):
     return None  # the protocol is undecodable, so every record fails
 
 
-def empty_slot_points(report):
-    protocol = report["records"][0]["outputs"]["protocol"]
-    protocol["points"] = [[] for _ in protocol["points"]]
-    return None
-
-
 def one_restart(report):
     report["records"][2]["outputs"]["restarts"] = 1
     return 2
@@ -242,7 +236,6 @@ def l1winnow_stalled_progress(report):
     ("quantum-protocol", inflate_measures),
     ("majcert-robust", flip_untrusted_claim),
     ("quantum-protocol", protocol_m_mismatch),
-    ("quantum-protocol", empty_slot_points),
     ("quantum-protocol", zero_soundness_bound),
     ("quantum-protocol", zero_attack_error),
     ("quantum-protocol", honest_attack_registers),
