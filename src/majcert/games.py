@@ -6,6 +6,13 @@ the target at x.  Alice's payoff depends on her pair only through the
 isolated member, which is what makes column generation over members
 converge to the exact game value.
 
+Both solvers play the game on its quotient.  The full LP has one row
+per isolatable member, in index order, paired in the support with its
+first isolating certificate in enumeration order.  The double oracle has
+one column per distinct agreement pattern of its rows, in order of first
+input, and spreads Bob's weight on a class evenly over its inputs.  Only
+the quotient of the 0/1 agreement rows is converted to float.
+
 Each matrix game is one LP for Alice's mix, solved by scipy's HiGHS
 backend (deterministic for fixed inputs); Bob's mix is read from that
 LP's dual, and the duality gap of the two returned mixes is checked.
@@ -107,8 +114,11 @@ class AliceStrategy:
         for cert, f in self.support:
             if not is_isolated(S, cert, f):
                 raise VerificationDefect("support pair is not isolated")
-        rows = [S.index_of(f) for _, f in self.support]
-        value = float((self.weights @ _agreements(S, self.f_star)[rows]).min())
+        A = S.value_matrix()[[S.index_of(f) for _, f in self.support]] == self.f_star.values()
+        label = np.zeros(S.domain.size, dtype=np.intp)
+        for bits in A:
+            label, first = _split(label, bits)
+        value = float((self.weights @ A[:, first]).min())
         if abs(value - self.game_value) > 1e-9:
             raise VerificationDefect("stored game value disagrees with its recomputation")
 
@@ -118,15 +128,23 @@ class AliceStrategy:
         return [self.support[int(i)] for i in idx]
 
 
-def _agreements(S: ConceptClass, f_star: BooleanFunction) -> np.ndarray:
-    """|S| x 2^n float matrix: 1 where the member agrees with f_star."""
-    return (S.value_matrix() == f_star.values()).astype(np.float64)
+def _split(label: np.ndarray, bits: np.ndarray) -> tuple:
+    """Refine the column classes ``label`` by one more 0/1 row: returns
+    the new labels, numbered in order of first input, and each class's
+    first input, whose column every input of the class copies."""
+    new = 2 * label + bits
+    first = np.full(int(new.max()) + 1, label.size)
+    np.minimum.at(first, new, np.arange(label.size))
+    order = np.argsort(first)[:np.count_nonzero(first < label.size)]
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[order] = np.arange(order.size)
+    return rank[new], first[order]
 
 
 def solve_game_full_lp(S: ConceptClass, f_star: BooleanFunction, k: int,
                        budget: int = FULL_LP_BUDGET) -> AliceStrategy:
     """Exact minimax strategy by enumerating every isolating certificate
-    of size at most k and solving the full payoff matrix as an LP.
+    of size at most k and solving the game on one row per isolated member.
 
     Rejected (with the offending count) when enumeration would exceed the
     budget; this oracle exists to cross-check double_oracle_solve on
@@ -138,29 +156,30 @@ def solve_game_full_lp(S: ConceptClass, f_star: BooleanFunction, k: int,
     if raw_count > ENUMERATION_GUARD:
         raise EnumerationBudgetExceeded(ENUMERATION_GUARD, raw_count,
                                         "raw size-<=k certificate space")
-    pairs = list(_isolating_certificates(S, k, budget))
-    if not pairs:
+    first: dict = {}
+    for mask, value, row in _isolating_certificates(S, k, budget):
+        first.setdefault(row, (mask, value))
+    if not first:
         raise RejectedInputError(f"no certificate of size <= {k} isolates any member")
-    P = _agreements(S, f_star)[[row for _, row in pairs]]
-    value, w, _ = solve_zero_sum(P)
-    strategy = AliceStrategy(f_star=f_star, support=tuple((c, S[row]) for c, row in pairs),
-                             weights=w, game_value=value)
+    rows = sorted(first)
+    value, w, _ = solve_zero_sum((S.value_matrix()[rows] == f_star.values()).astype(np.float64))
+    support = tuple((Certificate(domain, *first[row]), S[row]) for row in rows)
+    strategy = AliceStrategy(f_star=f_star, support=support, weights=w, game_value=value)
     strategy.validate(S)
     return strategy
 
 
 def _isolating_certificates(S: ConceptClass, k: int, budget: int = None):
-    """Yield every (certificate, isolated member index) pair with |C| <= k.
+    """Yield packed (mask, value, member index) per isolating C, |C| <= k.
 
-    Enumeration is per input subset: the members' tables masked to the
-    subset are the certificate values they match, and each value matched
-    by a single member is one isolating certificate.  Values come in
-    increasing order.
+    Enumeration is per input subset, smallest first: the members' tables
+    masked to the subset are the certificate values they match, and each
+    value matched by a single member is one isolating certificate.
+    Values come in increasing order.
     """
-    domain = S.domain
     count = 0
     for s in range(k + 1):
-        for points in itertools.combinations(domain.inputs(), s):
+        for points in itertools.combinations(S.domain.inputs(), s):
             mask = sum(1 << x for x in points)
             matched: dict = {}
             for row, f in enumerate(S.members):
@@ -174,7 +193,7 @@ def _isolating_certificates(S: ConceptClass, k: int, budget: int = None):
                 if budget is not None and count > budget:
                     raise EnumerationBudgetExceeded(budget, count,
                                                     "isolating certificates")
-                yield Certificate(domain, mask, value), row
+                yield mask, value, row
 
 
 def k_isolatable_members(S: ConceptClass, k: int) -> set:
@@ -185,7 +204,7 @@ def k_isolatable_members(S: ConceptClass, k: int) -> set:
     depend only on the isolated member).
     """
     found: set = set()
-    for _, row in _isolating_certificates(S, k):
+    for _, _, row in _isolating_certificates(S, k):
         found.add(row)
         if len(found) == len(S):
             break
@@ -214,35 +233,36 @@ def double_oracle_solve(S: ConceptClass, f_star: BooleanFunction,
     rows: list = []
     row_index: list = []
     cap = 10 * len(S) + 10
-    agreements = _agreements(S, f_star)
+    V, t = S.value_matrix(), f_star.values()
+    label = np.zeros(domain.size, dtype=np.intp)
 
     D = Distribution.uniform(domain)
     w = np.ones(0)
     worst = -1.0
     for _ in range(cap):
         if rows:
-            worst, w, d = solve_zero_sum(agreements[row_index])
+            worst, w, d = solve_zero_sum((V[np.ix_(row_index, first)] == t[first])
+                                         .astype(np.float64))
             if value_trace is not None:
                 value_trace.append(worst)
             if worst >= target_value - 1e-12:
                 break
-            D = Distribution.from_weights(domain, d)
+            D = Distribution.from_weights(domain, (d / np.bincount(label))[label])
 
         cert_result = weak_certify(S, f_star, D)
         i = S.index_of(cert_result.f)
         if i not in row_index:
             rows.append((cert_result.C, cert_result.f))
-            row_index.append(i)
-            continue
-
-        # exact best-response fallback (only reachable with target > 0.9)
-        best = int(np.argmax(agreements @ D.weights))
-        if best in row_index:
-            # Bob's mix caps every known row, so the restricted value is
-            # already the full game value: converged below target.
-            break
-        rows.append((isolate_member(S, S[best]), S[best]))
-        row_index.append(best)
+        else:
+            # exact best-response fallback (only reachable with target > 0.9)
+            i = int(np.argmax([(v == t) @ D.weights for v in V]))
+            if i in row_index:
+                # Bob's mix caps every known row, so the restricted value is
+                # already the full game value: converged below target.
+                break
+            rows.append((isolate_member(S, S[i]), S[i]))
+        row_index.append(i)
+        label, first = _split(label, V[i] == t)
     else:
         raise VerificationDefect("double oracle failed to terminate within its iteration cap")
 

@@ -19,9 +19,7 @@ def random_boolean_class(n: int, size: int, rng: np.random.Generator) -> Concept
     members = []
     while len(members) < size:
         table = rng.integers(0, 2, size=domain.size)
-        bits = 0
-        for x, v in enumerate(table):
-            bits |= int(v) << x
+        bits = int.from_bytes(np.packbits(table.astype(np.uint8), bitorder="little"), "little")
         if bits not in seen:
             seen.add(bits)
             members.append(BooleanFunction(domain, bits))

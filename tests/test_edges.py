@@ -2,7 +2,13 @@
 entangled amplification with three registers, tampered-report detection,
 and the far ends of the domain-size range."""
 
+import json
 import math
+import os
+import pathlib
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -144,3 +150,23 @@ def test_big_class_restriction_consistency():
     for f in S:
         expected = f(0) == 1 and f(17) == 0 and f(63) == 1
         assert (f in survivors) == expected
+
+
+def test_majcert_at_n20_within_two_gigabytes(tmp_path):
+    # the game solvers and their validation hold only 0/1 agreement rows
+    # and the float quotient, so a 4-member class at the n = 20 cap runs
+    # under a 2 GB address-space limit set in the child only
+    config = tmp_path / "n20.json"
+    config.write_text(json.dumps({"schema": 1, "suite": "majcert", "seed": 1, "parameters": {
+        "n": 20, "kind": "random-boolean", "class_size": 4, "instances": 1}}))
+    limit = 2 * 1024 ** 3
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-m", "majcert.cli", "run", "--config", str(config),
+                           "--out", str(tmp_path / "n20.report.json")],
+                          env={**os.environ, "PYTHONPATH": str(src)}, preexec_fn=cap_memory,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

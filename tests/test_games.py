@@ -12,11 +12,13 @@ from majcert.concepts import (BooleanFunction, Certificate, ConceptClass,
                               InputDomain)
 from majcert.errors import (EnumerationBudgetExceeded, RejectedInputError,
                             VerificationDefect)
-from majcert.games import (AliceStrategy, double_oracle_solve,
-                           k_isolatable_members, solve_game_full_lp,
-                           solve_zero_sum)
+import majcert.games as games
+from majcert.games import (AliceStrategy, _isolating_certificates,
+                           double_oracle_solve, k_isolatable_members,
+                           solve_game_full_lp, solve_zero_sum)
 from majcert.generators import point_function_class, random_boolean_class
 from majcert.rng import substream
+from majcert.winnow import weak_certify
 
 
 def test_solve_zero_sum_matching_pennies():
@@ -196,7 +198,6 @@ def test_isolating_certificates_match_naive_enumeration(salt, k):
     # reference: every pattern on every subset of size <= k, in the
     # enumeration's order, kept when it leaves exactly one member
     from majcert.concepts import restrict_class
-    from majcert.games import _isolating_certificates
     rng = substream(salt, 2)
     S = random_boolean_class(2, int(rng.integers(1, 9)), rng)
     expected = []
@@ -208,7 +209,7 @@ def test_isolating_certificates_match_naive_enumeration(salt, k):
                 cert = Certificate.of(S.domain, zip(points, bits))
                 survivors = restrict_class(S, cert)
                 if len(survivors) == 1:
-                    expected.append((cert, S.index_of(survivors[0])))
+                    expected.append((cert.mask, cert.value, S.index_of(survivors[0])))
     assert list(_isolating_certificates(S, k)) == expected
 
 
@@ -230,3 +231,76 @@ def test_full_lp_value_by_certificate_size_point_class():
     assert values[0] == pytest.approx(1.0 - 1.0 / 8.0, abs=1e-7)
     assert all(v < 0.9 for v in values[:7])
     assert values[7] == pytest.approx(1.0, abs=1e-7)
+
+
+@st.composite
+def boolean_games(draw):
+    """A random class on n in {2, 3} inputs, any member as the target
+    (k-isolatable or not), and k in {1, 2, 3}."""
+    n = draw(st.integers(2, 3))
+    domain = InputDomain(n)
+    tables = draw(st.lists(st.integers(0, (1 << (1 << n)) - 1), min_size=1, max_size=8,
+                           unique=True))
+    S = ConceptClass(domain, [BooleanFunction(domain, bits) for bits in tables])
+    return S, S[draw(st.integers(0, len(S) - 1))], draw(st.integers(1, 3))
+
+
+@given(boolean_games())
+def test_full_lp_value_equals_per_pair_game(game):
+    # the per-pair matrix: one row per isolating (certificate, member) pair
+    S, f_star, k = game
+    rows = [row for _, _, row in _isolating_certificates(S, k)]
+    if not rows:
+        with pytest.raises(RejectedInputError):
+            solve_game_full_lp(S, f_star, k)
+        return
+    per_pair = (S.value_matrix()[rows] == f_star.values()).astype(np.float64)
+    value, _, _ = solve_zero_sum(per_pair)
+    assert abs(solve_game_full_lp(S, f_star, k).game_value - value) <= 1e-9
+
+
+@given(st.integers(0, 40))
+def test_double_oracle_mapped_bob_mix_caps_full_rows(salt):
+    # the zero target among functions with one to three ones takes many
+    # rounds, and restricted games whose column classes hold several
+    # inputs; Bob's mix handed to the weak certifier after each restricted
+    # solve is checked against the un-quotiented agreement rows
+    rng = substream(salt, 4)
+    domain = InputDomain(int(rng.integers(2, 6)))
+    tables = {0} | {sum(1 << int(x) for x in rng.choice(domain.size, int(rng.integers(1, 4)),
+                                                         replace=False))
+                    for _ in range(int(rng.integers(2, 17)))}
+    S = ConceptClass(domain, [BooleanFunction(domain, bits) for bits in sorted(tables)])
+    mixes, trace = [], []
+
+    def recording(S_, f_star, D):
+        mixes.append(D.weights)
+        return weak_certify(S_, f_star, D)
+
+    original, games.weak_certify = games.weak_certify, recording
+    try:
+        strategy = double_oracle_solve(S, S[0], target_value=1.0, value_trace=trace)
+    finally:
+        games.weak_certify = original
+    agreements = (S.value_matrix() == 0).astype(np.float64)
+    rows = [S.index_of(f) for _, f in strategy.support]
+    assert len(mixes) >= len(trace)
+    for j in range(1, len(mixes)):
+        assert float((agreements[rows[:j]] @ mixes[j]).max()) - trace[j - 1] <= 1e-6
+
+
+def test_full_lp_one_row_per_isolated_member(monkeypatch):
+    widths = []
+
+    def recording(*args, **kwargs):
+        widths.append(kwargs["A_ub"].shape[1])
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(games, "linprog", recording)
+    point = point_function_class(4)
+    solve_game_full_lp(point, point[0], k=1)
+    S = random_boolean_class(4, 12, substream(0, 3))
+    assert sum(1 for _ in _isolating_certificates(S, 4)) > 1000
+    solve_game_full_lp(S, S[0], k=4)
+    assert len(widths) == 2
+    assert widths[0] <= len(point) + 1 and widths[1] <= len(S) + 1

@@ -1,6 +1,8 @@
 """Class generators: point functions, random Boolean and p-concept
 classes, the L2 family and quantum-induced classes."""
 
+import pytest
+
 from majcert.concepts import InputDomain
 from majcert.generators import (point_function_class, random_boolean_class,
                                 random_pconcept_class)
@@ -59,3 +61,19 @@ def test_generation_is_deterministic():
     assert [f.bits for f in a] == [f.bits for f in b]
     c = random_boolean_class(3, 6, substream(10, 30))
     assert [f.bits for f in a] != [f.bits for f in c]
+
+
+@pytest.mark.parametrize("n", [3, 10, 14])
+@pytest.mark.parametrize("salt", [0, 1, 2])
+def test_random_boolean_class_matches_per_bit_packing(n, salt):
+    # reference: the same draws, each table packed one bit at a time
+    rng = substream(salt, 31)
+    seen, expected = set(), []
+    while len(expected) < 5:
+        bits = 0
+        for x, v in enumerate(rng.integers(0, 2, size=1 << n)):
+            bits |= int(v) << x
+        if bits not in seen:
+            seen.add(bits)
+            expected.append(bits)
+    assert [f.bits for f in random_boolean_class(n, 5, substream(salt, 31))] == expected
