@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Measure the smallest verified majority width against n.
 
-The sampling schedule always uses m = smallest odd >= 20n, but whether
-anything that large is necessary is open; this script probes, per n, the
-smallest odd m for which a sampled decomposition from the optimal game
-strategy reproduces the target exactly (a measured curve, no assertion).
+The sampler always draws m = MajorityDecomposition.slot_bound(S) slots,
+the smallest odd >= 20n, but whether anything that large is necessary is
+open; this script probes, per n, the smallest odd m for which a sampled
+decomposition from the optimal game strategy reproduces the target
+exactly (a measured curve, no assertion).
 
 Usage: python scripts/measure_m_vs_n.py [--n-max 7] [--seed 1]
 """
@@ -12,6 +13,7 @@ Usage: python scripts/measure_m_vs_n.py [--n-max 7] [--seed 1]
 import argparse
 
 from majcert.concepts import pointwise_majority
+from majcert.decompose import MajorityDecomposition
 from majcert.games import double_oracle_solve
 from majcert.generators import point_function_class, random_boolean_class
 from majcert.rng import substream
@@ -46,7 +48,7 @@ def main() -> None:
         f_star = S[0]
         strategy = double_oracle_solve(S, f_star)
         m_min = smallest_verified_m(S, f_star, strategy, args.seed)
-        sched = 20 * n + 1
+        sched = MajorityDecomposition.slot_bound(S)
         print(f"{n:>3} {len(S):>5} {str(m_min):>6} {sched:>8}")
 
 

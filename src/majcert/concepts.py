@@ -101,10 +101,6 @@ class BooleanFunction:
         raw = self.bits.to_bytes((size + 7) // 8, "little")
         return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:size]
 
-    def xor(self, other: "BooleanFunction") -> "BooleanFunction":
-        _require_same_domain(self, other)
-        return BooleanFunction(self.domain, self.bits ^ other.bits)
-
     def to_real(self) -> "RealFunction":
         return RealFunction(self.domain, self.values().astype(np.float64))
 
@@ -207,11 +203,6 @@ class Certificate:
         if (self.mask >> x) & 1 and (self.value >> x) & 1 != b:
             raise RejectedInputError(f"conflicting assignment at {x}")
         return Certificate(self.domain, self.mask | (1 << x), self.value | (b << x))
-
-    def xor_shifted(self, f_star: BooleanFunction) -> "Certificate":
-        """The certificate matched by g xor f_star whenever self matches g."""
-        _require_same_domain(self, f_star)
-        return Certificate(self.domain, self.mask, self.value ^ (f_star.bits & self.mask))
 
 
 class _FunctionClass:

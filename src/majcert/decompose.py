@@ -55,9 +55,17 @@ class MajorityDecomposition:
     target: BooleanFunction
     slots: Slots
 
+    WIDTH = 20  # slots per input bit, see slot_bound
+
     def __post_init__(self):
         if self.m % 2 == 0:
             raise RejectedInputError("m must be odd")
+
+    @classmethod
+    def slot_bound(cls, S: ConceptClass) -> int:
+        """The most slots a decomposition of S may hold: smallest odd
+        >= WIDTH * n, or 1 for a singleton class."""
+        return 1 if len(S) == 1 else smallest_odd_at_least(cls.WIDTH * S.domain.n)
 
     @property
     def m(self) -> int:
@@ -92,6 +100,8 @@ class RobustDecomposition(MajorityDecomposition):
     reach at least ceil(2m/3) on target-1 inputs and at most floor(m/3)
     on target-0 inputs."""
 
+    WIDTH = 60
+
     @property
     def upper_threshold(self) -> int:
         return math.ceil(2 * self.m / 3)
@@ -112,35 +122,33 @@ class RobustDecomposition(MajorityDecomposition):
 
 
 def _sampled_decomposition(cls, S: ConceptClass, f_star: BooleanFunction, seed: int,
-                           width: int, stream: int):
-    """The first of 64 draws of m = smallest odd >= width * n slots (then
-    64 at 2m) whose slots combine to the target, as a ``cls``."""
+                           stream: int):
+    """The first of 64 draws of m = cls.slot_bound(S) slots whose slots
+    combine to the target, as a ``cls``."""
     strategy = double_oracle_solve(S, f_star)
-    m = 1 if len(S) == 1 else smallest_odd_at_least(width * S.domain.n)
-    for doubling, m_try in enumerate((m, smallest_odd_at_least(2 * m))):
-        for attempt in range(64):
-            pairs = strategy.sample_pairs(substream(seed, stream + doubling, attempt), m_try)
-            decomposition = cls(target=f_star, slots=Slots.group(pairs))
-            if decomposition.target_defect() is None:
-                decomposition.validate(S)
-                return decomposition
-    raise RetriesExhausted(f"{cls.__name__} sampling",
-                           "no verified draw in 64 attempts at m and 2m")
+    m = cls.slot_bound(S)
+    for attempt in range(64):
+        pairs = strategy.sample_pairs(substream(seed, stream, attempt), m)
+        decomposition = cls(target=f_star, slots=Slots.group(pairs))
+        if decomposition.target_defect() is None:
+            decomposition.validate(S)
+            return decomposition
+    raise RetriesExhausted(f"{cls.__name__} sampling", "no verified draw in 64 attempts")
 
 
 def majority_certificates(S: ConceptClass, f_star: BooleanFunction,
                           seed: int = 0) -> MajorityDecomposition:
     """Draw m = smallest odd >= 20n slots i.i.d. from the 0.9-optimal game
     strategy and keep the first draw whose majority reproduces the target
-    exactly on all 2^n inputs (64 attempts, then one m-doubling)."""
-    return _sampled_decomposition(MajorityDecomposition, S, f_star, seed, 20, 0)
+    exactly on all 2^n inputs (64 attempts)."""
+    return _sampled_decomposition(MajorityDecomposition, S, f_star, seed, 0)
 
 
 def robust_majority_certificates(S: ConceptClass, f_star: BooleanFunction,
                                  seed: int = 0) -> RobustDecomposition:
     """As majority_certificates with m = smallest odd >= 60n and the
     2m/3 - m/3 margins verified exhaustively."""
-    return _sampled_decomposition(RobustDecomposition, S, f_star, seed, 60, 2)
+    return _sampled_decomposition(RobustDecomposition, S, f_star, seed, 2)
 
 
 def untrusted_oracle_evaluate(D: RobustDecomposition, claims: Sequence[BooleanFunction],
@@ -326,7 +334,7 @@ def _real_alice_response(S: PConceptClass, f_star: RealFunction, D: Distribution
     base = schedule_start(fat, beta)
     for escalation in range(12):
         _, Y = find_valid_sample_size(S, f_star, D, beta, seed,
-                                      stream=(stream, escalation), fat=fat,
+                                      stream=(stream, escalation),
                                       start=base * (2 ** escalation))
 
         ys = sorted(Y)

@@ -27,11 +27,12 @@ import numpy as np
 from .concepts import (REAL_ATOL, BooleanFunction, ConceptClass, Distribution,
                        InputDomain, PConceptClass, RealFunction, dist_inf,
                        dist_two)
-from .decompose import (find_valid_sample_size, majority_certificates,
+from .decompose import (MajorityDecomposition, RobustDecomposition,
+                        find_valid_sample_size, majority_certificates,
                         occam_check, real_majority_certificates,
                         robust_majority_certificates,
-                        smallest_odd_at_least, untrusted_oracle_evaluate,
-                        verify_real_decomposition, FAIL)
+                        untrusted_oracle_evaluate, verify_real_decomposition,
+                        FAIL)
 from .errors import DimensionCapExceeded, RejectedInputError
 from .formats import (boolean_decomposition_from_json,
                       boolean_decomposition_to_json, boolean_from_hex,
@@ -204,10 +205,11 @@ def _check_majcert(record: dict, context: dict) -> bool:
     S, dec = boolean_decomposition_from_json(out["decomposition"])
     dec.validate(S)
     measures = _majcert_measures(record)
-    m_bound = 1 if len(S) == 1 else smallest_odd_at_least((60 if robust else 20) * S.domain.n)
+    cls = RobustDecomposition if robust else MajorityDecomposition
     ok = (out["decomposition"]["kind"] == ("robust" if robust else "majority")
           and len(S) == measures["class_size"]
-          and measures["max_cert_size"] <= measures["cert_size_bound"] and dec.m <= m_bound)
+          and measures["max_cert_size"] <= measures["cert_size_bound"]
+          and dec.m <= cls.slot_bound(S))
     if not robust:
         return ok
     claims = _robust_claims(dec)

@@ -53,29 +53,30 @@ def ceil_log(value: int, base_num: int, base_den: int = 1) -> int:
 # Binary-search winnowing and weak certification
 # ---------------------------------------------------------------------------
 
-def binary_search_winnow(S: ConceptClass) -> tuple:
-    """Winnow S down to a single function by halving.
+def binary_search_winnow(V: np.ndarray) -> tuple:
+    """Winnow the distinct 0/1 rows of V down to one by halving.
 
-    At each step: take the lexicographically smallest input on which the
-    survivors disagree; pin it to 0 if that at least halves the survivor
+    At each step: take the smallest input (column) on which the surviving
+    rows disagree; pin it to 0 if that at least halves the survivor
     count, else pin it to 1.  Either branch halves, so at most
-    ceil(log2 |S|) assignments are added.  Returns (f, C) with S[C] = {f}.
+    ceil(log2 |V|) pins are made.  Returns (row, pins): the index of the
+    one row of V matching every pin, and the (input, bit) pins in the
+    order they were made.
     """
-    C = Certificate.empty(S.domain)
-    survivors = np.arange(len(S))
-    V = S.value_matrix()
+    survivors = np.arange(len(V))
+    pins = []
     while len(survivors) > 1:
         sums = V.sum(axis=0, dtype=np.int64)
         splits = np.nonzero((sums > 0) & (sums < len(survivors)))[0]
-        assert len(splits) > 0, "distinct members must disagree somewhere"
+        assert len(splits) > 0, "distinct rows must disagree somewhere"
         split_x = int(splits[0])
         zero_count = len(survivors) - int(sums[split_x])
         bit = 0 if 2 * zero_count <= len(survivors) else 1
-        C = C.extended(split_x, bit)
+        pins.append((split_x, bit))
         keep = V[:, split_x] == bit
         survivors = survivors[keep]
         V = V[keep]
-    return S[int(survivors[0])], C
+    return int(survivors[0]), pins
 
 
 @dataclass(frozen=True)
@@ -97,51 +98,43 @@ class WeakCertifyResult:
 def weak_certify(S: ConceptClass, f_star: BooleanFunction, D: Distribution) -> WeakCertifyResult:
     """Find (f, C) with S[C] = {f} and Pr_{x~D}[f != f_star] <= 1/10.
 
-    Stage 1 works in the XOR-shifted class where the target is the zero
-    function.  A member is "heavy" when its weight Pr_D[f(x)=1] exceeds
-    0.1; pinning input x to 0 kills every surviving member with f(x)=1.
-    The greedy step picks the input killing the most surviving heavy
-    members (ties to the smallest input).  Averaging over x ~ D shows the
-    best input kills more than a tenth of the heavy survivors, so at most
-    ceil(log_{10/9} |S|) pins are needed; the greedy choice is a
-    derandomization of the probabilistic existence argument and meets the
-    same bound.  Stage 2 isolates one survivor by binary search, adding
-    at most ceil(log2 |S|) more pins.
+    Both stages read one boolean matrix, wrong = V != V[t], over the
+    class's value matrix V and the target's row t.  Stage 1: a member is
+    "heavy" when its error mass exceeds 0.1; pinning input x to f_star(x)
+    kills every surviving member wrong at x.  The greedy step picks the
+    input killing the most surviving heavy members (ties to the smallest
+    input).  Averaging over x ~ D shows the best input kills more than a
+    tenth of the heavy survivors, so at most ceil(log_{10/9} |S|) pins
+    are needed; the greedy choice is a derandomization of the
+    probabilistic existence argument and meets the same bound.  Stage 2
+    binary-searches the survivors' rows of wrong, adding at most
+    ceil(log2 |S|) more pins.  A pin (x, b) on wrong becomes the
+    certificate output b ^ f_star(x).
     """
-    S.index_of(f_star)
-    # tables of the XOR-shifted class, in which the target is the zero function
-    V = (S.value_matrix() ^ f_star.values()).astype(np.int64)
-    weights = V @ D.weights
+    t = S.index_of(f_star)
+    V = S.value_matrix()
+    wrong = V != V[t]
+    heavy_weight = np.einsum("ij,j->i", wrong, D.weights) > 0.1  # no float copy of wrong
     survivor_mask = np.ones(len(S), dtype=bool)
-    heavy_weight = weights > 0.1
-    pinned = np.zeros(S.domain.size, dtype=bool)
-    C_sh = Certificate.empty(S.domain)
+    pins = []
     t_bound = ceil_log(len(S), 10, 9)
-    steps = 0
     while True:
         heavy = survivor_mask & heavy_weight
         if not heavy.any():
             break
-        kills = V[heavy].sum(axis=0)
-        kills[pinned] = -1
+        # survivors agree with the target on pinned inputs, so those kill none
+        kills = wrong[heavy].sum(axis=0)
         best_x = int(np.argmax(kills))  # ties resolve to the smallest input
         if kills[best_x] <= 0:
             raise VerificationDefect("no input kills any heavy member")
-        C_sh = C_sh.extended(best_x, 0)
-        pinned[best_x] = True
-        survivor_mask &= V[:, best_x] == 0
-        steps += 1
-        if steps > t_bound:
+        pins.append((best_x, 0))
+        survivor_mask &= ~wrong[:, best_x]
+        if len(pins) > t_bound:
             raise VerificationDefect("stage-1 greedy exceeded its log_{10/9} bound")
-    surviving_class = ConceptClass(S.domain, (S[int(i)].xor(f_star)
-                                              for i in np.nonzero(survivor_mask)[0]))
-    f_sh, C2 = binary_search_winnow(surviving_class)
-    merged = C_sh
-    for x, b in C2.assignments:
-        merged = merged.extended(x, b)
-
-    C = merged.xor_shifted(f_star)
-    f = f_sh.xor(f_star)
+    survivors = np.flatnonzero(survivor_mask)
+    row, stage2 = binary_search_winnow(wrong[survivors])
+    C = Certificate.of(S.domain, [(x, b ^ f_star(x)) for x, b in pins + stage2])
+    f = S[int(survivors[row])]
     error = float(D.weights @ (f.values() != f_star.values()))
     result = WeakCertifyResult(f=f, C=C, error_mass=error)
     result.validate(S)

@@ -19,7 +19,7 @@ from majcert.decompose import (FAIL, MajorityDecomposition, RealDecomposition,
                                robust_majority_certificates, schedule_start,
                                smallest_odd_at_least, untrusted_oracle_evaluate,
                                verify_real_decomposition)
-from majcert.errors import RejectedInputError, VerificationDefect
+from majcert.errors import RejectedInputError, RetriesExhausted, VerificationDefect
 from majcert.generators import (point_function_class, random_boolean_class,
                                 random_pconcept_class)
 from majcert.rng import substream
@@ -89,6 +89,32 @@ def test_majority_decomposition_type_invariants():
     S = ConceptClass(domain, [f, BooleanFunction.point(domain, 0)])
     with pytest.raises(VerificationDefect):
         dec.validate(S)  # empty certificate does not isolate in a 2-class
+
+
+def test_slot_bound_per_kind():
+    S = point_function_class(6, 48)
+    assert MajorityDecomposition.slot_bound(S) == 121
+    assert RobustDecomposition.slot_bound(S) == 361
+    singleton = ConceptClass(S.domain, [S[0]])
+    assert MajorityDecomposition.slot_bound(singleton) == 1
+    assert RobustDecomposition.slot_bound(singleton) == 1
+
+
+def test_sampler_gives_up_at_the_slot_bound(monkeypatch):
+    # when every draw at the bound fails, the sampler raises instead of
+    # widening to a decomposition the suite check would reject
+    S = point_function_class(6, 48)
+    widths = []
+    check = MajorityDecomposition.target_defect
+
+    def failing_within_bound(dec):
+        widths.append(dec.m)
+        return "forced failure" if dec.m <= 121 else check(dec)
+
+    monkeypatch.setattr(MajorityDecomposition, "target_defect", failing_within_bound)
+    with pytest.raises(RetriesExhausted):
+        majority_certificates(S, S[0], seed=1)
+    assert widths == [121] * 64
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +204,15 @@ def test_untrusted_oracle_shifted_target():
     # exercise the sum >= 2m/3 side by xor-shifting the whole instance
     S, dec = manual_robust_point_instance()
     h = BooleanFunction.from_values(S.domain, [1, 0, 1, 1])
-    shifted_class = ConceptClass(S.domain, [g.xor(h) for g in S])
-    shifted = RobustDecomposition(target=dec.target.xor(h), slots=dec.slots.map(
-        lambda slot: (slot[0].xor_shifted(h), slot[1].xor(h))))
+    def shift(g):
+        return BooleanFunction(S.domain, g.bits ^ h.bits)
+
+    def shift_slot(slot):
+        cert, g = slot
+        return Certificate(S.domain, cert.mask, cert.value ^ (h.bits & cert.mask)), shift(g)
+
+    shifted_class = ConceptClass(S.domain, [shift(g) for g in S])
+    shifted = RobustDecomposition(target=shift(dec.target), slots=dec.slots.map(shift_slot))
     shifted.validate(shifted_class)
     for x in S.domain.inputs():
         assert untrusted_oracle_evaluate(shifted, slot_funcs(shifted), x) == shifted.target(x)

@@ -2,14 +2,16 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from majcert.concepts import (BooleanFunction, ConceptClass, Distribution,
-                              InputDomain, PConceptClass, RealFunction,
-                              dist_inf, dist_one, dist_two, is_isolated)
+from majcert.concepts import (BooleanFunction, Certificate, ConceptClass,
+                              Distribution, InputDomain, PConceptClass,
+                              RealFunction, dist_inf, dist_one, dist_two,
+                              is_isolated)
 from majcert.errors import DimensionCapExceeded, RejectedInputError
 from majcert.generators import (point_function_class, random_boolean_class,
                                 random_pconcept_class)
@@ -52,27 +54,29 @@ def test_ceil_log_exact_values():
 def test_binary_search_singleton():
     domain = InputDomain(2)
     S = ConceptClass(domain, [BooleanFunction.point(domain, 2)])
-    f, C = binary_search_winnow(S)
-    assert C.size == 0 and f.bits == S[0].bits
+    row, pins = binary_search_winnow(S.value_matrix())
+    assert row == 0 and pins == []
 
 
 def test_binary_search_all_functions_n1():
     domain = InputDomain(1)
     S = ConceptClass(domain, [BooleanFunction(domain, b) for b in range(4)])
-    f, C = binary_search_winnow(S)
+    row, pins = binary_search_winnow(S.value_matrix())
+    C = Certificate.of(S.domain, pins)
     assert C.size <= 2
-    assert is_isolated(S, C, f)
+    assert is_isolated(S, C, S[row])
     # exhaustive: the returned member really is the unique survivor
-    survivors = [g for g in S if all(g(x) == b for x, b in C.assignments)]
-    assert [g.bits for g in survivors] == [f.bits]
+    survivors = [g for g in S if all(g(x) == b for x, b in pins)]
+    assert [g.bits for g in survivors] == [S[row].bits]
 
 
 def test_binary_search_point_class_n3():
     S = point_function_class(3)
     assert len(S) == 9
-    f, C = binary_search_winnow(S)
+    row, pins = binary_search_winnow(S.value_matrix())
+    C = Certificate.of(S.domain, pins)
     assert C.size <= 4
-    assert is_isolated(S, C, f)
+    assert is_isolated(S, C, S[row])
 
 
 @given(st.integers(1, 3), st.integers(0, 10_000))
@@ -80,9 +84,10 @@ def test_binary_search_size_bound(n, salt):
     limit = min(8, 1 << (1 << n))
     S = random_boolean_class(n, int(np.random.default_rng(salt).integers(1, limit + 1)),
                              substream(salt, 0))
-    f, C = binary_search_winnow(S)
+    row, pins = binary_search_winnow(S.value_matrix())
+    C = Certificate.of(S.domain, pins)
     assert C.size <= ceil_log(len(S), 2)
-    assert is_isolated(S, C, f)
+    assert is_isolated(S, C, S[row])
 
 
 def test_isolate_member_pins_chosen_function():
@@ -141,6 +146,101 @@ def test_weak_certify_requires_membership():
     outsider = BooleanFunction.from_values(S.domain, [1, 1, 1, 1])
     with pytest.raises(RejectedInputError):
         weak_certify(S, outsider, Distribution.uniform(S.domain))
+
+
+def reference_binary_search_winnow(S):
+    """Binary-search winnowing of a class, returning (f, C) with S[C] = {f}."""
+    C = Certificate.empty(S.domain)
+    survivors = np.arange(len(S))
+    V = S.value_matrix()
+    while len(survivors) > 1:
+        sums = V.sum(axis=0, dtype=np.int64)
+        splits = np.nonzero((sums > 0) & (sums < len(survivors)))[0]
+        split_x = int(splits[0])
+        zero_count = len(survivors) - int(sums[split_x])
+        bit = 0 if 2 * zero_count <= len(survivors) else 1
+        C = C.extended(split_x, bit)
+        keep = V[:, split_x] == bit
+        survivors = survivors[keep]
+        V = V[keep]
+    return S[int(survivors[0])], C
+
+
+def reference_weak_certify(S, f_star, D):
+    """Weak certification in the XOR-shifted class where the target is the
+    zero function, its certificate merged pin by pin and shifted back;
+    returns (f, C) without the checks."""
+    def shift(g):
+        return BooleanFunction(S.domain, g.bits ^ f_star.bits)
+
+    V = (S.value_matrix() ^ f_star.values()).astype(np.int64)
+    weights = V @ D.weights
+    survivor_mask = np.ones(len(S), dtype=bool)
+    heavy_weight = weights > 0.1
+    pinned = np.zeros(S.domain.size, dtype=bool)
+    C_sh = Certificate.empty(S.domain)
+    while True:
+        heavy = survivor_mask & heavy_weight
+        if not heavy.any():
+            break
+        kills = V[heavy].sum(axis=0)
+        kills[pinned] = -1
+        best_x = int(np.argmax(kills))
+        C_sh = C_sh.extended(best_x, 0)
+        pinned[best_x] = True
+        survivor_mask &= V[:, best_x] == 0
+    surviving_class = ConceptClass(S.domain, (shift(S[int(i)])
+                                              for i in np.nonzero(survivor_mask)[0]))
+    f_sh, C2 = reference_binary_search_winnow(surviving_class)
+    merged = C_sh
+    for x, b in C2.assignments:
+        merged = merged.extended(x, b)
+    C = Certificate(S.domain, merged.mask, merged.value ^ (f_star.bits & merged.mask))
+    return shift(f_sh), C
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 6), st.integers(0, 10 ** 6), st.booleans(),
+       st.sampled_from(["uniform", "point", "counts"]), st.data())
+def test_weak_certify_matches_shifted_class_reference(n, salt, points, kind, data):
+    # dyadic weights make every summation order exact, so the heavy test
+    # (> 0.1) reads the same whatever order the masses are summed in
+    rng = substream(salt, 11)
+    domain = InputDomain(n)
+    if points:
+        S = point_function_class(n, int(rng.integers(1, domain.size + 1)), rng)
+    else:
+        S = random_boolean_class(n, int(rng.integers(1, min(24, 1 << domain.size) + 1)), rng)
+    f_star = S[data.draw(st.integers(0, len(S) - 1))]
+    if kind == "uniform":
+        D = Distribution.uniform(domain)
+    elif kind == "point":
+        D = Distribution.point_mass(domain, data.draw(st.integers(0, domain.size - 1)))
+    else:
+        total = 1 << data.draw(st.integers(0, 10))
+        D = Distribution(domain, rng.multinomial(total, np.full(domain.size, 1.0 / domain.size))
+                         / total)
+    f, C = reference_weak_certify(S, f_star, D)
+    result = weak_certify(S, f_star, D)
+    assert (result.f.bits, result.C.mask, result.C.value) == (f.bits, C.mask, C.value)
+
+
+def test_weak_certify_memory_stays_on_the_class_rows():
+    # one boolean disagreement matrix (one byte a cell) and copies of its
+    # rows, no |S| x 2^n integer or float matrix
+    S = point_function_class(20, 48)
+    S.value_matrix()
+    weights = np.zeros(S.domain.size)
+    weights[[int(g.bits).bit_length() - 1 for g in S[1:9]]] = 1.0 / 8.0
+    D = Distribution(S.domain, weights)  # the first 8 point functions are heavy
+    tracemalloc.start()
+    try:
+        result = weak_certify(S, S[0], D)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.C.size >= 8  # one stage-1 pin per heavy member
+    assert peak < 4 * len(S) * S.domain.size
 
 
 # ---------------------------------------------------------------------------
