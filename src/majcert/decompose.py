@@ -32,7 +32,7 @@ from .concepts import (BooleanFunction, ConceptClass, Distribution,
 from .errors import (RejectedInputError, RetriesExhausted, VerificationDefect)
 from .games import double_oracle_solve, solve_zero_sum
 from .rng import substream
-from .winnow import epsilon_cover, fat_shattering_dim, safe_winnow
+from .winnow import epsilon_cover, safe_winnow
 
 FAIL = "FAIL"
 
@@ -207,9 +207,14 @@ def occam_check(S: PConceptClass, f: RealFunction, D: Distribution, eps: float,
     return passed / trials if trials else 0.0
 
 
-def schedule_start(fat: int, beta: float) -> int:
-    """Initial sample size of the doubling schedule: 4*fat*ceil(ln^2(1/beta))+8."""
-    return 4 * max(fat, 1) * math.ceil(math.log(1.0 / beta) ** 2) + 8
+def schedule_start(size: int, beta: float) -> int:
+    """First size of the doubling schedule for a class of ``size`` members,
+    4*d*ceil(ln^2(1/beta))+8 with d = max(floor(log2 size), 1): shattering
+    k inputs takes 2^k members, so d bounds every fat-shattering dimension,
+    and the sample bound only grows with the dimension."""
+    if not beta > 0:
+        raise RejectedInputError("beta must be positive")
+    return 4 * max(size.bit_length() - 1, 1) * math.ceil(math.log(1.0 / beta) ** 2) + 8
 
 
 #: doublings of the sample size before ``find_valid_sample_size`` gives up
@@ -218,18 +223,17 @@ _MAX_DOUBLINGS = 40
 
 def find_valid_sample_size(S: PConceptClass, f_star: RealFunction, D: Distribution,
                            beta: float, seed: int, stream: tuple = (),
-                           fat: Optional[int] = None, start: Optional[int] = None) -> tuple:
-    """Run the doubling schedule, at most _MAX_DOUBLINGS doublings, until
-    a sampled constraint set validates.
+                           start: Optional[int] = None) -> tuple:
+    """Run the doubling schedule from ``start`` (schedule_start(|S|, beta)
+    by default), at most _MAX_DOUBLINGS doublings, until a sampled
+    constraint set validates.
 
     Returns (M, Y): the first size at which one of 8 seeded draws Y
     satisfies the exhaustive check that sup-closeness beta on Y forces
     D-mean closeness 11*beta, together with that Y.
     """
     if start is None:
-        if fat is None:
-            fat = fat_shattering_dim(S, beta)
-        start = schedule_start(fat, beta)
+        start = schedule_start(len(S), beta)
     V, far = S.value_matrix(), _far_members(S, f_star, D, beta)
     M = start
     for doubling in range(_MAX_DOUBLINGS):
@@ -318,8 +322,7 @@ class RealSlotStrategy:
 
 
 def _real_alice_response(S: PConceptClass, f_star: RealFunction, D: Distribution,
-                         beta: float, eps: float, seed: int, stream: int,
-                         fat: int) -> RealSlotStrategy:
+                         beta: float, eps: float, seed: int, stream: int) -> RealSlotStrategy:
     """Best-response generator of the real game.
 
     Stage 1 draws a validated constraint sample Y from D (doubling
@@ -331,7 +334,7 @@ def _real_alice_response(S: PConceptClass, f_star: RealFunction, D: Distribution
     """
     V = S.value_matrix()
     star = f_star.table
-    base = schedule_start(fat, beta)
+    base = schedule_start(len(S), beta)
     for escalation in range(12):
         _, Y = find_valid_sample_size(S, f_star, D, beta, seed,
                                       stream=(stream, escalation),
@@ -370,7 +373,8 @@ def real_majority_certificates(S: PConceptClass, f_star: RealFunction, eps: floa
     the mix (m = 1 for a singleton class) and the decomposition is kept
     only once verify_real_decomposition passes (resampling up to 64
     times).  The decomposition's alpha is the smallest realized slot
-    alpha, which only tightens the verified slots.
+    alpha, which only tightens the verified slots.  Stage-1 schedules
+    start at schedule_start(|S|, beta): no fat dimension is computed.
     """
     if not (0 < eps):
         raise RejectedInputError("eps must be positive")
@@ -388,7 +392,6 @@ def real_majority_certificates(S: PConceptClass, f_star: RealFunction, eps: floa
             raise VerificationDefect("singleton decomposition failed verification")
         return decomposition
 
-    fat = fat_shattering_dim(S, beta)
     slots: list = []
     slot_keys: set = set()
     # bootstrap Bob at the first input so constraint sets grow from the
@@ -405,7 +408,7 @@ def real_majority_certificates(S: PConceptClass, f_star: RealFunction, eps: floa
             if worst <= eps / 2.0 + 1e-12:
                 break
             D = Distribution.from_weights(S.domain, d)
-        slot = _real_alice_response(S, f_star, D, beta, eps, seed, iteration, fat)
+        slot = _real_alice_response(S, f_star, D, beta, eps, seed, iteration)
         key = (slot.f.key(), slot.X)
         if key in slot_keys:
             raise VerificationDefect("real game generated a duplicate strategy")

@@ -263,6 +263,8 @@ def _winnow_instance(params: dict, seed: int, index: int) -> dict:
     rng = substream(inst_seed, 0)
     eps = params["eps"]
     S = random_pconcept_class(params["n"], params["class_size"], rng)
+    if not 0 <= params["y_size"] <= S.domain.size:
+        raise RejectedInputError(f"y_size must lie in [0, 2^n = {S.domain.size}]")
     f_star = S[int(rng.integers(len(S)))]
     Y = frozenset(int(x) for x in rng.choice(S.domain.size, size=params["y_size"],
                                              replace=False))
@@ -407,11 +409,10 @@ def _dims_boolean_instance(params: dict, seed: int, index: int) -> dict:
     return _record(index, outputs)
 
 
-def _dims_pconcept_instance(params: dict, seed: int, index: int) -> dict:
+def _dims_pconcept_instance(params: dict, seed: int, index: int, gammas: list) -> dict:
     inst_seed = child_seed(seed, 700, index)
     rng = substream(inst_seed, 0)
     S = random_pconcept_class(2, 8, rng)
-    gammas = sorted(float(g) for g in params["gammas"])
     outputs = {"kind": "pconcept", "tables": _tables(S), "gammas": gammas}
     try:
         outputs["dims"] = [fat_shattering_dim(S, g) for g in gammas]
@@ -421,9 +422,15 @@ def _dims_pconcept_instance(params: dict, seed: int, index: int) -> dict:
 
 
 def _build_dims(params: dict, seed: int) -> list:
+    if params["n_min"] > params["n_max"] or params["size_max"] < 2:
+        raise RejectedInputError("n_min must not exceed n_max, and size_max must be >= 2")
+    try:
+        gammas = sorted(float(g) for g in params["gammas"])
+    except (TypeError, ValueError):
+        raise RejectedInputError("gammas must be numbers") from None
     count = params["instances"]
     return ([_dims_boolean_instance(params, seed, i) for i in range(count)]
-            + [_dims_pconcept_instance(params, seed, count + i)
+            + [_dims_pconcept_instance(params, seed, count + i, gammas)
                for i in range(params["pconcept_instances"])])
 
 
@@ -462,8 +469,7 @@ def _occam_instance(params: dict, seed: int, index: int) -> dict:
     S = random_pconcept_class(params["n"], params["class_size"], rng)
     f = S[0]
     D = Distribution.from_weights(S.domain, rng.uniform(0.05, 1.0, size=S.domain.size))
-    fat = fat_shattering_dim(S, eps)
-    M, _ = find_valid_sample_size(S, f, D, eps, inst_seed, fat=fat)
+    M, _ = find_valid_sample_size(S, f, D, eps, inst_seed)
     rate = occam_check(S, f, D, eps, M, params["trials"], seed=inst_seed)
     return _record(index, {"f": 0, "eps": eps,
                            "tables_hex": [[float(v).hex() for v in g.table] for g in S],
@@ -477,13 +483,16 @@ def _occam_measures(record: dict) -> dict:
 
 
 def _check_occam(record: dict, context: dict) -> bool:
-    """The seeded trials, rerun bit-exactly, pass at the stored rate >= 1/2."""
+    """The seeded schedule, rerun, validates at the stored sample size m,
+    and the seeded trials at m, rerun bit-exactly, pass at the stored
+    rate >= 1/2."""
     out = record["outputs"]
     S = _pconcept_class([[float.fromhex(v) for v in t] for t in out["tables_hex"]])
     D = Distribution(S.domain, np.array([float.fromhex(w) for w in out["weights_hex"]]))
-    rate = occam_check(S, S[out["f"]], D, out["eps"], out["m"], out["trials"],
-                       seed=out["seed"])
-    return abs(rate - out["rate"]) < 1e-12 and rate >= 0.5
+    f = S[out["f"]]
+    M, _ = find_valid_sample_size(S, f, D, out["eps"], out["seed"])
+    rate = occam_check(S, f, D, out["eps"], out["m"], out["trials"], seed=out["seed"])
+    return M == out["m"] and abs(rate - out["rate"]) < 1e-12 and rate >= 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +512,8 @@ def _equivalence_instance(params: dict, seed: int, index: int) -> dict:
     inst_seed = child_seed(seed, 900, index)
     rng = substream(inst_seed, 0)
     k = params["k"]
+    if params["n"] < 2 or params["class_size_max"] < 2:
+        raise RejectedInputError("n and class_size_max must be at least 2")
     for attempt in range(200):
         n = int(rng.integers(2, params["n"] + 1))
         size = int(rng.integers(2, params["class_size_max"] + 1))
@@ -612,6 +623,8 @@ def _fat_dims(params: dict, seed: int) -> list:
 
 
 def _build_quantum_protocol(params: dict, seed: int) -> list:
+    if params["amplify_q"] < 1:
+        raise RejectedInputError("amplify_q must be positive")
     P = build_standard_protocol(params["eps"], params["random_states"], seed)
     honest = P.honest_registers()
     proto_json = protocol_to_json(P)

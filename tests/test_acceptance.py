@@ -261,8 +261,7 @@ def test_criterion_08_occam_pass_rate():
         S = random_pconcept_class(3, 25, rng)
         f = S[0]
         D = Distribution.from_weights(S.domain, rng.uniform(0.05, 1.0, S.domain.size))
-        fat = fat_shattering_dim(S, eps)
-        M, _ = find_valid_sample_size(S, f, D, eps, inst_seed, fat=fat)
+        M, _ = find_valid_sample_size(S, f, D, eps, inst_seed)
         rates.append(occam_check(S, f, D, eps, M, trials=100, seed=inst_seed))
     elapsed = time.monotonic() - started
     report(8, all(r >= 0.5 for r in rates) and elapsed < 60.0,

@@ -131,6 +131,26 @@ def test_cli_non_json_config_exits_with_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite, parameters", [
+    ("dims", {"gammas": ["a"]}),
+    ("dims", {"n_min": 4, "n_max": 3}),
+    ("dims", {"size_max": 1}),
+    ("winnow", {"n": 2, "y_size": 5}),
+    ("occam", {"eps": 0.0}),
+    ("equivalence", {"n": 1}),
+    ("quantum-protocol", {"amplify_q": 0}),
+], ids=["dims-gamma-not-a-number", "dims-n-range-empty", "dims-size-max-one",
+        "winnow-y-past-domain", "occam-eps-zero", "equivalence-n-one",
+        "quantum-amplify-q-zero"])
+def test_cli_bad_parameter_value_exits_with_error(tmp_path, capsys, suite, parameters):
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"schema": 1, "suite": suite, "parameters": parameters})
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "error:" in capsys.readouterr().err
+
+
 def without_index(report):
     del report["records"][0]["index"]
     return report

@@ -434,7 +434,9 @@ def test_schedule_and_sample_size():
     S = random_pconcept_class(2, 12, substream(71, 0))
     D = Distribution.uniform(S.domain)
     M, Y = find_valid_sample_size(S, S[0], D, beta=0.1, seed=4)
-    assert M >= schedule_start(1, 0.1)
+    assert schedule_start(12, 0.1) == schedule_start(8, 0.1) == 4 * 3 * 6 + 8
+    assert schedule_start(1, 0.1) == schedule_start(2, 0.1) == 4 * 1 * 6 + 8
+    assert M >= schedule_start(len(S), 0.1)
     assert naive_occam_holds(S, S[0], D, 0.1, Y)
 
 
@@ -442,8 +444,7 @@ def test_occam_rate_at_schedule_size():
     rng = substream(81, 0)
     S = random_pconcept_class(3, 25, rng)
     D = Distribution.from_weights(S.domain, rng.uniform(0.05, 1.0, S.domain.size))
-    from majcert.winnow import fat_shattering_dim
-    fat = fat_shattering_dim(S, 0.1)
-    M, _ = find_valid_sample_size(S, S[0], D, beta=0.1, seed=9, fat=fat)
+    M, _ = find_valid_sample_size(S, S[0], D, beta=0.1, seed=9)
+    assert M >= schedule_start(len(S), 0.1)
     rate = occam_check(S, S[0], D, eps=0.1, m=M, trials=40, seed=9)
     assert rate >= 0.5

@@ -152,21 +152,40 @@ def test_big_class_restriction_consistency():
         assert (f in survivors) == expected
 
 
-def test_majcert_at_n20_within_two_gigabytes(tmp_path):
-    # the game solvers and their validation hold only 0/1 agreement rows
-    # and the float quotient, so a 4-member class at the n = 20 cap runs
-    # under a 2 GB address-space limit set in the child only
-    config = tmp_path / "n20.json"
-    config.write_text(json.dumps({"schema": 1, "suite": "majcert", "seed": 1, "parameters": {
-        "n": 20, "kind": "random-boolean", "class_size": 4, "instances": 1}}))
+def run_under_two_gigabytes(tmp_path, config: dict, timeout: float):
+    """``majcert run`` on ``config`` in a child process whose address space
+    is limited to 2 GB (the limit is set in the child only)."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
     limit = 2 * 1024 ** 3
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run([sys.executable, "-m", "majcert.cli", "run", "--config", str(config),
-                           "--out", str(tmp_path / "n20.report.json")],
+    return subprocess.run([sys.executable, "-m", "majcert.cli", "run", "--config", str(path),
+                           "--out", str(tmp_path / "report.json")],
                           env={**os.environ, "PYTHONPATH": str(src)}, preexec_fn=cap_memory,
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_majcert_at_n20_within_two_gigabytes(tmp_path):
+    # the game solvers and their validation hold only 0/1 agreement rows
+    # and the float quotient, so a 4-member class at the n = 20 cap runs
+    # under a 2 GB address-space limit
+    done = run_under_two_gigabytes(tmp_path, {
+        "schema": 1, "suite": "majcert", "seed": 1, "parameters": {
+            "n": 20, "kind": "random-boolean", "class_size": 4, "instances": 1}}, 300)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("suite, parameters", [
+    ("realmajcert", {"n": 14}),
+    ("occam", {"n": 14, "instances": 1}),
+])
+def test_real_suite_at_n14_within_two_gigabytes(tmp_path, suite, parameters):
+    # sample schedules start from log2 |S|, not from an exact fat-shattering
+    # search, so the real-valued suites finish at the n = 14 cap
+    done = run_under_two_gigabytes(tmp_path, {"schema": 1, "suite": suite, "seed": 1,
+                                              "parameters": parameters}, 60)
     assert done.returncode == 0, done.stderr
