@@ -8,14 +8,16 @@ one gate per line: ``NAME target [control] [xN]`` where ``control`` is
 the CNOT control qubit and an ``xN`` token conditions the gate on
 classical input bit N.
 
-Reports and artifacts: canonical JSON with sorted keys and floats fixed
-to 12 significant digits, so byte-identical configuration yields
-byte-identical files.  Decompositions and protocols keep their slots as
-``Slots`` in memory and serialize them position by position; decoding
-decodes each distinct serialized slot once.  A protocol slot is stored as
-its advice-state ref and its (input, target) pairs; its points are the
-inputs of those pairs.  Serialized artifacts carry no seed: the report's
-config echo holds the run's seed.
+Reports and artifacts: canonical JSON, keys sorted (keys must be
+strings), no spaces, so that byte-identical configuration yields
+byte-identical files.  A finite float x is written as repr(x + 0.0) when
+integral with |x| < 1e15, else as the shortest repr of x rounded to 12
+significant digits, as an integer if that rounding is one below 1e12
+(2.9999999999999 is written 3).  Decompositions and protocols keep their
+slots as ``Slots`` in memory and serialize them position by position,
+decoding each distinct serialized slot once.  A protocol slot is stored
+as its advice-state ref and its (input, target) pairs, its points being
+their inputs.  Serialized artifacts carry no seed (the config echo does).
 """
 
 from __future__ import annotations
@@ -98,44 +100,42 @@ def circuit_from_text(text: str) -> Circuit:
 # Canonical JSON
 # ---------------------------------------------------------------------------
 
-def format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise RejectedInputError("non-finite float in a report")
-    if x == int(x) and abs(x) < 1e15:
-        return repr(int(x)) + ".0"
-    return format(x, ".12g")
-
-
-def _canonical(obj) -> str:
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        return str(int(obj))
-    if isinstance(obj, Fraction):
-        return json.dumps(f"{obj.numerator}/{obj.denominator}")
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=True)
-    if isinstance(obj, dict):
-        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        inner = ",".join(f"{json.dumps(str(k))}:{_canonical(v)}" for k, v in items)
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_canonical(v) for v in obj) + "]"
-    if isinstance(obj, (set, frozenset)):
-        return _canonical(sorted(obj))
-    if isinstance(obj, np.ndarray):
-        return _canonical(obj.tolist())
-    raise RejectedInputError(f"cannot canonically serialize {type(obj)!r}")
-
-
 def canonical_json(obj) -> str:
-    return _canonical(obj) + "\n"
+    """``obj`` as canonical JSON text; each distinct container is converted once."""
+    memo = {}  # id -> (container, converted); holding it keeps its id unique
+
+    def native(obj):
+        kind = type(obj)
+        if kind is str or kind is int or kind is bool or obj is None or isinstance(obj, str):
+            return obj
+        if kind is float or isinstance(obj, (float, np.floating)):
+            x = float(obj)
+            if not math.isfinite(x):
+                raise RejectedInputError("non-finite float in a report")
+            if x.is_integer() and abs(x) < 1e15:
+                return x + 0.0
+            text = format(x, ".12g")
+            return float(text) if "." in text or "e" in text else int(text)
+        if isinstance(obj, (int, np.integer)):
+            return int(obj)
+        if isinstance(obj, Fraction):
+            return f"{obj.numerator}/{obj.denominator}"
+        if id(obj) in memo:
+            return memo[id(obj)][1]
+        if isinstance(obj, dict):
+            if not all(isinstance(k, str) for k in obj):
+                raise RejectedInputError("a report's object keys must be strings")
+            out = {k: native(v) for k, v in obj.items()}
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            out = [native(v) for v in (sorted(obj) if isinstance(obj, (set, frozenset)) else obj)]
+        elif isinstance(obj, np.ndarray):
+            out = native(obj.tolist())
+        else:
+            raise RejectedInputError(f"cannot canonically serialize {type(obj)!r}")
+        memo[id(obj)] = (obj, out)
+        return out
+
+    return json.dumps(native(obj), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +206,10 @@ def boolean_decomposition_from_json(data: dict):
 
 
 def real_decomposition_to_json(dec, S: PConceptClass) -> dict:
-    tables = [[float(v) for v in f.table] for f in S]
     return {
         "kind": "real",
         "n": S.domain.n,
-        "class_tables": tables,
+        "class_tables": [f.table.tolist() for f in S],
         "target": S.index_of(dec.target),
         "m": dec.m,
         "alpha": dec.alpha,

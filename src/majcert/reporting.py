@@ -1,11 +1,12 @@
 """Report assembly and deterministic serialization.
 
-Reports are canonical JSON (sorted keys, floats at 12 significant
-digits) and contain no wall-clock data, so one (config, seed, artifact
-version) triple always produces byte-identical bytes; timing summaries
-go to stderr instead.  Every record carries a verification verdict and
-enough serialized artifact data for ``majcert verify`` to re-check the
-verdict offline.
+Reports are canonical JSON (``formats``: keys sorted; a float x written
+as repr(x + 0.0) if integral with |x| < 1e15, else as the shortest repr
+of its 12-significant-digit rounding, an integer if that is one below
+1e12) with no wall-clock data, so one (config, seed, artifact version)
+triple always gives byte-identical bytes; timing goes to stderr.  Every
+record carries a verification verdict and enough serialized artifact
+data for ``majcert verify`` to re-check the verdict offline.
 """
 
 from __future__ import annotations

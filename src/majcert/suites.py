@@ -98,9 +98,9 @@ def child_seed(seed: int, *path: int) -> int:
 
 
 def _matches(stored, derived) -> bool:
-    """Whether a stored value equals its re-derivation: same keys and
-    lengths, numbers within REAL_ATOL, relative above 1 (reports keep 12
-    significant digits), booleans and strings exactly."""
+    """Whether a stored value equals its re-derivation: same keys and lengths,
+    numbers within REAL_ATOL, relative above 1 (``formats`` keeps 12 significant
+    digits, all digits of an integral float below 1e15), booleans and strings exactly."""
     if isinstance(derived, dict):
         return (isinstance(stored, dict) and stored.keys() == derived.keys()
                 and all(_matches(stored[k], v) for k, v in derived.items()))

@@ -1,9 +1,13 @@
 """File formats, canonical JSON, artifact round-trips."""
 
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from majcert.concepts import BooleanFunction, Certificate, InputDomain, Slots
 from majcert.decompose import majority_certificates
@@ -12,7 +16,7 @@ from majcert.formats import (boolean_decomposition_from_json,
                              boolean_decomposition_to_json, boolean_from_hex,
                              boolean_to_hex, canonical_json,
                              certificate_from_json, certificate_to_json,
-                             circuit_from_text, circuit_to_text, format_float,
+                             circuit_from_text, circuit_to_text,
                              real_decomposition_from_json,
                              real_decomposition_to_json, state_from_json,
                              state_to_json)
@@ -51,13 +55,123 @@ def test_circuit_text_errors():
 
 def test_canonical_json_formatting():
     assert canonical_json({"b": 1, "a": 0.5}) == '{"a":0.5,"b":1}\n'
-    assert format_float(1.0) == "1.0"
-    assert format_float(0.123456789012345) == "0.123456789012"
+    assert canonical_json(1.0) == "1.0\n"
+    assert canonical_json(0.123456789012345) == "0.123456789012\n"
     assert canonical_json([True, False, None]) == "[true,false,null]\n"
-    from fractions import Fraction
     assert canonical_json(Fraction(3, 16)) == '"3/16"\n'
     with pytest.raises(RejectedInputError):
         canonical_json(float("nan"))
+
+
+def reference_format_float(x: float) -> str:
+    """The float text of the recursive serializer ``canonical_json``
+    replaced: ``.12g``, or an integral value below 1e15 with ".0"."""
+    if math.isnan(x) or math.isinf(x):
+        raise RejectedInputError("non-finite float in a report")
+    if x == int(x) and abs(x) < 1e15:
+        return repr(int(x)) + ".0"
+    return format(x, ".12g")
+
+
+def reference_canonical(obj) -> str:
+    """The recursive serializer ``canonical_json`` replaced, kept as the
+    reference for every input outside the declared float ranges."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+        return str(int(obj))
+    if isinstance(obj, Fraction):
+        return json.dumps(f"{obj.numerator}/{obj.denominator}")
+    if isinstance(obj, (float, np.floating)):
+        return reference_format_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=True)
+    if isinstance(obj, dict):
+        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
+        inner = ",".join(f"{json.dumps(str(k))}:{reference_canonical(v)}" for k, v in items)
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(reference_canonical(v) for v in obj) + "]"
+    if isinstance(obj, (set, frozenset)):
+        return reference_canonical(sorted(obj))
+    if isinstance(obj, np.ndarray):
+        return reference_canonical(obj.tolist())
+    raise RejectedInputError(f"cannot canonically serialize {type(obj)!r}")
+
+
+def outside_declared_ranges(x: float) -> bool:
+    """Whether the 12-digit text of x reads the same as the shortest repr of
+    its rounding: not a subnormal, and a rounding outside [1e12, 1e16)."""
+    return x == 0 or (abs(x) >= 2.2250738585072014e-308
+                      and not 1e12 <= abs(float(format(x, ".12g"))) < 1e16)
+
+
+FIXED_FLOATS = [-0.0, 0.99999999999999, 2.9999999999999, 1e-05, 123456789012345.0]
+report_floats = st.one_of(
+    st.sampled_from(FIXED_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False).filter(outside_declared_ranges),
+    st.integers(-10 ** 15 + 1, 10 ** 15 - 1).map(float),
+    st.floats(-1e6, 1e6, allow_nan=False))
+leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70),
+    st.text(st.characters(blacklist_categories=())),  # non-ASCII, control, surrogates
+    report_floats, report_floats.map(np.float64),
+    report_floats.filter(lambda x: abs(x) < 3e38).map(np.float32).filter(
+        lambda x: outside_declared_ranges(float(x))),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.integers(0, 255).map(np.uint8),
+    st.fractions(), st.sets(st.integers()), st.frozensets(st.text(max_size=3)),
+    st.sets(st.fractions(max_denominator=9), max_size=4),
+    arrays(np.float64, st.tuples(st.integers(0, 3), st.integers(0, 3)),
+           elements=report_floats),
+    arrays(np.int64, st.integers(0, 5)), arrays(np.bool_, st.integers(0, 5)))
+
+
+@st.composite
+def trees_with_repeats(draw):
+    """A tree of dicts, lists and tuples in which one drawn sub-container
+    object sits at several positions."""
+    tree = st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4)), max_leaves=12)
+    shared = draw(st.one_of(st.lists(tree, min_size=1, max_size=3),
+                            st.dictionaries(st.text(max_size=3), tree, min_size=1)))
+    slots = draw(st.lists(st.one_of(st.just(shared), tree), min_size=2, max_size=6))
+    return {"slots": slots + [shared], "again": shared, "nested": (shared, [shared])}
+
+
+@given(trees_with_repeats())
+def test_canonical_json_equals_recursive_reference(tree):
+    assert canonical_json(tree) == reference_canonical(tree) + "\n"
+
+
+@pytest.mark.parametrize("x", FIXED_FLOATS)
+def test_canonical_json_fixed_floats_equal_reference(x):
+    assert canonical_json(x) == reference_format_float(x) + "\n"
+
+
+@pytest.mark.parametrize("x, text", [
+    # 12-digit roundings in [1e12, 1e16) are written by repr in fixed notation
+    (1360824644845.4272, "1360824644850.0"),   # was 1.36082464485e+12
+    (6899011794830436.0, "6899011794830000.0"),  # was 6.89901179483e+15
+    (999999999999.5, "1000000000000.0"),       # rounds to 1e12; was 1e+12
+    # a subnormal's 12-digit rounding reads back as the subnormal itself
+    (5e-324, "5e-324"),                        # was 4.94065645841e-324
+])
+def test_canonical_json_declared_float_rule(x, text):
+    assert canonical_json(x) == text + "\n"
+    assert json.loads(canonical_json(x)) == float(text)
+
+
+@pytest.mark.parametrize("obj", [
+    float("nan"), float("inf"), float("-inf"), np.float64("nan"), np.bool_(True),
+    object(), [1.0, {"a": float("inf")}], {1: 0, "1": 1}, {1: 0}, {("a",): 0}])
+def test_canonical_json_rejects_non_report_values(obj):
+    with pytest.raises(RejectedInputError):
+        canonical_json(obj)
 
 
 def test_canonical_json_is_valid_json():

@@ -52,6 +52,14 @@ def test_run_verdicts_equal_verify_verdicts(name):
     assert all(ok for _, ok in written)
 
 
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_report_text_is_a_fixed_point_of_canonical_json(name):
+    """``run_suite`` sets its verdicts on the parsed report text, so
+    writing that parse again must give the same text."""
+    text = report_text(name)
+    assert canonical_json(json.loads(text)) == text
+
+
 def triple_every_slot(report):
     dec = report["records"][0]["outputs"]["decomposition"]
     assert dec["m"] == 121
