@@ -15,9 +15,12 @@ integral with |x| < 1e15, else as the shortest repr of x rounded to 12
 significant digits, as an integer if that rounding is one below 1e12
 (2.9999999999999 is written 3).  Decompositions and protocols keep their
 slots as ``Slots`` in memory and serialize them position by position,
-decoding each distinct serialized slot once.  A protocol slot is stored
-as its advice-state ref and its (input, target) pairs, its points being
-their inputs.  Serialized artifacts carry no seed (the config echo does).
+decoding each distinct serialized slot once.  A real certificate is
+stored as its sorted points (its slot's class index names the table of
+values).  A protocol slot is stored as its advice-state ref and its
+(input, target) pairs, its points being their inputs; a protocol embeds
+no decomposition (quantum reports keep it in record 1).  Serialized
+artifacts carry no seed (the config echo does).
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .concepts import (REAL_ATOL, BooleanFunction, Certificate, ConceptClass,
-                       InputDomain, PConceptClass, RealFunction, Slots)
+from .concepts import (BooleanFunction, Certificate, ConceptClass, InputDomain,
+                       PConceptClass, RealFunction, Slots)
 from .errors import RejectedInputError
 from .qsim import Circuit, DensityMatrix, Gate
 
@@ -151,17 +154,21 @@ def certificate_to_json(cert: Certificate) -> dict:
             "bits": [b for _, b in cert.assignments]}
 
 
-def _slot_points(data: dict, field: str) -> list:
-    """A serialized slot's points, paired with its ``field`` list
-    entry by entry; mismatched lengths are rejected."""
-    points, entries = data["points"], data[field]
-    if len(points) != len(entries):
-        raise RejectedInputError(f"{len(points)} points but {len(entries)} {field}")
-    return [(int(p, 16), v) for p, v in zip(points, entries)]
-
-
 def certificate_from_json(domain: InputDomain, data: dict) -> Certificate:
-    return Certificate.of(domain, _slot_points(data, "bits"))
+    """A certificate from its points and bits; mismatched lengths are rejected."""
+    points, bits = data["points"], data["bits"]
+    if len(points) != len(bits):
+        raise RejectedInputError(f"{len(points)} points but {len(bits)} bits")
+    return Certificate.of(domain, [(int(p, 16), b) for p, b in zip(points, bits)])
+
+
+def _frozen(value):
+    """Parsed JSON made hashable: lists as tuples, objects as item frozensets."""
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_frozen, value))
+    if isinstance(value, dict):
+        return frozenset((k, _frozen(v)) for k, v in value.items())
+    return value
 
 
 def _slots_from_json(data: dict, fields: tuple, decode) -> Slots:
@@ -171,8 +178,7 @@ def _slots_from_json(data: dict, fields: tuple, decode) -> Slots:
     lists = [data[f] for f in fields]
     if any(len(entries) != int(data["m"]) for entries in lists):
         raise RejectedInputError(f"stored m = {data['m']} differs from the slot count")
-    rows = Slots.group(zip(*lists), key=lambda row: json.dumps(row, sort_keys=True))
-    return rows.map(decode)
+    return Slots.group(zip(*lists), key=_frozen).map(decode)
 
 
 def _entry(seq, i):
@@ -215,8 +221,7 @@ def real_decomposition_to_json(dec, S: PConceptClass) -> dict:
         "alpha": dec.alpha,
         "eps": dec.eps,
         "certs": list(dec.slots.map(lambda slot: {
-            "points": [format_hex_input(x) for x in sorted(slot[1])],
-            "values": [float(slot[0](x)) for x in sorted(slot[1])]})),
+            "points": [format_hex_input(x) for x in sorted(slot[1])]})),
         "funcs": list(dec.slots.map(lambda slot: S.index_of(slot[0]))),
     }
 
@@ -231,15 +236,11 @@ def real_decomposition_from_json(data: dict):
     S = PConceptClass(domain, members)
 
     def decode(row) -> tuple:
-        f, pairs = _entry(members, row[0]), _slot_points(row[1], "values")
-        X = frozenset(domain.check_input(x) for x, _ in pairs)
-        if len(X) != len(pairs):
+        points = row[1]["points"]
+        X = frozenset(domain.check_input(int(p, 16)) for p in points)
+        if len(X) != len(points):
             raise RejectedInputError("repeated point in a real certificate")
-        # stored values are rounded to 12 significant digits; tables lie
-        # in [0, 1], so REAL_ATOL bounds the rounding absolutely
-        if any(abs(float(v) - f.table[x]) > REAL_ATOL for x, v in pairs):
-            raise RejectedInputError("stored certificate value differs from its slot function")
-        return f, X
+        return _entry(members, row[0]), X
 
     slots = _slots_from_json(data, ("funcs", "certs"), decode)
     return S, RealDecomposition(target=_entry(members, data["target"]), slots=slots,
@@ -281,13 +282,12 @@ def protocol_to_json(P) -> dict:
             [format_hex_input(z), f"{r.numerator}/{r.denominator}"] for z, r in slot[1]])),
         "state_tables": tables,
         "advice_refs": refs,
-        "decomposition": real_decomposition_to_json(P.decomposition, P.compiled_class),
     }
 
 
-def protocol_from_json(data: dict):
-    """A protocol from its serialized form; a stored m that differs from
-    the slot count is rejected."""
+def protocol_from_json(data: dict, decomposition: dict):
+    """A protocol from its and its decomposition's serialized forms; a
+    stored m that differs from the slot count is rejected."""
     from .protocol import AdviceProtocol
     domain = InputDomain(int(data["n"]))
     qubits = int(data["advice_qubits"])
@@ -299,7 +299,7 @@ def protocol_from_json(data: dict):
                                           for z, r in targets)
 
     slots = _slots_from_json(data, ("advice_refs", "targets"), decode)
-    S, dec = real_decomposition_from_json(data["decomposition"])
+    S, dec = real_decomposition_from_json(decomposition)
     return AdviceProtocol(circuit=circuit_from_text(data["circuit"]), domain=domain,
                           advice_qubits=qubits, slots=slots, alpha=float(data["alpha"]),
                           language=boolean_from_hex(domain, data["language"]),

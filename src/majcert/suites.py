@@ -627,7 +627,6 @@ def _build_quantum_protocol(params: dict, seed: int) -> list:
         raise RejectedInputError("amplify_q must be positive")
     P = build_standard_protocol(params["eps"], params["random_states"], seed)
     honest = P.honest_registers()
-    proto_json = protocol_to_json(P)
     intact = adversary_search(P, budget=params["adversary_restarts"], seed=seed)
     factor = _inflation_factor(P)
     attack = adversary_search(with_inflated_alpha(P, factor),
@@ -635,12 +634,13 @@ def _build_quantum_protocol(params: dict, seed: int) -> list:
     register_tables, register_refs = states_to_json(attack.registers or ())
     fat, *dims = _fat_dims(params, seed)
     return [
-        _record(0, {"protocol": proto_json, "honest_deviation": verifier_A(P, honest),
+        _record(0, {"protocol": protocol_to_json(P), "honest_deviation": verifier_A(P, honest),
                     "honest_b_error": machine_b_error(P, honest)}),
         _record(1, {"conditional_soundness_bound": conditional_soundness_bound(P),
                     "decomposition_verified": verify_real_decomposition(
                         P.compiled_class, P.decomposition),
-                    "decomposition": proto_json["decomposition"],
+                    "decomposition": real_decomposition_to_json(P.decomposition,
+                                                                P.compiled_class),
                     "scope": "exact over the compiled finite class; the full "
                              "state space is probed by search, not proven"}),
         _record(2, {"best_error": intact.best_error, "best_deviation": intact.best_deviation,
@@ -657,8 +657,9 @@ def _build_quantum_protocol(params: dict, seed: int) -> list:
 
 
 def _quantum_context(records: list) -> dict:
-    raw = records[0]["outputs"]["protocol"]
-    return {"protocol": protocol_from_json(raw), "protocol_json": raw}
+    """The protocol of record 0, compiled from record 1's decomposition."""
+    return {"protocol": protocol_from_json(records[0]["outputs"]["protocol"],
+                                           records[1]["outputs"]["decomposition"])}
 
 
 def _check_honest_advice(record: dict, context: dict) -> bool:
@@ -673,16 +674,14 @@ def _check_honest_advice(record: dict, context: dict) -> bool:
 
 
 def _check_soundness_bound(record: dict, context: dict) -> bool:
-    """Record 1: the protocol's decomposition verifies and its exact
-    soundness bound over the compiled class is at most 0.3."""
-    out = record["outputs"]
+    """Record 1: the decomposition the protocol was compiled from verifies
+    and its exact soundness bound over the compiled class is at most 0.3."""
     P = context["protocol"]
     ok = verify_real_decomposition(P.compiled_class, P.decomposition)
     bound = conditional_soundness_bound(P)
     return (ok and bound <= 0.3
-            and out["decomposition"] == context["protocol_json"]["decomposition"]
-            and _claims_hold(out, {"conditional_soundness_bound": bound,
-                                   "decomposition_verified": ok}))
+            and _claims_hold(record["outputs"], {"conditional_soundness_bound": bound,
+                                                 "decomposition_verified": ok}))
 
 
 def _check_intact_search(record: dict, context: dict) -> bool:
@@ -748,9 +747,9 @@ def _check_quantum(record: dict, context: dict) -> bool:
 
 
 _QUANTUM_MEASURES = (
-    lambda out: {"m": out["protocol"]["m"], "alpha": out["protocol"]["alpha"],
-                 "class_size": len(out["protocol"]["decomposition"]["class_tables"])},
-    lambda out: {"bound": out["conditional_soundness_bound"]},
+    lambda out: {"m": out["protocol"]["m"], "alpha": out["protocol"]["alpha"]},
+    lambda out: {"bound": out["conditional_soundness_bound"],
+                 "class_size": len(out["decomposition"]["class_tables"])},
     lambda out: {"best_error": out["best_error"]},
     lambda out: {"best_error": out["best_error"]},
     lambda out: {"ks": [entry["K"] for entry in out["amplification"]]},

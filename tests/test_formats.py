@@ -115,7 +115,7 @@ report_floats = st.one_of(
     st.sampled_from(FIXED_FLOATS),
     st.floats(allow_nan=False, allow_infinity=False).filter(outside_declared_ranges),
     st.integers(-10 ** 15 + 1, 10 ** 15 - 1).map(float),
-    st.floats(-1e6, 1e6, allow_nan=False))
+    st.floats(-1e6, 1e6, allow_nan=False).filter(outside_declared_ranges))
 leaves = st.one_of(
     st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70),
     st.text(st.characters(blacklist_categories=())),  # non-ASCII, control, surrogates
@@ -160,6 +160,7 @@ def test_canonical_json_fixed_floats_equal_reference(x):
     (999999999999.5, "1000000000000.0"),       # rounds to 1e12; was 1e+12
     # a subnormal's 12-digit rounding reads back as the subnormal itself
     (5e-324, "5e-324"),                        # was 4.94065645841e-324
+    (2.2250738585e-313, "2.2250738585e-313"),  # was 2.22507385852e-313
 ])
 def test_canonical_json_declared_float_rule(x, text):
     assert canonical_json(x) == text + "\n"
@@ -205,6 +206,7 @@ def test_real_decomposition_roundtrip():
     dec = RealDecomposition(target=S[0], slots=Slots(((S[0], frozenset({0, 2})),), (0,)),
                             alpha=0.01, eps=0.5)
     data = real_decomposition_to_json(dec, S)
+    assert data["certs"] == [{"points": ["0x0", "0x2"]}]  # values are read from the table
     S2, dec2 = real_decomposition_from_json(json.loads(json.dumps(data)))
     assert S2 == S
     assert verify_real_decomposition(S2, dec2) == verify_real_decomposition(S, dec)

@@ -92,22 +92,9 @@ def repeated_certificate_point(report):
     return 0
 
 
-def flatten_slot_values(report):
-    cert = report["records"][0]["outputs"]["decomposition"]["certs"][0]
-    cert["values"] = [0.5] * len(cert["values"])
-    return 0
-
-
-def extra_slot_value(report):
-    cert = report["records"][0]["outputs"]["decomposition"]["certs"][0]
-    cert["values"].append(cert["values"][-1])
-    return 0
-
-
 def repeated_slot_point(report):
     cert = report["records"][0]["outputs"]["decomposition"]["certs"][0]
     cert["points"].append(cert["points"][-1])
-    cert["values"].append(cert["values"][-1])
     return 0
 
 
@@ -156,6 +143,17 @@ def honest_attack_registers(report):
 def protocol_m_mismatch(report):
     report["records"][0]["outputs"]["protocol"]["m"] = 5
     return None  # the protocol is undecodable, so every record fails
+
+
+def decomposition_m_mismatch(report):
+    report["records"][1]["outputs"]["decomposition"]["m"] += 1
+    return None  # the protocol is compiled from it, so every record fails
+
+
+def loose_decomposition_alpha(report):
+    """Constraints met only within 1/2 leave the envelope wider than eps."""
+    report["records"][1]["outputs"]["decomposition"]["alpha"] = 0.5
+    return 1
 
 
 def one_restart(report):
@@ -254,14 +252,14 @@ def l1winnow_stalled_progress(report):
     ("majcert", extra_certificate_bit),
     ("majcert", repeated_class_member),
     ("majcert", repeated_certificate_point),
-    ("realmajcert", flatten_slot_values),
-    ("realmajcert", extra_slot_value),
     ("realmajcert", repeated_slot_point),
     ("majcert", inflate_measures),
     ("realmajcert", inflate_measures),
     ("quantum-protocol", inflate_measures),
     ("majcert-robust", flip_untrusted_claim),
     ("quantum-protocol", protocol_m_mismatch),
+    ("quantum-protocol", decomposition_m_mismatch),
+    ("quantum-protocol", loose_decomposition_alpha),
     ("quantum-protocol", zero_soundness_bound),
     ("quantum-protocol", zero_attack_error),
     ("quantum-protocol", honest_attack_registers),
@@ -323,10 +321,21 @@ def contradicting_bit_on_a_copy(report):
     return 0
 
 
-def other_function_on_a_copy(report):
+def repeated_point_on_a_copy(report):
     dec = report["records"][0]["outputs"]["decomposition"]
     j = later_copy(list(zip(dec["funcs"], dec["certs"])))
-    dec["funcs"][j] = (dec["funcs"][j] + 1) % len(dec["class_tables"])
+    cert = copy.deepcopy(dec["certs"][j])
+    cert["points"].append(cert["points"][-1])
+    dec["certs"][j] = cert
+    return 0
+
+
+def certificate_as_item_list_on_a_copy(report):
+    """A copy whose certificate object is written as a list of its items,
+    which is not a certificate however it is grouped."""
+    dec = report["records"][0]["outputs"]["decomposition"]
+    j = later_copy(list(zip(dec["funcs"], dec["certs"])))
+    dec["certs"][j] = [[k, v] for k, v in dec["certs"][j].items()]
     return 0
 
 
@@ -341,7 +350,8 @@ def other_target_on_a_copy(report):
 
 @pytest.mark.parametrize("name, tamper", [
     ("majcert", contradicting_bit_on_a_copy),
-    ("realmajcert", other_function_on_a_copy),
+    ("realmajcert", repeated_point_on_a_copy),
+    ("realmajcert", certificate_as_item_list_on_a_copy),
     ("quantum-protocol", other_target_on_a_copy),
 ])
 def test_verify_rejects_tampered_copy_of_a_repeated_slot(name, tamper):
