@@ -4,7 +4,8 @@
 Compiles the reference 1-advice-qubit instance, prints the classical
 advice shape, honest completeness numbers, the exact conditional
 soundness bound over the compiled class, and the adversary probe on the
-intact and deliberately broken protocols.
+intact and deliberately broken protocols with its witness registers,
+one per distinct slot.
 
 Usage: python scripts/demo_quantum_protocol.py [--restarts 300] [--seed 7]
 """
@@ -13,7 +14,18 @@ import argparse
 
 from majcert.protocol import (adversary_search, conditional_soundness_bound,
                               machine_b_error, verifier_A, with_inflated_alpha)
-from majcert.suites import build_standard_protocol
+from majcert.suites import build_standard_protocol, inflation_factor
+
+
+def print_witness(P, result) -> None:
+    """The search's one-qubit registers, one per distinct slot, as Bloch vectors."""
+    if result.registers is None:
+        print("  no feasible registers kept")
+        return
+    for (count, (_, targets)), state in zip(P.slots.groups(), result.registers.distinct):
+        (a, b), (_, d) = state.entries
+        print(f"  slot {[z for z, _ in targets]} x{count}: Bloch vector "
+              f"({2 * b.real:+.3f}, {-2 * b.imag:+.3f}, {(a - d).real:+.3f})")
 
 
 def main() -> None:
@@ -41,13 +53,14 @@ def main() -> None:
     intact = adversary_search(P, budget=args.restarts, seed=args.seed)
     print(f"adversary on intact protocol: best feasible B-error "
           f"{intact.best_error:.4f} (violation iff > 1/3: {intact.violation_found})")
+    print_witness(P, intact)
 
-    factor = max(50.0, 0.45 / (5.0 * P.alpha))
+    factor = inflation_factor(P)
     attack = adversary_search(with_inflated_alpha(P, factor),
                               budget=max(40, args.restarts // 5), seed=args.seed)
     print(f"adversary on alpha*{factor:.0f} broken protocol: best B-error "
           f"{attack.best_error:.4f} (violation found: {attack.violation_found})")
-
+    print_witness(P, attack)
 
 if __name__ == "__main__":
     main()

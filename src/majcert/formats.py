@@ -19,8 +19,10 @@ decoding each distinct serialized slot once.  A real certificate is
 stored as its sorted points (its slot's class index names the table of
 values).  A protocol slot is stored as its advice-state ref and its
 (input, target) pairs, its points being their inputs; a protocol embeds
-no decomposition (quantum reports keep it in record 1).  Serialized
-artifacts carry no seed (the config echo does).
+no decomposition (quantum reports keep it in record 1).  Advice
+registers arrive as ``Slots``; equal states share one stored table.
+Stored counts and indices must be plain ints.  Serialized artifacts
+carry no seed (the config echo does).
 """
 
 from __future__ import annotations
@@ -176,16 +178,17 @@ def _slots_from_json(data: dict, fields: tuple, decode) -> Slots:
     of ``data``, which must each hold the stored m entries; equal rows
     are decoded once, by ``decode``."""
     lists = [data[f] for f in fields]
-    if any(len(entries) != int(data["m"]) for entries in lists):
+    if type(data["m"]) is not int or any(len(entries) != data["m"] for entries in lists):
         raise RejectedInputError(f"stored m = {data['m']} differs from the slot count")
     return Slots.group(zip(*lists), key=_frozen).map(decode)
 
 
 def _entry(seq, i):
-    """seq[i] for a serialized index i, which must lie in range."""
-    if not 0 <= int(i) < len(seq):
-        raise RejectedInputError(f"index {i} outside 0..{len(seq) - 1}")
-    return seq[int(i)]
+    """seq[i] for a serialized index i, which must be a plain int (not a
+    float or a bool, which would be truncated) in range."""
+    if type(i) is not int or not 0 <= i < len(seq):
+        raise RejectedInputError(f"index {i!r} is not an int in 0..{len(seq) - 1}")
+    return seq[i]
 
 
 def boolean_decomposition_to_json(dec, S: ConceptClass, kind: str) -> dict:
@@ -258,18 +261,15 @@ def state_from_json(qubits: int, data: list) -> DensityMatrix:
     return DensityMatrix(qubits, flat.reshape(dim, dim))
 
 
-def states_to_json(states) -> tuple:
-    """(distinct state tables, one table ref per state), first-occurrence order."""
-    slots = Slots.group(states, key=DensityMatrix.key)
-    return [state_to_json(s) for s in slots.distinct], list(slots.refs)
-
-
-def states_from_json(qubits: int, tables: list, refs: list) -> Slots:
-    return Slots([state_from_json(qubits, t) for t in tables], refs)
+def states_to_json(states: Slots) -> tuple:
+    """(state tables, one table ref per position); equal states share a table."""
+    tables = Slots.group(states.distinct, key=DensityMatrix.key)
+    return ([state_to_json(s) for s in tables.distinct],
+            [tables.refs[r] for r in states.refs])
 
 
 def protocol_to_json(P) -> dict:
-    tables, refs = states_to_json(state for state, _ in P.slots)
+    tables, refs = states_to_json(P.honest_registers())
     return {
         "kind": "advice-protocol",
         "n": P.domain.n,

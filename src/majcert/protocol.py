@@ -6,8 +6,10 @@ sets X_i, dyadic target probabilities r_{i,z}, and a tolerance alpha)
 with untrusted quantum advice (m registers, honestly a tensor product of
 per-slot states).  The m slots are stored once per distinct slot with
 one ref per position, shared with the decomposition, so per-slot work
-runs once per distinct slot; the m supplied registers stay per
-position, each matched to its slot through the refs.  Machine A checks
+runs once per distinct slot.  The m supplied registers are passed as
+``Slots`` too (a per-position list or one joint state is grouped into
+them), and the machines group positions by their (slot ref, register
+ref) pair.  Machine A checks
 the registers against the classical constraints; machine B answers
 inputs by running the verification circuit on a uniformly random
 register; both depend on the supplied registers only through their
@@ -105,9 +107,9 @@ class AdviceProtocol:
     def m(self) -> int:
         return len(self.slots)
 
-    def honest_registers(self) -> list:
-        """The honest advice, one register per position."""
-        return [state for state, _ in self.slots]
+    def honest_registers(self) -> Slots:
+        """The honest advice: each distinct slot's state, at the slot's refs."""
+        return self.slots.map(lambda slot: slot[0])
 
     def validate(self) -> None:
         """Machine A passes the honest registers at alpha."""
@@ -115,22 +117,23 @@ class AdviceProtocol:
             raise VerificationDefect("a stored rational misses alpha")
 
 
-def _resolve_registers(P: AdviceProtocol, sigma) -> list:
-    """Accept either per-register states or one joint state; a joint
-    state is split by partial trace, which is exactly what the machines
-    may depend on."""
+def _resolve_registers(P: AdviceProtocol, sigma) -> Slots:
+    """The supplied registers as ``Slots``: ``Slots`` are used as given, a
+    per-position list is grouped by state, and one joint state is first
+    split by partial trace, which is exactly what the machines may
+    depend on."""
     if isinstance(sigma, DensityMatrix):
         p = P.advice_qubits
         if sigma.qubits != P.m * p:
-            raise RejectedInputError(
-                f"joint state has {sigma.qubits} qubits, expected {P.m * p}")
-        return [reduced_state(sigma, range(i * p, (i + 1) * p)) for i in range(P.m)]
-    regs = list(sigma)
-    if len(regs) != P.m:
-        raise RejectedInputError(f"expected {P.m} registers, got {len(regs)}")
-    if any(r.qubits != P.advice_qubits for r in regs):
+            raise RejectedInputError(f"joint state has {sigma.qubits} qubits, not {P.m * p}")
+        sigma = [reduced_state(sigma, range(i * p, (i + 1) * p)) for i in range(P.m)]
+    if not isinstance(sigma, Slots):
+        sigma = Slots.group(sigma, key=DensityMatrix.key)
+    if len(sigma) != P.m:
+        raise RejectedInputError(f"expected {P.m} registers, got {len(sigma)}")
+    if any(r.qubits != P.advice_qubits for r in sigma.distinct):
         raise RejectedInputError("register width mismatch")
-    return regs
+    return sigma
 
 
 def _machines(P: AdviceProtocol, values: np.ndarray, counts: np.ndarray,
@@ -153,12 +156,16 @@ def _machines(P: AdviceProtocol, values: np.ndarray, counts: np.ndarray,
 
 
 def _register_machines(P: AdviceProtocol, sigma) -> tuple:
-    """``_machines`` of supplied registers, grouped by (slot, state)."""
-    groups = Slots.group(zip(P.slots.refs, _resolve_registers(P, sigma)),
-                         key=lambda pos: (pos[0], pos[1].key()))
-    values = acceptance_table(P.circuit, P.domain, [reg for _, reg in groups.distinct])
-    error, deviation = _machines(P, values, groups.counts(),
-                                 [ref for ref, _ in groups.distinct])
+    """``_machines`` of supplied registers, with positions grouped by
+    their (slot ref, register ref) pair in first-occurrence order."""
+    registers = _resolve_registers(P, sigma)
+    k = len(registers.distinct)
+    pairs = np.asarray(P.slots.refs) * k + np.asarray(registers.refs)
+    codes, first, counts = np.unique(pairs, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    codes, counts = codes[order], counts[order]
+    values = acceptance_table(P.circuit, P.domain, registers.distinct)[codes % k]
+    error, deviation = _machines(P, values, counts, codes // k)
     return float(error), float(deviation)
 
 
@@ -403,13 +410,10 @@ def adversary_search(P: AdviceProtocol, budget: int = 1000,
             break
 
     if best_params is None:
-        return AdversarySearchResult(best_error=0.0, best_deviation=0.0,
-                                     violation_found=False, registers=None)
-    states = [params_to_state(p, P.advice_qubits) for p in best_params]
-    err, dev = _machines(P, acceptance_table(P.circuit, P.domain, states), counts, slot_of)
-    return AdversarySearchResult(best_error=float(err), best_deviation=float(dev),
-                                 violation_found=float(err) > 1.0 / 3.0,
-                                 registers=Slots(states, P.slots.refs))
+        return AdversarySearchResult(0.0, 0.0, False, None)
+    registers = Slots([params_to_state(p, P.advice_qubits) for p in best_params], P.slots.refs)
+    err, dev = _register_machines(P, registers)
+    return AdversarySearchResult(err, dev, err > 1.0 / 3.0, registers)
 
 
 def conditional_soundness_bound(P: AdviceProtocol) -> float:

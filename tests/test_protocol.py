@@ -131,7 +131,7 @@ def test_honest_completeness():
 
 def test_machine_b_identical_registers_linearity():
     P = compiled_protocol()
-    reg = P.honest_registers()[0]
+    reg = P.honest_registers().distinct[0]
     single = [float(np.real(np.trace(reg.entries @ measurement_operator(P.circuit, x, 1))))
               for x in P.domain.inputs()]
     expected = max(abs(p - P.language(x)) for x, p in enumerate(single))
@@ -223,7 +223,7 @@ def test_verifier_on_maximally_mixed_registers():
 def test_register_shape_mismatch_rejected():
     P = compiled_protocol()
     with pytest.raises(RejectedInputError):
-        machine_b_error(P, P.honest_registers()[1:])
+        machine_b_error(P, list(P.honest_registers())[1:])
     with pytest.raises(RejectedInputError):
         verifier_A(P, DensityMatrix.maximally_mixed(2))
 

@@ -4,14 +4,23 @@ rejects a tampered record that its stored claims alone would pass."""
 import copy
 import functools
 import json
+import math
+import pathlib
+import runpy
+import sys
 
 import numpy as np
 import pytest
 
-from majcert.concepts import Distribution, InputDomain, PConceptClass, RealFunction
+from majcert.concepts import Distribution, InputDomain, PConceptClass, RealFunction, Slots
 from majcert.decompose import occam_check
-from majcert.formats import canonical_json
+from majcert.formats import canonical_json, protocol_from_json, state_to_json
+from majcert.protocol import machine_b_error, verifier_A
+from majcert.qsim import DensityMatrix
 from majcert.suites import REGISTRY, run_suite, verify_report
+from majcert.winnow import fat_shattering_dim
+
+BENCHMARK = pathlib.Path(__file__).resolve().parent.parent / "benchmark"
 
 #: small parameters for every suite, a few seconds each
 SMALL = {
@@ -25,13 +34,17 @@ SMALL = {
     "occam": ({"instances": 2, "trials": 20}, 1),
     "quantum-protocol": ({"adversary_restarts": 30, "random_states": 25}, 3),
     "equivalence": ({"instances": 2}, 12),
+    "l1winnow-one-member": ({"instances": 1, "class_size": 1, "n": 2}, 5),
 }
+
+#: the suite of each SMALL entry not named after its suite
+SUITE_OF = {"majcert-robust": "majcert", "l1winnow-one-member": "l1winnow"}
 
 
 @functools.lru_cache(maxsize=None)
 def report_text(name: str) -> str:
     params, seed = SMALL[name]
-    suite = "majcert" if name == "majcert-robust" else name
+    suite = SUITE_OF.get(name, name)
     return canonical_json(run_suite({"schema": 1, "suite": suite, "parameters": params,
                                      "seed": seed}))
 
@@ -156,9 +169,102 @@ def loose_decomposition_alpha(report):
     return 1
 
 
-def one_restart(report):
-    report["records"][2]["outputs"]["restarts"] = 1
+def raised_intact_error(report):
+    """A worse intact search outcome, with the measures re-derived to match."""
+    record = report["records"][2]
+    record["outputs"]["best_error"] = 0.2
+    record["measures"] = REGISTRY["quantum-protocol"].measures(record)
     return 2
+
+
+def infeasible_intact_registers(report):
+    """Record 2's register a pure state off the honest one by 0.05 rad,
+    which machine B still accepts but machine A does not (deviation
+    above 5 alpha), with the stored numbers and measures replayed."""
+    P = protocol_from_json(report["records"][0]["outputs"]["protocol"],
+                           report["records"][1]["outputs"]["decomposition"])
+    theta = math.pi / 8.0 + 0.05
+    state = DensityMatrix.from_pure(np.array([math.cos(theta), math.sin(theta)]))
+    registers = Slots([state], P.slots.refs)
+    assert verifier_A(P, registers) > 5.0 * P.alpha
+    assert machine_b_error(P, registers) <= 1.0 / 3.0
+    record = report["records"][2]
+    record["outputs"].update(register_tables=[state_to_json(state)],
+                             best_error=machine_b_error(P, registers),
+                             best_deviation=verifier_A(P, registers))
+    record["measures"] = REGISTRY["quantum-protocol"].measures(record)
+    return 2
+
+
+def extra_attack_table(report):
+    tables = report["records"][3]["outputs"]["register_tables"]
+    tables.append(tables[0])
+    return 3
+
+
+def loose_winnow_eps(report):
+    report["records"][0]["outputs"]["eps"] = 1.0
+    return 0
+
+
+def shorter_winnow_y(report):
+    report["records"][0]["outputs"]["Y"].pop()
+    return 0
+
+
+def loose_realmajcert_eps(report):
+    report["records"][0]["outputs"]["decomposition"]["eps"] = 10.0
+    return 0
+
+
+def loose_quantum_decomposition_eps(report):
+    report["records"][1]["outputs"]["decomposition"]["eps"] = 10.0
+    return 1
+
+
+def inflated_quantum_decomposition_alpha(report):
+    report["records"][1]["outputs"]["decomposition"]["alpha"] *= 10.0
+    return 1
+
+
+def occam_two_trials(report):
+    """The trial count lowered to 2, with the rate rerun at 2 trials."""
+    record = report["records"][0]
+    out = record["outputs"]
+    tables = [np.array([float.fromhex(v) for v in t]) for t in out["tables_hex"]]
+    domain = InputDomain(len(tables[0]).bit_length() - 1)
+    S = PConceptClass(domain, [RealFunction(domain, t) for t in tables])
+    D = Distribution(domain, np.array([float.fromhex(w) for w in out["weights_hex"]]))
+    out["trials"] = 2
+    out["rate"] = occam_check(S, S[out["f"]], D, out["eps"], out["m"], 2, seed=out["seed"])
+    record["measures"] = REGISTRY["occam"].measures(record)
+    return 0
+
+
+def other_dims_gammas(report):
+    """A p-concept record measured at gammas the config does not name."""
+    record = next(r for r in report["records"] if r["outputs"]["kind"] == "pconcept")
+    out = record["outputs"]
+    domain = InputDomain(int(math.log2(len(out["tables"][0]))))
+    S = PConceptClass(domain, [RealFunction(domain, np.array(t)) for t in out["tables"]])
+    out["gammas"] = [0.45, 0.46, 0.47, 0.48]
+    out["dims"] = [fat_shattering_dim(S, g) for g in out["gammas"]]
+    return record["index"]
+
+
+def loose_l1winnow_eps(report):
+    report["records"][0]["outputs"]["eps"] = 10.0
+    return 0
+
+
+def fractional_target(report):
+    report["records"][0]["outputs"]["decomposition"]["target"] += 0.5
+    return 0
+
+
+def fractional_advice_ref(report):
+    report["records"][0]["outputs"]["protocol"]["advice_refs"][-1] += 0.5
+    return None  # the protocol is undecodable, so every record fails
 
 
 def infeasible_search_deviation(report):
@@ -286,8 +392,20 @@ def l1winnow_stalled_progress(report):
     *[pytest.param("quantum-protocol", functools.partial(inflate_measures, index=index),
                    id=f"quantum-protocol-inflate_measures-record-{index}")
       for index in range(1, 6)],
-    ("quantum-protocol", one_restart),
+    ("quantum-protocol", raised_intact_error),
     ("quantum-protocol", infeasible_search_deviation),
+    ("quantum-protocol", infeasible_intact_registers),
+    ("quantum-protocol", extra_attack_table),
+    ("quantum-protocol", loose_quantum_decomposition_eps),
+    ("quantum-protocol", inflated_quantum_decomposition_alpha),
+    ("quantum-protocol", fractional_advice_ref),
+    ("winnow", loose_winnow_eps),
+    ("winnow", shorter_winnow_y),
+    ("realmajcert", loose_realmajcert_eps),
+    ("realmajcert", fractional_target),
+    ("occam", occam_two_trials),
+    ("dims", other_dims_gammas),
+    ("l1winnow-one-member", loose_l1winnow_eps),
 ])
 def test_verify_rejects_tampered_record(name, tamper):
     report = parsed(name)
@@ -370,3 +488,17 @@ def test_undecodable_protocol_fails_every_quantum_record():
     report = parsed("quantum-protocol")
     report["records"][0]["outputs"]["protocol"]["advice_qubits"] = 0
     assert not any(ok for _, ok in verify_report(report))
+
+
+def test_benchmark_tamper_probes_are_rejected(monkeypatch):
+    """Every tampered copy the benchmark's verify phase probes fails its
+    record; the benchmark module is loaded read-only, writing no bytecode."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "dont_write_bytecode", True)
+        patch.syspath_prepend(str(BENCHMARK))
+        tampered_copies = runpy.run_path(str(BENCHMARK / "child.py"))["tampered_copies"]
+        sys.modules.pop("speed", None)  # child.py's sibling module, imported by it
+    probes = tampered_copies(parsed("quantum-protocol"))
+    assert probes
+    for index, bad in probes:
+        assert not dict(verify_report(bad))[index], index
