@@ -14,9 +14,9 @@ from .decompose import (FAIL, MajorityDecomposition, RealDecomposition,
                         robust_majority_certificates,
                         untrusted_oracle_evaluate, verify_real_decomposition)
 from .games import AliceStrategy, double_oracle_solve, solve_game_full_lp
-from .winnow import (CoverResult, L1WinnowResult, SafeWinnowResult,
+from .winnow import (CoverResult, L1WinnowResult, L2Family, SafeWinnowResult,
                      WeakCertifyResult, binary_search_winnow, epsilon_cover,
-                     fat_shattering_dim, l1_winnow, l2_counterexample,
-                     safe_winnow, vc_dim, weak_certify)
+                     fat_shattering_dim, l1_winnow, safe_winnow, vc_dim,
+                     weak_certify)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

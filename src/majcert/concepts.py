@@ -338,9 +338,6 @@ class Distribution:
             raise RejectedInputError("weights sum to zero")
         return cls(domain, arr / total)
 
-    def support(self) -> tuple:
-        return tuple(int(x) for x in np.nonzero(self.weights)[0])
-
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.choice(self.domain.size, size=count, p=self.weights)
 

@@ -91,9 +91,6 @@ class MajorityDecomposition:
         if defect:
             raise VerificationDefect(defect)
 
-    def max_certificate_size(self) -> int:
-        return max(c.size for c, _ in self.slots.distinct)
-
 
 class RobustDecomposition(MajorityDecomposition):
     """Majority decomposition with approximate-majority margins: slot sums
@@ -261,7 +258,6 @@ class RealDecomposition:
     slots: Slots  # distinct (RealFunction, frozenset of inputs) pairs
     alpha: float
     eps: float
-    realized_t: float = 1.0
 
     def __post_init__(self):
         if self.alpha < 0 or self.eps < 0:
@@ -312,12 +308,11 @@ def verify_real_decomposition(S: PConceptClass, D: RealDecomposition) -> bool:
 @dataclass(frozen=True)
 class RealSlotStrategy:
     """One Alice pure strategy of the real game: a member plus its
-    constraint set, with the realized winnowing parameters."""
+    constraint set, with the realized winnowing tolerance alpha."""
 
     f: RealFunction
     X: frozenset
     alpha: float
-    t: float
     penalties: np.ndarray = field(compare=False)
 
 
@@ -355,7 +350,7 @@ def _real_alice_response(S: PConceptClass, f_star: RealFunction, D: Distribution
         pen = np.abs(V[admissible] - star[None, :]).max(axis=0)
         measured = float(D.weights @ pen)
         if measured <= eps / 2.0 + 1e-12:
-            return RealSlotStrategy(f=f, X=X, alpha=alpha, t=t, penalties=pen)
+            return RealSlotStrategy(f=f, X=X, alpha=alpha, penalties=pen)
     raise RetriesExhausted("alice response",
                            "measured penalty stayed above eps/2 after 12 escalations")
 
@@ -383,11 +378,9 @@ def real_majority_certificates(S: PConceptClass, f_star: RealFunction, eps: floa
     n = S.domain.n
 
     if len(S) == 1:
-        slot = RealSlotStrategy(f=f_star, X=frozenset(), alpha=0.4 * beta, t=1.0,
-                                penalties=np.zeros(S.domain.size))
         decomposition = RealDecomposition(target=f_star,
                                           slots=Slots(((f_star, frozenset()),), (0,)),
-                                          alpha=slot.alpha, eps=eps, realized_t=1.0)
+                                          alpha=0.4 * beta, eps=eps)
         if not verify_real_decomposition(S, decomposition):
             raise VerificationDefect("singleton decomposition failed verification")
         return decomposition
@@ -419,7 +412,6 @@ def real_majority_certificates(S: PConceptClass, f_star: RealFunction, eps: floa
                                f"no eps/2 mix within {cap} iterations")
 
     alpha = min(s.alpha for s in slots)
-    realized_t = max(s.t for s in slots)
     m = max(1, math.ceil(20.0 * n / (eps * eps)))
     weights = w / w.sum()
     for attempt in range(64):
@@ -427,7 +419,7 @@ def real_majority_certificates(S: PConceptClass, f_star: RealFunction, eps: floa
         drawn = Slots.group(rng.choice(len(slots), size=m, p=weights).tolist())
         decomposition = RealDecomposition(target=f_star,
                                           slots=drawn.map(lambda i: (slots[i].f, slots[i].X)),
-                                          alpha=alpha, eps=eps, realized_t=realized_t)
+                                          alpha=alpha, eps=eps)
         if verify_real_decomposition(S, decomposition):
             return decomposition
     raise RetriesExhausted("real decomposition sampling",

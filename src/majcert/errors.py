@@ -25,7 +25,7 @@ class EnumerationBudgetExceeded(RejectedInputError):
         super().__init__(f"{what}: {count} exceeds budget {budget}")
 
 
-class DimensionCapExceeded(Exception):
+class DimensionCapExceeded(RejectedInputError):
     """Dimension search still shattering at the hard cap.
 
     Distinct from an exact answer: the true dimension is >= ``cap``.

@@ -141,13 +141,12 @@ def _split(label: np.ndarray, bits: np.ndarray) -> tuple:
     return rank[new], first[order]
 
 
-def solve_game_full_lp(S: ConceptClass, f_star: BooleanFunction, k: int,
-                       budget: int = FULL_LP_BUDGET) -> AliceStrategy:
+def solve_game_full_lp(S: ConceptClass, f_star: BooleanFunction, k: int) -> AliceStrategy:
     """Exact minimax strategy by enumerating every isolating certificate
     of size at most k and solving the game on one row per isolated member.
 
-    Rejected (with the offending count) when enumeration would exceed the
-    budget; this oracle exists to cross-check double_oracle_solve on
+    Rejected (with the offending count) when enumeration would exceed
+    FULL_LP_BUDGET; this oracle exists to cross-check double_oracle_solve on
     small instances, not to scale.
     """
     S.index_of(f_star)
@@ -157,7 +156,7 @@ def solve_game_full_lp(S: ConceptClass, f_star: BooleanFunction, k: int,
         raise EnumerationBudgetExceeded(ENUMERATION_GUARD, raw_count,
                                         "raw size-<=k certificate space")
     first: dict = {}
-    for mask, value, row in _isolating_certificates(S, k, budget):
+    for mask, value, row in _isolating_certificates(S, k, FULL_LP_BUDGET):
         first.setdefault(row, (mask, value))
     if not first:
         raise RejectedInputError(f"no certificate of size <= {k} isolates any member")
@@ -212,8 +211,7 @@ def k_isolatable_members(S: ConceptClass, k: int) -> set:
 
 
 def double_oracle_solve(S: ConceptClass, f_star: BooleanFunction,
-                        target_value: float = 0.9,
-                        value_trace: list = None) -> AliceStrategy:
+                        target_value: float = 0.9) -> AliceStrategy:
     """Column generation for the certificate game.
 
     Repeat: solve the restricted game over the current Alice rows (Bob
@@ -243,8 +241,6 @@ def double_oracle_solve(S: ConceptClass, f_star: BooleanFunction,
         if rows:
             worst, w, d = solve_zero_sum((V[np.ix_(row_index, first)] == t[first])
                                          .astype(np.float64))
-            if value_trace is not None:
-                value_trace.append(worst)
             if worst >= target_value - 1e-12:
                 break
             D = Distribution.from_weights(domain, (d / np.bincount(label))[label])

@@ -71,17 +71,6 @@ def induced_with_states(circuit: Circuit, domain: InputDomain,
             tuple(s for _, s in first.values()))
 
 
-def induced_function(circuit: Circuit, domain: InputDomain,
-                     state: DensityMatrix) -> RealFunction:
-    return induced_pconcept(circuit, domain, [state])[0]
-
-
-def induced_pconcept(circuit: Circuit, domain: InputDomain,
-                     states: Sequence[DensityMatrix]) -> PConceptClass:
-    """The p-concept class induced by the sampled advice states."""
-    return induced_with_states(circuit, domain, states)[0]
-
-
 @dataclass(frozen=True)
 class AdviceProtocol:
     """A compiled (classical advice, honest quantum advice) pair.
@@ -241,20 +230,19 @@ def _count_distribution_product(probs: Sequence[float]) -> np.ndarray:
     return dist
 
 
-def qma_plus_amplify(circuits: Sequence[tuple], targets: Sequence[Fraction],
-                     q: Fraction, K: int, sigma, i: int) -> float:
+def qma_plus_amplify(circuit: Circuit, x: int, r: Fraction, q: Fraction, K: int,
+                     sigma) -> float:
     """Exact acceptance probability of the amplified constraint test.
 
-    The test applies circuit i (a (Circuit, input) pair) to each of K
-    registers and accepts iff the fraction a of accepting invocations
-    satisfies |a - r_i| <= 2/q; the comparison is exact rational
-    arithmetic.  ``sigma`` is either a list of K per-register states
-    (independent registers, count distribution by convolution; supports
-    large K) or one joint DensityMatrix over all K registers (width
-    capped at 6 qubits; outcome patterns enumerated exactly).
+    The test applies the circuit on input x to each of K registers and
+    accepts iff the fraction a of accepting invocations satisfies
+    |a - r| <= 2/q; the comparison is exact rational arithmetic.
+    ``sigma`` is either a list of K per-register states (independent
+    registers, count distribution by convolution; supports large K) or
+    one joint DensityMatrix over all K registers (width capped at 6
+    qubits; outcome patterns enumerated exactly).
     """
-    circuit, x = circuits[i]
-    r = Fraction(targets[i])
+    r = Fraction(r)
     q = Fraction(q)
     if K < 1:
         raise RejectedInputError("K must be positive")
@@ -524,6 +512,6 @@ def fat_dim_quantum_check(p: int, gammas: Sequence[float], samples: int,
         raise RejectedInputError("quantum dimension check capped at 2 advice qubits")
     rng = substream(seed, 21)
     states = [random_mixed_state(p, rng) for _ in range(samples)]
-    cls = induced_pconcept(circuit, domain, states)
+    cls, _ = induced_with_states(circuit, domain, states)
     return [{"measured": fat_shattering_dim(cls, gamma), "bound": p / (gamma * gamma),
              "class_size": len(cls)} for gamma in gammas]

@@ -11,7 +11,8 @@ with ``verify_report`` on the canonical JSON it writes, so ``run`` and
 ``verify`` share each check; a record passes only when its check passes
 and its stored measures are exactly the re-derived ones.
 No parameter is downscaled silently: an instance that breaches a
-resource cap records a failed verdict and the run continues.
+resource cap (an enumeration budget or the dimension cap) rejects the
+whole run with a ``RejectedInputError``.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .decompose import (MajorityDecomposition, RobustDecomposition,
                         robust_majority_certificates,
                         untrusted_oracle_evaluate, verify_real_decomposition,
                         FAIL)
-from .errors import DimensionCapExceeded, RejectedInputError
-from .formats import (boolean_decomposition_from_json,
+from .errors import RejectedInputError
+from .formats import (_entry, boolean_decomposition_from_json,
                       boolean_decomposition_to_json, boolean_from_hex,
                       boolean_to_hex, canonical_json, certificate_from_json,
                       certificate_to_json, protocol_from_json,
@@ -49,11 +50,11 @@ from .qsim import Circuit, DensityMatrix, Gate, random_mixed_state
 from .reporting import build_report
 from .rng import substream
 from .winnow import (CoverResult, ceil_log, epsilon_cover, fat_shattering_dim,
-                     l1_winnow, l1_winnow_defect, l2_counterexample,
-                     safe_winnow, safe_winnow_defect, vc_dim)
+                     L2Family, l1_winnow, l1_winnow_defect, safe_winnow,
+                     safe_winnow_defect, vc_dim)
 from .protocol import (adversary_search, bloch_extremal_states, compile_advice,
                        conditional_soundness_bound, fat_dim_quantum_check,
-                       induced_function, machine_b_error, qma_plus_amplify,
+                       induced_with_states, machine_b_error, qma_plus_amplify,
                        verifier_A, with_inflated_alpha)
 
 
@@ -124,10 +125,20 @@ def _non_increasing(values: list) -> bool:
     return all(a >= b for a, b in zip(values, values[1:]))
 
 
-def _pconcept_class(tables: list) -> PConceptClass:
+def _stored_class(tables: list) -> tuple:
+    """(S, members): the class of a record's stored tables, and the stored
+    list that the record's member indices refer to (tables equal after
+    12-digit rounding are one member of S)."""
     domain = InputDomain(int(round(math.log2(len(tables[0])))))
-    return PConceptClass(domain, [RealFunction(domain, np.array(t, dtype=np.float64))
-                                  for t in tables])
+    members = [RealFunction(domain, np.array(t, dtype=np.float64)) for t in tables]
+    return PConceptClass(domain, members), members
+
+
+def _configured_shape(tables: list, params: dict) -> bool:
+    """Whether a record stores the configured class: ``class_size`` tables,
+    counted as stored, of 2^``n`` entries each."""
+    return (len(tables) == params["class_size"]
+            and all(len(t) == 1 << params["n"] for t in tables))
 
 
 def _boolean_class(domain: InputDomain, hexes: list) -> ConceptClass:
@@ -233,21 +244,24 @@ def _realmajcert_measures(record: dict) -> dict:
 
 
 def _check_realmajcert(record: dict, context: dict) -> bool:
-    """The decomposition verifies at the configured eps."""
-    S, dec = real_decomposition_from_json(record["outputs"]["decomposition"])
-    return _matches(dec.eps, context["params"]["eps"]) and verify_real_decomposition(S, dec)
+    """The decomposition, over the configured class, verifies at the
+    configured eps."""
+    data, params = record["outputs"]["decomposition"], context["params"]
+    S, dec = real_decomposition_from_json(data)
+    return (_configured_shape(data["class_tables"], params) and _matches(dec.eps, params["eps"])
+            and verify_real_decomposition(S, dec))
 
 
 # ---------------------------------------------------------------------------
 # winnow suite (safe winnowing)
 # ---------------------------------------------------------------------------
 
-def _stored_cover(S: PConceptClass, out: dict) -> CoverResult:
-    """The record's cover, which must name distinct members of S forming
-    an eps-cover of S."""
-    members = [S[i] for i in out["cover"] if i >= 0]
-    cover = CoverResult(PConceptClass(S.domain, members), out["eps"])
-    if len(cover.cover) != len(out["cover"]):  # a negative index, or one repeated
+def _stored_cover(S: PConceptClass, members: list, out: dict) -> CoverResult:
+    """The record's cover, which must index distinct stored members
+    forming an eps-cover of S."""
+    cover = CoverResult(PConceptClass(S.domain, [_entry(members, i) for i in out["cover"]]),
+                        out["eps"])
+    if len(cover.cover) != len(out["cover"]):
         raise RejectedInputError("cover indices must be distinct members of the class")
     cover.validate(S)
     return cover
@@ -276,16 +290,18 @@ def _winnow_instance(params: dict, seed: int, index: int) -> dict:
 
 
 def _check_winnow(record: dict, context: dict) -> bool:
-    """The configured eps and |Y| are the stored ones, the stored cover is
-    an eps-cover of the class, and safe winnowing's postcondition holds
-    with it (safe_winnow_defect: |Z| <= log2 |cover| and conclusions (i)
-    and (ii))."""
+    """The configured class, eps and |Y| are the stored ones, the stored
+    cover is an eps-cover of the class, and safe winnowing's postcondition
+    holds with it (safe_winnow_defect: |Z| <= log2 |cover| and conclusions
+    (i) and (ii))."""
     out, params = record["outputs"], context["params"]
-    S = _pconcept_class(out["tables"])
-    cover = _stored_cover(S, out)
-    return (_matches(out["eps"], params["eps"]) and len(out["Y"]) == params["y_size"]
-            and safe_winnow_defect(S, S[out["f"]], S[out["f_star"]], out["Y"], out["Z"],
-                                   out["eps"], len(cover.cover)) is None)
+    S, members = _stored_class(out["tables"])
+    cover = _stored_cover(S, members, out)
+    f, f_star = _entry(members, out["f"]), _entry(members, out["f_star"])
+    return (_configured_shape(out["tables"], params) and _matches(out["eps"], params["eps"])
+            and len(out["Y"]) == params["y_size"]
+            and safe_winnow_defect(S, f, f_star, out["Y"], out["Z"], out["eps"],
+                                   len(cover.cover)) is None)
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +329,18 @@ def _l1winnow_instance(params: dict, seed: int, index: int) -> dict:
 
 
 def _check_l1winnow(record: dict, context: dict) -> bool:
-    """The configured eps is the stored one; the stored cover is an
-    eps-cover of the class; the progress log starts at |cover| and ends
-    at M_{f,X} over that cover; L1 winnowing's postcondition holds
+    """The configured class and eps are the stored ones; the stored cover
+    is an eps-cover of the class; the progress log starts at |cover| and
+    ends at M_{f,X} over that cover; L1 winnowing's postcondition holds
     (l1_winnow_defect: progress shrinks by 1 - eps/20 per step, and
     members 0.4 eps-close to f in L1 on X are 2 eps-close); and
     |X| <= 40 ln|cover| / eps."""
-    out = record["outputs"]
-    S = _pconcept_class(out["tables"])
-    cover, measures = _stored_cover(S, out), _l1winnow_measures(record)
-    f, log = S[out["f"]], out["progress_log"]
-    return (_matches(out["eps"], context["params"]["eps"]) and log[0] == len(cover.cover)
+    out, params = record["outputs"], context["params"]
+    S, members = _stored_class(out["tables"])
+    cover, measures = _stored_cover(S, members, out), _l1winnow_measures(record)
+    f, log = _entry(members, out["f"]), out["progress_log"]
+    return (_configured_shape(out["tables"], params) and _matches(out["eps"], params["eps"])
+            and log[0] == len(cover.cover)
             and _matches(log[-1], cover.progress(f.table, sorted(out["X"])))
             and l1_winnow_defect(S, f, out["X"], out["eps"], log) is None
             and measures["x_size"] <= measures["x_bound"])
@@ -354,7 +371,7 @@ def _l2counter_measures(record: dict) -> dict:
 
 def _build_l2counter(params: dict, seed: int) -> list:
     n = params["n"]
-    family = l2_counterexample(n)
+    family = L2Family(n)
     rng = substream(child_seed(seed, 500), 0)
     records = []
     if n <= 3:
@@ -381,7 +398,7 @@ def _check_l2counter(record: dict, context: dict) -> bool:
     """Members at sup-distance 1 yet 1/sqrt(n)-close in L2 on X, with at
     most n inputs of X lowered; or the recounted class size."""
     out = record["outputs"]
-    family = l2_counterexample(out["n"])
+    family = L2Family(out["n"])
     if "enumerated_class_size" in out:
         return len(family.enumerate_class()) == out["enumerated_class_size"]
     f, g = family.member(out["f_numerators"]), family.member(out["g_numerators"])
@@ -403,25 +420,17 @@ def _dims_boolean_instance(params: dict, seed: int, index: int) -> dict:
     size_cap = min(params["size_max"], 1 << min(1 << n, 30))
     size = int(rng.integers(2, size_cap + 1))
     S = random_boolean_class(n, size, rng)
-    outputs = {"kind": "boolean", "class": [boolean_to_hex(f) for f in S], "n": n}
-    try:
-        outputs.update({"vc": vc_dim(S), "fat_quarter": fat_shattering_dim(
-            PConceptClass(S.domain, [f.to_real() for f in S]), 0.25)})
-    except DimensionCapExceeded as exc:
-        outputs.update({"cap_exceeded": exc.cap})
-    return _record(index, outputs)
+    return _record(index, {"kind": "boolean", "class": [boolean_to_hex(f) for f in S], "n": n,
+                           "vc": vc_dim(S), "fat_quarter": fat_shattering_dim(
+                               PConceptClass(S.domain, [f.to_real() for f in S]), 0.25)})
 
 
 def _dims_pconcept_instance(params: dict, seed: int, index: int, gammas: list) -> dict:
     inst_seed = child_seed(seed, 700, index)
     rng = substream(inst_seed, 0)
     S = random_pconcept_class(2, 8, rng)
-    outputs = {"kind": "pconcept", "tables": _tables(S), "gammas": gammas}
-    try:
-        outputs["dims"] = [fat_shattering_dim(S, g) for g in gammas]
-    except DimensionCapExceeded as exc:
-        outputs["cap_exceeded"] = exc.cap
-    return _record(index, outputs)
+    return _record(index, {"kind": "pconcept", "tables": _tables(S), "gammas": gammas,
+                           "dims": [fat_shattering_dim(S, g) for g in gammas]})
 
 
 def _build_dims(params: dict, seed: int) -> list:
@@ -447,8 +456,6 @@ def _check_dims(record: dict, context: dict) -> bool:
     VC = fat at 1/4 within log2|S|, or fat non-increasing along the
     configured gammas, sorted."""
     out = record["outputs"]
-    if "cap_exceeded" in out:
-        return False
     if out["kind"] == "boolean":
         S = _boolean_class(InputDomain(out["n"]), out["class"])
         v = vc_dim(S)
@@ -456,7 +463,7 @@ def _check_dims(record: dict, context: dict) -> bool:
         return (v == out["vc"] and fat == out["fat_quarter"] and fat == v
                 and len(S) == len(out["class"]) and v <= math.log2(len(S)) + 1e-12)
     gammas = sorted(float(g) for g in context["params"]["gammas"])
-    S = _pconcept_class(out["tables"])
+    S, _ = _stored_class(out["tables"])
     dims = [fat_shattering_dim(S, g) for g in gammas]
     return (_matches(out["gammas"], gammas) and dims == out["dims"] and _non_increasing(dims)
             and all(a < b for a, b in zip(gammas, gammas[1:])))
@@ -487,15 +494,16 @@ def _occam_measures(record: dict) -> dict:
 
 
 def _check_occam(record: dict, context: dict) -> bool:
-    """The configured eps and trial count are the stored ones, the seeded
-    schedule, rerun, validates at the stored sample size m, and the
+    """The configured class, eps and trial count are the stored ones, the
+    seeded schedule, rerun, validates at the stored sample size m, and the
     seeded trials at m, rerun bit-exactly, pass at the stored rate >= 1/2."""
     out, params = record["outputs"], context["params"]
-    if not (_matches(out["eps"], params["eps"]) and out["trials"] == params["trials"]):
+    if not (_configured_shape(out["tables_hex"], params) and _matches(out["eps"], params["eps"])
+            and out["trials"] == params["trials"]):
         return False  # before the reruns, which take the stored values
-    S = _pconcept_class([[float.fromhex(v) for v in t] for t in out["tables_hex"]])
+    S, members = _stored_class([[float.fromhex(v) for v in t] for t in out["tables_hex"]])
     D = Distribution(S.domain, np.array([float.fromhex(w) for w in out["weights_hex"]]))
-    f = S[out["f"]]
+    f = _entry(members, out["f"])
     M, _ = find_valid_sample_size(S, f, D, out["eps"], out["seed"])
     rate = occam_check(S, f, D, out["eps"], out["m"], out["trials"], seed=out["seed"])
     return M == out["m"] and abs(rate - out["rate"]) < 1e-12 and rate >= 0.5
@@ -585,7 +593,7 @@ def standard_protocol_instance() -> tuple:
 
 def build_standard_protocol(eps: float, random_states: int, seed: int):
     circuit, domain, rho, language = standard_protocol_instance()
-    f_star = induced_function(circuit, domain, rho)
+    f_star = induced_with_states(circuit, domain, [rho])[0][0]
     sample = bloch_extremal_states(circuit, domain, f_star)
     rng = substream(seed, 900)
     sample += [random_mixed_state(1, rng) for _ in range(random_states)]
@@ -603,18 +611,18 @@ def _amplification(params: dict) -> dict:
     one-register acceptance with its hand computation."""
     q = Fraction(params["amplify_q"])
     r = Fraction(1, 2)
-    amp = [(Circuit(qubits=1, gates=(Gate("H", 0),), accept_qubit=0), 0)]
+    amp = Circuit(qubits=1, gates=(Gate("H", 0),), accept_qubit=0)
     floors = [{"K": K,
-               "acceptance": qma_plus_amplify(amp, [r], q, K,
-                                              [DensityMatrix.computational(1, 0)] * K, 0),
+               "acceptance": qma_plus_amplify(amp, 0, r, q, K,
+                                              [DensityMatrix.computational(1, 0)] * K),
                "chernoff_floor": 1.0 - math.exp(-2.0 * K / float(q) ** 2)}
               for K in [8 * (2 ** j) for j in range(params["amplify_count"])]]
     p_half = 0.5
     hand = p_half if abs(1.0 - float(r)) <= 2.0 / float(q) else 0.0
     hand += (1.0 - p_half) if abs(0.0 - float(r)) <= 2.0 / float(q) else 0.0
     return {"amplification": floors, "single_register_hand": hand,
-            "single_register": qma_plus_amplify(amp, [r], q, 1,
-                                                [DensityMatrix.computational(1, 0)], 0)}
+            "single_register": qma_plus_amplify(amp, 0, r, q, 1,
+                                                [DensityMatrix.computational(1, 0)])}
 
 
 #: gammas of record 5's fat-dimension measurements besides 1/4

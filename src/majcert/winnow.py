@@ -4,7 +4,7 @@ safe winnowing, L1 winnowing, greedy covers, and dimension computations.
 The iterative procedures here make two engineering commitments:
 
 * Determinism.  Search order is always members by class index, then
-  inputs in increasing (lexicographic) order, so traces are
+  inputs in increasing (lexicographic) order, so results are
   bit-reproducible.
 * Verification.  safe_winnow and l1_winnow check their own conclusions
   exhaustively before returning, through the postcondition routines
@@ -18,6 +18,7 @@ class value matrix, and winnowing tracks members as rows of it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -221,7 +222,7 @@ def epsilon_cover(S: PConceptClass, eps: float) -> CoverResult:
 # Dimensions
 # ---------------------------------------------------------------------------
 
-def _levelwise_dim(n_inputs: int, class_size: int, shattered_of, cap: int) -> int:
+def _levelwise_dim(n_inputs: int, class_size: int, shattered_of) -> int:
     """Size of the largest input set that ``shattered_of`` accepts.
 
     ``shattered_of(candidates)`` returns, in order, the shattered ones
@@ -230,7 +231,7 @@ def _levelwise_dim(n_inputs: int, class_size: int, shattered_of, cap: int) -> in
     size-(s-1) subsets shattered (apriori pruning), and a set of size s
     needs 2^s members with distinct sign patterns, so a class of fewer
     members stops the search.  Raises DimensionCapExceeded if sets of
-    size ``cap`` still shatter.
+    size DIMENSION_CAP still shatter.
     """
     level = [()]  # the empty set is trivially shattered
     dim = 0
@@ -245,8 +246,8 @@ def _levelwise_dim(n_inputs: int, class_size: int, shattered_of, cap: int) -> in
         if not level:
             return dim
         dim = size
-        if dim >= cap:
-            raise DimensionCapExceeded(cap)
+        if dim >= DIMENSION_CAP:
+            raise DimensionCapExceeded(DIMENSION_CAP)
 
 
 def _shattered_sets_of_size(V: np.ndarray, candidates: list) -> list:
@@ -263,12 +264,12 @@ def _shattered_sets_of_size(V: np.ndarray, candidates: list) -> list:
     return [candidates[i] for i in np.nonzero(mask)[0]]
 
 
-def vc_dim(S: ConceptClass, cap: int = DIMENSION_CAP) -> int:
+def vc_dim(S: ConceptClass) -> int:
     """Exact VC dimension by level-wise brute force (see _levelwise_dim).
-    Raises DimensionCapExceeded if sets of size ``cap`` still shatter."""
+    Raises DimensionCapExceeded if sets of size DIMENSION_CAP still shatter."""
     V = S.value_matrix()
     return _levelwise_dim(S.domain.size, len(S),
-                          lambda cand: _shattered_sets_of_size(V, cand), cap)
+                          lambda cand: _shattered_sets_of_size(V, cand))
 
 
 def _margin_pairs(values: np.ndarray, gamma: float) -> list:
@@ -332,7 +333,7 @@ def _fat_shatters(splits: list, A: tuple, members: int) -> bool:
     return descend(0, [(1 << members) - 1])
 
 
-def fat_shattering_dim(S: PConceptClass, gamma: float, cap: int = DIMENSION_CAP) -> int:
+def fat_shattering_dim(S: PConceptClass, gamma: float) -> int:
     """Exact gamma-fat-shattering dimension by level-wise search.
 
     A is gamma-shattered when one witness split per input (from the
@@ -354,8 +355,7 @@ def fat_shattering_dim(S: PConceptClass, gamma: float, cap: int = DIMENSION_CAP)
     V = S.value_matrix()
     splits = [_margin_pairs(V[:, x], gamma) for x in S.domain.inputs()]
     return _levelwise_dim(S.domain.size, len(S),
-                          lambda cand: [A for A in cand if _fat_shatters(splits, A, len(S))],
-                          cap)
+                          lambda cand: [A for A in cand if _fat_shatters(splits, A, len(S))])
 
 
 # ---------------------------------------------------------------------------
@@ -363,20 +363,9 @@ def fat_shattering_dim(S: PConceptClass, gamma: float, cap: int = DIMENSION_CAP)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SafeWinnowStep:
-    """One iteration of safe winnowing: the split input, whether f moved
-    to g, and the surviving cover-intersection size."""
-
-    z: int
-    replaced: bool
-    cover_survivors: int
-
-
-@dataclass(frozen=True)
 class SafeWinnowResult:
     f: RealFunction
     Z: frozenset
-    trace: tuple
 
 
 def safe_winnow_defect(S: PConceptClass, f: RealFunction, f_star: RealFunction,
@@ -434,7 +423,6 @@ def safe_winnow(S: PConceptClass, f_star: RealFunction, Y: Iterable[int], eps: f
     in_cover[[S.index_of(g) for g in cover.cover]] = True
     current = np.ones(len(S), dtype=bool)
     Z: set = set()
-    trace = []
     while np.count_nonzero(current & in_cover) > 1:
         constraint = sorted(Y | Z)
         close = restricted_gaps(V, constraint, V[t, constraint]) <= delta
@@ -450,13 +438,10 @@ def safe_winnow(S: PConceptClass, f_star: RealFunction, Y: Iterable[int], eps: f
         high = current & ~low
         current = (low if np.count_nonzero(low & in_cover) < np.count_nonzero(high & in_cover)
                    else high)
-        replaced = not current[t]
-        if replaced:
+        if not current[t]:
             t = g
-        trace.append(SafeWinnowStep(z=z, replaced=replaced,
-                                    cover_survivors=int(np.count_nonzero(current & in_cover))))
 
-    result = SafeWinnowResult(f=S[t], Z=frozenset(Z), trace=tuple(trace))
+    result = SafeWinnowResult(f=S[t], Z=frozenset(Z))
     defect = safe_winnow_defect(S, result.f, f_star, Y, result.Z, eps, len(cover.cover))
     if defect:
         raise VerificationDefect(defect)
@@ -468,18 +453,10 @@ def safe_winnow(S: PConceptClass, f_star: RealFunction, Y: Iterable[int], eps: f
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class L1WinnowStep:
-    y: int
-    replaced: bool
-    progress: float
-
-
-@dataclass(frozen=True)
 class L1WinnowResult:
     f: RealFunction
     X: frozenset
     progress_log: tuple  # M values, starting with the initial |cover|
-    trace: tuple  # one L1WinnowStep per adjoined input
 
 
 def l1_winnow_defect(S: PConceptClass, f: RealFunction, X: Iterable[int], eps: float,
@@ -509,8 +486,9 @@ def l1_winnow(S: PConceptClass, eps: float, cover: CoverResult) -> L1WinnowResul
     factor below 1 - eps/20, which bounds |X| by O(log|cover| / eps).
     Such a y alone puts g more than 0.4 eps from f in L1, so it lies
     outside X and the loop ends.  f is tracked as a row of S's value
-    matrix, members are searched by index, and the result's ``trace``
-    holds one step per adjoined input.
+    matrix, members are searched by index, and the result's
+    ``progress_log`` holds M before the first and after each adjoined
+    input.
 
     The result must pass :func:`l1_winnow_defect`, the postcondition the
     l1winnow suite's check also applies, or VerificationDefect is raised
@@ -523,7 +501,6 @@ def l1_winnow(S: PConceptClass, eps: float, cover: CoverResult) -> L1WinnowResul
     f = 0  # the source construction starts anywhere; lowest index is canonical
     X: set = set()
     log = [cover.progress(V[f], [])]
-    steps = []
     while True:
         xs = sorted(X)
         close = restricted_gaps(V, xs, V[f, xs], "one") <= 0.4 * eps
@@ -535,14 +512,11 @@ def l1_winnow(S: PConceptClass, eps: float, cover: CoverResult) -> L1WinnowResul
         X.add(y)
         xs = sorted(X)
         M_f, M_g = cover.progress(V[f], xs), cover.progress(V[g], xs)
-        replaced = M_g < M_f
-        if replaced:
+        if M_g < M_f:
             f = g
-        log.append(M_g if replaced else M_f)
-        steps.append(L1WinnowStep(y=y, replaced=replaced, progress=log[-1]))
+        log.append(min(M_g, M_f))
 
-    result = L1WinnowResult(f=S[f], X=frozenset(X), progress_log=tuple(log),
-                            trace=tuple(steps))
+    result = L1WinnowResult(f=S[f], X=frozenset(X), progress_log=tuple(log))
     defect = l1_winnow_defect(S, result.f, result.X, eps, result.progress_log)
     if defect:
         raise VerificationDefect(defect)
@@ -581,23 +555,9 @@ class L2Family:
         """Explicit enumeration; feasible only for n <= 3."""
         if self.n > 3:
             raise RejectedInputError("explicit enumeration only for n <= 3; sample instead")
-        members = []
-        size = self.domain.size
-        target = self.n * self.n
-
-        def rec(pos: int, remaining: int, acc: list):
-            if pos == size:
-                if remaining == 0:
-                    members.append(self.member(acc))
-                return
-            slots_left = size - pos - 1
-            lo = max(0, remaining - slots_left * self.n)
-            hi = min(self.n, remaining)
-            for a in range(lo, hi + 1):
-                rec(pos + 1, remaining - a, acc + [a])
-
-        rec(0, target, [])
-        return PConceptClass(self.domain, members)
+        rows = itertools.product(range(self.n + 1), repeat=self.domain.size)
+        return PConceptClass(self.domain, [self.member(a) for a in rows
+                                           if sum(a) == self.n * self.n])
 
     def sample_member(self, rng: np.random.Generator) -> RealFunction:
         """Random member: n^2 unit increments at uniform inputs, redrawing
@@ -636,8 +596,3 @@ class L2Family:
         for x in Z:
             numer[x] -= 1
         return self.member(numer)
-
-
-def l2_counterexample(n: int) -> L2Family:
-    """The generator/corruptor pair witnessing L2 non-winnowability."""
-    return L2Family(n)

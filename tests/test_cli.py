@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from majcert import winnow
 from majcert.cli import main
 from majcert.errors import RejectedInputError
 from majcert.formats import canonical_json
@@ -65,6 +66,19 @@ def test_cli_bad_seed_exits_with_error(tmp_path, capsys, seed, argv):
     assert main(["run", "--config", cfg, "--out", str(out), *argv]) == 2
     assert not out.exists()
     assert "error: seed must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_dims_run_past_the_dimension_cap_exits_with_error(tmp_path, capsys, monkeypatch):
+    """A class still shattering at the cap rejects the whole run, as an
+    enumeration budget does, instead of recording a failed verdict."""
+    monkeypatch.setattr(winnow, "DIMENSION_CAP", 1)
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"schema": 1, "suite": "dims",
+                        "parameters": {"instances": 2, "pconcept_instances": 1}, "seed": 2})
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "error: dimension >= cap 1" in capsys.readouterr().err
 
 
 def test_run_and_verify_via_cli(tmp_path, capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from majcert import decompose
 from majcert.concepts import (BooleanFunction, Certificate, ConceptClass,
                               Distribution, InputDomain, PConceptClass,
                               RealFunction, Slots, dist_inf, distance_expected,
@@ -23,6 +24,7 @@ from majcert.errors import RejectedInputError, RetriesExhausted, VerificationDef
 from majcert.generators import (point_function_class, random_boolean_class,
                                 random_pconcept_class)
 from majcert.rng import substream
+from majcert.winnow import epsilon_cover
 
 
 def real_fn(domain, values):
@@ -46,7 +48,7 @@ def test_majority_singleton_class():
     S = ConceptClass(domain, [f])
     dec = majority_certificates(S, f, seed=0)
     assert dec.m == 1
-    assert dec.max_certificate_size() == 0
+    assert max(cert.size for cert, _ in dec.slots.distinct) == 0
     dec.validate(S)
 
 
@@ -75,7 +77,8 @@ def test_majority_random_classes(salt):
     dec = majority_certificates(S, f_star, seed=salt)
     dec.validate(S)
     assert dec.m <= 20 * n + 1
-    assert dec.max_certificate_size() <= 4 * math.ceil(math.log2(len(S)) + 1e-12) + 4
+    assert (max(cert.size for cert, _ in dec.slots.distinct)
+            <= 4 * math.ceil(math.log2(len(S)) + 1e-12) + 4)
 
 
 def test_majority_decomposition_type_invariants():
@@ -318,11 +321,20 @@ def test_real_random_classes_verify(salt):
     assert dec.m == math.ceil(20 * 3 / 0.25 ** 2)
 
 
-def test_real_alpha_matches_schedule():
+def test_real_alpha_matches_schedule(monkeypatch):
+    sizes = []
+
+    def recording(S_, eps):
+        cover = epsilon_cover(S_, eps)
+        sizes.append(len(cover.cover))
+        return cover
+
+    monkeypatch.setattr(decompose, "epsilon_cover", recording)
     S = random_pconcept_class(3, 40, substream(2, 11))
     dec = real_majority_certificates(S, S[0], eps=0.25, seed=2)
     beta = 0.25 / 48.0
-    assert dec.alpha == pytest.approx(0.4 * beta / dec.realized_t, abs=1e-15)
+    assert any(dec.alpha == pytest.approx(0.4 * beta / max(math.log2(c), 1.0), abs=1e-15)
+               for c in sizes)
 
 
 def test_real_clustered_class_multi_slot():

@@ -51,7 +51,7 @@ def test_safe_winnow_replacement_branch():
     eps = 0.02
     cover = epsilon_cover(S, eps)
     result = safe_winnow(S, S[0], {0}, eps, cover)
-    assert any(step.replaced for step in result.trace)
+    assert result.f.key() != S[0].key()  # f starts at f_star and moves only on replacement
     assert dist_inf(result.f, S[0], {0}) <= eps / 5.0
 
 
@@ -74,7 +74,8 @@ def test_l1_winnow_replacement_branch():
     cover = epsilon_cover(S, eps)
     assert len(cover.cover) == 6
     result = l1_winnow(S, eps, cover)
-    assert result.trace[0].replaced and result.trace[0].y == 1
+    # f starts at member 0: one step at input 1 moved it to the outlier
+    assert result.X == {1}
     assert result.f.key() == members[5].key()
     for g in S:
         if dist_one(result.f, g, result.X) <= 0.4 * eps:
@@ -83,14 +84,13 @@ def test_l1_winnow_replacement_branch():
 
 def test_amplify_three_register_entangled_consistency():
     circuit = Circuit(qubits=1, gates=(Gate("H", 0),), accept_qubit=0)
-    circuits = [(circuit, 0)]
     q = Fraction(6)
     r = Fraction(1, 2)
     rng = substream(103, 0)
     regs = [random_mixed_state(1, rng) for _ in range(3)]
-    product_path = qma_plus_amplify(circuits, [r], q, 3, regs, 0)
+    product_path = qma_plus_amplify(circuit, 0, r, q, 3, regs)
     joint = regs[0].tensor(regs[1]).tensor(regs[2])
-    joint_path = qma_plus_amplify(circuits, [r], q, 3, joint, 0)
+    joint_path = qma_plus_amplify(circuit, 0, r, q, 3, joint)
     assert product_path == pytest.approx(joint_path, abs=1e-9)
 
 
@@ -98,13 +98,12 @@ def test_amplify_genuinely_entangled_state():
     # GHZ-correlated registers: outcomes are perfectly correlated, so the
     # count distribution concentrates on 0 and K
     circuit = Circuit(qubits=1, gates=(), accept_qubit=0)
-    circuits = [(circuit, 0)]
     K = 3
     vec = np.zeros(8, dtype=np.complex128)
     vec[0] = vec[7] = 1.0 / math.sqrt(2)
     ghz = DensityMatrix.from_pure(vec)
     # accept iff |count/3 - 0| <= 2/q with q = 3: counts 0 and 1 and 2 pass
-    acc = qma_plus_amplify(circuits, [Fraction(0)], Fraction(3), K, ghz, 0)
+    acc = qma_plus_amplify(circuit, 0, Fraction(0), Fraction(3), K, ghz)
     # GHZ gives count 0 or 3, each with probability 1/2; only count 0 accepts
     assert acc == pytest.approx(0.5, abs=1e-12)
 

@@ -1,5 +1,6 @@
 """Game solvers: exact LP oracle, double oracle, strategy invariants."""
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -19,6 +20,25 @@ from majcert.games import (AliceStrategy, _isolating_certificates,
 from majcert.generators import point_function_class, random_boolean_class
 from majcert.rng import substream
 from majcert.winnow import weak_certify
+
+
+@contextlib.contextmanager
+def recorded_game_values():
+    """Yields the list of values of the matrix games that the solvers in
+    ``games`` solve while the context is open, in order."""
+    values = []
+    original = games.solve_zero_sum
+
+    def recording(payoff):
+        result = original(payoff)
+        values.append(result[0])
+        return result
+
+    games.solve_zero_sum = recording
+    try:
+        yield values
+    finally:
+        games.solve_zero_sum = original
 
 
 def test_solve_zero_sum_matching_pennies():
@@ -113,10 +133,11 @@ def test_full_lp_point_class_k1():
     assert strategy.game_value >= 0.9
 
 
-def test_full_lp_budget_enforced():
+def test_full_lp_budget_enforced(monkeypatch):
     S = point_function_class(4)
+    monkeypatch.setattr(games, "FULL_LP_BUDGET", 3)
     with pytest.raises(EnumerationBudgetExceeded):
-        solve_game_full_lp(S, S[0], k=1, budget=3)
+        solve_game_full_lp(S, S[0], k=1)
 
 
 def test_full_lp_raw_space_guard():
@@ -147,8 +168,9 @@ def test_double_oracle_point_class_n6():
 def test_double_oracle_value_trace_non_decreasing():
     rng = substream(31, 0)
     S = random_boolean_class(4, 14, rng)
-    trace = []
-    double_oracle_solve(S, S[0], target_value=1.0, value_trace=trace)
+    with recorded_game_values() as trace:
+        double_oracle_solve(S, S[0], target_value=1.0)
+    assert trace
     assert all(trace[i] <= trace[i + 1] + 1e-9 for i in range(len(trace) - 1))
 
 
@@ -271,7 +293,7 @@ def test_double_oracle_mapped_bob_mix_caps_full_rows(salt):
                                                          replace=False))
                     for _ in range(int(rng.integers(2, 17)))}
     S = ConceptClass(domain, [BooleanFunction(domain, bits) for bits in sorted(tables)])
-    mixes, trace = [], []
+    mixes = []
 
     def recording(S_, f_star, D):
         mixes.append(D.weights)
@@ -279,7 +301,8 @@ def test_double_oracle_mapped_bob_mix_caps_full_rows(salt):
 
     original, games.weak_certify = games.weak_certify, recording
     try:
-        strategy = double_oracle_solve(S, S[0], target_value=1.0, value_trace=trace)
+        with recorded_game_values() as trace:
+            strategy = double_oracle_solve(S, S[0], target_value=1.0)
     finally:
         games.weak_certify = original
     agreements = (S.value_matrix() == 0).astype(np.float64)

@@ -6,10 +6,10 @@ import pytest
 from majcert.concepts import InputDomain
 from majcert.generators import (point_function_class, random_boolean_class,
                                 random_pconcept_class)
-from majcert.protocol import induced_pconcept
+from majcert.protocol import induced_with_states
 from majcert.qsim import Circuit, Gate, random_mixed_state
 from majcert.rng import substream
-from majcert.winnow import l2_counterexample
+from majcert.winnow import L2Family
 
 
 def test_point_functions_n3_has_nine_members():
@@ -38,9 +38,9 @@ def test_random_pconcept_shapes():
 
 
 def test_l2_family_enumerated_count_matches_oracle():
-    cls = l2_counterexample(2).enumerate_class()
+    cls = L2Family(2).enumerate_class()
     assert len(cls) == 19
-    sampled = l2_counterexample(4).sample_class(7, substream(0, 30))
+    sampled = L2Family(4).sample_class(7, substream(0, 30))
     assert len(sampled) <= 7
     for f in sampled:
         assert abs(sum(f.table) - 4.0) < 1e-9  # numerators sum to n^2
@@ -49,8 +49,8 @@ def test_l2_family_enumerated_count_matches_oracle():
 def test_quantum_induced_kind():
     circuit = Circuit(qubits=1, gates=(Gate("H", 0, when_bit=0),), accept_qubit=0)
     rng = substream(3, 30)
-    cls = induced_pconcept(circuit, InputDomain(1),
-                           [random_mixed_state(1, rng) for _ in range(12)])
+    cls, _ = induced_with_states(circuit, InputDomain(1),
+                                 [random_mixed_state(1, rng) for _ in range(12)])
     assert 1 <= len(cls) <= 12
     assert cls.domain.n == 1
 

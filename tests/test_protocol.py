@@ -16,9 +16,9 @@ from majcert.protocol import (_CHUNK, AdversarySearchResult, _purified_values,
                               acceptance_table, adversary_search, bloch_affine_map,
                               bloch_extremal_states, compile_advice,
                               conditional_soundness_bound,
-                              fat_dim_quantum_check, induced_function,
-                              induced_pconcept, machine_b_error,
-                              qma_plus_amplify, verifier_A, with_inflated_alpha)
+                              fat_dim_quantum_check, induced_with_states,
+                              machine_b_error, qma_plus_amplify, verifier_A,
+                              with_inflated_alpha)
 from majcert.qsim import (Circuit, DensityMatrix, Gate, accept_probability,
                           measurement_operator, params_to_state, random_mixed_state,
                           state_to_params)
@@ -36,9 +36,14 @@ def standard_instance():
     return circuit, domain, rho, language
 
 
+def induced(circuit, domain, states):
+    """The p-concept class that the states induce."""
+    return induced_with_states(circuit, domain, states)[0]
+
+
 def compiled_protocol(random_states=40, seed=13, eps=0.1):
     circuit, domain, rho, language = standard_instance()
-    f_star = induced_function(circuit, domain, rho)
+    f_star = induced(circuit, domain, [rho])[0]
     sample = bloch_extremal_states(circuit, domain, f_star)
     rng = substream(seed, 50)
     sample += [random_mixed_state(1, rng) for _ in range(random_states)]
@@ -52,7 +57,7 @@ def compiled_protocol(random_states=40, seed=13, eps=0.1):
 def test_induced_maximally_mixed_is_half():
     circuit = Circuit(qubits=1, gates=(), accept_qubit=0)
     domain = InputDomain(2)
-    cls = induced_pconcept(circuit, domain, [DensityMatrix.maximally_mixed(1)])
+    cls = induced(circuit, domain, [DensityMatrix.maximally_mixed(1)])
     assert len(cls) == 1
     assert np.allclose(cls[0].table, 0.5, atol=1e-12)
 
@@ -60,9 +65,9 @@ def test_induced_maximally_mixed_is_half():
 def test_induced_basis_states_are_constants():
     circuit = Circuit(qubits=1, gates=(), accept_qubit=0)
     domain = InputDomain(2)
-    cls = induced_pconcept(circuit, domain,
-                           [DensityMatrix.computational(1, 0),
-                            DensityMatrix.computational(1, 1)])
+    cls = induced(circuit, domain,
+                  [DensityMatrix.computational(1, 0),
+                   DensityMatrix.computational(1, 1)])
     tables = sorted(tuple(f.table) for f in cls)
     assert tables == [(0.0,) * 4, (1.0,) * 4]
 
@@ -71,7 +76,7 @@ def test_induced_dedups_duplicates():
     circuit = Circuit(qubits=1, gates=(), accept_qubit=0)
     domain = InputDomain(2)
     state = DensityMatrix.maximally_mixed(1)
-    cls = induced_pconcept(circuit, domain, [state, state, state])
+    cls = induced(circuit, domain, [state, state, state])
     assert len(cls) == 1
 
 
@@ -80,7 +85,7 @@ def test_induced_matches_ensemble_oracle(salt):
     circuit, domain, _, _ = standard_instance()
     rng = substream(salt, 51)
     state = random_mixed_state(1, rng)
-    f = induced_function(circuit, domain, state)
+    f = induced(circuit, domain, [state])[0]
     for x in domain.inputs():
         U = circuit.unitary(x)
         expected = sum(lam * float(np.real(v.conj() @ (U.conj().T
@@ -117,7 +122,7 @@ def test_compile_rejects_premise_violation():
 def test_compiled_rationals_within_alpha():
     P = compiled_protocol()
     for state, targets in P.slots.distinct:
-        f_i = induced_function(P.circuit, P.domain, state)
+        f_i = induced(P.circuit, P.domain, [state])[0]
         for z, r in targets:
             assert abs(float(r) - f_i(z)) <= P.alpha
 
@@ -148,8 +153,8 @@ def tiny_two_register_protocol():
     domain = InputDomain(1)
     language = BooleanFunction.from_values(domain, [1, 1])
     up = DensityMatrix.computational(1, 1)
-    f_up = induced_function(circuit, domain, up)
-    cls = induced_pconcept(circuit, domain, [up, DensityMatrix.computational(1, 0)])
+    f_up = induced(circuit, domain, [up])[0]
+    cls = induced(circuit, domain, [up, DensityMatrix.computational(1, 0)])
     alpha = 0.01
     dec = RealDecomposition(target=f_up,
                             slots=Slots(((f_up, frozenset({0})), (f_up, frozenset({1}))),
@@ -186,7 +191,7 @@ def test_compile_with_work_qubit_circuit():
     domain = InputDomain(2)
     p11 = 0.9
     rho = DensityMatrix.from_pure(np.array([math.sqrt(1 - p11), math.sqrt(p11)]))
-    f_star = induced_function(circuit, domain, rho)
+    f_star = induced(circuit, domain, [rho])[0]
     assert f_star.table == pytest.approx([0.0, p11, 1.0, 1.0 - p11], abs=1e-12)
     language = BooleanFunction.from_values(domain, [0, 1, 1, 0])
     sample = bloch_extremal_states(circuit, domain, f_star)
@@ -233,37 +238,37 @@ def test_register_shape_mismatch_rejected():
 # ---------------------------------------------------------------------------
 
 def amplify_fixture():
+    """H on |x = 0>, target r = 1/2, q = 8."""
     circuit = Circuit(qubits=1, gates=(Gate("H", 0),), accept_qubit=0)
-    return [(circuit, 0)], [Fraction(1, 2)], Fraction(8)
+    return circuit, Fraction(1, 2), Fraction(8)
 
 
 def test_amplify_single_register_hand_arithmetic():
-    circuits, targets, q = amplify_fixture()
+    circuit, r, q = amplify_fixture()
     state = DensityMatrix.computational(1, 0)  # accept prob exactly 1/2
-    got = qma_plus_amplify(circuits, targets, q, 1, [state], 0)
+    got = qma_plus_amplify(circuit, 0, r, q, 1, [state])
     # hand arithmetic: outcome 1 w.p. 1/2 (|1 - 1/2| = 1/2 > 2/8 -> reject),
     # outcome 0 w.p. 1/2 (|0 - 1/2| = 1/2 > 2/8 -> reject)
     assert got == pytest.approx(0.0, abs=1e-12)
-    r_loose = [Fraction(3, 4)]
-    got = qma_plus_amplify(circuits, r_loose, q, 1, [state], 0)
+    got = qma_plus_amplify(circuit, 0, Fraction(3, 4), q, 1, [state])
     # outcome 1: |1 - 3/4| = 1/4 <= 1/4 -> accept; outcome 0: reject
     assert got == pytest.approx(0.5, abs=1e-12)
 
 
 def test_amplify_honest_product_beats_chernoff_floor():
-    circuits, targets, q = amplify_fixture()
+    circuit, r, q = amplify_fixture()
     state = DensityMatrix.computational(1, 0)
     for K in (8, 16, 32):
-        acc = qma_plus_amplify(circuits, targets, q, K, [state] * K, 0)
+        acc = qma_plus_amplify(circuit, 0, r, q, K, [state] * K)
         floor = 1.0 - math.exp(-2.0 * K / float(q) ** 2)
         assert acc >= floor
 
 
 def test_amplify_exact_binomial_cross_check():
-    circuits, targets, q = amplify_fixture()
+    circuit, r, q = amplify_fixture()
     state = DensityMatrix.computational(1, 0)
     K = 8
-    acc = qma_plus_amplify(circuits, targets, q, K, [state] * K, 0)
+    acc = qma_plus_amplify(circuit, 0, r, q, K, [state] * K)
     # independent oracle: binomial(8, 1/2), accept iff |j/8 - 1/2| <= 1/4
     expected = sum(math.comb(K, j) / 2 ** K for j in range(K + 1)
                    if abs(Fraction(j, K) - Fraction(1, 2)) <= Fraction(1, 4))
@@ -271,19 +276,19 @@ def test_amplify_exact_binomial_cross_check():
 
 
 def test_amplify_entangled_matches_product_path():
-    circuits, targets, q = amplify_fixture()
+    circuit, r, q = amplify_fixture()
     rng = substream(9, 0)
     a = random_mixed_state(1, rng)
     b = random_mixed_state(1, rng)
-    product_path = qma_plus_amplify(circuits, targets, q, 2, [a, b], 0)
-    joint_path = qma_plus_amplify(circuits, targets, q, 2, a.tensor(b), 0)
+    product_path = qma_plus_amplify(circuit, 0, r, q, 2, [a, b])
+    joint_path = qma_plus_amplify(circuit, 0, r, q, 2, a.tensor(b))
     assert product_path == pytest.approx(joint_path, abs=1e-10)
 
 
 def test_amplify_soundness_chain_on_constructed_states():
     """|Pr[C(avg)] - r| <= 2/q + Pr[reject], exactly, on far-off registers."""
-    circuits, targets, q = amplify_fixture()
-    circuit, x = circuits[0]
+    circuit, _, q = amplify_fixture()
+    x = 0
     K = 4
     regs = [DensityMatrix.computational(1, 1) for _ in range(K)]  # H|1> -> 1/2... per register prob
     probs = []
@@ -292,7 +297,7 @@ def test_amplify_soundness_chain_on_constructed_states():
         probs.append(float(np.real(np.trace(reg.entries @ M))))
     avg_prob = float(np.mean(probs))
     r = Fraction(31, 32)
-    acc = qma_plus_amplify(circuits, [r], q, K, regs, 0)
+    acc = qma_plus_amplify(circuit, x, r, q, K, regs)
     gap = abs(avg_prob - float(r))
     assert gap <= 2.0 / float(q) + (1.0 - acc) + 1e-12
     if gap > 5.0 / float(q):
@@ -300,10 +305,9 @@ def test_amplify_soundness_chain_on_constructed_states():
 
 
 def test_amplify_rejects_bad_register_count():
-    circuits, targets, q = amplify_fixture()
+    circuit, r, q = amplify_fixture()
     with pytest.raises(RejectedInputError):
-        qma_plus_amplify(circuits, targets, q, 3,
-                         [DensityMatrix.maximally_mixed(1)] * 2, 0)
+        qma_plus_amplify(circuit, 0, r, q, 3, [DensityMatrix.maximally_mixed(1)] * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -507,21 +511,21 @@ def test_bloch_affine_map_reproduces_probabilities():
     # Bloch vector of rho
     b = np.array([2 * rho.entries[0, 1].real, 2 * rho.entries[1, 0].imag,
                   (rho.entries[0, 0] - rho.entries[1, 1]).real])
-    f = induced_function(circuit, domain, rho)
+    f = induced(circuit, domain, [rho])[0]
     for x in domain.inputs():
         assert c[x] + m[x] @ b == pytest.approx(f(x), abs=1e-9)
 
 
 def test_bloch_extremal_states_match_target_on_subsets():
     circuit, domain, rho, _ = standard_instance()
-    target = induced_function(circuit, domain, rho)
+    target = induced(circuit, domain, [rho])[0]
     states = bloch_extremal_states(circuit, domain, target)
     assert states
     # spot-check: for each state there is some subset on which it matches
     # the target; extremes at unconstrained inputs reach past the target
     hit_extreme = False
     for s in states:
-        f = induced_function(circuit, domain, s)
+        f = induced(circuit, domain, [s])[0]
         if max(abs(f(x) - target(x)) for x in domain.inputs()) > 0.2:
             hit_extreme = True
     assert hit_extreme

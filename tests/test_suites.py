@@ -353,7 +353,51 @@ def l1winnow_stalled_progress(report):
     return 0
 
 
+def record_of_another_shape(name, key):
+    """Record 0 replaced by record 0 of the same run at ``n`` one larger or
+    ``class_size`` one smaller: an honest record of a class the config
+    does not name."""
+    def tamper(report):
+        params, seed = SMALL[name]
+        params = dict(params)
+        params[key] = params.get(key, REGISTRY[name].schema[key][1]) + (1 if key == "n" else -1)
+        other = run_suite({"schema": 1, "suite": name, "parameters": params, "seed": seed})
+        report["records"][0] = other["records"][0]
+        return 0
+    return tamper
+
+
+def negative_alias(key):
+    """Record 0's member index ``key`` written as its negative alias."""
+    def tamper(report):
+        out = report["records"][0]["outputs"]
+        out[key] -= len(out["tables"])
+        return 0
+    return tamper
+
+
+def boolean_alias(report):
+    """Record 0's first member index equal to 0 or 1 written as a JSON
+    boolean: f, else f_star, else a cover entry."""
+    out = report["records"][0]["outputs"]
+    key = next((k for k in ("f", "f_star") if type(out.get(k)) is int and out[k] in (0, 1)),
+               None)
+    if key is not None:
+        out[key] = bool(out[key])
+    else:
+        j = next(j for j, i in enumerate(out["cover"]) if i in (0, 1))
+        out["cover"][j] = bool(out["cover"][j])
+    return 0
+
+
 @pytest.mark.parametrize("name, tamper", [
+    *[pytest.param(name, record_of_another_shape(name, key), id=f"{name}-{key}-record")
+      for name in ("winnow", "l1winnow", "realmajcert", "occam") for key in ("class_size", "n")],
+    pytest.param("winnow", negative_alias("f"), id="winnow-negative-f"),
+    pytest.param("winnow", negative_alias("f_star"), id="winnow-negative-f_star"),
+    pytest.param("l1winnow", negative_alias("f"), id="l1winnow-negative-f"),
+    ("winnow", boolean_alias),
+    ("l1winnow", boolean_alias),
     ("majcert", triple_every_slot),
     ("majcert", extra_certificate_bit),
     ("majcert", repeated_class_member),

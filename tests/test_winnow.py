@@ -15,11 +15,11 @@ from majcert.concepts import (BooleanFunction, Certificate, ConceptClass,
 from majcert.errors import DimensionCapExceeded, RejectedInputError
 from majcert.generators import (point_function_class, random_boolean_class,
                                 random_pconcept_class)
+from majcert import winnow
 from majcert.rng import substream
-from majcert.winnow import (L1WinnowStep, SafeWinnowStep, _margin_pairs,
-                            binary_search_winnow, ceil_log, epsilon_cover,
-                            fat_shattering_dim, isolate_member, l1_winnow,
-                            l2_counterexample, safe_winnow, vc_dim,
+from majcert.winnow import (L2Family, _margin_pairs, binary_search_winnow,
+                            ceil_log, epsilon_cover, fat_shattering_dim,
+                            isolate_member, l1_winnow, safe_winnow, vc_dim,
                             weak_certify)
 
 
@@ -307,11 +307,12 @@ def test_vc_full_class_shatters_domain():
     assert vc_dim(S) == 4
 
 
-def test_vc_cap_signal():
+def test_vc_cap_signal(monkeypatch):
     domain = InputDomain(2)
     S = ConceptClass(domain, [BooleanFunction(domain, b) for b in range(16)])
+    monkeypatch.setattr(winnow, "DIMENSION_CAP", 3)
     with pytest.raises(DimensionCapExceeded):
-        vc_dim(S, cap=3)
+        vc_dim(S)
 
 
 @given(st.integers(0, 400))
@@ -361,12 +362,13 @@ def test_fat_rejects_nonpositive_gamma():
         fat_shattering_dim(S, 0.0)
 
 
-def test_fat_cap_signal():
+def test_fat_cap_signal(monkeypatch):
     domain = InputDomain(2)
     S = PConceptClass(domain, [BooleanFunction(domain, b).to_real() for b in range(16)])
     assert fat_shattering_dim(S, 0.25) == 4
+    monkeypatch.setattr(winnow, "DIMENSION_CAP", 3)
     with pytest.raises(DimensionCapExceeded):
-        fat_shattering_dim(S, 0.25, cap=3)
+        fat_shattering_dim(S, 0.25)
 
 
 def reference_fat_dim(S, gamma):
@@ -510,8 +512,12 @@ def test_safe_winnow_exercises_splits():
     S = PConceptClass(domain, members)
     cover = epsilon_cover(S, 0.05)
     result = safe_winnow(S, S[0], {0}, 0.05, cover)
-    assert len(result.trace) >= 1
-    assert all(step.cover_survivors >= 1 for step in result.trace)
+    assert len(result.Z) >= 1
+    # the reference, equal to safe_winnow on (f, Z), counts the cover
+    # members surviving each split
+    f, Z, survivors = reference_safe_winnow(S, S[0], frozenset({0}), 0.05, cover)
+    assert (result.f.key(), result.Z) == (f.key(), Z)
+    assert survivors and min(survivors) >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -555,10 +561,11 @@ def test_l1_starts_from_lowest_index():
 
 def reference_safe_winnow(S, f_star, Y, eps, cover):
     """Safe winnowing over lists of members, pairwise distances and table
-    keys; returns (f, Z, trace) without the postcondition check."""
+    keys; returns (f, Z, the cover members surviving each split) without
+    the postcondition check."""
     delta = eps / (5.0 * max(cover.k, 1.0))
     cover_keys = {g.key() for g in cover.cover}
-    current, f_t, Z, trace = list(S), f_star, set(), []
+    current, f_t, Z, survivors = list(S), f_star, set(), []
 
     def cover_count(members):
         return sum(1 for g in members if g.key() in cover_keys)
@@ -574,21 +581,19 @@ def reference_safe_winnow(S, f_star, Y, eps, cover):
         low = [h for h in current if h(z) < v]
         high = [h for h in current if h(z) >= v]
         current = low if cover_count(low) < cover_count(high) else high
-        replaced = not any(h.key() == f_t.key() for h in current)
-        if replaced:
+        if not any(h.key() == f_t.key() for h in current):
             f_t = g
-        trace.append(SafeWinnowStep(z=z, replaced=replaced,
-                                    cover_survivors=cover_count(current)))
-    return f_t, frozenset(Z), tuple(trace)
+        survivors.append(cover_count(current))
+    return f_t, frozenset(Z), survivors
 
 
 def reference_l1_winnow(S, eps, cover):
     """L1 winnowing over lists of members and pairwise distances; returns
-    (f, X, progress_log, trace) without the postcondition check."""
+    (f, X, progress_log) without the postcondition check."""
     def measure(candidate, points):
         return float(sum(math.exp(-dist_one(candidate, h, points)) for h in cover.cover))
 
-    f, X, trace = S[0], set(), []
+    f, X = S[0], set()
     log = [measure(f, X)]
     while True:
         found = next(((g, y) for g in S if g.key() != f.key()
@@ -603,19 +608,17 @@ def reference_l1_winnow(S, eps, cover):
         if replaced:
             f = g
         log.append(M_g if replaced else M_f)
-        trace.append(L1WinnowStep(y=y, replaced=replaced, progress=log[-1]))
-    return f, frozenset(X), tuple(log), tuple(trace)
+    return f, frozenset(X), tuple(log)
 
 
 def assert_winnows_match_references(S, f_star, Y, eps):
     cover = epsilon_cover(S, eps)
-    f, Z, trace = reference_safe_winnow(S, f_star, frozenset(Y), eps, cover)
+    f, Z, _ = reference_safe_winnow(S, f_star, frozenset(Y), eps, cover)
     result = safe_winnow(S, f_star, Y, eps, cover)
-    assert (result.f.key(), result.Z, result.trace) == (f.key(), Z, trace)
-    f, X, log, trace = reference_l1_winnow(S, eps, cover)
+    assert (result.f.key(), result.Z) == (f.key(), Z)
+    f, X, log = reference_l1_winnow(S, eps, cover)
     result = l1_winnow(S, eps, cover)
-    assert (result.f.key(), result.X, result.progress_log, result.trace) == (f.key(), X,
-                                                                             log, trace)
+    assert (result.f.key(), result.X, result.progress_log) == (f.key(), X, log)
 
 
 @settings(max_examples=60)
@@ -658,13 +661,13 @@ def count_solutions_oracle(n):
 
 
 def test_l2_family_size_n2():
-    family = l2_counterexample(2)
+    family = L2Family(2)
     cls = family.enumerate_class()
     assert len(cls) == count_solutions_oracle(2) == 19
 
 
 def test_l2_corrupt_two_bit_example():
-    family = l2_counterexample(2)
+    family = L2Family(2)
     f = family.member([2, 2, 0, 0])
     g = family.corrupt(f, [0, 1])
     assert dist_inf(f, g) == 1.0
@@ -677,7 +680,7 @@ def test_l2_corrupt_two_bit_example():
 def test_l2_corrupt_claims(salt):
     rng = substream(salt, 9)
     n = int(rng.integers(2, 4))
-    family = l2_counterexample(n)
+    family = L2Family(n)
     f = family.sample_member(rng)
     x_size = int(rng.integers(0, family.domain.size))
     X = {int(x) for x in rng.choice(family.domain.size, size=x_size, replace=False)}
@@ -689,17 +692,17 @@ def test_l2_corrupt_claims(salt):
 
 
 def test_l2_corrupt_rejects_when_no_zero_outside():
-    family = l2_counterexample(2)
+    family = L2Family(2)
     f = family.member([2, 2, 0, 0])
     with pytest.raises(RejectedInputError):
         family.corrupt(f, [0, 1, 2, 3])
 
 
 def test_l2_rejects_bad_members():
-    family = l2_counterexample(2)
+    family = L2Family(2)
     with pytest.raises(RejectedInputError):
         family.member([2, 2, 1, 0])
     with pytest.raises(RejectedInputError):
         family.member([3, 1, 0, 0])
     with pytest.raises(RejectedInputError):
-        l2_counterexample(1)
+        L2Family(1)
