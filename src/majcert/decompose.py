@@ -191,16 +191,17 @@ def _occam_holds(V: np.ndarray, far: np.ndarray, f: RealFunction, eps: float,
 def occam_check(S: PConceptClass, f: RealFunction, D: Distribution, eps: float,
                 m: int, trials: int, seed: int = 0) -> float:
     """Fraction of i.i.d. m-samples X from D for which the Occam
-    implication (see _occam_holds) holds over all of S."""
+    implication (see _occam_holds) holds over all of S; with no far
+    member it holds for every X, so no sample is drawn."""
+    if m < 0 or trials < 0:
+        raise RejectedInputError("sample size and trial count must be non-negative")
     if f not in S:
         raise RejectedInputError("hypothesis target must belong to the class")
     V, far = S.value_matrix(), _far_members(S, f, D, eps)
-    passed = 0
-    for t in range(trials):
-        rng = substream(seed, 5, t)
-        X = set(int(x) for x in D.sample(rng, m)) if m > 0 else set()
-        if _occam_holds(V, far, f, eps, X):
-            passed += 1
+    if not far.any():
+        return 1.0 if trials else 0.0
+    passed = sum(_occam_holds(V, far, f, eps, D.sample(substream(seed, 5, t), m).tolist())
+                 for t in range(trials))
     return passed / trials if trials else 0.0
 
 

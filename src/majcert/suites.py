@@ -395,9 +395,12 @@ def _build_l2counter(params: dict, seed: int) -> list:
 
 
 def _check_l2counter(record: dict, context: dict) -> bool:
-    """Members at sup-distance 1 yet 1/sqrt(n)-close in L2 on X, with at
-    most n inputs of X lowered; or the recounted class size."""
+    """The configured n is the stored one, and members at sup-distance 1
+    are 1/sqrt(n)-close in L2 on X, with at most n inputs of X lowered; or
+    the recounted class size."""
     out = record["outputs"]
+    if out["n"] != context["params"]["n"]:
+        return False
     family = L2Family(out["n"])
     if "enumerated_class_size" in out:
         return len(family.enumerate_class()) == out["enumerated_class_size"]
@@ -413,12 +416,17 @@ def _check_l2counter(record: dict, context: dict) -> bool:
 # dims suite
 # ---------------------------------------------------------------------------
 
+def _dims_size_cap(params: dict, n: int) -> int:
+    """The most members of a dims Boolean class at n: ``size_max``, and
+    at most 2^(2^n) (2^30 from n = 5 on)."""
+    return min(params["size_max"], 1 << min(1 << n, 30))
+
+
 def _dims_boolean_instance(params: dict, seed: int, index: int) -> dict:
     inst_seed = child_seed(seed, 600, index)
     rng = substream(inst_seed, 0)
     n = int(rng.integers(params["n_min"], params["n_max"] + 1))
-    size_cap = min(params["size_max"], 1 << min(1 << n, 30))
-    size = int(rng.integers(2, size_cap + 1))
+    size = int(rng.integers(2, _dims_size_cap(params, n) + 1))
     S = random_boolean_class(n, size, rng)
     return _record(index, {"kind": "boolean", "class": [boolean_to_hex(f) for f in S], "n": n,
                            "vc": vc_dim(S), "fat_quarter": fat_shattering_dim(
@@ -452,17 +460,25 @@ def _dims_measures(record: dict) -> dict:
 
 
 def _check_dims(record: dict, context: dict) -> bool:
-    """Recomputed dimensions equal the stored ones: distinct members with
-    VC = fat at 1/4 within log2|S|, or fat non-increasing along the
-    configured gammas, sorted."""
-    out = record["outputs"]
+    """The stored class has a configured shape (Boolean: n in
+    [n_min, n_max] and 2 to _dims_size_cap stored members; p-concept: 8
+    stored tables of 4 entries), and recomputed dimensions
+    equal the stored ones: distinct members with VC = fat at 1/4 within
+    log2|S|, or fat non-increasing along the configured gammas, sorted."""
+    out, params = record["outputs"], context["params"]
     if out["kind"] == "boolean":
-        S = _boolean_class(InputDomain(out["n"]), out["class"])
+        n, size = out["n"], len(out["class"])
+        if not (params["n_min"] <= n <= params["n_max"]
+                and 2 <= size <= _dims_size_cap(params, n)):
+            return False  # before the searches, whose cost the config bounds
+        S = _boolean_class(InputDomain(n), out["class"])
         v = vc_dim(S)
         fat = fat_shattering_dim(PConceptClass(S.domain, [f.to_real() for f in S]), 0.25)
         return (v == out["vc"] and fat == out["fat_quarter"] and fat == v
-                and len(S) == len(out["class"]) and v <= math.log2(len(S)) + 1e-12)
-    gammas = sorted(float(g) for g in context["params"]["gammas"])
+                and len(S) == size and v <= math.log2(size) + 1e-12)
+    if len(out["tables"]) != 8 or any(len(t) != 4 for t in out["tables"]):
+        return False
+    gammas = sorted(float(g) for g in params["gammas"])
     S, _ = _stored_class(out["tables"])
     dims = [fat_shattering_dim(S, g) for g in gammas]
     return (_matches(out["gammas"], gammas) and dims == out["dims"] and _non_increasing(dims)
@@ -474,6 +490,8 @@ def _check_dims(record: dict, context: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 def _occam_instance(params: dict, seed: int, index: int) -> dict:
+    if params["trials"] < 1:
+        raise RejectedInputError("trials must be at least 1")
     inst_seed = child_seed(seed, 800, index)
     rng = substream(inst_seed, 0)
     eps = params["eps"]
@@ -557,10 +575,14 @@ def _check_equivalence(record: dict, context: dict) -> bool:
     """Each side decodes into a game strategy that validates against the
     class: weights >= 0 summing to 1 on isolating rows, and the stored
     game value recomputed.  The full-LP certificates have at most k
-    points, the configured k.  The two values agree within 1e-6."""
-    out = record["outputs"]
-    k = context["params"]["k"]
-    if out["k"] != k or any(len(cjson["points"]) > k for cjson, _ in out["full_support"]):
+    points, the configured k; n is between 2 and the configured n, and
+    2 to ``class_size_max`` members are stored.  The two values agree
+    within 1e-6."""
+    out, params = record["outputs"], context["params"]
+    k = params["k"]
+    if (out["k"] != k or any(len(cjson["points"]) > k for cjson, _ in out["full_support"])
+            or not 2 <= out["n"] <= params["n"]
+            or not 2 <= len(out["class"]) <= params["class_size_max"]):
         return False
     domain = InputDomain(int(out["n"]))
     S = _boolean_class(domain, out["class"])

@@ -29,12 +29,18 @@ import numpy as np
 from .concepts import (BooleanFunction, Certificate, ConceptClass,
                        Distribution, InputDomain, PConceptClass, RealFunction,
                        is_isolated, restricted_gaps)
-from .errors import (DimensionCapExceeded, RejectedInputError,
-                     VerificationDefect)
+from .errors import (DimensionCapExceeded, EnumerationBudgetExceeded,
+                     RejectedInputError, VerificationDefect)
 
 #: Hard cap on dimension search: sets larger than this raise instead of
 #: silently truncating.
 DIMENSION_CAP = 12
+
+#: Most candidates one level of the dimension search may join before it
+#: raises instead of exhausting memory or time.  A level of size s joins
+#: at most C(2^n, s) sets, and s <= log2 |S|, so the dims suite's default
+#: bounds (n <= 5, |S| <= 32) stay under C(32, 5) = 201,376.
+DIMENSION_BUDGET = 250_000
 
 
 def ceil_log(value: int, base_num: int, base_den: int = 1) -> int:
@@ -222,54 +228,55 @@ def epsilon_cover(S: PConceptClass, eps: float) -> CoverResult:
 # Dimensions
 # ---------------------------------------------------------------------------
 
-def _levelwise_dim(n_inputs: int, class_size: int, shattered_of) -> int:
-    """Size of the largest input set that ``shattered_of`` accepts.
+def _joined(level: list):
+    """Apriori join (Agrawal & Srikant 1994) of the sorted s-sets in
+    ``level``: each set A, in order, with the last inputs x > A[-1] of the
+    sets that share all but their last input with A."""
+    for prefix, group in itertools.groupby(level, key=lambda A: A[:-1]):
+        lasts = [A[-1] for A in group]
+        for i, a in enumerate(lasts):
+            yield prefix + (a,), lasts[i + 1:]
 
-    ``shattered_of(candidates)`` returns, in order, the shattered ones
-    among sorted input tuples of one size.  Shattered sets are closed
-    under subsets, so a size-s candidate is tested only when all of its
-    size-(s-1) subsets shattered (apriori pruning), and a set of size s
-    needs 2^s members with distinct sign patterns, so a class of fewer
-    members stops the search.  Raises DimensionCapExceeded if sets of
-    size DIMENSION_CAP still shatter.
-    """
-    level = [()]  # the empty set is trivially shattered
-    dim = 0
-    while True:
-        size = dim + 1
-        if class_size < (1 << size):
-            return dim
-        known = set(level)
-        cand = [A + (x,) for A in level for x in range(A[-1] + 1 if A else 0, n_inputs)
-                if all(A[:i] + A[i + 1:] + (x,) in known for i in range(len(A)))]
-        level = shattered_of(cand) if cand else []
+
+def _dimension(splits: list, members: int) -> int:
+    """Size of the largest input set that ``members`` class members
+    shatter, input x offering the (low, high) member bitmasks
+    ``splits[x]`` as witness splits (see _fat_shatters).  Shattered sets
+    are closed under subsets, so a level's candidates are the joins of
+    the shattered sets one smaller, tested only when every one-smaller
+    subset shattered, and a size-s set needs 2^s members.  Raises
+    EnumerationBudgetExceeded when a level joins more than
+    DIMENSION_BUDGET candidates, and DimensionCapExceeded if sets of
+    size DIMENSION_CAP still shatter."""
+    joins, known, dim = [((), list(range(len(splits))))], set(), 0
+    while members >= 2 << dim:
+        level, count = [], 0
+        for A, tails in joins:
+            count += len(tails)
+            if count > DIMENSION_BUDGET:
+                raise EnumerationBudgetExceeded(DIMENSION_BUDGET, count,
+                                                f"dimension candidates of size {dim + 1}")
+            # dropping A[-1] or x leaves a joined set
+            tails = [x for x in tails
+                     if all(A[:i] + A[i + 1:] + (x,) in known for i in range(len(A) - 1))]
+            level += [A + (x,) for x in _fat_shatters(splits, A, tails, members)]
         if not level:
             return dim
-        dim = size
+        dim += 1
         if dim >= DIMENSION_CAP:
             raise DimensionCapExceeded(DIMENSION_CAP)
-
-
-def _shattered_sets_of_size(V: np.ndarray, candidates: list) -> list:
-    """Filter candidate input tuples of one size to those shattered by
-    the 0/1 matrix V."""
-    size = len(candidates[0])
-    weights = (1 << np.arange(size)).astype(np.int64)
-    cand = np.asarray(candidates, dtype=np.intp)  # (n_cand, size)
-    codes = V.astype(np.int64)[:, cand]           # (|S|, n_cand, size)
-    packed = codes @ weights                      # (|S|, n_cand)
-    packed.sort(axis=0)
-    distinct = 1 + (np.diff(packed, axis=0) != 0).sum(axis=0)
-    mask = distinct == (1 << size)
-    return [candidates[i] for i in np.nonzero(mask)[0]]
+        joins, known = _joined(level), set(level)
+    return dim
 
 
 def vc_dim(S: ConceptClass) -> int:
-    """Exact VC dimension by level-wise brute force (see _levelwise_dim).
-    Raises DimensionCapExceeded if sets of size DIMENSION_CAP still shatter."""
-    V = S.value_matrix()
-    return _levelwise_dim(S.domain.size, len(S),
-                          lambda cand: _shattered_sets_of_size(V, cand))
+    """Exact VC dimension by _dimension, with one witness split per
+    non-constant input: the members that are 0 there against those that
+    are 1.  Raises as _dimension does."""
+    full = (1 << len(S)) - 1
+    highs = [int.from_bytes(row.tobytes(), "little")
+             for row in np.packbits(S.value_matrix().T, axis=1, bitorder="little")]
+    return _dimension([[(full ^ h, h)] if 0 < h < full else [] for h in highs], len(S))
 
 
 def _margin_pairs(values: np.ndarray, gamma: float) -> list:
@@ -306,16 +313,29 @@ def _margin_pairs(values: np.ndarray, gamma: float) -> list:
     return pairs
 
 
-def _fat_shatters(splits: list, A: tuple, members: int) -> bool:
-    """Is the input set A gamma-shattered, given each input's witness
-    splits (from _margin_pairs) over a class of ``members`` members?"""
+def _fat_shatters(splits: list, A: tuple, tails: list, members: int) -> list:
+    """The inputs x of ``tails``, in order, for which A + (x,) is
+    shattered by a class of ``members`` members, given each input's
+    witness splits.  A choice of one split per input of A leaves one cell
+    per sign pattern of A, shared by all tails, and x completes the set
+    when one of its splits cuts every cell into two non-empty halves.
+    Low and high sets are disjoint, so the final cells are too, and a
+    choice leaving a cell of fewer than 2^(|A|+1-k) members after k
+    splits cannot finish: it is abandoned."""
+    left = set(tails)
 
     def descend(depth: int, cells: list) -> bool:
         if depth == len(A):
-            return True
-        # each cell after this split must still hold one member per sign
-        # pattern of the inputs after it
-        need = 1 << (len(A) - depth - 1)
+            for x in list(left):
+                for low, high in splits[x]:
+                    for c in cells:
+                        if not c & low or not c & high:
+                            break
+                    else:
+                        left.remove(x)
+                        break
+            return not left
+        need = 1 << (len(A) - depth)
         for low, high in splits[A[depth]]:
             nxt = []
             for mask in cells:
@@ -330,32 +350,21 @@ def _fat_shatters(splits: list, A: tuple, members: int) -> bool:
                     return True
         return False
 
-    return descend(0, [(1 << members) - 1])
+    descend(0, [(1 << members) - 1])
+    return [x for x in tails if x not in left]
 
 
 def fat_shattering_dim(S: PConceptClass, gamma: float) -> int:
-    """Exact gamma-fat-shattering dimension by level-wise search.
-
-    A is gamma-shattered when one witness split per input (from the
-    grid of _margin_pairs) cuts S into 2^|A| non-empty cells, one per
-    sign pattern.  Two cuts shrink the search without changing its answer:
-
-    * Apriori (_levelwise_dim): A's witnesses serve every subset of A,
-      so a candidate whose one-smaller subsets do not all shatter cannot
-      shatter, nor can A when |S| < 2^|A|.
-    * Cell sizes: low and high sets are disjoint (gamma > 0), so the
-      final cells are disjoint and each cell left after splitting k
-      inputs of A needs 2^(|A|-k) members.  Later splits only shrink
-      cells, so a witness choice leaving a smaller cell is abandoned.
-
-    Same cap discipline as vc_dim.
-    """
+    """Exact gamma-fat-shattering dimension by _dimension: A is
+    gamma-shattered when one witness split per input, from the grid of
+    _margin_pairs, cuts S into 2^|A| non-empty cells, one per sign
+    pattern (low and high sets are disjoint as gamma > 0).  Raises as
+    _dimension does."""
     if not gamma > 0:
         raise RejectedInputError("gamma must be positive")
     V = S.value_matrix()
     splits = [_margin_pairs(V[:, x], gamma) for x in S.domain.inputs()]
-    return _levelwise_dim(S.domain.size, len(S),
-                          lambda cand: [A for A in cand if _fat_shatters(splits, A, len(S))])
+    return _dimension(splits, len(S))
 
 
 # ---------------------------------------------------------------------------

@@ -151,11 +151,13 @@ def test_cli_non_json_config_exits_with_error(tmp_path, capsys):
     ("dims", {"size_max": 1}),
     ("winnow", {"n": 2, "y_size": 5}),
     ("occam", {"eps": 0.0}),
+    ("occam", {"trials": 0}),
+    ("occam", {"trials": -3}),
     ("equivalence", {"n": 1}),
     ("quantum-protocol", {"amplify_q": 0}),
 ], ids=["dims-gamma-not-a-number", "dims-n-range-empty", "dims-size-max-one",
-        "winnow-y-past-domain", "occam-eps-zero", "equivalence-n-one",
-        "quantum-amplify-q-zero"])
+        "winnow-y-past-domain", "occam-eps-zero", "occam-trials-zero",
+        "occam-trials-negative", "equivalence-n-one", "quantum-amplify-q-zero"])
 def test_cli_bad_parameter_value_exits_with_error(tmp_path, capsys, suite, parameters):
     cfg = write_config(tmp_path, "cfg.json",
                        {"schema": 1, "suite": suite, "parameters": parameters})

@@ -386,6 +386,28 @@ def test_occam_zero_sample_degenerate():
     assert occam_check(mixed, f, D, eps=0.1, m=0, trials=5, seed=0) == pytest.approx(1.0)
 
 
+def test_occam_without_far_members_draws_nothing(monkeypatch):
+    # at eps = 0.1 no member of a [0, 1]-valued class is 11 * eps far, so
+    # every sample passes and none is drawn
+    S = random_pconcept_class(2, 10, substream(61, 0))
+    D = Distribution.uniform(S.domain)
+    assert not _far_members(S, S[0], D, 0.1).any()
+
+    def no_draw(*args):
+        raise AssertionError("occam_check drew a sample")
+
+    monkeypatch.setattr(decompose, "substream", no_draw)
+    assert occam_check(S, S[0], D, eps=0.1, m=8, trials=20, seed=1) == 1.0
+    assert occam_check(S, S[0], D, eps=0.1, m=8, trials=0, seed=1) == 0.0
+
+
+@pytest.mark.parametrize("m, trials", [(-1, 5), (4, -3)])
+def test_occam_rejects_negative_counts(m, trials):
+    S = random_pconcept_class(2, 10, substream(61, 0))
+    with pytest.raises(RejectedInputError):
+        occam_check(S, S[0], Distribution.uniform(S.domain), eps=0.1, m=m, trials=trials)
+
+
 def test_occam_implication_checker():
     domain = InputDomain(1)
     f = real_fn(domain, [0.5, 0.5])

@@ -9,6 +9,7 @@ import pathlib
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -188,3 +189,18 @@ def test_real_suite_at_n14_within_two_gigabytes(tmp_path, suite, parameters):
     done = run_under_two_gigabytes(tmp_path, {"schema": 1, "suite": suite, "seed": 1,
                                               "parameters": parameters}, 60)
     assert done.returncode == 0, done.stderr
+
+
+def test_dims_at_n10_rejects_within_its_candidate_budget(tmp_path):
+    # 32 random members at n = 10 shatter nearly every pair of the 1024
+    # inputs, so the dimension search's second level alone joins more
+    # candidates than DIMENSION_BUDGET allows, and the run rejects the
+    # class instead of exhausting memory
+    started = time.monotonic()
+    done = run_under_two_gigabytes(tmp_path, {
+        "schema": 1, "suite": "dims", "seed": 1, "parameters": {
+            "n_min": 10, "n_max": 10, "size_max": 32, "instances": 1}}, 60)
+    assert done.returncode == 2, done.stderr
+    assert "error:" in done.stderr and "exceeds budget" in done.stderr
+    assert not (tmp_path / "report.json").exists()
+    assert time.monotonic() - started < 10.0

@@ -35,10 +35,13 @@ SMALL = {
     "quantum-protocol": ({"adversary_restarts": 30, "random_states": 25}, 3),
     "equivalence": ({"instances": 2}, 12),
     "l1winnow-one-member": ({"instances": 1, "class_size": 1, "n": 2}, 5),
+    "dims-narrow": ({"instances": 2, "pconcept_instances": 1, "n_max": 3}, 2),
+    "equivalence-narrow": ({"instances": 2, "class_size_max": 6}, 12),
 }
 
 #: the suite of each SMALL entry not named after its suite
-SUITE_OF = {"majcert-robust": "majcert", "l1winnow-one-member": "l1winnow"}
+SUITE_OF = {"majcert-robust": "majcert", "l1winnow-one-member": "l1winnow",
+            "dims-narrow": "dims", "equivalence-narrow": "equivalence"}
 
 
 @functools.lru_cache(maxsize=None)
@@ -241,14 +244,18 @@ def occam_two_trials(report):
     return 0
 
 
+def remeasured_dims(out):
+    """A p-concept record's dims re-measured on its stored tables."""
+    domain = InputDomain(int(math.log2(len(out["tables"][0]))))
+    S = PConceptClass(domain, [RealFunction(domain, np.array(t)) for t in out["tables"]])
+    out["dims"] = [fat_shattering_dim(S, g) for g in out["gammas"]]
+
+
 def other_dims_gammas(report):
     """A p-concept record measured at gammas the config does not name."""
     record = next(r for r in report["records"] if r["outputs"]["kind"] == "pconcept")
-    out = record["outputs"]
-    domain = InputDomain(int(math.log2(len(out["tables"][0]))))
-    S = PConceptClass(domain, [RealFunction(domain, np.array(t)) for t in out["tables"]])
-    out["gammas"] = [0.45, 0.46, 0.47, 0.48]
-    out["dims"] = [fat_shattering_dim(S, g) for g in out["gammas"]]
+    record["outputs"]["gammas"] = [0.45, 0.46, 0.47, 0.48]
+    remeasured_dims(record["outputs"])
     return record["index"]
 
 
@@ -353,18 +360,42 @@ def l1winnow_stalled_progress(report):
     return 0
 
 
-def record_of_another_shape(name, key):
-    """Record 0 replaced by record 0 of the same run at ``n`` one larger or
-    ``class_size`` one smaller: an honest record of a class the config
-    does not name."""
+def spliced(name, **overrides):
+    """Record 0 replaced by record 0 of the run of SMALL[name] with
+    ``overrides``: an honest record of a class the report's config does
+    not allow."""
     def tamper(report):
         params, seed = SMALL[name]
-        params = dict(params)
-        params[key] = params.get(key, REGISTRY[name].schema[key][1]) + (1 if key == "n" else -1)
-        other = run_suite({"schema": 1, "suite": name, "parameters": params, "seed": seed})
+        other = run_suite({"schema": 1, "suite": SUITE_OF.get(name, name),
+                           "parameters": {**params, **overrides}, "seed": seed})
         report["records"][0] = other["records"][0]
         return 0
     return tamper
+
+
+def record_of_another_shape(name, key):
+    """``spliced`` at ``n`` one larger or ``class_size`` one smaller."""
+    value = SMALL[name][0].get(key, REGISTRY[name].schema[key][1])
+    return spliced(name, **{key: value + (1 if key == "n" else -1)})
+
+
+def dims_dropped_table(report):
+    """One of a p-concept record's 8 tables dropped, dims re-measured."""
+    record = next(r for r in report["records"] if r["outputs"]["kind"] == "pconcept")
+    del record["outputs"]["tables"][-1]
+    remeasured_dims(record["outputs"])
+    return record["index"]
+
+
+def occam_negative_trials(report):
+    """Record 0 and the config echo at -3 trials, with rate 1.0 and the
+    measures matched.  Every record fails: record 0 for its trial count,
+    the others because their trial counts no longer match the config."""
+    record = report["records"][0]
+    report["config"]["parameters"]["trials"] = record["outputs"]["trials"] = -3
+    record["outputs"]["rate"] = 1.0
+    record["measures"] = REGISTRY["occam"].measures(record)
+    return None
 
 
 def negative_alias(key):
@@ -448,6 +479,14 @@ def boolean_alias(report):
     ("realmajcert", loose_realmajcert_eps),
     ("realmajcert", fractional_target),
     ("occam", occam_two_trials),
+    ("occam", occam_negative_trials),
+    pytest.param("l2counter", record_of_another_shape("l2counter", "n"),
+                 id="l2counter-n-record"),
+    pytest.param("dims-narrow", spliced("dims-narrow", n_min=5, n_max=5),
+                 id="dims-n-record"),
+    ("dims", dims_dropped_table),
+    pytest.param("equivalence-narrow", spliced("equivalence-narrow", class_size_max=16),
+                 id="equivalence-class_size-record"),
     ("dims", other_dims_gammas),
     ("l1winnow-one-member", loose_l1winnow_eps),
 ])

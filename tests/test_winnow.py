@@ -12,7 +12,8 @@ from majcert.concepts import (BooleanFunction, Certificate, ConceptClass,
                               Distribution, InputDomain, PConceptClass,
                               RealFunction, dist_inf, dist_one, dist_two,
                               is_isolated)
-from majcert.errors import DimensionCapExceeded, RejectedInputError
+from majcert.errors import (DimensionCapExceeded, EnumerationBudgetExceeded,
+                            RejectedInputError)
 from majcert.generators import (point_function_class, random_boolean_class,
                                 random_pconcept_class)
 from majcert import winnow
@@ -313,6 +314,42 @@ def test_vc_cap_signal(monkeypatch):
     monkeypatch.setattr(winnow, "DIMENSION_CAP", 3)
     with pytest.raises(DimensionCapExceeded):
         vc_dim(S)
+
+
+def test_dimension_budget_signal(monkeypatch):
+    # the full class on 4 inputs shatters all 4 singletons, whose 6 pairs
+    # outgrow a budget of 5
+    domain = InputDomain(2)
+    S = ConceptClass(domain, [BooleanFunction(domain, b) for b in range(16)])
+    monkeypatch.setattr(winnow, "DIMENSION_BUDGET", 5)
+    with pytest.raises(EnumerationBudgetExceeded):
+        vc_dim(S)
+    with pytest.raises(EnumerationBudgetExceeded):
+        fat_shattering_dim(PConceptClass(domain, [f.to_real() for f in S]), 0.25)
+
+
+def reference_vc_dim(S):
+    """Brute force: the largest input subset, over every subset of at most
+    floor(log2 |S|) inputs, on which the members realize every sign
+    pattern."""
+    V = S.value_matrix()
+    dim = 0
+    for d in range(1, len(S).bit_length()):
+        for A in itertools.combinations(range(S.domain.size), d):
+            realized = {tuple(row) for row in V[:, list(A)].tolist()}
+            if all(signs in realized for signs in itertools.product((0, 1), repeat=d)):
+                dim = d
+                break
+    return dim
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10 ** 6))
+def test_vc_matches_brute_force_reference(salt):
+    rng = substream(salt, 8)
+    n = int(rng.integers(1, 5))
+    S = random_boolean_class(n, int(rng.integers(1, min(16, 1 << (1 << n)) + 1)), rng)
+    assert vc_dim(S) == reference_vc_dim(S)
 
 
 @given(st.integers(0, 400))
