@@ -18,6 +18,7 @@ threads; every operation here is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -101,12 +102,20 @@ class BooleanFunction:
         raw = self.bits.to_bytes((size + 7) // 8, "little")
         return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:size]
 
-    def to_real(self) -> "RealFunction":
-        return RealFunction(self.domain, self.values().astype(np.float64))
 
-
-def _freeze(values: np.ndarray) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64).copy()
+def _real_tables(domain: InputDomain, tables, ndim: int) -> np.ndarray:
+    """``tables`` as a read-only float64 copy with ``ndim`` axes, the last
+    of 2^n entries, each in [0, 1] (so none is NaN)."""
+    if domain.n > MAX_REAL_N:
+        raise RejectedInputError(f"real functions capped at n<={MAX_REAL_N}")
+    try:
+        arr = np.array(tables, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise RejectedInputError("tables must be equal-length lists of numbers") from None
+    if arr.ndim != ndim or arr.shape[-1] != domain.size:
+        raise RejectedInputError(f"expected table of length {domain.size}")
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise RejectedInputError("table entries must lie in [0,1]")
     arr.flags.writeable = False
     return arr
 
@@ -119,14 +128,7 @@ class RealFunction:
     table: np.ndarray
 
     def __post_init__(self):
-        if self.domain.n > MAX_REAL_N:
-            raise RejectedInputError(f"real functions capped at n<={MAX_REAL_N}")
-        arr = _freeze(self.table)
-        if arr.shape != (self.domain.size,):
-            raise RejectedInputError(f"expected table of length {self.domain.size}")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise RejectedInputError("table entries must lie in [0,1]")
-        object.__setattr__(self, "table", arr)
+        object.__setattr__(self, "table", _real_tables(self.domain, self.table, 1))
 
     @classmethod
     def constant(cls, domain: InputDomain, c: float) -> "RealFunction":
@@ -138,6 +140,18 @@ class RealFunction:
     def key(self) -> bytes:
         """Exact-table identity, used for deduplication."""
         return self.table.tobytes()
+
+
+def real_members(domain: InputDomain, tables) -> tuple:
+    """The real functions whose tables are the rows of the matrix
+    ``tables``, validated once as RealFunction validates one table; each
+    table is a read-only row of one float64 copy."""
+    members = []
+    for row in _real_tables(domain, tables, 2):
+        f = object.__new__(RealFunction)  # the row is checked: skip __post_init__
+        f.__dict__.update(domain=domain, table=row)
+        members.append(f)
+    return tuple(members)
 
 
 @dataclass(frozen=True)
@@ -306,7 +320,8 @@ class Distribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        arr = _freeze(self.weights)
+        arr = np.array(self.weights, dtype=np.float64)
+        arr.flags.writeable = False
         if arr.shape != (self.domain.size,):
             raise RejectedInputError(f"expected {self.domain.size} weights")
         if np.any(arr < 0.0):
@@ -455,28 +470,24 @@ class Slots:
 
     def __post_init__(self):
         object.__setattr__(self, "distinct", tuple(self.distinct))
-        object.__setattr__(self, "refs", tuple(int(r) for r in self.refs))
-        top = -1
-        for r in self.refs:
-            if not 0 <= r <= top + 1:
-                raise RejectedInputError("slot refs must number the distinct slots "
-                                         "in first-occurrence order")
-            top = max(top, r)
-        if top + 1 != len(self.distinct):
+        object.__setattr__(self, "refs", tuple(self.refs))
+        first = list(dict.fromkeys(self.refs))  # each index once, in first-occurrence order
+        if first != list(range(len(first))):
+            raise RejectedInputError("slot refs must number the distinct slots "
+                                     "in first-occurrence order")
+        if len(first) != len(self.distinct):
             raise RejectedInputError(f"{len(self.distinct)} distinct slots, "
-                                     f"{top + 1} referenced")
+                                     f"{len(first)} referenced")
 
     @classmethod
     def group(cls, items: Iterable, key: Callable = lambda s: s) -> "Slots":
         """The slots ``items`` in order; items with equal keys are one
         distinct slot, represented by its first occurrence."""
-        index: dict = {}
-        distinct, refs = [], []
-        for item in items:
-            refs.append(index.setdefault(key(item), len(distinct)))
-            if refs[-1] == len(distinct):
-                distinct.append(item)
-        return cls(tuple(distinct), tuple(refs))
+        items = tuple(items)
+        keys = list(map(key, items))
+        first = dict(zip(reversed(keys), reversed(items)))  # the first item per key
+        index = dict(zip(dict.fromkeys(keys), count()))  # keys in first-occurrence order
+        return cls(tuple(map(first.__getitem__, index)), tuple(map(index.__getitem__, keys)))
 
     def __len__(self) -> int:
         return len(self.refs)

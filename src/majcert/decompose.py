@@ -148,26 +148,24 @@ def robust_majority_certificates(S: ConceptClass, f_star: BooleanFunction,
     return _sampled_decomposition(RobustDecomposition, S, f_star, seed, 2)
 
 
-def untrusted_oracle_evaluate(D: RobustDecomposition, claims: Sequence[BooleanFunction],
-                              x: int):
-    """Evaluate the target at x from untrusted per-position claims.
+def untrusted_oracle_evaluate(D: RobustDecomposition, claims: Sequence[BooleanFunction]):
+    """Evaluate the target on every input from untrusted per-position claims.
 
     Claim i is checked against the certificate of position i's slot, so
-    two copies of one slot may be answered differently.  Any claim
-    inconsistent with its certificate yields FAIL; otherwise the answer
-    is the (approximate-)majority bit of the claims at x.  When every
-    claim actually belongs to the decomposition's class, consistency
-    forces each claim to equal its slot function, so the output is never
-    the wrong bit.
+    two copies of one slot may be answered differently; each distinct
+    (slot, claim) pair is checked once.  Any claim inconsistent with its
+    certificate yields FAIL; otherwise the answer is the function whose
+    value at each x is the (approximate-)majority bit of the claims at
+    x.  When every claim actually belongs to the decomposition's class,
+    consistency forces each claim to equal its slot function, so the
+    output is never the wrong bit.
     """
     if len(claims) != D.m:
         raise RejectedInputError(f"expected {D.m} claims, got {len(claims)}")
-    D.target.domain.check_input(x)
-    for (cert, _), claim in zip(D.slots, claims):
-        if not cert.consistent(claim):
-            return FAIL
-    total = sum((claim.bits >> x) & 1 for claim in claims)
-    return 1 if 2 * total >= D.m else 0
+    pairs = Slots.group(zip(D.slots.refs, claims), key=lambda pair: (pair[0], pair[1].bits))
+    if not all(D.slots.distinct[ref][0].consistent(claim) for ref, claim in pairs.distinct):
+        return FAIL
+    return pointwise_majority(pairs.map(itemgetter(1)))
 
 
 # ---------------------------------------------------------------------------

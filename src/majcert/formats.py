@@ -1,7 +1,8 @@
 """Text encodings and canonical serialization.
 
 Boolean truth tables: the 2^n table bits packed MSB-first (the bit for
-input 0 is the most significant) and hex-encoded with fixed width.
+input 0 is the most significant) and hex-encoded in exactly
+ceil(2^n / 4) lowercase digits.
 
 Circuits (as embedded in protocols): ``qubits=<int> accept=<int>``, then
 one gate per line: ``NAME target [control] [xN]`` where ``control`` is
@@ -14,27 +15,32 @@ byte-identical files.  A finite float x is written as repr(x + 0.0) when
 integral with |x| < 1e15, else as the shortest repr of x rounded to 12
 significant digits, as an integer if that rounding is one below 1e12
 (2.9999999999999 is written 3).  Decompositions and protocols keep their
-slots as ``Slots`` in memory and serialize them position by position,
-decoding each distinct serialized slot once.  A real certificate is
-stored as its sorted points (its slot's class index names the table of
-values).  A protocol slot is stored as its advice-state ref and its
-(input, target) pairs, its points being their inputs; a protocol embeds
-no decomposition (quantum reports keep it in record 1).  Advice
-registers arrive as ``Slots``; equal states share one stored table.
-Stored counts and indices must be plain ints.  Serialized artifacts
-carry no seed (the config echo does).
+slots as ``Slots`` in memory and serialize them position by position.
+Decoding keys each position's row by its fields (a string as it is, any
+other value by its ``marshal`` bytes), so rows with equal JSON text are
+one distinct slot, decoded once, while ``1``, ``1.0`` and ``true`` are
+different rows and an index that is not an int is rejected at every
+position.  A real certificate is stored as its sorted points (its
+slot's class index names the table of values).  A protocol slot is
+stored as its advice-state ref and its (input, target) pairs, its points
+being their inputs; a protocol embeds no decomposition (quantum reports
+keep it in record 1).  Advice registers arrive as ``Slots``; equal
+states share one stored table.  Stored counts and indices must be plain
+ints.  Serialized artifacts carry no seed (the config echo does).
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import math
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
 from .concepts import (BooleanFunction, Certificate, ConceptClass, InputDomain,
-                       PConceptClass, RealFunction, Slots)
+                       PConceptClass, Slots, real_members)
 from .errors import RejectedInputError
 from .qsim import Circuit, DensityMatrix, Gate
 
@@ -46,6 +52,21 @@ def _hex_width(n: int) -> int:
     return max(1, ((1 << n) + 3) >> 2)
 
 
+def _hex_bytes(domain: InputDomain, texts: list) -> bytes:
+    """The bytes that the joined texts spell, each text exactly
+    _hex_width(n) lowercase hex digits (a 1-digit table is read as one byte)."""
+    width = _hex_width(domain.n)
+    pad = "0" * (width % 2)
+    digits = pad + pad.join(texts)
+    try:
+        raw = bytes.fromhex(digits)
+    except ValueError:  # a character that is neither a hex digit nor a space
+        raw = b""
+    if raw.hex() != digits or set(map(len, texts)) - {width}:
+        raise RejectedInputError(f"a table at n = {domain.n} is {width} lowercase hex digits")
+    return raw
+
+
 def boolean_to_hex(f: BooleanFunction) -> str:
     # bit x of f.bits is f(x); reversing the binary string puts f(0) first
     msb_first = format(f.bits, "0{}b".format(f.domain.size))[::-1]
@@ -53,10 +74,22 @@ def boolean_to_hex(f: BooleanFunction) -> str:
 
 
 def boolean_from_hex(domain: InputDomain, text: str) -> BooleanFunction:
-    value = int(text, 16)
+    value = int.from_bytes(_hex_bytes(domain, [text]), "big")
     if value >= (1 << domain.size):
         raise RejectedInputError("hex table wider than the domain")
     return BooleanFunction(domain, int(format(value, "0{}b".format(domain.size))[::-1], 2))
+
+
+def boolean_class_from_hex(domain: InputDomain, texts: list) -> ConceptClass:
+    """The class of the hex tables ``texts``: one byte matrix when 2^n is a
+    multiple of 8 (n >= 3), text by text otherwise."""
+    if domain.n < 3:
+        return ConceptClass(domain, [boolean_from_hex(domain, t) for t in texts])
+    rows = np.frombuffer(_hex_bytes(domain, texts), dtype=np.uint8)
+    bits = np.packbits(np.unpackbits(rows.reshape(len(texts), domain.size // 8), axis=1), axis=1,
+                       bitorder="little")  # bit x of row i is table i at input x
+    return ConceptClass(domain, [BooleanFunction(domain, int.from_bytes(row.tobytes(), "little"))
+                                 for row in bits])
 
 
 # ---------------------------------------------------------------------------
@@ -164,23 +197,19 @@ def certificate_from_json(domain: InputDomain, data: dict) -> Certificate:
     return Certificate.of(domain, [(int(p, 16), b) for p, b in zip(points, bits)])
 
 
-def _frozen(value):
-    """Parsed JSON made hashable: lists as tuples, objects as item frozensets."""
-    if isinstance(value, (list, tuple)):
-        return tuple(map(_frozen, value))
-    if isinstance(value, dict):
-        return frozenset((k, _frozen(v)) for k, v in value.items())
-    return value
-
-
 def _slots_from_json(data: dict, fields: tuple, decode) -> Slots:
     """The slots serialized position by position in the lists ``fields``
-    of ``data``, which must each hold the stored m entries; equal rows
-    are decoded once, by ``decode``."""
+    of ``data``, which must each hold the stored m entries; rows with
+    equal keys (a list of strings keyed as it is, any other list by each
+    entry's marshal bytes, whose format 2 has no object references, so
+    they depend on value and type alone) are decoded once, by ``decode``."""
     lists = [data[f] for f in fields]
     if type(data["m"]) is not int or any(len(entries) != data["m"] for entries in lists):
         raise RejectedInputError(f"stored m = {data['m']} differs from the slot count")
-    return Slots.group(zip(*lists), key=_frozen).map(decode)
+    keys = [entries if set(map(type, entries)) <= {str} else [marshal.dumps(e, 2) for e in entries]
+            for entries in lists]
+    rows = Slots.group(zip(zip(*keys), zip(*lists)), key=itemgetter(0))
+    return rows.map(lambda keyed: decode(keyed[1]))
 
 
 def _entry(seq, i):
@@ -206,7 +235,7 @@ def boolean_decomposition_to_json(dec, S: ConceptClass, kind: str) -> dict:
 def boolean_decomposition_from_json(data: dict):
     from .decompose import MajorityDecomposition, RobustDecomposition
     domain = InputDomain(int(data["n"]))
-    S = ConceptClass(domain, [boolean_from_hex(domain, h) for h in data["class"]])
+    S = boolean_class_from_hex(domain, data["class"])
     target = boolean_from_hex(domain, data["target"])
     slots = _slots_from_json(data, ("certs", "funcs"), lambda row: (
         certificate_from_json(domain, row[0]), boolean_from_hex(domain, row[1])))
@@ -234,8 +263,7 @@ def real_decomposition_from_json(data: dict):
     domain = InputDomain(int(data["n"]))
     # indices refer to the stored list; members equal after the 12-digit
     # rounding are one member of S
-    members = [RealFunction(domain, np.array(t, dtype=np.float64))
-               for t in data["class_tables"]]
+    members = real_members(domain, data["class_tables"])
     S = PConceptClass(domain, members)
 
     def decode(row) -> tuple:

@@ -6,8 +6,8 @@ from typing import Optional
 
 import numpy as np
 
-from .concepts import (BooleanFunction, ConceptClass, InputDomain,
-                       PConceptClass, RealFunction)
+from .concepts import (MAX_REAL_N, BooleanFunction, ConceptClass, InputDomain,
+                       PConceptClass, real_members)
 from .errors import RejectedInputError
 
 
@@ -47,6 +47,7 @@ def point_function_class(n: int, point_count: Optional[int] = None,
 
 def random_pconcept_class(n: int, size: int, rng: np.random.Generator) -> PConceptClass:
     domain = InputDomain(n)
-    members = [RealFunction(domain, rng.uniform(0.0, 1.0, size=domain.size))
-               for _ in range(size)]
-    return PConceptClass(domain, members)
+    if n > MAX_REAL_N:  # before the draw of size x 2^n entries
+        raise RejectedInputError(f"real functions capped at n<={MAX_REAL_N}")
+    return PConceptClass(domain, real_members(domain, rng.uniform(0.0, 1.0,
+                                                                  size=(size, domain.size))))

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .concepts import (BooleanFunction, InputDomain, PConceptClass,
-                       RealFunction, Slots)
+                       RealFunction, Slots, real_members)
 from .decompose import (RealDecomposition, extremal_deviation,
                         real_majority_certificates)
 from .errors import RejectedInputError, VerificationDefect
@@ -64,8 +64,8 @@ def induced_with_states(circuit: Circuit, domain: InputDomain,
     to [0, 1], per state, with exact-duplicate functions dropped (first
     state kept)."""
     first: dict = {}
-    for s, row in zip(states, acceptance_table(circuit, domain, states)):
-        f = RealFunction(domain, np.clip(row, 0.0, 1.0))
+    members = real_members(domain, np.clip(acceptance_table(circuit, domain, states), 0.0, 1.0))
+    for s, f in zip(states, members):
         first.setdefault(f.key(), (f, s))
     return (PConceptClass(domain, [f for f, _ in first.values()]),
             tuple(s for _, s in first.values()))

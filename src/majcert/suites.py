@@ -27,7 +27,7 @@ import numpy as np
 
 from .concepts import (REAL_ATOL, BooleanFunction, ConceptClass, Distribution,
                        InputDomain, PConceptClass, RealFunction, Slots,
-                       dist_inf, dist_two)
+                       dist_inf, dist_two, real_members)
 from .decompose import (MajorityDecomposition, RobustDecomposition,
                         find_valid_sample_size, majority_certificates,
                         occam_check, real_majority_certificates,
@@ -35,7 +35,7 @@ from .decompose import (MajorityDecomposition, RobustDecomposition,
                         untrusted_oracle_evaluate, verify_real_decomposition,
                         FAIL)
 from .errors import RejectedInputError
-from .formats import (_entry, boolean_decomposition_from_json,
+from .formats import (_entry, boolean_class_from_hex, boolean_decomposition_from_json,
                       boolean_decomposition_to_json, boolean_from_hex,
                       boolean_to_hex, canonical_json, certificate_from_json,
                       certificate_to_json, protocol_from_json,
@@ -130,7 +130,7 @@ def _stored_class(tables: list) -> tuple:
     list that the record's member indices refer to (tables equal after
     12-digit rounding are one member of S)."""
     domain = InputDomain(int(round(math.log2(len(tables[0])))))
-    members = [RealFunction(domain, np.array(t, dtype=np.float64)) for t in tables]
+    members = real_members(domain, tables)
     return PConceptClass(domain, members), members
 
 
@@ -139,10 +139,6 @@ def _configured_shape(tables: list, params: dict) -> bool:
     counted as stored, of 2^``n`` entries each."""
     return (len(tables) == params["class_size"]
             and all(len(t) == 1 << params["n"] for t in tables))
-
-
-def _boolean_class(domain: InputDomain, hexes: list) -> ConceptClass:
-    return ConceptClass(domain, [boolean_from_hex(domain, h) for h in hexes])
 
 
 def _tables(S: PConceptClass) -> list:
@@ -166,16 +162,13 @@ def _robust_claims(dec) -> dict:
     """The margin histogram, and whether the untrusted evaluator on honest
     claims reproduces the target everywhere yet fails once one claim
     breaks its certificate."""
-    domain = dec.target.domain
     honest = [f for _, f in dec.slots]
-    honest_ok = all(untrusted_oracle_evaluate(dec, honest, x) == dec.target(x)
-                    for x in domain.inputs())
     flipped = list(honest)
     z0, _ = dec.slots.distinct[0][0].assignments[0]
-    flipped[0] = BooleanFunction(domain, flipped[0].bits ^ (1 << z0))
+    flipped[0] = BooleanFunction(dec.target.domain, flipped[0].bits ^ (1 << z0))
     return {"margin_histogram": {str(k): v for k, v in dec.margin_histogram().items()},
-            "untrusted_honest_ok": honest_ok,
-            "untrusted_flip_fails": untrusted_oracle_evaluate(dec, flipped, 0) == FAIL}
+            "untrusted_honest_ok": untrusted_oracle_evaluate(dec, honest) == dec.target,
+            "untrusted_flip_fails": untrusted_oracle_evaluate(dec, flipped) == FAIL}
 
 
 def _majcert_measures(record: dict) -> dict:
@@ -422,6 +415,12 @@ def _dims_size_cap(params: dict, n: int) -> int:
     return min(params["size_max"], 1 << min(1 << n, 30))
 
 
+def _fat_quarter(S: ConceptClass) -> int:
+    """The fat-shattering dimension at 1/4 of S's tables as real functions."""
+    return fat_shattering_dim(PConceptClass(S.domain, real_members(S.domain, S.value_matrix())),
+                              0.25)
+
+
 def _dims_boolean_instance(params: dict, seed: int, index: int) -> dict:
     inst_seed = child_seed(seed, 600, index)
     rng = substream(inst_seed, 0)
@@ -429,8 +428,7 @@ def _dims_boolean_instance(params: dict, seed: int, index: int) -> dict:
     size = int(rng.integers(2, _dims_size_cap(params, n) + 1))
     S = random_boolean_class(n, size, rng)
     return _record(index, {"kind": "boolean", "class": [boolean_to_hex(f) for f in S], "n": n,
-                           "vc": vc_dim(S), "fat_quarter": fat_shattering_dim(
-                               PConceptClass(S.domain, [f.to_real() for f in S]), 0.25)})
+                           "vc": vc_dim(S), "fat_quarter": _fat_quarter(S)})
 
 
 def _dims_pconcept_instance(params: dict, seed: int, index: int, gammas: list) -> dict:
@@ -471,9 +469,8 @@ def _check_dims(record: dict, context: dict) -> bool:
         if not (params["n_min"] <= n <= params["n_max"]
                 and 2 <= size <= _dims_size_cap(params, n)):
             return False  # before the searches, whose cost the config bounds
-        S = _boolean_class(InputDomain(n), out["class"])
-        v = vc_dim(S)
-        fat = fat_shattering_dim(PConceptClass(S.domain, [f.to_real() for f in S]), 0.25)
+        S = boolean_class_from_hex(InputDomain(n), out["class"])
+        v, fat = vc_dim(S), _fat_quarter(S)
         return (v == out["vc"] and fat == out["fat_quarter"] and fat == v
                 and len(S) == size and v <= math.log2(size) + 1e-12)
     if len(out["tables"]) != 8 or any(len(t) != 4 for t in out["tables"]):
@@ -585,7 +582,7 @@ def _check_equivalence(record: dict, context: dict) -> bool:
             or not 2 <= len(out["class"]) <= params["class_size_max"]):
         return False
     domain = InputDomain(int(out["n"]))
-    S = _boolean_class(domain, out["class"])
+    S = boolean_class_from_hex(domain, out["class"])
     f_star = boolean_from_hex(domain, out["target"])
     for side in ("full", "oracle"):
         support = tuple((certificate_from_json(domain, cjson), boolean_from_hex(domain, fhex))

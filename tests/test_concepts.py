@@ -10,7 +10,7 @@ from majcert.concepts import (BooleanFunction, Certificate, ConceptClass,
                               Distribution, InputDomain, PConceptClass,
                               RealFunction, Slots, dist_inf, dist_one, distance,
                               distance_expected, is_isolated,
-                              pointwise_majority, restrict_class,
+                              pointwise_majority, real_members, restrict_class,
                               restricted_gaps)
 from majcert.errors import DomainMismatchError, RejectedInputError
 
@@ -359,6 +359,43 @@ def test_real_function_bounds():
         RealFunction(InputDomain(15), np.zeros(1 << 15))
 
 
+entry = st.one_of(st.floats(-0.5, 1.5), st.just(math.nan), st.just(math.inf),
+                  st.sampled_from([0.0, 1.0]))
+
+
+@given(st.data())
+def test_real_members_equal_one_real_function_per_row(data):
+    """The matrix builder accepts exactly the tables that RealFunction
+    accepts one by one (equal lengths of 2^n finite entries in [0, 1]),
+    with the same tables and keys, in order, each a read-only row."""
+    domain = InputDomain(data.draw(st.integers(1, 3)))
+    length = st.sampled_from([domain.size] * 5 + [1, domain.size + 1])
+    tables = data.draw(st.lists(length.flatmap(lambda k: st.lists(entry, min_size=k, max_size=k)),
+                                min_size=1, max_size=5))
+    try:
+        expected = [RealFunction(domain, np.array(t)) for t in tables]
+    except RejectedInputError:
+        with pytest.raises(RejectedInputError):
+            real_members(domain, tables)
+        return
+    members = real_members(domain, tables)
+    assert [f.table.tolist() for f in members] == [f.table.tolist() for f in expected]
+    assert [f.key() for f in members] == [f.key() for f in expected]
+    assert all(not f.table.flags.writeable and f.domain == domain for f in members)
+    assert PConceptClass(domain, members) == PConceptClass(domain, expected)
+
+
+def test_real_tables_reject_nan_and_the_n_cap():
+    domain = InputDomain(1)
+    for tables in ([[0.5, math.nan]], [[0.5, 0.5], [0.5]], [[0.5, "a"]]):
+        with pytest.raises(RejectedInputError):
+            real_members(domain, tables)
+    with pytest.raises(RejectedInputError):
+        RealFunction(domain, np.array([math.nan, 0.5]))
+    with pytest.raises(RejectedInputError):
+        real_members(InputDomain(15), np.zeros((1, 1 << 15)))
+
+
 def test_certificate_validation():
     domain = InputDomain(2)
     cert = Certificate.of(domain, {3: 1, 0: 0})
@@ -489,6 +526,39 @@ def test_slots_group_expands_counts_and_merges(items, width):
             assert (keyed.refs[i] == keyed.refs[j]) == (a // width == b // width)
     assert [v // width for v in keyed] == [v // width for v in items]
     assert list(keyed.map(lambda v: -v)) == [-v for v in keyed]
+
+
+def naive_group(items, key):
+    """(distinct, refs) by one pass: a new key opens a distinct slot."""
+    index, distinct, refs = {}, [], []
+    for item in items:
+        if key(item) not in index:
+            index[key(item)] = len(distinct)
+            distinct.append(item)
+        refs.append(index[key(item)])
+    return tuple(distinct), tuple(refs)
+
+
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), max_size=40))
+def test_slots_group_equals_a_first_occurrence_loop(items):
+    for key in (lambda v: v, lambda v: v[0]):
+        slots = Slots.group(iter(items), key=key)
+        assert (slots.distinct, slots.refs) == naive_group(items, key)
+        assert all(type(r) is int for r in slots.refs)
+
+
+@given(st.lists(st.integers(-1, 5), max_size=12), st.integers(0, 6))
+def test_slots_refs_check_equals_a_running_maximum_loop(refs, distinct):
+    top, valid = -1, True
+    for r in refs:
+        valid = valid and 0 <= r <= top + 1
+        top = max(top, r)
+    valid = valid and top + 1 == distinct
+    if valid:
+        assert Slots(range(distinct), refs).refs == tuple(refs)
+    else:
+        with pytest.raises(RejectedInputError):
+            Slots(range(distinct), refs)
 
 
 def test_slots_refs_must_number_distinct_slots_in_order():

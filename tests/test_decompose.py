@@ -178,13 +178,27 @@ def slot_funcs(dec):
     return [f for _, f in dec.slots]
 
 
+def per_input_oracle(dec, claims, x):
+    """The untrusted oracle's definition at one input: FAIL when some claim
+    breaks its position's certificate, else the majority bit at x."""
+    if any(not cert.consistent(claim) for (cert, _), claim in zip(dec.slots, claims)):
+        return FAIL
+    return 1 if 2 * sum(claim(x) for claim in claims) >= dec.m else 0
+
+
+def oracle_at(out, x):
+    """The evaluated table's bit at x, or FAIL."""
+    return FAIL if out == FAIL else out(x)
+
+
 def test_untrusted_oracle_honest_and_flip():
     S, dec = manual_robust_point_instance()
+    out = untrusted_oracle_evaluate(dec, slot_funcs(dec))
     for x in S.domain.inputs():
-        assert untrusted_oracle_evaluate(dec, slot_funcs(dec), x) == dec.target(x)
+        assert oracle_at(out, x) == dec.target(x)
     claims = slot_funcs(dec)
     claims[1] = BooleanFunction.zero(S.domain)  # breaks cert point 1 -> 1
-    assert untrusted_oracle_evaluate(dec, claims, 0) == FAIL
+    assert untrusted_oracle_evaluate(dec, claims) == FAIL
 
 
 def test_untrusted_oracle_exhaustive_adversary():
@@ -192,14 +206,14 @@ def test_untrusted_oracle_exhaustive_adversary():
     wrong = 0
     fails = 0
     for claims in itertools.product(S.members, repeat=dec.m):
+        out = untrusted_oracle_evaluate(dec, list(claims))
         for x in S.domain.inputs():
-            out = untrusted_oracle_evaluate(dec, list(claims), x)
-            if out == FAIL:
+            if oracle_at(out, x) == FAIL:
                 fails += 1
             else:
-                assert out == dec.target(x), "oracle produced the wrong bit"
+                assert oracle_at(out, x) == dec.target(x), "oracle produced the wrong bit"
         if any(not c.consistent(claim) for (c, _), claim in zip(dec.slots, claims)):
-            assert untrusted_oracle_evaluate(dec, list(claims), 0) == FAIL
+            assert out == FAIL
     assert fails > 0  # adversarial tuples do exist
 
 
@@ -217,14 +231,36 @@ def test_untrusted_oracle_shifted_target():
     shifted_class = ConceptClass(S.domain, [shift(g) for g in S])
     shifted = RobustDecomposition(target=shift(dec.target), slots=dec.slots.map(shift_slot))
     shifted.validate(shifted_class)
+    out = untrusted_oracle_evaluate(shifted, slot_funcs(shifted))
     for x in S.domain.inputs():
-        assert untrusted_oracle_evaluate(shifted, slot_funcs(shifted), x) == shifted.target(x)
+        assert oracle_at(out, x) == shifted.target(x)
 
 
 def test_untrusted_oracle_arity_check():
     _, dec = manual_robust_point_instance()
     with pytest.raises(RejectedInputError):
-        untrusted_oracle_evaluate(dec, slot_funcs(dec)[:2], 0)
+        untrusted_oracle_evaluate(dec, slot_funcs(dec)[:2])
+
+
+@given(st.data())
+def test_untrusted_oracle_table_matches_its_per_input_definition(data):
+    """On arbitrary slots and claims (any functions, not only class
+    members), the table is FAIL iff some claim breaks its certificate, and
+    otherwise the majority bit at every input."""
+    domain = InputDomain(data.draw(st.integers(1, 4)))
+    table = st.integers(0, (1 << domain.size) - 1)
+    raw = data.draw(st.lists(st.tuples(table, table, table), min_size=1, max_size=4))
+    refs = data.draw(st.lists(st.integers(0, len(raw) - 1), min_size=1, max_size=15)
+                     .filter(lambda r: len(r) % 2 == 1))
+    slots = Slots.group(refs).map(lambda i: (
+        Certificate(domain, raw[i][0], raw[i][1] & raw[i][0]), BooleanFunction(domain, raw[i][2])))
+    dec = RobustDecomposition(target=BooleanFunction.zero(domain), slots=slots)
+    claims = [f if bits is None else BooleanFunction(domain, bits)
+              for (_, f), bits in zip(dec.slots, data.draw(
+                  st.lists(st.one_of(st.none(), table), min_size=dec.m, max_size=dec.m)))]
+    out = untrusted_oracle_evaluate(dec, claims)
+    for x in domain.inputs():
+        assert oracle_at(out, x) == per_input_oracle(dec, claims, x)
 
 
 # ---------------------------------------------------------------------------

@@ -179,13 +179,26 @@ def test_majcert_at_n20_within_two_gigabytes(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_robust_majcert_at_n20_within_two_gigabytes(tmp_path):
+    # the untrusted oracle checks each distinct (slot, claim) pair once and
+    # votes on whole tables, not once per input over all m positions
+    done = run_under_two_gigabytes(tmp_path, {
+        "schema": 1, "suite": "majcert", "seed": 1, "parameters": {
+            "n": 20, "kind": "point-functions", "point_count": 12, "robust": True,
+            "instances": 1}}, 300)
+    assert done.returncode == 0, done.stderr
+
+
 @pytest.mark.parametrize("suite, parameters", [
     ("realmajcert", {"n": 14}),
     ("occam", {"n": 14, "instances": 1}),
+    ("winnow", {"n": 14, "instances": 1}),
+    ("l1winnow", {"n": 14, "instances": 1}),
 ])
 def test_real_suite_at_n14_within_two_gigabytes(tmp_path, suite, parameters):
-    # sample schedules start from log2 |S|, not from an exact fat-shattering
-    # search, so the real-valued suites finish at the n = 14 cap
+    # every real-valued suite finishes at the n = 14 cap; realmajcert and
+    # occam do because sample schedules start from log2 |S|, not from an
+    # exact fat-shattering search
     done = run_under_two_gigabytes(tmp_path, {"schema": 1, "suite": suite, "seed": 1,
                                               "parameters": parameters}, 60)
     assert done.returncode == 0, done.stderr

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from majcert.concepts import BooleanFunction, Certificate, InputDomain, Slots
 from majcert.decompose import majority_certificates
 from majcert.errors import RejectedInputError
-from majcert.formats import (boolean_decomposition_from_json,
+from majcert.formats import (boolean_class_from_hex, boolean_decomposition_from_json,
                              boolean_decomposition_to_json, boolean_from_hex,
                              boolean_to_hex, canonical_json,
                              certificate_from_json, certificate_to_json,
@@ -269,3 +269,40 @@ def test_boolean_hex_rejects_text_wider_than_the_domain():
         boolean_from_hex(InputDomain(1), "f")
     with pytest.raises(RejectedInputError):
         boolean_from_hex(InputDomain(3), "1ff")
+
+
+def test_boolean_hex_takes_exactly_its_width_in_lowercase_digits():
+    # int(text, 16) alone would read each of these as a table at its n
+    assert boolean_to_hex(boolean_from_hex(InputDomain(3), "0a")) == "0a"
+    spellings = [(3, text) for text in ("a", "00a", "0A", " a", "+a", "0_a", "0xa", "\u0660a")]
+    for n, text in spellings + [(4, "0a"), (4, "00000a"), (4, "0a 0")]:
+        domain = InputDomain(n)
+        with pytest.raises(RejectedInputError):
+            boolean_from_hex(domain, text)
+        with pytest.raises(RejectedInputError):
+            boolean_class_from_hex(domain, [text, boolean_to_hex(BooleanFunction.zero(domain))])
+
+
+#: ways to spoil one hex table text
+SPOILS = {"drop a digit": lambda t: t[1:], "add a digit": lambda t: "0" + t,
+          "drop two digits": lambda t: t[2:], "add two digits": lambda t: "00" + t,
+          "upper case": lambda t: "A" + t[1:], "inner space": lambda t: " " + t[1:],
+          "prefix": lambda t: "0x" + t[2:], "non-hex": lambda t: "g" + t[1:]}
+
+
+@given(st.integers(1, 14), st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([None, *SPOILS]))
+def test_bulk_hex_class_equals_text_by_text_decoding(n, count, seed, spoil):
+    domain = InputDomain(n)
+    rng = np.random.default_rng(seed)
+    texts = [boolean_to_hex(BooleanFunction(domain, int.from_bytes(
+        rng.bytes((domain.size + 7) // 8), "little") % (1 << domain.size))) for _ in range(count)]
+    if spoil is not None:
+        texts[-1] = SPOILS[spoil](texts[-1])
+    try:
+        expected = [boolean_from_hex(domain, t).bits for t in texts]
+    except RejectedInputError:
+        with pytest.raises(RejectedInputError):
+            boolean_class_from_hex(domain, texts)
+        return
+    assert [f.bits for f in boolean_class_from_hex(domain, texts)] == list(dict.fromkeys(expected))

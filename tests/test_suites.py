@@ -421,6 +421,49 @@ def boolean_alias(report):
     return 0
 
 
+def false_for_a_later_zero(entries: list) -> None:
+    """The last 0 of ``entries``, which also holds an earlier 0, written as
+    JSON false."""
+    j = len(entries) - 1 - entries[::-1].index(0)
+    assert entries.index(0) < j
+    entries[j] = False
+
+
+def realmajcert_false_func(report):
+    false_for_a_later_zero(report["records"][0]["outputs"]["decomposition"]["funcs"])
+    return 0
+
+
+def false_advice_ref(report):
+    false_for_a_later_zero(report["records"][0]["outputs"]["protocol"]["advice_refs"])
+    return None  # the protocol is undecodable, so every record fails
+
+
+def nan_in_an_unused_table(decomposition: dict) -> None:
+    """One entry of a class table that no slot and not the target names
+    set to NaN (which JSON parsing accepts)."""
+    used = {decomposition["target"], *decomposition["funcs"]}
+    j = min(set(range(len(decomposition["class_tables"]))) - used)
+    decomposition["class_tables"][j][0] = math.nan
+
+
+def realmajcert_nan_table(report):
+    nan_in_an_unused_table(report["records"][0]["outputs"]["decomposition"])
+    return 0
+
+
+def quantum_nan_table(report):
+    nan_in_an_unused_table(report["records"][1]["outputs"]["decomposition"])
+    return None  # record 1's decomposition is in every record's context
+
+
+def dims_raised_n(report):
+    """A Boolean record at n = 2 restated at n = 3, its hex tables unchanged."""
+    record = next(r for r in report["records"] if r["outputs"].get("n") == 2)
+    record["outputs"]["n"] = 3
+    return record["index"]
+
+
 @pytest.mark.parametrize("name, tamper", [
     *[pytest.param(name, record_of_another_shape(name, key), id=f"{name}-{key}-record")
       for name in ("winnow", "l1winnow", "realmajcert", "occam") for key in ("class_size", "n")],
@@ -489,6 +532,11 @@ def boolean_alias(report):
                  id="equivalence-class_size-record"),
     ("dims", other_dims_gammas),
     ("l1winnow-one-member", loose_l1winnow_eps),
+    ("realmajcert", realmajcert_false_func),
+    ("quantum-protocol", false_advice_ref),
+    ("realmajcert", realmajcert_nan_table),
+    ("quantum-protocol", quantum_nan_table),
+    ("dims", dims_raised_n),
 ])
 def test_verify_rejects_tampered_record(name, tamper):
     report = parsed(name)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from majcert.concepts import (BooleanFunction, Certificate, ConceptClass,
                               Distribution, InputDomain, PConceptClass,
                               RealFunction, dist_inf, dist_one, dist_two,
-                              is_isolated)
+                              is_isolated, real_members)
 from majcert.errors import (DimensionCapExceeded, EnumerationBudgetExceeded,
                             RejectedInputError)
 from majcert.generators import (point_function_class, random_boolean_class,
@@ -325,7 +325,7 @@ def test_dimension_budget_signal(monkeypatch):
     with pytest.raises(EnumerationBudgetExceeded):
         vc_dim(S)
     with pytest.raises(EnumerationBudgetExceeded):
-        fat_shattering_dim(PConceptClass(domain, [f.to_real() for f in S]), 0.25)
+        fat_shattering_dim(PConceptClass(domain, real_members(domain, S.value_matrix())), 0.25)
 
 
 def reference_vc_dim(S):
@@ -382,7 +382,7 @@ def test_fat_equals_vc_for_boolean(salt):
     n = int(rng.integers(1, 4))
     limit = min(10, 1 << (1 << n))
     S = random_boolean_class(n, int(rng.integers(2, limit + 1)), rng)
-    P = PConceptClass(S.domain, [f.to_real() for f in S])
+    P = PConceptClass(S.domain, real_members(S.domain, S.value_matrix()))
     assert fat_shattering_dim(P, 0.25) == vc_dim(S)
 
 
@@ -401,7 +401,8 @@ def test_fat_rejects_nonpositive_gamma():
 
 def test_fat_cap_signal(monkeypatch):
     domain = InputDomain(2)
-    S = PConceptClass(domain, [BooleanFunction(domain, b).to_real() for b in range(16)])
+    full = ConceptClass(domain, [BooleanFunction(domain, b) for b in range(16)])
+    S = PConceptClass(domain, real_members(domain, full.value_matrix()))
     assert fat_shattering_dim(S, 0.25) == 4
     monkeypatch.setattr(winnow, "DIMENSION_CAP", 3)
     with pytest.raises(DimensionCapExceeded):
