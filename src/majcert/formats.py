@@ -173,7 +173,9 @@ def canonical_json(obj) -> str:
         memo[id(obj)] = (obj, out)
         return out
 
-    return json.dumps(native(obj), sort_keys=True, separators=(",", ":")) + "\n"
+    text = json.dumps(native(obj), sort_keys=True, separators=(",", ":")) + "\n"
+    memo.clear()  # else native, a recursive closure, keeps it until a full gc
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +192,15 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(domain: InputDomain, data: dict) -> Certificate:
-    """A certificate from its points and bits; mismatched lengths are rejected."""
+    """A certificate from its points (``format_hex_input`` text) and bits
+    (the ints 0 and 1); other spellings and mismatched lengths are rejected."""
     points, bits = data["points"], data["bits"]
     if len(points) != len(bits):
         raise RejectedInputError(f"{len(points)} points but {len(bits)} bits")
-    return Certificate.of(domain, [(int(p, 16), b) for p, b in zip(points, bits)])
+    xs = [int(p, 16) for p in points]
+    if {type(b) for b in bits} - {int} or list(map(hex, xs)) != points:  # hex is format_hex_input
+        raise RejectedInputError("certificate points must be canonical hex, bits 0 or 1")
+    return Certificate.of(domain, zip(xs, bits))
 
 
 def _slots_from_json(data: dict, fields: tuple, decode) -> Slots:

@@ -290,7 +290,8 @@ class AdversarySearchResult:
 
 
 #: restarts that ``adversary_search`` walks in lockstep; bounds its
-#: memory at _CHUNK x blocks x 4^p parameters per array
+#: memory at _CHUNK x blocks x 4^p parameters per array, and at
+#: _CHUNK x _STEPS_PER_RESTART x 2 * 4^p for the chunk's drawn steps
 _CHUNK = 64
 
 #: perturbation steps of each ``adversary_search`` restart
@@ -330,8 +331,10 @@ def adversary_search(P: AdviceProtocol, budget: int = 1000,
     so the search walks one parameter block per distinct slot.
 
     Restart r draws from its own substream (seed, 20, r): the initial
-    blocks (r > 0; restart 0 starts from the honest advice), then per
-    step the block to move and its Gaussian step.  Restarts run in
+    blocks (r > 0; restart 0 starts from the honest advice), then in one
+    call each step's moved block and in one more its standard normal
+    step, scaled by the step's size (with one distinct slot, the stream
+    of a draw per step).  Restarts run in
     lockstep, _CHUNK at a time, for _STEPS_PER_RESTART steps: each step
     scores the whole chunk's candidates at once by ``_machines`` on
     values read from the purification parameters, re-reading only the
@@ -370,14 +373,12 @@ def adversary_search(P: AdviceProtocol, budget: int = 1000,
         err, dev, score = scores(vals)
 
         rows = np.arange(len(rngs))
-        moved = np.empty(len(rngs), dtype=np.intp)
-        steps = np.empty((len(rngs), dim))
+        moves = np.stack([rng.integers(len(blocks), size=_STEPS_PER_RESTART) for rng in rngs])
+        noise = np.stack([rng.standard_normal((_STEPS_PER_RESTART, dim)) for rng in rngs])
         scale = 0.5
-        for _ in range(_STEPS_PER_RESTART):
-            for i, rng in enumerate(rngs):
-                moved[i] = rng.integers(len(blocks))
-                steps[i] = rng.normal(scale=scale, size=dim)
-            proposal = params[rows, moved] + steps
+        for t in range(_STEPS_PER_RESTART):
+            moved = moves[:, t]
+            proposal = params[rows, moved] + scale * noise[:, t]
             cand_vals = vals.copy()
             cand_vals[rows, moved] = _purified_values(proposal, op_stack)
             cand_err, cand_dev, cand_score = scores(cand_vals)

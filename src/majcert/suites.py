@@ -51,7 +51,7 @@ from .reporting import build_report
 from .rng import substream
 from .winnow import (CoverResult, ceil_log, epsilon_cover, fat_shattering_dim,
                      L2Family, l1_winnow, l1_winnow_defect, safe_winnow,
-                     safe_winnow_defect, vc_dim)
+                     safe_winnow_defect, shared_searches, vc_dim)
 from .protocol import (adversary_search, bloch_extremal_states, compile_advice,
                        conditional_soundness_bound, fat_dim_quantum_check,
                        induced_with_states, machine_b_error, qma_plus_amplify,
@@ -573,8 +573,8 @@ def _check_equivalence(record: dict, context: dict) -> bool:
     class: weights >= 0 summing to 1 on isolating rows, and the stored
     game value recomputed.  The full-LP certificates have at most k
     points, the configured k; n is between 2 and the configured n, and
-    2 to ``class_size_max`` members are stored.  The two values agree
-    within 1e-6."""
+    2 to ``class_size_max`` distinct members are stored, every support
+    function among them.  The two values agree within 1e-6."""
     out, params = record["outputs"], context["params"]
     k = params["k"]
     if (out["k"] != k or any(len(cjson["points"]) > k for cjson, _ in out["full_support"])
@@ -583,13 +583,14 @@ def _check_equivalence(record: dict, context: dict) -> bool:
         return False
     domain = InputDomain(int(out["n"]))
     S = boolean_class_from_hex(domain, out["class"])
+    member_of = dict(zip(out["class"], S))  # a support function must be a stored member
     f_star = boolean_from_hex(domain, out["target"])
     for side in ("full", "oracle"):
-        support = tuple((certificate_from_json(domain, cjson), boolean_from_hex(domain, fhex))
+        support = tuple((certificate_from_json(domain, cjson), member_of[fhex])
                         for cjson, fhex in out[f"{side}_support"])
         AliceStrategy(f_star=f_star, support=support, weights=out[f"{side}_weights"],
                       game_value=out[f"{side}_value"]).validate(S)
-    return abs(out["full_value"] - out["oracle_value"]) <= 1e-6
+    return len(S) == len(out["class"]) and abs(out["full_value"] - out["oracle_value"]) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -850,6 +851,7 @@ REGISTRY = {
 }
 
 
+@shared_searches()
 def run_suite(config: dict, seed_override=None) -> dict:
     """Build the suite's records and attach their measures, then set each
     verdict by verifying the canonical JSON of the records, exactly as
@@ -869,6 +871,7 @@ def run_suite(config: dict, seed_override=None) -> dict:
     return build_report(suite, config_echo, seed, records, entry.notes)
 
 
+@shared_searches()
 def verify_report(report: dict) -> list:
     """Re-check every record with its suite's check and compare its stored
     measures, as a whole, with the ones its outputs determine; returns a

@@ -21,6 +21,8 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -238,6 +240,20 @@ def _joined(level: list):
             yield prefix + (a,), lasts[i + 1:]
 
 
+_SEARCHES: ContextVar = ContextVar("dimension_searches")
+
+
+@contextmanager
+def shared_searches():
+    """A scope (also a decorator) in which ``_dimension`` searches each exact
+    grid once; nested scopes share the outermost memo, dropped on its exit."""
+    token = _SEARCHES.set(_SEARCHES.get({}))
+    try:
+        yield
+    finally:
+        _SEARCHES.reset(token)
+
+
 def _dimension(splits: list, members: int) -> int:
     """Size of the largest input set that ``members`` class members
     shatter, input x offering the (low, high) member bitmasks
@@ -247,7 +263,10 @@ def _dimension(splits: list, members: int) -> int:
     subset shattered, and a size-s set needs 2^s members.  Raises
     EnumerationBudgetExceeded when a level joins more than
     DIMENSION_BUDGET candidates, and DimensionCapExceeded if sets of
-    size DIMENSION_CAP still shatter."""
+    size DIMENSION_CAP still shatter.  Memoized within ``shared_searches``."""
+    memo, key = _SEARCHES.get({}), (tuple(map(tuple, splits)), members)
+    if key in memo:
+        return memo[key]
     joins, known, dim = [((), list(range(len(splits))))], set(), 0
     while members >= 2 << dim:
         level, count = [], 0
@@ -261,11 +280,12 @@ def _dimension(splits: list, members: int) -> int:
                      if all(A[:i] + A[i + 1:] + (x,) in known for i in range(len(A) - 1))]
             level += [A + (x,) for x in _fat_shatters(splits, A, tails, members)]
         if not level:
-            return dim
+            break
         dim += 1
         if dim >= DIMENSION_CAP:
             raise DimensionCapExceeded(DIMENSION_CAP)
         joins, known = _joined(level), set(level)
+    memo[key] = dim
     return dim
 
 

@@ -1,5 +1,6 @@
 """File formats, canonical JSON, artifact round-trips."""
 
+import gc
 import json
 import math
 from fractions import Fraction
@@ -146,6 +147,21 @@ def trees_with_repeats(draw):
 @given(trees_with_repeats())
 def test_canonical_json_equals_recursive_reference(tree):
     assert canonical_json(tree) == reference_canonical(tree) + "\n"
+
+
+def test_canonical_json_leaves_no_converted_tree_to_the_collector():
+    """The converted containers are freed on return, not kept by the
+    recursive converter's closure until a full collection."""
+    tree = {"rows": [[i, [float(i)]] for i in range(1000)]}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        canonical_json(tree)
+        assert gc.collect() < 50
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("x", FIXED_FLOATS)

@@ -348,10 +348,12 @@ def test_adversary_deterministic_given_seed():
     assert a.best_deviation == b.best_deviation
 
 
-def sequential_search(P, budget, seed, steps_per_restart=40):
+def sequential_search(P, budget, seed, steps_per_restart=40, per_step_draws=False):
     """The search one restart at a time, every candidate built as a
     validated state and read by its density-matrix trace: the reference
-    that ``adversary_search`` must reproduce exactly."""
+    that ``adversary_search`` must reproduce exactly.  A restart draws
+    its moves and its unit steps in one call each, or, with
+    ``per_step_draws``, one move and one scaled step per step."""
     op_stack = np.stack([measurement_operator(P.circuit, x, P.advice_qubits)
                          for x in P.domain.inputs()])
     lang = np.array([float(P.language(x)) for x in P.domain.inputs()])
@@ -380,10 +382,17 @@ def sequential_search(P, budget, seed, steps_per_restart=40):
         states = [params_to_state(p, P.advice_qubits) for p in params]
         err, dev = evaluate(states)
         score = err - 10.0 * max(0.0, dev - threshold)
+        if not per_step_draws:
+            moves = rng.integers(len(blocks), size=steps_per_restart)
+            noise = rng.standard_normal((steps_per_restart, dim))
         scale = 0.5
-        for _ in range(steps_per_restart):
-            g = int(rng.integers(len(blocks)))
-            proposal = params[g] + rng.normal(scale=scale, size=dim)
+        for t in range(steps_per_restart):
+            if per_step_draws:
+                g = int(rng.integers(len(blocks)))
+                proposal = params[g] + rng.normal(scale=scale, size=dim)
+            else:
+                g = int(moves[t])
+                proposal = params[g] + scale * noise[t]
             cand_states = list(states)
             cand_states[g] = params_to_state(proposal, P.advice_qubits)
             cand_err, cand_dev = evaluate(cand_states)
@@ -433,6 +442,35 @@ def test_adversary_search_equals_sequential_reference(name, budget, seed):
     assert list(got.registers.refs) == list(want.registers.refs)
     assert all(np.array_equal(a.entries, b.entries)
                for a, b in zip(got.registers.distinct, want.registers.distinct, strict=True))
+
+
+@pytest.mark.parametrize("name, budget, seed", [
+    ("one-block", _CHUNK + 5, 0),
+    ("one-block", 7, 3),
+    ("inflated", _CHUNK + 10, 2),
+    ("inflated", 3, 5),
+])
+def test_one_slot_search_keeps_the_per_step_stream(name, budget, seed):
+    """With one distinct slot a move draws no bits and a scaled normal
+    is the scaled standard normal, so drawing each restart's steps in
+    one call changes no outcome of the draw-per-step search."""
+    P = search_protocol(name)
+    got = adversary_search(P, budget, seed)
+    want = sequential_search(P, budget, seed, per_step_draws=True)
+    assert (got.best_error, got.best_deviation) == (want.best_error, want.best_deviation)
+    assert all(np.array_equal(a.entries, b.entries)
+               for a, b in zip(got.registers.distinct, want.registers.distinct, strict=True))
+
+
+@given(st.integers(0, 10_000), st.integers(1, 16), st.floats(1e-3, 10.0))
+def test_one_slot_draws_equal_per_step_draws(salt, dim, scale):
+    per_step, at_once = substream(salt, 54), substream(salt, 54)
+    old = [(int(per_step.integers(1)), per_step.normal(scale=scale, size=dim))
+           for _ in range(5)]
+    moves, noise = at_once.integers(1, size=5), at_once.standard_normal((5, dim))
+    assert moves.tolist() == [g for g, _ in old]
+    assert all(np.array_equal(step, scale * z) for (_, step), z in zip(old, noise))
+    assert per_step.random() == at_once.random()
 
 
 @pytest.mark.parametrize("name", ["one-block", "two-block", "inflated"])

@@ -2,6 +2,7 @@
 rejects a tampered record that its stored claims alone would pass."""
 
 import copy
+import dataclasses
 import functools
 import json
 import math
@@ -18,7 +19,8 @@ from majcert.formats import canonical_json, protocol_from_json, state_to_json
 from majcert.protocol import machine_b_error, verifier_A
 from majcert.qsim import DensityMatrix
 from majcert.suites import REGISTRY, run_suite, verify_report
-from majcert.winnow import fat_shattering_dim
+from majcert.errors import RejectedInputError
+from majcert.winnow import _SEARCHES, fat_shattering_dim
 
 BENCHMARK = pathlib.Path(__file__).resolve().parent.parent / "benchmark"
 
@@ -331,6 +333,16 @@ def occam_sample_of_one(report):
     return 0
 
 
+def support_function_outside_the_class(report):
+    """Record 0's first oracle support function replaced by a table that
+    no stored member has."""
+    out = report["records"][0]["outputs"]
+    width = len(out["class"][0])
+    out["oracle_support"][0][1] = next(
+        h for h in (format(v, f"0{width}x") for v in range(16 ** width)) if h not in out["class"])
+    return 0
+
+
 def padded_full_certificate(report, raise_k=False):
     """Record 0's first full-LP certificate padded to k + 1 points with
     its own member's values, which leaves the game value unchanged; with
@@ -505,6 +517,8 @@ def dims_raised_n(report):
     ("dims", repeated_class_member),
     ("equivalence", inflate_measures),
     ("equivalence", padded_full_certificate),
+    ("equivalence", repeated_class_member),
+    ("equivalence", support_function_outside_the_class),
     pytest.param("equivalence", functools.partial(padded_full_certificate, raise_k=True),
                  id="equivalence-padded_full_certificate-raised-k"),
     *[pytest.param("quantum-protocol", functools.partial(inflate_measures, index=index),
@@ -597,6 +611,28 @@ def other_target_on_a_copy(report):
     return 0
 
 
+def respelled_certificate_entry(field, old, new):
+    """A tamper writing the first ``old`` entry of record 0's certificate
+    ``field`` as ``new``, another spelling of the same point or bit."""
+    def tamper(report):
+        cert = next(c for c in report["records"][0]["outputs"]["decomposition"]["certs"]
+                    if old in c[field])
+        cert[field][cert[field].index(old)] = new
+        return 0
+    return tamper
+
+
+@pytest.mark.parametrize("field, old, new", [
+    ("bits", 1, True), ("bits", 1, 1.0), ("points", "0x0", "0x00"), ("points", "0x0", "0X0"),
+])
+def test_verify_rejects_a_respelled_certificate_entry(field, old, new):
+    report = parsed("majcert")
+    assert all(ok for _, ok in verify_report(report))
+    bad = copy.deepcopy(report)
+    index = respelled_certificate_entry(field, old, new)(bad)
+    assert not dict(verify_report(bad))[index]
+
+
 @pytest.mark.parametrize("name, tamper", [
     ("majcert", contradicting_bit_on_a_copy),
     ("realmajcert", repeated_point_on_a_copy),
@@ -613,6 +649,35 @@ def test_verify_counts_a_raising_check_as_failed():
     report = parsed("winnow")
     del report["records"][1]["outputs"]["tables"]
     assert [ok for _, ok in verify_report(report)] == [True, False, True]
+
+
+def test_dimension_searches_are_shared_only_within_a_call(monkeypatch):
+    """run_suite's builder and checks share one memo, verify_report has its
+    own, and both drop it on return, also when a check or the build raises."""
+    entry, report, seen = REGISTRY["dims"], parsed("dims"), []
+
+    def check(record, context):
+        ok = record["index"] != 0 and entry.check(record, context)
+        seen.append(len(_SEARCHES.get(None)))  # searches held after this check
+        if not ok:
+            raise ValueError("a raising check")
+        return ok
+
+    monkeypatch.setitem(REGISTRY, "dims", dataclasses.replace(entry, check=check))
+    assert [ok for _, ok in verify_report(report)][:2] == [False, True]
+    assert _SEARCHES.get(None) is None and seen[0] == 0 < seen[1]
+    seen.clear()
+    assert not run_suite({**report["config"], "seed": 3})["records"][0]["verified"]
+    assert _SEARCHES.get(None) is None and seen[0] > 0
+
+    def build(params, seed):
+        entry.build(params, seed)
+        raise RejectedInputError("a raising build")
+
+    monkeypatch.setitem(REGISTRY, "dims", dataclasses.replace(entry, build=build))
+    with pytest.raises(RejectedInputError):
+        run_suite(report["config"])
+    assert _SEARCHES.get(None) is None
 
 
 def test_undecodable_protocol_fails_every_quantum_record():

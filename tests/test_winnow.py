@@ -18,10 +18,10 @@ from majcert.generators import (point_function_class, random_boolean_class,
                                 random_pconcept_class)
 from majcert import winnow
 from majcert.rng import substream
-from majcert.winnow import (L2Family, _margin_pairs, binary_search_winnow,
-                            ceil_log, epsilon_cover, fat_shattering_dim,
-                            isolate_member, l1_winnow, safe_winnow, vc_dim,
-                            weak_certify)
+from majcert.winnow import (_SEARCHES, L2Family, _dimension, _margin_pairs,
+                            binary_search_winnow, ceil_log, epsilon_cover,
+                            fat_shattering_dim, isolate_member, l1_winnow,
+                            safe_winnow, shared_searches, vc_dim, weak_certify)
 
 
 def real_fn(domain, values):
@@ -326,6 +326,65 @@ def test_dimension_budget_signal(monkeypatch):
         vc_dim(S)
     with pytest.raises(EnumerationBudgetExceeded):
         fat_shattering_dim(PConceptClass(domain, real_members(domain, S.value_matrix())), 0.25)
+
+
+@given(st.integers(0, 10 ** 6))
+def test_vc_and_fat_quarter_of_a_boolean_class_share_one_search(salt):
+    """At gamma = 1/4 the margin grid of a 0/1 class is vc_dim's grid: one
+    (zeros, ones) split per non-constant input."""
+    rng = substream(salt, 55)
+    n = int(rng.integers(1, 5))
+    S = random_boolean_class(n, int(rng.integers(1, min(16, 1 << (1 << n)) + 1)), rng)
+    V = S.value_matrix().astype(np.float64)
+    with shared_searches():
+        vc_dim(S)
+        fat_shattering_dim(PConceptClass(S.domain, real_members(S.domain, V)), 0.25)
+        (grid, members), = _SEARCHES.get(None)
+    assert members == len(S)
+    assert grid == tuple(tuple(_margin_pairs(V[:, x], 0.25)) for x in S.domain.inputs())
+
+
+@st.composite
+def witness_grids(draw):
+    """(splits, members): up to 5 inputs, each with up to 3 witness splits
+    of disjoint low and high member sets."""
+    members = draw(st.integers(1, 9))
+    sides = st.lists(st.integers(-1, 1), min_size=members, max_size=members)
+    splits = [[(sum(1 << i for i, s in enumerate(sign) if s < 0),
+                sum(1 << i for i, s in enumerate(sign) if s > 0))
+               for sign in draw(st.lists(sides, max_size=3))]
+              for _ in range(draw(st.integers(0, 5)))]
+    return splits, members
+
+
+@given(witness_grids())
+def test_scoped_search_equals_unscoped(grid):
+    want = _dimension(*grid)
+    assert _SEARCHES.get(None) is None
+    with shared_searches():
+        with shared_searches():  # a nested scope fills the outer memo
+            assert _dimension(*grid) == want
+        assert len(_SEARCHES.get(None)) == 1
+        assert _dimension(*grid) == want
+    assert _SEARCHES.get(None) is None
+
+
+@pytest.mark.parametrize("knob, value, error", [
+    ("DIMENSION_BUDGET", 5, EnumerationBudgetExceeded),
+    ("DIMENSION_CAP", 3, DimensionCapExceeded),
+])
+def test_a_search_that_raises_is_not_stored(monkeypatch, knob, value, error):
+    domain = InputDomain(2)
+    S = ConceptClass(domain, [BooleanFunction(domain, b) for b in range(16)])
+    monkeypatch.setattr(winnow, knob, value)
+    with shared_searches():
+        for _ in range(2):
+            with pytest.raises(error):
+                vc_dim(S)
+            assert _SEARCHES.get(None) == {}
+    monkeypatch.undo()
+    with shared_searches():
+        assert vc_dim(S) == 4
 
 
 def reference_vc_dim(S):
