@@ -186,6 +186,15 @@ def format_hex_input(x: int) -> str:
     return format(x, "#x")
 
 
+def hex_input_from_json(text: str) -> int:
+    """An input from its ``format_hex_input`` text; other spellings
+    (leading zeros, an upper-case prefix, no prefix) are rejected."""
+    x = int(text, 16)
+    if hex(x) != text:  # hex is format_hex_input
+        raise RejectedInputError(f"input {text!r} is not canonical hex")
+    return x
+
+
 def certificate_to_json(cert: Certificate) -> dict:
     return {"points": [format_hex_input(x) for x, _ in cert.assignments],
             "bits": [b for _, b in cert.assignments]}
@@ -197,9 +206,9 @@ def certificate_from_json(domain: InputDomain, data: dict) -> Certificate:
     points, bits = data["points"], data["bits"]
     if len(points) != len(bits):
         raise RejectedInputError(f"{len(points)} points but {len(bits)} bits")
-    xs = [int(p, 16) for p in points]
-    if {type(b) for b in bits} - {int} or list(map(hex, xs)) != points:  # hex is format_hex_input
-        raise RejectedInputError("certificate points must be canonical hex, bits 0 or 1")
+    xs = [hex_input_from_json(p) for p in points]
+    if {type(b) for b in bits} - {int}:
+        raise RejectedInputError("certificate bits must be 0 or 1")
     return Certificate.of(domain, zip(xs, bits))
 
 
@@ -274,7 +283,7 @@ def real_decomposition_from_json(data: dict):
 
     def decode(row) -> tuple:
         points = row[1]["points"]
-        X = frozenset(domain.check_input(int(p, 16)) for p in points)
+        X = frozenset(domain.check_input(hex_input_from_json(p)) for p in points)
         if len(X) != len(points):
             raise RejectedInputError("repeated point in a real certificate")
         return _entry(members, row[0]), X
@@ -329,8 +338,8 @@ def protocol_from_json(data: dict, decomposition: dict):
 
     def decode(row) -> tuple:
         ref, targets = row
-        return _entry(states, ref), tuple((domain.check_input(int(z, 16)), Fraction(r))
-                                          for z, r in targets)
+        return _entry(states, ref), tuple(
+            (domain.check_input(hex_input_from_json(z)), Fraction(r)) for z, r in targets)
 
     slots = _slots_from_json(data, ("advice_refs", "targets"), decode)
     S, dec = real_decomposition_from_json(decomposition)

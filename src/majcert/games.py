@@ -13,9 +13,10 @@ one column per distinct agreement pattern of its rows, in order of first
 input, and spreads Bob's weight on a class evenly over its inputs.  Only
 the quotient of the 0/1 agreement rows is converted to float.
 
-Each matrix game is one LP for Alice's mix, solved by scipy's HiGHS
-backend (deterministic for fixed inputs); Bob's mix is read from that
-LP's dual, and the duality gap of the two returned mixes is checked.
+Each matrix game is one LP for Bob's mix, solved by a dense tableau
+simplex under Bland's pivot rule (Bland 1977), so no basis repeats;
+Alice's mix is read from the optimal tableau's dual, and the duality gap
+of the two returned mixes is checked.
 Game values are never read off the solver: ``solve_zero_sum`` returns
 the exact value of the returned mix, and ``AliceStrategy.validate``
 recomputes it from the support members' tables in the class value
@@ -29,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .concepts import (BooleanFunction, Certificate, ConceptClass,
                        Distribution, is_isolated)
@@ -41,39 +41,68 @@ from .winnow import isolate_member, weak_certify
 FULL_LP_BUDGET = 100_000
 #: Guard on raw (subset, bit-pattern) combinations before filtering.
 ENUMERATION_GUARD = 2_000_000
+#: Hard cap on the cells of one matrix game's simplex tableau,
+#: (rows + 1) x (rows + cols + 1) float64 entries, 32 MB at the cap.
+GAME_CELL_BUDGET = 4_000_000
+#: Simplex pivots allowed per row and column of a matrix game.
+PIVOT_CAP = 100
 
 
 def solve_zero_sum(payoff: np.ndarray) -> tuple:
     """Solve max_w min_x (w P)_x for the row player of a matrix game.
 
-    One LP for the row player; the column player's mix is read from its
-    dual, the marginals of the constraints (w P)_x >= v.  Both mixes are
-    clipped to non-negative and renormalized.  Returns (value, row_mix,
-    col_mix) where value = min_x (w P)_x is the exact value of the
-    returned row mix, and the duality gap max_i (P d)_i - value of the
-    returned mixes must be at most 1e-6.
+    A tableau simplex on the column player's LP, max 1·z subject to
+    Q z <= 1 and z >= 0 with Q = P - min P + 1 > 0, from the slack basis
+    (feasible, so there is no phase I).  Bland's rule picks the entering
+    column (the first with reduced cost below -1e-12) and the leaving row
+    (the smallest basic index among the ratio ties), so the pivots cannot
+    cycle; more than PIVOT_CAP pivots per row and column is a defect.  Bob's
+    mix is z normalized and Alice's is the slack columns of the optimal
+    objective row (the dual), both clipped to non-negative and
+    renormalized.  Returns (value, row_mix, col_mix) where value =
+    min_x (w P)_x is the exact value of the returned row mix, and the
+    duality gap max_i (P d)_i - value of the returned mixes must be at
+    most 1e-6.  Raises EnumerationBudgetExceeded before allocating a
+    tableau of more than GAME_CELL_BUDGET cells.
     """
     P = np.asarray(payoff, dtype=np.float64)
     rows, cols = P.shape
     if rows == 0 or cols == 0:
         raise RejectedInputError("empty payoff matrix")
+    cells = (rows + 1) * (rows + cols + 1)
+    if cells > GAME_CELL_BUDGET:
+        raise EnumerationBudgetExceeded(GAME_CELL_BUDGET, cells, "game tableau cells")
 
-    # variables (w, v), maximize v
-    c = np.zeros(rows + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-P.T, np.ones((cols, 1))])
-    b_ub = np.zeros(cols)
-    A_eq = np.zeros((1, rows + 1))
-    A_eq[0, :rows] = 1.0
-    bounds = [(0.0, 1.0)] * rows + [(None, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0], bounds=bounds,
-                  method="highs")
-    if not res.success:
-        raise VerificationDefect(f"game LP failed: {res.message}")
-    w = np.clip(res.x[:rows], 0.0, None)
-    w /= w.sum()
-    d = np.clip(-res.ineqlin.marginals, 0.0, None)
+    T = np.zeros((rows + 1, rows + cols + 1))
+    T[:rows, :cols] = P - P.min() + 1.0
+    T[np.arange(rows), cols + np.arange(rows)] = 1.0
+    T[:rows, -1] = 1.0
+    T[rows, :cols] = -1.0
+    basis = cols + np.arange(rows)
+    for _ in range(PIVOT_CAP * (rows + cols)):
+        entering = np.flatnonzero(T[rows, :-1] < -1e-12)
+        if entering.size == 0:
+            break
+        j = entering[0]
+        fit = np.flatnonzero(T[:rows, j] > 1e-12)
+        if not fit.size:  # Q > 0 keeps the LP bounded: only rounding gets here
+            raise VerificationDefect("game simplex found no pivot row")
+        ratios = T[fit, -1] / T[fit, j]
+        tied = fit[ratios == ratios.min()]
+        i = tied[np.argmin(basis[tied])]
+        T[i] /= T[i, j]
+        factors = T[:, j].copy()
+        factors[i] = 0.0
+        T -= np.outer(factors, T[i])
+        basis[i] = j
+    else:
+        raise VerificationDefect("game simplex exceeded its pivot cap")
+    z = np.zeros(rows + cols)
+    z[basis] = T[:rows, -1]
+    d = np.clip(z[:cols], 0.0, None)
     d /= d.sum()
+    w = np.clip(T[rows, cols:-1], 0.0, None)
+    w /= w.sum()
 
     value = float((w @ P).min())
     if not float((P @ d).max()) - value <= 1e-6:  # NaN mixes fail too

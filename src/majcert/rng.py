@@ -9,10 +9,10 @@ of distinct substreams therefore never changes results.
 
 from __future__ import annotations
 
-import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 
-def substream(seed: int, *path: int) -> np.random.Generator:
+def substream(seed: int, *path: int) -> Generator:
     """Return the generator for substream ``path`` of ``seed``."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.PCG64(ss))
+    ss = SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
+    return Generator(PCG64(ss))

@@ -343,8 +343,9 @@ def _fat_shatters(splits: list, A: tuple, tails: list, members: int) -> list:
     choice leaving a cell of fewer than 2^(|A|+1-k) members after k
     splits cannot finish: it is abandoned."""
     left = set(tails)
-
-    def descend(depth: int, cells: list) -> bool:
+    stack = [(0, [(1 << members) - 1], 0)]  # (depth, cells, next split of A[depth])
+    while stack and left:
+        depth, cells, k = stack.pop()
         if depth == len(A):
             for x in list(left):
                 for low, high in splits[x]:
@@ -354,23 +355,22 @@ def _fat_shatters(splits: list, A: tuple, tails: list, members: int) -> list:
                     else:
                         left.remove(x)
                         break
-            return not left
+            continue
+        if k == len(splits[A[depth]]):
+            continue
+        stack.append((depth, cells, k + 1))  # taken once this split's choices are done
+        low, high = splits[A[depth]][k]
         need = 1 << (len(A) - depth)
-        for low, high in splits[A[depth]]:
-            nxt = []
-            for mask in cells:
-                a = mask & low
-                b = mask & high
-                if a.bit_count() < need or b.bit_count() < need:
-                    break
-                nxt.append(a)
-                nxt.append(b)
-            else:
-                if descend(depth + 1, nxt):
-                    return True
-        return False
-
-    descend(0, [(1 << members) - 1])
+        nxt = []
+        for mask in cells:
+            a = mask & low
+            b = mask & high
+            if a.bit_count() < need or b.bit_count() < need:
+                break
+            nxt.append(a)
+            nxt.append(b)
+        else:
+            stack.append((depth + 1, nxt, 0))
     return [x for x in tails if x not in left]
 
 

@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
@@ -87,31 +87,41 @@ def payoff_matrices(draw):
 
 
 @given(payoff_matrices())
+@example(np.array([[1.0, 1.0, 1.0, 1e-9], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
 def test_solve_zero_sum_mixes_certify_the_value(P):
     value, w, d = solve_zero_sum(P)
     for mix, size in ((w, P.shape[0]), (d, P.shape[1])):
         assert mix.shape == (size,) and np.all(mix >= 0.0)
         assert abs(mix.sum() - 1.0) <= 1e-12
     assert value == float((w @ P).min())
-    assert float((P @ d).max()) - value <= 1e-6
-    # the same row LP: its mix's exact value, and the raw optimum up to
-    # HiGHS's feasibility tolerance (entries near 1e-7 move it by ~1e-8)
+    assert float((P @ d).max()) - value <= 1e-9
+    # HiGHS's row LP: its mix is no better than the returned one, and its
+    # raw optimum agrees up to HiGHS's feasibility tolerance (entries near
+    # 1e-7 move it by ~1e-8; on the explicit example its mix reads 0
+    # where the game value is 1e-9)
     optimum, w_two = two_lp_solve(P)
-    assert value == float((w_two @ P).min())
+    assert float((w_two @ P).min()) - value <= 1e-12
     assert abs(value - optimum) <= 1e-6
 
 
-def test_solve_zero_sum_one_lp(monkeypatch):
-    import majcert.games as games
-    calls = []
+def test_solve_zero_sum_exact_below_highs_tolerance():
+    # payoffs near HiGHS's 1e-7 feasibility tolerance: its row mix reads
+    # 2.98e-8, half the game value 0.5 eps / (eps + 0.5)
+    eps = 5.96e-8
+    value, _, _ = solve_zero_sum(np.array([[1, 1, 1, .5, 1, 0], [0, 0, 0, 0, 0, eps]]))
+    exact = 0.5 * eps / (eps + 0.5)
+    assert abs(value - exact) <= 1e-15 * exact
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
 
-    monkeypatch.setattr(games, "linprog", counting)
-    solve_zero_sum(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]))
-    assert len(calls) == 1
+def test_solve_zero_sum_cell_budget(monkeypatch):
+    # a 2 x 3 game's tableau has 3 x 6 cells
+    P = np.ones((2, 3))
+    monkeypatch.setattr(games, "GAME_CELL_BUDGET", 17)
+    with pytest.raises(EnumerationBudgetExceeded) as excinfo:
+        solve_zero_sum(P)
+    assert (excinfo.value.budget, excinfo.value.count) == (17, 18)
+    monkeypatch.setattr(games, "GAME_CELL_BUDGET", 18)
+    assert solve_zero_sum(P)[0] == 1.0
 
 
 def test_full_lp_singleton():
@@ -313,17 +323,18 @@ def test_double_oracle_mapped_bob_mix_caps_full_rows(salt):
 
 
 def test_full_lp_one_row_per_isolated_member(monkeypatch):
-    widths = []
+    shapes = []
+    original = games.solve_zero_sum
 
-    def recording(*args, **kwargs):
-        widths.append(kwargs["A_ub"].shape[1])
-        return linprog(*args, **kwargs)
+    def recording(payoff):
+        shapes.append(payoff.shape)
+        return original(payoff)
 
-    monkeypatch.setattr(games, "linprog", recording)
+    monkeypatch.setattr(games, "solve_zero_sum", recording)
     point = point_function_class(4)
     solve_game_full_lp(point, point[0], k=1)
     S = random_boolean_class(4, 12, substream(0, 3))
     assert sum(1 for _ in _isolating_certificates(S, 4)) > 1000
     solve_game_full_lp(S, S[0], k=4)
-    assert len(widths) == 2
-    assert widths[0] <= len(point) + 1 and widths[1] <= len(S) + 1
+    assert len(shapes) == 2
+    assert shapes[0][0] <= len(point) and shapes[1][0] <= len(S)

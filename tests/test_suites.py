@@ -476,6 +476,22 @@ def dims_raised_n(report):
     return record["index"]
 
 
+def respelled_real_point(report):
+    """Record 0's first real-certificate point 0x0 written as 0x00."""
+    cert = next(c for c in report["records"][0]["outputs"]["decomposition"]["certs"]
+                if "0x0" in c["points"])
+    cert["points"][cert["points"].index("0x0")] = "0x00"
+    return 0
+
+
+def respelled_target_inputs(report):
+    """Slot 0's target inputs written with an upper-case prefix (0X0, 0X1)."""
+    targets = report["records"][0]["outputs"]["protocol"]["targets"]
+    assert {z for z, _ in targets[0]} == {"0x0", "0x1"}
+    targets[0] = [[z.replace("0x", "0X"), r] for z, r in targets[0]]
+    return None  # the protocol is undecodable, so every record fails
+
+
 @pytest.mark.parametrize("name, tamper", [
     *[pytest.param(name, record_of_another_shape(name, key), id=f"{name}-{key}-record")
       for name in ("winnow", "l1winnow", "realmajcert", "occam") for key in ("class_size", "n")],
@@ -551,6 +567,8 @@ def dims_raised_n(report):
     ("realmajcert", realmajcert_nan_table),
     ("quantum-protocol", quantum_nan_table),
     ("dims", dims_raised_n),
+    ("realmajcert", respelled_real_point),
+    ("quantum-protocol", respelled_target_inputs),
 ])
 def test_verify_rejects_tampered_record(name, tamper):
     report = parsed(name)

@@ -1,5 +1,6 @@
 """Winnowing algorithms, covers, dimensions, and the L2 witness family."""
 
+import gc
 import itertools
 import math
 import tracemalloc
@@ -456,6 +457,21 @@ def test_fat_rejects_nonpositive_gamma():
     S = constants_grid(2, 3)
     with pytest.raises(RejectedInputError):
         fat_shattering_dim(S, 0.0)
+
+
+def test_fat_search_leaves_no_garbage_to_the_collector():
+    """The shattering search holds no self-referencing closure, so its
+    cells and masks are freed on return, not at a full collection."""
+    S = random_pconcept_class(3, 30, substream(1, 0))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        fat_shattering_dim(S, 0.1)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_fat_cap_signal(monkeypatch):
