@@ -1,15 +1,15 @@
 """Majority-certificates decompositions: Boolean, robust, and real-valued,
 plus the untrusted-oracle evaluator and the sample-complexity check.
 
-A decomposition's m slots are i.i.d. draws from the game's optimal mix,
-so they repeat heavily; each decomposition stores them as ``Slots``:
-the distinct slots once, with one ref per position.  Per-slot checks run
-once per distinct slot and sums weight by count, while untrusted
+Boolean decompositions boost the weak certifier deterministically
+(oblivious rounding); real ones draw m slots i.i.d. from the real game's
+optimal mix.  Slots repeat, so each decomposition stores them as
+``Slots``: the distinct slots once, with one ref per position.  Per-slot
+checks run once per distinct slot and sums weight by count, while untrusted
 per-position input (the untrusted oracle's claims) is matched to slots
 through the refs.
 
-Construction is Monte Carlo against an optimal game strategy, but every
-returned decomposition has had its defining property verified
+Every returned decomposition has had its defining property verified
 exhaustively over the whole domain; a decomposition object in hand is
 proof, not evidence.  Where an asymptotic bound would need an unknown
 constant, a verify-then-escalate schedule replaces it, so the guarantees
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -30,9 +31,9 @@ from .concepts import (BooleanFunction, ConceptClass, Distribution,
                        is_isolated, pointwise_counts, pointwise_majority,
                        restricted_gaps)
 from .errors import (RejectedInputError, RetriesExhausted, VerificationDefect)
-from .games import double_oracle_solve, solve_zero_sum
+from .games import solve_zero_sum
 from .rng import substream
-from .winnow import epsilon_cover, safe_winnow
+from .winnow import epsilon_cover, safe_winnow, weak_certify
 
 FAIL = "FAIL"
 
@@ -55,7 +56,10 @@ class MajorityDecomposition:
     target: BooleanFunction
     slots: Slots
 
-    WIDTH = 20  # slots per input bit, see slot_bound
+    #: the share of the slots that must agree with the target at every
+    #: input, and the builder's rate: each slot that agrees with the
+    #: target at x scales x's weight by e^-RATE
+    SHARE, RATE = Fraction(1, 2), math.log(9)
 
     def __post_init__(self):
         if self.m % 2 == 0:
@@ -63,9 +67,15 @@ class MajorityDecomposition:
 
     @classmethod
     def slot_bound(cls, S: ConceptClass) -> int:
-        """The most slots a decomposition of S may hold: smallest odd
-        >= WIDTH * n, or 1 for a singleton class."""
-        return 1 if len(S) == 1 else smallest_odd_at_least(cls.WIDTH * S.domain.n)
+        """The most slots a decomposition of S may hold: 1 for a singleton
+        class, else the smallest odd m with n ln 2 + m ln(factor) < 0.
+        The builder's potential sum_x exp(-RATE (k(x) - SHARE t)) starts
+        at 2^n, is at least 1 while some input lacks its share, and each
+        round's slot, wrong on at most a tenth of the weight, scales it by
+        at most factor (0.6 for majority, 0.818 for robust)."""
+        factor = 0.1 * math.exp(cls.RATE * cls.SHARE) + 0.9 * math.exp(cls.RATE * (cls.SHARE - 1))
+        return 1 if len(S) == 1 else smallest_odd_at_least(
+            math.floor(S.domain.n * math.log(2) / -math.log(factor)) + 1)
 
     @property
     def m(self) -> int:
@@ -74,14 +84,13 @@ class MajorityDecomposition:
     def slot_sums(self) -> np.ndarray:
         return pointwise_counts(self.slots.map(itemgetter(1)))
 
-    def majority(self) -> BooleanFunction:
-        return pointwise_majority(self.slots.map(itemgetter(1)))
-
     def target_defect(self) -> Optional[str]:
-        """Why the slot members do not combine to the target, or None."""
-        if self.majority().bits != self.target.bits:
-            return "pointwise majority differs from target"
-        return None
+        """Why the slot members do not combine to the target, or None:
+        fewer than SHARE of the slots agree with the target somewhere."""
+        sums = self.slot_sums()
+        agree = np.where(self.target.values() == 1, sums, self.m - sums)
+        bad = np.flatnonzero(agree < math.ceil(self.SHARE * self.m))
+        return f"{agree[bad[0]]} of {self.m} slots agree at input {bad[0]}" if len(bad) else None
 
     def validate(self, S: ConceptClass) -> None:
         for cert, f in self.slots.distinct:
@@ -97,55 +106,45 @@ class RobustDecomposition(MajorityDecomposition):
     reach at least ceil(2m/3) on target-1 inputs and at most floor(m/3)
     on target-0 inputs."""
 
-    WIDTH = 60
-
-    @property
-    def upper_threshold(self) -> int:
-        return math.ceil(2 * self.m / 3)
-
-    @property
-    def lower_threshold(self) -> int:
-        return math.floor(self.m / 3)
-
-    def target_defect(self) -> Optional[str]:
-        sums = self.slot_sums()
-        bad = np.flatnonzero(np.where(self.target.values() == 1, sums < self.upper_threshold,
-                                      sums > self.lower_threshold))
-        return f"margin failure at input {bad[0]}: sum {sums[bad[0]]}" if len(bad) else None
+    SHARE, RATE = Fraction(2, 3), math.log(4.5)
 
     def margin_histogram(self) -> dict:
         sums, counts = np.unique(self.slot_sums(), return_counts=True)
         return dict(zip(sums.tolist(), counts.tolist()))
 
 
-def _sampled_decomposition(cls, S: ConceptClass, f_star: BooleanFunction, seed: int,
-                           stream: int):
-    """The first of 64 draws of m = cls.slot_bound(S) slots whose slots
-    combine to the target, as a ``cls``."""
-    strategy = double_oracle_solve(S, f_star)
-    m = cls.slot_bound(S)
-    for attempt in range(64):
-        pairs = strategy.sample_pairs(substream(seed, stream, attempt), m)
-        decomposition = cls(target=f_star, slots=Slots.group(pairs))
-        if decomposition.target_defect() is None:
+def _boosted_decomposition(cls, S: ConceptClass, f_star: BooleanFunction):
+    """Boost the weak certifier (oblivious rounding; Young 1995, Freund
+    and Schapire 1997): round t asks weak_certify for a slot against
+    D_t(x) ~ exp(-RATE k(x)), where k(x) counts the earlier slots that
+    agree with the target at x.  The first odd round whose slots combine
+    to the target returns them as a ``cls``; by ``slot_bound`` no more
+    rounds are needed."""
+    V, target = S.value_matrix(), f_star.values()
+    agree = np.zeros(S.domain.size, dtype=np.int64)
+    pairs: list = []
+    for t in range(1, cls.slot_bound(S) + 1):
+        D = Distribution.from_weights(S.domain, np.exp(-cls.RATE * (agree - agree.min())))
+        pick = weak_certify(S, f_star, D)
+        pairs.append((pick.C, pick.f))
+        agree += V[S.index_of(pick.f)] == target
+        if t % 2 and agree.min() >= math.ceil(cls.SHARE * t):
+            decomposition = cls(target=f_star, slots=Slots.group(pairs))
             decomposition.validate(S)
             return decomposition
-    raise RetriesExhausted(f"{cls.__name__} sampling", "no verified draw in 64 attempts")
+    raise VerificationDefect(f"{cls.__name__}: no round within the slot bound verified")
 
 
-def majority_certificates(S: ConceptClass, f_star: BooleanFunction,
-                          seed: int = 0) -> MajorityDecomposition:
-    """Draw m = smallest odd >= 20n slots i.i.d. from the 0.9-optimal game
-    strategy and keep the first draw whose majority reproduces the target
-    exactly on all 2^n inputs (64 attempts)."""
-    return _sampled_decomposition(MajorityDecomposition, S, f_star, seed, 0)
+def majority_certificates(S: ConceptClass, f_star: BooleanFunction) -> MajorityDecomposition:
+    """Boosted slots, more than half of which agree with the target on
+    every input; at most slot_bound(S) of them."""
+    return _boosted_decomposition(MajorityDecomposition, S, f_star)
 
 
-def robust_majority_certificates(S: ConceptClass, f_star: BooleanFunction,
-                                 seed: int = 0) -> RobustDecomposition:
-    """As majority_certificates with m = smallest odd >= 60n and the
-    2m/3 - m/3 margins verified exhaustively."""
-    return _sampled_decomposition(RobustDecomposition, S, f_star, seed, 2)
+def robust_majority_certificates(S: ConceptClass, f_star: BooleanFunction) -> RobustDecomposition:
+    """As majority_certificates, with at least ceil(2m/3) of the m slots
+    agreeing with the target on every input."""
+    return _boosted_decomposition(RobustDecomposition, S, f_star)
 
 
 def untrusted_oracle_evaluate(D: RobustDecomposition, claims: Sequence[BooleanFunction]):
@@ -266,6 +265,11 @@ class RealDecomposition:
     def m(self) -> int:
         return len(self.slots)
 
+    @staticmethod
+    def slot_bound(S: PConceptClass, eps: float) -> int:
+        """The most slots of a decomposition of S at eps: ceil(20n/eps^2), 1 if |S| = 1."""
+        return 1 if len(S) == 1 else math.ceil(20.0 * S.domain.n / (eps * eps))
+
 
 def extremal_deviation(V: np.ndarray, target: np.ndarray, groups: Iterable,
                        tol: float) -> Optional[np.ndarray]:
@@ -363,8 +367,8 @@ def real_majority_certificates(S: PConceptClass, f_star: RealFunction, eps: floa
     plays inputs; Alice's penalty at x is the exact worst deviation
     |f_star(x) - g(x)| over her slot's admissible members.  The outer
     loop stops when Alice's mix holds Bob's best response to expected
-    penalty eps/2.  Then m = ceil(20 n / eps^2) slots are sampled from
-    the mix (m = 1 for a singleton class) and the decomposition is kept
+    penalty eps/2.  Then m = RealDecomposition.slot_bound(S, eps) slots
+    are sampled from the mix and the decomposition is kept
     only once verify_real_decomposition passes (resampling up to 64
     times).  The decomposition's alpha is the smallest realized slot
     alpha, which only tightens the verified slots.  Stage-1 schedules
@@ -374,7 +378,6 @@ def real_majority_certificates(S: PConceptClass, f_star: RealFunction, eps: floa
         raise RejectedInputError("eps must be positive")
     S.index_of(f_star)
     beta = eps / 48.0
-    n = S.domain.n
 
     if len(S) == 1:
         decomposition = RealDecomposition(target=f_star,
@@ -411,7 +414,7 @@ def real_majority_certificates(S: PConceptClass, f_star: RealFunction, eps: floa
                                f"no eps/2 mix within {cap} iterations")
 
     alpha = min(s.alpha for s in slots)
-    m = max(1, math.ceil(20.0 * n / (eps * eps)))
+    m = RealDecomposition.slot_bound(S, eps)
     weights = w / w.sum()
     for attempt in range(64):
         rng = substream(seed, 8, attempt)

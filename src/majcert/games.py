@@ -1,4 +1,4 @@
-"""Zero-sum game solving for certificate decompositions.
+"""Zero-sum solving of the certificate game.
 
 The Boolean game: Alice plays a (certificate, isolated member) pair, Bob
 plays an input x, and Alice wins when her isolated member agrees with
@@ -6,12 +6,12 @@ the target at x.  Alice's payoff depends on her pair only through the
 isolated member, which is what makes column generation over members
 converge to the exact game value.
 
-Both solvers play the game on its quotient.  The full LP has one row
-per isolatable member, in index order, paired in the support with its
-first isolating certificate in enumeration order.  The double oracle has
-one column per distinct agreement pattern of its rows, in order of first
-input, and spreads Bob's weight on a class evenly over its inputs.  Only
-the quotient of the 0/1 agreement rows is converted to float.
+Both solvers play the game on its quotient: one column per distinct
+agreement pattern of their rows, in order of first input.  The full LP
+has one row per isolatable member, in index order, paired in the support
+with its first isolating certificate in enumeration order.  The double
+oracle spreads Bob's weight on a column class evenly over its inputs.
+Only the quotient of the 0/1 agreement rows is converted to float.
 
 Each matrix game is one LP for Bob's mix, solved by a dense tableau
 simplex under Bland's pivot rule (Bland 1977), so no basis repeats;
@@ -144,17 +144,10 @@ class AliceStrategy:
             if not is_isolated(S, cert, f):
                 raise VerificationDefect("support pair is not isolated")
         A = S.value_matrix()[[S.index_of(f) for _, f in self.support]] == self.f_star.values()
-        label = np.zeros(S.domain.size, dtype=np.intp)
-        for bits in A:
-            label, first = _split(label, bits)
+        first = np.sort(np.unique(A, axis=1, return_index=True)[1])  # the quotient's columns
         value = float((self.weights @ A[:, first]).min())
         if abs(value - self.game_value) > 1e-9:
             raise VerificationDefect("stored game value disagrees with its recomputation")
-
-    def sample_pairs(self, rng: np.random.Generator, m: int) -> list:
-        w = self.weights / self.weights.sum()
-        idx = rng.choice(len(self.support), size=m, p=w)
-        return [self.support[int(i)] for i in idx]
 
 
 def _split(label: np.ndarray, bits: np.ndarray) -> tuple:
@@ -172,7 +165,8 @@ def _split(label: np.ndarray, bits: np.ndarray) -> tuple:
 
 def solve_game_full_lp(S: ConceptClass, f_star: BooleanFunction, k: int) -> AliceStrategy:
     """Exact minimax strategy by enumerating every isolating certificate
-    of size at most k and solving the game on one row per isolated member.
+    of size at most k and solving the game on one row per isolated member
+    and one column per distinct agreement pattern of those rows.
 
     Rejected (with the offending count) when enumeration would exceed
     FULL_LP_BUDGET; this oracle exists to cross-check double_oracle_solve on
@@ -190,7 +184,9 @@ def solve_game_full_lp(S: ConceptClass, f_star: BooleanFunction, k: int) -> Alic
     if not first:
         raise RejectedInputError(f"no certificate of size <= {k} isolates any member")
     rows = sorted(first)
-    value, w, _ = solve_zero_sum((S.value_matrix()[rows] == f_star.values()).astype(np.float64))
+    A = S.value_matrix()[rows] == f_star.values()
+    columns = np.sort(np.unique(A, axis=1, return_index=True)[1])  # the quotient's
+    value, w, _ = solve_zero_sum(A[:, columns].astype(np.float64))
     support = tuple((Certificate(domain, *first[row]), S[row]) for row in rows)
     strategy = AliceStrategy(f_star=f_star, support=support, weights=w, game_value=value)
     strategy.validate(S)

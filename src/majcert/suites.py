@@ -28,12 +28,10 @@ import numpy as np
 from .concepts import (REAL_ATOL, BooleanFunction, ConceptClass, Distribution,
                        InputDomain, PConceptClass, RealFunction, Slots,
                        dist_inf, dist_two, real_members)
-from .decompose import (MajorityDecomposition, RobustDecomposition,
-                        find_valid_sample_size, majority_certificates,
-                        occam_check, real_majority_certificates,
-                        robust_majority_certificates,
-                        untrusted_oracle_evaluate, verify_real_decomposition,
-                        FAIL)
+from .decompose import (FAIL, RealDecomposition, find_valid_sample_size,
+                        majority_certificates, occam_check, real_majority_certificates,
+                        robust_majority_certificates, untrusted_oracle_evaluate,
+                        verify_real_decomposition)
 from .errors import RejectedInputError
 from .formats import (_entry, boolean_class_from_hex, boolean_decomposition_from_json,
                       boolean_decomposition_to_json, boolean_from_hex,
@@ -180,8 +178,7 @@ def _majcert_measures(record: dict) -> dict:
 
 
 def _majcert_instance(params: dict, seed: int, index: int) -> dict:
-    inst_seed = child_seed(seed, 100, index)
-    rng = substream(inst_seed, 0)
+    rng = substream(child_seed(seed, 100, index), 0)
     n = params["n"]
     if params["kind"] == "point-functions":
         S = point_function_class(n, params["point_count"], rng)
@@ -194,7 +191,7 @@ def _majcert_instance(params: dict, seed: int, index: int) -> dict:
 
     kind = "robust" if params["robust"] else "majority"
     maker = robust_majority_certificates if params["robust"] else majority_certificates
-    dec = maker(S, f_star, seed=inst_seed)
+    dec = maker(S, f_star)
     outputs = {"decomposition": boolean_decomposition_to_json(dec, S, kind)}
     if params["robust"]:
         outputs.update(_robust_claims(dec))
@@ -209,11 +206,10 @@ def _check_majcert(record: dict, context: dict) -> bool:
     S, dec = boolean_decomposition_from_json(out["decomposition"])
     dec.validate(S)
     measures = _majcert_measures(record)
-    cls = RobustDecomposition if robust else MajorityDecomposition
     ok = (out["decomposition"]["kind"] == ("robust" if robust else "majority")
           and len(S) == measures["class_size"]
           and measures["max_cert_size"] <= measures["cert_size_bound"]
-          and dec.m <= cls.slot_bound(S))
+          and dec.m <= type(dec).slot_bound(S))
     if not robust:
         return ok
     claims = _robust_claims(dec)
@@ -238,10 +234,11 @@ def _realmajcert_measures(record: dict) -> dict:
 
 def _check_realmajcert(record: dict, context: dict) -> bool:
     """The decomposition, over the configured class, verifies at the
-    configured eps."""
+    configured eps with at most its slot bound of slots."""
     data, params = record["outputs"]["decomposition"], context["params"]
     S, dec = real_decomposition_from_json(data)
     return (_configured_shape(data["class_tables"], params) and _matches(dec.eps, params["eps"])
+            and dec.m <= RealDecomposition.slot_bound(S, dec.eps)
             and verify_real_decomposition(S, dec))
 
 
@@ -707,13 +704,14 @@ def _check_honest_advice(record: dict, context: dict) -> bool:
 
 def _check_soundness_bound(record: dict, context: dict) -> bool:
     """Record 1: the decomposition the protocol was compiled from verifies
-    at the configured eps, the protocol's alpha is its alpha / 6, and its
-    exact soundness bound over the compiled class is at most 0.3."""
-    P = context["protocol"]
+    at the configured eps with at most its slot bound of slots, the
+    protocol's alpha is its alpha / 6, and its exact soundness bound over
+    the compiled class is at most 0.3."""
+    P, dec = context["protocol"], context["protocol"].decomposition
     bound = conditional_soundness_bound(P)
-    return (_matches(P.decomposition.eps, context["params"]["eps"])
-            and _matches(P.alpha, P.decomposition.alpha / 6.0)
-            and verify_real_decomposition(P.compiled_class, P.decomposition)
+    return (_matches(dec.eps, context["params"]["eps"]) and _matches(P.alpha, dec.alpha / 6.0)
+            and dec.m <= RealDecomposition.slot_bound(P.compiled_class, dec.eps)
+            and verify_real_decomposition(P.compiled_class, dec)
             and bound <= 0.3
             and _claims_hold(record["outputs"], {"conditional_soundness_bound": bound}))
 

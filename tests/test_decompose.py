@@ -3,10 +3,11 @@ real-valued slots, and the Occam sample check."""
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from majcert import decompose
 from majcert.concepts import (BooleanFunction, Certificate, ConceptClass,
@@ -20,11 +21,11 @@ from majcert.decompose import (FAIL, MajorityDecomposition, RealDecomposition,
                                robust_majority_certificates, schedule_start,
                                smallest_odd_at_least, untrusted_oracle_evaluate,
                                verify_real_decomposition)
-from majcert.errors import RejectedInputError, RetriesExhausted, VerificationDefect
+from majcert.errors import RejectedInputError, VerificationDefect
 from majcert.generators import (point_function_class, random_boolean_class,
                                 random_pconcept_class)
 from majcert.rng import substream
-from majcert.winnow import epsilon_cover
+from majcert.winnow import epsilon_cover, isolate_member
 
 
 def real_fn(domain, values):
@@ -46,7 +47,7 @@ def test_majority_singleton_class():
     domain = InputDomain(3)
     f = BooleanFunction.from_values(domain, [1, 0, 0, 1, 1, 0, 1, 0])
     S = ConceptClass(domain, [f])
-    dec = majority_certificates(S, f, seed=0)
+    dec = majority_certificates(S, f)
     assert dec.m == 1
     assert max(cert.size for cert, _ in dec.slots.distinct) == 0
     dec.validate(S)
@@ -54,10 +55,10 @@ def test_majority_singleton_class():
 
 def test_majority_point_class_n6():
     S = point_function_class(6)
-    dec = majority_certificates(S, S[0], seed=7)
+    dec = majority_certificates(S, S[0])
     dec.validate(S)
-    assert dec.majority().bits == 0
-    assert dec.m == 121
+    assert pointwise_majority([f for _, f in dec.slots]).bits == 0
+    assert dec.m % 2 == 1 and dec.m <= MajorityDecomposition.slot_bound(S)
 
 
 def test_majority_hand_witness_three_points():
@@ -74,7 +75,7 @@ def test_majority_random_classes(salt):
     limit = min(32, 1 << (1 << n))
     S = random_boolean_class(n, int(rng.integers(2, limit + 1)), rng)
     f_star = S[int(rng.integers(len(S)))]
-    dec = majority_certificates(S, f_star, seed=salt)
+    dec = majority_certificates(S, f_star)
     dec.validate(S)
     assert dec.m <= 20 * n + 1
     assert (max(cert.size for cert, _ in dec.slots.distinct)
@@ -95,29 +96,49 @@ def test_majority_decomposition_type_invariants():
 
 
 def test_slot_bound_per_kind():
-    S = point_function_class(6, 48)
-    assert MajorityDecomposition.slot_bound(S) == 121
-    assert RobustDecomposition.slot_bound(S) == 361
+    # the smallest odd m with n ln 2 + m ln(factor) < 0, factor 0.6 for
+    # majority and 0.1 * 4.5^(2/3) + 0.9 * 4.5^(-1/3) for robust
+    for n, majority, robust in ((6, 9, 21), (14, 19, 49), (20, 29, 69)):
+        S = ConceptClass(InputDomain(n), [BooleanFunction.zero(InputDomain(n)),
+                                          BooleanFunction.point(InputDomain(n), 0)])
+        assert MajorityDecomposition.slot_bound(S) == majority
+        assert RobustDecomposition.slot_bound(S) == robust
     singleton = ConceptClass(S.domain, [S[0]])
     assert MajorityDecomposition.slot_bound(singleton) == 1
     assert RobustDecomposition.slot_bound(singleton) == 1
 
 
 def test_sampler_gives_up_at_the_slot_bound(monkeypatch):
-    # when every draw at the bound fails, the sampler raises instead of
-    # widening to a decomposition the suite check would reject
+    # a weak certifier stuck on one member that is wrong at its point:
+    # no round verifies, and the builder raises after exactly slot_bound
+    # rounds instead of returning a longer decomposition
     S = point_function_class(6, 48)
-    widths = []
-    check = MajorityDecomposition.target_defect
+    calls = []
+    stuck = SimpleNamespace(C=isolate_member(S, S[1]), f=S[1])
+    monkeypatch.setattr(decompose, "weak_certify", lambda *args: calls.append(args) or stuck)
+    with pytest.raises(VerificationDefect):
+        majority_certificates(S, S[0])
+    assert len(calls) == MajorityDecomposition.slot_bound(S) == 9
 
-    def failing_within_bound(dec):
-        widths.append(dec.m)
-        return "forced failure" if dec.m <= 121 else check(dec)
 
-    monkeypatch.setattr(MajorityDecomposition, "target_defect", failing_within_bound)
-    with pytest.raises(RetriesExhausted):
-        majority_certificates(S, S[0], seed=1)
-    assert widths == [121] * 64
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.booleans())
+def test_boosted_decompositions_verify_within_the_bound(salt, robust, points):
+    rng = substream(salt, 13)
+    n = int(rng.integers(1, 7))
+    if points:
+        S = point_function_class(n, int(rng.integers(1, (1 << n) + 1)), rng)
+    else:
+        S = random_boolean_class(n, int(rng.integers(1, min(24, 1 << (1 << n)) + 1)), rng)
+    f_star = S[int(rng.integers(len(S)))]
+    cls, build = ((RobustDecomposition, robust_majority_certificates) if robust
+                  else (MajorityDecomposition, majority_certificates))
+    dec = build(S, f_star)
+    assert type(dec) is cls
+    assert dec.m % 2 == 1 and dec.m <= cls.slot_bound(S)
+    dec.validate(S)
+    again = build(S, f_star).slots
+    assert (again.distinct, again.refs) == (dec.slots.distinct, dec.slots.refs)
 
 
 # ---------------------------------------------------------------------------
@@ -128,22 +149,22 @@ def test_robust_singleton_margins_trivial():
     domain = InputDomain(2)
     f = BooleanFunction.from_values(domain, [1, 1, 0, 0])
     S = ConceptClass(domain, [f])
-    dec = robust_majority_certificates(S, f, seed=0)
+    dec = robust_majority_certificates(S, f)
     assert dec.m == 1
     dec.validate(S)
 
 
 def test_robust_point_class_margins():
     S = point_function_class(6)
-    dec = robust_majority_certificates(S, S[0], seed=3)
+    dec = robust_majority_certificates(S, S[0])
     dec.validate(S)
     sums = dec.slot_sums()
     star = dec.target.values()
     for x in S.domain.inputs():
         if star[x] == 1:
-            assert sums[x] >= dec.upper_threshold
+            assert sums[x] >= math.ceil(2 * dec.m / 3)
         else:
-            assert sums[x] <= dec.lower_threshold
+            assert sums[x] <= dec.m // 3
     hist = dec.margin_histogram()
     assert sum(hist.values()) == S.domain.size
 
@@ -155,7 +176,7 @@ def test_robust_random_classes(salt):
     limit = min(12, 1 << (1 << n))
     S = random_boolean_class(n, int(rng.integers(2, limit + 1)), rng)
     f_star = S[int(rng.integers(len(S)))]
-    dec = robust_majority_certificates(S, f_star, seed=salt)
+    dec = robust_majority_certificates(S, f_star)
     dec.validate(S)
     hist = dec.margin_histogram()
     assert sum(hist.values()) == S.domain.size

@@ -208,7 +208,7 @@ def test_certificate_json_roundtrip():
 
 def test_boolean_decomposition_roundtrip():
     S = point_function_class(3)
-    dec = majority_certificates(S, S[0], seed=4)
+    dec = majority_certificates(S, S[0])
     data = boolean_decomposition_to_json(dec, S, "majority")
     S2, dec2 = boolean_decomposition_from_json(json.loads(json.dumps(data)))
     assert S2 == S

@@ -150,6 +150,20 @@ def test_full_lp_budget_enforced(monkeypatch):
         solve_game_full_lp(S, S[0], k=1)
 
 
+def test_full_lp_budget_counts_quotient_cells(monkeypatch):
+    # at n = 12 the 8 isolatable point functions agree with the zero
+    # target on 9 distinct columns: a 9 x 18 tableau of 162 cells, where
+    # all 2^12 columns would take 9 x 4105 = 36,945
+    S = point_function_class(12, 8, substream(3, 0))
+    monkeypatch.setattr(games, "GAME_CELL_BUDGET", 1000)
+    strategy = solve_game_full_lp(S, S[0], k=1)
+    assert strategy.game_value == pytest.approx(1.0 - 1.0 / 8.0, abs=1e-9)
+    monkeypatch.setattr(games, "GAME_CELL_BUDGET", 161)
+    with pytest.raises(EnumerationBudgetExceeded) as excinfo:
+        solve_game_full_lp(S, S[0], k=1)
+    assert excinfo.value.count == 162
+
+
 def test_full_lp_raw_space_guard():
     domain = InputDomain(10)
     S = ConceptClass(domain, [BooleanFunction.zero(domain)])
@@ -214,15 +228,6 @@ def test_strategy_validation_catches_tampering():
                              weights=np.array([1.0]), game_value=0.0)
     with pytest.raises(VerificationDefect):
         bad_pair.validate(S)
-
-
-def test_strategy_sampling_is_deterministic():
-    S = point_function_class(3)
-    strategy = double_oracle_solve(S, S[0])
-    a = strategy.sample_pairs(substream(5, 0), 9)
-    b = strategy.sample_pairs(substream(5, 0), 9)
-    assert [(c.assignments, f.bits) for c, f in a] == \
-        [(c.assignments, f.bits) for c, f in b]
 
 
 @given(st.integers(0, 40), st.integers(0, 3))

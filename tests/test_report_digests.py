@@ -20,8 +20,8 @@ DIGESTS = {
     "equivalence": "346c8bd65feec9e353ae252a5bb9f89da75e17dd953c76f8368fd46601ba0030",
     "l1winnow": "9da284aa8368cd44df1ba8041e7e50ba256e3fc9c5ad23692defe8eb9d6e57cc",
     "l2counter": "7d854f3ee0ddc4eed311a834b0fd5ccaf46054d2a2e1db917b41d49d296579bc",
-    "majcert": "0fc2418cfa55a251173ccf721369921f9384b60695884465d542f9637e5f076d",
-    "majcert_robust": "234c3665eaae46b6d59cf4279339fce30beed5487553887796c8bd6617e189b5",
+    "majcert": "7c0c5375c3e802b175f2d37b74b5ec879bafd25242780e8cc6b11cc27f80c627",
+    "majcert_robust": "665f0b6daf5b1568cd6dd2e7b40892d9a36d13a0ff62a7aa3a0526f64da2c524",
     "occam": "73c9614463e87b7e1b59f5051a26f3518205b83debaca859d5988565d2ab3b6a",
     "quantum-protocol": "1839140882231eb7417334884200f6ef08a693475d92d12ceb6e85d640251631",
     "realmajcert": "604a42b1e59486c4f8416c8a95d7c9e12c54456566d7921385ceeabf43917a67",

@@ -15,7 +15,8 @@ import pytest
 
 from majcert.concepts import Distribution, InputDomain, PConceptClass, RealFunction, Slots
 from majcert.decompose import occam_check
-from majcert.formats import canonical_json, protocol_from_json, state_to_json
+from majcert.formats import (boolean_decomposition_from_json, canonical_json,
+                             protocol_from_json, state_to_json)
 from majcert.protocol import machine_b_error, verifier_A
 from majcert.qsim import DensityMatrix
 from majcert.suites import REGISTRY, run_suite, verify_report
@@ -78,13 +79,40 @@ def test_report_text_is_a_fixed_point_of_canonical_json(name):
     assert canonical_json(json.loads(text)) == text
 
 
+def repeat_positions(data, times, keys=("certs", "funcs")):
+    """Every position of a serialized slot list repeated ``times`` times."""
+    data["m"] *= times
+    for key in keys:
+        data[key] = data[key] * times
+
+
 def triple_every_slot(report):
+    """Every slot tripled until m exceeds the slot bound; the tripled slots
+    still combine to the target."""
     dec = report["records"][0]["outputs"]["decomposition"]
-    assert dec["m"] == 121
-    dec["m"] = 3 * dec["m"]
-    dec["certs"] = dec["certs"] * 3
-    dec["funcs"] = dec["funcs"] * 3
+    S, decomposition = boolean_decomposition_from_json(dec)
+    while dec["m"] <= type(decomposition).slot_bound(S):
+        repeat_positions(dec, 3)
     return 0
+
+
+def realmajcert_m_past_its_bound(report):
+    """Every position repeated 50 times: m = 50 ceil(20n / eps^2), with the
+    measures re-derived to match."""
+    record = report["records"][0]
+    repeat_positions(record["outputs"]["decomposition"], 50)
+    record["measures"] = REGISTRY["realmajcert"].measures(record)
+    return 0
+
+
+def quantum_m_past_its_bound(report):
+    """Every position of the decomposition and of the protocol compiled
+    from it repeated 50 times, with record 0's measures re-derived."""
+    records = report["records"]
+    repeat_positions(records[1]["outputs"]["decomposition"], 50)
+    repeat_positions(records[0]["outputs"]["protocol"], 50, ("targets", "advice_refs"))
+    records[0]["measures"] = REGISTRY["quantum-protocol"].measures(records[0])
+    return 1
 
 
 def repeated_class_member(report):
@@ -569,6 +597,8 @@ def respelled_target_inputs(report):
     ("dims", dims_raised_n),
     ("realmajcert", respelled_real_point),
     ("quantum-protocol", respelled_target_inputs),
+    ("realmajcert", realmajcert_m_past_its_bound),
+    ("quantum-protocol", quantum_m_past_its_bound),
 ])
 def test_verify_rejects_tampered_record(name, tamper):
     report = parsed(name)
@@ -591,7 +621,12 @@ def later_copy(rows):
 
 
 def contradicting_bit_on_a_copy(report):
+    """Each slot tripled while m stays within the slot bound, then one
+    later copy's certificate given a bit its function contradicts."""
     dec = report["records"][0]["outputs"]["decomposition"]
+    S, decomposition = boolean_decomposition_from_json(dec)
+    while 3 * dec["m"] <= type(decomposition).slot_bound(S):
+        repeat_positions(dec, 3)
     j = later_copy(list(zip(dec["certs"], dec["funcs"])))
     cert, size = copy.deepcopy(dec["certs"][j]), 1 << dec["n"]
     x = min(set(range(size)) - {int(p, 16) for p in cert["points"]})
