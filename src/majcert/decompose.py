@@ -2,12 +2,12 @@
 plus the untrusted-oracle evaluator and the sample-complexity check.
 
 Boolean decompositions boost the weak certifier deterministically
-(oblivious rounding); real ones draw m slots i.i.d. from the real game's
-optimal mix.  Slots repeat, so each decomposition stores them as
-``Slots``: the distinct slots once, with one ref per position.  Per-slot
-checks run once per distinct slot and sums weight by count, while untrusted
-per-position input (the untrusted oracle's claims) is matched to slots
-through the refs.
+(oblivious rounding); real ones round the real game's optimal mix to the
+fewest slot counts that hold its penalty bound.  Slots repeat, so each
+decomposition stores them as ``Slots``: the distinct slots once, with one
+ref per position.  Per-slot checks run once per distinct slot and sums
+weight by count, while untrusted per-position input (the untrusted
+oracle's claims) is matched to slots through the refs.
 
 Every returned decomposition has had its defining property verified
 exhaustively over the whole domain; a decomposition object in hand is
@@ -267,7 +267,8 @@ class RealDecomposition:
 
     @staticmethod
     def slot_bound(S: PConceptClass, eps: float) -> int:
-        """The most slots of a decomposition of S at eps: ceil(20n/eps^2), 1 if |S| = 1."""
+        """The most slots of a decomposition of S at eps, the cap of the
+        builder's rounding loop: ceil(20n/eps^2), 1 if |S| = 1."""
         return 1 if len(S) == 1 else math.ceil(20.0 * S.domain.n / (eps * eps))
 
 
@@ -367,40 +368,32 @@ def real_majority_certificates(S: PConceptClass, f_star: RealFunction, eps: floa
     plays inputs; Alice's penalty at x is the exact worst deviation
     |f_star(x) - g(x)| over her slot's admissible members.  The outer
     loop stops when Alice's mix holds Bob's best response to expected
-    penalty eps/2.  Then m = RealDecomposition.slot_bound(S, eps) slots
-    are sampled from the mix and the decomposition is kept
-    only once verify_real_decomposition passes (resampling up to 64
-    times).  The decomposition's alpha is the smallest realized slot
-    alpha, which only tightens the verified slots.  Stage-1 schedules
-    start at schedule_start(|S|, beta): no fat dimension is computed.
+    penalty eps/2.  The mix w is then rounded: for m = 1, 2, ... the
+    largest-remainder counts of m*w (ties to the earlier slot) are kept at
+    the first m whose mean penalty is at most eps at every input.  Each
+    count is within 1 of m*w_j, so that happens by m = ceil(2s/eps) for a
+    mix of support s; RealDecomposition.slot_bound(S, eps) caps the loop.
+    The result is checked once by verify_real_decomposition.  Its alpha
+    is the smallest realized slot alpha, which only tightens the slots.
+    Stage-1 schedules start at schedule_start(|S|, beta): no fat
+    dimension is computed.
     """
     if not (0 < eps):
         raise RejectedInputError("eps must be positive")
     S.index_of(f_star)
     beta = eps / 48.0
 
-    if len(S) == 1:
-        decomposition = RealDecomposition(target=f_star,
-                                          slots=Slots(((f_star, frozenset()),), (0,)),
-                                          alpha=0.4 * beta, eps=eps)
-        if not verify_real_decomposition(S, decomposition):
-            raise VerificationDefect("singleton decomposition failed verification")
-        return decomposition
-
     slots: list = []
     slot_keys: set = set()
     # bootstrap Bob at the first input so constraint sets grow from the
     # game dynamics rather than from a blanket uniform sample
     D = Distribution.point_mass(S.domain, 0)
-    w = np.ones(0)
-    worst = math.inf
     cap = 10 * len(S) + 10
     for iteration in range(cap):
         if slots:
             Pen = np.stack([s.penalties for s in slots])
             value, w, d = solve_zero_sum(-Pen)
-            worst = -value
-            if worst <= eps / 2.0 + 1e-12:
+            if -value <= eps / 2.0 + 1e-12:
                 break
             D = Distribution.from_weights(S.domain, d)
         slot = _real_alice_response(S, f_star, D, beta, eps, seed, iteration)
@@ -414,15 +407,19 @@ def real_majority_certificates(S: PConceptClass, f_star: RealFunction, eps: floa
                                f"no eps/2 mix within {cap} iterations")
 
     alpha = min(s.alpha for s in slots)
-    m = RealDecomposition.slot_bound(S, eps)
     weights = w / w.sum()
-    for attempt in range(64):
-        rng = substream(seed, 8, attempt)
-        drawn = Slots.group(rng.choice(len(slots), size=m, p=weights).tolist())
-        decomposition = RealDecomposition(target=f_star,
-                                          slots=drawn.map(lambda i: (slots[i].f, slots[i].X)),
-                                          alpha=alpha, eps=eps)
-        if verify_real_decomposition(S, decomposition):
-            return decomposition
-    raise RetriesExhausted("real decomposition sampling",
-                           "no verified decomposition in 64 resamples")
+    for m in range(1, RealDecomposition.slot_bound(S, eps) + 1):
+        counts = np.floor(m * weights).astype(np.int64)
+        remainders = m * weights - counts
+        counts[np.argsort(-remainders, kind="stable")[:m - counts.sum()]] += 1
+        if (counts @ Pen).max() <= eps * m:
+            break
+    else:
+        raise VerificationDefect("no rounding of the mix within the slot bound holds eps")
+    drawn = Slots.group(np.repeat(np.arange(len(slots)), counts).tolist())
+    decomposition = RealDecomposition(target=f_star,
+                                      slots=drawn.map(lambda i: (slots[i].f, slots[i].X)),
+                                      alpha=alpha, eps=eps)
+    if not verify_real_decomposition(S, decomposition):
+        raise VerificationDefect("rounded real decomposition failed verification")
+    return decomposition

@@ -375,7 +375,13 @@ def test_real_random_classes_verify(salt):
     f_star = S[salt % len(S)]
     dec = real_majority_certificates(S, f_star, eps=0.25, seed=salt)
     assert verify_real_decomposition(S, dec)
-    assert dec.m == math.ceil(20 * 3 / 0.25 ** 2)
+    assert dec.m <= RealDecomposition.slot_bound(S, 0.25)
+    again = real_majority_certificates(S, f_star, eps=0.25, seed=salt)
+
+    def layout(d):
+        return [(f.key(), X) for f, X in d.slots.distinct], d.slots.refs
+
+    assert layout(again) == layout(dec)
 
 
 def test_real_alpha_matches_schedule(monkeypatch):
@@ -395,18 +401,27 @@ def test_real_alpha_matches_schedule(monkeypatch):
 
 
 def test_real_clustered_class_multi_slot():
-    # clusters around distinct centers force a mixed Alice strategy
-    rng = substream(55, 0)
-    domain = InputDomain(3)
-    members = []
-    for _ in range(4):
-        center = rng.uniform(0.25, 0.75, size=domain.size)
-        for _ in range(6):
-            members.append(RealFunction(
-                domain, np.clip(center + rng.uniform(-0.02, 0.02, domain.size), 0, 1)))
+    # a bump class: f* = 0.25 everywhere and g_j = f* + 0.5 at input j
+    # only; no single slot holds every bump within eps, so Alice mixes
+    domain = InputDomain(4)
+    members = [real_fn(domain, np.full(domain.size, 0.25))]
+    for j in range(domain.size):
+        members.append(real_fn(domain, 0.25 + 0.5 * (np.arange(domain.size) == j)))
     S = PConceptClass(domain, members)
-    dec = real_majority_certificates(S, S[0], eps=0.2, seed=5)
+    dec = real_majority_certificates(S, S[0], eps=0.3, seed=5)
     assert verify_real_decomposition(S, dec)
+    assert dec.slots.counts().tolist() == [1, 1]
+
+    def with_counts(counts):
+        slots = Slots.group(i for i, c in enumerate(counts) for _ in range(c))
+        slots = slots.map(dec.slots.distinct.__getitem__)
+        return RealDecomposition(target=dec.target, slots=slots, alpha=dec.alpha, eps=dec.eps)
+
+    # the count weighting matters: each slot alone, and 2:1, miss eps
+    assert not verify_real_decomposition(S, with_counts((1, 0)))
+    assert not verify_real_decomposition(S, with_counts((0, 1)))
+    assert not verify_real_decomposition(S, with_counts((2, 1)))
+    assert verify_real_decomposition(S, with_counts((2, 2)))
 
 
 def test_real_requires_membership():

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from majcert.concepts import Distribution, InputDomain, PConceptClass, RealFunction, Slots
-from majcert.decompose import occam_check
+from majcert.decompose import RealDecomposition, occam_check
 from majcert.formats import (boolean_decomposition_from_json, canonical_json,
-                             protocol_from_json, state_to_json)
+                             protocol_from_json, real_decomposition_from_json,
+                             state_to_json)
 from majcert.protocol import machine_b_error, verifier_A
 from majcert.qsim import DensityMatrix
 from majcert.suites import REGISTRY, run_suite, verify_report
@@ -96,22 +97,42 @@ def triple_every_slot(report):
     return 0
 
 
+def repeat_real_positions(report, past_bound=False):
+    """Every position of the report's real decomposition, and of the
+    protocol compiled from it, repeated: tripled while m stays within the
+    slot bound or, with ``past_bound``, just past it.  Record 0's measures
+    are re-derived to match."""
+    records = report["records"]
+    quantum = report["suite"] == "quantum-protocol"
+    dec = records[1 if quantum else 0]["outputs"]["decomposition"]
+    S, decomposition = real_decomposition_from_json(dec)
+    bound = RealDecomposition.slot_bound(S, decomposition.eps)
+    if past_bound:
+        times = bound // dec["m"] + 1
+    else:
+        times = 1
+        while 3 * times * dec["m"] <= bound:
+            times *= 3
+    repeat_positions(dec, times)
+    if quantum:
+        repeat_positions(records[0]["outputs"]["protocol"], times, ("targets", "advice_refs"))
+    records[0]["measures"] = REGISTRY[report["suite"]].measures(records[0])
+
+
+def repeated_real_report(report):
+    """Every real position repeated within the slot bound; the repeated
+    report still verifies."""
+    repeat_real_positions(report)
+    assert all(ok for _, ok in verify_report(report))
+
+
 def realmajcert_m_past_its_bound(report):
-    """Every position repeated 50 times: m = 50 ceil(20n / eps^2), with the
-    measures re-derived to match."""
-    record = report["records"][0]
-    repeat_positions(record["outputs"]["decomposition"], 50)
-    record["measures"] = REGISTRY["realmajcert"].measures(record)
+    repeat_real_positions(report, past_bound=True)
     return 0
 
 
 def quantum_m_past_its_bound(report):
-    """Every position of the decomposition and of the protocol compiled
-    from it repeated 50 times, with record 0's measures re-derived."""
-    records = report["records"]
-    repeat_positions(records[1]["outputs"]["decomposition"], 50)
-    repeat_positions(records[0]["outputs"]["protocol"], 50, ("targets", "advice_refs"))
-    records[0]["measures"] = REGISTRY["quantum-protocol"].measures(records[0])
+    repeat_real_positions(report, past_bound=True)
     return 1
 
 
@@ -470,11 +491,13 @@ def false_for_a_later_zero(entries: list) -> None:
 
 
 def realmajcert_false_func(report):
+    repeated_real_report(report)
     false_for_a_later_zero(report["records"][0]["outputs"]["decomposition"]["funcs"])
     return 0
 
 
 def false_advice_ref(report):
+    repeated_real_report(report)
     false_for_a_later_zero(report["records"][0]["outputs"]["protocol"]["advice_refs"])
     return None  # the protocol is undecodable, so every record fails
 
@@ -638,6 +661,7 @@ def contradicting_bit_on_a_copy(report):
 
 
 def repeated_point_on_a_copy(report):
+    repeated_real_report(report)
     dec = report["records"][0]["outputs"]["decomposition"]
     j = later_copy(list(zip(dec["funcs"], dec["certs"])))
     cert = copy.deepcopy(dec["certs"][j])
@@ -649,6 +673,7 @@ def repeated_point_on_a_copy(report):
 def certificate_as_item_list_on_a_copy(report):
     """A copy whose certificate object is written as a list of its items,
     which is not a certificate however it is grouped."""
+    repeated_real_report(report)
     dec = report["records"][0]["outputs"]["decomposition"]
     j = later_copy(list(zip(dec["funcs"], dec["certs"])))
     dec["certs"][j] = [[k, v] for k, v in dec["certs"][j].items()]
@@ -656,6 +681,7 @@ def certificate_as_item_list_on_a_copy(report):
 
 
 def other_target_on_a_copy(report):
+    repeated_real_report(report)
     protocol = report["records"][0]["outputs"]["protocol"]
     j = later_copy(list(zip(protocol["advice_refs"], protocol["targets"])))
     slot = copy.deepcopy(protocol["targets"][j])
