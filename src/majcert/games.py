@@ -9,9 +9,12 @@ converge to the exact game value.
 Both solvers play the game on its quotient: one column per distinct
 agreement pattern of their rows, in order of first input.  The full LP
 has one row per isolatable member, in index order, paired in the support
-with its first isolating certificate in enumeration order.  The double
-oracle spreads Bob's weight on a column class evenly over its inputs.
-Only the quotient of the 0/1 agreement rows is converted to float.
+with its first isolating certificate in enumeration order.  That
+enumeration runs level by level in numpy, one block of (input subset,
+member) codes at a time, and also answers ``k_isolatable_members``.  The
+double oracle spreads Bob's weight on a column class evenly over its
+inputs.  Only the quotient of the 0/1 agreement rows is converted to
+float.
 
 Each matrix game is one LP for Bob's mix, solved by a dense tableau
 simplex under Bland's pivot rule (Bland 1977), so no basis repeats;
@@ -25,7 +28,6 @@ matrix.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +43,9 @@ from .winnow import isolate_member, weak_certify
 FULL_LP_BUDGET = 100_000
 #: Guard on raw (subset, bit-pattern) combinations before filtering.
 ENUMERATION_GUARD = 2_000_000
+#: (input subset, member) code cells held per block of certificate
+#: enumeration.
+BLOCK_CELLS = 1 << 20
 #: Hard cap on the cells of one matrix game's simplex tableau,
 #: (rows + 1) x (rows + cols + 1) float64 entries, 32 MB at the cap.
 GAME_CELL_BUDGET = 4_000_000
@@ -168,9 +173,12 @@ def solve_game_full_lp(S: ConceptClass, f_star: BooleanFunction, k: int) -> Alic
     of size at most k and solving the game on one row per isolated member
     and one column per distinct agreement pattern of those rows.
 
-    Rejected (with the offending count) when enumeration would exceed
-    FULL_LP_BUDGET; this oracle exists to cross-check double_oracle_solve on
-    small instances, not to scale.
+    The enumeration (``_first_certificates``) runs level by level in
+    blocks of at most BLOCK_CELLS (input subset, member) codes and keeps
+    each member's first certificate.  Rejected (with the offending count)
+    when the raw space exceeds ENUMERATION_GUARD or the isolating
+    certificates exceed FULL_LP_BUDGET; this oracle exists to cross-check
+    double_oracle_solve on small instances, not to scale.
     """
     S.index_of(f_star)
     domain = S.domain
@@ -178,9 +186,7 @@ def solve_game_full_lp(S: ConceptClass, f_star: BooleanFunction, k: int) -> Alic
     if raw_count > ENUMERATION_GUARD:
         raise EnumerationBudgetExceeded(ENUMERATION_GUARD, raw_count,
                                         "raw size-<=k certificate space")
-    first: dict = {}
-    for mask, value, row in _isolating_certificates(S, k, FULL_LP_BUDGET):
-        first.setdefault(row, (mask, value))
+    first = _first_certificates(S, k, FULL_LP_BUDGET)
     if not first:
         raise RejectedInputError(f"no certificate of size <= {k} isolates any member")
     rows = sorted(first)
@@ -193,31 +199,81 @@ def solve_game_full_lp(S: ConceptClass, f_star: BooleanFunction, k: int) -> Alic
     return strategy
 
 
-def _isolating_certificates(S: ConceptClass, k: int, budget: int = None):
-    """Yield packed (mask, value, member index) per isolating C, |C| <= k.
+def _subset_blocks(size: int, k: int, block: int):
+    """Yield ``(s, subsets)`` for the input subsets of size s <= k, in
+    ``itertools.combinations`` order, at most ``block`` subsets at a time,
+    each a row of its inputs in ascending order.
 
-    Enumeration is per input subset, smallest first: the members' tables
-    masked to the subset are the certificate values they match, and each
-    value matched by a single member is one isolating certificate.
-    Values come in increasing order.
+    A level's subsets are numbered in that order.  Parent p of level
+    s - 1 has one child per input above its last, numbered up to
+    ends[p] - 1 (the cumulative child count), so child t appends input
+    size - ends[p] + t.
     """
+    subsets = np.zeros((1, 0), dtype=np.intp)
+    yield 0, subsets
+    for s in range(1, k + 1):
+        last = subsets[:, -1] if s > 1 else np.full(1, -1)
+        ends = np.cumsum(size - 1 - last)
+        level = []
+        for start in range(0, int(ends[-1]), block):
+            t = np.arange(start, min(start + block, int(ends[-1])))
+            parent = np.searchsorted(ends, t, side="right")
+            children = np.column_stack([subsets[parent], size - ends[parent] + t])
+            if s < k:  # the next level's parents
+                level.append(children)
+            yield s, children
+        if not level:
+            return
+        subsets = np.concatenate(level)
+
+
+def _first_certificates(S: ConceptClass, k: int, budget: int = None) -> dict:
+    """``{member index: (mask, value)}``, each member's first isolating
+    certificate of size at most k, packed, in order of first certificate.
+
+    The certificates are enumerated by size, then by input subset in
+    ``itertools.combinations`` order, then by ascending value, one block
+    of at most BLOCK_CELLS (subset, member) code cells at a time
+    (``_subset_blocks``).  A member's code on a subset is its table read
+    at the subset's inputs, bit i for the i-th smallest, so ascending
+    codes are ascending certificate values, and the subset isolates the
+    member when no other member shares its code.
+
+    Every isolating certificate counts against ``budget``: the total is
+    checked at each block's end, and a total above it raises
+    EnumerationBudgetExceeded with the count so far.  Without a budget
+    the enumeration stops after the first block that leaves every member
+    found, since later blocks change no member's first certificate.
+    """
+    table = np.ascontiguousarray(S.value_matrix().T)  # row x: every member's value at x
+    size, members = table.shape
+    first: dict = {}
+    missing = np.ones(members, dtype=bool)
     count = 0
-    for s in range(k + 1):
-        for points in itertools.combinations(S.domain.inputs(), s):
-            mask = sum(1 << x for x in points)
-            matched: dict = {}
-            for row, f in enumerate(S.members):
-                value = f.bits & mask
-                matched[value] = -1 if value in matched else row
-            for value in sorted(matched):
-                row = matched[value]
-                if row < 0:
-                    continue
-                count += 1
-                if budget is not None and count > budget:
-                    raise EnumerationBudgetExceeded(budget, count,
-                                                    "isolating certificates")
-                yield mask, value, row
+    for s, subsets in _subset_blocks(size, k, max(1, BLOCK_CELLS // members)):
+        dtype = np.min_scalar_type((1 << s) - 1)
+        codes = np.zeros((len(subsets), members), dtype=dtype)
+        for i in range(s):
+            codes |= table[subsets[:, i]].astype(dtype) << i
+        rows, order = np.arange(len(subsets))[:, None], np.argsort(codes, axis=1)
+        ranked = codes[rows, order]
+        differs = np.ones((len(subsets), members + 1), dtype=bool)
+        differs[:, 1:-1] = ranked[:, 1:] != ranked[:, :-1]
+        isolated = np.empty_like(differs[:, 1:])
+        isolated[rows, order] = differs[:, :-1] & differs[:, 1:]
+        count += int(np.count_nonzero(isolated))
+        if budget is not None and count > budget:
+            raise EnumerationBudgetExceeded(budget, count, "isolating certificates")
+        found = np.flatnonzero(missing & isolated.any(axis=0))
+        at = isolated[:, found].argmax(axis=0)  # each found member's first subset
+        for j in np.lexsort((codes[at, found], at)):
+            row = int(found[j])
+            mask = sum(1 << int(x) for x in subsets[at[j]])
+            first[row] = (mask, S[row].bits & mask)
+        missing[found] = False
+        if budget is None and not missing.any():
+            break
+    return first
 
 
 def k_isolatable_members(S: ConceptClass, k: int) -> set:
@@ -227,12 +283,7 @@ def k_isolatable_members(S: ConceptClass, k: int) -> set:
     and the unbounded double oracle solve the same matrix game (payoffs
     depend only on the isolated member).
     """
-    found: set = set()
-    for _, _, row in _isolating_certificates(S, k):
-        found.add(row)
-        if len(found) == len(S):
-            break
-    return found
+    return set(_first_certificates(S, k))
 
 
 def double_oracle_solve(S: ConceptClass, f_star: BooleanFunction,

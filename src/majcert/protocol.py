@@ -44,17 +44,25 @@ from .rng import substream
 from .winnow import fat_shattering_dim
 
 
+#: complex entries of one state-by-operator product in ``acceptance_table``
+_PRODUCT_ENTRIES = 1 << 20
+
+
 def acceptance_table(circuit: Circuit, domain: InputDomain,
                      states: Sequence[DensityMatrix]) -> np.ndarray:
-    """Tr(rho M_x) for every state (rows) and input x (columns), unclipped;
-    each operator M_x is built once per call and register width."""
-    ops: dict = {}
+    """Tr(rho M_x) for every state (rows) and input x (columns), unclipped.
+    The operators M_x are built once per register width, and the states
+    of a width are multiplied by them as one stack, in slices of at most
+    _PRODUCT_ENTRIES product entries."""
     table = np.empty((len(states), domain.size))
-    for row, s in zip(table, states):
-        if s.qubits not in ops:
-            ops[s.qubits] = [measurement_operator(circuit, x, s.qubits)
-                             for x in domain.inputs()]
-        row[:] = [np.real(np.trace(s.entries @ M)) for M in ops[s.qubits]]
+    for qubits in sorted({s.qubits for s in states}):
+        rows = [i for i, s in enumerate(states) if s.qubits == qubits]
+        ops = np.stack([measurement_operator(circuit, x, qubits) for x in domain.inputs()])
+        step = max(1, _PRODUCT_ENTRIES // ops.size)
+        for i in range(0, len(rows), step):
+            part = rows[i:i + step]
+            rhos = np.stack([states[j].entries for j in part])[:, None]
+            table[part] = np.real(np.trace(rhos @ ops, axis1=-2, axis2=-1))
     return table
 
 
@@ -125,23 +133,28 @@ def _resolve_registers(P: AdviceProtocol, sigma) -> Slots:
     return sigma
 
 
-def _machines(P: AdviceProtocol, values: np.ndarray, counts: np.ndarray,
-              slot_of: Sequence[int]) -> tuple:
-    """(machine B error, machine A deviation) of registers in groups:
-    group g holds ``counts[g]`` positions of distinct slot ``slot_of[g]``
-    with acceptance values ``values[..., g, :]`` (leading axes batch).
-    B accepts x with the mean over positions of Tr(rho_i M_x) and errs by
-    max_x |B(x) - L(x)|; A's deviation is the worst |Tr(rho_i M_z) -
-    r_{i,z}| over positions i and their slot's inputs z."""
+def _machines(P: AdviceProtocol, counts: np.ndarray, slot_of: Sequence[int]):
+    """The function from acceptance values to (machine B error, machine A
+    deviation) of registers in groups: group g holds ``counts[g]``
+    positions of distinct slot ``slot_of[g]`` with acceptance values
+    ``values[..., g, :]`` (leading axes batch).  B accepts x with the mean
+    over positions of Tr(rho_i M_x) and errs by max_x |B(x) - L(x)|; A's
+    deviation is the worst |Tr(rho_i M_z) - r_{i,z}| over positions i and
+    their slot's inputs z.  The tables of targets are built once here."""
     targeted = np.zeros((len(P.slots.distinct), P.domain.size), dtype=bool)
     target = np.zeros(targeted.shape)
     for j, (_, targets) in enumerate(P.slots.distinct):
         for z, r in targets:
             targeted[j, z], target[j, z] = True, float(r)
-    error = np.max(np.abs((counts / P.m) @ values - P.language.values()), axis=-1)
-    deviation = np.max(np.where(targeted[slot_of], np.abs(values - target[slot_of]), 0.0),
-                       axis=(-2, -1))
-    return error, deviation
+    targeted, target = targeted[slot_of], target[slot_of]
+    weights, truth = counts / P.m, P.language.values()
+
+    def machines(values: np.ndarray) -> tuple:
+        error = np.max(np.abs(weights @ values - truth), axis=-1)
+        deviation = np.max(np.where(targeted, np.abs(values - target), 0.0), axis=(-2, -1))
+        return error, deviation
+
+    return machines
 
 
 def _register_machines(P: AdviceProtocol, sigma) -> tuple:
@@ -154,7 +167,7 @@ def _register_machines(P: AdviceProtocol, sigma) -> tuple:
     order = np.argsort(first)
     codes, counts = codes[order], counts[order]
     values = acceptance_table(P.circuit, P.domain, registers.distinct)[codes % k]
-    error, deviation = _machines(P, values, counts, codes // k)
+    error, deviation = _machines(P, counts, codes // k)(values)
     return float(error), float(deviation)
 
 
@@ -298,25 +311,40 @@ _CHUNK = 64
 _STEPS_PER_RESTART = 40
 
 
-def _purified_values(params: np.ndarray, op_stack: np.ndarray) -> np.ndarray:
+def _quadratic_forms(op_stack: np.ndarray) -> np.ndarray:
+    """The real forms of ``_purified_values``, one column per input x:
+    F_x = [[Re M_x, -Im M_x], [Im M_x, Re M_x]], flattened."""
+    F = np.block([[op_stack.real, -op_stack.imag], [op_stack.imag, op_stack.real]])
+    return F.reshape(len(op_stack), -1).T
+
+
+def _purified_values(params: np.ndarray, op_stack: np.ndarray,
+                     forms: Optional[np.ndarray] = None) -> np.ndarray:
     """Tr(rho M_x) for every x and every row of purification parameters,
-    read without building rho: with V the purification reshaped to
+    read without building rho.  With V the purification reshaped to
     2^p x 2^p (rows on the advice register), rho = V V^dag / ||V||^2, so
-    the value is Re tr(V^dag M_x V) / ||V||^2.  A row of norm below
-    1e-12 reads as |0>, as in ``params_to_state``.  Agrees with
-    ``Tr(params_to_state(row).entries @ M_x)`` up to float rounding."""
-    side = op_stack.shape[-1]
-    half = params.shape[-1] // 2
-    V = (params[..., :half] + 1j * params[..., half:]).reshape(*params.shape[:-1], side, side)
+    the value is tr(V^dag M_x V) / ||V||^2, the real quadratic form
+    u^T Q_x u / ||u||^2 of the parameter row u with Q_x =
+    [[Re H, -Im H], [Im H, Re H]] and H = M_x (x) I.  The identity factor
+    is summed out rather than stored: with W the 2^(p+1) x 2^p matrix of
+    Re V over Im V, u^T Q_x u is the entrywise sum of (W W^T) * F_x for
+    the forms F_x of ``_quadratic_forms``, which a caller reading many
+    batches builds once and passes as ``forms``.  So every row and input
+    takes one stacked product W W^T and one matrix product.  A row of
+    norm below 1e-12 reads as |0>, as in ``params_to_state``.  Agrees
+    with ``Tr(params_to_state(row).entries @ M_x)`` up to float
+    rounding."""
+    if forms is None:
+        forms = _quadratic_forms(op_stack)
     norm2 = np.sum(params * params, axis=-1)
     null = np.sqrt(norm2) < 1e-12
     if np.any(null):
-        V[null] = 0.0
-        V[null, 0, 0] = 1.0
+        params = np.where(null[..., None], np.eye(1, params.shape[-1]), params)
         norm2 = np.where(null, 1.0, norm2)
-    V = V[..., None, :, :]
-    quad = np.sum(V.conj() * (op_stack @ V), axis=(-2, -1)).real
-    return quad / norm2[..., None]
+    side = op_stack.shape[-1]
+    W = params.reshape(*params.shape[:-1], 2 * side, side)
+    gram = (W @ W.swapaxes(-2, -1)).reshape(*params.shape[:-1], -1)
+    return (gram @ forms) / norm2[..., None]
 
 
 def adversary_search(P: AdviceProtocol, budget: int = 1000,
@@ -339,7 +367,11 @@ def adversary_search(P: AdviceProtocol, budget: int = 1000,
     scores the whole chunk's candidates at once by ``_machines`` on
     values read from the purification parameters, re-reading only the
     moved block, and each restart keeps a candidate that strictly raises
-    its score.  After a chunk its restarts are scanned in order for the
+    its score.  A value Tr(rho M_x) is the real quadratic form
+    u^T Q_x u / ||u||^2 of the block's 2·4^p parameters u
+    (``_purified_values``); the forms and the machines' target tables
+    are built once per search, so reading a step's values is one matrix
+    product.  After a chunk its restarts are scanned in order for the
     best feasible error, and the search stops after the first restart
     that errs above 1/3.  Candidates are never built as states: the
     winning parameters go through ``params_to_state`` once per block,
@@ -349,15 +381,16 @@ def adversary_search(P: AdviceProtocol, budget: int = 1000,
     """
     op_stack = np.stack([measurement_operator(P.circuit, x, P.advice_qubits)
                          for x in P.domain.inputs()])
+    forms = _quadratic_forms(op_stack)
     blocks = P.slots.distinct
-    counts, slot_of = P.slots.counts(), np.arange(len(blocks))
+    machines = _machines(P, P.slots.counts(), np.arange(len(blocks)))
     threshold = 5.0 * P.alpha
     penalty_weight = 10.0
     dim = 2 * (1 << (2 * P.advice_qubits))
 
     def scores(vals: np.ndarray) -> tuple:
         """(error, deviation, score) from per-block values (..., blocks, x)."""
-        err, dev = _machines(P, vals, counts, slot_of)
+        err, dev = machines(vals)
         return err, dev, err - penalty_weight * np.maximum(0.0, dev - threshold)
 
     honest = np.stack([state_to_params(state) for state, _ in blocks])
@@ -369,7 +402,7 @@ def adversary_search(P: AdviceProtocol, budget: int = 1000,
         params = np.stack([honest if r == 0 else
                            np.stack([rng.normal(size=dim) for _ in blocks])
                            for r, rng in zip(restarts, rngs)])
-        vals = _purified_values(params, op_stack)
+        vals = _purified_values(params, op_stack, forms)
         err, dev, score = scores(vals)
 
         rows = np.arange(len(rngs))
@@ -380,7 +413,7 @@ def adversary_search(P: AdviceProtocol, budget: int = 1000,
             moved = moves[:, t]
             proposal = params[rows, moved] + scale * noise[:, t]
             cand_vals = vals.copy()
-            cand_vals[rows, moved] = _purified_values(proposal, op_stack)
+            cand_vals[rows, moved] = _purified_values(proposal, op_stack, forms)
             cand_err, cand_dev, cand_score = scores(cand_vals)
             take = cand_score > score
             params[rows[take], moved[take]] = proposal[take]

@@ -192,6 +192,28 @@ def test_robust_majcert_at_n20_within_two_gigabytes(tmp_path):
     assert (tmp_path / "report.json").stat().st_size < 25_000_000
 
 
+def test_full_lp_at_n18_within_a_minute_and_80_megabytes():
+    # the level-wise enumeration holds one block of subset codes at a
+    # time: 2^18 one-input subsets of 16 members take seconds, and the
+    # child's peak resident set stays under 80 MB.  The child reads its
+    # own VmHWM: ru_maxrss keeps the high-water mark of the memory image
+    # that exec replaced, which is this test process's.
+    script = ("from majcert.games import solve_game_full_lp\n"
+              "from majcert.generators import random_boolean_class\n"
+              "from majcert.rng import substream\n"
+              "S = random_boolean_class(18, 16, substream(1, 0))\n"
+              "solve_game_full_lp(S, S[0], k=1)\n"
+              "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    started = time.monotonic()
+    done = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert time.monotonic() - started < 60.0
+    assert int(done.stdout.split()[-1]) < 80 * 1024  # VmHWM is in kB
+
+
 @pytest.mark.parametrize("suite, parameters", [
     ("realmajcert", {"n": 14}),
     ("occam", {"n": 14, "instances": 1}),

@@ -10,11 +10,11 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
 from majcert.concepts import (BooleanFunction, Certificate, ConceptClass,
-                              InputDomain)
+                              InputDomain, restrict_class)
 from majcert.errors import (EnumerationBudgetExceeded, RejectedInputError,
                             VerificationDefect)
 import majcert.games as games
-from majcert.games import (AliceStrategy, _isolating_certificates,
+from majcert.games import (AliceStrategy, _first_certificates,
                            double_oracle_solve, k_isolatable_members,
                            solve_game_full_lp, solve_zero_sum)
 from majcert.generators import point_function_class, random_boolean_class
@@ -39,6 +39,32 @@ def recorded_game_values():
         yield values
     finally:
         games.solve_zero_sum = original
+
+
+def isolating_certificates(S, k):
+    """Every isolating certificate of size <= k as (mask, value, member
+    index), found pattern by pattern with ``restrict_class``: by size,
+    then by input subset in combinations order, then by ascending value."""
+    found = []
+    for s in range(k + 1):
+        for points in itertools.combinations(S.domain.inputs(), s):
+            patterns = sorted(itertools.product((0, 1), repeat=s),
+                              key=lambda bits: sum(b << x for b, x in zip(bits, points)))
+            for bits in patterns:
+                cert = Certificate.of(S.domain, zip(points, bits))
+                survivors = restrict_class(S, cert)
+                if len(survivors) == 1:
+                    found.append((cert.mask, cert.value, S.index_of(survivors[0])))
+    return found
+
+
+def first_certificates(S, k):
+    """Each member's first certificate in ``isolating_certificates``, as
+    ``[(member index, (mask, value))]`` in order of first appearance."""
+    first = {}
+    for mask, value, row in isolating_certificates(S, k):
+        first.setdefault(row, (mask, value))
+    return list(first.items())
 
 
 def test_solve_zero_sum_matching_pennies():
@@ -232,22 +258,31 @@ def test_strategy_validation_catches_tampering():
 
 @given(st.integers(0, 40), st.integers(0, 3))
 def test_isolating_certificates_match_naive_enumeration(salt, k):
-    # reference: every pattern on every subset of size <= k, in the
-    # enumeration's order, kept when it leaves exactly one member
-    from majcert.concepts import restrict_class
+    # with and without a budget, each member's first certificate is the
+    # reference's, and members come in the reference's order
     rng = substream(salt, 2)
     S = random_boolean_class(2, int(rng.integers(1, 9)), rng)
-    expected = []
-    for s in range(k + 1):
-        for points in itertools.combinations(S.domain.inputs(), s):
-            patterns = sorted(itertools.product((0, 1), repeat=s),
-                              key=lambda bits: sum(b << x for b, x in zip(bits, points)))
-            for bits in patterns:
-                cert = Certificate.of(S.domain, zip(points, bits))
-                survivors = restrict_class(S, cert)
-                if len(survivors) == 1:
-                    expected.append((cert.mask, cert.value, S.index_of(survivors[0])))
-    assert list(_isolating_certificates(S, k)) == expected
+    expected = first_certificates(S, k)
+    assert list(_first_certificates(S, k).items()) == expected
+    assert list(_first_certificates(S, k, games.FULL_LP_BUDGET).items()) == expected
+
+
+@pytest.mark.parametrize("block_cells", [games.BLOCK_CELLS, 7], ids=["one-block", "7-cells"])
+@pytest.mark.parametrize("n, size, k", [(3, 9, 2), (4, 12, 3)])
+def test_full_lp_budget_is_the_isolating_certificate_count(monkeypatch, block_cells,
+                                                           n, size, k):
+    # the budget counts every isolating certificate, the blocks' size
+    # aside: the reference's total passes and one less is rejected
+    S = random_boolean_class(n, size, substream(n, 5))
+    total = len(isolating_certificates(S, k))
+    monkeypatch.setattr(games, "BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(games, "FULL_LP_BUDGET", total)
+    solve_game_full_lp(S, S[0], k)
+    assert list(_first_certificates(S, k, total).items()) == first_certificates(S, k)
+    monkeypatch.setattr(games, "FULL_LP_BUDGET", total - 1)
+    with pytest.raises(EnumerationBudgetExceeded) as excinfo:
+        solve_game_full_lp(S, S[0], k)
+    assert excinfo.value.count > total - 1
 
 
 def test_k_isolatable_members_point_class():
@@ -286,14 +321,18 @@ def boolean_games(draw):
 def test_full_lp_value_equals_per_pair_game(game):
     # the per-pair matrix: one row per isolating (certificate, member) pair
     S, f_star, k = game
-    rows = [row for _, _, row in _isolating_certificates(S, k)]
+    rows = [row for _, _, row in isolating_certificates(S, k)]
     if not rows:
         with pytest.raises(RejectedInputError):
             solve_game_full_lp(S, f_star, k)
         return
     per_pair = (S.value_matrix()[rows] == f_star.values()).astype(np.float64)
     value, _, _ = solve_zero_sum(per_pair)
-    assert abs(solve_game_full_lp(S, f_star, k).game_value - value) <= 1e-9
+    strategy = solve_game_full_lp(S, f_star, k)
+    assert abs(strategy.game_value - value) <= 1e-9
+    # one row per member, in index order, with the member's first certificate
+    assert [((c.mask, c.value), S.index_of(f)) for c, f in strategy.support] == \
+        [(first, row) for row, first in sorted(first_certificates(S, k))]
 
 
 @given(st.integers(0, 40))
@@ -339,7 +378,7 @@ def test_full_lp_one_row_per_isolated_member(monkeypatch):
     point = point_function_class(4)
     solve_game_full_lp(point, point[0], k=1)
     S = random_boolean_class(4, 12, substream(0, 3))
-    assert sum(1 for _ in _isolating_certificates(S, 4)) > 1000
+    assert len(isolating_certificates(S, 4)) > 1000
     solve_game_full_lp(S, S[0], k=4)
     assert len(shapes) == 2
     assert shapes[0][0] <= len(point) and shapes[1][0] <= len(S)

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from majcert.concepts import BooleanFunction, InputDomain, Slots
 from majcert.decompose import verify_real_decomposition
 from majcert.errors import RejectedInputError
+import majcert.protocol as protocol
 from majcert.protocol import (_CHUNK, AdversarySearchResult, _purified_values,
                               acceptance_table, adversary_search, bloch_affine_map,
                               bloch_extremal_states, compile_advice,
@@ -567,3 +568,19 @@ def test_bloch_extremal_states_match_target_on_subsets():
         if max(abs(f(x) - target(x)) for x in domain.inputs()) > 0.2:
             hit_extreme = True
     assert hit_extreme
+
+
+def test_acceptance_table_slices_equal_one_product(monkeypatch):
+    # states of one width go through the operators in slices of at most
+    # _PRODUCT_ENTRIES entries; the slicing changes no bit of the table,
+    # which is each state's own trace of its product with each operator
+    circuit, domain = two_qubit_advice_circuit(), InputDomain(2)
+    rng = substream(7, 55)
+    states = [random_mixed_state(p, rng) for p in (1, 2, 2, 1, 2, 1, 1)]
+    whole = acceptance_table(circuit, domain, states)
+    monkeypatch.setattr(protocol, "_PRODUCT_ENTRIES", 1)
+    assert np.array_equal(acceptance_table(circuit, domain, states), whole)
+    for row, state in zip(whole, states):
+        assert np.array_equal(row, [np.real(np.trace(state.entries @ M)) for M in
+                                    (measurement_operator(circuit, x, state.qubits)
+                                     for x in domain.inputs())])
