@@ -286,21 +286,20 @@ def k_isolatable_members(S: ConceptClass, k: int) -> set:
     return set(_first_certificates(S, k))
 
 
-def double_oracle_solve(S: ConceptClass, f_star: BooleanFunction,
-                        target_value: float = 0.9) -> AliceStrategy:
-    """Column generation for the certificate game.
+def double_oracle_solve(S: ConceptClass, f_star: BooleanFunction) -> AliceStrategy:
+    """Column generation for the certificate game, run to exact
+    convergence.
 
     Repeat: solve the restricted game over the current Alice rows (Bob
     always has every input available), read off Bob's optimal mixed
-    strategy D, and stop once Alice's restricted mix already achieves
-    ``target_value`` against Bob's best response.  Otherwise ask the weak
+    strategy D, and stop once Alice's restricted mix wins against every
+    input (value 1, which no mix exceeds).  Otherwise ask the weak
     certifier for a row beating D with probability at least 0.9.  While
     the restricted value is below 0.9 that row is always new (Bob's
     optimal mix caps every existing row at the restricted value).  If the
     certifier repeats a known member, fall back to the exact best
     response member against D; when that member is also known the
-    restricted value equals the full game value and the loop stops, so
-    passing target_value = 1.0 runs the solver to exact convergence.
+    restricted value equals the full game value and the loop stops.
     """
     S.index_of(f_star)
     domain = S.domain
@@ -317,7 +316,7 @@ def double_oracle_solve(S: ConceptClass, f_star: BooleanFunction,
         if rows:
             worst, w, d = solve_zero_sum((V[np.ix_(row_index, first)] == t[first])
                                          .astype(np.float64))
-            if worst >= target_value - 1e-12:
+            if worst >= 1.0 - 1e-12:
                 break
             D = Distribution.from_weights(domain, (d / np.bincount(label))[label])
 
@@ -326,11 +325,11 @@ def double_oracle_solve(S: ConceptClass, f_star: BooleanFunction,
         if i not in row_index:
             rows.append((cert_result.C, cert_result.f))
         else:
-            # exact best-response fallback (only reachable with target > 0.9)
+            # exact best-response fallback
             i = int(np.argmax([(v == t) @ D.weights for v in V]))
             if i in row_index:
                 # Bob's mix caps every known row, so the restricted value is
-                # already the full game value: converged below target.
+                # already the full game value: converged.
                 break
             rows.append((isolate_member(S, S[i]), S[i]))
         row_index.append(i)

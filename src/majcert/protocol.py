@@ -14,13 +14,16 @@ the registers against the classical constraints; machine B answers
 inputs by running the verification circuit on a uniformly random
 register; both depend on the supplied registers only through their
 reduced states.  Tr(rho M_x) is read by ``acceptance_table``; both
-machines are defined once, in ``_machines``, which the public machines,
-``AdviceProtocol.validate`` and the adversary search all call.
+machines are defined once, in ``_register_machines``, which the public
+machines, ``AdviceProtocol.validate`` and the adversary search all call.
 
 Soundness scope: the decomposition guarantee is proven (exactly) over
-the finite compiled class of advice states; soundness over the full
-continuum of states is probed empirically by adversary_search, never
-asserted.  Reports carry that distinction.
+the finite compiled class of advice states.  For one advice qubit,
+``adversary_search`` computes the worst machine-B error over every
+advice state that machine A accepts, entangled advice included, by
+enumerating the faces of the Bloch ball cut by machine A's slabs; the
+same face solver seeds the compiled class (``bloch_extremal_states``).
+Wider advice is not covered.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import combinations, product
+from typing import Sequence
 
 import numpy as np
 
@@ -38,8 +42,7 @@ from .decompose import (RealDecomposition, extremal_deviation,
                         real_majority_certificates)
 from .errors import RejectedInputError, VerificationDefect
 from .qsim import (Circuit, DensityMatrix, measurement_operator,
-                   params_to_state, random_mixed_state, reduced_state,
-                   state_to_params)
+                   random_mixed_state, reduced_state)
 from .rng import substream
 from .winnow import fat_shattering_dim
 
@@ -133,33 +136,13 @@ def _resolve_registers(P: AdviceProtocol, sigma) -> Slots:
     return sigma
 
 
-def _machines(P: AdviceProtocol, counts: np.ndarray, slot_of: Sequence[int]):
-    """The function from acceptance values to (machine B error, machine A
-    deviation) of registers in groups: group g holds ``counts[g]``
-    positions of distinct slot ``slot_of[g]`` with acceptance values
-    ``values[..., g, :]`` (leading axes batch).  B accepts x with the mean
-    over positions of Tr(rho_i M_x) and errs by max_x |B(x) - L(x)|; A's
-    deviation is the worst |Tr(rho_i M_z) - r_{i,z}| over positions i and
-    their slot's inputs z.  The tables of targets are built once here."""
-    targeted = np.zeros((len(P.slots.distinct), P.domain.size), dtype=bool)
-    target = np.zeros(targeted.shape)
-    for j, (_, targets) in enumerate(P.slots.distinct):
-        for z, r in targets:
-            targeted[j, z], target[j, z] = True, float(r)
-    targeted, target = targeted[slot_of], target[slot_of]
-    weights, truth = counts / P.m, P.language.values()
-
-    def machines(values: np.ndarray) -> tuple:
-        error = np.max(np.abs(weights @ values - truth), axis=-1)
-        deviation = np.max(np.where(targeted, np.abs(values - target), 0.0), axis=(-2, -1))
-        return error, deviation
-
-    return machines
-
-
 def _register_machines(P: AdviceProtocol, sigma) -> tuple:
-    """``_machines`` of supplied registers, with positions grouped by
-    their (slot ref, register ref) pair in first-occurrence order."""
+    """(machine B error, machine A deviation) of supplied registers, with
+    positions grouped by their (slot ref, register ref) pair in
+    first-occurrence order.  B accepts x with the mean over positions of
+    Tr(rho_i M_x) and errs by max_x |B(x) - L(x)|; A's deviation is the
+    worst |Tr(rho_i M_z) - r_{i,z}| over positions i and their slot's
+    inputs z."""
     registers = _resolve_registers(P, sigma)
     k = len(registers.distinct)
     pairs = np.asarray(P.slots.refs) * k + np.asarray(registers.refs)
@@ -167,7 +150,14 @@ def _register_machines(P: AdviceProtocol, sigma) -> tuple:
     order = np.argsort(first)
     codes, counts = codes[order], counts[order]
     values = acceptance_table(P.circuit, P.domain, registers.distinct)[codes % k]
-    error, deviation = _machines(P, counts, codes // k)(values)
+    targeted = np.zeros((len(P.slots.distinct), P.domain.size), dtype=bool)
+    target = np.zeros(targeted.shape)
+    for j, (_, targets) in enumerate(P.slots.distinct):
+        for z, r in targets:
+            targeted[j, z], target[j, z] = True, float(r)
+    slot_of = codes // k
+    error = np.max(np.abs(counts / P.m @ values - P.language.values()))
+    deviation = np.max(np.where(targeted[slot_of], np.abs(values - target[slot_of]), 0.0))
     return float(error), float(deviation)
 
 
@@ -298,144 +288,113 @@ def qma_plus_amplify(circuit: Circuit, x: int, r: Fraction, q: Fraction, K: int,
 class AdversarySearchResult:
     best_error: float
     best_deviation: float
-    violation_found: bool
-    registers: Optional[Slots]  # best feasible registers, one per distinct slot
+    registers: Slots  # worst-case registers, one per distinct slot
 
 
-#: restarts that ``adversary_search`` walks in lockstep; bounds its
-#: memory at _CHUNK x blocks x 4^p parameters per array, and at
-#: _CHUNK x _STEPS_PER_RESTART x 2 * 4^p for the chunk's drawn steps
-_CHUNK = 64
-
-#: perturbation steps of each ``adversary_search`` restart
-_STEPS_PER_RESTART = 40
+#: slack on machine A's slabs when ``_slot_extremes`` tests a face point,
+#: which meets its own active bounds only up to float rounding
+_FACE_SLACK = 1e-12
 
 
-def _quadratic_forms(op_stack: np.ndarray) -> np.ndarray:
-    """The real forms of ``_purified_values``, one column per input x:
-    F_x = [[Re M_x, -Im M_x], [Im M_x, Re M_x]], flattened."""
-    F = np.block([[op_stack.real, -op_stack.imag], [op_stack.imag, op_stack.real]])
-    return F.reshape(len(op_stack), -1).T
+def _ball_face_maxima(A: np.ndarray, d: np.ndarray, directions: Sequence[np.ndarray]):
+    """For each direction u, a Bloch vector maximizing u . b over the face
+    {b : |b| <= 1, A b = d} of the Bloch ball (A may have no rows), or
+    None where the face misses the ball; None overall when the face is
+    empty.  The least-squares point b0 and the face's null space are
+    computed once; a direction is projected onto that null space and b
+    walks from b0 along it to the sphere, or stays at b0 when the
+    projection vanishes (then every face point is a maximizer)."""
+    if len(A):
+        b0, *_ = np.linalg.lstsq(A, d, rcond=None)
+        if np.max(np.abs(A @ b0 - d)) > 1e-9 or np.linalg.norm(b0) > 1.0 + 1e-12:
+            return None
+        _, sv, vt = np.linalg.svd(A)
+        rank = int(np.sum(sv > 1e-10))
+        null = vt[rank:].T
+    else:
+        b0 = np.zeros(3)
+        null = np.eye(3)
+    points = []
+    for v in directions:
+        direction = null @ (null.T @ v)
+        norm = float(np.linalg.norm(direction))
+        if norm < 1e-12:
+            points.append(b0)
+            continue
+        u = direction / norm
+        proj = float(b0 @ u)
+        slack = proj * proj + 1.0 - float(b0 @ b0)
+        points.append(None if slack < 0 else b0 + (-proj + math.sqrt(slack)) * u)
+    return points
 
 
-def _purified_values(params: np.ndarray, op_stack: np.ndarray,
-                     forms: Optional[np.ndarray] = None) -> np.ndarray:
-    """Tr(rho M_x) for every x and every row of purification parameters,
-    read without building rho.  With V the purification reshaped to
-    2^p x 2^p (rows on the advice register), rho = V V^dag / ||V||^2, so
-    the value is tr(V^dag M_x V) / ||V||^2, the real quadratic form
-    u^T Q_x u / ||u||^2 of the parameter row u with Q_x =
-    [[Re H, -Im H], [Im H, Re H]] and H = M_x (x) I.  The identity factor
-    is summed out rather than stored: with W the 2^(p+1) x 2^p matrix of
-    Re V over Im V, u^T Q_x u is the entrywise sum of (W W^T) * F_x for
-    the forms F_x of ``_quadratic_forms``, which a caller reading many
-    batches builds once and passes as ``forms``.  So every row and input
-    takes one stacked product W W^T and one matrix product.  A row of
-    norm below 1e-12 reads as |0>, as in ``params_to_state``.  Agrees
-    with ``Tr(params_to_state(row).entries @ M_x)`` up to float
-    rounding."""
-    if forms is None:
-        forms = _quadratic_forms(op_stack)
-    norm2 = np.sum(params * params, axis=-1)
-    null = np.sqrt(norm2) < 1e-12
-    if np.any(null):
-        params = np.where(null[..., None], np.eye(1, params.shape[-1]), params)
-        norm2 = np.where(null, 1.0, norm2)
-    side = op_stack.shape[-1]
-    W = params.reshape(*params.shape[:-1], 2 * side, side)
-    gram = (W @ W.swapaxes(-2, -1)).reshape(*params.shape[:-1], -1)
-    return (gram @ forms) / norm2[..., None]
+def _slot_extremes(c: np.ndarray, m: np.ndarray, targets: Sequence, width: float) -> tuple:
+    """(values, points): for every input x and sign s, in the order
+    (x, +1), (x, -1), the maximum of s * (c[x] + m[x] . b) over the Bloch
+    vectors b that machine A accepts for one slot, |b| <= 1 and
+    |c[z] + m[z] . b - r| <= width for each target (z, r), and a Bloch
+    vector attaining it.
+
+    A linear objective over the ball cut by slabs peaks on a face: by the
+    KKT conditions some set of active slab bounds, with linearly
+    independent normals and so at most 3 of them, has the maximizer as
+    its own face maximum (Boyd and Vandenberghe, Convex Optimization,
+    ch. 5).  So every set of at most 3 targets, each at r - width or
+    r + width, is solved by ``_ball_face_maxima`` once for all directions,
+    and each direction keeps its best face point that satisfies every
+    slab of the slot (within _FACE_SLACK).  Raises VerificationDefect
+    when some direction keeps none, that is when the slot's slabs miss
+    the ball."""
+    zs = [z for z, _ in targets]
+    r = np.array([float(v) for _, v in targets])
+    directions = [s * m[x] for x in range(len(c)) for s in (1.0, -1.0)]
+    offsets = np.array([s * c[x] for x in range(len(c)) for s in (1.0, -1.0)])
+    values = np.full(len(directions), -np.inf)
+    points = np.zeros((len(directions), 3))
+    for size in range(min(3, len(zs)) + 1):
+        for active in combinations(range(len(zs)), size):
+            rows = [zs[i] for i in active]
+            for sides in product((-width, width), repeat=size):
+                d = r[list(active)] + np.array(sides) - c[rows]
+                face = _ball_face_maxima(m[rows], d, directions)
+                for k, b in enumerate(face or ()):
+                    if b is None or np.max(np.abs(c[zs] + m[zs] @ b - r),
+                                           initial=0.0) > width + _FACE_SLACK:
+                        continue
+                    value = offsets[k] + directions[k] @ b
+                    if value > values[k]:
+                        values[k], points[k] = value, b
+    if np.isinf(values).any():
+        raise VerificationDefect("a slot's constraints admit no advice state")
+    return values, points
 
 
-def adversary_search(P: AdviceProtocol, budget: int = 1000,
-                     seed: int = 0) -> AdversarySearchResult:
-    """Best-effort search for advice passing machine A yet misleading
-    machine B (error above 1/3 at some input).
+def adversary_search(P: AdviceProtocol) -> AdversarySearchResult:
+    """The worst machine-B error over all advice that machine A accepts,
+    exactly, for one advice qubit, with registers attaining it.
 
-    Random restarts plus coordinate perturbation over per-slot
-    purification parameters.  Both machines depend on registers only
-    through reduced states, and slots with identical constraints admit a
-    common optimal register (the objective is linear in each register),
-    so the search walks one parameter block per distinct slot.
-
-    Restart r draws from its own substream (seed, 20, r): the initial
-    blocks (r > 0; restart 0 starts from the honest advice), then in one
-    call each step's moved block and in one more its standard normal
-    step, scaled by the step's size (with one distinct slot, the stream
-    of a draw per step).  Restarts run in
-    lockstep, _CHUNK at a time, for _STEPS_PER_RESTART steps: each step
-    scores the whole chunk's candidates at once by ``_machines`` on
-    values read from the purification parameters, re-reading only the
-    moved block, and each restart keeps a candidate that strictly raises
-    its score.  A value Tr(rho M_x) is the real quadratic form
-    u^T Q_x u / ||u||^2 of the block's 2·4^p parameters u
-    (``_purified_values``); the forms and the machines' target tables
-    are built once per search, so reading a step's values is one matrix
-    product.  After a chunk its restarts are scanned in order for the
-    best feasible error, and the search stops after the first restart
-    that errs above 1/3.  Candidates are never built as states: the
-    winning parameters go through ``params_to_state`` once per block,
-    and the reported error and deviation are the machines' own, read
-    from those states by ``acceptance_table``.  Deterministic given the
-    seed.  Finding nothing is a report, not a proof.
-    """
-    op_stack = np.stack([measurement_operator(P.circuit, x, P.advice_qubits)
-                         for x in P.domain.inputs()])
-    forms = _quadratic_forms(op_stack)
-    blocks = P.slots.distinct
-    machines = _machines(P, P.slots.counts(), np.arange(len(blocks)))
-    threshold = 5.0 * P.alpha
-    penalty_weight = 10.0
-    dim = 2 * (1 << (2 * P.advice_qubits))
-
-    def scores(vals: np.ndarray) -> tuple:
-        """(error, deviation, score) from per-block values (..., blocks, x)."""
-        err, dev = machines(vals)
-        return err, dev, err - penalty_weight * np.maximum(0.0, dev - threshold)
-
-    honest = np.stack([state_to_params(state) for state, _ in blocks])
-    best_error = -1.0
-    best_params: Optional[np.ndarray] = None
-    for start in range(0, budget, _CHUNK):
-        restarts = range(start, min(budget, start + _CHUNK))
-        rngs = [substream(seed, 20, r) for r in restarts]
-        params = np.stack([honest if r == 0 else
-                           np.stack([rng.normal(size=dim) for _ in blocks])
-                           for r, rng in zip(restarts, rngs)])
-        vals = _purified_values(params, op_stack, forms)
-        err, dev, score = scores(vals)
-
-        rows = np.arange(len(rngs))
-        moves = np.stack([rng.integers(len(blocks), size=_STEPS_PER_RESTART) for rng in rngs])
-        noise = np.stack([rng.standard_normal((_STEPS_PER_RESTART, dim)) for rng in rngs])
-        scale = 0.5
-        for t in range(_STEPS_PER_RESTART):
-            moved = moves[:, t]
-            proposal = params[rows, moved] + scale * noise[:, t]
-            cand_vals = vals.copy()
-            cand_vals[rows, moved] = _purified_values(proposal, op_stack, forms)
-            cand_err, cand_dev, cand_score = scores(cand_vals)
-            take = cand_score > score
-            params[rows[take], moved[take]] = proposal[take]
-            vals[take] = cand_vals[take]
-            err = np.where(take, cand_err, err)
-            dev = np.where(take, cand_dev, dev)
-            score = np.where(take, cand_score, score)
-            scale = max(0.05, scale * 0.93)
-
-        for i in rows:
-            if dev[i] <= threshold and err[i] > best_error:
-                best_error, best_params = float(err[i]), params[i]
-                if best_error > 1.0 / 3.0:
-                    break
-        if best_error > 1.0 / 3.0:
-            break
-
-    if best_params is None:
-        return AdversarySearchResult(0.0, 0.0, False, None)
-    registers = Slots([params_to_state(p, P.advice_qubits) for p in best_params], P.slots.refs)
+    Both machines read registers only through reduced states, and each
+    machine-B value is linear in each register, so positions of one slot
+    share an optimum and entangled advice does no better: the worst error
+    is the maximum over inputs x and signs s of
+    sum_j (count_j / m) * ext_j(x, s) - s * L(x), where ext_j is the
+    extreme of ``_slot_extremes`` on distinct slot j over the Bloch ball,
+    read through the affine map of ``bloch_affine_map``.  The registers
+    of the maximizing (x, s) are built by ``_state_from_bloch``, and the
+    error and deviation reported are the machines' own values on them.
+    Advice wider than one qubit is rejected."""
+    if P.advice_qubits != 1:
+        raise RejectedInputError("the exact adversary search covers one advice qubit")
+    c, m = bloch_affine_map(P.circuit, P.domain)
+    extremes = [_slot_extremes(c, m, targets, 5.0 * P.alpha) for _, targets in P.slots.distinct]
+    signs = np.tile([1.0, -1.0], len(c))
+    errors = ((P.slots.counts() / P.m) @ np.array([values for values, _ in extremes])
+              - signs * np.repeat(P.language.values(), 2))
+    worst = int(np.argmax(errors))
+    registers = Slots([_state_from_bloch(points[worst]) for _, points in extremes],
+                      P.slots.refs)
     err, dev = _register_machines(P, registers)
-    return AdversarySearchResult(err, dev, err > 1.0 / 3.0, registers)
+    return AdversarySearchResult(err, dev, registers)
 
 
 def conditional_soundness_bound(P: AdviceProtocol) -> float:
@@ -497,43 +456,12 @@ def bloch_extremal_states(circuit: Circuit, domain: InputDomain,
     c, m = bloch_affine_map(circuit, domain)
     states = []
     inputs = list(domain.inputs())
-
-    def solve(T: tuple, x_star: int, sign: float) -> Optional[DensityMatrix]:
-        if T:
-            A = m[list(T)]
-            d = np.array([target(t) - c[t] for t in T])
-            b0, *_ = np.linalg.lstsq(A, d, rcond=None)
-            if np.max(np.abs(A @ b0 - d)) > 1e-9 or np.linalg.norm(b0) > 1.0 + 1e-12:
-                return None
-            _, sv, vt = np.linalg.svd(A)
-            rank = int(np.sum(sv > 1e-10))
-            null = vt[rank:].T
-        else:
-            b0 = np.zeros(3)
-            null = np.eye(3)
-        direction = null @ (null.T @ (sign * m[x_star]))
-        norm = float(np.linalg.norm(direction))
-        if norm < 1e-12:
-            b = b0
-        else:
-            u = direction / norm
-            proj = float(b0 @ u)
-            slack = proj * proj + 1.0 - float(b0 @ b0)
-            if slack < 0:
-                return None
-            b = b0 + (-proj + math.sqrt(slack)) * u
-        return _state_from_bloch(b)
-
-    from itertools import combinations
     for size in range(0, len(inputs)):
         for T in combinations(inputs, size):
-            for x_star in inputs:
-                if x_star in T:
-                    continue
-                for sign in (1.0, -1.0):
-                    state = solve(T, x_star, sign)
-                    if state is not None:
-                        states.append(state)
+            d = np.array([target(t) - c[t] for t in T])
+            directions = [sign * m[x] for x in inputs if x not in T for sign in (1.0, -1.0)]
+            face = _ball_face_maxima(m[list(T)], d, directions) or ()
+            states += [_state_from_bloch(b) for b in face if b is not None]
     return states
 
 

@@ -107,16 +107,6 @@ class DensityMatrix:
                 out.append((float(lam), vecs[:, i].copy()))
         return out
 
-    def purification(self) -> np.ndarray:
-        """A pure state on 2*qubits whose first-register reduction is self."""
-        dim = 1 << self.qubits
-        vec = np.zeros(dim * dim, dtype=np.complex128)
-        for k, (lam, v) in enumerate(self.eigen_ensemble()):
-            basis = np.zeros(dim, dtype=np.complex128)
-            basis[k] = 1.0
-            vec += np.sqrt(lam) * np.kron(v, basis)
-        return vec / np.linalg.norm(vec)
-
 
 def partial_trace(matrix: np.ndarray, qubits: int, keep: Sequence[int]) -> np.ndarray:
     """Trace out every qubit not in ``keep`` (kept qubits stay in order)."""
@@ -264,28 +254,22 @@ def measurement_operator(circuit: Circuit, x: int, advice_qubits: int) -> np.nda
     return np.ascontiguousarray(blocks[:, 0, :, 0])
 
 
-def random_pure_vector(qubits: int, rng: np.random.Generator) -> np.ndarray:
-    """Pseudo-uniform pure state from sampled angle parameters: each
-    amplitude is r*exp(i*phi) with phi uniform and r a Box-Muller radius,
-    then the vector is normalized (not exact Haar; adequate empirically)."""
-    dim = 1 << qubits
+def random_mixed_state(qubits: int, rng: np.random.Generator) -> DensityMatrix:
+    """Reduce a pseudo-uniform purification on twice the qubits: each of its
+    amplitudes is r*exp(i*phi) with phi uniform and r a Box-Muller radius,
+    and ``params_to_state`` normalizes it (not exact Haar; adequate
+    empirically)."""
+    dim = 1 << (2 * qubits)
     radii = np.sqrt(-np.log(rng.uniform(1e-12, 1.0, size=dim)))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=dim)
     vec = radii * np.exp(1j * phases)
-    return vec / np.linalg.norm(vec)
-
-
-def random_mixed_state(qubits: int, rng: np.random.Generator) -> DensityMatrix:
-    """Reduce a pseudo-uniform purification on twice the qubits."""
-    vec = random_pure_vector(2 * qubits, rng)
-    full = np.outer(vec, vec.conj())
-    return DensityMatrix(qubits, partial_trace(full, 2 * qubits, range(qubits)))
+    return params_to_state(np.concatenate([vec.real, vec.imag]), qubits)
 
 
 def params_to_state(params: np.ndarray, qubits: int) -> DensityMatrix:
-    """Map 2*4^qubits unconstrained reals to a mixed state via a
-    normalized purification; the search in adversary probing walks this
-    parameterization."""
+    """Map 2*4^qubits unconstrained reals (real parts, then imaginary
+    parts) to a mixed state via a normalized purification; a vector of
+    norm below 1e-12 maps to |0>."""
     dim = 1 << (2 * qubits)
     arr = np.asarray(params, dtype=np.float64)
     if arr.shape != (2 * dim,):
@@ -299,8 +283,3 @@ def params_to_state(params: np.ndarray, qubits: int) -> DensityMatrix:
         vec = vec / norm
     full = np.outer(vec, vec.conj())
     return DensityMatrix(qubits, partial_trace(full, 2 * qubits, range(qubits)))
-
-
-def state_to_params(rho: DensityMatrix) -> np.ndarray:
-    vec = rho.purification()
-    return np.concatenate([vec.real, vec.imag])

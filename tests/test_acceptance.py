@@ -134,7 +134,7 @@ def test_criterion_03_game_solver_equivalence():
                 break
         f_star = S[int(rng.integers(len(S)))]
         full = solve_game_full_lp(S, f_star, k=4)
-        oracle = double_oracle_solve(S, f_star, target_value=1.0)
+        oracle = double_oracle_solve(S, f_star)
         worst_gap = max(worst_gap, abs(full.game_value - oracle.game_value))
     elapsed = time.monotonic() - started
     report(3, worst_gap <= 1e-6 and elapsed < 30.0,
@@ -290,14 +290,14 @@ def test_criterion_10_quantum_soundness(compiled_protocol_fixture):
     exact_ok = (verify_real_decomposition(protocol.compiled_class,
                                           protocol.decomposition)
                 and conditional_soundness_bound(protocol) <= 0.3)
-    intact = adversary_search(protocol, budget=1000, seed=SEED)
+    intact = adversary_search(protocol)
     factor = max(50.0, 0.45 / (5.0 * protocol.alpha))
     broken = with_inflated_alpha(protocol, factor)
-    attack = adversary_search(broken, budget=200, seed=SEED)
+    attack = adversary_search(broken)
     elapsed = time.monotonic() - started
-    report(10, exact_ok and not intact.violation_found and attack.violation_found
+    report(10, exact_ok and intact.best_error <= 1.0 / 3.0 and attack.best_error > 1.0 / 3.0
            and elapsed < 600.0,
-           f"bound {conditional_soundness_bound(protocol):.3f} <= 0.3, intact best "
+           f"bound {conditional_soundness_bound(protocol):.3f} <= 0.3, exact worst "
            f"{intact.best_error:.3f} <= 1/3, broken(x{factor:.0f}) "
            f"{attack.best_error:.3f} > 1/3, {elapsed:.1f}s < 600s")
 

@@ -261,7 +261,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("script, args", [
-    ("demo_quantum_protocol.py", ["--restarts", "5", "--random-states", "5"]),
+    ("demo_quantum_protocol.py", ["--random-states", "5"]),
 ])
 def test_script_runs(script, args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

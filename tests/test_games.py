@@ -207,19 +207,25 @@ def test_double_oracle_singleton():
 
 
 def test_double_oracle_point_class_n6():
+    """At exact convergence the mix sits on the target, which only its
+    full table isolates; every row the weak certifier added before the
+    exact best-response fallback stays within the certificate bound."""
     from majcert.winnow import ceil_log
     S = point_function_class(6)
     strategy = double_oracle_solve(S, S[0])
-    assert strategy.game_value >= 0.9 - 1e-12
+    assert strategy.game_value == pytest.approx(1.0, abs=1e-12)
+    *certified, (cert, f) = strategy.support
+    assert f == S[0] and cert.size == S.domain.size
+    assert strategy.weights[-1] == pytest.approx(1.0, abs=1e-12)
     bound = ceil_log(len(S), 10, 9) + ceil_log(len(S), 2)
-    assert all(cert.size <= bound for cert, _ in strategy.support)
+    assert certified and all(cert.size <= bound for cert, _ in certified)
 
 
 def test_double_oracle_value_trace_non_decreasing():
     rng = substream(31, 0)
     S = random_boolean_class(4, 14, rng)
     with recorded_game_values() as trace:
-        double_oracle_solve(S, S[0], target_value=1.0)
+        double_oracle_solve(S, S[0])
     assert trace
     assert all(trace[i] <= trace[i + 1] + 1e-9 for i in range(len(trace) - 1))
 
@@ -236,7 +242,7 @@ def test_cross_oracle_equivalence(salt):
             break
     f_star = S[int(rng.integers(len(S)))]
     full = solve_game_full_lp(S, f_star, k)
-    oracle = double_oracle_solve(S, f_star, target_value=1.0)
+    oracle = double_oracle_solve(S, f_star)
     assert abs(full.game_value - oracle.game_value) <= 1e-6
 
 
@@ -356,7 +362,7 @@ def test_double_oracle_mapped_bob_mix_caps_full_rows(salt):
     original, games.weak_certify = games.weak_certify, recording
     try:
         with recorded_game_values() as trace:
-            strategy = double_oracle_solve(S, S[0], target_value=1.0)
+            strategy = double_oracle_solve(S, S[0])
     finally:
         games.weak_certify = original
     agreements = (S.value_matrix() == 0).astype(np.float64)

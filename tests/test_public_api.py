@@ -18,6 +18,7 @@ ALLOWED = {
     "RealFunction.constant": "data-model constructor that tests use as a fixture",
     "DensityMatrix.maximally_mixed": "data-model constructor that tests use as a fixture",
     "DensityMatrix.tensor": "data-model constructor that tests use as a fixture",
+    "DensityMatrix.eigen_ensemble": "reference decomposition that tests compare against",
 }
 
 

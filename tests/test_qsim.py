@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 from majcert.errors import RejectedInputError
 from majcert.qsim import (Circuit, DensityMatrix, Gate, accept_probability,
                           measurement_operator, params_to_state, partial_trace,
-                          random_mixed_state, random_pure_vector,
-                          reduced_state, state_to_params)
+                          random_mixed_state, reduced_state)
 from majcert.rng import substream
 
 
@@ -133,10 +132,20 @@ def test_partial_trace_entangled_bell():
         assert np.allclose(red.entries, np.eye(2) / 2, atol=1e-12)
 
 
+def purification(rho):
+    """A pure state on twice the qubits whose first-register reduction is
+    rho, from its eigen-ensemble."""
+    dim = 1 << rho.qubits
+    vec = np.zeros(dim * dim, dtype=np.complex128)
+    for k, (lam, v) in enumerate(rho.eigen_ensemble()):
+        vec += np.sqrt(lam) * np.kron(v, np.eye(dim)[k])
+    return vec / np.linalg.norm(vec)
+
+
 def test_purification_roundtrip():
     rng = substream(6, 0)
     rho = random_mixed_state(2, rng)
-    vec = rho.purification()
+    vec = purification(rho)
     full = np.outer(vec, vec.conj())
     back = partial_trace(full, 4, [0, 1])
     assert np.allclose(back, rho.entries, atol=1e-9)
@@ -145,7 +154,8 @@ def test_purification_roundtrip():
 def test_params_to_state_roundtrip():
     rng = substream(7, 0)
     rho = random_mixed_state(1, rng)
-    back = params_to_state(state_to_params(rho), 1)
+    vec = purification(rho)
+    back = params_to_state(np.concatenate([vec.real, vec.imag]), 1)
     assert np.allclose(back.entries, rho.entries, atol=1e-9)
 
 
@@ -188,6 +198,15 @@ def test_advice_wider_than_circuit_rejected():
         accept_probability(circuit, 0, rho)
 
 
-def test_random_pure_vector_normalized():
-    vec = random_pure_vector(2, substream(8, 0))
-    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+@pytest.mark.parametrize("qubits", [1, 2])
+def test_random_mixed_state_reduces_a_normalized_purification(qubits):
+    """Bit for bit the reduction of the drawn purification, normalized
+    before its outer product, on 300 draws."""
+    mine, reference = substream(8, qubits), substream(8, qubits)
+    dim = 1 << (2 * qubits)
+    for _ in range(300):
+        radii = np.sqrt(-np.log(reference.uniform(1e-12, 1.0, size=dim)))
+        vec = radii * np.exp(1j * reference.uniform(0.0, 2.0 * np.pi, size=dim))
+        vec = vec / np.linalg.norm(vec)
+        want = partial_trace(np.outer(vec, vec.conj()), 2 * qubits, range(qubits))
+        assert np.array_equal(random_mixed_state(qubits, mine).entries, want)
