@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """End-to-end walkthrough of the compiled advice protocol.
 
-Compiles the reference 1-advice-qubit instance, prints the classical
-advice shape, honest completeness numbers, the exact conditional
-soundness bound over the compiled class, and the exact worst case over
-all one-qubit advice on the intact and deliberately broken protocols with
-its witness registers, one per distinct slot.
+Compiles the reference 1-advice-qubit instance against the exact
+adversary, and prints the classical advice shape, honest completeness
+numbers, the exact conditional soundness bound over the compiled class,
+and the exact worst case over all one-qubit advice on the intact and
+deliberately broken protocols with its witness registers, one per
+distinct slot.
 
-Usage: python scripts/demo_quantum_protocol.py [--seed 7] [--random-states 60]
+Usage: python scripts/demo_quantum_protocol.py [--seed 7]
 """
 
 import argparse
@@ -28,11 +29,9 @@ def print_witness(P, result) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--random-states", type=int, default=60)
     args = parser.parse_args()
 
-    P = build_standard_protocol(eps=0.1, random_states=args.random_states,
-                                seed=args.seed)
+    P = build_standard_protocol(eps=0.1, seed=args.seed)
     print(f"compiled protocol: m={P.m} registers of {P.advice_qubits} qubit(s), "
           f"alpha={P.alpha:.3e}, class size {len(P.compiled_class)}")
     for count, (_, targets) in P.slots.groups():

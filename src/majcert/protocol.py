@@ -21,8 +21,10 @@ Soundness scope: the decomposition guarantee is proven (exactly) over
 the finite compiled class of advice states.  For one advice qubit,
 ``adversary_search`` computes the worst machine-B error over every
 advice state that machine A accepts, entangled advice included, by
-enumerating the faces of the Bloch ball cut by machine A's slabs; the
-same face solver seeds the compiled class (``bloch_extremal_states``).
+enumerating the faces of the Bloch ball cut by machine A's slabs.
+``compile_advice`` grows the compiled class from the honest state with
+that adversary's worst registers until the worst error is at most 0.3,
+so every compiled protocol is sound against all one-qubit advice.
 Wider advice is not covered.
 """
 
@@ -36,11 +38,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .concepts import (BooleanFunction, InputDomain, PConceptClass,
-                       RealFunction, Slots, real_members)
+from .concepts import BooleanFunction, InputDomain, PConceptClass, Slots, real_members
 from .decompose import (RealDecomposition, extremal_deviation,
                         real_majority_certificates)
-from .errors import RejectedInputError, VerificationDefect
+from .errors import EnumerationBudgetExceeded, RejectedInputError, VerificationDefect
 from .qsim import (Circuit, DensityMatrix, measurement_operator,
                    random_mixed_state, reduced_state)
 from .rng import substream
@@ -181,39 +182,51 @@ def dyadic_approximation(value: float, alpha: float) -> Fraction:
     return Fraction(num, den)
 
 
+#: adversary rounds ``compile_advice`` runs before it gives up
+COMPILE_ROUNDS = 16
+
+
 def compile_advice(circuit: Circuit, rho_n: DensityMatrix, language: BooleanFunction,
-                   eps: float, state_sample: Sequence[DensityMatrix],
-                   seed: int = 0) -> AdviceProtocol:
-    """Compile a (circuit, honest state) pair into an advice protocol.
+                   eps: float, seed: int = 0) -> AdviceProtocol:
+    """Compile a (circuit, honest one-qubit state) pair into an advice
+    protocol whose exact worst machine-B error is at most 0.3.
 
     Requires the true-advice premise |f_rho(z) - L(z)| <= 0.2 everywhere.
-    The honest state plus the sample induce a finite class; the real
-    decomposition of f_rho at the given eps supplies slots (f_i, X_i),
-    which map back to representative states.  The protocol alpha is the
-    decomposition alpha divided by 6 so the verifier's 5*alpha slack plus
-    the encoding slack compose exactly to the verified tolerance.
+    Column generation against the exact adversary: the states so far,
+    starting from the honest state alone, induce a finite class whose
+    real decomposition of f_rho at eps supplies slots (f_i, X_i), mapped
+    back to representative states; ``adversary_search`` either certifies
+    the protocol or adds its worst registers to the states.  The protocol
+    alpha is the decomposition alpha / 6, so the verifier's 5*alpha slack
+    plus the encoding slack compose exactly to the verified tolerance.
+    Raises EnumerationBudgetExceeded after COMPILE_ROUNDS unsound rounds.
     """
     domain = language.domain
-    S, states = induced_with_states(circuit, domain, [rho_n, *state_sample])
-    f_star = S.members[0]  # the first state is never a duplicate
-    for z in domain.inputs():
-        if abs(f_star(z) - language(z)) > 0.2:
-            raise RejectedInputError(
-                f"true-advice premise fails at input {z}: |f-L| = "
-                f"{abs(f_star(z) - language(z)):.4f} > 0.2")
-
-    decomposition = real_majority_certificates(S, f_star, eps, seed=seed)
-    alpha = decomposition.alpha / 6.0
-
-    state_of = {f.key(): s for f, s in zip(S.members, states)}
-    slots = decomposition.slots.map(lambda slot: (
-        state_of[slot[0].key()],
-        tuple((z, dyadic_approximation(slot[0](z), alpha)) for z in sorted(slot[1]))))
-    protocol = AdviceProtocol(circuit=circuit, domain=domain, advice_qubits=rho_n.qubits,
-                              slots=slots, alpha=alpha, language=language,
-                              decomposition=decomposition, compiled_class=S)
-    protocol.validate()
-    return protocol
+    gap = np.abs(np.clip(acceptance_table(circuit, domain, [rho_n])[0], 0.0, 1.0)
+                 - language.values())
+    if np.max(gap) > 0.2:
+        z = int(np.argmax(gap))
+        raise RejectedInputError(
+            f"true-advice premise fails at input {z}: |f-L| = {gap[z]:.4f} > 0.2")
+    states = [rho_n]
+    for _ in range(COMPILE_ROUNDS):
+        S, kept = induced_with_states(circuit, domain, states)
+        # the honest state comes first, so it is never a duplicate
+        decomposition = real_majority_certificates(S, S.members[0], eps, seed=seed)
+        alpha = decomposition.alpha / 6.0
+        state_of = {f.key(): s for f, s in zip(S.members, kept)}
+        slots = decomposition.slots.map(lambda slot: (
+            state_of[slot[0].key()],
+            tuple((z, dyadic_approximation(slot[0](z), alpha)) for z in sorted(slot[1]))))
+        protocol = AdviceProtocol(circuit=circuit, domain=domain, advice_qubits=rho_n.qubits,
+                                  slots=slots, alpha=alpha, language=language,
+                                  decomposition=decomposition, compiled_class=S)
+        protocol.validate()
+        worst = adversary_search(protocol)
+        if worst.best_error <= 0.3:
+            return protocol
+        states += worst.registers.distinct
+    raise EnumerationBudgetExceeded(COMPILE_ROUNDS, COMPILE_ROUNDS + 1, "compile rounds")
 
 
 def with_inflated_alpha(P: AdviceProtocol, factor: float) -> AdviceProtocol:
@@ -381,8 +394,9 @@ def adversary_search(P: AdviceProtocol) -> AdversarySearchResult:
     extreme of ``_slot_extremes`` on distinct slot j over the Bloch ball,
     read through the affine map of ``bloch_affine_map``.  The registers
     of the maximizing (x, s) are built by ``_state_from_bloch``, and the
-    error and deviation reported are the machines' own values on them.
-    Advice wider than one qubit is rejected."""
+    error and deviation reported are the machines' own values on them;
+    ``compile_advice`` adds them to the compiled class until the error is
+    at most 0.3.  Advice wider than one qubit is rejected."""
     if P.advice_qubits != 1:
         raise RejectedInputError("the exact adversary search covers one advice qubit")
     c, m = bloch_affine_map(P.circuit, P.domain)
@@ -409,8 +423,8 @@ def conditional_soundness_bound(P: AdviceProtocol) -> float:
     """
     groups = [(count, [z for z, _ in targets], np.array([float(r) for _, r in targets]))
               for count, (_, targets) in P.slots.groups()]
-    lang = np.array([float(P.language(x)) for x in P.domain.inputs()])
-    dev = extremal_deviation(P.compiled_class.value_matrix(), lang, groups, 5.0 * P.alpha)
+    dev = extremal_deviation(P.compiled_class.value_matrix(), P.language.values(), groups,
+                             5.0 * P.alpha)
     if dev is None:
         raise VerificationDefect("a slot admits no compiled-class member")
     return float(np.max(dev))
@@ -418,18 +432,11 @@ def conditional_soundness_bound(P: AdviceProtocol) -> float:
 
 def bloch_affine_map(circuit: Circuit, domain: InputDomain) -> tuple:
     """For one advice qubit: f_sigma(x) = c[x] + m[x] . b where b is the
-    Bloch vector; returns (c, m) with m of shape (2^n, 3)."""
-    paulis = [np.array([[0, 1], [1, 0]], dtype=np.complex128),
-              np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-              np.array([[1, 0], [0, -1]], dtype=np.complex128)]
-    c = np.zeros(domain.size)
-    m = np.zeros((domain.size, 3))
-    for x in domain.inputs():
-        M = measurement_operator(circuit, x, 1)
-        c[x] = float(np.real(np.trace(M))) / 2.0
-        for j, P in enumerate(paulis):
-            m[x, j] = float(np.real(np.trace(M @ P))) / 2.0
-    return c, m
+    Bloch vector; returns (c, m) with m of shape (2^n, 3), read off the
+    Hermitian M_x = c[x] I + m[x] . (X, Y, Z)."""
+    M = np.stack([measurement_operator(circuit, x, 1) for x in domain.inputs()])
+    top, off, bottom = M[:, 0, 0].real, M[:, 0, 1], M[:, 1, 1].real
+    return (top + bottom) / 2.0, np.stack([off.real, -off.imag, (top - bottom) / 2.0], axis=1)
 
 
 def _state_from_bloch(b: np.ndarray) -> DensityMatrix:
@@ -439,30 +446,6 @@ def _state_from_bloch(b: np.ndarray) -> DensityMatrix:
     sx, sy, sz = b
     entries = 0.5 * np.array([[1 + sz, sx - 1j * sy], [sx + 1j * sy, 1 - sz]])
     return DensityMatrix(1, entries)
-
-
-def bloch_extremal_states(circuit: Circuit, domain: InputDomain,
-                          target: RealFunction) -> list:
-    """Single-qubit states matching ``target`` exactly on each input
-    subset T while extremizing the acceptance probability at each input
-    outside T.
-
-    These witness the full-state-space extremes of the induced family,
-    so a compile class seeded with them measures game penalties against
-    the whole Bloch ball rather than against a sparse sample; without
-    them the compiled protocol can look sound against its own class yet
-    be wide open to arbitrary states.
-    """
-    c, m = bloch_affine_map(circuit, domain)
-    states = []
-    inputs = list(domain.inputs())
-    for size in range(0, len(inputs)):
-        for T in combinations(inputs, size):
-            d = np.array([target(t) - c[t] for t in T])
-            directions = [sign * m[x] for x in inputs if x not in T for sign in (1.0, -1.0)]
-            face = _ball_face_maxima(m[list(T)], d, directions) or ()
-            states += [_state_from_bloch(b) for b in face if b is not None]
-    return states
 
 
 def fat_dim_quantum_check(p: int, gammas: Sequence[float], samples: int,

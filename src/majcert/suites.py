@@ -44,15 +44,14 @@ from .games import (AliceStrategy, double_oracle_solve, k_isolatable_members,
                     solve_game_full_lp)
 from .generators import (point_function_class, random_boolean_class,
                          random_pconcept_class)
-from .qsim import Circuit, DensityMatrix, Gate, random_mixed_state
+from .qsim import Circuit, DensityMatrix, Gate
 from .reporting import build_report
 from .rng import substream
 from .winnow import (CoverResult, ceil_log, epsilon_cover, fat_shattering_dim,
                      L2Family, l1_winnow, l1_winnow_defect, safe_winnow,
                      safe_winnow_defect, shared_searches, vc_dim)
-from .protocol import (adversary_search, bloch_extremal_states, compile_advice,
-                       conditional_soundness_bound, fat_dim_quantum_check,
-                       induced_with_states, machine_b_error, qma_plus_amplify,
+from .protocol import (adversary_search, compile_advice, conditional_soundness_bound,
+                       fat_dim_quantum_check, machine_b_error, qma_plus_amplify,
                        verifier_A, with_inflated_alpha)
 
 
@@ -608,13 +607,9 @@ def standard_protocol_instance() -> tuple:
     return circuit, domain, rho, language
 
 
-def build_standard_protocol(eps: float, random_states: int, seed: int):
-    circuit, domain, rho, language = standard_protocol_instance()
-    f_star = induced_with_states(circuit, domain, [rho])[0][0]
-    sample = bloch_extremal_states(circuit, domain, f_star)
-    rng = substream(seed, 900)
-    sample += [random_mixed_state(1, rng) for _ in range(random_states)]
-    return compile_advice(circuit, rho, language, eps, sample, seed=seed)
+def build_standard_protocol(eps: float, seed: int):
+    circuit, _, rho, language = standard_protocol_instance()
+    return compile_advice(circuit, rho, language, eps, seed=seed)
 
 
 def inflation_factor(P) -> float:
@@ -663,7 +658,7 @@ def _search_outputs(result) -> dict:
 def _build_quantum_protocol(params: dict, seed: int) -> list:
     if params["amplify_q"] < 1:
         raise RejectedInputError("amplify_q must be positive")
-    P = build_standard_protocol(params["eps"], params["random_states"], seed)
+    P = build_standard_protocol(params["eps"], seed)
     honest = P.honest_registers()
     intact = adversary_search(P)
     factor = inflation_factor(P)
@@ -834,13 +829,14 @@ REGISTRY = {
          "eps": (float, 0.1), "trials": (int, 100)},
         _instances(_occam_instance), _check_occam, _occam_measures),
     "quantum-protocol": Suite(
-        {"eps": (float, 0.1), "random_states": (int, 60), "amplify_count": (int, 3),
-         "amplify_q": (int, 8), "fat_samples": (int, 300)},
+        {"eps": (float, 0.1), "amplify_count": (int, 3), "amplify_q": (int, 8),
+         "fat_samples": (int, 300)},
         _build_quantum_protocol, _check_quantum, _quantum_measures,
         prepare=_quantum_context,
         notes={"soundness_scope":
                "decomposition guarantees are exact over the compiled finite "
-               "class; the worst machine-B error over all one-qubit advice "
+               "class, which is grown from the honest state by the exact "
+               "adversary; the worst machine-B error over all one-qubit advice "
                "states that machine A accepts is computed exactly by "
                "enumerating Bloch-ball faces"}),
     "equivalence": Suite(

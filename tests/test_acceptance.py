@@ -48,7 +48,7 @@ def compiled_protocol_fixture():
     """Criterion 9/10 share one compiled protocol; build time counts
     toward criterion 9's budget."""
     started = time.monotonic()
-    protocol = build_standard_protocol(eps=0.1, random_states=60, seed=SEED)
+    protocol = build_standard_protocol(eps=0.1, seed=SEED)
     return protocol, time.monotonic() - started
 
 

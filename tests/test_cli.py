@@ -31,6 +31,10 @@ def test_validate_config_rejects_unknown_parameter():
     with pytest.raises(RejectedInputError):
         validate_config({"schema": 1, "suite": "winnow",
                          "parameters": {"instances": 2, "bogus": 1}})
+    # the compiled class is grown by the exact adversary: no state sample
+    with pytest.raises(RejectedInputError):
+        validate_config({"schema": 1, "suite": "quantum-protocol",
+                         "parameters": {"eps": 0.1, "random_states": 60}})
 
 
 def test_validate_config_rejects_wrong_schema():
@@ -261,7 +265,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("script, args", [
-    ("demo_quantum_protocol.py", ["--random-states", "5"]),
+    ("demo_quantum_protocol.py", ["--seed", "5"]),
 ])
 def test_script_runs(script, args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

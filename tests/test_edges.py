@@ -111,7 +111,7 @@ def test_amplify_genuinely_entangled_state():
 
 def test_quantum_report_tamper_detected():
     report = run_suite({"schema": 1, "suite": "quantum-protocol",
-                        "parameters": {"random_states": 25}, "seed": 3})
+                        "parameters": {}, "seed": 3})
     assert all(ok for _, ok in verify_report(report))
     record = next(r for r in report["records"] if "protocol" in r["outputs"])
     record["outputs"]["honest_b_error"] = 0.0

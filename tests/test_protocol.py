@@ -3,6 +3,7 @@ amplification arithmetic, the exact adversary search."""
 
 import functools
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,11 +13,10 @@ from hypothesis import given, strategies as st
 
 from majcert.concepts import BooleanFunction, InputDomain, Slots
 from majcert.decompose import verify_real_decomposition
-from majcert.errors import RejectedInputError
+from majcert.errors import EnumerationBudgetExceeded, RejectedInputError
 import majcert.protocol as protocol
 from majcert.protocol import (acceptance_table, adversary_search, bloch_affine_map,
-                              bloch_extremal_states, compile_advice,
-                              conditional_soundness_bound,
+                              compile_advice, conditional_soundness_bound,
                               fat_dim_quantum_check, induced_with_states,
                               machine_b_error, qma_plus_amplify, verifier_A,
                               with_inflated_alpha)
@@ -41,13 +41,9 @@ def induced(circuit, domain, states):
     return induced_with_states(circuit, domain, states)[0]
 
 
-def compiled_protocol(random_states=40, seed=13, eps=0.1):
-    circuit, domain, rho, language = standard_instance()
-    f_star = induced(circuit, domain, [rho])[0]
-    sample = bloch_extremal_states(circuit, domain, f_star)
-    rng = substream(seed, 50)
-    sample += [random_mixed_state(1, rng) for _ in range(random_states)]
-    return compile_advice(circuit, rho, language, eps, sample, seed=seed)
+def compiled_protocol(seed=13, eps=0.1):
+    circuit, _, rho, language = standard_instance()
+    return compile_advice(circuit, rho, language, eps, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +101,7 @@ def test_compile_trivial_language():
     domain = InputDomain(1)
     language = BooleanFunction.from_values(domain, [1, 1])
     rho = DensityMatrix.maximally_mixed(1)
-    P = compile_advice(circuit, rho, language, eps=0.1,
-                       state_sample=[DensityMatrix.computational(1, 0)], seed=0)
+    P = compile_advice(circuit, rho, language, eps=0.1, seed=0)
     assert P.m == 1
     assert verifier_A(P, P.honest_registers()) <= 5.0 * P.alpha
     assert machine_b_error(P, P.honest_registers()) == pytest.approx(0.0, abs=1e-9)
@@ -116,7 +111,7 @@ def test_compile_rejects_premise_violation():
     circuit, domain, _, language = standard_instance()
     bad_rho = DensityMatrix.computational(1, 0)  # f = (0, .5, 1, .5): off by .5
     with pytest.raises(RejectedInputError):
-        compile_advice(circuit, bad_rho, language, eps=0.1, state_sample=[], seed=0)
+        compile_advice(circuit, bad_rho, language, eps=0.1, seed=0)
 
 
 def test_compiled_rationals_within_alpha():
@@ -194,9 +189,7 @@ def test_compile_with_work_qubit_circuit():
     f_star = induced(circuit, domain, [rho])[0]
     assert f_star.table == pytest.approx([0.0, p11, 1.0, 1.0 - p11], abs=1e-12)
     language = BooleanFunction.from_values(domain, [0, 1, 1, 0])
-    sample = bloch_extremal_states(circuit, domain, f_star)
-    sample += [random_mixed_state(1, substream(77, i)) for i in range(30)]
-    P = compile_advice(circuit, rho, language, eps=0.2, state_sample=sample, seed=5)
+    P = compile_advice(circuit, rho, language, eps=0.2, seed=5)
     honest = P.honest_registers()
     assert verifier_A(P, honest) <= P.alpha
     assert machine_b_error(P, honest) <= 0.2 + 0.1  # eps plus language margin
@@ -339,6 +332,55 @@ def test_adversary_finds_break_in_inflated_protocol():
 def test_adversary_intact_protocol_is_sound():
     P = compiled_protocol()
     assert adversary_search(P).best_error <= 1.0 / 3.0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_compiled_protocols_are_sound_against_all_advice(seed):
+    assert adversary_search(compiled_protocol(seed=seed)).best_error <= 0.3
+
+
+def test_compile_rounds_cap_raises_a_typed_error(tmp_path, capsys, monkeypatch):
+    """The standard instance needs three rounds: the honest state alone
+    and the class after one adversary round are both unsound.  With two
+    rounds allowed, compiling raises and ``majcert run`` exits 2."""
+    from majcert.cli import main
+    monkeypatch.setattr(protocol, "COMPILE_ROUNDS", 2)
+    with pytest.raises(EnumerationBudgetExceeded, match="compile rounds"):
+        compiled_protocol()
+    config = tmp_path / "cfg.json"
+    config.write_text('{"schema": 1, "suite": "quantum-protocol", "parameters": {}}')
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "error: compile rounds: 3 exceeds budget 2" in capsys.readouterr().err
+
+
+def bit_family_instance(n):
+    """One advice qubit at n input bits: Z when bit 2 is set, then H when
+    bit 0 is set, then X for each set odd bit; the honest state is
+    |psi_{pi/8}>, and the language rounds its acceptance probabilities."""
+    gates = ((Gate("Z", 0, when_bit=2),) if n > 2 else ()) + (Gate("H", 0, when_bit=0),)
+    gates += tuple(Gate("X", 0, when_bit=b) for b in range(1, n, 2))
+    circuit = Circuit(qubits=1, gates=gates, accept_qubit=0)
+    domain = InputDomain(n)
+    theta = math.pi / 8.0
+    rho = DensityMatrix.from_pure(np.array([math.cos(theta), math.sin(theta)]))
+    f = acceptance_table(circuit, domain, [rho])[0]
+    return circuit, rho, BooleanFunction.from_values(domain, (f > 0.5).astype(int).tolist())
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_compile_scales_over_the_bit_family(n):
+    """The compile loop certifies the family at every width, and the
+    alpha-inflated protocol is broken; n = 6 compiles well within 5 s."""
+    circuit, rho, language = bit_family_instance(n)
+    started = time.monotonic()
+    P = compile_advice(circuit, rho, language, eps=0.1, seed=n)
+    intact = adversary_search(P).best_error
+    elapsed = time.monotonic() - started
+    broken = adversary_search(with_inflated_alpha(P, max(50.0, 0.45 / (5.0 * P.alpha))))
+    assert intact <= 1.0 / 3.0 < broken.best_error
+    assert elapsed < 5.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -524,21 +566,6 @@ def test_bloch_affine_map_reproduces_probabilities():
     f = induced(circuit, domain, [rho])[0]
     for x in domain.inputs():
         assert c[x] + m[x] @ b == pytest.approx(f(x), abs=1e-9)
-
-
-def test_bloch_extremal_states_match_target_on_subsets():
-    circuit, domain, rho, _ = standard_instance()
-    target = induced(circuit, domain, [rho])[0]
-    states = bloch_extremal_states(circuit, domain, target)
-    assert states
-    # spot-check: for each state there is some subset on which it matches
-    # the target; extremes at unconstrained inputs reach past the target
-    hit_extreme = False
-    for s in states:
-        f = induced(circuit, domain, [s])[0]
-        if max(abs(f(x) - target(x)) for x in domain.inputs()) > 0.2:
-            hit_extreme = True
-    assert hit_extreme
 
 
 def test_acceptance_table_slices_equal_one_product(monkeypatch):

@@ -23,7 +23,7 @@ DIGESTS = {
     "majcert": "7c0c5375c3e802b175f2d37b74b5ec879bafd25242780e8cc6b11cc27f80c627",
     "majcert_robust": "665f0b6daf5b1568cd6dd2e7b40892d9a36d13a0ff62a7aa3a0526f64da2c524",
     "occam": "73c9614463e87b7e1b59f5051a26f3518205b83debaca859d5988565d2ab3b6a",
-    "quantum-protocol": "38bf9404794d4f7113c920c5e84e14dba6c28e1a270e3b1e16afab0c12e077a2",
+    "quantum-protocol": "de0ef7cd30b8601d6e862eca6f8b45ea0343a6b0092dcaca7bfa0285cbd6febf",
     "realmajcert": "3f6eef89ed7adbf0a203360327edf7070779a3f96ee88ea29d23c29b33743126",
     "winnow": "e2d7ffb19fe929a9b55529ac9874a16af122ebee59d8811261a2b8a4a8060558",
 }

@@ -36,7 +36,7 @@ SMALL = {
     "l2counter": ({"instances": 6}, 9),
     "dims": ({"instances": 6, "pconcept_instances": 2}, 2),
     "occam": ({"instances": 2, "trials": 20}, 1),
-    "quantum-protocol": ({"random_states": 25}, 3),
+    "quantum-protocol": ({}, 3),
     "equivalence": ({"instances": 2}, 12),
     "l1winnow-one-member": ({"instances": 1, "class_size": 1, "n": 2}, 5),
     "dims-narrow": ({"instances": 2, "pconcept_instances": 1, "n_max": 3}, 2),
