@@ -142,6 +142,11 @@ class RealFunction:
         return self.table.tobytes()
 
 
+def quantize(values) -> np.ndarray:
+    """``values`` rounded to multiples of 1e-12 (-0.0 to 0.0), which reports write exactly."""
+    return np.rint(np.asarray(values, dtype=np.float64) * 1e12) / 1e12 + 0.0
+
+
 def real_members(domain: InputDomain, tables) -> tuple:
     """The real functions whose tables are the rows of the matrix
     ``tables``, validated once as RealFunction validates one table; each

@@ -27,6 +27,8 @@ being their inputs; a protocol embeds no decomposition (quantum reports
 keep it in record 1).  Advice registers arrive as ``Slots``; equal
 states share one stored table.  Stored counts and indices must be plain
 ints.  Serialized artifacts carry no seed (the config echo does).
+Real class tables are multiples of 1e-12 in [0, 1], which this float
+rule writes exactly; a stored real class lists distinct tables.
 """
 
 from __future__ import annotations
@@ -258,11 +260,25 @@ def boolean_decomposition_from_json(data: dict):
     return S, cls(target=target, slots=slots)
 
 
+def real_class_to_json(S: PConceptClass) -> list:
+    return [f.table.tolist() for f in S]
+
+
+def real_class_from_json(tables: list) -> PConceptClass:
+    """The class of the stored ``tables``, at the n their length gives; one
+    that repeats a table is rejected, so a stored index i names member i."""
+    domain = InputDomain(len(tables[0]).bit_length() - 1)
+    S = PConceptClass(domain, real_members(domain, tables))
+    if len(S) != len(tables):
+        raise RejectedInputError("a stored class repeats a table")
+    return S
+
+
 def real_decomposition_to_json(dec, S: PConceptClass) -> dict:
     return {
         "kind": "real",
         "n": S.domain.n,
-        "class_tables": [f.table.tolist() for f in S],
+        "class_tables": real_class_to_json(S),
         "target": S.index_of(dec.target),
         "m": dec.m,
         "alpha": dec.alpha,
@@ -275,21 +291,19 @@ def real_decomposition_to_json(dec, S: PConceptClass) -> dict:
 
 def real_decomposition_from_json(data: dict):
     from .decompose import RealDecomposition
-    domain = InputDomain(int(data["n"]))
-    # indices refer to the stored list; members equal after the 12-digit
-    # rounding are one member of S
-    members = real_members(domain, data["class_tables"])
-    S = PConceptClass(domain, members)
+    S = real_class_from_json(data["class_tables"])
+    if data["n"] != S.domain.n:
+        raise RejectedInputError(f"stored n = {data['n']} differs from the tables' n")
 
     def decode(row) -> tuple:
         points = row[1]["points"]
-        X = frozenset(domain.check_input(hex_input_from_json(p)) for p in points)
+        X = frozenset(S.domain.check_input(hex_input_from_json(p)) for p in points)
         if len(X) != len(points):
             raise RejectedInputError("repeated point in a real certificate")
-        return _entry(members, row[0]), X
+        return _entry(S.members, row[0]), X
 
     slots = _slots_from_json(data, ("funcs", "certs"), decode)
-    return S, RealDecomposition(target=_entry(members, data["target"]), slots=slots,
+    return S, RealDecomposition(target=_entry(S.members, data["target"]), slots=slots,
                                 alpha=float(data["alpha"]), eps=float(data["eps"]))
 
 

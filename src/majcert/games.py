@@ -43,8 +43,8 @@ from .winnow import isolate_member, weak_certify
 FULL_LP_BUDGET = 100_000
 #: Guard on raw (subset, bit-pattern) combinations before filtering.
 ENUMERATION_GUARD = 2_000_000
-#: (input subset, member) code cells held per block of certificate
-#: enumeration.
+#: Cells held per block: (input subset, member) codes of certificate
+#: enumeration, or (support row, input) payoffs in ``AliceStrategy.validate``.
 BLOCK_CELLS = 1 << 20
 #: Hard cap on the cells of one matrix game's simplex tableau,
 #: (rows + 1) x (rows + cols + 1) float64 entries, 32 MB at the cap.
@@ -149,8 +149,8 @@ class AliceStrategy:
             if not is_isolated(S, cert, f):
                 raise VerificationDefect("support pair is not isolated")
         A = S.value_matrix()[[S.index_of(f) for _, f in self.support]] == self.f_star.values()
-        first = np.sort(np.unique(A, axis=1, return_index=True)[1])  # the quotient's columns
-        value = float((self.weights @ A[:, first]).min())
+        blocks = np.array_split(A, min(A.shape[1], 1 + A.size // BLOCK_CELLS), axis=1)
+        value = min(float((self.weights @ block).min()) for block in blocks)
         if abs(value - self.game_value) > 1e-9:
             raise VerificationDefect("stored game value disagrees with its recomputation")
 
@@ -191,7 +191,9 @@ def solve_game_full_lp(S: ConceptClass, f_star: BooleanFunction, k: int) -> Alic
         raise RejectedInputError(f"no certificate of size <= {k} isolates any member")
     rows = sorted(first)
     A = S.value_matrix()[rows] == f_star.values()
-    columns = np.sort(np.unique(A, axis=1, return_index=True)[1])  # the quotient's
+    label = np.zeros(domain.size, dtype=np.intp)
+    for row in A:
+        label, columns = _split(label, row)
     value, w, _ = solve_zero_sum(A[:, columns].astype(np.float64))
     support = tuple((Certificate(domain, *first[row]), S[row]) for row in rows)
     strategy = AliceStrategy(f_star=f_star, support=support, weights=w, game_value=value)

@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .concepts import BooleanFunction, InputDomain, PConceptClass, Slots, real_members
+from .concepts import BooleanFunction, InputDomain, PConceptClass, Slots, quantize, real_members
 from .decompose import (RealDecomposition, extremal_deviation,
                         real_majority_certificates)
 from .errors import EnumerationBudgetExceeded, RejectedInputError, VerificationDefect
@@ -73,10 +73,11 @@ def acceptance_table(circuit: Circuit, domain: InputDomain,
 def induced_with_states(circuit: Circuit, domain: InputDomain,
                         states: Sequence[DensityMatrix]) -> tuple:
     """(p-concept class, aligned states): f_rho(x) = Tr(rho M_x), clipped
-    to [0, 1], per state, with exact-duplicate functions dropped (first
-    state kept)."""
+    to [0, 1] and quantized, per state, with exact-duplicate functions
+    dropped (first state kept)."""
     first: dict = {}
-    members = real_members(domain, np.clip(acceptance_table(circuit, domain, states), 0.0, 1.0))
+    members = real_members(domain, quantize(np.clip(acceptance_table(circuit, domain, states),
+                                                    0.0, 1.0)))
     for s, f in zip(states, members):
         first.setdefault(f.key(), (f, s))
     return (PConceptClass(domain, [f for f, _ in first.values()]),

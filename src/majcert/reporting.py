@@ -1,9 +1,7 @@
 """Report assembly and deterministic serialization.
 
-Reports are canonical JSON (``formats``: keys sorted; a float x written
-as repr(x + 0.0) if integral with |x| < 1e15, else as the shortest repr
-of its 12-significant-digit rounding, an integer if that is one below
-1e12) with no wall-clock data, so one (config, seed, artifact version)
+Reports are canonical JSON (keys sorted; ``formats`` gives the float
+rule) with no wall-clock data, so one (config, seed, artifact version)
 triple always gives byte-identical bytes; timing goes to stderr.  Every
 record carries a verification verdict and enough serialized artifact
 data for ``majcert verify`` to re-check the verdict offline.

@@ -27,19 +27,18 @@ import numpy as np
 
 from .concepts import (REAL_ATOL, BooleanFunction, ConceptClass, Distribution,
                        InputDomain, PConceptClass, RealFunction, Slots,
-                       dist_inf, dist_two, real_members)
+                       dist_inf, dist_two, quantize, real_members)
 from .decompose import (FAIL, RealDecomposition, find_valid_sample_size,
                         majority_certificates, occam_check, real_majority_certificates,
                         robust_majority_certificates, untrusted_oracle_evaluate,
                         verify_real_decomposition)
 from .errors import RejectedInputError
 from .formats import (_entry, boolean_class_from_hex, boolean_decomposition_from_json,
-                      boolean_decomposition_to_json, boolean_from_hex,
-                      boolean_to_hex, canonical_json, certificate_from_json,
-                      certificate_to_json, protocol_from_json,
-                      protocol_to_json, real_decomposition_from_json,
-                      real_decomposition_to_json, state_from_json,
-                      state_to_json)
+                      boolean_decomposition_to_json, boolean_from_hex, boolean_to_hex,
+                      canonical_json, certificate_from_json, certificate_to_json,
+                      protocol_from_json, protocol_to_json, real_class_from_json,
+                      real_class_to_json, real_decomposition_from_json,
+                      real_decomposition_to_json, state_from_json, state_to_json)
 from .games import (AliceStrategy, double_oracle_solve, k_isolatable_members,
                     solve_game_full_lp)
 from .generators import (point_function_class, random_boolean_class,
@@ -122,24 +121,9 @@ def _non_increasing(values: list) -> bool:
     return all(a >= b for a, b in zip(values, values[1:]))
 
 
-def _stored_class(tables: list) -> tuple:
-    """(S, members): the class of a record's stored tables, and the stored
-    list that the record's member indices refer to (tables equal after
-    12-digit rounding are one member of S)."""
-    domain = InputDomain(int(round(math.log2(len(tables[0])))))
-    members = real_members(domain, tables)
-    return PConceptClass(domain, members), members
-
-
-def _configured_shape(tables: list, params: dict) -> bool:
-    """Whether a record stores the configured class: ``class_size`` tables,
-    counted as stored, of 2^``n`` entries each."""
-    return (len(tables) == params["class_size"]
-            and all(len(t) == 1 << params["n"] for t in tables))
-
-
-def _tables(S: PConceptClass) -> list:
-    return [list(map(float, f.table)) for f in S]
+def _configured_shape(S: PConceptClass, params: dict) -> bool:
+    """Whether S is the configured class: ``class_size`` members at ``n``."""
+    return len(S) == params["class_size"] and S.domain.n == params["n"]
 
 
 def _record(index: int, outputs: dict) -> dict:
@@ -236,7 +220,7 @@ def _check_realmajcert(record: dict, context: dict) -> bool:
     configured eps with at most its slot bound of slots."""
     data, params = record["outputs"]["decomposition"], context["params"]
     S, dec = real_decomposition_from_json(data)
-    return (_configured_shape(data["class_tables"], params) and _matches(dec.eps, params["eps"])
+    return (_configured_shape(S, params) and _matches(dec.eps, params["eps"])
             and dec.m <= RealDecomposition.slot_bound(S, dec.eps)
             and verify_real_decomposition(S, dec))
 
@@ -245,10 +229,9 @@ def _check_realmajcert(record: dict, context: dict) -> bool:
 # winnow suite (safe winnowing)
 # ---------------------------------------------------------------------------
 
-def _stored_cover(S: PConceptClass, members: list, out: dict) -> CoverResult:
-    """The record's cover, which must index distinct stored members
-    forming an eps-cover of S."""
-    cover = CoverResult(PConceptClass(S.domain, [_entry(members, i) for i in out["cover"]]),
+def _stored_cover(S: PConceptClass, out: dict) -> CoverResult:
+    """The record's cover: distinct members of S that form an eps-cover."""
+    cover = CoverResult(PConceptClass(S.domain, [_entry(S.members, i) for i in out["cover"]]),
                         out["eps"])
     if len(cover.cover) != len(out["cover"]):
         raise RejectedInputError("cover indices must be distinct members of the class")
@@ -273,7 +256,7 @@ def _winnow_instance(params: dict, seed: int, index: int) -> dict:
                                              replace=False))
     cover = epsilon_cover(S, eps)
     result = safe_winnow(S, f_star, Y, eps, cover)
-    return _record(index, {"tables": _tables(S), "f_star": S.index_of(f_star),
+    return _record(index, {"tables": real_class_to_json(S), "f_star": S.index_of(f_star),
                            "f": S.index_of(result.f), "Y": sorted(Y), "Z": sorted(result.Z),
                            "eps": eps, "cover": [S.index_of(g) for g in cover.cover]})
 
@@ -284,10 +267,10 @@ def _check_winnow(record: dict, context: dict) -> bool:
     holds with it (safe_winnow_defect: |Z| <= log2 |cover| and conclusions
     (i) and (ii))."""
     out, params = record["outputs"], context["params"]
-    S, members = _stored_class(out["tables"])
-    cover = _stored_cover(S, members, out)
-    f, f_star = _entry(members, out["f"]), _entry(members, out["f_star"])
-    return (_configured_shape(out["tables"], params) and _matches(out["eps"], params["eps"])
+    S = real_class_from_json(out["tables"])
+    cover = _stored_cover(S, out)
+    f, f_star = _entry(S.members, out["f"]), _entry(S.members, out["f_star"])
+    return (_configured_shape(S, params) and _matches(out["eps"], params["eps"])
             and len(out["Y"]) == params["y_size"]
             and safe_winnow_defect(S, f, f_star, out["Y"], out["Z"], out["eps"],
                                    len(cover.cover)) is None)
@@ -311,7 +294,7 @@ def _l1winnow_instance(params: dict, seed: int, index: int) -> dict:
     S = random_pconcept_class(params["n"], params["class_size"], rng)
     cover = epsilon_cover(S, eps)
     result = l1_winnow(S, eps, cover)
-    return _record(index, {"tables": _tables(S), "f": S.index_of(result.f),
+    return _record(index, {"tables": real_class_to_json(S), "f": S.index_of(result.f),
                            "X": sorted(result.X), "eps": eps,
                            "cover": [S.index_of(g) for g in cover.cover],
                            "progress_log": [float(v) for v in result.progress_log]})
@@ -325,10 +308,10 @@ def _check_l1winnow(record: dict, context: dict) -> bool:
     members 0.4 eps-close to f in L1 on X are 2 eps-close); and
     |X| <= 40 ln|cover| / eps."""
     out, params = record["outputs"], context["params"]
-    S, members = _stored_class(out["tables"])
-    cover, measures = _stored_cover(S, members, out), _l1winnow_measures(record)
-    f, log = _entry(members, out["f"]), out["progress_log"]
-    return (_configured_shape(out["tables"], params) and _matches(out["eps"], params["eps"])
+    S = real_class_from_json(out["tables"])
+    cover, measures = _stored_cover(S, out), _l1winnow_measures(record)
+    f, log = _entry(S.members, out["f"]), out["progress_log"]
+    return (_configured_shape(S, params) and _matches(out["eps"], params["eps"])
             and log[0] == len(cover.cover)
             and _matches(log[-1], cover.progress(f.table, sorted(out["X"])))
             and l1_winnow_defect(S, f, out["X"], out["eps"], log) is None
@@ -431,7 +414,7 @@ def _dims_pconcept_instance(params: dict, seed: int, index: int, gammas: list) -
     inst_seed = child_seed(seed, 700, index)
     rng = substream(inst_seed, 0)
     S = random_pconcept_class(2, 8, rng)
-    return _record(index, {"kind": "pconcept", "tables": _tables(S), "gammas": gammas,
+    return _record(index, {"kind": "pconcept", "tables": real_class_to_json(S), "gammas": gammas,
                            "dims": [fat_shattering_dim(S, g) for g in gammas]})
 
 
@@ -456,7 +439,7 @@ def _dims_measures(record: dict) -> dict:
 def _check_dims(record: dict, context: dict) -> bool:
     """The stored class has a configured shape (Boolean: n in
     [n_min, n_max] and 2 to _dims_size_cap stored members; p-concept: 8
-    stored tables of 4 entries), and recomputed dimensions
+    distinct tables of 4 entries), and recomputed dimensions
     equal the stored ones: distinct members with VC = fat at 1/4 within
     log2|S|, or fat non-increasing along the configured gammas, sorted."""
     out, params = record["outputs"], context["params"]
@@ -469,13 +452,11 @@ def _check_dims(record: dict, context: dict) -> bool:
         v, fat = vc_dim(S), _fat_quarter(S)
         return (v == out["vc"] and fat == out["fat_quarter"] and fat == v
                 and len(S) == size and v <= math.log2(size) + 1e-12)
-    if len(out["tables"]) != 8 or any(len(t) != 4 for t in out["tables"]):
-        return False
+    S = real_class_from_json(out["tables"])
     gammas = sorted(float(g) for g in params["gammas"])
-    S, _ = _stored_class(out["tables"])
-    dims = [fat_shattering_dim(S, g) for g in gammas]
-    return (_matches(out["gammas"], gammas) and dims == out["dims"] and _non_increasing(dims)
-            and all(a < b for a, b in zip(gammas, gammas[1:])))
+    return (len(S) == 8 and S.domain.n == 2 and _matches(out["gammas"], gammas)
+            and [fat_shattering_dim(S, g) for g in gammas] == out["dims"]
+            and _non_increasing(out["dims"]) and all(a < b for a, b in zip(gammas, gammas[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +471,13 @@ def _occam_instance(params: dict, seed: int, index: int) -> dict:
     eps = params["eps"]
     S = random_pconcept_class(params["n"], params["class_size"], rng)
     f = S[0]
-    D = Distribution.from_weights(S.domain, rng.uniform(0.05, 1.0, size=S.domain.size))
+    weights = quantize(rng.uniform(0.05, 1.0, size=S.domain.size))
+    D = Distribution.from_weights(S.domain, weights)
     M, _ = find_valid_sample_size(S, f, D, eps, inst_seed)
     rate = occam_check(S, f, D, eps, M, params["trials"], seed=inst_seed)
-    return _record(index, {"f": 0, "eps": eps,
-                           "tables_hex": [[float(v).hex() for v in g.table] for g in S],
-                           "weights_hex": [float(w).hex() for w in D.weights],
-                           "m": M, "trials": params["trials"], "rate": rate,
-                           "seed": inst_seed})
+    return _record(index, {"f": 0, "eps": eps, "tables": real_class_to_json(S),
+                           "weights": weights.tolist(), "m": M, "trials": params["trials"],
+                           "rate": rate, "seed": inst_seed})
 
 
 def _occam_measures(record: dict) -> dict:
@@ -509,12 +489,12 @@ def _check_occam(record: dict, context: dict) -> bool:
     seeded schedule, rerun, validates at the stored sample size m, and the
     seeded trials at m, rerun bit-exactly, pass at the stored rate >= 1/2."""
     out, params = record["outputs"], context["params"]
-    if not (_configured_shape(out["tables_hex"], params) and _matches(out["eps"], params["eps"])
+    S = real_class_from_json(out["tables"])
+    if not (_configured_shape(S, params) and _matches(out["eps"], params["eps"])
             and out["trials"] == params["trials"]):
         return False  # before the reruns, which take the stored values
-    S, members = _stored_class([[float.fromhex(v) for v in t] for t in out["tables_hex"]])
-    D = Distribution(S.domain, np.array([float.fromhex(w) for w in out["weights_hex"]]))
-    f = _entry(members, out["f"])
+    D = Distribution.from_weights(S.domain, out["weights"])
+    f = _entry(S.members, out["f"])
     M, _ = find_valid_sample_size(S, f, D, out["eps"], out["seed"])
     rate = occam_check(S, f, D, out["eps"], out["m"], out["trials"], seed=out["seed"])
     return M == out["m"] and abs(rate - out["rate"]) < 1e-12 and rate >= 0.5

@@ -191,9 +191,10 @@ def test_robust_majcert_at_n20_within_two_gigabytes(tmp_path):
     assert (tmp_path / "report.json").stat().st_size < 25_000_000
 
 
-def test_full_lp_at_n18_within_a_minute_and_80_megabytes():
+def test_full_lp_at_n18_within_ten_seconds_and_80_megabytes():
     # the level-wise enumeration holds one block of subset codes at a
-    # time: 2^18 one-input subsets of 16 members take seconds, and the
+    # time and the column quotient is refined row by row, so 2^18
+    # one-input subsets of 16 members take well under a second, and the
     # child's peak resident set stays under 80 MB.  The child reads its
     # own VmHWM: ru_maxrss keeps the high-water mark of the memory image
     # that exec replaced, which is this test process's.
@@ -209,7 +210,7 @@ def test_full_lp_at_n18_within_a_minute_and_80_megabytes():
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert time.monotonic() - started < 60.0
+    assert time.monotonic() - started < 10.0
     assert int(done.stdout.split()[-1]) < 80 * 1024  # VmHWM is in kB
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from majcert.concepts import BooleanFunction, Certificate, InputDomain, Slots
+from majcert.concepts import BooleanFunction, Certificate, InputDomain, Slots, quantize
 from majcert.decompose import majority_certificates
 from majcert.errors import RejectedInputError
 from majcert.formats import (boolean_class_from_hex, boolean_decomposition_from_json,
@@ -234,17 +234,45 @@ def test_real_decomposition_indices_refer_to_the_stored_tables():
     dec = RealDecomposition(target=S[2], slots=Slots(((S[2], frozenset({1})),), (0,)),
                             alpha=0.01, eps=1.0)
     data = json.loads(json.dumps(real_decomposition_to_json(dec, S)))
-    # a repeated table, as 12-digit rounding can make, is one class member
-    # but keeps its own index
-    data["class_tables"].insert(0, data["class_tables"][0])
-    data["target"], data["funcs"] = 3, [3]
     S2, dec2 = real_decomposition_from_json(data)
-    assert len(S2) == 3
-    assert dec2.target.key() == S[2].key() and dec2.slots.distinct[0][0].key() == S[2].key()
-    for bad in (-1, 4):
+    assert S2 == S and dec2.target is S2[2] and dec2.slots.distinct[0][0] is S2[2]
+    for bad in (-1, 3):
         data["funcs"] = [bad]
         with pytest.raises(RejectedInputError):
             real_decomposition_from_json(data)
+    # a stored class that repeats a table, or whose n differs from its
+    # tables', is rejected, so every index names one member
+    for spoil in ({"class_tables": [data["class_tables"][0]] + data["class_tables"]},
+                  {"n": 3}):
+        with pytest.raises(RejectedInputError):
+            real_decomposition_from_json({**data, "funcs": [2], **spoil})
+
+
+#: float64 rounding of quantize's product and quotient on values in [0, 1]
+QUANTIZE_SLACK = 2 * np.finfo(np.float64).eps
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16))
+def test_quantized_values_are_written_exactly(values):
+    """A value in [0, 1] moves by at most half a grid step, once; the grid
+    value comes back from the report text unchanged."""
+    grid = quantize(values)
+    assert np.all(np.abs(grid - values) <= 5e-13 + QUANTIZE_SLACK)
+    assert np.array_equal(quantize(grid), grid)
+    assert json.loads(canonical_json(grid)) == grid.tolist()
+
+
+@given(st.lists(st.integers(0, 10 ** 12), min_size=1, max_size=16))
+def test_grid_values_survive_canonical_json(numerators):
+    grid = [k / 1e12 for k in numerators]
+    assert quantize(grid).tolist() == grid
+    assert json.loads(canonical_json(grid)) == grid
+
+
+@pytest.mark.parametrize("x", [-0.0, -1e-14, -4e-13])
+def test_quantize_writes_negative_zero_as_zero(x):
+    assert math.copysign(1.0, float(quantize(x))) == 1.0
+    assert canonical_json(quantize([x])) == "[0.0]\n"
 
 
 def test_state_json_roundtrip():

@@ -14,17 +14,18 @@ import numpy as np
 import pytest
 
 from majcert.concepts import Distribution, InputDomain, PConceptClass, RealFunction, Slots
-from majcert.decompose import RealDecomposition, occam_check
+from majcert.decompose import RealDecomposition, _far_members, occam_check
 from majcert.formats import (boolean_decomposition_from_json, canonical_json,
-                             protocol_from_json, real_decomposition_from_json,
-                             state_to_json)
+                             protocol_from_json, real_class_from_json,
+                             real_decomposition_from_json, state_to_json)
 from majcert.protocol import machine_b_error, verifier_A
 from majcert.qsim import DensityMatrix
-from majcert.suites import REGISTRY, run_suite, verify_report
+from majcert.suites import REGISTRY, build_standard_protocol, run_suite, verify_report
 from majcert.errors import RejectedInputError
 from majcert.winnow import _SEARCHES, fat_shattering_dim
 
 BENCHMARK = pathlib.Path(__file__).resolve().parent.parent / "benchmark"
+CONFIG_DIR = BENCHMARK.parent / "scripts" / "configs"
 
 #: small parameters for every suite, a few seconds each
 SMALL = {
@@ -297,14 +298,18 @@ def inflated_quantum_decomposition_alpha(report):
     return 1
 
 
+def occam_inputs(out):
+    """(S, D) of an occam record: its class and the distribution that its
+    raw weights normalize to."""
+    S = real_class_from_json(out["tables"])
+    return S, Distribution.from_weights(S.domain, out["weights"])
+
+
 def occam_two_trials(report):
     """The trial count lowered to 2, with the rate rerun at 2 trials."""
     record = report["records"][0]
     out = record["outputs"]
-    tables = [np.array([float.fromhex(v) for v in t]) for t in out["tables_hex"]]
-    domain = InputDomain(len(tables[0]).bit_length() - 1)
-    S = PConceptClass(domain, [RealFunction(domain, t) for t in tables])
-    D = Distribution(domain, np.array([float.fromhex(w) for w in out["weights_hex"]]))
+    S, D = occam_inputs(out)
     out["trials"] = 2
     out["rate"] = occam_check(S, S[out["f"]], D, out["eps"], out["m"], 2, seed=out["seed"])
     record["measures"] = REGISTRY["occam"].measures(record)
@@ -388,10 +393,7 @@ def occam_sample_of_one(report):
     re-derived: only re-running the sample schedule exposes it."""
     record = report["records"][0]
     out = record["outputs"]
-    tables = [np.array([float.fromhex(v) for v in t]) for t in out["tables_hex"]]
-    domain = InputDomain(len(tables[0]).bit_length() - 1)
-    S = PConceptClass(domain, [RealFunction(domain, t) for t in tables])
-    D = Distribution(domain, np.array([float.fromhex(w) for w in out["weights_hex"]]))
+    S, D = occam_inputs(out)
     out["m"] = 1
     out["rate"] = occam_check(S, S[out["f"]], D, out["eps"], 1, out["trials"], seed=out["seed"])
     record["measures"] = REGISTRY["occam"].measures(record)
@@ -526,6 +528,15 @@ def nan_in_an_unused_table(decomposition: dict) -> None:
     decomposition["class_tables"][j][0] = math.nan
 
 
+def repeated_real_table(report):
+    """Record 0's last stored table replaced by a copy of its first: the
+    class keeps its size but repeats a table."""
+    out = report["records"][0]["outputs"]
+    tables = out["decomposition"]["class_tables"] if "decomposition" in out else out["tables"]
+    tables[-1] = list(tables[0])
+    return 0
+
+
 def realmajcert_nan_table(report):
     nan_in_an_unused_table(report["records"][0]["outputs"]["decomposition"])
     return 0
@@ -633,6 +644,7 @@ def respelled_target_inputs(report):
     ("realmajcert", realmajcert_false_func),
     ("quantum-protocol", false_advice_ref),
     ("realmajcert", realmajcert_nan_table),
+    *[(name, repeated_real_table) for name in ("winnow", "l1winnow", "realmajcert", "occam")],
     ("quantum-protocol", quantum_nan_table),
     ("dims", dims_raised_n),
     ("realmajcert", respelled_real_point),
@@ -794,3 +806,51 @@ def test_benchmark_tamper_probes_are_rejected(monkeypatch):
     assert probes
     for index, bad in probes:
         assert not dict(verify_report(bad))[index], index
+
+
+def test_occam_with_far_members_verifies_and_rejects_its_tampers():
+    """At eps 0.03 every record has members more than 11 eps from f, so
+    the sample schedule really draws samples and verify re-runs them."""
+    report = json.loads(canonical_json(run_suite({
+        "schema": 1, "suite": "occam", "seed": 1,
+        "parameters": {"eps": 0.03, "n": 3, "class_size": 25, "instances": 10}})))
+    for record in report["records"]:
+        S, D = occam_inputs(record["outputs"])
+        assert _far_members(S, S[0], D, 0.03).any()
+    assert verify_report(report) == [(r["index"], r["verified"]) for r in report["records"]]
+    assert all(r["verified"] for r in report["records"])
+    for tamper in (occam_two_trials, occam_sample_of_one):
+        bad = copy.deepcopy(report)
+        index = tamper(bad)
+        assert not dict(verify_report(bad))[index]
+
+
+def stored_real_classes(report):
+    """The real class tables and raw weights that a report's records store."""
+    found = []
+    for record in report["records"]:
+        out = record["outputs"]
+        found += [out[key] for key in ("tables", "weights") if key in out]
+        if "class_tables" in out.get("decomposition", {}):
+            found.append(out["decomposition"]["class_tables"])
+    return found
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+@pytest.mark.parametrize("stem", ["realmajcert", "winnow", "l1winnow", "dims", "occam",
+                                  "quantum-protocol"])
+def test_stored_real_tables_decode_bit_for_bit(stem, seed):
+    """Every real table that ``run_suite`` builds, at the shipped seed and
+    at seeds 0-2, reads back from the report text with == entries, and
+    decodes to the class that was built."""
+    config = json.loads((CONFIG_DIR / f"{stem}.json").read_text())
+    report = run_suite(config, seed_override=seed)
+    built = stored_real_classes(report)
+    decoded = stored_real_classes(json.loads(canonical_json(report)))
+    assert built and decoded == built
+    for tables in built:
+        if isinstance(tables[0], list):
+            assert [f.table.tolist() for f in real_class_from_json(tables)] == tables
+    if stem == "quantum-protocol":
+        P = build_standard_protocol(config["parameters"]["eps"], report["seed"])
+        assert real_class_from_json(decoded[0]) == P.compiled_class
