@@ -31,6 +31,9 @@ MAX_REAL_N = 14
 #: Absolute tolerance for real-valued equality in invariant checks.
 REAL_ATOL = 1e-9
 
+#: Cells per block of the array kernels: gaps, shattering and certificate codes, payoffs.
+BLOCK_CELLS = 1 << 20
+
 
 @dataclass(frozen=True, order=True)
 class InputDomain:
@@ -441,6 +444,18 @@ def restricted_gaps(V: np.ndarray, points, values, metric: str = "inf") -> np.nd
     if metric == "one":
         return diff.sum(axis=1)
     raise RejectedInputError(f"unknown metric {metric!r}")
+
+
+def pairwise_gaps(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The |A| x |B| sup gaps max_x |A[i, x] - B[j, x]|, with the arithmetic
+    of ``restricted_gaps``, from blocks of A's rows of at most BLOCK_CELLS
+    (row, row, input) cells, or one row."""
+    rows = max(1, BLOCK_CELLS // max(1, B.size))
+    gaps = np.empty((len(A), len(B)))
+    for i in range(0, len(A), rows):
+        diff = A[i:i + rows, None, :] - B
+        gaps[i:i + rows] = np.abs(diff, out=diff).max(axis=2, initial=0.0)
+    return gaps
 
 
 # ---------------------------------------------------------------------------

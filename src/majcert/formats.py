@@ -26,9 +26,10 @@ stored as its advice-state ref and its (input, target) pairs, its points
 being their inputs; a protocol embeds no decomposition (quantum reports
 keep it in record 1).  Advice registers arrive as ``Slots``; equal
 states share one stored table.  Stored counts and indices must be plain
-ints.  Serialized artifacts carry no seed (the config echo does).
-Real class tables are multiples of 1e-12 in [0, 1], which this float
-rule writes exactly; a stored real class lists distinct tables.
+ints.  Serialized artifacts carry no seed (the config echo does).  Real
+class tables are float64 arrays of multiples of 1e-12 in [0, 1], fixed
+points of this float rule, so such an array is written in one pass of
+``tolist``; a stored real class lists distinct tables.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from operator import itemgetter
 import numpy as np
 
 from .concepts import (BooleanFunction, Certificate, ConceptClass, InputDomain,
-                       PConceptClass, Slots, real_members)
+                       PConceptClass, Slots, quantize, real_members)
 from .errors import RejectedInputError
 from .qsim import Circuit, DensityMatrix, Gate
 
@@ -169,13 +170,16 @@ def canonical_json(obj) -> str:
         elif isinstance(obj, (list, tuple, set, frozenset)):
             out = [native(v) for v in (sorted(obj) if isinstance(obj, (set, frozenset)) else obj)]
         elif isinstance(obj, np.ndarray):
-            out = native(obj.tolist())
+            grid = obj.dtype == np.float64 and np.array_equal(quantize(np.clip(obj, 0, 1)), obj)
+            out = (obj + 0.0).tolist() if grid else native(obj.tolist())
         else:
             raise RejectedInputError(f"cannot canonically serialize {type(obj)!r}")
         memo[id(obj)] = (obj, out)
         return out
 
-    text = json.dumps(native(obj), sort_keys=True, separators=(",", ":")) + "\n"
+    # the encoder's chunks and the newline in one join, not a join and a copy
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    text = "".join([*encoder.iterencode(native(obj), _one_shot=True), "\n"])
     memo.clear()  # else native, a recursive closure, keeps it until a full gc
     return text
 
@@ -260,8 +264,8 @@ def boolean_decomposition_from_json(data: dict):
     return S, cls(target=target, slots=slots)
 
 
-def real_class_to_json(S: PConceptClass) -> list:
-    return [f.table.tolist() for f in S]
+def real_class_to_json(S: PConceptClass) -> np.ndarray:
+    return S.value_matrix()
 
 
 def real_class_from_json(tables: list) -> PConceptClass:

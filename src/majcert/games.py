@@ -33,19 +33,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concepts import (BooleanFunction, Certificate, ConceptClass,
+from .concepts import (BLOCK_CELLS, BooleanFunction, Certificate, ConceptClass,
                        Distribution, is_isolated)
 from .errors import (EnumerationBudgetExceeded, RejectedInputError,
                      VerificationDefect)
-from .winnow import isolate_member, weak_certify
+from .winnow import extension_blocks, isolate_member, weak_certify
 
 #: Hard cap on isolating certificates enumerated by the full LP oracle.
 FULL_LP_BUDGET = 100_000
 #: Guard on raw (subset, bit-pattern) combinations before filtering.
 ENUMERATION_GUARD = 2_000_000
-#: Cells held per block: (input subset, member) codes of certificate
-#: enumeration, or (support row, input) payoffs in ``AliceStrategy.validate``.
-BLOCK_CELLS = 1 << 20
 #: Hard cap on the cells of one matrix game's simplex tableau,
 #: (rows + 1) x (rows + cols + 1) float64 entries, 32 MB at the cap.
 GAME_CELL_BUDGET = 4_000_000
@@ -202,25 +199,14 @@ def solve_game_full_lp(S: ConceptClass, f_star: BooleanFunction, k: int) -> Alic
 
 
 def _subset_blocks(size: int, k: int, block: int):
-    """Yield ``(s, subsets)`` for the input subsets of size s <= k, in
-    ``itertools.combinations`` order, at most ``block`` subsets at a time,
-    each a row of its inputs in ascending order.
-
-    A level's subsets are numbered in that order.  Parent p of level
-    s - 1 has one child per input above its last, numbered up to
-    ends[p] - 1 (the cumulative child count), so child t appends input
-    size - ends[p] + t.
-    """
+    """Yield ``(s, subsets)`` for the input subsets of size s <= k in
+    ``itertools.combinations`` order, at most ``block`` rows of ascending
+    inputs at a time: the ``extension_blocks`` of the level before."""
     subsets = np.zeros((1, 0), dtype=np.intp)
     yield 0, subsets
     for s in range(1, k + 1):
-        last = subsets[:, -1] if s > 1 else np.full(1, -1)
-        ends = np.cumsum(size - 1 - last)
         level = []
-        for start in range(0, int(ends[-1]), block):
-            t = np.arange(start, min(start + block, int(ends[-1])))
-            parent = np.searchsorted(ends, t, side="right")
-            children = np.column_stack([subsets[parent], size - ends[parent] + t])
+        for children in extension_blocks(subsets, size, block):
             if s < k:  # the next level's parents
                 level.append(children)
             yield s, children

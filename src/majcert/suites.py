@@ -476,7 +476,7 @@ def _occam_instance(params: dict, seed: int, index: int) -> dict:
     M, _ = find_valid_sample_size(S, f, D, eps, inst_seed)
     rate = occam_check(S, f, D, eps, M, params["trials"], seed=inst_seed)
     return _record(index, {"f": 0, "eps": eps, "tables": real_class_to_json(S),
-                           "weights": weights.tolist(), "m": M, "trials": params["trials"],
+                           "weights": weights, "m": M, "trials": params["trials"],
                            "rate": rate, "seed": inst_seed})
 
 

@@ -12,8 +12,9 @@ The iterative procedures here make two engineering commitments:
   run that fails its check raises VerificationDefect rather than
   reporting a result.
 
-Class-wide distance masks go through concepts.restricted_gaps over the
-class value matrix, and winnowing tracks members as rows of it.
+Class-wide distance masks go through concepts.restricted_gaps (covers:
+pairwise_gaps) over the class value matrix, and winnowing tracks members
+as rows of it.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .concepts import (BooleanFunction, Certificate, ConceptClass,
+from .concepts import (BLOCK_CELLS, BooleanFunction, Certificate, ConceptClass,
                        Distribution, InputDomain, PConceptClass, RealFunction,
-                       is_isolated, restricted_gaps)
+                       is_isolated, pairwise_gaps, restricted_gaps)
 from .errors import (DimensionCapExceeded, EnumerationBudgetExceeded,
                      RejectedInputError, VerificationDefect)
 
@@ -186,13 +187,10 @@ class CoverResult:
     epsilon: float
 
     def validate(self, S: PConceptClass) -> None:
-        V = S.value_matrix()
-        covered = np.zeros(len(S), dtype=bool)
-        for g in self.cover:
-            if g not in S:
-                raise RejectedInputError("cover member outside the class")
-            covered |= restricted_gaps(V, None, g.table) <= self.epsilon
-        if not covered.all():
+        if not all(g in S for g in self.cover):
+            raise RejectedInputError("cover member outside the class")
+        if not (pairwise_gaps(self.cover.value_matrix(), S.value_matrix())
+                <= self.epsilon).any(axis=0).all():
             raise RejectedInputError("cover does not cover the class")
 
     def progress(self, f: np.ndarray, xs: list) -> float:
@@ -213,13 +211,13 @@ def epsilon_cover(S: PConceptClass, eps: float) -> CoverResult:
     if eps < 0:
         raise RejectedInputError("epsilon must be non-negative")
     V = S.value_matrix()
-    # covers[i, j] = member i covers member j
-    covers = np.stack([restricted_gaps(V, None, row) <= eps for row in V])
-    uncovered = np.ones(len(S), dtype=bool)
-    chosen = []
-    while uncovered.any():
-        gains = (covers & uncovered[None, :]).sum(axis=1)
-        i = int(np.argmax(gains))  # argmax takes the lowest index on ties
+    # bit j of covers[i]: member i covers member j
+    covers = [int.from_bytes(row.tobytes(), "little") for row in
+              np.packbits(pairwise_gaps(V, V) <= eps, axis=1, bitorder="little")]
+    uncovered, chosen = (1 << len(S)) - 1, []
+    while uncovered:
+        gains = [(row & uncovered).bit_count() for row in covers]
+        i = gains.index(max(gains))  # the lowest index on ties
         chosen.append(i)
         uncovered &= ~covers[i]
     chosen.sort()
@@ -230,14 +228,16 @@ def epsilon_cover(S: PConceptClass, eps: float) -> CoverResult:
 # Dimensions
 # ---------------------------------------------------------------------------
 
-def _joined(level: list):
-    """Apriori join (Agrawal & Srikant 1994) of the sorted s-sets in
-    ``level``: each set A, in order, with the last inputs x > A[-1] of the
-    sets that share all but their last input with A."""
-    for prefix, group in itertools.groupby(level, key=lambda A: A[:-1]):
-        lasts = [A[-1] for A in group]
-        for i, a in enumerate(lasts):
-            yield prefix + (a,), lasts[i + 1:]
+def extension_blocks(parents: np.ndarray, size: int, block: int):
+    """Yield, in order and at most ``block`` at a time, the rows of ``parents``
+    (ascending inputs of ``size``) extended by an input above their last:
+    child t of parent p, below ends[p] (cumulative), appends size - ends[p] + t."""
+    last = parents[:, -1] if parents.shape[1] else np.full(len(parents), -1)
+    ends = np.cumsum(size - 1 - last)
+    for start in range(0, int(ends[-1]), block):
+        t = np.arange(start, min(start + block, int(ends[-1])))
+        parent = np.searchsorted(ends, t, side="right")
+        yield np.column_stack([parents[parent], size - ends[parent] + t])
 
 
 _SEARCHES: ContextVar = ContextVar("dimension_searches")
@@ -257,36 +257,71 @@ def shared_searches():
 def _dimension(splits: list, members: int) -> int:
     """Size of the largest input set that ``members`` class members
     shatter, input x offering the (low, high) member bitmasks
-    ``splits[x]`` as witness splits (see _fat_shatters).  Shattered sets
-    are closed under subsets, so a level's candidates are the joins of
-    the shattered sets one smaller, tested only when every one-smaller
-    subset shattered, and a size-s set needs 2^s members.  Raises
-    EnumerationBudgetExceeded when a level joins more than
-    DIMENSION_BUDGET candidates, and DimensionCapExceeded if sets of
-    size DIMENSION_CAP still shatter.  Memoized within ``shared_searches``."""
+    ``splits[x]`` as witness splits (see _fat_shatters), memoized within
+    ``shared_searches``.  A level's candidates, the shattered sets one
+    smaller extended by a later input, are counted before any is built:
+    over DIMENSION_BUDGET raises EnumerationBudgetExceeded.  A size-s set
+    needs 2^s members; a shattered set of size DIMENSION_CAP raises
+    DimensionCapExceeded."""
     memo, key = _SEARCHES.get({}), (tuple(map(tuple, splits)), members)
     if key in memo:
         return memo[key]
-    joins, known, dim = [((), list(range(len(splits))))], set(), 0
+    codes = _split_codes(splits, members) if all(len(p) <= 1 for p in splits) else None
+    sets, dim = np.zeros((1, 0), dtype=np.intp), 0  # the shattered sets of size dim
     while members >= 2 << dim:
-        level, count = [], 0
-        for A, tails in joins:
-            count += len(tails)
-            if count > DIMENSION_BUDGET:
-                raise EnumerationBudgetExceeded(DIMENSION_BUDGET, count,
-                                                f"dimension candidates of size {dim + 1}")
-            # dropping A[-1] or x leaves a joined set
-            tails = [x for x in tails
-                     if all(A[:i] + A[i + 1:] + (x,) in known for i in range(len(A) - 1))]
-            level += [A + (x,) for x in _fat_shatters(splits, A, tails, members)]
-        if not level:
+        count = int((len(splits) - 1 - sets[:, -1]).sum()) if dim else len(splits)
+        if count > DIMENSION_BUDGET:
+            raise EnumerationBudgetExceeded(DIMENSION_BUDGET, count,
+                                            f"dimension candidates of size {dim + 1}")
+        sets = (_fat_extensions(splits, sets, members) if codes is None
+                else _shattered_extensions(codes, sets))
+        if not len(sets):
             break
         dim += 1
         if dim >= DIMENSION_CAP:
             raise DimensionCapExceeded(DIMENSION_CAP)
-        joins, known = _joined(level), set(level)
     memo[key] = dim
     return dim
+
+
+def _split_codes(splits: list, members: int) -> np.ndarray:
+    """Per input and member of single-split ``splits``: 1 high, 0 low, 2^16 on neither side."""
+    width = (members + 7) // 8
+    raw = b"".join(m.to_bytes(width, "little") for pairs in splits for m in (pairs or [(0, 0)])[0])
+    low, high = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, 2, width), axis=2,
+                              count=members, bitorder="little").transpose(1, 0, 2)
+    return np.where(low | high, high.astype(np.int32), 1 << 16)
+
+
+def _shattered_extensions(codes: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """The extensions of the rows of ``sets`` that shatter, in numpy blocks
+    of at most BLOCK_CELLS (candidate, member) codes: a member's code on a
+    set ORs its _split_codes, the i-th input's shifted by i, and an s-set
+    shatters when its codes below 2^s take all 2^s values."""
+    size, members = codes.shape
+    patterns = 2 << sets.shape[1]
+    level = [np.zeros((0, sets.shape[1] + 1), dtype=np.intp)]
+    for children in extension_blocks(sets, size, max(1, BLOCK_CELLS // members)):
+        block = np.zeros((len(children), members), dtype=np.int32)
+        for i, column in enumerate(children.T):
+            block |= codes[column] << i
+        ranked = np.sort(block, axis=1)
+        fresh = ranked < patterns
+        fresh[:, 1:] &= ranked[:, 1:] != ranked[:, :-1]
+        level.append(children[np.count_nonzero(fresh, axis=1) == patterns])
+    return np.concatenate(level)
+
+
+def _fat_extensions(splits: list, sets: np.ndarray, members: int) -> np.ndarray:
+    """The rows of ``sets`` extended by a later input that shatter (_fat_shatters),
+    tested only when every one-smaller subset is a row of ``sets`` (Apriori)."""
+    known = set(map(tuple, sets.tolist()))
+    level = []
+    for A in map(tuple, sets.tolist()):
+        tails = [x for x in range(A[-1] + 1 if A else 0, len(splits))
+                 if all(A[:i] + A[i + 1:] + (x,) in known for i in range(len(A)))]
+        level += [A + (x,) for x in _fat_shatters(splits, A, tails, members)]
+    return np.array(level, dtype=np.intp).reshape(len(level), sets.shape[1] + 1)
 
 
 def vc_dim(S: ConceptClass) -> int:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from majcert.concepts import BooleanFunction, Certificate, InputDomain, Slots, quantize
 from majcert.decompose import majority_certificates
@@ -117,7 +117,28 @@ report_floats = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).filter(outside_declared_ranges),
     st.integers(-10 ** 15 + 1, 10 ** 15 - 1).map(float),
     st.floats(-1e6, 1e6, allow_nan=False).filter(outside_declared_ranges))
+#: values on the report grid: multiples of 1e-12 in [0, 1], and -0.0
+grid_floats = st.one_of(st.sampled_from([0.0, 1.0, -0.0]),
+                        st.integers(0, 10 ** 12).map(lambda k: k / 1e12))
+#: values that take an array off the grid: negative, above 1, or between
+#: grid points
+stray_floats = st.one_of(
+    st.sampled_from([-1e-12, -0.5, 1.000000000001, 2.0, 0.1234567890123]),
+    report_floats.filter(lambda x: not (0.0 <= x <= 1.0 and quantize(x) == x)))
+
+
+@st.composite
+def grid_arrays(draw, stray=False):
+    """A float64 array of grid values, with one stray entry if ``stray``."""
+    grid = draw(arrays(np.float64, array_shapes(max_dims=2, min_side=1, max_side=5),
+                       elements=grid_floats))
+    if stray:
+        grid.flat[draw(st.integers(0, grid.size - 1))] = draw(stray_floats)
+    return grid
+
+
 leaves = st.one_of(
+    grid_arrays(), grid_arrays(stray=True),
     st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70),
     st.text(st.characters(blacklist_categories=())),  # non-ASCII, control, surrogates
     report_floats, report_floats.map(np.float64),
@@ -162,6 +183,13 @@ def test_canonical_json_leaves_no_converted_tree_to_the_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+@given(st.one_of(grid_arrays(), grid_arrays(stray=True)))
+def test_canonical_json_grid_arrays_equal_reference(array):
+    assert canonical_json(array) == reference_canonical(array) + "\n"
+    assert canonical_json({"a": array, "b": [array]}) == reference_canonical(
+        {"a": array, "b": [array]}) + "\n"
 
 
 @pytest.mark.parametrize("x", FIXED_FLOATS)
@@ -223,7 +251,7 @@ def test_real_decomposition_roundtrip():
                             alpha=0.01, eps=0.5)
     data = real_decomposition_to_json(dec, S)
     assert data["certs"] == [{"points": ["0x0", "0x2"]}]  # values are read from the table
-    S2, dec2 = real_decomposition_from_json(json.loads(json.dumps(data)))
+    S2, dec2 = real_decomposition_from_json(json.loads(canonical_json(data)))
     assert S2 == S
     assert verify_real_decomposition(S2, dec2) == verify_real_decomposition(S, dec)
 
@@ -233,7 +261,7 @@ def test_real_decomposition_indices_refer_to_the_stored_tables():
     S = random_pconcept_class(2, 3, substream(5, 0))
     dec = RealDecomposition(target=S[2], slots=Slots(((S[2], frozenset({1})),), (0,)),
                             alpha=0.01, eps=1.0)
-    data = json.loads(json.dumps(real_decomposition_to_json(dec, S)))
+    data = json.loads(canonical_json(real_decomposition_to_json(dec, S)))
     S2, dec2 = real_decomposition_from_json(data)
     assert S2 == S and dec2.target is S2[2] and dec2.slots.distinct[0][0] is S2[2]
     for bad in (-1, 3):

@@ -845,7 +845,7 @@ def test_stored_real_tables_decode_bit_for_bit(stem, seed):
     decodes to the class that was built."""
     config = json.loads((CONFIG_DIR / f"{stem}.json").read_text())
     report = run_suite(config, seed_override=seed)
-    built = stored_real_classes(report)
+    built = [tables.tolist() for tables in stored_real_classes(report)]
     decoded = stored_real_classes(json.loads(canonical_json(report)))
     assert built and decoded == built
     for tables in built:

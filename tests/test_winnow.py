@@ -7,19 +7,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from majcert import concepts
 from majcert.concepts import (BooleanFunction, Certificate, ConceptClass,
                               Distribution, InputDomain, PConceptClass,
                               RealFunction, dist_inf, dist_one, dist_two,
-                              is_isolated, real_members)
+                              is_isolated, pairwise_gaps, real_members,
+                              restricted_gaps)
 from majcert.errors import (DimensionCapExceeded, EnumerationBudgetExceeded,
                             RejectedInputError)
 from majcert.generators import (point_function_class, random_boolean_class,
                                 random_pconcept_class)
 from majcert import winnow
 from majcert.rng import substream
-from majcert.winnow import (_SEARCHES, L2Family, _dimension, _margin_pairs,
+from majcert.winnow import (_SEARCHES, CoverResult, L2Family, _dimension, _margin_pairs,
                             binary_search_winnow, ceil_log, epsilon_cover,
                             fat_shattering_dim, isolate_member, l1_winnow,
                             safe_winnow, shared_searches, vc_dim, weak_certify)
@@ -294,9 +296,68 @@ def test_cover_validity(salt, eps):
         assert g in S
 
 
+def reference_epsilon_cover(S, eps):
+    """The greedy cover built row by row: one restricted_gaps call per
+    member for its covered set, then the member covering the most
+    uncovered ones (ties to the lowest index) until all are covered."""
+    V = S.value_matrix()
+    covers = np.stack([restricted_gaps(V, None, row) <= eps for row in V])
+    uncovered = np.ones(len(S), dtype=bool)
+    chosen = []
+    while uncovered.any():
+        i = int(np.argmax((covers & uncovered[None, :]).sum(axis=1)))
+        chosen.append(i)
+        uncovered &= ~covers[i]
+    return sorted(chosen)
+
+
+def reference_covers(cover, S, eps):
+    """Whether every member of S is within eps of a cover member, one
+    restricted_gaps call per cover member."""
+    V = S.value_matrix()
+    covered = np.zeros(len(S), dtype=bool)
+    for g in cover:
+        covered |= restricted_gaps(V, None, g.table) <= eps
+    return bool(covered.all())
+
+
+@pytest.mark.parametrize("block_cells", [concepts.BLOCK_CELLS, 7, 100])
+@settings(max_examples=40)
+@given(st.integers(1, 4), st.integers(1, 30), st.integers(0, 10 ** 6),
+       st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.7, 1.0]), st.data())
+def test_covers_from_gap_matrix_equal_row_by_row_references(block_cells, n, size, salt,
+                                                            eps, data):
+    """The gap-matrix cover and check equal the row-by-row ones, at the
+    default block and at blocks of one and of a few rows."""
+    S = random_pconcept_class(n, size, substream(salt, 12))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(concepts, "BLOCK_CELLS", block_cells)
+        V = S.value_matrix()
+        gaps = pairwise_gaps(V, V)
+        assert all(np.array_equal(gaps[i], restricted_gaps(V, None, V[i])) for i in range(len(S)))
+        result = epsilon_cover(S, eps)
+        assert [S.index_of(g) for g in result.cover] == reference_epsilon_cover(S, eps)
+        result.validate(S)
+        part = data.draw(st.lists(st.sampled_from(S.members), min_size=1, unique_by=id))
+        partial = CoverResult(cover=PConceptClass(S.domain, part), epsilon=eps)
+        if reference_covers(part, S, eps):
+            partial.validate(S)
+        else:
+            with pytest.raises(RejectedInputError):
+                partial.validate(S)
+
+
 # ---------------------------------------------------------------------------
 # dimensions
 # ---------------------------------------------------------------------------
+
+@pytest.fixture
+def kernel_only(monkeypatch):
+    """Fail any search that leaves the single-split numpy kernel."""
+    def refuse(*args):
+        raise AssertionError("the multi-split search ran")
+    monkeypatch.setattr(winnow, "_fat_extensions", refuse)
+
 
 def test_vc_singleton_is_zero():
     domain = InputDomain(2)
@@ -309,7 +370,7 @@ def test_vc_full_class_shatters_domain():
     assert vc_dim(S) == 4
 
 
-def test_vc_cap_signal(monkeypatch):
+def test_vc_cap_signal(monkeypatch, kernel_only):
     domain = InputDomain(2)
     S = ConceptClass(domain, [BooleanFunction(domain, b) for b in range(16)])
     monkeypatch.setattr(winnow, "DIMENSION_CAP", 3)
@@ -317,7 +378,7 @@ def test_vc_cap_signal(monkeypatch):
         vc_dim(S)
 
 
-def test_dimension_budget_signal(monkeypatch):
+def test_dimension_budget_signal(monkeypatch, kernel_only):
     # the full class on 4 inputs shatters all 4 singletons, whose 6 pairs
     # outgrow a budget of 5
     domain = InputDomain(2)
@@ -374,7 +435,7 @@ def test_scoped_search_equals_unscoped(grid):
     ("DIMENSION_BUDGET", 5, EnumerationBudgetExceeded),
     ("DIMENSION_CAP", 3, DimensionCapExceeded),
 ])
-def test_a_search_that_raises_is_not_stored(monkeypatch, knob, value, error):
+def test_a_search_that_raises_is_not_stored(monkeypatch, kernel_only, knob, value, error):
     domain = InputDomain(2)
     S = ConceptClass(domain, [BooleanFunction(domain, b) for b in range(16)])
     monkeypatch.setattr(winnow, knob, value)
@@ -386,6 +447,73 @@ def test_a_search_that_raises_is_not_stored(monkeypatch, knob, value, error):
     monkeypatch.undo()
     with shared_searches():
         assert vc_dim(S) == 4
+
+
+def reference_single_split_dimension(splits, members):
+    """The Apriori search over single-split grids that the numpy kernel
+    replaced: a level's candidates are the joins of two shattered sets
+    that differ only in their last input (Agrawal & Srikant 1994), tested
+    when every one-smaller subset shattered, by cutting the class's
+    member bitmask with each input's one split and asking for 2^s
+    non-empty cells."""
+    joins, known, dim = [((), list(range(len(splits))))], set(), 0
+    while members >= 2 << dim:
+        level = []
+        for A, tails in joins:
+            for x in tails:
+                if not all(A[:i] + A[i + 1:] + (x,) in known for i in range(len(A) - 1)):
+                    continue
+                cells = [(1 << members) - 1]
+                for y in A + (x,):
+                    cells = [c & side for c in cells for side in (splits[y] or [(0, 0)])[0]]
+                if all(cells):
+                    level.append(A + (x,))
+        if not level:
+            return dim
+        dim += 1
+        joins, known = [], set(level)
+        for prefix, group in itertools.groupby(level, key=lambda A: A[:-1]):
+            lasts = [A[-1] for A in group]
+            joins += [(prefix + (a,), lasts[i + 1:]) for i, a in enumerate(lasts)]
+    return dim
+
+
+def boolean_class_splits(S):
+    """vc_dim's grid: the (zeros, ones) member masks of each non-constant input."""
+    full = (1 << len(S)) - 1
+    ones = [sum(v << i for i, v in enumerate(column)) for column in S.value_matrix().T.tolist()]
+    return [[(full ^ h, h)] if 0 < h < full else [] for h in ones]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # one patch serves all
+@given(st.integers(1, 5), st.integers(0, 10 ** 6), st.data())
+def test_single_split_kernel_equals_apriori_reference(kernel_only, n, salt, data):
+    """On random Boolean classes (n <= 5, |S| <= 32), and on them read as
+    p-concepts at gamma = 1/4, the numpy kernel decides the dimension of
+    the Apriori search over the same grid."""
+    rng = substream(salt, 56)
+    size = data.draw(st.integers(1, min(32, 1 << (1 << n))))
+    S = random_boolean_class(n, size, rng)
+    want = reference_single_split_dimension(boolean_class_splits(S), len(S))
+    assert vc_dim(S) == want
+    P = PConceptClass(S.domain, real_members(S.domain, S.value_matrix()))
+    V = P.value_matrix()
+    grid = [_margin_pairs(V[:, x], 0.25) for x in P.domain.inputs()]
+    assert reference_single_split_dimension(grid, len(P)) == want
+    assert fat_shattering_dim(P, 0.25) == want
+
+
+@pytest.mark.parametrize("block_cells", [winnow.BLOCK_CELLS, 1])
+@given(witness_grids())
+def test_single_split_kernel_equals_apriori_reference_on_witness_grids(block_cells, grid):
+    """Also when a split's sides leave members out or are empty, and with
+    one candidate per block."""
+    splits, members = grid
+    single = [pairs[:1] for pairs in splits]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(winnow, "BLOCK_CELLS", block_cells)
+        assert _dimension(single, members) == reference_single_split_dimension(single, members)
 
 
 def reference_vc_dim(S):
@@ -474,7 +602,7 @@ def test_fat_search_leaves_no_garbage_to_the_collector():
             gc.enable()
 
 
-def test_fat_cap_signal(monkeypatch):
+def test_fat_cap_signal(monkeypatch, kernel_only):
     domain = InputDomain(2)
     full = ConceptClass(domain, [BooleanFunction(domain, b) for b in range(16)])
     S = PConceptClass(domain, real_members(domain, full.value_matrix()))
