@@ -350,8 +350,7 @@ def _real_alice_response(S: PConceptClass, f_star: RealFunction, D: Distribution
         f = winnowed.f
 
         xs = sorted(X)
-        admissible = restricted_gaps(V, xs, f.table[xs]) <= alpha
-        pen = np.abs(V[admissible] - star[None, :]).max(axis=0)
+        pen = extremal_deviation(V, star, [(1, xs, f.table[xs])], alpha)
         measured = float(D.weights @ pen)
         if measured <= eps / 2.0 + 1e-12:
             return RealSlotStrategy(f=f, X=X, alpha=alpha, penalties=pen)

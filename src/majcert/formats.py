@@ -2,7 +2,10 @@
 
 Boolean truth tables: the 2^n table bits packed MSB-first (the bit for
 input 0 is the most significant) and hex-encoded in exactly
-ceil(2^n / 4) lowercase digits.
+ceil(2^n / 4) lowercase digits.  Both directions take the table's
+little-endian bytes through one table of bit-reversed bytes; below
+n = 3 the one byte holds the table in its top 2^n bits and is written as
+one digit.  A class is decoded text by text.
 
 Circuits (as embedded in protocols): ``qubits=<int> accept=<int>``, then
 one gate per line: ``NAME target [control] [xN]`` where ``control`` is
@@ -51,48 +54,37 @@ from .qsim import Circuit, DensityMatrix, Gate
 # Truth tables
 # ---------------------------------------------------------------------------
 
-def _hex_width(n: int) -> int:
-    return max(1, ((1 << n) + 3) >> 2)
+#: byte b with its 8 bits in reverse order, a ``bytes.translate`` table
+_REVERSED_BYTES = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))
 
 
-def _hex_bytes(domain: InputDomain, texts: list) -> bytes:
-    """The bytes that the joined texts spell, each text exactly
-    _hex_width(n) lowercase hex digits (a 1-digit table is read as one byte)."""
-    width = _hex_width(domain.n)
-    pad = "0" * (width % 2)
-    digits = pad + pad.join(texts)
+def boolean_to_hex(f: BooleanFunction) -> str:
+    size = f.domain.size  # byte i of the bits holds f(8i) .. f(8i + 7), f(8i) lowest
+    raw = f.bits.to_bytes((size + 7) >> 3, "little").translate(_REVERSED_BYTES)
+    return raw.hex() if size >= 8 else format(raw[0] >> (8 - size), "x")
+
+
+def boolean_from_hex(domain: InputDomain, text: str) -> BooleanFunction:
+    """The table ``text``, exactly ceil(2^n / 4) lowercase hex digits."""
+    size = domain.size
+    width = max(1, size >> 2)
+    digits = "0" * (width % 2) + text  # a 1-digit table is read as one byte
     try:
         raw = bytes.fromhex(digits)
     except ValueError:  # a character that is neither a hex digit nor a space
         raw = b""
-    if raw.hex() != digits or set(map(len, texts)) - {width}:
+    if len(text) != width or raw.hex() != digits:
         raise RejectedInputError(f"a table at n = {domain.n} is {width} lowercase hex digits")
-    return raw
-
-
-def boolean_to_hex(f: BooleanFunction) -> str:
-    # bit x of f.bits is f(x); reversing the binary string puts f(0) first
-    msb_first = format(f.bits, "0{}b".format(f.domain.size))[::-1]
-    return format(int(msb_first, 2), "0{}x".format(_hex_width(f.domain.n)))
-
-
-def boolean_from_hex(domain: InputDomain, text: str) -> BooleanFunction:
-    value = int.from_bytes(_hex_bytes(domain, [text]), "big")
-    if value >= (1 << domain.size):
-        raise RejectedInputError("hex table wider than the domain")
-    return BooleanFunction(domain, int(format(value, "0{}b".format(domain.size))[::-1], 2))
+    if size < 8:
+        if raw[0] >> size:
+            raise RejectedInputError("hex table wider than the domain")
+        raw = bytes([raw[0] << (8 - size)])
+    return BooleanFunction(domain, int.from_bytes(raw.translate(_REVERSED_BYTES), "little"))
 
 
 def boolean_class_from_hex(domain: InputDomain, texts: list) -> ConceptClass:
-    """The class of the hex tables ``texts``: one byte matrix when 2^n is a
-    multiple of 8 (n >= 3), text by text otherwise."""
-    if domain.n < 3:
-        return ConceptClass(domain, [boolean_from_hex(domain, t) for t in texts])
-    rows = np.frombuffer(_hex_bytes(domain, texts), dtype=np.uint8)
-    bits = np.packbits(np.unpackbits(rows.reshape(len(texts), domain.size // 8), axis=1), axis=1,
-                       bitorder="little")  # bit x of row i is table i at input x
-    return ConceptClass(domain, [BooleanFunction(domain, int.from_bytes(row.tobytes(), "little"))
-                                 for row in bits])
+    """The class of the hex tables ``texts``, decoded text by text."""
+    return ConceptClass(domain, [boolean_from_hex(domain, t) for t in texts])
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +287,8 @@ def real_decomposition_to_json(dec, S: PConceptClass) -> dict:
 
 def real_decomposition_from_json(data: dict):
     from .decompose import RealDecomposition
+    if data["kind"] != "real":
+        raise RejectedInputError(f"kind {data['kind']!r} is not a real decomposition")
     S = real_class_from_json(data["class_tables"])
     if data["n"] != S.domain.n:
         raise RejectedInputError(f"stored n = {data['n']} differs from the tables' n")
@@ -350,6 +344,8 @@ def protocol_from_json(data: dict, decomposition: dict):
     """A protocol from its and its decomposition's serialized forms; a
     stored m that differs from the slot count is rejected."""
     from .protocol import AdviceProtocol
+    if data["kind"] != "advice-protocol":
+        raise RejectedInputError(f"kind {data['kind']!r} is not an advice protocol")
     domain = InputDomain(int(data["n"]))
     qubits = int(data["advice_qubits"])
     states = [state_from_json(qubits, t) for t in data["state_tables"]]

@@ -11,7 +11,8 @@ agreement pattern of their rows, in order of first input.  The full LP
 has one row per isolatable member, in index order, paired in the support
 with its first isolating certificate in enumeration order.  That
 enumeration runs level by level in numpy, one block of (input subset,
-member) codes at a time, and also answers ``k_isolatable_members``.  The
+member) codes at a time, stops once every member has its first
+certificate, and also answers ``k_isolatable_members``.  The
 double oracle spreads Bob's weight on a column class evenly over its
 inputs.  Only the quotient of the 0/1 agreement rows is converted to
 float.
@@ -39,8 +40,6 @@ from .errors import (EnumerationBudgetExceeded, RejectedInputError,
                      VerificationDefect)
 from .winnow import extension_blocks, isolate_member, weak_certify
 
-#: Hard cap on isolating certificates enumerated by the full LP oracle.
-FULL_LP_BUDGET = 100_000
 #: Guard on raw (subset, bit-pattern) combinations before filtering.
 ENUMERATION_GUARD = 2_000_000
 #: Hard cap on the cells of one matrix game's simplex tableau,
@@ -171,10 +170,11 @@ def solve_game_full_lp(S: ConceptClass, f_star: BooleanFunction, k: int) -> Alic
     and one column per distinct agreement pattern of those rows.
 
     The enumeration (``_first_certificates``) runs level by level in
-    blocks of at most BLOCK_CELLS (input subset, member) codes and keeps
-    each member's first certificate.  Rejected (with the offending count)
-    when the raw space exceeds ENUMERATION_GUARD or the isolating
-    certificates exceed FULL_LP_BUDGET; this oracle exists to cross-check
+    blocks of at most BLOCK_CELLS (input subset, member) codes and stops
+    once every member has its first certificate.  Rejected (with the
+    offending count) before any enumeration when the raw space exceeds
+    ENUMERATION_GUARD, and before the simplex when its tableau exceeds
+    GAME_CELL_BUDGET; this oracle exists to cross-check
     double_oracle_solve on small instances, not to scale.
     """
     S.index_of(f_star)
@@ -183,7 +183,7 @@ def solve_game_full_lp(S: ConceptClass, f_star: BooleanFunction, k: int) -> Alic
     if raw_count > ENUMERATION_GUARD:
         raise EnumerationBudgetExceeded(ENUMERATION_GUARD, raw_count,
                                         "raw size-<=k certificate space")
-    first = _first_certificates(S, k, FULL_LP_BUDGET)
+    first = _first_certificates(S, k)
     if not first:
         raise RejectedInputError(f"no certificate of size <= {k} isolates any member")
     rows = sorted(first)
@@ -215,7 +215,7 @@ def _subset_blocks(size: int, k: int, block: int):
         subsets = np.concatenate(level)
 
 
-def _first_certificates(S: ConceptClass, k: int, budget: int = None) -> dict:
+def _first_certificates(S: ConceptClass, k: int) -> dict:
     """``{member index: (mask, value)}``, each member's first isolating
     certificate of size at most k, packed, in order of first certificate.
 
@@ -225,19 +225,14 @@ def _first_certificates(S: ConceptClass, k: int, budget: int = None) -> dict:
     (``_subset_blocks``).  A member's code on a subset is its table read
     at the subset's inputs, bit i for the i-th smallest, so ascending
     codes are ascending certificate values, and the subset isolates the
-    member when no other member shares its code.
-
-    Every isolating certificate counts against ``budget``: the total is
-    checked at each block's end, and a total above it raises
-    EnumerationBudgetExceeded with the count so far.  Without a budget
-    the enumeration stops after the first block that leaves every member
-    found, since later blocks change no member's first certificate.
+    member when no other member shares its code.  The enumeration stops
+    after the first block that leaves every member found, since later
+    blocks change no member's first certificate.
     """
     table = np.ascontiguousarray(S.value_matrix().T)  # row x: every member's value at x
     size, members = table.shape
     first: dict = {}
     missing = np.ones(members, dtype=bool)
-    count = 0
     for s, subsets in _subset_blocks(size, k, max(1, BLOCK_CELLS // members)):
         dtype = np.min_scalar_type((1 << s) - 1)
         codes = np.zeros((len(subsets), members), dtype=dtype)
@@ -249,9 +244,6 @@ def _first_certificates(S: ConceptClass, k: int, budget: int = None) -> dict:
         differs[:, 1:-1] = ranked[:, 1:] != ranked[:, :-1]
         isolated = np.empty_like(differs[:, 1:])
         isolated[rows, order] = differs[:, :-1] & differs[:, 1:]
-        count += int(np.count_nonzero(isolated))
-        if budget is not None and count > budget:
-            raise EnumerationBudgetExceeded(budget, count, "isolating certificates")
         found = np.flatnonzero(missing & isolated.any(axis=0))
         at = isolated[:, found].argmax(axis=0)  # each found member's first subset
         for j in np.lexsort((codes[at, found], at)):
@@ -259,7 +251,7 @@ def _first_certificates(S: ConceptClass, k: int, budget: int = None) -> dict:
             mask = sum(1 << int(x) for x in subsets[at[j]])
             first[row] = (mask, S[row].bits & mask)
         missing[found] = False
-        if budget is None and not missing.any():
+        if not missing.any():
             break
     return first
 

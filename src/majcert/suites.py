@@ -50,8 +50,8 @@ from .winnow import (CoverResult, ceil_log, epsilon_cover, fat_shattering_dim,
                      L2Family, l1_winnow, l1_winnow_defect, safe_winnow,
                      safe_winnow_defect, shared_searches, vc_dim)
 from .protocol import (adversary_search, compile_advice, conditional_soundness_bound,
-                       fat_dim_quantum_check, machine_b_error, qma_plus_amplify,
-                       verifier_A, with_inflated_alpha)
+                       dyadic_approximation, fat_dim_quantum_check, machine_b_error,
+                       qma_plus_amplify, verifier_A, with_inflated_alpha)
 
 
 def validate_config(config: dict) -> tuple:
@@ -437,9 +437,10 @@ def _dims_measures(record: dict) -> dict:
 
 
 def _check_dims(record: dict, context: dict) -> bool:
-    """The stored class has a configured shape (Boolean: n in
-    [n_min, n_max] and 2 to _dims_size_cap stored members; p-concept: 8
-    distinct tables of 4 entries), and recomputed dimensions
+    """The stored kind is "boolean" or "pconcept", the stored class has a
+    configured shape (Boolean: n in [n_min, n_max] and 2 to
+    _dims_size_cap stored members; p-concept: 8 distinct tables of 4
+    entries), and recomputed dimensions
     equal the stored ones: distinct members with VC = fat at 1/4 within
     log2|S|, or fat non-increasing along the configured gammas, sorted."""
     out, params = record["outputs"], context["params"]
@@ -454,7 +455,8 @@ def _check_dims(record: dict, context: dict) -> bool:
                 and len(S) == size and v <= math.log2(size) + 1e-12)
     S = real_class_from_json(out["tables"])
     gammas = sorted(float(g) for g in params["gammas"])
-    return (len(S) == 8 and S.domain.n == 2 and _matches(out["gammas"], gammas)
+    return (out["kind"] == "pconcept" and len(S) == 8 and S.domain.n == 2
+            and _matches(out["gammas"], gammas)
             and [fat_shattering_dim(S, g) for g in gammas] == out["dims"]
             and _non_increasing(out["dims"]) and all(a < b for a, b in zip(gammas, gammas[1:])))
 
@@ -486,12 +488,15 @@ def _occam_measures(record: dict) -> dict:
 
 def _check_occam(record: dict, context: dict) -> bool:
     """The configured class, eps and trial count are the stored ones, the
-    seeded schedule, rerun, validates at the stored sample size m, and the
-    seeded trials at m, rerun bit-exactly, pass at the stored rate >= 1/2."""
+    target is member 0 and the seed the record's child of the report's
+    seed, the seeded schedule, rerun, validates at the stored sample size
+    m, and the seeded trials at m, rerun bit-exactly, pass at the stored
+    rate >= 1/2."""
     out, params = record["outputs"], context["params"]
     S = real_class_from_json(out["tables"])
     if not (_configured_shape(S, params) and _matches(out["eps"], params["eps"])
-            and out["trials"] == params["trials"]):
+            and out["trials"] == params["trials"] and out["f"] == 0
+            and out["seed"] == child_seed(context["seed"], 800, record["index"])):
         return False  # before the reruns, which take the stored values
     D = Distribution.from_weights(S.domain, out["weights"])
     f = _entry(S.members, out["f"])
@@ -665,12 +670,17 @@ def _quantum_context(records: list) -> dict:
 
 
 def _check_honest_advice(record: dict, context: dict) -> bool:
-    """Record 0: honest advice passes machine A within alpha, and machine
-    B errs by at most 0.3."""
+    """Record 0: each position's targets are the dyadic approximations at
+    alpha of record 1's slot function there on its sorted constraint set,
+    honest advice passes machine A within alpha, and machine B errs by at
+    most 0.3."""
     P = context["protocol"]
+    derived = P.decomposition.slots.map(lambda slot: tuple(
+        (z, dyadic_approximation(slot[0](z), P.alpha)) for z in sorted(slot[1])))
     honest = P.honest_registers()
     dev, berr = verifier_A(P, honest), machine_b_error(P, honest)
-    return (dev <= P.alpha and berr <= 0.3
+    return ([targets for _, targets in P.slots] == list(derived)
+            and dev <= P.alpha and berr <= 0.3
             and _claims_hold(record["outputs"], {"honest_deviation": dev,
                                                  "honest_b_error": berr}))
 

@@ -336,6 +336,26 @@ def test_boolean_hex_matches_msb_first_reference(n):
         assert boolean_from_hex(domain, text).bits == f.bits
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_one_digit_tables_round_trip_and_read_only_their_digits(n):
+    # every table at n = 1, 2 is one digit; every one-character text is
+    # read only when it is a digit below 2^(2^n)
+    domain = InputDomain(n)
+    for bits in range(1 << domain.size):
+        f = BooleanFunction(domain, bits)
+        assert boolean_to_hex(f) == msb_first_hex(f)
+        assert boolean_from_hex(domain, boolean_to_hex(f)) == f
+    digits = "0123456789abcdef"[:1 << domain.size]
+    for c in map(chr, [*range(0x300), 0x660, 0xff10, 0xff21]):
+        if c in digits:
+            assert boolean_to_hex(boolean_from_hex(domain, c)) == c
+            continue
+        with pytest.raises(RejectedInputError) as excinfo:
+            boolean_from_hex(domain, c)
+        wider = c in "0123456789abcdef"
+        assert (str(excinfo.value) == "hex table wider than the domain") == wider
+
+
 def test_boolean_hex_rejects_text_wider_than_the_domain():
     with pytest.raises(RejectedInputError):
         boolean_from_hex(InputDomain(1), "f")

@@ -169,13 +169,6 @@ def test_full_lp_point_class_k1():
     assert strategy.game_value >= 0.9
 
 
-def test_full_lp_budget_enforced(monkeypatch):
-    S = point_function_class(4)
-    monkeypatch.setattr(games, "FULL_LP_BUDGET", 3)
-    with pytest.raises(EnumerationBudgetExceeded):
-        solve_game_full_lp(S, S[0], k=1)
-
-
 def test_full_lp_budget_counts_quotient_cells(monkeypatch):
     # at n = 12 the 8 isolatable point functions agree with the zero
     # target on 9 distinct columns: a 9 x 18 tableau of 162 cells, where
@@ -264,31 +257,37 @@ def test_strategy_validation_catches_tampering():
 
 @given(st.integers(0, 40), st.integers(0, 3))
 def test_isolating_certificates_match_naive_enumeration(salt, k):
-    # with and without a budget, each member's first certificate is the
-    # reference's, and members come in the reference's order
+    # each member's first certificate is the reference's, and members
+    # come in the reference's order
     rng = substream(salt, 2)
     S = random_boolean_class(2, int(rng.integers(1, 9)), rng)
-    expected = first_certificates(S, k)
-    assert list(_first_certificates(S, k).items()) == expected
-    assert list(_first_certificates(S, k, games.FULL_LP_BUDGET).items()) == expected
+    assert list(_first_certificates(S, k).items()) == first_certificates(S, k)
 
 
 @pytest.mark.parametrize("block_cells", [games.BLOCK_CELLS, 7], ids=["one-block", "7-cells"])
-@pytest.mark.parametrize("n, size, k", [(3, 9, 2), (4, 12, 3)])
-def test_full_lp_budget_is_the_isolating_certificate_count(monkeypatch, block_cells,
-                                                           n, size, k):
-    # the budget counts every isolating certificate, the blocks' size
-    # aside: the reference's total passes and one less is rejected
+@pytest.mark.parametrize("n, size, k, stops_early", [
+    (3, 9, 2, False), (4, 12, 3, True), (3, 9, 1, False)])
+def test_first_certificates_stop_once_every_member_has_one(monkeypatch, block_cells,
+                                                           n, size, k, stops_early):
+    # the blocks' size aside, each member's first certificate is the
+    # reference's; the enumeration leaves blocks unread exactly when every
+    # member is k-isolatable
     S = random_boolean_class(n, size, substream(n, 5))
-    total = len(isolating_certificates(S, k))
+    expected = first_certificates(S, k)
+    assert (len(expected) == len(S)) == stops_early
     monkeypatch.setattr(games, "BLOCK_CELLS", block_cells)
-    monkeypatch.setattr(games, "FULL_LP_BUDGET", total)
-    solve_game_full_lp(S, S[0], k)
-    assert list(_first_certificates(S, k, total).items()) == first_certificates(S, k)
-    monkeypatch.setattr(games, "FULL_LP_BUDGET", total - 1)
-    with pytest.raises(EnumerationBudgetExceeded) as excinfo:
-        solve_game_full_lp(S, S[0], k)
-    assert excinfo.value.count > total - 1
+    read = []
+    blocks = games._subset_blocks
+
+    def counted(*args):
+        for block in blocks(*args):
+            read.append(len(block[1]))
+            yield block
+
+    monkeypatch.setattr(games, "_subset_blocks", counted)
+    assert list(_first_certificates(S, k).items()) == expected
+    total = sum(len(subsets) for _, subsets in blocks(S.domain.size, k, S.domain.size))
+    assert (sum(read) < total) == stops_early
 
 
 def test_k_isolatable_members_point_class():

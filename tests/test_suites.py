@@ -570,6 +570,48 @@ def respelled_target_inputs(report):
     return None  # the protocol is undecodable, so every record fails
 
 
+def first_target_edited(entry, edit, failing):
+    """A tamper applying ``edit`` to entry ``entry`` (0 the input, 1 the
+    target) of slot 0's first (input, target) pair.  Record 0 re-derives
+    the targets; the records in ``failing`` also see the edit, through
+    the adversary search (2 and 3) or the soundness bound (1)."""
+    def tamper(report):
+        pair = report["records"][0]["outputs"]["protocol"]["targets"][0][0]
+        pair[entry] = edit(pair[entry])
+        return (0, *failing)
+    return tamper
+
+
+def three_below_the_denominator(text):
+    """"2399/16384" -> "2399/16381": within alpha / 5 of the stored value."""
+    numerator, denominator = text.split("/")
+    return f"{numerator}/{int(denominator) - 3}"
+
+
+def unknown_kind(key, index):
+    """A tamper appending "0" to the ``kind`` of record 0's document
+    ``key``, after which record ``index`` fails (None: every record)."""
+    def tamper(report):
+        report["records"][0]["outputs"][key]["kind"] += "0"
+        return index
+    return tamper
+
+
+def dims_unknown_kind(report):
+    """A p-concept record's kind written as "pconcept0"."""
+    record = next(r for r in report["records"] if r["outputs"]["kind"] == "pconcept")
+    record["outputs"]["kind"] = "pconcept0"
+    return record["index"]
+
+
+def occam_edited(key, delta):
+    """A tamper adding ``delta`` to record 0's ``key``."""
+    def tamper(report):
+        report["records"][0]["outputs"][key] += delta
+        return 0
+    return tamper
+
+
 @pytest.mark.parametrize("name, tamper", [
     *[pytest.param(name, record_of_another_shape(name, key), id=f"{name}-{key}-record")
       for name in ("winnow", "l1winnow", "realmajcert", "occam") for key in ("class_size", "n")],
@@ -651,13 +693,26 @@ def respelled_target_inputs(report):
     ("quantum-protocol", respelled_target_inputs),
     ("realmajcert", realmajcert_m_past_its_bound),
     ("quantum-protocol", quantum_m_past_its_bound),
+    pytest.param("quantum-protocol", first_target_edited(1, three_below_the_denominator, (2, 3)),
+                 id="quantum-protocol-target-off-its-dyadic"),
+    pytest.param("quantum-protocol", first_target_edited(0, lambda z: "0x1", (1, 2, 3)),
+                 id="quantum-protocol-target-at-another-input"),
+    ("dims", dims_unknown_kind),
+    pytest.param("realmajcert", unknown_kind("decomposition", 0), id="realmajcert-unknown-kind"),
+    pytest.param("quantum-protocol", unknown_kind("protocol", None),
+                 id="quantum-protocol-unknown-kind"),
+    pytest.param("occam", occam_edited("seed", 1), id="occam-seed-plus-one"),
+    pytest.param("occam", occam_edited("f", 1), id="occam-f-one"),
 ])
 def test_verify_rejects_tampered_record(name, tamper):
+    # a tamper returns the index of the record that must fail, a tuple of
+    # such indices, or None when every record must fail
     report = parsed(name)
     assert all(ok for _, ok in verify_report(report))
     bad = copy.deepcopy(report)
     index = tamper(bad)
-    assert dict(verify_report(bad)) == {r["index"]: index is not None and r["index"] != index
+    failing = index if isinstance(index, tuple) else (index,)
+    assert dict(verify_report(bad)) == {r["index"]: index is not None and r["index"] not in failing
                                         for r in report["records"]}
 
 
