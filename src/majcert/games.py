@@ -12,7 +12,8 @@ has one row per isolatable member, in index order, paired in the support
 with its first isolating certificate in enumeration order.  That
 enumeration runs level by level in numpy, one block of (input subset,
 member) codes at a time, stops once every member has its first
-certificate, and also answers ``k_isolatable_members``.  The
+certificate, and also answers ``k_isolatable_members``; within
+``winnow.shared_searches`` it runs once per class and k.  The
 double oracle spreads Bob's weight on a column class evenly over its
 inputs.  Only the quotient of the 0/1 agreement rows is converted to
 float.
@@ -38,7 +39,7 @@ from .concepts import (BLOCK_CELLS, BooleanFunction, Certificate, ConceptClass,
                        Distribution, is_isolated)
 from .errors import (EnumerationBudgetExceeded, RejectedInputError,
                      VerificationDefect)
-from .winnow import extension_blocks, isolate_member, weak_certify
+from .winnow import _SEARCHES, extension_blocks, isolate_member, weak_certify
 
 #: Guard on raw (subset, bit-pattern) combinations before filtering.
 ENUMERATION_GUARD = 2_000_000
@@ -169,20 +170,15 @@ def solve_game_full_lp(S: ConceptClass, f_star: BooleanFunction, k: int) -> Alic
     of size at most k and solving the game on one row per isolated member
     and one column per distinct agreement pattern of those rows.
 
-    The enumeration (``_first_certificates``) runs level by level in
-    blocks of at most BLOCK_CELLS (input subset, member) codes and stops
-    once every member has its first certificate.  Rejected (with the
-    offending count) before any enumeration when the raw space exceeds
-    ENUMERATION_GUARD, and before the simplex when its tableau exceeds
-    GAME_CELL_BUDGET; this oracle exists to cross-check
+    The enumeration (``_first_certificates``, shared with
+    ``k_isolatable_members`` within ``shared_searches``) is rejected
+    with the offending count when its raw space exceeds
+    ENUMERATION_GUARD, and the game before the simplex when its tableau
+    exceeds GAME_CELL_BUDGET; this oracle exists to cross-check
     double_oracle_solve on small instances, not to scale.
     """
     S.index_of(f_star)
     domain = S.domain
-    raw_count = sum(math.comb(domain.size, s) * (2 ** s) for s in range(k + 1))
-    if raw_count > ENUMERATION_GUARD:
-        raise EnumerationBudgetExceeded(ENUMERATION_GUARD, raw_count,
-                                        "raw size-<=k certificate space")
     first = _first_certificates(S, k)
     if not first:
         raise RejectedInputError(f"no certificate of size <= {k} isolates any member")
@@ -220,30 +216,38 @@ def _first_certificates(S: ConceptClass, k: int) -> dict:
     certificate of size at most k, packed, in order of first certificate.
 
     The certificates are enumerated by size, then by input subset in
-    ``itertools.combinations`` order, then by ascending value, one block
-    of at most BLOCK_CELLS (subset, member) code cells at a time
-    (``_subset_blocks``).  A member's code on a subset is its table read
-    at the subset's inputs, bit i for the i-th smallest, so ascending
-    codes are ascending certificate values, and the subset isolates the
-    member when no other member shares its code.  The enumeration stops
-    after the first block that leaves every member found, since later
-    blocks change no member's first certificate.
+    ``itertools.combinations`` order, then by ascending value, in blocks
+    of BLOCK_CELLS // max(members, 2^k) subsets (``_subset_blocks``).  A
+    member's code on a subset is its table read at the subset's inputs,
+    bit i for the i-th smallest, so ascending codes are ascending
+    certificate values.  One ``np.bincount`` over a block's (subset,
+    code) cells counts the members reading each code; a subset isolates
+    the members whose cell counts one.  The enumeration stops after the
+    first block that leaves every member found, since later blocks
+    change no member's first certificate.  A raw (subset, bit pattern)
+    space over ENUMERATION_GUARD raises EnumerationBudgetExceeded before
+    any block; within ``shared_searches`` each (member tables, k) is
+    enumerated once, and each call gets its own copy of the result.
     """
+    size, members = S.domain.size, len(S)
+    raw_count = sum(math.comb(size, s) << s for s in range(min(k, size) + 1))
+    if raw_count > ENUMERATION_GUARD:
+        raise EnumerationBudgetExceeded(ENUMERATION_GUARD, raw_count,
+                                        "raw size-<=k certificate space")
+    memo, key = _SEARCHES.get({}), ("certificates", size, tuple(f.bits for f in S), k)
+    if key in memo:
+        return dict(memo[key])
     table = np.ascontiguousarray(S.value_matrix().T)  # row x: every member's value at x
-    size, members = table.shape
     first: dict = {}
     missing = np.ones(members, dtype=bool)
-    for s, subsets in _subset_blocks(size, k, max(1, BLOCK_CELLS // members)):
+    block = max(1, BLOCK_CELLS // max(members, 1 << min(k, size)))
+    for s, subsets in _subset_blocks(size, k, block):
         dtype = np.min_scalar_type((1 << s) - 1)
         codes = np.zeros((len(subsets), members), dtype=dtype)
         for i in range(s):
             codes |= table[subsets[:, i]].astype(dtype) << i
-        rows, order = np.arange(len(subsets))[:, None], np.argsort(codes, axis=1)
-        ranked = codes[rows, order]
-        differs = np.ones((len(subsets), members + 1), dtype=bool)
-        differs[:, 1:-1] = ranked[:, 1:] != ranked[:, :-1]
-        isolated = np.empty_like(differs[:, 1:])
-        isolated[rows, order] = differs[:, :-1] & differs[:, 1:]
+        cells = codes + (np.arange(len(subsets), dtype=np.int32) << s)[:, None]
+        isolated = np.bincount(cells.ravel())[cells] == 1
         found = np.flatnonzero(missing & isolated.any(axis=0))
         at = isolated[:, found].argmax(axis=0)  # each found member's first subset
         for j in np.lexsort((codes[at, found], at)):
@@ -253,7 +257,8 @@ def _first_certificates(S: ConceptClass, k: int) -> dict:
         missing[found] = False
         if not missing.any():
             break
-    return first
+    memo[key] = first
+    return dict(first)
 
 
 def k_isolatable_members(S: ConceptClass, k: int) -> set:
@@ -261,7 +266,8 @@ def k_isolatable_members(S: ConceptClass, k: int) -> set:
 
     Used to pick game instances on which the k-bounded full-LP oracle
     and the unbounded double oracle solve the same matrix game (payoffs
-    depend only on the isolated member).
+    depend only on the isolated member).  Guarded and, within
+    ``shared_searches``, shared with the full LP: ``_first_certificates``.
     """
     return set(_first_certificates(S, k))
 

@@ -246,7 +246,9 @@ _SEARCHES: ContextVar = ContextVar("dimension_searches")
 @contextmanager
 def shared_searches():
     """A scope (also a decorator) in which ``_dimension`` searches each exact
-    grid once; nested scopes share the outermost memo, dropped on its exit."""
+    grid once and ``games._first_certificates`` enumerates each class's
+    certificates once per k; nested scopes share the outermost memo,
+    dropped on its exit."""
     token = _SEARCHES.set(_SEARCHES.get({}))
     try:
         yield

@@ -2,6 +2,8 @@
 
 import contextlib
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from majcert.games import (AliceStrategy, _first_certificates,
                            solve_game_full_lp, solve_zero_sum)
 from majcert.generators import point_function_class, random_boolean_class
 from majcert.rng import substream
-from majcert.winnow import weak_certify
+from majcert.winnow import shared_searches, weak_certify
 
 
 @contextlib.contextmanager
@@ -255,20 +257,43 @@ def test_strategy_validation_catches_tampering():
         bad_pair.validate(S)
 
 
-@given(st.integers(0, 40), st.integers(0, 3))
-def test_isolating_certificates_match_naive_enumeration(salt, k):
+@given(st.integers(0, 40), st.integers(1, 4), st.integers(1, 16), st.integers(0, 4),
+       st.sampled_from([games.BLOCK_CELLS, 7]))
+@example(salt=0, n=4, size=3, k=4, block_cells=7)  # fewer members than 2^k codes
+@example(salt=0, n=4, size=16, k=4, block_cells=games.BLOCK_CELLS)
+@example(salt=0, n=3, size=12, k=2, block_cells=7)  # more members than codes
+def test_isolating_certificates_match_naive_enumeration(salt, n, size, k, block_cells):
     # each member's first certificate is the reference's, and members
-    # come in the reference's order
-    rng = substream(salt, 2)
-    S = random_boolean_class(2, int(rng.integers(1, 9)), rng)
-    assert list(_first_certificates(S, k).items()) == first_certificates(S, k)
+    # come in the reference's order, whether the class has more or fewer
+    # members than the 2^k codes and whatever the blocks' size
+    S = random_boolean_class(n, min(size, 1 << (1 << n)), substream(salt, 2))
+    with mock.patch.object(games, "BLOCK_CELLS", block_cells):
+        assert list(_first_certificates(S, k).items()) == first_certificates(S, k)
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """Records the rows of each block that ``_first_certificates`` reads,
+    one list per enumeration."""
+    runs = []
+    blocks = games._subset_blocks
+
+    def counted(*args):
+        runs.append([])
+        for block in blocks(*args):
+            runs[-1].append(len(block[1]))
+            yield block
+
+    monkeypatch.setattr(games, "_subset_blocks", counted)
+    return runs
 
 
 @pytest.mark.parametrize("block_cells", [games.BLOCK_CELLS, 7], ids=["one-block", "7-cells"])
 @pytest.mark.parametrize("n, size, k, stops_early", [
     (3, 9, 2, False), (4, 12, 3, True), (3, 9, 1, False)])
-def test_first_certificates_stop_once_every_member_has_one(monkeypatch, block_cells,
-                                                           n, size, k, stops_early):
+def test_first_certificates_stop_once_every_member_has_one(monkeypatch, enumerations,
+                                                           block_cells, n, size, k,
+                                                           stops_early):
     # the blocks' size aside, each member's first certificate is the
     # reference's; the enumeration leaves blocks unread exactly when every
     # member is k-isolatable
@@ -276,18 +301,45 @@ def test_first_certificates_stop_once_every_member_has_one(monkeypatch, block_ce
     expected = first_certificates(S, k)
     assert (len(expected) == len(S)) == stops_early
     monkeypatch.setattr(games, "BLOCK_CELLS", block_cells)
-    read = []
-    blocks = games._subset_blocks
-
-    def counted(*args):
-        for block in blocks(*args):
-            read.append(len(block[1]))
-            yield block
-
-    monkeypatch.setattr(games, "_subset_blocks", counted)
     assert list(_first_certificates(S, k).items()) == expected
-    total = sum(len(subsets) for _, subsets in blocks(S.domain.size, k, S.domain.size))
-    assert (sum(read) < total) == stops_early
+    total = sum(math.comb(S.domain.size, s) for s in range(k + 1))
+    assert (sum(enumerations[0]) < total) == stops_early
+
+
+@pytest.mark.parametrize("solve", [k_isolatable_members,
+                                   lambda S, k: solve_game_full_lp(S, S[0], k)],
+                         ids=["k_isolatable_members", "solve_game_full_lp"])
+def test_enumeration_guard_before_any_block(enumerations, solve):
+    # 3^16 raw (subset, bit pattern) pairs on 16 inputs exceed the guard
+    with pytest.raises(EnumerationBudgetExceeded) as excinfo:
+        solve(point_function_class(4), 16)
+    assert excinfo.value.count == 3 ** 16
+    assert enumerations == []
+
+
+def test_one_enumeration_per_class_and_k_within_a_scope(enumerations):
+    S = random_boolean_class(3, 9, substream(3, 5))
+    reordered = ConceptClass(S.domain, S.members[::-1])
+    members, full = k_isolatable_members(S, 2), solve_game_full_lp(S, S[0], 2)
+    assert len(enumerations) == 2 and enumerations[0] == enumerations[1]
+    alone = enumerations[0]
+    enumerations.clear()
+    with shared_searches():
+        assert k_isolatable_members(S, 2) == members
+        scoped = solve_game_full_lp(S, S[0], 2)
+        assert enumerations == [alone]
+        assert (scoped.support, scoped.game_value) == (full.support, full.game_value)
+        assert np.array_equal(scoped.weights, full.weights)
+        k_isolatable_members(S, 3)
+        assert k_isolatable_members(reordered, 2) == {len(S) - 1 - i for i in members}
+        assert len(enumerations) == 3
+        first = _first_certificates(S, 2)
+        expected = dict(first)
+        first.clear()
+        assert _first_certificates(S, 2) == expected
+        assert len(enumerations) == 3
+    _first_certificates(S, 2)
+    assert len(enumerations) == 4
 
 
 def test_k_isolatable_members_point_class():
