@@ -266,8 +266,8 @@ def k_isolatable_members(S: ConceptClass, k: int) -> set:
 
     Used to pick game instances on which the k-bounded full-LP oracle
     and the unbounded double oracle solve the same matrix game (payoffs
-    depend only on the isolated member).  Guarded and, within
-    ``shared_searches``, shared with the full LP: ``_first_certificates``.
+    depend only on the isolated member).  Reads ``_first_certificates``:
+    guarded, and within ``shared_searches`` shared with the full LP.
     """
     return set(_first_certificates(S, k))
 
