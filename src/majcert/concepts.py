@@ -133,10 +133,6 @@ class RealFunction:
     def __post_init__(self):
         object.__setattr__(self, "table", _real_tables(self.domain, self.table, 1))
 
-    @classmethod
-    def constant(cls, domain: InputDomain, c: float) -> "RealFunction":
-        return cls(domain, np.full(domain.size, float(c)))
-
     def __call__(self, x: int) -> float:
         return float(self.table[self.domain.check_input(x)])
 
@@ -408,12 +404,6 @@ def dist_two(f: RealFunction, g: RealFunction, X=None) -> float:
     return distance("two", f, g, X)
 
 
-def dist_one(f: RealFunction, g: RealFunction, X=None) -> float:
-    if X is None:
-        X = f.domain.inputs()
-    return distance("one", f, g, X)
-
-
 def distance_expected(f: RealFunction, g: RealFunction, D: Distribution) -> float:
     """D-weighted mean absolute difference E_{x~D}|f(x)-g(x)|."""
     _require_same_domain(f, g)
@@ -428,13 +418,13 @@ def restricted_gaps(V: np.ndarray, points, values, metric: str = "inf") -> np.nd
     (None for all of them) and ``values`` one value per point.  Row i
     holds max_j |V[i, points[j]] - values[j]| for metric "inf" (0 on an
     empty point set, as for :func:`distance`) and the sum for "one"; the
-    arithmetic is that of ``dist_inf``/``dist_one`` on each row.  One
+    arithmetic is that of :func:`distance` on each row.  One
     |S| x |points| slab is allocated.
     """
     if points is None:
         diff = V - values
     else:
-        # a C-ordered copy, so each row sums in the order dist_one sums
+        # a C-ordered copy, so each row sums in the order distance sums
         # its 1-d slice (V[:, points] would be column-major)
         diff = V.take(points, axis=1)
         diff -= values

@@ -85,27 +85,8 @@ class DensityMatrix:
         v[index] = 1.0
         return cls.from_pure(v)
 
-    @classmethod
-    def maximally_mixed(cls, qubits: int) -> "DensityMatrix":
-        dim = 1 << qubits
-        return cls(qubits, np.eye(dim, dtype=np.complex128) / dim)
-
-    def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
-        return DensityMatrix(self.qubits + other.qubits,
-                             np.kron(self.entries, other.entries))
-
     def key(self) -> bytes:
         return self.entries.tobytes()
-
-    def eigen_ensemble(self) -> list:
-        """Decompose into (weight, pure state vector) pairs, dropping
-        numerically-zero weights."""
-        vals, vecs = np.linalg.eigh(self.entries)
-        out = []
-        for i, lam in enumerate(vals):
-            if lam > 1e-12:
-                out.append((float(lam), vecs[:, i].copy()))
-        return out
 
 
 def partial_trace(matrix: np.ndarray, qubits: int, keep: Sequence[int]) -> np.ndarray:
@@ -211,32 +192,10 @@ class Circuit:
         return _embed({self.accept_qubit: _P1}, self.qubits)
 
 
-def accept_probability(circuit: Circuit, x: int, rho: DensityMatrix) -> float:
-    """Pr[measuring the accept qubit of U_x (rho (x) |0..0>) U_x^dagger
-    gives 1], exactly.
-
-    The advice occupies the first rho.qubits wires; remaining wires start
-    in |0>.  Total width is capped at 6 qubits.
-    """
-    if rho.qubits > circuit.qubits:
-        raise RejectedInputError("advice wider than the circuit register")
-    work = circuit.qubits - rho.qubits
-    full = rho.entries
-    if work:
-        anc = np.zeros((1 << work, 1 << work), dtype=np.complex128)
-        anc[0, 0] = 1.0
-        full = np.kron(full, anc)
-    U = circuit.unitary(x)
-    evolved = U @ full @ U.conj().T
-    p = float(np.real(np.trace(circuit.accept_projector() @ evolved)))
-    if not (-1e-9 <= p <= 1.0 + 1e-9):
-        raise RejectedInputError(f"acceptance probability {p} outside [0,1]")
-    return min(max(p, 0.0), 1.0)
-
-
 def measurement_operator(circuit: Circuit, x: int, advice_qubits: int) -> np.ndarray:
     """The Heisenberg-picture acceptance operator on the advice register:
-    accept_probability(circuit, x, rho) == Tr(rho @ M) for every rho.
+    for every rho, Tr(rho @ M) is the probability that measuring the
+    accept qubit of U_x (rho (x) |0..0>) U_x^dagger gives 1.
 
     M = (I (x) <0|) U_x^dagger P_accept U_x (I (x) |0>), a Hermitian PSD
     matrix with spectrum in [0,1].

@@ -27,7 +27,7 @@ import numpy as np
 
 from .concepts import (REAL_ATOL, BooleanFunction, ConceptClass, Distribution,
                        InputDomain, PConceptClass, RealFunction, Slots,
-                       dist_inf, dist_two, quantize, real_members)
+                       dist_inf, dist_two, quantize)
 from .decompose import (FAIL, RealDecomposition, find_valid_sample_size,
                         majority_certificates, occam_check, real_majority_certificates,
                         robust_majority_certificates, untrusted_oracle_evaluate,
@@ -395,9 +395,8 @@ def _dims_size_cap(params: dict, n: int) -> int:
 
 
 def _fat_quarter(S: ConceptClass) -> int:
-    """The fat-shattering dimension at 1/4 of S's tables as real functions."""
-    return fat_shattering_dim(PConceptClass(S.domain, real_members(S.domain, S.value_matrix())),
-                              0.25)
+    """The fat-shattering dimension at 1/4 of S, read as its 0/1 tables."""
+    return fat_shattering_dim(S, 0.25)
 
 
 def _dims_boolean_instance(params: dict, seed: int, index: int) -> dict:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -272,9 +271,7 @@ def _dimension(splits: list, members: int) -> int:
     sets, dim = np.zeros((1, 0), dtype=np.intp), 0  # the shattered sets of size dim
     while members >= 2 << dim:
         count = int((len(splits) - 1 - sets[:, -1]).sum()) if dim else len(splits)
-        if count > DIMENSION_BUDGET:
-            raise EnumerationBudgetExceeded(DIMENSION_BUDGET, count,
-                                            f"dimension candidates of size {dim + 1}")
+        _within_budget(count, dim + 1)
         sets = (_fat_extensions(splits, sets, members) if codes is None
                 else _shattered_extensions(codes, sets))
         if not len(sets):
@@ -284,6 +281,48 @@ def _dimension(splits: list, members: int) -> int:
             raise DimensionCapExceeded(DIMENSION_CAP)
     memo[key] = dim
     return dim
+
+
+def _within_budget(count: int, size: int) -> None:
+    """Raise when one search level joins over DIMENSION_BUDGET candidates."""
+    if count > DIMENSION_BUDGET:
+        raise EnumerationBudgetExceeded(DIMENSION_BUDGET, count,
+                                        f"dimension candidates of size {size}")
+
+
+def _witness_splits(V: np.ndarray, gamma: float) -> list:
+    """Per input x of the member-by-input matrix V, the (low, high) member
+    bitmasks of the levels r at margin gamma > 0: low = {f: f(x) <= r -
+    gamma}, high = {f: f(x) >= r + gamma}.  A level with both sides
+    non-empty is dominated (low equal, high no smaller) by the one at v +
+    gamma, v the largest member value at most r - gamma, so anchors at
+    member values suffice; of those sharing a high set the last is kept.
+    On 0/1 values at gamma <= 1/2: one (zeros, ones) split per non-constant
+    input.  With 2 or more members, over DIMENSION_BUDGET inputs raise as
+    _dimension's first level would, before anything is built."""
+    members, inputs = V.shape
+    if members < 2:
+        return [[] for _ in range(inputs)]
+    _within_budget(inputs, 1)
+    order, cols = V.argsort(axis=0, kind="stable").T, np.arange(inputs)[:, None]
+    values, rank = V.T[cols, order], np.empty(order.shape, np.min_scalar_type(members))
+    rank[cols, order] = np.arange(members)  # rank[x, j]: member j's place at input x
+    # each anchor's first high rank, a stable sort putting its threshold before equal values
+    merged = np.concatenate([values + 2.0 * gamma, values], axis=1).argsort(axis=1, kind="stable")
+    high = np.nonzero(merged < members)[1].reshape(inputs, members) - np.arange(members)
+    # keep anchor i when i + 1 has another high set, hence another value: low is ranks <= i
+    xs, last = np.nonzero(high[:, :-1] != high[:, 1:])
+    first, step = high[xs, last], max(1, BLOCK_CELLS // members)
+    splits = [[] for _ in range(inputs)]
+    for block in (slice(k, k + step) for k in range(0, len(xs), step)):
+        rows = rank[xs[block]]  # at most BLOCK_CELLS (split, member) cells at a time
+        sides = np.concatenate([rows <= last[block, None], rows >= first[block, None]])
+        packed = np.packbits(sides, axis=1, bitorder="little")
+        data, width = packed.tobytes(), packed.shape[1]
+        masks = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+        for x, pair in zip(xs[block].tolist(), zip(masks[:len(rows)], masks[len(rows):])):
+            splits[x].append(pair)
+    return splits
 
 
 def _split_codes(splits: list, members: int) -> np.ndarray:
@@ -324,50 +363,6 @@ def _fat_extensions(splits: list, sets: np.ndarray, members: int) -> np.ndarray:
                  if all(A[:i] + A[i + 1:] + (x,) in known for i in range(len(A)))]
         level += [A + (x,) for x in _fat_shatters(splits, A, tails, members)]
     return np.array(level, dtype=np.intp).reshape(len(level), sets.shape[1] + 1)
-
-
-def vc_dim(S: ConceptClass) -> int:
-    """Exact VC dimension by _dimension, with one witness split per
-    non-constant input: the members that are 0 there against those that
-    are 1.  Raises as _dimension does."""
-    full = (1 << len(S)) - 1
-    highs = [int.from_bytes(row.tobytes(), "little")
-             for row in np.packbits(S.value_matrix().T, axis=1, bitorder="little")]
-    return _dimension([[(full ^ h, h)] if 0 < h < full else [] for h in highs], len(S))
-
-
-def _margin_pairs(values: np.ndarray, gamma: float) -> list:
-    """Candidate (low-set, high-set) witness splits at one input.
-
-    A witness level r yields low = {f: f(x) <= r - gamma} and
-    high = {f: f(x) >= r + gamma}.  Any real r with both sides non-empty
-    is dominated (low equal, high no smaller) by the level anchored at
-    v_a + gamma where v_a is the largest member value at most r - gamma,
-    so levels anchored at member values form a sufficient witness grid
-    for finite classes.  Among anchors sharing a high set only the one
-    with the largest low set is kept.  Both sets are read off prefix
-    masks of the members sorted by value.
-    """
-    vals = [float(v) for v in values]
-    order = sorted(range(len(vals)), key=lambda i: vals[i])
-    sorted_vals = [vals[i] for i in order]
-    prefix = [0]  # prefix[k]: the k members of smallest value
-    for i in order:
-        prefix.append(prefix[-1] | (1 << i))
-    full = prefix[-1]
-    raw = []
-    for va in sorted(set(vals)):
-        low = prefix[bisect_right(sorted_vals, va)]
-        high = full ^ prefix[bisect_left(sorted_vals, va + 2.0 * gamma)]
-        if high:  # low holds va's own member
-            raw.append((low, high))
-    pairs = []
-    for j, (low, high) in enumerate(raw):
-        # low grows with the anchor, so the last pair of each high run wins
-        if j + 1 < len(raw) and raw[j + 1][1] == high:
-            continue
-        pairs.append((low, high))
-    return pairs
 
 
 def _fat_shatters(splits: list, A: tuple, tails: list, members: int) -> list:
@@ -411,17 +406,22 @@ def _fat_shatters(splits: list, A: tuple, tails: list, members: int) -> list:
     return [x for x in tails if x not in left]
 
 
-def fat_shattering_dim(S: PConceptClass, gamma: float) -> int:
-    """Exact gamma-fat-shattering dimension by _dimension: A is
-    gamma-shattered when one witness split per input, from the grid of
-    _margin_pairs, cuts S into 2^|A| non-empty cells, one per sign
-    pattern (low and high sets are disjoint as gamma > 0).  Raises as
-    _dimension does."""
+def vc_dim(S: ConceptClass) -> int:
+    """Exact VC dimension by _dimension over the witness grid at margin
+    1/2: one split per non-constant input, the members that are 0 there
+    against those that are 1.  Raises as _dimension does."""
+    return _dimension(_witness_splits(S.value_matrix(), 0.5), len(S))
+
+
+def fat_shattering_dim(S: ConceptClass | PConceptClass, gamma: float) -> int:
+    """Exact gamma-fat-shattering dimension by _dimension of any class whose
+    value matrix lies in [0, 1], a Boolean class by its 0/1 tables: A is
+    gamma-shattered when one split per input from the _witness_splits grid
+    cuts S into 2^|A| non-empty cells, one per sign pattern.  At gamma <=
+    1/2 a Boolean class has vc_dim's grid.  Raises as _dimension does."""
     if not gamma > 0:
         raise RejectedInputError("gamma must be positive")
-    V = S.value_matrix()
-    splits = [_margin_pairs(V[:, x], gamma) for x in S.domain.inputs()]
-    return _dimension(splits, len(S))
+    return _dimension(_witness_splits(S.value_matrix(), gamma), len(S))
 
 
 # ---------------------------------------------------------------------------

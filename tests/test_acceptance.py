@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from majcert.concepts import (BooleanFunction, ConceptClass, Distribution,
-                              InputDomain, PConceptClass, dist_inf, dist_one,
+                              InputDomain, PConceptClass, dist_inf,
                               dist_two, pointwise_majority, real_members)
 from majcert.decompose import (FAIL, find_valid_sample_size,
                                majority_certificates, occam_check,
@@ -32,6 +32,7 @@ from majcert.rng import substream
 from majcert.suites import build_standard_protocol, child_seed
 from majcert.winnow import (ceil_log, epsilon_cover, fat_shattering_dim,
                             l1_winnow, safe_winnow, vc_dim)
+from references import dist_one
 
 SEED = 20250809
 

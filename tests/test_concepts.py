@@ -8,11 +8,12 @@ from hypothesis import given, strategies as st
 
 from majcert.concepts import (BooleanFunction, Certificate, ConceptClass,
                               Distribution, InputDomain, PConceptClass,
-                              RealFunction, Slots, dist_inf, dist_one, distance,
+                              RealFunction, Slots, dist_inf, distance,
                               distance_expected, is_isolated,
                               pointwise_majority, real_members, restrict_class,
                               restricted_gaps)
 from majcert.errors import DomainMismatchError, RejectedInputError
+from references import constant, dist_one
 
 
 def real_fn(domain, values):
@@ -61,8 +62,8 @@ def test_distance_identity_is_zero():
 
 def test_distance_constant_functions():
     domain = InputDomain(2)
-    f = RealFunction.constant(domain, 0.0)
-    g = RealFunction.constant(domain, 1.0)
+    f = constant(domain, 0.0)
+    g = constant(domain, 1.0)
     X = list(domain.inputs())
     assert distance("one", f, g, X) == 4.0
     assert distance("two", f, g, X) == 2.0
@@ -71,21 +72,21 @@ def test_distance_constant_functions():
 
 def test_distance_empty_set_is_zero():
     domain = InputDomain(2)
-    f = RealFunction.constant(domain, 0.0)
-    g = RealFunction.constant(domain, 1.0)
+    f = constant(domain, 0.0)
+    g = constant(domain, 1.0)
     for metric in ("inf", "two", "one"):
         assert distance(metric, f, g, []) == 0.0
 
 
 def test_distance_rejects_domain_mismatch():
-    f = RealFunction.constant(InputDomain(2), 0.5)
-    g = RealFunction.constant(InputDomain(3), 0.5)
+    f = constant(InputDomain(2), 0.5)
+    g = constant(InputDomain(3), 0.5)
     with pytest.raises(DomainMismatchError):
         distance("one", f, g, [0])
 
 
 def test_distance_rejects_unknown_metric():
-    f = RealFunction.constant(InputDomain(2), 0.5)
+    f = constant(InputDomain(2), 0.5)
     with pytest.raises(RejectedInputError):
         distance("sup", f, f, [0])
 
@@ -135,7 +136,7 @@ def test_distance_expected_trivial_cases():
 
 def test_distance_expected_uniform_indicator():
     domain = InputDomain(2)
-    f = RealFunction.constant(domain, 0.0)
+    f = constant(domain, 0.0)
     g = real_fn(domain, [0, 0, 0, 1])
     assert distance_expected(f, g, Distribution.uniform(domain)) == pytest.approx(0.25)
 
@@ -178,7 +179,7 @@ def test_restricted_gaps_on_wide_point_sets(rng):
 def test_restricted_gaps_empty_point_set_and_metric():
     domain = InputDomain(2)
     S = PConceptClass(domain, [real_fn(domain, [0.1, 0.5, 0.9, 0.3]),
-                               RealFunction.constant(domain, 1.0)])
+                               constant(domain, 1.0)])
     for metric in ("inf", "one"):
         assert restricted_gaps(S.value_matrix(), [], np.zeros(0), metric).tolist() == [0.0, 0.0]
     with pytest.raises(RejectedInputError):
@@ -422,8 +423,8 @@ def test_concept_class_dedup_and_order():
 
 def test_pconcept_dedup():
     domain = InputDomain(1)
-    f = RealFunction.constant(domain, 0.5)
-    S = PConceptClass(domain, [f, RealFunction.constant(domain, 0.5)])
+    f = constant(domain, 0.5)
+    S = PConceptClass(domain, [f, constant(domain, 0.5)])
     assert len(S) == 1
 
 
@@ -484,7 +485,7 @@ def test_value_matrix_is_built_once_and_read_only():
     with pytest.raises(ValueError):
         V[0, 0] = 1
     domain = InputDomain(1)
-    P = PConceptClass(domain, [RealFunction.constant(domain, c) for c in (0.2, 0.7)])
+    P = PConceptClass(domain, [constant(domain, c) for c in (0.2, 0.7)])
     W = P.value_matrix()
     assert W is P.value_matrix() and not W.flags.writeable
     assert W.tolist() == [[0.2, 0.2], [0.7, 0.7]]

@@ -16,13 +16,14 @@ import numpy as np
 import pytest
 
 from majcert.concepts import (BooleanFunction, InputDomain, PConceptClass,
-                              RealFunction, dist_inf, dist_one, distance)
+                              RealFunction, dist_inf, distance)
 from majcert.formats import boolean_from_hex, boolean_to_hex
 from majcert.qsim import Circuit, DensityMatrix, Gate, random_mixed_state
 from majcert.protocol import qma_plus_amplify
 from majcert.rng import substream
 from majcert.suites import run_suite, verify_report
 from majcert.winnow import epsilon_cover, l1_winnow, safe_winnow
+from references import constant, dist_one, tensor
 
 
 def real_fn(domain, values):
@@ -90,7 +91,7 @@ def test_amplify_three_register_entangled_consistency():
     rng = substream(103, 0)
     regs = [random_mixed_state(1, rng) for _ in range(3)]
     product_path = qma_plus_amplify(circuit, 0, r, q, 3, regs)
-    joint = regs[0].tensor(regs[1]).tensor(regs[2])
+    joint = tensor(tensor(regs[0], regs[1]), regs[2])
     joint_path = qma_plus_amplify(circuit, 0, r, q, 3, joint)
     assert product_path == pytest.approx(joint_path, abs=1e-9)
 
@@ -132,8 +133,8 @@ def test_boolean_function_at_n20():
 
 def test_real_function_at_n14():
     domain = InputDomain(14)
-    f = RealFunction.constant(domain, 0.25)
-    g = RealFunction.constant(domain, 0.75)
+    f = constant(domain, 0.25)
+    g = constant(domain, 0.75)
     assert distance("inf", f, g, domain.inputs()) == pytest.approx(0.5)
     assert distance("one", f, g, domain.inputs()) == pytest.approx(0.5 * domain.size)
 
@@ -212,6 +213,38 @@ def test_full_lp_at_n18_within_ten_seconds_and_80_megabytes():
     assert done.returncode == 0, done.stderr
     assert time.monotonic() - started < 10.0
     assert int(done.stdout.split()[-1]) < 80 * 1024  # VmHWM is in kB
+
+
+def test_dimensions_at_n20_reject_before_building_a_grid():
+    # with 2^20 inputs the search's first level alone joins more
+    # candidates than DIMENSION_BUDGET allows, so both dimensions raise
+    # before a column is sorted or a split packed; the child's peak
+    # resident set is then the 16-member class's own (about 61 MB)
+    script = ("import time\n"
+              "from majcert.errors import EnumerationBudgetExceeded\n"
+              "from majcert.generators import random_boolean_class\n"
+              "from majcert.rng import substream\n"
+              "from majcert.winnow import fat_shattering_dim, vc_dim\n"
+              "S = random_boolean_class(20, 16, substream(1, 0))\n"
+              "for dimension in (vc_dim, lambda S: fat_shattering_dim(S, 0.25)):\n"
+              "    started = time.monotonic()\n"
+              "    try:\n"
+              "        dimension(S)\n"
+              "    except EnumerationBudgetExceeded as error:\n"
+              "        print(time.monotonic() - started, error)\n"
+              "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    *raised, peak = done.stdout.splitlines()
+    assert len(raised) == 2
+    for line in raised:
+        seconds, message = line.split(" ", 1)
+        assert float(seconds) < 2.0
+        assert message == "dimension candidates of size 1: 1048576 exceeds budget 250000"
+    assert int(peak) < 100 * 1024  # VmHWM is in kB
 
 
 @pytest.mark.parametrize("suite, parameters", [

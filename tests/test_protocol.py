@@ -20,9 +20,10 @@ from majcert.protocol import (acceptance_table, adversary_search, bloch_affine_m
                               fat_dim_quantum_check, induced_with_states,
                               machine_b_error, qma_plus_amplify, verifier_A,
                               with_inflated_alpha)
-from majcert.qsim import (Circuit, DensityMatrix, Gate, accept_probability,
-                          measurement_operator, random_mixed_state)
+from majcert.qsim import (Circuit, DensityMatrix, Gate, measurement_operator,
+                          random_mixed_state)
 from majcert.rng import substream
+from references import accept_probability, eigen_ensemble, maximally_mixed, tensor
 
 
 def standard_instance():
@@ -53,7 +54,7 @@ def compiled_protocol(seed=13, eps=0.1):
 def test_induced_maximally_mixed_is_half():
     circuit = Circuit(qubits=1, gates=(), accept_qubit=0)
     domain = InputDomain(2)
-    cls = induced(circuit, domain, [DensityMatrix.maximally_mixed(1)])
+    cls = induced(circuit, domain, [maximally_mixed(1)])
     assert len(cls) == 1
     assert np.allclose(cls[0].table, 0.5, atol=1e-12)
 
@@ -71,7 +72,7 @@ def test_induced_basis_states_are_constants():
 def test_induced_dedups_duplicates():
     circuit = Circuit(qubits=1, gates=(), accept_qubit=0)
     domain = InputDomain(2)
-    state = DensityMatrix.maximally_mixed(1)
+    state = maximally_mixed(1)
     cls = induced(circuit, domain, [state, state, state])
     assert len(cls) == 1
 
@@ -87,7 +88,7 @@ def test_induced_matches_ensemble_oracle(salt):
         expected = sum(lam * float(np.real(v.conj() @ (U.conj().T
                                                        @ circuit.accept_projector()
                                                        @ U @ v)))
-                       for lam, v in state.eigen_ensemble())
+                       for lam, v in eigen_ensemble(state))
         assert f(x) == pytest.approx(expected, abs=1e-9)
 
 
@@ -100,7 +101,7 @@ def test_compile_trivial_language():
     circuit = Circuit(qubits=2, gates=(Gate("X", 1),), accept_qubit=1)
     domain = InputDomain(1)
     language = BooleanFunction.from_values(domain, [1, 1])
-    rho = DensityMatrix.maximally_mixed(1)
+    rho = maximally_mixed(1)
     P = compile_advice(circuit, rho, language, eps=0.1, seed=0)
     assert P.m == 1
     assert verifier_A(P, P.honest_registers()) <= 5.0 * P.alpha
@@ -205,7 +206,7 @@ def test_conditional_soundness_bound_standard_instance():
 
 def test_verifier_on_maximally_mixed_registers():
     P = compiled_protocol()
-    mixed = [DensityMatrix.maximally_mixed(1)] * P.m
+    mixed = [maximally_mixed(1)] * P.m
     deviation = verifier_A(P, mixed)
     # exact by hand: Tr[mixed M_z] = Tr[M_z]/2
     expected = 0.0
@@ -223,7 +224,7 @@ def test_register_shape_mismatch_rejected():
     with pytest.raises(RejectedInputError):
         machine_b_error(P, list(P.honest_registers())[1:])
     with pytest.raises(RejectedInputError):
-        verifier_A(P, DensityMatrix.maximally_mixed(2))
+        verifier_A(P, maximally_mixed(2))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +275,7 @@ def test_amplify_entangled_matches_product_path():
     a = random_mixed_state(1, rng)
     b = random_mixed_state(1, rng)
     product_path = qma_plus_amplify(circuit, 0, r, q, 2, [a, b])
-    joint_path = qma_plus_amplify(circuit, 0, r, q, 2, a.tensor(b))
+    joint_path = qma_plus_amplify(circuit, 0, r, q, 2, tensor(a, b))
     assert product_path == pytest.approx(joint_path, abs=1e-10)
 
 
@@ -300,7 +301,7 @@ def test_amplify_soundness_chain_on_constructed_states():
 def test_amplify_rejects_bad_register_count():
     circuit, r, q = amplify_fixture()
     with pytest.raises(RejectedInputError):
-        qma_plus_amplify(circuit, 0, r, q, 3, [DensityMatrix.maximally_mixed(1)] * 2)
+        qma_plus_amplify(circuit, 0, r, q, 3, [maximally_mixed(1)] * 2)
 
 
 # ---------------------------------------------------------------------------

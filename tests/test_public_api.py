@@ -12,14 +12,8 @@ PACKAGE = ROOT / "src" / "majcert"
 PROGRAM = (ROOT / "src", ROOT / "scripts", ROOT / "benchmark")
 
 #: public names that tests read and the program does not, with the reason
-ALLOWED = {
-    "accept_probability": "reference implementation that tests compare against",
-    "dist_one": "reference implementation that tests compare against",
-    "RealFunction.constant": "data-model constructor that tests use as a fixture",
-    "DensityMatrix.maximally_mixed": "data-model constructor that tests use as a fixture",
-    "DensityMatrix.tensor": "data-model constructor that tests use as a fixture",
-    "DensityMatrix.eigen_ensemble": "reference decomposition that tests compare against",
-}
+#: (the tests' own references and fixtures live in ``tests/references.py``)
+ALLOWED: dict = {}
 
 
 def public_definitions() -> dict:

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from majcert import concepts
 from majcert.concepts import (BooleanFunction, Certificate, ConceptClass,
                               Distribution, InputDomain, PConceptClass,
-                              RealFunction, dist_inf, dist_one, dist_two,
+                              RealFunction, dist_inf, dist_two,
                               is_isolated, pairwise_gaps, real_members,
                               restricted_gaps)
 from majcert.errors import (DimensionCapExceeded, EnumerationBudgetExceeded,
@@ -21,10 +21,11 @@ from majcert.generators import (point_function_class, random_boolean_class,
                                 random_pconcept_class)
 from majcert import winnow
 from majcert.rng import substream
-from majcert.winnow import (_SEARCHES, CoverResult, L2Family, _dimension, _margin_pairs,
+from majcert.winnow import (_SEARCHES, CoverResult, L2Family, _dimension, _witness_splits,
                             binary_search_winnow, ceil_log, epsilon_cover,
                             fat_shattering_dim, isolate_member, l1_winnow,
                             safe_winnow, shared_searches, vc_dim, weak_certify)
+from references import constant, dist_one
 
 
 def real_fn(domain, values):
@@ -34,7 +35,7 @@ def real_fn(domain, values):
 def constants_grid(n, count):
     """Constant functions at ``count`` evenly spaced levels in [0, 1]."""
     domain = InputDomain(n)
-    return PConceptClass(domain, [RealFunction.constant(domain, i / (count - 1))
+    return PConceptClass(domain, [constant(domain, i / (count - 1))
                                   for i in range(count)])
 
 
@@ -392,18 +393,27 @@ def test_dimension_budget_signal(monkeypatch, kernel_only):
 
 @given(st.integers(0, 10 ** 6))
 def test_vc_and_fat_quarter_of_a_boolean_class_share_one_search(salt):
-    """At gamma = 1/4 the margin grid of a 0/1 class is vc_dim's grid: one
-    (zeros, ones) split per non-constant input."""
+    """At gamma = 1/4 the witness grid of a Boolean class is vc_dim's grid:
+    one (zeros, ones) split per non-constant input."""
     rng = substream(salt, 55)
     n = int(rng.integers(1, 5))
     S = random_boolean_class(n, int(rng.integers(1, min(16, 1 << (1 << n)) + 1)), rng)
-    V = S.value_matrix().astype(np.float64)
     with shared_searches():
         vc_dim(S)
-        fat_shattering_dim(PConceptClass(S.domain, real_members(S.domain, V)), 0.25)
+        fat_shattering_dim(S, 0.25)
         (grid, members), = _SEARCHES.get(None)
     assert members == len(S)
-    assert grid == tuple(tuple(_margin_pairs(V[:, x], 0.25)) for x in S.domain.inputs())
+    assert grid == tuple(map(tuple, boolean_class_splits(S)))
+
+
+@given(st.integers(0, 10 ** 6))
+def test_fat_of_a_boolean_class_equals_fat_of_its_real_reading(salt):
+    rng = substream(salt, 58)
+    n = int(rng.integers(1, 5))
+    S = random_boolean_class(n, int(rng.integers(1, min(16, 1 << (1 << n)) + 1)), rng)
+    P = PConceptClass(S.domain, real_members(S.domain, S.value_matrix()))
+    for gamma in (0.1, 0.25, 0.5):
+        assert fat_shattering_dim(S, gamma) == fat_shattering_dim(P, gamma)
 
 
 @st.composite
@@ -499,7 +509,7 @@ def test_single_split_kernel_equals_apriori_reference(kernel_only, n, salt, data
     assert vc_dim(S) == want
     P = PConceptClass(S.domain, real_members(S.domain, S.value_matrix()))
     V = P.value_matrix()
-    grid = [_margin_pairs(V[:, x], 0.25) for x in P.domain.inputs()]
+    grid = _witness_splits(V, 0.25)
     assert reference_single_split_dimension(grid, len(P)) == want
     assert fat_shattering_dim(P, 0.25) == want
 
@@ -550,14 +560,14 @@ def test_vc_sauer_direction(salt):
 
 def test_fat_singleton_is_zero():
     domain = InputDomain(2)
-    S = PConceptClass(domain, [RealFunction.constant(domain, 0.4)])
+    S = PConceptClass(domain, [constant(domain, 0.4)])
     assert fat_shattering_dim(S, 0.1) == 0
 
 
 def test_fat_two_constants():
     domain = InputDomain(2)
-    S = PConceptClass(domain, [RealFunction.constant(domain, 0.0),
-                               RealFunction.constant(domain, 1.0)])
+    S = PConceptClass(domain, [constant(domain, 0.0),
+                               constant(domain, 1.0)])
     # brute-force witness: r = 0.5 on a single point separates at any
     # margin up to 0.5, and two constants cannot shatter two points
     assert fat_shattering_dim(S, 0.5) == 1
@@ -672,11 +682,32 @@ def reference_margin_pairs(values, gamma):
             if j + 1 == len(raw) or raw[j + 1][1] != pair[1]]
 
 
-@given(st.lists(st.integers(0, 8), min_size=1, max_size=20),
-       st.sampled_from([0.01, 0.0625, 0.125, 0.2, 0.25, 0.5]))
-def test_margin_pairs_match_per_anchor_scan(numerators, gamma):
-    values = np.array(numerators, dtype=np.float64) / 8.0  # dyadic, so ties are exact
-    assert _margin_pairs(values, gamma) == reference_margin_pairs(values, gamma)
+@pytest.mark.parametrize("block_cells", [winnow.BLOCK_CELLS, 1])
+@given(st.integers(1, 20), st.integers(1, 8), st.integers(0, 10 ** 6), st.booleans())
+def test_witness_splits_match_per_anchor_scan(block_cells, members, inputs, salt, on_grid):
+    """Input by input over whole matrices, with constant columns and
+    one-member classes among them, at every margin, also one split per
+    block."""
+    rng = substream(salt, 57)
+    if on_grid:  # dyadic values, so ties and exact margins occur
+        V = rng.integers(0, 9, size=(members, inputs)) / 8.0
+    else:
+        V = rng.uniform(0.0, 1.0, size=(members, inputs))
+    flat = rng.random(inputs) < 0.25  # constant columns
+    V[:, flat] = V[:1, flat]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(winnow, "BLOCK_CELLS", block_cells)
+        for gamma in (0.01, 0.0625, 0.125, 0.2, 0.25, 0.5):
+            assert _witness_splits(V, gamma) == [reference_margin_pairs(V[:, x], gamma)
+                                                 for x in range(inputs)]
+
+
+@given(st.integers(1, 3), st.integers(0, 10 ** 6), st.data())
+def test_witness_splits_of_a_boolean_class_are_its_zeros_and_ones(n, salt, data):
+    size = data.draw(st.integers(1, min(20, 1 << (1 << n))))
+    S = random_boolean_class(n, size, substream(salt, 59))
+    for gamma in (0.25, 0.5):
+        assert _witness_splits(S.value_matrix(), gamma) == boolean_class_splits(S)
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +728,7 @@ def clustered_pconcept(n, clusters, per_cluster, spread, rng):
 
 def test_safe_winnow_singleton_trivial():
     domain = InputDomain(2)
-    f = RealFunction.constant(domain, 0.3)
+    f = constant(domain, 0.3)
     S = PConceptClass(domain, [f])
     cover = epsilon_cover(S, 0.1)
     result = safe_winnow(S, f, set(), 0.1, cover)
@@ -767,7 +798,7 @@ def test_safe_winnow_exercises_splits():
 
 def test_l1_singleton_no_iterations():
     domain = InputDomain(2)
-    f = RealFunction.constant(domain, 0.3)
+    f = constant(domain, 0.3)
     S = PConceptClass(domain, [f])
     result = l1_winnow(S, 0.1, epsilon_cover(S, 0.1))
     assert result.X == frozenset()
@@ -879,7 +910,7 @@ def test_winnows_match_member_by_member_references(n, salt, clustered, eps, data
 
 def test_winnows_match_references_on_edge_classes():
     domain = InputDomain(2)
-    singleton = PConceptClass(domain, [RealFunction.constant(domain, 0.3)])
+    singleton = PConceptClass(domain, [constant(domain, 0.3)])
     assert_winnows_match_references(singleton, singleton[0], set(), 0.1)
     S = clustered_pconcept(3, 3, 4, 0.35, substream(12, 0))
     assert_winnows_match_references(S, S[5], set(), 0.08)  # empty Y
