@@ -25,9 +25,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .concepts import (REAL_ATOL, BooleanFunction, ConceptClass, Distribution,
-                       InputDomain, PConceptClass, RealFunction, Slots,
-                       dist_inf, dist_two, quantize)
+from .concepts import (REAL_ATOL, BooleanFunction, Distribution, InputDomain,
+                       PConceptClass, RealFunction, Slots, dist_inf, dist_two,
+                       quantize)
 from .decompose import (FAIL, RealDecomposition, find_valid_sample_size,
                         majority_certificates, occam_check, real_majority_certificates,
                         robust_majority_certificates, untrusted_oracle_evaluate,
@@ -394,11 +394,6 @@ def _dims_size_cap(params: dict, n: int) -> int:
     return min(params["size_max"], 1 << min(1 << n, 30))
 
 
-def _fat_quarter(S: ConceptClass) -> int:
-    """The fat-shattering dimension at 1/4 of S, read as its 0/1 tables."""
-    return fat_shattering_dim(S, 0.25)
-
-
 def _dims_boolean_instance(params: dict, seed: int, index: int) -> dict:
     inst_seed = child_seed(seed, 600, index)
     rng = substream(inst_seed, 0)
@@ -406,7 +401,7 @@ def _dims_boolean_instance(params: dict, seed: int, index: int) -> dict:
     size = int(rng.integers(2, _dims_size_cap(params, n) + 1))
     S = random_boolean_class(n, size, rng)
     return _record(index, {"kind": "boolean", "class": [boolean_to_hex(f) for f in S], "n": n,
-                           "vc": vc_dim(S), "fat_quarter": _fat_quarter(S)})
+                           "vc": vc_dim(S), "fat_quarter": fat_shattering_dim(S, 0.25)})
 
 
 def _dims_pconcept_instance(params: dict, seed: int, index: int, gammas: list) -> dict:
@@ -449,7 +444,7 @@ def _check_dims(record: dict, context: dict) -> bool:
                 and 2 <= size <= _dims_size_cap(params, n)):
             return False  # before the searches, whose cost the config bounds
         S = boolean_class_from_hex(InputDomain(n), out["class"])
-        v, fat = vc_dim(S), _fat_quarter(S)
+        v, fat = vc_dim(S), fat_shattering_dim(S, 0.25)
         return (v == out["vc"] and fat == out["fat_quarter"] and fat == v
                 and len(S) == size and v <= math.log2(size) + 1e-12)
     S = real_class_from_json(out["tables"])

@@ -304,23 +304,24 @@ def _witness_splits(V: np.ndarray, gamma: float) -> list:
     if members < 2:
         return [[] for _ in range(inputs)]
     _within_budget(inputs, 1)
-    order, cols = V.argsort(axis=0, kind="stable").T, np.arange(inputs)[:, None]
-    values, rank = V.T[cols, order], np.empty(order.shape, np.min_scalar_type(members))
-    rank[cols, order] = np.arange(members)  # rank[x, j]: member j's place at input x
-    # each anchor's first high rank, a stable sort putting its threshold before equal values
-    merged = np.concatenate([values + 2.0 * gamma, values], axis=1).argsort(axis=1, kind="stable")
-    high = np.nonzero(merged < members)[1].reshape(inputs, members) - np.arange(members)
-    # keep anchor i when i + 1 has another high set, hence another value: low is ranks <= i
-    xs, last = np.nonzero(high[:, :-1] != high[:, 1:])
-    first, step = high[xs, last], max(1, BLOCK_CELLS // members)
-    splits = [[] for _ in range(inputs)]
-    for block in (slice(k, k + step) for k in range(0, len(xs), step)):
-        rows = rank[xs[block]]  # at most BLOCK_CELLS (split, member) cells at a time
-        sides = np.concatenate([rows <= last[block, None], rows >= first[block, None]])
+    splits, step = [], max(1, BLOCK_CELLS // (members * members))  # inputs per block
+    for k in range(0, inputs, step):  # kept splits gather <= max(BLOCK_CELLS, members^2) cells
+        order = V[:, k:k + step].argsort(axis=0, kind="stable").T
+        cols = np.arange(k, k + len(order))[:, None]
+        values, rank = V.T[cols, order], np.empty(order.shape, np.min_scalar_type(members))
+        rank[cols - k, order] = np.arange(members)  # rank[x, j]: member j's place at input x
+        # each anchor's first high rank, a stable sort putting its threshold before equal values
+        merged = np.concatenate([values + 2.0 * gamma, values], axis=1).argsort(kind="stable")
+        high = np.nonzero(merged < members)[1].reshape(order.shape) - np.arange(members)
+        # keep anchor i when i + 1 has another high set, hence another value: low is ranks <= i
+        xs, last = np.nonzero(high[:, :-1] != high[:, 1:])
+        rows = rank[xs]
+        sides = np.concatenate([rows <= last[:, None], rows >= high[xs, last][:, None]])
         packed = np.packbits(sides, axis=1, bitorder="little")
-        data, width = packed.tobytes(), packed.shape[1]
-        masks = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
-        for x, pair in zip(xs[block].tolist(), zip(masks[:len(rows)], masks[len(rows):])):
+        data, size = packed.tobytes(), packed.shape[1]
+        masks = [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
+        splits += [[] for _ in cols]
+        for x, pair in zip((xs + k).tolist(), zip(masks[:len(xs)], masks[len(xs):])):
             splits[x].append(pair)
     return splits
 

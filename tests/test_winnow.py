@@ -686,7 +686,7 @@ def reference_margin_pairs(values, gamma):
 @given(st.integers(1, 20), st.integers(1, 8), st.integers(0, 10 ** 6), st.booleans())
 def test_witness_splits_match_per_anchor_scan(block_cells, members, inputs, salt, on_grid):
     """Input by input over whole matrices, with constant columns and
-    one-member classes among them, at every margin, also one split per
+    one-member classes among them, at every margin, also one input per
     block."""
     rng = substream(salt, 57)
     if on_grid:  # dyadic values, so ties and exact margins occur
