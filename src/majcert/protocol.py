@@ -248,45 +248,25 @@ def _count_distribution_product(probs: Sequence[float]) -> np.ndarray:
 
 
 def qma_plus_amplify(circuit: Circuit, x: int, r: Fraction, q: Fraction, K: int,
-                     sigma) -> float:
+                     registers) -> float:
     """Exact acceptance probability of the amplified constraint test.
 
     The test applies the circuit on input x to each of K registers and
     accepts iff the fraction a of accepting invocations satisfies
     |a - r| <= 2/q; the comparison is exact rational arithmetic.
-    ``sigma`` is either a list of K per-register states (independent
-    registers, count distribution by convolution; supports large K) or
-    one joint DensityMatrix over all K registers (width capped at 6
-    qubits; outcome patterns enumerated exactly).
+    ``registers`` is a list of K per-register states, independent, so the
+    count distribution is the convolution of their acceptance
+    probabilities and large K is supported.
     """
     r = Fraction(r)
     q = Fraction(q)
     if K < 1:
         raise RejectedInputError("K must be positive")
-
-    if isinstance(sigma, DensityMatrix):
-        p = sigma.qubits // K
-        if p < 1 or p * K != sigma.qubits:
-            raise RejectedInputError("joint state does not split into K registers")
-        M = measurement_operator(circuit, x, p)
-        E1 = M
-        E0 = np.eye(1 << p, dtype=np.complex128) - M
-        dist = np.zeros(K + 1)
-        for pattern in range(1 << K):
-            op = np.array([[1.0 + 0j]])
-            ones = 0
-            for k in range(K):
-                bit = (pattern >> (K - 1 - k)) & 1
-                ones += bit
-                op = np.kron(op, E1 if bit else E0)
-            dist[ones] += float(np.real(np.trace(sigma.entries @ op)))
-    else:
-        regs = list(sigma)
-        if len(regs) != K:
-            raise RejectedInputError(f"expected {K} registers, got {len(regs)}")
-        probs = acceptance_table(circuit, InputDomain(max(1, x.bit_length())), regs)[:, x]
-        dist = _count_distribution_product(probs)
-
+    regs = list(registers)
+    if len(regs) != K:
+        raise RejectedInputError(f"expected {K} registers, got {len(regs)}")
+    probs = acceptance_table(circuit, InputDomain(max(1, x.bit_length())), regs)[:, x]
+    dist = _count_distribution_product(probs)
     accept = 0.0
     for j in range(K + 1):
         if abs(Fraction(j, K) - r) <= 2 / q:

@@ -94,29 +94,11 @@ def partial_trace(matrix: np.ndarray, qubits: int, keep: Sequence[int]) -> np.nd
     keep = sorted(set(keep))
     if any(q < 0 or q >= qubits for q in keep):
         raise RejectedInputError("keep indices outside register")
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    row = []
-    col = []
-    out_row = []
-    out_col = []
-    pos = 0
-    for q in range(qubits):
-        if q in keep:
-            r, c = letters[pos], letters[pos + 1]
-            pos += 2
-            row.append(r)
-            col.append(c)
-            out_row.append(r)
-            out_col.append(c)
-        else:
-            s = letters[pos]
-            pos += 1
-            row.append(s)
-            col.append(s)
+    # row axis q is label q; column axis q shares it, and so is traced, unless q is kept
+    cols = [qubits + q if q in keep else q for q in range(qubits)]
     arr = np.asarray(matrix).reshape((2,) * (2 * qubits))
-    spec = "".join(row) + "".join(col) + "->" + "".join(out_row) + "".join(out_col)
-    dim = 1 << len(keep)
-    return np.einsum(spec, arr).reshape(dim, dim)
+    out = np.einsum(arr, [*range(qubits), *cols], keep + [qubits + q for q in keep])
+    return out.reshape(1 << len(keep), 1 << len(keep))
 
 
 def reduced_state(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:

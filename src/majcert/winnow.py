@@ -255,30 +255,30 @@ def shared_searches():
         _SEARCHES.reset(token)
 
 
-def _dimension(splits: list, members: int) -> int:
-    """Size of the largest input set that ``members`` class members
-    shatter, input x offering the (low, high) member bitmasks
-    ``splits[x]`` as witness splits (see _fat_shatters), memoized within
-    ``shared_searches``.  A level's candidates, the shattered sets one
-    smaller extended by a later input, are counted before any is built:
-    over DIMENSION_BUDGET raises EnumerationBudgetExceeded.  A size-s set
-    needs 2^s members; a shattered set of size DIMENSION_CAP raises
-    DimensionCapExceeded."""
-    memo, key = _SEARCHES.get({}), (tuple(map(tuple, splits)), members)
+def _dimension(grid: tuple, members: int) -> int:
+    """Size of the largest input set that ``members`` members shatter over
+    the _witness_splits ``grid`` (see _fat_shatters), memoized by the grid's
+    bytes within ``shared_searches``.  Level 1 is read off the grid; later
+    levels' candidates are counted before any is built, level 2's before
+    the kernel's codes or bitmasks: over DIMENSION_BUDGET raises
+    EnumerationBudgetExceeded.  A size-s set needs 2^s members; a shattered
+    set of size DIMENSION_CAP raises DimensionCapExceeded."""
+    memo, key = _SEARCHES.get({}), (members, *(a.tobytes() for a in grid))
     if key in memo:
         return memo[key]
-    codes = _split_codes(splits, members) if all(len(p) <= 1 for p in splits) else None
-    sets, dim = np.zeros((1, 0), dtype=np.intp), 0  # the shattered sets of size dim
-    while members >= 2 << dim:
-        count = int((len(splits) - 1 - sets[:, -1]).sum()) if dim else len(splits)
-        _within_budget(count, dim + 1)
-        sets = (_fat_extensions(splits, sets, members) if codes is None
-                else _shattered_extensions(codes, sets))
-        if not len(sets):
-            break
+    sets, dim = np.unique(grid[1])[:, None], 0  # both sides of every kept split are non-empty
+    while len(sets):
         dim += 1
         if dim >= DIMENSION_CAP:
             raise DimensionCapExceeded(DIMENSION_CAP)
+        if members < 2 << dim:
+            break
+        _within_budget(int((len(grid[0]) - 1 - sets[:, -1]).sum()), dim + 1)
+        if dim == 1:  # a grid of one split per input goes to the numpy kernel
+            single = len(sets) == len(grid[1])
+            splits = _split_codes(grid, members) if single else _split_masks(grid, members)
+        sets = (_shattered_extensions(splits, sets) if single
+                else _fat_extensions(splits, sets, members))
     memo[key] = dim
     return dim
 
@@ -290,49 +290,55 @@ def _within_budget(count: int, size: int) -> None:
                                         f"dimension candidates of size {size}")
 
 
-def _witness_splits(V: np.ndarray, gamma: float) -> list:
-    """Per input x of the member-by-input matrix V, the (low, high) member
-    bitmasks of the levels r at margin gamma > 0: low = {f: f(x) <= r -
-    gamma}, high = {f: f(x) >= r + gamma}.  A level with both sides
-    non-empty is dominated (low equal, high no smaller) by the one at v +
-    gamma, v the largest member value at most r - gamma, so anchors at
-    member values suffice; of those sharing a high set the last is kept.
-    On 0/1 values at gamma <= 1/2: one (zeros, ones) split per non-constant
-    input.  With 2 or more members, over DIMENSION_BUDGET inputs raise as
-    _dimension's first level would, before anything is built."""
+def _witness_splits(V: np.ndarray, gamma: float) -> tuple:
+    """The witness grid (rank, xs, low, high) of the member-by-input matrix
+    V at margin gamma > 0: rank[x, j] is member j's place in the stable sort
+    of column x, and split t at input xs[t] (ascending; an input may have
+    several) puts the members ranked <= low[t] low, f(x) <= r - gamma, and
+    those ranked >= high[t] high, f(x) >= r + gamma.  Anchors r = v + gamma
+    at member values v dominate the other levels; of those sharing a high
+    set the last is kept, so a 0/1 class at gamma <= 1/2 gets one split per
+    non-constant input.  Built BLOCK_CELLS // members inputs at a time; with
+    2 or more members, over DIMENSION_BUDGET inputs raise before a sort."""
     members, inputs = V.shape
+    rank = np.zeros((inputs, members), np.min_scalar_type(members))
     if members < 2:
-        return [[] for _ in range(inputs)]
+        return rank, *(np.zeros(0, np.intp),) * 3
     _within_budget(inputs, 1)
-    splits, step = [], max(1, BLOCK_CELLS // (members * members))  # inputs per block
-    for k in range(0, inputs, step):  # kept splits gather <= max(BLOCK_CELLS, members^2) cells
+    parts, step = [], max(1, BLOCK_CELLS // members)  # each block's (xs, low, high)
+    for k in range(0, inputs, step):
         order = V[:, k:k + step].argsort(axis=0, kind="stable").T
         cols = np.arange(k, k + len(order))[:, None]
-        values, rank = V.T[cols, order], np.empty(order.shape, np.min_scalar_type(members))
-        rank[cols - k, order] = np.arange(members)  # rank[x, j]: member j's place at input x
+        values, rank[cols, order] = V.T[cols, order], np.arange(members)
         # each anchor's first high rank, a stable sort putting its threshold before equal values
         merged = np.concatenate([values + 2.0 * gamma, values], axis=1).argsort(kind="stable")
-        high = np.nonzero(merged < members)[1].reshape(order.shape) - np.arange(members)
+        first = np.nonzero(merged < members)[1].reshape(order.shape) - np.arange(members)
         # keep anchor i when i + 1 has another high set, hence another value: low is ranks <= i
-        xs, last = np.nonzero(high[:, :-1] != high[:, 1:])
-        rows = rank[xs]
-        sides = np.concatenate([rows <= last[:, None], rows >= high[xs, last][:, None]])
-        packed = np.packbits(sides, axis=1, bitorder="little")
-        data, size = packed.tobytes(), packed.shape[1]
-        masks = [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
-        splits += [[] for _ in cols]
-        for x, pair in zip((xs + k).tolist(), zip(masks[:len(xs)], masks[len(xs):])):
+        x, i = np.nonzero(first[:, :-1] != first[:, 1:])
+        parts.append((x + k, i, first[x, i]))
+    return rank, *map(np.concatenate, zip(*parts))
+
+
+def _split_codes(grid: tuple, members: int) -> np.ndarray:
+    """Per input and member of a single-split grid: 1 high, 0 low, 2^16 on neither side."""
+    rank, xs, low, high = grid
+    rows, codes = rank[xs], np.full((len(rank), members), 1 << 16, np.int32)
+    codes[xs] = np.where(rows >= high[:, None], 1, (rows > low[:, None]) << 16)
+    return codes
+
+
+def _split_masks(grid: tuple, members: int) -> list:
+    """Per input, its splits' (low, high) member bitmasks, packed BLOCK_CELLS cells at a time."""
+    rank, xs, low, high = grid
+    splits, step = [[] for _ in rank], max(1, BLOCK_CELLS // members)
+    for k in range(0, len(xs), step):
+        rows, t = rank[xs[k:k + step]], slice(k, k + step)
+        sides = np.concatenate([rows <= low[t, None], rows >= high[t, None]])
+        masks = [int.from_bytes(row.tobytes(), "little")
+                 for row in np.packbits(sides, axis=1, bitorder="little")]
+        for x, pair in zip(xs[t].tolist(), zip(masks[:len(rows)], masks[len(rows):])):
             splits[x].append(pair)
     return splits
-
-
-def _split_codes(splits: list, members: int) -> np.ndarray:
-    """Per input and member of single-split ``splits``: 1 high, 0 low, 2^16 on neither side."""
-    width = (members + 7) // 8
-    raw = b"".join(m.to_bytes(width, "little") for pairs in splits for m in (pairs or [(0, 0)])[0])
-    low, high = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, 2, width), axis=2,
-                              count=members, bitorder="little").transpose(1, 0, 2)
-    return np.where(low | high, high.astype(np.int32), 1 << 16)
 
 
 def _shattered_extensions(codes: np.ndarray, sets: np.ndarray) -> np.ndarray:
@@ -360,7 +366,7 @@ def _fat_extensions(splits: list, sets: np.ndarray, members: int) -> np.ndarray:
     known = set(map(tuple, sets.tolist()))
     level = []
     for A in map(tuple, sets.tolist()):
-        tails = [x for x in range(A[-1] + 1 if A else 0, len(splits))
+        tails = [x for x in range(A[-1] + 1, len(splits))
                  if all(A[:i] + A[i + 1:] + (x,) in known for i in range(len(A)))]
         level += [A + (x,) for x in _fat_shatters(splits, A, tails, members)]
     return np.array(level, dtype=np.intp).reshape(len(level), sets.shape[1] + 1)
@@ -408,18 +414,17 @@ def _fat_shatters(splits: list, A: tuple, tails: list, members: int) -> list:
 
 
 def vc_dim(S: ConceptClass) -> int:
-    """Exact VC dimension by _dimension over the witness grid at margin
-    1/2: one split per non-constant input, the members that are 0 there
-    against those that are 1.  Raises as _dimension does."""
+    """Exact VC dimension by _dimension over the rank-threshold grid at
+    margin 1/2: one (zeros, ones) split per non-constant input, the same
+    arrays as at 1/4, so one search serves both.  Raises as _dimension does."""
     return _dimension(_witness_splits(S.value_matrix(), 0.5), len(S))
 
 
 def fat_shattering_dim(S: ConceptClass | PConceptClass, gamma: float) -> int:
-    """Exact gamma-fat-shattering dimension by _dimension of any class whose
-    value matrix lies in [0, 1], a Boolean class by its 0/1 tables: A is
-    gamma-shattered when one split per input from the _witness_splits grid
-    cuts S into 2^|A| non-empty cells, one per sign pattern.  At gamma <=
-    1/2 a Boolean class has vc_dim's grid.  Raises as _dimension does."""
+    """Exact gamma-fat-shattering dimension by _dimension of any class with
+    values in [0, 1], a Boolean one by its 0/1 tables: A is gamma-shattered
+    when one rank-threshold split per input of A (_witness_splits) cuts S
+    into 2^|A| non-empty cells.  Raises as _dimension does."""
     if not gamma > 0:
         raise RejectedInputError("gamma must be positive")
     return _dimension(_witness_splits(S.value_matrix(), gamma), len(S))

@@ -23,7 +23,7 @@ from majcert.protocol import qma_plus_amplify
 from majcert.rng import substream
 from majcert.suites import run_suite, verify_report
 from majcert.winnow import epsilon_cover, l1_winnow, safe_winnow
-from references import constant, dist_one, tensor
+from references import constant, dist_one, joint_amplify, tensor
 
 
 def real_fn(domain, values):
@@ -92,7 +92,7 @@ def test_amplify_three_register_entangled_consistency():
     regs = [random_mixed_state(1, rng) for _ in range(3)]
     product_path = qma_plus_amplify(circuit, 0, r, q, 3, regs)
     joint = tensor(tensor(regs[0], regs[1]), regs[2])
-    joint_path = qma_plus_amplify(circuit, 0, r, q, 3, joint)
+    joint_path = joint_amplify(circuit, 0, r, q, 3, joint)
     assert product_path == pytest.approx(joint_path, abs=1e-9)
 
 
@@ -105,7 +105,7 @@ def test_amplify_genuinely_entangled_state():
     vec[0] = vec[7] = 1.0 / math.sqrt(2)
     ghz = DensityMatrix.from_pure(vec)
     # accept iff |count/3 - 0| <= 2/q with q = 3: counts 0 and 1 and 2 pass
-    acc = qma_plus_amplify(circuit, 0, Fraction(0), Fraction(3), K, ghz)
+    acc = joint_amplify(circuit, 0, Fraction(0), Fraction(3), K, ghz)
     # GHZ gives count 0 or 3, each with probability 1/2; only count 0 accepts
     assert acc == pytest.approx(0.5, abs=1e-12)
 
@@ -245,6 +245,36 @@ def test_dimensions_at_n20_reject_before_building_a_grid():
         assert float(seconds) < 2.0
         assert message == "dimension candidates of size 1: 1048576 exceeds budget 250000"
     assert int(peak) < 100 * 1024  # VmHWM is in kB
+
+
+def test_fat_dimension_of_a_large_class_rejects_before_packing_a_split():
+    # 200 random members at n = 14 give nearly every input about 90
+    # splits at gamma = 0.05, so the search's second level joins every
+    # pair of the 16,384 inputs; the grid's rank thresholds count them,
+    # and the search raises before any split is packed into bitmasks.
+    # The class alone takes about 111 MB.
+    script = ("import time\n"
+              "from majcert.errors import EnumerationBudgetExceeded\n"
+              "from majcert.generators import random_pconcept_class\n"
+              "from majcert.rng import substream\n"
+              "from majcert.winnow import fat_shattering_dim\n"
+              "S = random_pconcept_class(14, 200, substream(1, 0))\n"
+              "started = time.monotonic()\n"
+              "try:\n"
+              "    fat_shattering_dim(S, 0.05)\n"
+              "except EnumerationBudgetExceeded as error:\n"
+              "    print(time.monotonic() - started, error)\n"
+              "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    raised, peak = done.stdout.splitlines()
+    seconds, message = raised.split(" ", 1)
+    assert float(seconds) < 1.5
+    assert message == "dimension candidates of size 2: 134209536 exceeds budget 250000"
+    assert int(peak) < 300 * 1024  # VmHWM is in kB
 
 
 @pytest.mark.parametrize("suite, parameters", [

@@ -23,7 +23,8 @@ from majcert.protocol import (acceptance_table, adversary_search, bloch_affine_m
 from majcert.qsim import (Circuit, DensityMatrix, Gate, measurement_operator,
                           random_mixed_state)
 from majcert.rng import substream
-from references import accept_probability, eigen_ensemble, maximally_mixed, tensor
+from references import (accept_probability, eigen_ensemble, joint_amplify, maximally_mixed,
+                        tensor)
 
 
 def standard_instance():
@@ -275,7 +276,7 @@ def test_amplify_entangled_matches_product_path():
     a = random_mixed_state(1, rng)
     b = random_mixed_state(1, rng)
     product_path = qma_plus_amplify(circuit, 0, r, q, 2, [a, b])
-    joint_path = qma_plus_amplify(circuit, 0, r, q, 2, tensor(a, b))
+    joint_path = joint_amplify(circuit, 0, r, q, 2, tensor(a, b))
     assert product_path == pytest.approx(joint_path, abs=1e-10)
 
 

@@ -21,8 +21,8 @@ from majcert.generators import (point_function_class, random_boolean_class,
                                 random_pconcept_class)
 from majcert import winnow
 from majcert.rng import substream
-from majcert.winnow import (_SEARCHES, CoverResult, L2Family, _dimension, _witness_splits,
-                            binary_search_winnow, ceil_log, epsilon_cover,
+from majcert.winnow import (_SEARCHES, CoverResult, L2Family, _dimension, _split_masks,
+                            _witness_splits, binary_search_winnow, ceil_log, epsilon_cover,
                             fat_shattering_dim, isolate_member, l1_winnow,
                             safe_winnow, shared_searches, vc_dim, weak_certify)
 from references import constant, dist_one
@@ -401,9 +401,10 @@ def test_vc_and_fat_quarter_of_a_boolean_class_share_one_search(salt):
     with shared_searches():
         vc_dim(S)
         fat_shattering_dim(S, 0.25)
-        (grid, members), = _SEARCHES.get(None)
-    assert members == len(S)
-    assert grid == tuple(map(tuple, boolean_class_splits(S)))
+        key, = _SEARCHES.get(None)
+    grid = _witness_splits(S.value_matrix(), 0.5)
+    assert key == (len(S), *(a.tobytes() for a in grid))
+    assert grid_pairs(grid) == boolean_class_splits(S)
 
 
 @given(st.integers(0, 10 ** 6))
@@ -418,15 +419,24 @@ def test_fat_of_a_boolean_class_equals_fat_of_its_real_reading(salt):
 
 @st.composite
 def witness_grids(draw):
-    """(splits, members): up to 5 inputs, each with up to 3 witness splits
-    of disjoint low and high member sets."""
-    members = draw(st.integers(1, 9))
-    sides = st.lists(st.integers(-1, 1), min_size=members, max_size=members)
-    splits = [[(sum(1 << i for i, s in enumerate(sign) if s < 0),
-                sum(1 << i for i, s in enumerate(sign) if s > 0))
-               for sign in draw(st.lists(sides, max_size=3))]
-              for _ in range(draw(st.integers(0, 5)))]
-    return splits, members
+    """(grid, members): the _witness_splits grid of up to 9 members on up
+    to 5 inputs, with values on a coarse grid and a margin that lands on
+    it, so ties, exact margins and several splits per input occur."""
+    members, inputs = draw(st.integers(1, 9)), draw(st.integers(1, 5))
+    cells = st.lists(st.integers(0, 4), min_size=members * inputs, max_size=members * inputs)
+    V = np.array(draw(cells), dtype=np.float64).reshape(members, inputs) / 4.0
+    return _witness_splits(V, draw(st.sampled_from([0.0625, 0.125, 0.25, 0.5]))), members
+
+
+def grid_pairs(grid):
+    """The witness grid as per-input lists of (low, high) member bitmasks."""
+    rank, xs, low, high = grid
+    pairs = [[] for _ in rank]
+    for x, lo, hi in zip(xs.tolist(), low.tolist(), high.tolist()):
+        ranks = rank[x].tolist()
+        pairs[x].append((sum(1 << j for j, r in enumerate(ranks) if r <= lo),
+                         sum(1 << j for j, r in enumerate(ranks) if r >= hi)))
+    return pairs
 
 
 @given(witness_grids())
@@ -509,7 +519,7 @@ def test_single_split_kernel_equals_apriori_reference(kernel_only, n, salt, data
     assert vc_dim(S) == want
     P = PConceptClass(S.domain, real_members(S.domain, S.value_matrix()))
     V = P.value_matrix()
-    grid = _witness_splits(V, 0.25)
+    grid = grid_pairs(_witness_splits(V, 0.25))
     assert reference_single_split_dimension(grid, len(P)) == want
     assert fat_shattering_dim(P, 0.25) == want
 
@@ -517,13 +527,15 @@ def test_single_split_kernel_equals_apriori_reference(kernel_only, n, salt, data
 @pytest.mark.parametrize("block_cells", [winnow.BLOCK_CELLS, 1])
 @given(witness_grids())
 def test_single_split_kernel_equals_apriori_reference_on_witness_grids(block_cells, grid):
-    """Also when a split's sides leave members out or are empty, and with
-    one candidate per block."""
-    splits, members = grid
-    single = [pairs[:1] for pairs in splits]
+    """Also on each input's first split of a real-valued grid, whose sides
+    leave members out, and with one candidate per block."""
+    (rank, xs, low, high), members = grid
+    first = np.r_[True, xs[1:] != xs[:-1]][:len(xs)]
+    single = rank, xs[first], low[first], high[first]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(winnow, "BLOCK_CELLS", block_cells)
-        assert _dimension(single, members) == reference_single_split_dimension(single, members)
+        assert _dimension(single, members) == reference_single_split_dimension(
+            grid_pairs(single), members)
 
 
 def reference_vc_dim(S):
@@ -655,6 +667,8 @@ def reference_fat_dim(S, gamma):
 @settings(max_examples=30)
 @given(st.integers(0, 10 ** 6), st.booleans())
 def test_fat_matches_brute_force_reference(salt, on_grid):
+    """Also with one input per block of the grid and one split per block
+    of the multi-split search's bitmasks."""
     rng = substream(salt, 7)
     n = int(rng.integers(1, 4))
     size = int(rng.integers(1, 13))
@@ -665,7 +679,11 @@ def test_fat_matches_brute_force_reference(salt, on_grid):
         tables = rng.uniform(0.0, 1.0, size=(size, domain.size))
     S = PConceptClass(domain, [RealFunction(domain, t) for t in tables])
     for gamma in (0.005, 0.05, 0.15, 0.3):
-        assert fat_shattering_dim(S, gamma) == reference_fat_dim(S, gamma)
+        want = reference_fat_dim(S, gamma)
+        assert fat_shattering_dim(S, gamma) == want
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(winnow, "BLOCK_CELLS", 1)
+            assert fat_shattering_dim(S, gamma) == want
 
 
 def reference_margin_pairs(values, gamma):
@@ -687,7 +705,7 @@ def reference_margin_pairs(values, gamma):
 def test_witness_splits_match_per_anchor_scan(block_cells, members, inputs, salt, on_grid):
     """Input by input over whole matrices, with constant columns and
     one-member classes among them, at every margin, also one input per
-    block."""
+    block of the grid and one split per block of its bitmasks."""
     rng = substream(salt, 57)
     if on_grid:  # dyadic values, so ties and exact margins occur
         V = rng.integers(0, 9, size=(members, inputs)) / 8.0
@@ -698,8 +716,12 @@ def test_witness_splits_match_per_anchor_scan(block_cells, members, inputs, salt
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(winnow, "BLOCK_CELLS", block_cells)
         for gamma in (0.01, 0.0625, 0.125, 0.2, 0.25, 0.5):
-            assert _witness_splits(V, gamma) == [reference_margin_pairs(V[:, x], gamma)
-                                                 for x in range(inputs)]
+            grid = _witness_splits(V, gamma)
+            assert grid[0].dtype == np.min_scalar_type(members)
+            assert (np.diff(grid[1]) >= 0).all()
+            want = [reference_margin_pairs(V[:, x], gamma) for x in range(inputs)]
+            assert grid_pairs(grid) == want
+            assert _split_masks(grid, members) == want
 
 
 @given(st.integers(1, 3), st.integers(0, 10 ** 6), st.data())
@@ -707,7 +729,7 @@ def test_witness_splits_of_a_boolean_class_are_its_zeros_and_ones(n, salt, data)
     size = data.draw(st.integers(1, min(20, 1 << (1 << n))))
     S = random_boolean_class(n, size, substream(salt, 59))
     for gamma in (0.25, 0.5):
-        assert _witness_splits(S.value_matrix(), gamma) == boolean_class_splits(S)
+        assert grid_pairs(_witness_splits(S.value_matrix(), gamma)) == boolean_class_splits(S)
 
 
 # ---------------------------------------------------------------------------
