@@ -24,8 +24,9 @@ advice state that machine A accepts, entangled advice included, by
 enumerating the faces of the Bloch ball cut by machine A's slabs.
 ``compile_advice`` grows the compiled class from the honest state with
 that adversary's worst registers until the worst error is at most 0.3,
-so every compiled protocol is sound against all one-qubit advice.
-Wider advice is not covered.
+so every compiled protocol is sound against all one-qubit advice, and
+``fat_dim_quantum_check`` reads that advice's exact fat-shattering
+dimensions off finitely many pure corner states.  Wider advice is not covered.
 """
 
 from __future__ import annotations
@@ -43,9 +44,8 @@ from .decompose import (RealDecomposition, extremal_deviation,
                         real_majority_certificates)
 from .errors import EnumerationBudgetExceeded, RejectedInputError, VerificationDefect
 from .qsim import (Circuit, DensityMatrix, measurement_operator,
-                   random_mixed_state, reduced_state)
-from .rng import substream
-from .winnow import fat_shattering_dim
+                   params_to_state, reduced_state)
+from .winnow import DIMENSION_BUDGET, fat_shattering_dim
 
 
 #: complex entries of one state-by-operator product in ``acceptance_table``
@@ -429,15 +429,31 @@ def _state_from_bloch(b: np.ndarray) -> DensityMatrix:
     return DensityMatrix(1, entries)
 
 
-def fat_dim_quantum_check(p: int, gammas: Sequence[float], samples: int,
-                          circuit: Circuit, domain: InputDomain, seed: int = 0) -> list:
-    """Measure the fat-shattering dimension of one sampled induced class
-    at each gamma, and report each next to the p/gamma^2 learnability
-    bound."""
-    if p > 2:
-        raise RejectedInputError("quantum dimension check capped at 2 advice qubits")
-    rng = substream(seed, 21)
-    states = [random_mixed_state(p, rng) for _ in range(samples)]
-    cls, _ = induced_with_states(circuit, domain, states)
-    return [{"measured": fat_shattering_dim(cls, gamma), "bound": p / (gamma * gamma),
-             "class_size": len(cls)} for gamma in gammas]
+def fat_dim_quantum_check(gammas: Sequence[float], circuit: Circuit,
+                          domain: InputDomain) -> list:
+    """Exact fat-shattering dimensions of all one-qubit advice, with the 1/gamma^2
+    bound.  On inputs T the states fill the ellipsoid c_T + m_T b, |b| <= 1
+    (``bloch_affine_map``); a convex set gamma-shatters T iff it holds a cube
+    r + [-gamma, gamma]^T (induction on |T|: the segment joining the witnesses of
+    (s, +) and (s, -) crosses every level of the last input inside pattern s),
+    centred at c_T by symmetry.  So the pure states along pinv(m_T) s, for every
+    sign pattern s of every T of at most 3 inputs (rank(m_T) <= 3 shatters no 4),
+    keep the dimension.  Raises EnumerationBudgetExceeded over DIMENSION_BUDGET
+    corners, and RejectedInputError on a margin equal to a gamma (a tie)."""
+    count = sum(math.comb(domain.size, k) << k for k in (1, 2, 3))
+    if count > DIMENSION_BUDGET:
+        raise EnumerationBudgetExceeded(DIMENSION_BUDGET, count, "one-qubit advice corners")
+    m = bloch_affine_map(circuit, domain)[1]
+    B = np.concatenate([np.linalg.pinv(m[list(T)], 1e-12)  # relative cutoff: rounding noise
+                        @ np.array(list(product((1, -1), repeat=len(T)))).T
+                        for k in (1, 2, 3) for T in combinations(range(domain.size), k)], axis=1)
+    B = B[:, np.linalg.norm(B, axis=0) > 1e-9]  # s outside m_T's range: no corner
+    half, phase = np.arctan2(np.hypot(B[0], B[1]), B[2]) / 2.0, np.arctan2(B[1], B[0])
+    pure = np.zeros((len(half), 8))  # psi (x) |0>, real parts then imaginary parts
+    pure[:, 0], pure[:, [2, 6]] = np.cos(half), (np.sin(half) * [np.cos(phase), np.sin(phase)]).T
+    cls, _ = induced_with_states(circuit, domain, [params_to_state(v, 1) for v in pure]
+                                 or [params_to_state(np.zeros(8), 1)])  # |0>: advice ignored
+    dims = [[fat_shattering_dim(cls, gamma + d) for d in (-1e-9, 1e-9)] for gamma in gammas]
+    if any(below != above for below, above in dims):
+        raise RejectedInputError("a shattered set's margin is one of the gammas")
+    return [{"measured": d, "bound": 1.0 / (g * g)} for (_, d), g in zip(dims, gammas)]

@@ -195,18 +195,6 @@ def measurement_operator(circuit: Circuit, x: int, advice_qubits: int) -> np.nda
     return np.ascontiguousarray(blocks[:, 0, :, 0])
 
 
-def random_mixed_state(qubits: int, rng: np.random.Generator) -> DensityMatrix:
-    """Reduce a pseudo-uniform purification on twice the qubits: each of its
-    amplitudes is r*exp(i*phi) with phi uniform and r a Box-Muller radius,
-    and ``params_to_state`` normalizes it (not exact Haar; adequate
-    empirically)."""
-    dim = 1 << (2 * qubits)
-    radii = np.sqrt(-np.log(rng.uniform(1e-12, 1.0, size=dim)))
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=dim)
-    vec = radii * np.exp(1j * phases)
-    return params_to_state(np.concatenate([vec.real, vec.imag]), qubits)
-
-
 def params_to_state(params: np.ndarray, qubits: int) -> DensityMatrix:
     """Map 2*4^qubits unconstrained reals (real parts, then imaginary
     parts) to a mixed state via a normalized purification; a vector of

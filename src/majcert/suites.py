@@ -620,11 +620,10 @@ def _amplification(params: dict) -> dict:
 _FAT_GAMMAS = [0.2, 0.3, 0.4]
 
 
-def _fat_dims(params: dict, seed: int) -> list:
-    """Record 5's measurements at gamma = 1/4 and at _FAT_GAMMAS, all on
-    one class induced by sampled 1-qubit advice states."""
-    return fat_dim_quantum_check(1, [0.25] + _FAT_GAMMAS, params["fat_samples"],
-                                 *standard_protocol_instance()[:2], seed=seed)
+def _fat_dims() -> list:
+    """Record 5's measurements at gamma = 1/4 and at _FAT_GAMMAS: the exact
+    dimensions of all one-qubit advice states on the standard circuit."""
+    return fat_dim_quantum_check([0.25] + _FAT_GAMMAS, *standard_protocol_instance()[:2])
 
 
 def _search_outputs(result) -> dict:
@@ -642,7 +641,7 @@ def _build_quantum_protocol(params: dict, seed: int) -> list:
     intact = adversary_search(P)
     factor = inflation_factor(P)
     attack = adversary_search(with_inflated_alpha(P, factor))
-    fat, *dims = _fat_dims(params, seed)
+    fat, *dims = _fat_dims()
     return [
         _record(0, {"protocol": protocol_to_json(P), "honest_deviation": verifier_A(P, honest),
                     "honest_b_error": machine_b_error(P, honest)}),
@@ -727,12 +726,12 @@ def _check_amplification(record: dict, context: dict) -> bool:
 
 
 def _check_fat_dims(record: dict, context: dict) -> bool:
-    """Record 5: the fat-shattering dimensions, re-measured on the class
-    induced by the report's seed, match the stored ones; the one at
-    gamma = 1/4 is within p/gamma^2 (p = 1), and they do not increase
-    along 0.2, 1/4, 0.3, 0.4."""
+    """Record 5: the fat-shattering dimensions of all one-qubit advice,
+    re-derived from the circuit alone, match the stored ones; the one at
+    gamma = 1/4 is within 1/gamma^2, and they do not increase along 0.2,
+    1/4, 0.3, 0.4."""
     out = record["outputs"]
-    fat, *dims = _fat_dims(context["params"], context["seed"])
+    fat, *dims = _fat_dims()
     measured = [d["measured"] for d in dims]
     return (out["gammas"] == _FAT_GAMMAS and fat["measured"] <= fat["bound"]
             and _non_increasing([measured[0], fat["measured"], *measured[1:]])
@@ -813,8 +812,7 @@ REGISTRY = {
          "eps": (float, 0.1), "trials": (int, 100)},
         _instances(_occam_instance), _check_occam, _occam_measures),
     "quantum-protocol": Suite(
-        {"eps": (float, 0.1), "amplify_count": (int, 3), "amplify_q": (int, 8),
-         "fat_samples": (int, 300)},
+        {"eps": (float, 0.1), "amplify_count": (int, 3), "amplify_q": (int, 8)},
         _build_quantum_protocol, _check_quantum, _quantum_measures,
         prepare=_quantum_context,
         notes={"soundness_scope":

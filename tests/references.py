@@ -8,7 +8,7 @@ import numpy as np
 
 from majcert.concepts import InputDomain, RealFunction, distance
 from majcert.errors import RejectedInputError
-from majcert.qsim import Circuit, DensityMatrix, measurement_operator
+from majcert.qsim import Circuit, DensityMatrix, measurement_operator, params_to_state
 
 
 def dist_one(f: RealFunction, g: RealFunction, X=None) -> float:
@@ -37,6 +37,18 @@ def eigen_ensemble(rho: DensityMatrix) -> list:
     weights."""
     vals, vecs = np.linalg.eigh(rho.entries)
     return [(float(lam), vecs[:, i].copy()) for i, lam in enumerate(vals) if lam > 1e-12]
+
+
+def random_mixed_state(qubits: int, rng: np.random.Generator) -> DensityMatrix:
+    """Reduce a pseudo-uniform purification on twice the qubits: each of its
+    amplitudes is r*exp(i*phi) with phi uniform and r a Box-Muller radius,
+    and ``params_to_state`` normalizes it (not exact Haar; adequate
+    empirically)."""
+    dim = 1 << (2 * qubits)
+    radii = np.sqrt(-np.log(rng.uniform(1e-12, 1.0, size=dim)))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=dim)
+    vec = radii * np.exp(1j * phases)
+    return params_to_state(np.concatenate([vec.real, vec.imag]), qubits)
 
 
 def accept_probability(circuit: Circuit, x: int, rho: DensityMatrix) -> float:

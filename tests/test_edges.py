@@ -18,12 +18,12 @@ import pytest
 from majcert.concepts import (BooleanFunction, InputDomain, PConceptClass,
                               RealFunction, dist_inf, distance)
 from majcert.formats import boolean_from_hex, boolean_to_hex
-from majcert.qsim import Circuit, DensityMatrix, Gate, random_mixed_state
+from majcert.qsim import Circuit, DensityMatrix, Gate
 from majcert.protocol import qma_plus_amplify
 from majcert.rng import substream
 from majcert.suites import run_suite, verify_report
 from majcert.winnow import epsilon_cover, l1_winnow, safe_winnow
-from references import constant, dist_one, joint_amplify, tensor
+from references import constant, dist_one, joint_amplify, random_mixed_state, tensor
 
 
 def real_fn(domain, values):

@@ -22,8 +22,9 @@ from majcert.formats import (boolean_class_from_hex, boolean_decomposition_from_
                              real_decomposition_to_json, state_from_json,
                              state_to_json)
 from majcert.generators import point_function_class, random_pconcept_class
-from majcert.qsim import Circuit, Gate, random_mixed_state
+from majcert.qsim import Circuit, Gate
 from majcert.rng import substream
+from references import random_mixed_state
 
 
 def test_boolean_hex_is_msb_first():

@@ -7,9 +7,10 @@ from majcert.concepts import InputDomain
 from majcert.generators import (point_function_class, random_boolean_class,
                                 random_pconcept_class)
 from majcert.protocol import induced_with_states
-from majcert.qsim import Circuit, Gate, random_mixed_state
+from majcert.qsim import Circuit, Gate
 from majcert.rng import substream
 from majcert.winnow import L2Family
+from references import random_mixed_state
 
 
 def test_point_functions_n3_has_nine_members():

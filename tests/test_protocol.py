@@ -20,11 +20,11 @@ from majcert.protocol import (acceptance_table, adversary_search, bloch_affine_m
                               fat_dim_quantum_check, induced_with_states,
                               machine_b_error, qma_plus_amplify, verifier_A,
                               with_inflated_alpha)
-from majcert.qsim import (Circuit, DensityMatrix, Gate, measurement_operator,
-                          random_mixed_state)
+from majcert.qsim import Circuit, DensityMatrix, Gate, measurement_operator
 from majcert.rng import substream
+from majcert.winnow import fat_shattering_dim
 from references import (accept_probability, eigen_ensemble, joint_amplify, maximally_mixed,
-                        tensor)
+                        random_mixed_state, tensor)
 
 
 def standard_instance():
@@ -541,22 +541,87 @@ def test_acceptance_table_matches_accept_probability(salt):
 # ---------------------------------------------------------------------------
 
 def test_fat_quantum_constant_class():
-    # circuit ignores the advice: the induced functions are all the
-    # constant 1 up to float dust (dedup is table-exact)
+    # circuit ignores the advice: every corner direction is zero, |0>
+    # stands in, and one constant function shatters nothing
     circuit = Circuit(qubits=2, gates=(Gate("X", 1),), accept_qubit=1)
-    [report] = fat_dim_quantum_check(1, [0.25], 20, circuit, InputDomain(2), seed=0)
-    assert report["measured"] in (0, 1)
-    assert report["class_size"] <= 3
+    assert fat_dim_quantum_check([0.25], circuit, InputDomain(2)) == [
+        {"measured": 0, "bound": 16.0}]
 
 
 def test_fat_quantum_standard_circuit():
+    """Every one-qubit state on the standard instance: margin 1/2 on the
+    singletons and 1/(2 sqrt 2) on {0,1}, {0,3}, {1,2} and {2,3}."""
     circuit, domain, _, _ = standard_instance()
-    report, *rest = fat_dim_quantum_check(1, [0.25, 0.2, 0.3, 0.4], 80, circuit, domain,
-                                          seed=1)
-    assert report["measured"] <= report["bound"]
-    assert all(r["class_size"] == report["class_size"] for r in rest)
-    dims = [r["measured"] for r in rest]
-    assert all(dims[i] >= dims[i + 1] for i in range(len(dims) - 1))
+    gammas = [0.25, 0.2, 0.3, 0.4]
+    reports = fat_dim_quantum_check(gammas, circuit, domain)
+    assert [r["measured"] for r in reports] == [2, 2, 2, 1]
+    assert [r["bound"] for r in reports] == [1.0 / (g * g) for g in gammas]
+
+
+def hsh_circuit(middle):
+    """H on bit 0, the ``middle`` gates on bit 1 and H on bit 2, one qubit."""
+    return Circuit(qubits=1, gates=(Gate("H", 0, when_bit=0),
+                                    *(Gate(name, 0, when_bit=1) for name in middle),
+                                    Gate("H", 0, when_bit=2)), accept_qubit=0)
+
+
+def test_fat_quantum_three_bit_circuit():
+    # H, S = T T and H on bits 0, 1 and 2: some 3 inputs shatter up to 1/4
+    reports = fat_dim_quantum_check([0.1, 0.2, 0.25, 0.3], hsh_circuit("TT"), InputDomain(3))
+    assert [r["measured"] for r in reports] == [3, 3, 3, 2]
+
+
+def test_fat_quantum_margin_at_a_gamma_raises():
+    """The singletons' margin is exactly 1/2 on the standard instance, so
+    gamma = 1/2 is a tie; H/T/H's {6, 7} margin rounds to just under 1/4,
+    but other pairs hold the dimension at 2 on both sides of 1/4."""
+    circuit, domain, _, _ = standard_instance()
+    with pytest.raises(RejectedInputError, match="margin"):
+        fat_dim_quantum_check([0.25, 0.5], circuit, domain)
+    [report] = fat_dim_quantum_check([0.25], hsh_circuit("T"), InputDomain(3))
+    assert report["measured"] == 2
+
+
+def test_fat_quantum_budget_raises_before_any_state(monkeypatch):
+    """n = 6 has 341,504 corners, over DIMENSION_BUDGET."""
+    def no_state(*args):
+        raise AssertionError("a corner state was built")
+
+    monkeypatch.setattr(protocol, "params_to_state", no_state)
+    with pytest.raises(EnumerationBudgetExceeded) as raised:
+        fat_dim_quantum_check([0.25], hsh_circuit("T"), InputDomain(6))
+    assert raised.value.count == 341_504
+
+
+def random_pure_states(count, rng):
+    vectors = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
+    return [DensityMatrix.from_pure(v) for v in vectors]
+
+
+@pytest.mark.parametrize("circuit, n, gammas", [
+    (standard_instance()[0], 2, [0.2, 0.25, 0.3, 0.4]),
+    (hsh_circuit("TT"), 3, [0.1, 0.2, 0.25, 0.3]),
+    (hsh_circuit("T"), 3, [0.25]),
+], ids=["standard", "hsh", "hth"])
+def test_fat_quantum_is_never_beaten_by_sampled_states(circuit, n, gammas):
+    domain = InputDomain(n)
+    sampled, _ = induced_with_states(circuit, domain, random_pure_states(200, substream(4, n)))
+    exact = fat_dim_quantum_check(gammas, circuit, domain)
+    assert all(fat_shattering_dim(sampled, g) <= r["measured"] for g, r in zip(gammas, exact))
+
+
+def test_fat_quantum_counts_a_pair_the_old_sample_missed():
+    """Bloch vectors (+-0.6, 0, +-0.6) take inputs 0 and 1 of the standard
+    instance to 0.2 or 0.8 each, so they 0.3-shatter {0, 1} around 1/2:
+    the dimension at 0.3 is 2, where 300 sampled states read 1."""
+    circuit, domain, _, _ = standard_instance()
+    states = [DensityMatrix(1, 0.5 * np.array([[1 + z, x], [x, 1 - z]]))
+              for x in (0.6, -0.6) for z in (0.6, -0.6)]
+    table = acceptance_table(circuit, domain, states)[:, :2]
+    assert sorted(map(tuple, np.sign(table - 0.5))) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+    assert np.abs(table - 0.5).min() == pytest.approx(0.3, abs=1e-12)
+    [report] = fat_dim_quantum_check([0.3], circuit, domain)
+    assert report["measured"] == 2
 
 
 def test_bloch_affine_map_reproduces_probabilities():

@@ -6,10 +6,10 @@ from hypothesis import given, strategies as st
 
 from majcert.errors import RejectedInputError
 from majcert.qsim import (Circuit, DensityMatrix, Gate, measurement_operator,
-                          params_to_state, partial_trace, random_mixed_state,
-                          reduced_state)
+                          params_to_state, partial_trace, reduced_state)
 from majcert.rng import substream
-from references import accept_probability, eigen_ensemble, maximally_mixed, tensor
+from references import (accept_probability, eigen_ensemble, maximally_mixed,
+                        random_mixed_state, tensor)
 
 
 def random_circuit(qubits, n_gates, rng, with_conditions=False):

@@ -23,7 +23,7 @@ DIGESTS = {
     "majcert": "7c0c5375c3e802b175f2d37b74b5ec879bafd25242780e8cc6b11cc27f80c627",
     "majcert_robust": "665f0b6daf5b1568cd6dd2e7b40892d9a36d13a0ff62a7aa3a0526f64da2c524",
     "occam": "88ec4de0795f93ae64bf3c2ff4b56eadf96a3735c54c20a54f4e50ece04aee5c",
-    "quantum-protocol": "de0ef7cd30b8601d6e862eca6f8b45ea0343a6b0092dcaca7bfa0285cbd6febf",
+    "quantum-protocol": "fbea49232a3fe068fd444388ea55019411ae0b15954a0128942c179a87ac786e",
     "realmajcert": "a2e48fa3760de81804f65ffc79337e0301859aa4623a059f096126df8963bbba",
     "winnow": "6e425f899d0aaff3ca8644906f2f8efe50126ee9e9821dac0e496e797f8a68fa",
 }

@@ -849,6 +849,21 @@ def test_undecodable_protocol_fails_every_quantum_record():
     assert not any(ok for _, ok in verify_report(report))
 
 
+def test_quantum_fat_record_is_exact_and_reads_no_seed():
+    """Record 5 measures every one-qubit advice state, so it is the same at
+    every seed, its check passes without the report's seed or parameters,
+    and the old sampling option is an unknown parameter."""
+    config = {"schema": 1, "suite": "quantum-protocol"}
+    first, second = (json.loads(canonical_json(run_suite({**config, "seed": seed})))
+                     ["records"][5] for seed in (1, 2))
+    assert first == second
+    assert first["outputs"] == {"fat_quarter": {"measured": 2, "bound": 16.0},
+                                "gammas": [0.2, 0.3, 0.4], "dims": [2, 2, 1]}
+    assert REGISTRY["quantum-protocol"].check(first, {})
+    with pytest.raises(RejectedInputError, match="fat_samples"):
+        run_suite({**config, "parameters": {"fat_samples": 300}})
+
+
 def test_benchmark_tamper_probes_are_rejected(monkeypatch):
     """Every tampered copy the benchmark's verify phase probes fails its
     record; the benchmark module is loaded read-only, writing no bytecode."""
