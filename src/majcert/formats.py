@@ -133,8 +133,11 @@ def circuit_from_text(text: str) -> Circuit:
 # Canonical JSON
 # ---------------------------------------------------------------------------
 
-def canonical_json(obj) -> str:
-    """``obj`` as canonical JSON text; each distinct container is converted once."""
+def canonical_tree(obj):
+    """``obj`` as the JSON-native value its canonical JSON text parses back
+    to: dicts with sorted string keys, lists, and int, float, bool, str and
+    None leaves under the float rule.  Each distinct container is converted
+    once, so repeated ones share one converted value."""
     memo = {}  # id -> (container, converted); holding it keeps its id unique
 
     def native(obj):
@@ -158,7 +161,7 @@ def canonical_json(obj) -> str:
         if isinstance(obj, dict):
             if not all(isinstance(k, str) for k in obj):
                 raise RejectedInputError("a report's object keys must be strings")
-            out = {k: native(v) for k, v in obj.items()}
+            out = {k: native(obj[k]) for k in sorted(obj)}
         elif isinstance(obj, (list, tuple, set, frozenset)):
             out = [native(v) for v in (sorted(obj) if isinstance(obj, (set, frozenset)) else obj)]
         elif isinstance(obj, np.ndarray):
@@ -169,11 +172,19 @@ def canonical_json(obj) -> str:
         memo[id(obj)] = (obj, out)
         return out
 
-    # the encoder's chunks and the newline in one join, not a join and a copy
-    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-    text = "".join([*encoder.iterencode(native(obj), _one_shot=True), "\n"])
+    tree = native(obj)
     memo.clear()  # else native, a recursive closure, keeps it until a full gc
-    return text
+    return tree
+
+
+#: writes a canonical tree, whose keys are already sorted, as canonical text
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def canonical_json(obj) -> str:
+    """``obj`` as canonical JSON text: the encoding of ``canonical_tree(obj)``."""
+    # the encoder's chunks and the newline in one join, not a join and a copy
+    return "".join([*_ENCODER.iterencode(canonical_tree(obj), _one_shot=True), "\n"])
 
 
 # ---------------------------------------------------------------------------

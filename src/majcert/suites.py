@@ -7,7 +7,8 @@ re-derives a record's verdict from its serialized form, recomputing
 what the record claims rather than trusting stored flags or numbers,
 and one ``measures`` function that derives a record's measures from its
 outputs.  ``run_suite`` attaches those measures and sets every verdict
-with ``verify_report`` on the canonical JSON it writes, so ``run`` and
+with ``verify_report`` on the canonical tree of its records, the value
+the canonical JSON it writes parses back to, so ``run`` and
 ``verify`` share each check; a record passes only when its check passes
 and its stored measures are exactly the re-derived ones.
 No parameter is downscaled silently: an instance that breaches a
@@ -17,7 +18,6 @@ whole run with a ``RejectedInputError``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +35,7 @@ from .decompose import (FAIL, RealDecomposition, find_valid_sample_size,
 from .errors import RejectedInputError
 from .formats import (_entry, boolean_class_from_hex, boolean_decomposition_from_json,
                       boolean_decomposition_to_json, boolean_from_hex, boolean_to_hex,
-                      canonical_json, certificate_from_json, certificate_to_json,
+                      canonical_tree, certificate_from_json, certificate_to_json,
                       protocol_from_json, protocol_to_json, real_class_from_json,
                       real_class_to_json, real_decomposition_from_json,
                       real_decomposition_to_json, state_from_json, state_to_json)
@@ -832,8 +832,9 @@ REGISTRY = {
 @shared_searches()
 def run_suite(config: dict, seed_override=None) -> dict:
     """Build the suite's records and attach their measures, then set each
-    verdict by verifying the canonical JSON of the records, exactly as
-    ``verify_report`` does."""
+    verdict by verifying the records' canonical tree, the value their
+    canonical JSON parses back to, exactly as ``verify_report`` does; the
+    built records go into the returned report for ``write_report``."""
     suite, params, seed, _ = validate_config(config)
     if seed_override is not None:
         seed = validate_config({**config, "seed": seed_override})[2]
@@ -842,8 +843,7 @@ def run_suite(config: dict, seed_override=None) -> dict:
     for record in records:
         record["measures"] = entry.measures(record)
     config_echo = {"schema": 1, "suite": suite, "parameters": params, "seed": seed}
-    stored = json.loads(canonical_json({"suite": suite, "config": config_echo,
-                                        "records": records}))
+    stored = canonical_tree({"suite": suite, "config": config_echo, "records": records})
     for record, (_, ok) in zip(records, verify_report(stored)):
         record["verified"] = ok
     return build_report(suite, config_echo, seed, records, entry.notes)

@@ -19,6 +19,7 @@ as rows of it.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from contextlib import contextmanager
@@ -206,17 +207,25 @@ class CoverResult:
 
 def epsilon_cover(S: PConceptClass, eps: float) -> CoverResult:
     """Greedy cover: repeatedly add the member covering the most
-    still-uncovered members (ties to the lowest index)."""
+    still-uncovered members (ties to the lowest index), found lazily from
+    a heap of stale gains."""
     if eps < 0:
         raise RejectedInputError("epsilon must be non-negative")
     V = S.value_matrix()
     # bit j of covers[i]: member i covers member j
     covers = [int.from_bytes(row.tobytes(), "little") for row in
               np.packbits(pairwise_gaps(V, V) <= eps, axis=1, bitorder="little")]
+    # (-gain bound, index): gains only fall, so a popped entry whose fresh
+    # gain still ranks at or above the heap top is the greedy choice
+    bounds = [(-row.bit_count(), i) for i, row in enumerate(covers)]
+    heapq.heapify(bounds)
     uncovered, chosen = (1 << len(S)) - 1, []
     while uncovered:
-        gains = [(row & uncovered).bit_count() for row in covers]
-        i = gains.index(max(gains))  # the lowest index on ties
+        _, i = heapq.heappop(bounds)
+        entry = (-(covers[i] & uncovered).bit_count(), i)
+        if bounds and entry > bounds[0]:
+            heapq.heappush(bounds, entry)
+            continue
         chosen.append(i)
         uncovered &= ~covers[i]
     chosen.sort()
@@ -244,10 +253,11 @@ _SEARCHES: ContextVar = ContextVar("dimension_searches")
 
 @contextmanager
 def shared_searches():
-    """A scope (also a decorator) in which ``_dimension`` searches each exact
-    grid once and ``games._first_certificates`` enumerates each class's
-    certificates once per k; nested scopes share the outermost memo,
-    dropped on its exit."""
+    """A scope (also a decorator) in which ``_class_dimension`` builds each
+    class's witness grid once per margin, ``_dimension`` searches each
+    exact grid once and ``games._first_certificates`` enumerates each
+    class's certificates once per k; nested scopes share the outermost
+    memo, dropped on its exit.  A call that raises stores nothing."""
     token = _SEARCHES.set(_SEARCHES.get({}))
     try:
         yield
@@ -255,18 +265,41 @@ def shared_searches():
         _SEARCHES.reset(token)
 
 
+def _class_dimension(V: np.ndarray, gamma: float) -> int:
+    """``_dimension`` of the witness grid of the member-by-input matrix V at
+    margin gamma, memoized by V's dtype, shape and bytes and gamma within
+    ``shared_searches``, so the grid is built only on a miss.  A 0/1
+    (uint8) V keys every gamma <= 1/2 as 1/2: its grid is then the same
+    one (zeros | ones) split per non-constant input."""
+    if V.dtype == np.uint8 and gamma <= 0.5:
+        gamma = 0.5
+    memo = _SEARCHES.get(None)
+    if memo is None:
+        return _dimension(_witness_splits(V, gamma), len(V))
+    key = ("matrix", V.dtype.str, V.shape, V.tobytes(), gamma)
+    if key not in memo:
+        memo[key] = _dimension(_witness_splits(V, gamma), len(V))
+    return memo[key]
+
+
 def _dimension(grid: tuple, members: int) -> int:
     """Size of the largest input set that ``members`` members shatter over
     the _witness_splits ``grid`` (see _fat_shatters), memoized by the grid's
-    bytes within ``shared_searches``.  Level 1 is read off the grid; later
-    levels' candidates are counted before any is built, level 2's before
-    the kernel's codes or bitmasks: over DIMENSION_BUDGET raises
-    EnumerationBudgetExceeded.  A size-s set needs 2^s members; a shattered
-    set of size DIMENSION_CAP raises DimensionCapExceeded."""
-    memo, key = _SEARCHES.get({}), (members, *(a.tobytes() for a in grid))
+    bytes within ``shared_searches``, so margins with equal grids share one
+    search.  Level 1 is read off the grid; later levels' candidates are
+    counted before any is built, level 2's before the kernel's codes or
+    bitmasks: over DIMENSION_BUDGET raises EnumerationBudgetExceeded.  A
+    size-s set needs 2^s members; a shattered set of size DIMENSION_CAP
+    raises DimensionCapExceeded."""
+    memo, key = _SEARCHES.get({}), ("grid", members, *(a.tobytes() for a in grid))
     if key in memo:
         return memo[key]
-    sets, dim = np.unique(grid[1])[:, None], 0  # both sides of every kept split are non-empty
+    # level 1: the distinct inputs of the ascending xs, each of whose kept
+    # splits has two non-empty sides (np.unique would import numpy.ma)
+    xs = grid[1]
+    first = np.ones(len(xs), dtype=bool)
+    first[1:] = xs[1:] != xs[:-1]
+    sets, dim = xs[first][:, None], 0
     while len(sets):
         dim += 1
         if dim >= DIMENSION_CAP:
@@ -416,8 +449,9 @@ def _fat_shatters(splits: list, A: tuple, tails: list, members: int) -> list:
 def vc_dim(S: ConceptClass) -> int:
     """Exact VC dimension by _dimension over the rank-threshold grid at
     margin 1/2: one (zeros, ones) split per non-constant input, the same
-    arrays as at 1/4, so one search serves both.  Raises as _dimension does."""
-    return _dimension(_witness_splits(S.value_matrix(), 0.5), len(S))
+    arrays as at 1/4, so one grid and one search serve both
+    (_class_dimension).  Raises as _dimension does."""
+    return _class_dimension(S.value_matrix(), 0.5)
 
 
 def fat_shattering_dim(S: ConceptClass | PConceptClass, gamma: float) -> int:
@@ -427,7 +461,7 @@ def fat_shattering_dim(S: ConceptClass | PConceptClass, gamma: float) -> int:
     into 2^|A| non-empty cells.  Raises as _dimension does."""
     if not gamma > 0:
         raise RejectedInputError("gamma must be positive")
-    return _dimension(_witness_splits(S.value_matrix(), gamma), len(S))
+    return _class_dimension(S.value_matrix(), gamma)
 
 
 # ---------------------------------------------------------------------------

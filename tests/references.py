@@ -102,3 +102,14 @@ def joint_amplify(circuit: Circuit, x: int, r: Fraction, q: Fraction, K: int,
         if abs(Fraction(j, K) - r) <= 2 / q:
             accept += float(dist[j])
     return min(max(accept, 0.0), 1.0)
+
+
+def typed_tree(tree):
+    """A JSON-native tree as nested (type, payload) pairs: a dict's payload
+    its (key, typed value) items in order, a list's its typed entries and a
+    leaf's its value, so that == also compares key order and leaf types."""
+    if isinstance(tree, dict):
+        return dict, [(key, typed_tree(value)) for key, value in tree.items()]
+    if isinstance(tree, list):
+        return list, [typed_tree(value) for value in tree]
+    return type(tree), tree

@@ -283,3 +283,22 @@ def test_import_loads_no_scipy():
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_run_and_verify_of_every_shipped_config_import_no_numpy_ma():
+    # numpy.ma costs about 17 ms to import, in every fresh run and verify
+    # process that touches it (np.unique without counts or indices does)
+    configs = [*sorted((ROOT / "scripts" / "configs").glob("*.json")),
+               ROOT / "benchmark" / "configs" / "wide-boolean.json"]
+    script = ("import sys, tempfile\n"
+              "from majcert.cli import main\n"
+              "out = tempfile.mkdtemp() + '/report.json'\n"
+              "for config in sys.argv[1:]:\n"
+              "    assert main(['run', '--config', config, '--out', out]) == 0, config\n"
+              "    assert main(['verify', '--report', out]) == 0, config\n"
+              "print('numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", script, *map(str, configs)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

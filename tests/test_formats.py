@@ -15,7 +15,7 @@ from majcert.decompose import majority_certificates
 from majcert.errors import RejectedInputError
 from majcert.formats import (boolean_class_from_hex, boolean_decomposition_from_json,
                              boolean_decomposition_to_json, boolean_from_hex,
-                             boolean_to_hex, canonical_json,
+                             boolean_to_hex, canonical_json, canonical_tree,
                              certificate_from_json, certificate_to_json,
                              circuit_from_text, circuit_to_text,
                              real_decomposition_from_json,
@@ -24,7 +24,7 @@ from majcert.formats import (boolean_class_from_hex, boolean_decomposition_from_
 from majcert.generators import point_function_class, random_pconcept_class
 from majcert.qsim import Circuit, Gate
 from majcert.rng import substream
-from references import random_mixed_state
+from references import random_mixed_state, typed_tree
 
 
 def test_boolean_hex_is_msb_first():
@@ -169,6 +169,11 @@ def trees_with_repeats(draw):
 @given(trees_with_repeats())
 def test_canonical_json_equals_recursive_reference(tree):
     assert canonical_json(tree) == reference_canonical(tree) + "\n"
+
+
+@given(st.one_of(trees_with_repeats(), leaves))
+def test_canonical_tree_is_what_canonical_json_parses_back_to(tree):
+    assert typed_tree(canonical_tree(tree)) == typed_tree(json.loads(canonical_json(tree)))
 
 
 def test_canonical_json_leaves_no_converted_tree_to_the_collector():

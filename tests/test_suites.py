@@ -13,9 +13,10 @@ import sys
 import numpy as np
 import pytest
 
+from majcert import suites
 from majcert.concepts import Distribution, InputDomain, PConceptClass, RealFunction, Slots
 from majcert.decompose import RealDecomposition, _far_members, occam_check
-from majcert.formats import (boolean_decomposition_from_json, canonical_json,
+from majcert.formats import (boolean_decomposition_from_json, canonical_json, canonical_tree,
                              protocol_from_json, real_class_from_json,
                              real_decomposition_from_json, state_to_json)
 from majcert.protocol import machine_b_error, verifier_A
@@ -23,6 +24,7 @@ from majcert.qsim import DensityMatrix
 from majcert.suites import REGISTRY, build_standard_protocol, run_suite, verify_report
 from majcert.errors import RejectedInputError
 from majcert.winnow import _SEARCHES, fat_shattering_dim
+from references import typed_tree
 
 BENCHMARK = pathlib.Path(__file__).resolve().parent.parent / "benchmark"
 CONFIG_DIR = BENCHMARK.parent / "scripts" / "configs"
@@ -75,10 +77,30 @@ def test_run_verdicts_equal_verify_verdicts(name):
 
 @pytest.mark.parametrize("name", sorted(SMALL))
 def test_report_text_is_a_fixed_point_of_canonical_json(name):
-    """``run_suite`` sets its verdicts on the parsed report text, so
-    writing that parse again must give the same text."""
+    """``run_suite`` sets its verdicts on the canonical tree of its records,
+    the parse of their text, so writing that parse again must give the
+    same text."""
     text = report_text(name)
     assert canonical_json(json.loads(text)) == text
+
+
+@pytest.mark.parametrize("stem", sorted(path.stem for path in CONFIG_DIR.glob("*.json")))
+def test_run_verifies_the_value_its_canonical_json_parses_back_to(monkeypatch, stem):
+    """The records ``run_suite`` verifies, its canonical tree of the
+    {"suite", "config", "records"} wrapper, are what ``verify`` reads from
+    their bytes: the same keys in the same order and leaves of the same types."""
+    seen = []
+
+    def spy(obj):
+        tree = canonical_tree(obj)
+        seen.append((tree, json.loads(canonical_json(obj))))
+        return tree
+
+    monkeypatch.setattr(suites, "canonical_tree", spy)
+    run_suite(json.loads((CONFIG_DIR / f"{stem}.json").read_text()))
+    (tree, parsed), = seen
+    assert sorted(tree) == ["config", "records", "suite"]
+    assert typed_tree(tree) == typed_tree(parsed)
 
 
 def repeat_positions(data, times, keys=("certs", "funcs")):

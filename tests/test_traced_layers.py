@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from majcert import suites
+from majcert.reporting import write_report
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "benchmark"
 SPANS = BENCH / "spans.py"
@@ -50,10 +51,11 @@ def test_every_traced_layer_resolves_to_a_callable():
 
 
 @pytest.mark.parametrize("workload", sorted(RUN["WORKLOADS"]))
-def test_workload_calls_every_expected_layer(monkeypatch, workload):
-    # the configs run at the benchmark's default seed, pinned ones at their
-    # own; the tracer rebinds functions in majcert's modules, which
-    # monkeypatch restores afterwards
+def test_workload_calls_every_expected_layer(monkeypatch, tmp_path, workload):
+    # the configs run and write their reports as benchmark/child.py does, at
+    # the benchmark's default seed, pinned ones at their own; the tracer
+    # rebinds functions in majcert's modules, which monkeypatch restores
+    # afterwards
     spans = runpy.run_path(str(SPANS))
     for module in spans["LAYERS"]:
         importlib.import_module(f"majcert.{module}")
@@ -74,7 +76,8 @@ def test_workload_calls_every_expected_layer(monkeypatch, workload):
     for paths, seed in ((spec["configs"], 1), (spec["pinned"], None)):
         for path in paths:
             config = json.loads((BENCH.parent / path).read_text())
-            suites.run_suite(config, seed_override=seed)
+            write_report(tmp_path / f"{pathlib.Path(path).stem}.report.json",
+                         suites.run_suite(config, seed_override=seed))
     layers = tracer.summary()
     assert [name for name in RUN["EXPECTED_LAYERS"][workload]
             if not layers[name]["calls"]] == []

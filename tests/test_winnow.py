@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -394,16 +395,24 @@ def test_dimension_budget_signal(monkeypatch, kernel_only):
 @given(st.integers(0, 10 ** 6))
 def test_vc_and_fat_quarter_of_a_boolean_class_share_one_search(salt):
     """At gamma = 1/4 the witness grid of a Boolean class is vc_dim's grid:
-    one (zeros, ones) split per non-constant input."""
+    one (zeros, ones) split per non-constant input, built once and
+    searched once for both."""
     rng = substream(salt, 55)
     n = int(rng.integers(1, 5))
     S = random_boolean_class(n, int(rng.integers(1, min(16, 1 << (1 << n)) + 1)), rng)
-    with shared_searches():
+    built = []
+
+    def counted(V, gamma):
+        built.append(gamma)
+        return _witness_splits(V, gamma)
+
+    with shared_searches(), mock.patch.object(winnow, "_witness_splits", counted):
         vc_dim(S)
         fat_shattering_dim(S, 0.25)
-        key, = _SEARCHES.get(None)
+        searched = [key for key in _SEARCHES.get(None) if key[0] == "grid"]
     grid = _witness_splits(S.value_matrix(), 0.5)
-    assert key == (len(S), *(a.tobytes() for a in grid))
+    assert len(built) == 1
+    assert searched == [("grid", len(S), *(a.tobytes() for a in grid))]
     assert grid_pairs(grid) == boolean_class_splits(S)
 
 
