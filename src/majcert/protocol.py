@@ -7,9 +7,8 @@ with untrusted quantum advice (m registers, honestly a tensor product of
 per-slot states).  The m slots are stored once per distinct slot with
 one ref per position, shared with the decomposition, so per-slot work
 runs once per distinct slot.  The m supplied registers are passed as
-``Slots`` too (a per-position list or one joint state is grouped into
-them), and the machines group positions by their (slot ref, register
-ref) pair.  Machine A checks
+``Slots`` too, and the machines group positions by their (slot ref,
+register ref) pair.  Machine A checks
 the registers against the classical constraints; machine B answers
 inputs by running the verification circuit on a uniformly random
 register; both depend on the supplied registers only through their
@@ -26,7 +25,8 @@ enumerating the faces of the Bloch ball cut by machine A's slabs.
 that adversary's worst registers until the worst error is at most 0.3,
 so every compiled protocol is sound against all one-qubit advice, and
 ``fat_dim_quantum_check`` reads that advice's exact fat-shattering
-dimensions off finitely many pure corner states.  Wider advice is not covered.
+dimensions off one closed-form margin per input set of at most 3 inputs,
+checked on the pure states of each widest set.  Wider advice is not covered.
 """
 
 from __future__ import annotations
@@ -43,9 +43,8 @@ from .concepts import BooleanFunction, InputDomain, PConceptClass, Slots, quanti
 from .decompose import (RealDecomposition, extremal_deviation,
                         real_majority_certificates)
 from .errors import EnumerationBudgetExceeded, RejectedInputError, VerificationDefect
-from .qsim import (Circuit, DensityMatrix, measurement_operator,
-                   params_to_state, reduced_state)
-from .winnow import DIMENSION_BUDGET, fat_shattering_dim
+from .qsim import Circuit, DensityMatrix, measurement_operator, params_to_state
+from .winnow import DIMENSION_BUDGET
 
 
 #: complex entries of one state-by-operator product in ``acceptance_table``
@@ -119,33 +118,17 @@ class AdviceProtocol:
             raise VerificationDefect("a stored rational misses alpha")
 
 
-def _resolve_registers(P: AdviceProtocol, sigma) -> Slots:
-    """The supplied registers as ``Slots``: ``Slots`` are used as given, a
-    per-position list is grouped by state, and one joint state is first
-    split by partial trace, which is exactly what the machines may
-    depend on."""
-    if isinstance(sigma, DensityMatrix):
-        p = P.advice_qubits
-        if sigma.qubits != P.m * p:
-            raise RejectedInputError(f"joint state has {sigma.qubits} qubits, not {P.m * p}")
-        sigma = [reduced_state(sigma, range(i * p, (i + 1) * p)) for i in range(P.m)]
-    if not isinstance(sigma, Slots):
-        sigma = Slots.group(sigma, key=DensityMatrix.key)
-    if len(sigma) != P.m:
-        raise RejectedInputError(f"expected {P.m} registers, got {len(sigma)}")
-    if any(r.qubits != P.advice_qubits for r in sigma.distinct):
-        raise RejectedInputError("register width mismatch")
-    return sigma
-
-
-def _register_machines(P: AdviceProtocol, sigma) -> tuple:
+def _register_machines(P: AdviceProtocol, registers: Slots) -> tuple:
     """(machine B error, machine A deviation) of supplied registers, with
     positions grouped by their (slot ref, register ref) pair in
     first-occurrence order.  B accepts x with the mean over positions of
     Tr(rho_i M_x) and errs by max_x |B(x) - L(x)|; A's deviation is the
     worst |Tr(rho_i M_z) - r_{i,z}| over positions i and their slot's
-    inputs z."""
-    registers = _resolve_registers(P, sigma)
+    inputs z.  Registers of another count or width are rejected."""
+    if len(registers) != P.m:
+        raise RejectedInputError(f"expected {P.m} registers, got {len(registers)}")
+    if any(r.qubits != P.advice_qubits for r in registers.distinct):
+        raise RejectedInputError("register width mismatch")
     k = len(registers.distinct)
     pairs = np.asarray(P.slots.refs) * k + np.asarray(registers.refs)
     codes, first, counts = np.unique(pairs, return_index=True, return_counts=True)
@@ -163,15 +146,15 @@ def _register_machines(P: AdviceProtocol, sigma) -> tuple:
     return float(error), float(deviation)
 
 
-def verifier_A(P: AdviceProtocol, sigma) -> float:
+def verifier_A(P: AdviceProtocol, registers: Slots) -> float:
     """Machine A's worst deviation; the protocol accepts when it is at
     most 5*alpha."""
-    return _register_machines(P, sigma)[1]
+    return _register_machines(P, registers)[1]
 
 
-def machine_b_error(P: AdviceProtocol, sigma) -> float:
+def machine_b_error(P: AdviceProtocol, registers: Slots) -> float:
     """Machine B's worst error max_x |B(x) - L(x)|."""
-    return _register_machines(P, sigma)[0]
+    return _register_machines(P, registers)[0]
 
 
 def dyadic_approximation(value: float, alpha: float) -> Fraction:
@@ -436,24 +419,39 @@ def fat_dim_quantum_check(gammas: Sequence[float], circuit: Circuit,
     (``bloch_affine_map``); a convex set gamma-shatters T iff it holds a cube
     r + [-gamma, gamma]^T (induction on |T|: the segment joining the witnesses of
     (s, +) and (s, -) crosses every level of the last input inside pattern s),
-    centred at c_T by symmetry.  So the pure states along pinv(m_T) s, for every
-    sign pattern s of every T of at most 3 inputs (rank(m_T) <= 3 shatters no 4),
-    keep the dimension.  Raises EnumerationBudgetExceeded over DIMENSION_BUDGET
-    corners, and RejectedInputError on a margin equal to a gamma (a tie)."""
-    count = sum(math.comb(domain.size, k) << k for k in (1, 2, 3))
+    centred at c_T by symmetry, so iff every vertex c_T + gamma s is in it: each
+    s in range(m_T) with gamma |pinv(m_T) s| <= 1.  So T has the margin
+    min_s 1 / |pinv(m_T) s|, or 0 when some s is out of range, and the dimension
+    at gamma is the largest size of at most 3 (rank(m_T) <= 3 shatters no 4)
+    whose widest set's margin reaches gamma.  Once per dimension, the pure
+    states along pinv(m_T) s of that set are built and must land its largest
+    gamma on their pattern's side of c_T, or VerificationDefect is raised.  Raises
+    EnumerationBudgetExceeded over DIMENSION_BUDGET input sets, and
+    RejectedInputError on a margin equal to a gamma (a tie)."""
+    count = sum(math.comb(domain.size, k) for k in (1, 2, 3))
     if count > DIMENSION_BUDGET:
-        raise EnumerationBudgetExceeded(DIMENSION_BUDGET, count, "one-qubit advice corners")
-    m = bloch_affine_map(circuit, domain)[1]
-    B = np.concatenate([np.linalg.pinv(m[list(T)], 1e-12)  # relative cutoff: rounding noise
-                        @ np.array(list(product((1, -1), repeat=len(T)))).T
-                        for k in (1, 2, 3) for T in combinations(range(domain.size), k)], axis=1)
-    B = B[:, np.linalg.norm(B, axis=0) > 1e-9]  # s outside m_T's range: no corner
-    half, phase = np.arctan2(np.hypot(B[0], B[1]), B[2]) / 2.0, np.arctan2(B[1], B[0])
-    pure = np.zeros((len(half), 8))  # psi (x) |0>, real parts then imaginary parts
-    pure[:, 0], pure[:, [2, 6]] = np.cos(half), (np.sin(half) * [np.cos(phase), np.sin(phase)]).T
-    cls, _ = induced_with_states(circuit, domain, [params_to_state(v, 1) for v in pure]
-                                 or [params_to_state(np.zeros(8), 1)])  # |0>: advice ignored
-    dims = [[fat_shattering_dim(cls, gamma + d) for d in (-1e-9, 1e-9)] for gamma in gammas]
+        raise EnumerationBudgetExceeded(DIMENSION_BUDGET, count, "one-qubit advice input sets")
+    c, m = bloch_affine_map(circuit, domain)
+    widest = {}  # size: (margin, set, pinv(m_T) s per pattern s, patterns)
+    for k in range(1, min(3, domain.size) + 1):
+        sets = np.array(list(combinations(range(domain.size), k)))
+        signs = np.array(list(product((1, -1), repeat=k))).T
+        B = np.linalg.pinv(m[sets], 1e-12) @ signs  # relative cutoff: rounding noise
+        reach = np.linalg.norm(B, axis=1).max(axis=1)
+        reach[np.abs(m[sets] @ B - signs).max(axis=(1, 2)) > 1e-9] = np.inf  # s out of range
+        t = int(np.argmin(reach))
+        widest[k] = (1.0 / reach[t], sets[t], B[t], signs)
+    dims = [[max((k for k, w in widest.items() if w[0] >= gamma + d), default=0)
+             for d in (-1e-9, 1e-9)] for gamma in gammas]
     if any(below != above for below, above in dims):
         raise RejectedInputError("a shattered set's margin is one of the gammas")
+    for d, gamma in {d: g for g, (_, d) in sorted(zip(gammas, dims)) if d}.items():
+        _, T, B, signs = widest[d]
+        half, phase = np.arctan2(np.hypot(B[0], B[1]), B[2]) / 2.0, np.arctan2(B[1], B[0])
+        pure = np.zeros((len(half), 8))  # psi (x) |0>, real parts then imaginary parts
+        pure[:, 0] = np.cos(half)
+        pure[:, [2, 6]] = (np.sin(half) * [np.cos(phase), np.sin(phase)]).T
+        states = [params_to_state(v, 1) for v in pure]
+        if np.min(signs.T * (acceptance_table(circuit, domain, states)[:, T] - c[T])) < gamma:
+            raise VerificationDefect("a witness state misses its sign pattern's margin")
     return [{"measured": d, "bound": 1.0 / (g * g)} for (_, d), g in zip(dims, gammas)]

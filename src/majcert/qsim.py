@@ -101,10 +101,6 @@ def partial_trace(matrix: np.ndarray, qubits: int, keep: Sequence[int]) -> np.nd
     return out.reshape(1 << len(keep), 1 << len(keep))
 
 
-def reduced_state(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    return DensityMatrix(len(list(keep)), partial_trace(rho.entries, rho.qubits, keep))
-
-
 @dataclass(frozen=True)
 class Gate:
     """One circuit element.

@@ -19,6 +19,7 @@ as rows of it.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import itertools
 import math
@@ -265,9 +266,18 @@ def shared_searches():
         _SEARCHES.reset(token)
 
 
+def _arrays_key(*arrays: np.ndarray) -> tuple:
+    """Arrays as a memo key: their dtypes and shapes and one SHA-256 digest
+    of their contiguous bytes, so a memo holds no copy of them."""
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a))
+    return *((a.dtype, a.shape) for a in arrays), digest.digest()
+
+
 def _class_dimension(V: np.ndarray, gamma: float) -> int:
     """``_dimension`` of the witness grid of the member-by-input matrix V at
-    margin gamma, memoized by V's dtype, shape and bytes and gamma within
+    margin gamma, memoized by V's ``_arrays_key`` and gamma within
     ``shared_searches``, so the grid is built only on a miss.  A 0/1
     (uint8) V keys every gamma <= 1/2 as 1/2: its grid is then the same
     one (zeros | ones) split per non-constant input."""
@@ -276,7 +286,7 @@ def _class_dimension(V: np.ndarray, gamma: float) -> int:
     memo = _SEARCHES.get(None)
     if memo is None:
         return _dimension(_witness_splits(V, gamma), len(V))
-    key = ("matrix", V.dtype.str, V.shape, V.tobytes(), gamma)
+    key = ("matrix", *_arrays_key(V), gamma)
     if key not in memo:
         memo[key] = _dimension(_witness_splits(V, gamma), len(V))
     return memo[key]
@@ -284,14 +294,16 @@ def _class_dimension(V: np.ndarray, gamma: float) -> int:
 
 def _dimension(grid: tuple, members: int) -> int:
     """Size of the largest input set that ``members`` members shatter over
-    the _witness_splits ``grid`` (see _fat_shatters), memoized by the grid's
-    bytes within ``shared_searches``, so margins with equal grids share one
-    search.  Level 1 is read off the grid; later levels' candidates are
-    counted before any is built, level 2's before the kernel's codes or
-    bitmasks: over DIMENSION_BUDGET raises EnumerationBudgetExceeded.  A
+    the _witness_splits ``grid`` (see _fat_shatters), memoized by its
+    ``_arrays_key`` within ``shared_searches``, so margins with equal grids
+    share one search.  Level 1 is read off the grid; later levels'
+    candidates are counted before any is built, level 2's before the
+    kernel's codes or bitmasks: over DIMENSION_BUDGET raises
+    EnumerationBudgetExceeded, as do over DIMENSION_BUDGET split choices
+    in one level of the multi-split search.  A
     size-s set needs 2^s members; a shattered set of size DIMENSION_CAP
     raises DimensionCapExceeded."""
-    memo, key = _SEARCHES.get({}), ("grid", members, *(a.tobytes() for a in grid))
+    memo, key = _SEARCHES.get({}), ("grid", members, *_arrays_key(*grid))
     if key in memo:
         return memo[key]
     # level 1: the distinct inputs of the ascending xs, each of whose kept
@@ -316,11 +328,11 @@ def _dimension(grid: tuple, members: int) -> int:
     return dim
 
 
-def _within_budget(count: int, size: int) -> None:
-    """Raise when one search level joins over DIMENSION_BUDGET candidates."""
+def _within_budget(count: int, size: int, what: str = "dimension candidates") -> None:
+    """Raise when one search level joins over DIMENSION_BUDGET candidates,
+    or visits over DIMENSION_BUDGET split choices."""
     if count > DIMENSION_BUDGET:
-        raise EnumerationBudgetExceeded(DIMENSION_BUDGET, count,
-                                        f"dimension candidates of size {size}")
+        raise EnumerationBudgetExceeded(DIMENSION_BUDGET, count, f"{what} of size {size}")
 
 
 def _witness_splits(V: np.ndarray, gamma: float) -> tuple:
@@ -395,25 +407,31 @@ def _shattered_extensions(codes: np.ndarray, sets: np.ndarray) -> np.ndarray:
 
 def _fat_extensions(splits: list, sets: np.ndarray, members: int) -> np.ndarray:
     """The rows of ``sets`` extended by a later input that shatter (_fat_shatters),
-    tested only when every one-smaller subset is a row of ``sets`` (Apriori)."""
+    tested only when every one-smaller subset is a row of ``sets`` (Apriori).
+    The split choices visited are summed over the level's sets."""
     known = set(map(tuple, sets.tolist()))
-    level = []
+    level, visited = [], 0
     for A in map(tuple, sets.tolist()):
         tails = [x for x in range(A[-1] + 1, len(splits))
                  if all(A[:i] + A[i + 1:] + (x,) in known for i in range(len(A)))]
-        level += [A + (x,) for x in _fat_shatters(splits, A, tails, members)]
+        found, visited = _fat_shatters(splits, A, tails, members, visited)
+        level += [A + (x,) for x in found]
     return np.array(level, dtype=np.intp).reshape(len(level), sets.shape[1] + 1)
 
 
-def _fat_shatters(splits: list, A: tuple, tails: list, members: int) -> list:
-    """The inputs x of ``tails``, in order, for which A + (x,) is
+def _fat_shatters(splits: list, A: tuple, tails: list, members: int,
+                  visited: int) -> tuple:
+    """(the inputs x of ``tails``, in order, for which A + (x,) is
     shattered by a class of ``members`` members, given each input's
-    witness splits.  A choice of one split per input of A leaves one cell
+    witness splits; ``visited`` plus the split choices this search
+    visits).  A choice of one split per input of A leaves one cell
     per sign pattern of A, shared by all tails, and x completes the set
     when one of its splits cuts every cell into two non-empty halves.
     Low and high sets are disjoint, so the final cells are too, and a
     choice leaving a cell of fewer than 2^(|A|+1-k) members after k
-    splits cannot finish: it is abandoned."""
+    splits cannot finish: it is abandoned.  Each split tried for an input
+    of A is one choice; past DIMENSION_BUDGET choices visited,
+    EnumerationBudgetExceeded is raised."""
     left = set(tails)
     stack = [(0, [(1 << members) - 1], 0)]  # (depth, cells, next split of A[depth])
     while stack and left:
@@ -430,6 +448,8 @@ def _fat_shatters(splits: list, A: tuple, tails: list, members: int) -> list:
             continue
         if k == len(splits[A[depth]]):
             continue
+        visited += 1
+        _within_budget(visited, len(A) + 1, "split choices")
         stack.append((depth, cells, k + 1))  # taken once this split's choices are done
         low, high = splits[A[depth]][k]
         need = 1 << (len(A) - depth)
@@ -443,7 +463,7 @@ def _fat_shatters(splits: list, A: tuple, tails: list, members: int) -> list:
             nxt.append(b)
         else:
             stack.append((depth + 1, nxt, 0))
-    return [x for x in tails if x not in left]
+    return [x for x in tails if x not in left], visited
 
 
 def vc_dim(S: ConceptClass) -> int:

@@ -2,13 +2,18 @@
 one is the direct definition that an optimized routine of ``majcert`` is
 compared against, or a convenient way to build a test's input."""
 
+import math
 from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 
-from majcert.concepts import InputDomain, RealFunction, distance
-from majcert.errors import RejectedInputError
-from majcert.qsim import Circuit, DensityMatrix, measurement_operator, params_to_state
+from majcert.concepts import InputDomain, RealFunction, Slots, distance
+from majcert.errors import EnumerationBudgetExceeded, RejectedInputError
+from majcert.protocol import AdviceProtocol, bloch_affine_map, induced_with_states
+from majcert.qsim import (Circuit, DensityMatrix, measurement_operator, params_to_state,
+                          partial_trace)
+from majcert.winnow import DIMENSION_BUDGET, fat_shattering_dim
 
 
 def dist_one(f: RealFunction, g: RealFunction, X=None) -> float:
@@ -113,3 +118,47 @@ def typed_tree(tree):
     if isinstance(tree, list):
         return list, [typed_tree(value) for value in tree]
     return type(tree), tree
+
+
+def reduced_state(rho: DensityMatrix, keep) -> DensityMatrix:
+    """The state of the qubits ``keep`` of rho, by partial trace."""
+    return DensityMatrix(len(list(keep)), partial_trace(rho.entries, rho.qubits, keep))
+
+
+def as_slots(P: AdviceProtocol, sigma) -> Slots:
+    """Registers for the protocol machines, which take ``Slots``: a
+    per-position list is grouped by state, and one joint state is first
+    split by partial trace into its m registers, which is exactly what the
+    machines may depend on."""
+    if isinstance(sigma, DensityMatrix):
+        p = P.advice_qubits
+        if sigma.qubits != P.m * p:
+            raise RejectedInputError(f"joint state has {sigma.qubits} qubits, not {P.m * p}")
+        sigma = [reduced_state(sigma, range(i * p, (i + 1) * p)) for i in range(P.m)]
+    return Slots.group(sigma, key=DensityMatrix.key)
+
+
+def corner_fat_dims(gammas, circuit: Circuit, domain: InputDomain) -> list:
+    """``protocol.fat_dim_quantum_check`` through a finite class: the pure
+    corner states along pinv(m_T) s, for every sign pattern s of every T
+    of at most 3 inputs, keep the fat-shattering dimension of all one-qubit
+    advice, which ``fat_shattering_dim`` reads from their induced class at
+    gamma +- 1e-9.  Raises EnumerationBudgetExceeded over DIMENSION_BUDGET
+    corners, and RejectedInputError when the two readings differ (a tie)."""
+    count = sum(math.comb(domain.size, k) << k for k in (1, 2, 3))
+    if count > DIMENSION_BUDGET:
+        raise EnumerationBudgetExceeded(DIMENSION_BUDGET, count, "one-qubit advice corners")
+    m = bloch_affine_map(circuit, domain)[1]
+    B = np.concatenate([np.linalg.pinv(m[list(T)], 1e-12)  # relative cutoff: rounding noise
+                        @ np.array(list(product((1, -1), repeat=len(T)))).T
+                        for k in (1, 2, 3) for T in combinations(range(domain.size), k)], axis=1)
+    B = B[:, np.linalg.norm(B, axis=0) > 1e-9]  # s outside m_T's range: no corner
+    half, phase = np.arctan2(np.hypot(B[0], B[1]), B[2]) / 2.0, np.arctan2(B[1], B[0])
+    pure = np.zeros((len(half), 8))  # psi (x) |0>, real parts then imaginary parts
+    pure[:, 0], pure[:, [2, 6]] = np.cos(half), (np.sin(half) * [np.cos(phase), np.sin(phase)]).T
+    cls, _ = induced_with_states(circuit, domain, [params_to_state(v, 1) for v in pure]
+                                 or [params_to_state(np.zeros(8), 1)])  # |0>: advice ignored
+    dims = [[fat_shattering_dim(cls, gamma + d) for d in (-1e-9, 1e-9)] for gamma in gammas]
+    if any(below != above for below, above in dims):
+        raise RejectedInputError("a shattered set's margin is one of the gammas")
+    return [{"measured": d, "bound": 1.0 / (g * g)} for (_, d), g in zip(dims, gammas)]

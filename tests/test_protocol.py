@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 from majcert.concepts import BooleanFunction, InputDomain, Slots
 from majcert.decompose import verify_real_decomposition
-from majcert.errors import EnumerationBudgetExceeded, RejectedInputError
+from majcert.errors import EnumerationBudgetExceeded, RejectedInputError, VerificationDefect
 import majcert.protocol as protocol
 from majcert.protocol import (acceptance_table, adversary_search, bloch_affine_map,
                               compile_advice, conditional_soundness_bound,
@@ -23,8 +23,9 @@ from majcert.protocol import (acceptance_table, adversary_search, bloch_affine_m
 from majcert.qsim import Circuit, DensityMatrix, Gate, measurement_operator
 from majcert.rng import substream
 from majcert.winnow import fat_shattering_dim
-from references import (accept_probability, eigen_ensemble, joint_amplify, maximally_mixed,
-                        random_mixed_state, tensor)
+from references import (accept_probability, as_slots, corner_fat_dims, eigen_ensemble,
+                        joint_amplify, maximally_mixed, random_mixed_state, reduced_state,
+                        tensor)
 
 
 def standard_instance():
@@ -137,7 +138,7 @@ def test_machine_b_identical_registers_linearity():
     single = [float(np.real(np.trace(reg.entries @ measurement_operator(P.circuit, x, 1))))
               for x in P.domain.inputs()]
     expected = max(abs(p - P.language(x)) for x, p in enumerate(single))
-    assert machine_b_error(P, [reg] * P.m) == pytest.approx(expected, abs=1e-12)
+    assert machine_b_error(P, as_slots(P, [reg] * P.m)) == pytest.approx(expected, abs=1e-12)
 
 
 def tiny_two_register_protocol():
@@ -168,11 +169,11 @@ def test_machines_depend_only_on_reduced_states():
     P = tiny_two_register_protocol()
     # correlated two-qubit states: Bell pair and a classically correlated mix
     bell = DensityMatrix.from_pure(np.array([1, 0, 0, 1]) / math.sqrt(2))
-    from majcert.qsim import reduced_state
     for joint in (bell,
                   DensityMatrix(2, 0.5 * (DensityMatrix.computational(2, 0).entries
                                           + DensityMatrix.computational(2, 3).entries))):
         regs = [reduced_state(joint, [0]), reduced_state(joint, [1])]
+        joint, regs = as_slots(P, joint), as_slots(P, regs)
         assert machine_b_error(P, joint) == pytest.approx(machine_b_error(P, regs),
                                                           abs=1e-10)
         assert verifier_A(P, joint) == pytest.approx(verifier_A(P, regs), abs=1e-10)
@@ -207,7 +208,7 @@ def test_conditional_soundness_bound_standard_instance():
 
 def test_verifier_on_maximally_mixed_registers():
     P = compiled_protocol()
-    mixed = [maximally_mixed(1)] * P.m
+    mixed = as_slots(P, [maximally_mixed(1)] * P.m)
     deviation = verifier_A(P, mixed)
     # exact by hand: Tr[mixed M_z] = Tr[M_z]/2
     expected = 0.0
@@ -223,9 +224,11 @@ def test_verifier_on_maximally_mixed_registers():
 def test_register_shape_mismatch_rejected():
     P = compiled_protocol()
     with pytest.raises(RejectedInputError):
-        machine_b_error(P, list(P.honest_registers())[1:])
+        machine_b_error(P, as_slots(P, list(P.honest_registers())[1:]))
     with pytest.raises(RejectedInputError):
-        verifier_A(P, maximally_mixed(2))
+        verifier_A(P, as_slots(P, maximally_mixed(2)))
+    with pytest.raises(RejectedInputError, match="width"):
+        verifier_A(P, Slots([maximally_mixed(2)], (0,) * P.m))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +330,7 @@ def test_adversary_finds_break_in_inflated_protocol():
     assert result.best_error > 1.0 / 3.0
     assert result.best_deviation <= 5.0 * broken.alpha + 1e-12
     # the returned registers reproduce the reported scores
-    assert machine_b_error(broken, list(result.registers)) == pytest.approx(
+    assert machine_b_error(broken, as_slots(broken, list(result.registers))) == pytest.approx(
         result.best_error, abs=1e-9)
 
 
@@ -397,7 +400,7 @@ def search_protocol(name):
 def test_adversary_search_reports_the_machines_values(name):
     P = search_protocol(name)
     result = adversary_search(P)
-    registers = list(result.registers)
+    registers = as_slots(P, list(result.registers))
     assert result.best_error == machine_b_error(P, registers)
     assert result.best_deviation == verifier_A(P, registers)
 
@@ -541,8 +544,8 @@ def test_acceptance_table_matches_accept_probability(salt):
 # ---------------------------------------------------------------------------
 
 def test_fat_quantum_constant_class():
-    # circuit ignores the advice: every corner direction is zero, |0>
-    # stands in, and one constant function shatters nothing
+    # circuit ignores the advice: m = 0, so every sign pattern lies
+    # outside range(m_T) and no set has a positive margin
     circuit = Circuit(qubits=2, gates=(Gate("X", 1),), accept_qubit=1)
     assert fat_dim_quantum_check([0.25], circuit, InputDomain(2)) == [
         {"measured": 0, "bound": 16.0}]
@@ -582,15 +585,72 @@ def test_fat_quantum_margin_at_a_gamma_raises():
     assert report["measured"] == 2
 
 
-def test_fat_quantum_budget_raises_before_any_state(monkeypatch):
-    """n = 6 has 341,504 corners, over DIMENSION_BUDGET."""
-    def no_state(*args):
-        raise AssertionError("a corner state was built")
+def test_fat_quantum_budget_counts_sets_before_any_pinv(monkeypatch):
+    """n = 7 has 349,632 sets of at most 3 inputs, over DIMENSION_BUDGET."""
+    def refuse(*args):
+        raise AssertionError("a witness state or a pseudo-inverse was built")
 
-    monkeypatch.setattr(protocol, "params_to_state", no_state)
+    monkeypatch.setattr(protocol, "params_to_state", refuse)
+    monkeypatch.setattr(np.linalg, "pinv", refuse)
     with pytest.raises(EnumerationBudgetExceeded) as raised:
-        fat_dim_quantum_check([0.25], hsh_circuit("T"), InputDomain(6))
-    assert raised.value.count == 341_504
+        fat_dim_quantum_check([0.25], hsh_circuit("T"), InputDomain(7))
+    assert raised.value.count == 349_632
+
+
+def alternating_circuit(n):
+    """H and T alternating on bits 0 to n - 1 of one qubit."""
+    return Circuit(qubits=1, gates=tuple(Gate("HT"[i % 2], 0, when_bit=i) for i in range(n)),
+                   accept_qubit=0)
+
+
+def test_fat_quantum_five_bit_circuit_is_fast():
+    """H, T, H, T, H: 1,360 sets, which the corner class's shattering search
+    took minutes over at gamma = 0.1."""
+    started = time.perf_counter()
+    reports = fat_dim_quantum_check([0.1, 0.2, 0.25, 0.3, 0.4], alternating_circuit(5),
+                                    InputDomain(5))
+    assert time.perf_counter() - started < 1.0
+    assert [r["measured"] for r in reports] == [3, 3, 3, 2, 1]
+
+
+def test_fat_quantum_six_bit_domain_certifies():
+    """n = 6: 43,744 sets, under DIMENSION_BUDGET, in one batch per size."""
+    reports = fat_dim_quantum_check([0.1, 0.25, 0.4], alternating_circuit(6), InputDomain(6))
+    assert [r["measured"] for r in reports] == [3, 3, 1]
+
+
+def random_one_qubit_circuit(n, rng):
+    """1 to 6 gates drawn from H, T, X and Z, each on a random input bit."""
+    return Circuit(qubits=1, gates=tuple(
+        Gate("HTXZ"[int(rng.integers(4))], 0, when_bit=int(rng.integers(n)))
+        for _ in range(int(rng.integers(1, 7)))), accept_qubit=0)
+
+
+def fat_outcome(check, gammas, circuit, domain):
+    """The measured dimensions, or the typed error of a tie."""
+    try:
+        return [r["measured"] for r in check(gammas, circuit, domain)]
+    except RejectedInputError as error:
+        return type(error)
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_fat_quantum_equals_the_corner_class_reference(seed):
+    domain = InputDomain(2 + seed % 3)
+    circuit = random_one_qubit_circuit(domain.n, substream(41, seed))
+    gammas = [0.1, 0.2, 0.25, 0.3, 0.4]
+    assert (fat_outcome(fat_dim_quantum_check, gammas, circuit, domain)
+            == fat_outcome(corner_fat_dims, gammas, circuit, domain))
+
+
+def test_fat_quantum_witness_guard_catches_a_wrong_map(monkeypatch):
+    """With m doubled every margin doubles, so the pair {0, 1} of the standard
+    instance claims 1/sqrt 2 >= 0.4; its witness states land at 1/(2 sqrt 2)."""
+    circuit, domain, _, _ = standard_instance()
+    c, m = bloch_affine_map(circuit, domain)
+    monkeypatch.setattr(protocol, "bloch_affine_map", lambda *args: (c, 2.0 * m))
+    with pytest.raises(VerificationDefect, match="witness"):
+        fat_dim_quantum_check([0.4], circuit, domain)
 
 
 def random_pure_states(count, rng):

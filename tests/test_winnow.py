@@ -1,6 +1,7 @@
 """Winnowing algorithms, covers, dimensions, and the L2 witness family."""
 
 import gc
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -392,6 +393,28 @@ def test_dimension_budget_signal(monkeypatch, kernel_only):
         fat_shattering_dim(PConceptClass(domain, real_members(domain, S.value_matrix())), 0.25)
 
 
+def test_multi_split_search_budget_signal(monkeypatch):
+    """16 random real members on 4 inputs at margin 0.1 take the multi-split
+    search, whose levels join at most 6 candidates but visit up to 63 split
+    choices, so a budget of 10 stops it on the choices."""
+    S = random_pconcept_class(2, 16, substream(7, 2))
+    assert fat_shattering_dim(S, 0.1) == 3
+    monkeypatch.setattr(winnow, "DIMENSION_BUDGET", 10)
+    with pytest.raises(EnumerationBudgetExceeded, match="split choices"):
+        fat_shattering_dim(S, 0.1)
+
+
+def test_memo_keys_hold_no_copy_of_the_matrix():
+    """The memo keys a class and its grid by digests: no key part is a
+    byte string longer than 64 bytes, though V alone has 2,048."""
+    S = random_pconcept_class(4, 16, substream(7, 4))
+    with shared_searches():
+        fat_shattering_dim(S, 0.1)
+        keys = list(_SEARCHES.get(None))
+    assert {key[0] for key in keys} == {"matrix", "grid"}
+    assert all(len(part) <= 64 for key in keys for part in key if isinstance(part, bytes))
+
+
 @given(st.integers(0, 10 ** 6))
 def test_vc_and_fat_quarter_of_a_boolean_class_share_one_search(salt):
     """At gamma = 1/4 the witness grid of a Boolean class is vc_dim's grid:
@@ -412,7 +435,8 @@ def test_vc_and_fat_quarter_of_a_boolean_class_share_one_search(salt):
         searched = [key for key in _SEARCHES.get(None) if key[0] == "grid"]
     grid = _witness_splits(S.value_matrix(), 0.5)
     assert len(built) == 1
-    assert searched == [("grid", len(S), *(a.tobytes() for a in grid))]
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in grid)).digest()
+    assert searched == [("grid", len(S), *((a.dtype, a.shape) for a in grid), digest)]
     assert grid_pairs(grid) == boolean_class_splits(S)
 
 
