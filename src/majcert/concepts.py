@@ -107,12 +107,12 @@ class BooleanFunction:
 
 
 def _real_tables(domain: InputDomain, tables, ndim: int) -> np.ndarray:
-    """``tables`` as a read-only float64 copy with ``ndim`` axes, the last
-    of 2^n entries, each in [0, 1] (so none is NaN)."""
+    """``tables`` as a read-only C-ordered float64 copy with ``ndim`` axes,
+    the last of 2^n entries, each in [0, 1] (so none is NaN)."""
     if domain.n > MAX_REAL_N:
         raise RejectedInputError(f"real functions capped at n<={MAX_REAL_N}")
     try:
-        arr = np.array(tables, dtype=np.float64)
+        arr = np.array(tables, dtype=np.float64, order="C")
     except (TypeError, ValueError):
         raise RejectedInputError("tables must be equal-length lists of numbers") from None
     if arr.ndim != ndim or arr.shape[-1] != domain.size:
@@ -144,18 +144,6 @@ class RealFunction:
 def quantize(values) -> np.ndarray:
     """``values`` rounded to multiples of 1e-12 (-0.0 to 0.0), which reports write exactly."""
     return np.rint(np.asarray(values, dtype=np.float64) * 1e12) / 1e12 + 0.0
-
-
-def real_members(domain: InputDomain, tables) -> tuple:
-    """The real functions whose tables are the rows of the matrix
-    ``tables``, validated once as RealFunction validates one table; each
-    table is a read-only row of one float64 copy."""
-    members = []
-    for row in _real_tables(domain, tables, 2):
-        f = object.__new__(RealFunction)  # the row is checked: skip __post_init__
-        f.__dict__.update(domain=domain, table=row)
-        members.append(f)
-    return tuple(members)
 
 
 @dataclass(frozen=True)
@@ -231,7 +219,8 @@ class _FunctionClass:
     key -> index dict, so membership and ``index_of`` take O(1).  A plain
     class is non-empty; the possibly-empty views produced by
     :func:`restrict_class` are constructed with ``allow_empty=True``.
-    The |S| x 2^n value matrix is built on first use and kept read-only.
+    The |S| x 2^n value matrix is built on first use and kept read-only;
+    ``take`` and ``PConceptClass.from_tables`` hand it over ready-made.
     """
 
     __slots__ = ("domain", "members", "_index", "_matrix")
@@ -253,6 +242,27 @@ class _FunctionClass:
         self._index = index
         self._matrix = None
 
+    @classmethod
+    def _packed(cls, domain: InputDomain, members: tuple, index: dict, matrix: np.ndarray):
+        """An unchecked class of ``members`` keyed by ``index``, with value matrix ``matrix``."""
+        S = object.__new__(cls)
+        S.domain, S.members, S._index, S._matrix = domain, members, index, matrix
+        return S
+
+    def take(self, rows: Iterable[int]):
+        """The members at the distinct indices ``rows``, in that order, as
+        a class sharing this class's members and keys, whose value matrix
+        is those rows of this one's; a repeated or out-of-range index, or
+        no index, is rejected."""
+        rows = [int(i) for i in rows]
+        if not rows or len(set(rows)) < len(rows) or min(rows) < 0 or max(rows) >= len(self):
+            raise RejectedInputError("rows must be distinct member indices, at least one")
+        keys = list(self._index)
+        matrix = self.value_matrix()[rows]
+        matrix.flags.writeable = False
+        return self._packed(self.domain, tuple(map(self.members.__getitem__, rows)),
+                            {keys[i]: j for j, i in enumerate(rows)}, matrix)
+
     def __len__(self) -> int:
         return len(self.members)
 
@@ -268,6 +278,11 @@ class _FunctionClass:
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and self.domain == other.domain
                 and tuple(self._index) == tuple(other._index))
+
+    def __le__(self, other) -> bool:
+        """Every member of this class is a member of ``other``."""
+        return (type(other) is type(self) and self.domain == other.domain
+                and self._index.keys() <= other._index.keys())
 
     def index_of(self, f) -> int:
         i = self._index.get(self._key(f))
@@ -307,6 +322,29 @@ class PConceptClass(_FunctionClass):
     bytes; its value matrix is float64."""
 
     __slots__ = ()
+
+    @classmethod
+    def from_tables(cls, domain: InputDomain, tables) -> "PConceptClass":
+        """The class of the distinct rows of the matrix ``tables``, in
+        first-occurrence order, validated once as RealFunction validates
+        one table.  Its value matrix is the kept rows, read-only (the
+        validated array itself when no row repeats), and each member's
+        table is a row of it, so nothing is stacked again."""
+        arr = _real_tables(domain, tables, 2)
+        first: dict = {}
+        for i, key in enumerate(arr.view(f"V{arr.itemsize * domain.size}").ravel().tolist()):
+            first.setdefault(key, i)  # each row's bytes, as RealFunction.key gives them
+        if not first:
+            raise RejectedInputError("a class must be non-empty")
+        if len(first) < len(arr):
+            arr = arr[list(first.values())]
+            arr.flags.writeable = False
+        members = []
+        for row in arr:
+            f = object.__new__(RealFunction)  # the row is checked: skip __post_init__
+            f.__dict__.update(domain=domain, table=row)
+            members.append(f)
+        return cls._packed(domain, tuple(members), dict(zip(first, count())), arr)
 
     @staticmethod
     def _key(f: RealFunction) -> bytes:

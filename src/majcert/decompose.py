@@ -341,7 +341,7 @@ def _real_alice_response(S: PConceptClass, f_star: RealFunction, D: Distribution
 
         ys = sorted(Y)
         survivors = np.flatnonzero(restricted_gaps(V, ys, star[ys]) <= beta)
-        S_prime = PConceptClass(S.domain, [S[int(i)] for i in survivors])
+        S_prime = S.take(survivors)
         cover = epsilon_cover(S_prime, 4.0 * beta)
         t = max(math.log2(len(cover.cover)), 1.0)
         winnowed = safe_winnow(S_prime, f_star, Y, 4.0 * beta, cover)

@@ -46,7 +46,7 @@ from operator import itemgetter
 import numpy as np
 
 from .concepts import (BooleanFunction, Certificate, ConceptClass, InputDomain,
-                       PConceptClass, Slots, quantize, real_members)
+                       PConceptClass, Slots, quantize)
 from .errors import RejectedInputError
 from .qsim import Circuit, DensityMatrix, Gate
 
@@ -275,7 +275,7 @@ def real_class_from_json(tables: list) -> PConceptClass:
     """The class of the stored ``tables``, at the n their length gives; one
     that repeats a table is rejected, so a stored index i names member i."""
     domain = InputDomain(len(tables[0]).bit_length() - 1)
-    S = PConceptClass(domain, real_members(domain, tables))
+    S = PConceptClass.from_tables(domain, tables)
     if len(S) != len(tables):
         raise RejectedInputError("a stored class repeats a table")
     return S

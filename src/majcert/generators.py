@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from .concepts import (MAX_REAL_N, BooleanFunction, ConceptClass, InputDomain,
-                       PConceptClass, quantize, real_members)
+                       PConceptClass, quantize)
 from .errors import RejectedInputError
 
 
@@ -49,5 +49,5 @@ def random_pconcept_class(n: int, size: int, rng: np.random.Generator) -> PConce
     domain = InputDomain(n)
     if n > MAX_REAL_N:  # before the draw of size x 2^n entries
         raise RejectedInputError(f"real functions capped at n<={MAX_REAL_N}")
-    return PConceptClass(domain, real_members(
-        domain, quantize(rng.uniform(0.0, 1.0, size=(size, domain.size)))))
+    return PConceptClass.from_tables(
+        domain, quantize(rng.uniform(0.0, 1.0, size=(size, domain.size))))

@@ -39,28 +39,40 @@ from typing import Sequence
 
 import numpy as np
 
-from .concepts import BooleanFunction, InputDomain, PConceptClass, Slots, quantize, real_members
+from .concepts import BooleanFunction, InputDomain, PConceptClass, Slots, quantize
 from .decompose import (RealDecomposition, extremal_deviation,
                         real_majority_certificates)
 from .errors import EnumerationBudgetExceeded, RejectedInputError, VerificationDefect
 from .qsim import Circuit, DensityMatrix, measurement_operator, params_to_state
-from .winnow import DIMENSION_BUDGET
+from .winnow import _SEARCHES, DIMENSION_BUDGET
 
 
 #: complex entries of one state-by-operator product in ``acceptance_table``
 _PRODUCT_ENTRIES = 1 << 20
 
 
+def _operators(circuit: Circuit, domain: InputDomain, qubits: int) -> np.ndarray:
+    """The read-only stack of M_x over the domain's inputs x for advice of
+    ``qubits`` qubits, built once per (circuit, n, width) within
+    ``winnow.shared_searches`` and on every call outside one."""
+    memo, key = _SEARCHES.get({}), ("operators", circuit, domain.n, qubits)
+    if key not in memo:
+        ops = np.stack([measurement_operator(circuit, x, qubits) for x in domain.inputs()])
+        ops.flags.writeable = False
+        memo[key] = ops
+    return memo[key]
+
+
 def acceptance_table(circuit: Circuit, domain: InputDomain,
                      states: Sequence[DensityMatrix]) -> np.ndarray:
     """Tr(rho M_x) for every state (rows) and input x (columns), unclipped.
-    The operators M_x are built once per register width, and the states
-    of a width are multiplied by them as one stack, in slices of at most
-    _PRODUCT_ENTRIES product entries."""
+    The states of a register width are multiplied by that width's
+    ``_operators`` as one stack, in slices of at most _PRODUCT_ENTRIES
+    product entries."""
     table = np.empty((len(states), domain.size))
     for qubits in sorted({s.qubits for s in states}):
         rows = [i for i, s in enumerate(states) if s.qubits == qubits]
-        ops = np.stack([measurement_operator(circuit, x, qubits) for x in domain.inputs()])
+        ops = _operators(circuit, domain, qubits)
         step = max(1, _PRODUCT_ENTRIES // ops.size)
         for i in range(0, len(rows), step):
             part = rows[i:i + step]
@@ -74,13 +86,11 @@ def induced_with_states(circuit: Circuit, domain: InputDomain,
     """(p-concept class, aligned states): f_rho(x) = Tr(rho M_x), clipped
     to [0, 1] and quantized, per state, with exact-duplicate functions
     dropped (first state kept)."""
+    tables = quantize(np.clip(acceptance_table(circuit, domain, states), 0.0, 1.0))
     first: dict = {}
-    members = real_members(domain, quantize(np.clip(acceptance_table(circuit, domain, states),
-                                                    0.0, 1.0)))
-    for s, f in zip(states, members):
-        first.setdefault(f.key(), (f, s))
-    return (PConceptClass(domain, [f for f, _ in first.values()]),
-            tuple(s for _, s in first.values()))
+    for s, row in zip(states, tables):
+        first.setdefault(row.tobytes(), s)
+    return PConceptClass.from_tables(domain, tables), tuple(first.values())
 
 
 @dataclass(frozen=True)
@@ -198,9 +208,8 @@ def compile_advice(circuit: Circuit, rho_n: DensityMatrix, language: BooleanFunc
         # the honest state comes first, so it is never a duplicate
         decomposition = real_majority_certificates(S, S.members[0], eps, seed=seed)
         alpha = decomposition.alpha / 6.0
-        state_of = {f.key(): s for f, s in zip(S.members, kept)}
         slots = decomposition.slots.map(lambda slot: (
-            state_of[slot[0].key()],
+            kept[S.index_of(slot[0])],
             tuple((z, dyadic_approximation(slot[0](z), alpha)) for z in sorted(slot[1]))))
         protocol = AdviceProtocol(circuit=circuit, domain=domain, advice_qubits=rho_n.qubits,
                                   slots=slots, alpha=alpha, language=language,
@@ -356,7 +365,8 @@ def adversary_search(P: AdviceProtocol) -> AdversarySearchResult:
     is the maximum over inputs x and signs s of
     sum_j (count_j / m) * ext_j(x, s) - s * L(x), where ext_j is the
     extreme of ``_slot_extremes`` on distinct slot j over the Bloch ball,
-    read through the affine map of ``bloch_affine_map``.  The registers
+    read through the affine map of ``bloch_affine_map`` and found once per
+    (circuit, n, targets, width) within ``shared_searches``.  The registers
     of the maximizing (x, s) are built by ``_state_from_bloch``, and the
     error and deviation reported are the machines' own values on them;
     ``compile_advice`` adds them to the compiled class until the error is
@@ -364,7 +374,12 @@ def adversary_search(P: AdviceProtocol) -> AdversarySearchResult:
     if P.advice_qubits != 1:
         raise RejectedInputError("the exact adversary search covers one advice qubit")
     c, m = bloch_affine_map(P.circuit, P.domain)
-    extremes = [_slot_extremes(c, m, targets, 5.0 * P.alpha) for _, targets in P.slots.distinct]
+    memo, width, extremes = _SEARCHES.get({}), 5.0 * P.alpha, []
+    for _, targets in P.slots.distinct:
+        key = ("extremes", P.circuit, P.domain.n, targets, width)
+        if key not in memo:
+            memo[key] = _slot_extremes(c, m, targets, width)
+        extremes.append(memo[key])
     signs = np.tile([1.0, -1.0], len(c))
     errors = ((P.slots.counts() / P.m) @ np.array([values for values, _ in extremes])
               - signs * np.repeat(P.language.values(), 2))
@@ -397,8 +412,8 @@ def conditional_soundness_bound(P: AdviceProtocol) -> float:
 def bloch_affine_map(circuit: Circuit, domain: InputDomain) -> tuple:
     """For one advice qubit: f_sigma(x) = c[x] + m[x] . b where b is the
     Bloch vector; returns (c, m) with m of shape (2^n, 3), read off the
-    Hermitian M_x = c[x] I + m[x] . (X, Y, Z)."""
-    M = np.stack([measurement_operator(circuit, x, 1) for x in domain.inputs()])
+    Hermitian M_x = c[x] I + m[x] . (X, Y, Z) of ``_operators``."""
+    M = _operators(circuit, domain, 1)
     top, off, bottom = M[:, 0, 0].real, M[:, 0, 1], M[:, 1, 1].real
     return (top + bottom) / 2.0, np.stack([off.real, -off.imag, (top - bottom) / 2.0], axis=1)
 

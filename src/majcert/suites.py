@@ -231,10 +231,7 @@ def _check_realmajcert(record: dict, context: dict) -> bool:
 
 def _stored_cover(S: PConceptClass, out: dict) -> CoverResult:
     """The record's cover: distinct members of S that form an eps-cover."""
-    cover = CoverResult(PConceptClass(S.domain, [_entry(S.members, i) for i in out["cover"]]),
-                        out["eps"])
-    if len(cover.cover) != len(out["cover"]):
-        raise RejectedInputError("cover indices must be distinct members of the class")
+    cover = CoverResult(S.take([_entry(range(len(S)), i) for i in out["cover"]]), out["eps"])
     cover.validate(S)
     return cover
 

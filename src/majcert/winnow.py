@@ -46,6 +46,11 @@ DIMENSION_CAP = 12
 #: bounds (n <= 5, |S| <= 32) stay under C(32, 5) = 201,376.
 DIMENSION_BUDGET = 250_000
 
+#: Most tail splits one level of the multi-split search may test at its full
+#: choices, each against every cell, before it raises; the largest tested
+#: level needs 415,800 (200 sampled one-qubit states, n = 3, size 3).
+TAIL_SPLIT_BUDGET = 4 * DIMENSION_BUDGET
+
 
 def ceil_log(value: int, base_num: int, base_den: int = 1) -> int:
     """Smallest integer t with (base_num/base_den)^t >= value, exactly."""
@@ -188,7 +193,7 @@ class CoverResult:
     epsilon: float
 
     def validate(self, S: PConceptClass) -> None:
-        if not all(g in S for g in self.cover):
+        if not self.cover <= S:
             raise RejectedInputError("cover member outside the class")
         if not (pairwise_gaps(self.cover.value_matrix(), S.value_matrix())
                 <= self.epsilon).any(axis=0).all():
@@ -230,7 +235,7 @@ def epsilon_cover(S: PConceptClass, eps: float) -> CoverResult:
         chosen.append(i)
         uncovered &= ~covers[i]
     chosen.sort()
-    return CoverResult(cover=PConceptClass(S.domain, [S[i] for i in chosen]), epsilon=eps)
+    return CoverResult(cover=S.take(chosen), epsilon=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +261,12 @@ _SEARCHES: ContextVar = ContextVar("dimension_searches")
 def shared_searches():
     """A scope (also a decorator) in which ``_class_dimension`` builds each
     class's witness grid once per margin, ``_dimension`` searches each
-    exact grid once and ``games._first_certificates`` enumerates each
-    class's certificates once per k; nested scopes share the outermost
-    memo, dropped on its exit.  A call that raises stores nothing."""
+    exact grid once, ``games._first_certificates`` enumerates each
+    class's certificates once per k, ``protocol._operators`` builds
+    each circuit's operator stack once per n and advice width and
+    ``protocol.adversary_search`` bounds each slot once; nested
+    scopes share the outermost memo, dropped on its exit.  A call that
+    raises stores nothing."""
     token = _SEARCHES.set(_SEARCHES.get({}))
     try:
         yield
@@ -299,10 +307,10 @@ def _dimension(grid: tuple, members: int) -> int:
     share one search.  Level 1 is read off the grid; later levels'
     candidates are counted before any is built, level 2's before the
     kernel's codes or bitmasks: over DIMENSION_BUDGET raises
-    EnumerationBudgetExceeded, as do over DIMENSION_BUDGET split choices
-    in one level of the multi-split search.  A
-    size-s set needs 2^s members; a shattered set of size DIMENSION_CAP
-    raises DimensionCapExceeded."""
+    EnumerationBudgetExceeded, as do over DIMENSION_BUDGET split choices,
+    or over TAIL_SPLIT_BUDGET tail splits tested, in one level of the
+    multi-split search.  A size-s set needs 2^s members; a shattered set
+    of size DIMENSION_CAP raises DimensionCapExceeded."""
     memo, key = _SEARCHES.get({}), ("grid", members, *_arrays_key(*grid))
     if key in memo:
         return memo[key]
@@ -408,35 +416,40 @@ def _shattered_extensions(codes: np.ndarray, sets: np.ndarray) -> np.ndarray:
 def _fat_extensions(splits: list, sets: np.ndarray, members: int) -> np.ndarray:
     """The rows of ``sets`` extended by a later input that shatter (_fat_shatters),
     tested only when every one-smaller subset is a row of ``sets`` (Apriori).
-    The split choices visited are summed over the level's sets."""
+    The split choices visited and the tail splits tested are summed over
+    the level's sets."""
     known = set(map(tuple, sets.tolist()))
-    level, visited = [], 0
+    level, work = [], [0, 0]
     for A in map(tuple, sets.tolist()):
         tails = [x for x in range(A[-1] + 1, len(splits))
                  if all(A[:i] + A[i + 1:] + (x,) in known for i in range(len(A)))]
-        found, visited = _fat_shatters(splits, A, tails, members, visited)
-        level += [A + (x,) for x in found]
+        level += [A + (x,) for x in _fat_shatters(splits, A, tails, members, work)]
     return np.array(level, dtype=np.intp).reshape(len(level), sets.shape[1] + 1)
 
 
-def _fat_shatters(splits: list, A: tuple, tails: list, members: int,
-                  visited: int) -> tuple:
-    """(the inputs x of ``tails``, in order, for which A + (x,) is
+def _fat_shatters(splits: list, A: tuple, tails: list, members: int, work: list) -> list:
+    """The inputs x of ``tails``, in order, for which A + (x,) is
     shattered by a class of ``members`` members, given each input's
-    witness splits; ``visited`` plus the split choices this search
-    visits).  A choice of one split per input of A leaves one cell
-    per sign pattern of A, shared by all tails, and x completes the set
-    when one of its splits cuts every cell into two non-empty halves.
+    witness splits; ``work`` (split choices visited, tail splits tested)
+    gains this search's counts.  A choice of one split per input of A
+    leaves one cell per sign pattern of A, shared by all tails, and x
+    completes the set when one of its splits cuts every cell into two
+    non-empty halves.
     Low and high sets are disjoint, so the final cells are too, and a
     choice leaving a cell of fewer than 2^(|A|+1-k) members after k
     splits cannot finish: it is abandoned.  Each split tried for an input
-    of A is one choice; past DIMENSION_BUDGET choices visited,
-    EnumerationBudgetExceeded is raised."""
+    of A is one choice, and a full choice tests every split of each tail
+    still open; past DIMENSION_BUDGET choices visited or TAIL_SPLIT_BUDGET
+    tail splits tested, EnumerationBudgetExceeded is raised."""
     left = set(tails)
     stack = [(0, [(1 << members) - 1], 0)]  # (depth, cells, next split of A[depth])
     while stack and left:
         depth, cells, k = stack.pop()
         if depth == len(A):
+            work[1] += sum(len(splits[x]) for x in left)
+            if work[1] > TAIL_SPLIT_BUDGET:
+                raise EnumerationBudgetExceeded(TAIL_SPLIT_BUDGET, work[1],
+                                                f"tail splits of size {len(A) + 1}")
             for x in list(left):
                 for low, high in splits[x]:
                     for c in cells:
@@ -448,8 +461,8 @@ def _fat_shatters(splits: list, A: tuple, tails: list, members: int,
             continue
         if k == len(splits[A[depth]]):
             continue
-        visited += 1
-        _within_budget(visited, len(A) + 1, "split choices")
+        work[0] += 1
+        _within_budget(work[0], len(A) + 1, "split choices")
         stack.append((depth, cells, k + 1))  # taken once this split's choices are done
         low, high = splits[A[depth]][k]
         need = 1 << (len(A) - depth)
@@ -463,7 +476,7 @@ def _fat_shatters(splits: list, A: tuple, tails: list, members: int,
             nxt.append(b)
         else:
             stack.append((depth + 1, nxt, 0))
-    return [x for x in tails if x not in left], visited
+    return [x for x in tails if x not in left]
 
 
 def vc_dim(S: ConceptClass) -> int:
@@ -681,9 +694,9 @@ class L2Family:
         """Explicit enumeration; feasible only for n <= 3."""
         if self.n > 3:
             raise RejectedInputError("explicit enumeration only for n <= 3; sample instead")
-        rows = itertools.product(range(self.n + 1), repeat=self.domain.size)
-        return PConceptClass(self.domain, [self.member(a) for a in rows
-                                           if sum(a) == self.n * self.n])
+        rows = [a for a in itertools.product(range(self.n + 1), repeat=self.domain.size)
+                if sum(a) == self.n * self.n]
+        return PConceptClass.from_tables(self.domain, np.array(rows) / float(self.n))
 
     def sample_member(self, rng: np.random.Generator) -> RealFunction:
         """Random member: n^2 unit increments at uniform inputs, redrawing

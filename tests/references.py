@@ -138,6 +138,17 @@ def as_slots(P: AdviceProtocol, sigma) -> Slots:
     return Slots.group(sigma, key=DensityMatrix.key)
 
 
+def corner_vectors(m: np.ndarray) -> np.ndarray:
+    """The vectors pinv(m_T) s, as columns, for every sign pattern s of
+    every set T of at most 3 inputs, where m is ``bloch_affine_map``'s;
+    those of an s outside m_T's range are dropped.  The pure state whose
+    Bloch vector points along one is a corner of all one-qubit advice."""
+    B = np.concatenate([np.linalg.pinv(m[list(T)], 1e-12)  # relative cutoff: rounding noise
+                        @ np.array(list(product((1, -1), repeat=len(T)))).T
+                        for k in (1, 2, 3) for T in combinations(range(len(m)), k)], axis=1)
+    return B[:, np.linalg.norm(B, axis=0) > 1e-9]
+
+
 def corner_fat_dims(gammas, circuit: Circuit, domain: InputDomain) -> list:
     """``protocol.fat_dim_quantum_check`` through a finite class: the pure
     corner states along pinv(m_T) s, for every sign pattern s of every T
@@ -148,11 +159,7 @@ def corner_fat_dims(gammas, circuit: Circuit, domain: InputDomain) -> list:
     count = sum(math.comb(domain.size, k) << k for k in (1, 2, 3))
     if count > DIMENSION_BUDGET:
         raise EnumerationBudgetExceeded(DIMENSION_BUDGET, count, "one-qubit advice corners")
-    m = bloch_affine_map(circuit, domain)[1]
-    B = np.concatenate([np.linalg.pinv(m[list(T)], 1e-12)  # relative cutoff: rounding noise
-                        @ np.array(list(product((1, -1), repeat=len(T)))).T
-                        for k in (1, 2, 3) for T in combinations(range(domain.size), k)], axis=1)
-    B = B[:, np.linalg.norm(B, axis=0) > 1e-9]  # s outside m_T's range: no corner
+    B = corner_vectors(bloch_affine_map(circuit, domain)[1])
     half, phase = np.arctan2(np.hypot(B[0], B[1]), B[2]) / 2.0, np.arctan2(B[1], B[0])
     pure = np.zeros((len(half), 8))  # psi (x) |0>, real parts then imaginary parts
     pure[:, 0], pure[:, [2, 6]] = np.cos(half), (np.sin(half) * [np.cos(phase), np.sin(phase)]).T

@@ -15,7 +15,7 @@ import pytest
 
 from majcert.concepts import (BooleanFunction, ConceptClass, Distribution,
                               InputDomain, PConceptClass, dist_inf,
-                              dist_two, pointwise_majority, real_members)
+                              dist_two, pointwise_majority)
 from majcert.decompose import (FAIL, find_valid_sample_size,
                                majority_certificates, occam_check,
                                untrusted_oracle_evaluate,
@@ -239,7 +239,7 @@ def test_criterion_07_dimension_identities():
         v = vc_dim(S)
         if v > math.log2(len(S)) + 1e-12:
             ok = False
-        P = PConceptClass(S.domain, real_members(S.domain, S.value_matrix()))
+        P = PConceptClass.from_tables(S.domain, S.value_matrix())
         if fat_shattering_dim(P, 0.25) != v:
             ok = False
     for i in range(20):

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from majcert import concepts
 from majcert.concepts import (BooleanFunction, Certificate, ConceptClass,
                               Distribution, InputDomain, PConceptClass,
                               RealFunction, Slots, dist_inf, distance,
                               distance_expected, is_isolated,
-                              pointwise_majority, real_members, restrict_class,
+                              pointwise_majority, restrict_class,
                               restricted_gaps)
 from majcert.errors import DomainMismatchError, RejectedInputError
 from references import constant, dist_one
@@ -365,36 +366,89 @@ entry = st.one_of(st.floats(-0.5, 1.5), st.just(math.nan), st.just(math.inf),
 
 
 @given(st.data())
-def test_real_members_equal_one_real_function_per_row(data):
+def test_from_tables_equals_the_member_list_class(data):
     """The matrix builder accepts exactly the tables that RealFunction
     accepts one by one (equal lengths of 2^n finite entries in [0, 1]),
-    with the same tables and keys, in order, each a read-only row."""
+    and builds the class the member list builds: equal, with the same
+    members, keys and indices in order, first occurrences kept, each
+    member's table a read-only row of the value matrix."""
     domain = InputDomain(data.draw(st.integers(1, 3)))
     length = st.sampled_from([domain.size] * 5 + [1, domain.size + 1])
     tables = data.draw(st.lists(length.flatmap(lambda k: st.lists(entry, min_size=k, max_size=k)),
                                 min_size=1, max_size=5))
+    tables += data.draw(st.lists(st.sampled_from(tables), max_size=3))  # repeated rows
     try:
-        expected = [RealFunction(domain, np.array(t)) for t in tables]
+        expected = PConceptClass(domain, [RealFunction(domain, np.array(t)) for t in tables])
     except RejectedInputError:
         with pytest.raises(RejectedInputError):
-            real_members(domain, tables)
+            PConceptClass.from_tables(domain, tables)
         return
-    members = real_members(domain, tables)
-    assert [f.table.tolist() for f in members] == [f.table.tolist() for f in expected]
-    assert [f.key() for f in members] == [f.key() for f in expected]
-    assert all(not f.table.flags.writeable and f.domain == domain for f in members)
-    assert PConceptClass(domain, members) == PConceptClass(domain, expected)
+    S = PConceptClass.from_tables(domain, tables)
+    assert S == expected and len(S) == len(expected)
+    assert [f.key() for f in S] == [f.key() for f in expected]
+    assert [S.index_of(f) for f in expected] == list(range(len(expected)))
+    V = S.value_matrix()
+    assert V.tolist() == expected.value_matrix().tolist() and not V.flags.writeable
+    assert all(f.domain == domain and not f.table.flags.writeable
+               and np.shares_memory(f.table, V) for f in S)
+
+
+def test_from_tables_keeps_the_first_of_repeated_rows():
+    domain = InputDomain(1)
+    a, b, c = [0.25, 0.5], [0.5, 0.25], [1.0, 0.0]
+    S = PConceptClass.from_tables(domain, [b, a, c, a, b])
+    assert [f.table.tolist() for f in S] == [b, a, c]
+    assert S.index_of(real_fn(domain, a)) == 1
+    assert S.value_matrix().tolist() == [b, a, c] and not S.value_matrix().flags.writeable
+
+
+def test_from_tables_matrix_is_the_validated_array(monkeypatch):
+    """Without a repeated row the value matrix is the one read-only copy
+    that validation made, never restacked from the members."""
+    made = []
+
+    def recorded(*args):
+        made.append(real_tables(*args))
+        return made[-1]
+
+    real_tables = concepts._real_tables
+    monkeypatch.setattr(concepts, "_real_tables", recorded)
+    monkeypatch.setattr(PConceptClass, "_stack", lambda self: pytest.fail("restacked"))
+    tables = np.array([[0.1, 0.9], [0.3, 0.4]])
+    S = PConceptClass.from_tables(InputDomain(1), tables)
+    assert S.value_matrix() is made[0] and not made[0].flags.writeable
+    assert not np.shares_memory(made[0], tables)
+    assert all(np.shares_memory(f.table, made[0]) for f in S)
+    transposed = PConceptClass.from_tables(InputDomain(1), tables.T)  # a Fortran-ordered input
+    assert [f.table.tolist() for f in transposed] == tables.T.tolist()
+
+
+def test_take_shares_rows_and_rejects_bad_indices():
+    domain = InputDomain(2)
+    S = PConceptClass.from_tables(domain, [[i / 8, 0.5, 1 - i / 8, 0.0] for i in range(4)])
+    T = S.take(np.array([2, 0]))
+    assert T == PConceptClass(domain, [S[2], S[0]])
+    assert T[0] is S[2] and T[1] is S[0] and T.index_of(S[2]) == 0 and S[1] not in T
+    assert T <= S and S <= S and not S <= T
+    assert T.value_matrix().tolist() == S.value_matrix()[[2, 0]].tolist()
+    assert not T.value_matrix().flags.writeable
+    assert all(np.shares_memory(f.table, S.value_matrix()) for f in T)
+    for rows in ([0, 0], [4], [-1], []):
+        with pytest.raises(RejectedInputError):
+            S.take(rows)
+    B = ConceptClass(domain, [BooleanFunction(domain, bits) for bits in (3, 5, 6)])
+    assert B.take([2, 1]) == ConceptClass(domain, [B[2], B[1]]) and not B <= S
 
 
 def test_real_tables_reject_nan_and_the_n_cap():
     domain = InputDomain(1)
-    for tables in ([[0.5, math.nan]], [[0.5, 0.5], [0.5]], [[0.5, "a"]]):
+    for tables in ([[0.5, math.nan]], [[0.5, 0.5], [0.5]], [[0.5, "a"]], np.zeros((0, 2))):
         with pytest.raises(RejectedInputError):
-            real_members(domain, tables)
+            PConceptClass.from_tables(domain, tables)
     with pytest.raises(RejectedInputError):
         RealFunction(domain, np.array([math.nan, 0.5]))
     with pytest.raises(RejectedInputError):
-        real_members(InputDomain(15), np.zeros((1, 1 << 15)))
+        PConceptClass.from_tables(InputDomain(15), np.zeros((1, 1 << 15)))
 
 
 def test_certificate_validation():

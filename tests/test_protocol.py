@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from majcert.concepts import BooleanFunction, InputDomain, Slots
+from majcert.concepts import BooleanFunction, InputDomain, PConceptClass, Slots, quantize
 from majcert.decompose import verify_real_decomposition
 from majcert.errors import EnumerationBudgetExceeded, RejectedInputError, VerificationDefect
 import majcert.protocol as protocol
@@ -23,9 +23,9 @@ from majcert.protocol import (acceptance_table, adversary_search, bloch_affine_m
 from majcert.qsim import Circuit, DensityMatrix, Gate, measurement_operator
 from majcert.rng import substream
 from majcert.winnow import fat_shattering_dim
-from references import (accept_probability, as_slots, corner_fat_dims, eigen_ensemble,
-                        joint_amplify, maximally_mixed, random_mixed_state, reduced_state,
-                        tensor)
+from references import (accept_probability, as_slots, corner_fat_dims, corner_vectors,
+                        eigen_ensemble, joint_amplify, maximally_mixed, random_mixed_state,
+                        reduced_state, tensor)
 
 
 def standard_instance():
@@ -641,6 +641,26 @@ def test_fat_quantum_equals_the_corner_class_reference(seed):
     gammas = [0.1, 0.2, 0.25, 0.3, 0.4]
     assert (fat_outcome(fat_dim_quantum_check, gammas, circuit, domain)
             == fat_outcome(corner_fat_dims, gammas, circuit, domain))
+
+
+def test_multi_split_search_stops_early_on_the_five_bit_corner_class():
+    """The pure corner states of H, T, H, T, H on five bits, read as
+    c + m b at each corner's unit Bloch vector b, induce 244 members that
+    are 3-shattered at gamma just under 1/4.  At gamma = 0.1 the size-3
+    level would test some 14 million tail splits; the tail-split budget
+    stops it within 2 s."""
+    circuit = Circuit(qubits=1, gates=tuple(Gate(name, 0, when_bit=i)
+                                            for i, name in enumerate("HTHTH")), accept_qubit=0)
+    domain = InputDomain(5)
+    c, m = bloch_affine_map(circuit, domain)
+    B = corner_vectors(m)
+    S = PConceptClass.from_tables(domain, quantize(np.clip(
+        c + (m @ (B / np.linalg.norm(B, axis=0))).T, 0.0, 1.0)))
+    assert len(S) == 244 and fat_shattering_dim(S, 0.25 - 1e-9) == 3
+    started = time.monotonic()
+    with pytest.raises(EnumerationBudgetExceeded, match="tail splits of size 3"):
+        fat_shattering_dim(S, 0.1)
+    assert time.monotonic() - started < 2.0
 
 
 def test_fat_quantum_witness_guard_catches_a_wrong_map(monkeypatch):

@@ -1,6 +1,7 @@
 """Suite checks: `run` and `verify` agree on every verdict, and each check
 rejects a tampered record that its stored claims alone would pass."""
 
+import collections
 import copy
 import dataclasses
 import functools
@@ -13,14 +14,14 @@ import sys
 import numpy as np
 import pytest
 
-from majcert import suites
+from majcert import protocol, suites
 from majcert.concepts import Distribution, InputDomain, PConceptClass, RealFunction, Slots
 from majcert.decompose import RealDecomposition, _far_members, occam_check
 from majcert.formats import (boolean_decomposition_from_json, canonical_json, canonical_tree,
                              protocol_from_json, real_class_from_json,
                              real_decomposition_from_json, state_to_json)
 from majcert.protocol import machine_b_error, verifier_A
-from majcert.qsim import DensityMatrix
+from majcert.qsim import DensityMatrix, measurement_operator
 from majcert.suites import REGISTRY, build_standard_protocol, run_suite, verify_report
 from majcert.errors import RejectedInputError
 from majcert.winnow import _SEARCHES, fat_shattering_dim
@@ -863,6 +864,52 @@ def test_dimension_searches_are_shared_only_within_a_call(monkeypatch):
     with pytest.raises(RejectedInputError):
         run_suite(report["config"])
     assert _SEARCHES.get(None) is None
+
+
+def test_quantum_run_builds_each_operator_once(monkeypatch):
+    """One in-process quantum-protocol run, its checks included, builds
+    M_x at most once per (circuit, input, advice width), and bounds each
+    slot of the adversary search once per (targets, width): both live in
+    the run's shared_searches memo."""
+    built, bounded = collections.Counter(), collections.Counter()
+    slot_extremes = protocol._slot_extremes
+
+    def counted(circuit, x, qubits):
+        built[circuit, x, qubits] += 1
+        return measurement_operator(circuit, x, qubits)
+
+    def counted_extremes(c, m, targets, width):
+        bounded[targets, width] += 1
+        return slot_extremes(c, m, targets, width)
+
+    monkeypatch.setattr(protocol, "measurement_operator", counted)
+    monkeypatch.setattr(protocol, "_slot_extremes", counted_extremes)
+    run_suite(json.loads((CONFIG_DIR / "quantum-protocol.json").read_text()))
+    assert built and max(built.values()) == 1
+    assert bounded and max(bounded.values()) == 1
+
+
+def test_real_quantum_run_never_restacks_a_from_tables_class(monkeypatch):
+    """The real-quantum workload's configs, run in process, never stack
+    the value matrix of a class built from tables: it is the validated
+    array, and the covers and survivor classes taken from it share its rows."""
+    built, stacked = [], []
+    from_tables, stack = PConceptClass.from_tables.__func__, PConceptClass._stack
+
+    def recorded(cls, domain, tables):
+        built.append(from_tables(cls, domain, tables))
+        return built[-1]
+
+    def spy(self):
+        stacked.append(self)
+        return stack(self)
+
+    monkeypatch.setattr(PConceptClass, "from_tables", classmethod(recorded))
+    monkeypatch.setattr(PConceptClass, "_stack", spy)
+    for stem in ("realmajcert", "winnow", "l1winnow", "dims", "occam", "l2counter",
+                 "quantum-protocol"):
+        run_suite(json.loads((CONFIG_DIR / f"{stem}.json").read_text()))
+    assert built and not {id(S) for S in built} & {id(S) for S in stacked}
 
 
 def test_undecodable_protocol_fails_every_quantum_record():

@@ -15,7 +15,7 @@ from majcert import concepts
 from majcert.concepts import (BooleanFunction, Certificate, ConceptClass,
                               Distribution, InputDomain, PConceptClass,
                               RealFunction, dist_inf, dist_two,
-                              is_isolated, pairwise_gaps, real_members,
+                              is_isolated, pairwise_gaps,
                               restricted_gaps)
 from majcert.errors import (DimensionCapExceeded, EnumerationBudgetExceeded,
                             RejectedInputError)
@@ -350,6 +350,14 @@ def test_covers_from_gap_matrix_equal_row_by_row_references(block_cells, n, size
                 partial.validate(S)
 
 
+def test_cover_with_a_member_outside_the_class_is_rejected():
+    domain = InputDomain(1)
+    S = PConceptClass(domain, [constant(domain, 0.2), constant(domain, 0.6)])
+    outside = PConceptClass(domain, [constant(domain, 0.2), constant(domain, 0.4)])
+    with pytest.raises(RejectedInputError, match="outside the class"):
+        CoverResult(cover=outside, epsilon=0.5).validate(S)
+
+
 # ---------------------------------------------------------------------------
 # dimensions
 # ---------------------------------------------------------------------------
@@ -390,7 +398,7 @@ def test_dimension_budget_signal(monkeypatch, kernel_only):
     with pytest.raises(EnumerationBudgetExceeded):
         vc_dim(S)
     with pytest.raises(EnumerationBudgetExceeded):
-        fat_shattering_dim(PConceptClass(domain, real_members(domain, S.value_matrix())), 0.25)
+        fat_shattering_dim(PConceptClass.from_tables(domain, S.value_matrix()), 0.25)
 
 
 def test_multi_split_search_budget_signal(monkeypatch):
@@ -445,7 +453,7 @@ def test_fat_of_a_boolean_class_equals_fat_of_its_real_reading(salt):
     rng = substream(salt, 58)
     n = int(rng.integers(1, 5))
     S = random_boolean_class(n, int(rng.integers(1, min(16, 1 << (1 << n)) + 1)), rng)
-    P = PConceptClass(S.domain, real_members(S.domain, S.value_matrix()))
+    P = PConceptClass.from_tables(S.domain, S.value_matrix())
     for gamma in (0.1, 0.25, 0.5):
         assert fat_shattering_dim(S, gamma) == fat_shattering_dim(P, gamma)
 
@@ -550,7 +558,7 @@ def test_single_split_kernel_equals_apriori_reference(kernel_only, n, salt, data
     S = random_boolean_class(n, size, rng)
     want = reference_single_split_dimension(boolean_class_splits(S), len(S))
     assert vc_dim(S) == want
-    P = PConceptClass(S.domain, real_members(S.domain, S.value_matrix()))
+    P = PConceptClass.from_tables(S.domain, S.value_matrix())
     V = P.value_matrix()
     grid = grid_pairs(_witness_splits(V, 0.25))
     assert reference_single_split_dimension(grid, len(P)) == want
@@ -625,7 +633,7 @@ def test_fat_equals_vc_for_boolean(salt):
     n = int(rng.integers(1, 4))
     limit = min(10, 1 << (1 << n))
     S = random_boolean_class(n, int(rng.integers(2, limit + 1)), rng)
-    P = PConceptClass(S.domain, real_members(S.domain, S.value_matrix()))
+    P = PConceptClass.from_tables(S.domain, S.value_matrix())
     assert fat_shattering_dim(P, 0.25) == vc_dim(S)
 
 
@@ -660,7 +668,7 @@ def test_fat_search_leaves_no_garbage_to_the_collector():
 def test_fat_cap_signal(monkeypatch, kernel_only):
     domain = InputDomain(2)
     full = ConceptClass(domain, [BooleanFunction(domain, b) for b in range(16)])
-    S = PConceptClass(domain, real_members(domain, full.value_matrix()))
+    S = PConceptClass.from_tables(domain, full.value_matrix())
     assert fat_shattering_dim(S, 0.25) == 4
     monkeypatch.setattr(winnow, "DIMENSION_CAP", 3)
     with pytest.raises(DimensionCapExceeded):
